@@ -9,14 +9,30 @@ from Pi = Pf, damping 0.5 when the residual grows. The compiled engine is
 a single allocation-free numba kernel (hand-rolled products and Gaussian
 elimination) so its cost scales with the linear-algebra work rather than
 per-call dispatch overhead; the numpy engine is the plain vectorized twin
-used as a reference and as the fallback when numba is unavailable.
+used as a reference and as the fallback when numba is unavailable. Its
+one-step map, `game_map`, also gives the steady-state gain and residual.
 
-Status codes: 0 converged, 1 iteration cap, -1 diverged, -2 singular M.
+Both stop early, as stalled, when the iteration circles instead of
+converging: its relative residual ||Pi_next - Pi|| / scale has set no new
+minimum for STALL_ITERS iterations, and the residual has risen above 1 in
+more than n + 2 separate runs of iterations. Each such run is a pass of
+the iterate through the pole of M^{-1}. A converging iteration makes few of
+them (for n = 1 the map is a Moebius transformation, and with two real
+fixed points every orbit but the repelling one passes through infinity at
+most once on its way to the attracting one), and then lowers its residual
+almost every step, also when it converges slowly next to a boundary-active
+fixed point. One with no fixed point keeps passing through the pole and
+would otherwise run to the iteration cap.
+
+Status codes: 0 converged, 1 iteration cap, 2 stalled, -1 diverged,
+-2 singular M.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as la
+
+from ._linalg import solve
 
 try:
     from numba import njit
@@ -31,6 +47,9 @@ except ImportError:  # pragma: no cover
         return wrap
 
 
+STALL_ITERS = 500
+
+
 @njit(cache=True, fastmath=False)
 def _fp_kernel(A, B, G, Q, R, lam, Pf, tol, max_iter,
                Pi, Pn, SA, SB, SG, M, RH, KJ):  # pragma: no cover - compiled
@@ -42,6 +61,10 @@ def _fp_kernel(A, B, G, Q, R, lam, Pf, tol, max_iter,
         for j in range(n):
             Pi[i, j] = Pf[i, j]
     prev_res = 1e300
+    best = 1e300
+    since_best = 0
+    jumps = 0
+    above = False
     it = 0
     while it < max_iter:
         for i in range(n):
@@ -154,6 +177,17 @@ def _fp_kernel(A, B, G, Q, R, lam, Pf, tol, max_iter,
             return 0, it
         if res > 1e12 * scale:
             return -1, it
+        rel = res / scale
+        if rel > 1.0 and not above:
+            jumps += 1
+        above = rel > 1.0
+        if rel < best:
+            best = rel
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= STALL_ITERS and jumps > n + 2:
+                return 2, it
         if res > prev_res:
             for i in range(n):
                 for j in range(n):
@@ -190,25 +224,42 @@ def fixed_point_compiled(A, B, G, Q, R, lam, Pf, tol, max_iter):
     return int(status), int(iters), ws.bufs[0].copy()
 
 
+def game_map(A, B, G, Q, R, lam, Pi, Iq):
+    """One step of the steady-state game Riccati map, the numpy engine's
+    iteration: returns (sym(Pi_next), [K; J]); Iq = eye(q). Raises
+    LinAlgError when M is singular."""
+    m = B.shape[1]
+    SA = Pi @ A
+    SB = Pi @ B
+    SG = Pi @ G
+    # filled block by block: np.block and np.vstack cost more than the
+    # products at these sizes
+    M = np.empty((m + G.shape[1], m + G.shape[1]))
+    M[:m, :m] = B.T @ SB + R
+    M[:m, m:] = B.T @ SG
+    M[m:, :m] = SG.T @ B
+    M[m:, m:] = G.T @ SG - lam * Iq
+    RH = np.empty((M.shape[0], A.shape[0]))
+    RH[:m] = B.T @ SA
+    RH[m:] = G.T @ SA
+    KJ = solve(M, RH)
+    Pn = Q + A.T @ SA - RH.T @ KJ
+    return 0.5 * (Pn + Pn.T), KJ
+
+
 def fixed_point_numpy(A, B, G, Q, R, lam, Pf, tol, max_iter):
-    n = A.shape[0]
-    q = G.shape[1]
-    Iq = np.eye(q)
+    Iq = np.eye(G.shape[1])
     Pi = Pf.copy()
     prev_res = np.inf
+    best = np.inf
+    since_best = 0
+    jumps = 0
+    above = False
     for it in range(int(max_iter)):
-        SA = Pi @ A
-        SB = Pi @ B
-        SG = Pi @ G
-        M = np.block([[B.T @ SB + R, B.T @ SG],
-                      [SG.T @ B, G.T @ SG - lam * Iq]])
-        RH = np.vstack([B.T @ SA, G.T @ SA])
         try:
-            KJ = la.solve(M, RH)
+            Pn, _ = game_map(A, B, G, Q, R, lam, Pi, Iq)
         except la.LinAlgError:
             return -2, it, Pi
-        Pn = Q + A.T @ SA - RH.T @ KJ
-        Pn = 0.5 * (Pn + Pn.T)
         diff = Pn - Pi
         res = float(np.sqrt(np.sum(diff * diff)))
         scale = float(np.sqrt(1.0 + np.sum(Pi * Pi)))
@@ -216,6 +267,17 @@ def fixed_point_numpy(A, B, G, Q, R, lam, Pf, tol, max_iter):
             return 0, it, Pn
         if res > 1e12 * scale:
             return -1, it, Pi
+        rel = res / scale
+        if rel > 1.0 and not above:
+            jumps += 1
+        above = rel > 1.0
+        if rel < best:
+            best = rel
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= STALL_ITERS and jumps > A.shape[0] + 2:
+                return 2, it, Pi
         Pi = 0.5 * (Pn + Pi) if res > prev_res else Pn
         prev_res = res
     return 1, int(max_iter), Pi

@@ -5,9 +5,14 @@ is minimized over the nested feasible set lambda_j >= ||G'Pi_{j+1}G||.
 The denominator alpha_bar is always the full-horizon budget, also for
 tail programs starting at k > 0.
 
-Two phases. Phase one is projected gradient in the multipliers
-themselves (Barzilai-Borwein step, Armijo backtracking, sequential
-raise-to-bound projection) with either the envelope gradient
+One projected-gradient loop (Barzilai-Borwein step, Armijo backtracking)
+runs twice, in two coordinate systems. Every candidate is projected and
+swept by one nested backward pass of riccati, which sets
+lambda_j = max(raw_j, b_j + margin) + s_j stage by stage with
+b_j = ||G'Pi_{j+1}G|| under the multipliers already set.
+
+Phase one works in the multipliers themselves (raw = the candidate,
+s = 0) with either the envelope gradient
 
     dphi/dlambda_j = (alpha_j - ||wbar_j||^2) / (2 alpha_bar),
 
@@ -15,20 +20,21 @@ wbar_j the certainty disturbance along x+ = (A - BK - GJ)x, or central
 finite differences. Because an active bound's level moves with the tail
 multipliers, the componentwise projected gradient need not vanish at a
 constrained optimum; phase two therefore refines in the slack
-coordinates s_j = lambda_j - bound_j(lambda_{j+1:}) >= 0, where the
-feasible set is exactly the nonnegative orthant and box projection is
-exact. Finite differences drive phase two.
+coordinates s_j = lambda_j - b_j - eps_boundary >= 0 (raw = -inf), where
+the feasible set is exactly the nonnegative orthant and box projection
+is exact. Finite differences drive phase two.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import top_eig
 from .errors import BoundaryTooClose
 from .problem import ProblemData, Tolerances
-from .riccati import MultiplierVector, RiccatiSweep, _stage_step, project_feasible, sweep
+from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass,
+                      project_feasible, sweep)
 
 __all__ = ["MultiplierSolution", "objective", "gradient", "solve_multipliers"]
 
@@ -55,17 +61,11 @@ def _wrap(p: ProblemData, lam, k: int) -> MultiplierVector:
     return MultiplierVector(np.asarray(lam, dtype=float), stage_offset=k)
 
 
-def _phi_from_sweep(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> float:
+def _phi(p: ProblemData, x: np.ndarray, lam: MultiplierVector,
+         Pi0: np.ndarray) -> float:
     abar = p.schedule().alpha_bar
-    k = sw.stage_offset
-    tail = float(p.alpha[k:] @ sw.lam.lambdas)
-    return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * abar)
-
-
-def _objective_sweep(p: ProblemData, lam: MultiplierVector, x: np.ndarray,
-                     tol: Tolerances) -> tuple[float, RiccatiSweep]:
-    sw = sweep(p, lam, tol)
-    return _phi_from_sweep(p, sw, x), sw
+    tail = float(p.alpha[lam.stage_offset:] @ lam.lambdas)
+    return (float(x @ Pi0 @ x) + tail) / (2.0 * abar)
 
 
 def objective(p: ProblemData, lam, x, k: int = 0,
@@ -73,8 +73,8 @@ def objective(p: ProblemData, lam, x, k: int = 0,
     """phi at a feasible multiplier vector for the tail program at stage k."""
     tol = tol or Tolerances()
     x = np.asarray(x, dtype=float).ravel()
-    phi, _ = _objective_sweep(p, _wrap(p, lam, k), x, tol)
-    return phi
+    sw = sweep(p, _wrap(p, lam, k), tol)
+    return _phi(p, x, sw.lam, sw.Pi[0])
 
 
 def _envelope_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
@@ -88,26 +88,31 @@ def _envelope_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.nd
         xj = p.A @ xj - p.B @ (sw.K[j] @ xj) + p.G @ w
     return g
 
-def _fd_gradient(p: ProblemData, lam: MultiplierVector, x: np.ndarray,
-                 tol: Tolerances) -> np.ndarray:
-    k = lam.stage_offset
-    base = lam.lambdas
-    phi0, _ = _objective_sweep(p, lam, x, tol)
+
+def _fd_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray,
+                 phi0: float, tol: Tolerances) -> np.ndarray:
+    """Central differences of phi at the multipliers of sw (phi0 there),
+    forward ones where a probe's projection moves it."""
+    k = sw.stage_offset
+    base = sw.lam.lambdas
     g = np.zeros(base.size)
     for i in range(base.size):
         h = max(tol.fd_step, tol.fd_step * abs(base[i]))
         up = base.copy()
         up[i] += h
-        lam_up = project_feasible(p, up, stage_offset=k, tol=tol)
+        sw_up, _ = _nested_pass(p, up, k, tol, tol.eps_boundary)
         dn = base.copy()
         dn[i] -= h
-        lam_dn = project_feasible(p, dn, stage_offset=k, tol=tol)
-        moved = max(float(np.abs(lam_up.lambdas - up).max()),
-                    float(np.abs(lam_dn.lambdas - dn).max()))
-        phi_up, _ = _objective_sweep(p, lam_up, x, tol)
+        # a down-probe the projection moved sits on the bound, where its
+        # stage-0 step can fail; the pass finishes that step only when the
+        # probe is used
+        sw_dn, _ = _nested_pass(p, dn, k, tol, tol.eps_boundary, step0=False)
+        moved = max(float(np.abs(sw_up.lam.lambdas - up).max()),
+                    float(np.abs(sw_dn.lam.lambdas - dn).max()))
+        phi_up = _phi(p, x, sw_up.lam, sw_up.Pi[0])
         if moved <= 1e-3 * h:
-            phi_dn, _ = _objective_sweep(p, lam_dn, x, tol)
-            g[i] = (phi_up - phi_dn) / (2.0 * h)
+            stage0, _ = _nested_pass(p, sw_dn.lam.lambdas[:1], k, tol, S=sw_dn.Pi[1])
+            g[i] = (phi_up - _phi(p, x, sw_dn.lam, stage0.Pi[0])) / (2.0 * h)
         else:
             g[i] = (phi_up - phi0) / h
     return g
@@ -133,39 +138,19 @@ def gradient(p: ProblemData, lam, x, k: int = 0, method: str = "fd",
     if method == "envelope":
         return _envelope_gradient(p, sw, x)
     if method == "fd":
-        return _fd_gradient(p, lam, x, tol)
+        return _fd_gradient(p, sw, x, _phi(p, x, sw.lam, sw.Pi[0]), tol)
     raise ValueError(f"unknown gradient method {method!r}")
 
 
-def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances):
-    """Multipliers, sweep data and phi from slack coordinates.
+def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
+                 tol: Tolerances) -> RiccatiSweep:
+    """Sweep at lambda_j = ||G'Pi_{j+1}G|| + eps_boundary + s_j, any s >= 0.
 
-    lambda_j = ||G'Pi_{j+1}G|| + eps_boundary + s_j, built backward so
-    any s >= 0 is feasible by construction.
+    Its bounds are the ||G'Pi_{j+1}G|| the multipliers were built from.
     """
-    n_stage = p.N - k
-    lams = np.zeros(n_stage)
-    Pi = [None] * (n_stage + 1)
-    Ms, Ks, Js, bounds = [None] * n_stage, [None] * n_stage, [None] * n_stage, np.zeros(n_stage)
-    S = p.Pf
-    Pi[n_stage] = p.Pf
-    for idx in range(n_stage - 1, -1, -1):
-        b = top_eig(p.G.T @ S @ p.G)
-        lams[idx] = b + tol.eps_boundary + s[idx]
-        bounds[idx] = b
-        P, M, K, J, _ = _stage_step(p, S, lams[idx], tol)
-        Pi[idx], Ms[idx], Ks[idx], Js[idx] = P, M, K, J
-        S = P
-    lam = MultiplierVector(lams, stage_offset=k)
-    sw = RiccatiSweep(Pi=tuple(Pi), M=tuple(Ms), K=tuple(Ks), J=tuple(Js),
-                      lam=lam, bounds=bounds)
-    return sw
-
-
-def _slack_phi(p: ProblemData, s: np.ndarray, k: int, x: np.ndarray,
-               tol: Tolerances) -> tuple[float, RiccatiSweep]:
-    sw = _reconstruct(p, s, k, tol)
-    return _phi_from_sweep(p, sw, x), sw
+    sw, rule = _nested_pass(p, np.full(s.size, -np.inf), k, tol,
+                            tol.eps_boundary, s)
+    return dataclasses.replace(sw, bounds=rule)
 
 
 def _slack_phi_perturbed(p: ProblemData, s_i: float, i: int,
@@ -173,22 +158,18 @@ def _slack_phi_perturbed(p: ProblemData, s_i: float, i: int,
                          tol: Tolerances) -> float:
     """phi with coordinate i of the slack vector replaced by s_i.
 
-    Stages above i are unaffected (the reconstruction runs backward), so
-    their multipliers and Pi are reused from the base sweep.
+    Stages above i are unaffected (the pass runs backward), so the pass
+    starts at stage i from the base sweep's Pi_{i+1}, and the slacks below
+    i are read back from the base as lambda - bound - eps_boundary.
     """
     k = base.stage_offset
-    abar = p.schedule().alpha_bar
+    slack = np.append(base.lam.lambdas[:i] - base.bounds[:i] - tol.eps_boundary, s_i)
+    sw, _ = _nested_pass(p, np.full(i + 1, -np.inf), k, tol, tol.eps_boundary,
+                         slack, S=base.Pi[i + 1])
     tail = float(p.alpha[k + i + 1:] @ base.lam.lambdas[i + 1:])
-    S = base.Pi[i + 1]
-    b = base.bounds[i]
     for idx in range(i, -1, -1):
-        lam_idx = b + tol.eps_boundary + (s_i if idx == i else
-                                          base.lam.lambdas[idx] - base.bounds[idx] - tol.eps_boundary)
-        tail += float(p.alpha[k + idx]) * lam_idx
-        S, _, _, _, _ = _stage_step(p, S, lam_idx, tol)
-        if idx > 0:
-            b = top_eig(p.G.T @ S @ p.G)
-    return (float(x @ S @ x) + tail) / (2.0 * abar)
+        tail += float(p.alpha[k + idx]) * sw.lam.lambdas[idx]
+    return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.schedule().alpha_bar)
 
 
 def _slack_fd_gradient(p: ProblemData, s: np.ndarray, base: RiccatiSweep,
@@ -205,10 +186,6 @@ def _slack_fd_gradient(p: ProblemData, s: np.ndarray, base: RiccatiSweep,
     return g
 
 
-def _slack_pg(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.where(s > 0.0, g, np.minimum(g, 0.0))
-
-
 def _bb_step(s_prev, s_cur, g_prev, g_cur, fallback: float) -> float:
     ds = s_cur - s_prev
     dg = g_cur - g_prev
@@ -219,44 +196,54 @@ def _bb_step(s_prev, s_cur, g_prev, g_cur, fallback: float) -> float:
     return float(np.clip(t, 1e-12, 1e12))
 
 
-def _refine_slack(p: ProblemData, s0: np.ndarray, k: int, x: np.ndarray,
-                  tol: Tolerances, max_iter: int, iterations: int):
-    """Projected gradient on the orthant in slack coordinates."""
-    s = np.maximum(s0, 0.0)
-    phi, sw = _slack_phi(p, s, k, x, tol)
-    g = _slack_fd_gradient(p, s, sw, x, phi, tol)
+def _pg_norm(g: np.ndarray, free: np.ndarray) -> float:
+    return float(np.linalg.norm(np.where(free, g, np.minimum(g, 0.0))))
+
+
+def _descend(p: ProblemData, x: np.ndarray, z: np.ndarray, sw: RiccatiSweep,
+             project, grad, free, stall_rtol: float, iterations: int,
+             max_iter: int):
+    """Projected gradient from the feasible point z with sweep sw.
+
+    project(v) returns the feasible point for v and its sweep; grad(z, sw,
+    phi) the gradient of phi at z; free(z, sw) the coordinates off their
+    bounds, where the projected gradient keeps both signs. Converged when
+    the projected-gradient norm falls to 1e-8 (1 + |phi|), or, once no step
+    is accepted, to stall_rtol (1 + |phi|). Returns (z, sw, phi,
+    projected-gradient norm, iterations, converged).
+    """
+    phi = _phi(p, x, sw.lam, sw.Pi[0])
+    g = grad(z, sw, phi)
     t = 1.0
-    s_prev = g_prev = None
+    z_prev = g_prev = None
     converged = False
     while iterations < max_iter:
-        pg = _slack_pg(s, g)
-        pgn = float(np.linalg.norm(pg))
+        pgn = _pg_norm(g, free(z, sw))
         if pgn <= 1e-8 * (1.0 + abs(phi)):
             converged = True
             break
-        if s_prev is not None:
-            t = _bb_step(s_prev, s, g_prev, g, t)
+        if z_prev is not None:
+            t = _bb_step(z_prev, z, g_prev, g, t)
         accepted = False
         tt = t
         for _ in range(_MAX_BACKTRACKS):
-            cand = np.maximum(s - tt * g, 0.0)
-            step = cand - s
+            cand, sw_c = project(z - tt * g)
+            step = cand - z
             if float(np.abs(step).max()) == 0.0:
                 break
-            phi_c, sw_c = _slack_phi(p, cand, k, x, tol)
+            phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
             if phi_c <= phi + _ARMIJO_C * float(g @ step):
-                s_prev, g_prev = s, g
-                s, phi, sw = cand, phi_c, sw_c
-                g = _slack_fd_gradient(p, s, sw, x, phi, tol)
+                z_prev, g_prev = z, g
+                z, phi, sw = cand, phi_c, sw_c
+                g = grad(z, sw, phi)
                 accepted = True
                 iterations += 1
                 break
             tt *= _ARMIJO_SHRINK
         if not accepted:
-            converged = pgn <= 1e-6 * (1.0 + abs(phi))
+            converged = pgn <= stall_rtol * (1.0 + abs(phi))
             break
-    pg = _slack_pg(s, g)
-    return s, phi, float(np.linalg.norm(pg)), iterations, converged
+    return z, sw, phi, _pg_norm(g, free(z, sw)), iterations, converged
 
 
 def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
@@ -278,93 +265,70 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         raise ValueError(f"stage {k} outside horizon {p.N}")
     n_stage = p.N - k
 
-    corner = project_feasible(p, np.zeros(n_stage), stage_offset=k, tol=tol)
+    def project(v):
+        sw, _ = _nested_pass(p, v, k, tol, tol.eps_boundary)
+        return sw.lam.lambdas, sw
+
     if float(x @ x) == 0.0:
-        phi, sw = _objective_sweep(p, corner, x, tol)
+        _, sw = project(np.zeros(n_stage))
         return MultiplierSolution(
-            lam_star=corner, value=phi, grad_norm=0.0,
+            lam_star=sw.lam, value=_phi(p, x, sw.lam, sw.Pi[0]), grad_norm=0.0,
             boundary_flags=np.ones(n_stage, dtype=bool), iterations=0,
             converged=True, gradient_mode="corner")
 
     if init is None:
-        lam = project_feasible(p, corner.lambdas + 1.0, stage_offset=k, tol=tol)
+        corner = project_feasible(p, np.zeros(n_stage), stage_offset=k, tol=tol)
+        lam, sw = project(corner.lambdas + 1.0)
     else:
         init = np.asarray(init, dtype=float).ravel()
         if init.size != n_stage:
             raise ValueError(f"init has size {init.size}, expected {n_stage}")
-        lam = project_feasible(p, init, stage_offset=k, tol=tol)
+        lam, sw = project(init)
 
-    phi, sw = _objective_sweep(p, lam, x, tol)
     mode = gradient_mode
     if gradient_mode == "auto":
         g_env = _envelope_gradient(p, sw, x)
-        g_fd = _fd_gradient(p, lam, x, tol)
+        g_fd = _fd_gradient(p, sw, x, _phi(p, x, sw.lam, sw.Pi[0]), tol)
         scale = float(np.linalg.norm(g_fd))
         mode = "envelope" if float(np.linalg.norm(g_env - g_fd)) <= _GATE_RTOL * (1.0 + scale) else "fd"
     elif gradient_mode not in ("envelope", "fd"):
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
 
-    def grad(lam_vec: MultiplierVector, sw_cur: RiccatiSweep) -> np.ndarray:
+    def grad(lam, sw, phi):
         if mode == "envelope":
-            return _envelope_gradient(p, sw_cur, x)
-        return _fd_gradient(p, lam_vec, x, tol)
+            return _envelope_gradient(p, sw, x)
+        return _fd_gradient(p, sw, x, phi, tol)
 
-    g = grad(lam, sw)
-    iterations = 0
-    t = 1.0
-    lam_prev = g_prev = None
-    phase1_converged = False
-    while iterations < max_iter:
-        free = lam.lambdas > sw.bounds + 10.0 * tol.eps_boundary
-        pg = np.where(free, g, np.minimum(g, 0.0))
-        pgn = float(np.linalg.norm(pg))
-        if pgn <= 1e-8 * (1.0 + abs(phi)):
-            phase1_converged = True
-            break
-        if lam_prev is not None:
-            t = _bb_step(lam_prev, lam.lambdas, g_prev, g, t)
-        accepted = False
-        tt = t
-        for _ in range(_MAX_BACKTRACKS):
-            cand = project_feasible(p, lam.lambdas - tt * g, stage_offset=k, tol=tol)
-            step = cand.lambdas - lam.lambdas
-            if float(np.abs(step).max()) == 0.0:
-                break
-            phi_c, sw_c = _objective_sweep(p, cand, x, tol)
-            if phi_c <= phi + _ARMIJO_C * float(g @ step):
-                lam_prev, g_prev = lam.lambdas, g
-                lam, phi, sw = cand, phi_c, sw_c
-                g = grad(lam, sw)
-                accepted = True
-                iterations += 1
-                break
-            tt *= _ARMIJO_SHRINK
-        if not accepted:
-            break
+    def free(lam, sw):
+        return lam > sw.bounds + 10.0 * tol.eps_boundary
+
+    # Phase one never counts a stalled point as converged: the
+    # componentwise projected gradient need not vanish at its optimum.
+    lam, sw, phi, grad_norm, iterations, converged = _descend(
+        p, x, lam, sw, project, grad, free, 0.0, 0, max_iter)
 
     # Phase two: verify (and if needed finish) in slack coordinates, where
     # the orthant geometry makes the projected-gradient test exact. An
     # active bound matters only if its level can move with the tail
     # multipliers; the last stage's bound ||G'Pf G|| is constant, so a
     # phase-one optimum pinned there alone needs no refinement.
-    active = lam.lambdas <= sw.bounds + 10.0 * tol.eps_boundary
-    boundary_active = bool(np.any(active[:-1]))
-    converged = phase1_converged
-    grad_norm = float(np.linalg.norm(
-        np.where(lam.lambdas > sw.bounds + 10.0 * tol.eps_boundary,
-                 g, np.minimum(g, 0.0))))
-    if (not phase1_converged or boundary_active) and iterations < max_iter:
-        s0 = np.maximum(lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
-        s, phi_s, pgn_s, iterations, conv_s = _refine_slack(
-            p, s0, k, x, tol, max_iter, iterations)
-        if phi_s <= phi + 1e-12 * (1.0 + abs(phi)):
-            sw = _reconstruct(p, s, k, tol)
-            lam = sw.lam
-            phi = _phi_from_sweep(p, sw, x)
-            converged = conv_s
-            grad_norm = pgn_s
+    active = ~free(lam, sw)
+    if (not converged or bool(np.any(active[:-1]))) and iterations < max_iter:
+        def project_slack(v):
+            s = np.maximum(v, 0.0)
+            return s, _reconstruct(p, s, k, tol)
 
-    flags = lam.lambdas <= sw.bounds + max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + np.abs(sw.bounds))
-    return MultiplierSolution(lam_star=lam, value=phi, grad_norm=grad_norm,
+        def slack_grad(s, sw, phi):
+            return _slack_fd_gradient(p, s, sw, x, phi, tol)
+
+        s, sw_s = project_slack(lam - sw.bounds - tol.eps_boundary)
+        s, sw_s, phi_s, pgn_s, iterations, conv_s = _descend(
+            p, x, s, sw_s, project_slack, slack_grad, lambda s, sw: s > 0.0,
+            1e-6, iterations, max_iter)
+        if phi_s <= phi + 1e-12 * (1.0 + abs(phi)):
+            sw, phi, grad_norm, converged = sw_s, phi_s, pgn_s, conv_s
+
+    flags = sw.lam.lambdas <= sw.bounds + max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + np.abs(sw.bounds))
+    return MultiplierSolution(lam_star=sw.lam, value=phi, grad_norm=grad_norm,
                               boundary_flags=flags, iterations=iterations,
                               converged=converged, gradient_mode=mode)

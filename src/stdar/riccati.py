@@ -11,6 +11,11 @@ with gains [K_j; J_j] = M_j^{-1} [B'Pi_{j+1}A; G'Pi_{j+1}A], applied as
 u = -K_j x and w_bar = -J_j x. Feasibility is the nested set
 lam_j >= ||G'Pi_{j+1}(lam_{j+1:})G||, which is not a product set: the bound
 at stage j depends on the multipliers of all later stages.
+
+One backward pass serves the sweep, the projection onto that set and the
+multiplier program's slack coordinates: before its stage step it may set
+lam_j = max(raw_j, b_j + margin) + s_j from the bound b_j of the stage,
+so a candidate is projected and swept together.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from ._linalg import pinv_sym, sym, top_eig
+from ._linalg import pinv_sym, solve, sym, top_eig
 from .errors import InfeasibleMultiplier, SingularM
 from .problem import ProblemData, Tolerances
 
@@ -77,12 +82,19 @@ def _stage_step(p: ProblemData, S: np.ndarray, lam_j: float, tol: Tolerances):
         raise InfeasibleMultiplier(
             f"lam = {lam_j:.9g} below its bound ||G'Pi G|| = {bound:.9g}")
     m = p.m
-    M = np.block([[p.B.T @ SB + p.R, p.B.T @ SG],
-                  [SG.T @ p.B, GSG - lam_j * np.eye(p.q)]])
+    # filled block by block: np.block and np.vstack cost more than the
+    # products at these sizes
+    M = np.empty((m + p.q, m + p.q))
+    M[:m, :m] = p.B.T @ SB + p.R
+    M[:m, m:] = p.B.T @ SG
+    M[m:, :m] = SG.T @ p.B
+    M[m:, m:] = GSG - lam_j * np.eye(p.q)
     M = sym(M)
-    rhs = np.vstack([p.B.T @ SA, p.G.T @ SA])
+    rhs = np.empty((m + p.q, p.n))
+    rhs[:m] = p.B.T @ SA
+    rhs[m:] = p.G.T @ SA
     try:
-        KJ = la.solve(M, rhs, assume_a="sym")
+        KJ = solve(M, rhs, "sym")
     except la.LinAlgError as exc:
         raise SingularM(f"stage matrix singular at lam = {lam_j:.9g}") from exc
     resid = np.linalg.norm(M @ KJ - rhs)
@@ -92,6 +104,48 @@ def _stage_step(p: ProblemData, S: np.ndarray, lam_j: float, tol: Tolerances):
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
     Pi = sym(p.Q + p.A.T @ SA - rhs.T @ KJ)
     return Pi, M, KJ[:m], KJ[m:], bound
+
+
+def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
+                 margin: float | None = None, slack=None, S=None,
+                 step0: bool = True) -> tuple[RiccatiSweep, np.ndarray]:
+    """The backward recursion over len(raw) stages, from Pi = S (Pf by
+    default) after the last of them; k is the stage offset of the result.
+
+    With margin None the multipliers are raw as given. Otherwise each stage j
+    first sets
+
+        lam_j = max(raw_j, b_j + margin) + slack_j,   b_j = ||G'Pi_{j+1}G||,
+
+    with Pi_{j+1} built from the multipliers already set, so the result is
+    feasible whatever raw is (raw = -inf gives the slack coordinates).
+    step0 False sets lam_0 but skips its stage step, which near the bound
+    can fail. Returns the sweep, whose bounds are the stage steps'
+    ||G'Pi_{j+1}G||, and the b_j (computed as (G'Pi)G, not G'(PiG)).
+    """
+    lam = np.array(raw, dtype=float)
+    n_stages = lam.shape[0]
+    Pi = [None] * (n_stages + 1)
+    M = [None] * n_stages
+    K = [None] * n_stages
+    J = [None] * n_stages
+    bounds = np.zeros(n_stages)
+    rule = np.zeros(n_stages)
+    S = p.Pf if S is None else S
+    Pi[n_stages] = S
+    for i in range(n_stages - 1, -1, -1):
+        if margin is not None:
+            rule[i] = top_eig(p.G.T @ S @ p.G)
+            if lam[i] < rule[i] + margin:
+                lam[i] = rule[i] + margin
+            if slack is not None:
+                lam[i] += slack[i]
+        if i > 0 or step0:
+            S, M[i], K[i], J[i], bounds[i] = _stage_step(p, S, float(lam[i]), tol)
+            Pi[i] = S
+    sw = RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
+                      lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
+    return sw, rule
 
 
 def sweep(p: ProblemData, lam: MultiplierVector,
@@ -108,17 +162,7 @@ def sweep(p: ProblemData, lam: MultiplierVector,
         raise ValueError(
             f"multiplier vector covers stages {k}..{k + n_stages - 1}, "
             f"expected tail end at {p.N - 1}")
-    Pi = [None] * (n_stages + 1)
-    M = [None] * n_stages
-    K = [None] * n_stages
-    J = [None] * n_stages
-    bounds = np.zeros(n_stages)
-    Pi[n_stages] = p.Pf
-    for i in range(n_stages - 1, -1, -1):
-        Pi[i], M[i], K[i], J[i], bounds[i] = _stage_step(
-            p, Pi[i + 1], float(lam.lambdas[i]), tol)
-    return RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
-                        lam=lam, bounds=bounds)
+    return _nested_pass(p, lam.lambdas, k, tol)[0]
 
 
 def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
@@ -134,18 +178,10 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     tol = tol or Tolerances()
     if margin is None:
         margin = tol.eps_boundary
-    out = np.array(lam_raw, dtype=float).ravel().copy()
-    n_stages = out.shape[0]
-    if stage_offset + n_stages != p.N:
+    raw = np.array(lam_raw, dtype=float).ravel()
+    if stage_offset + raw.shape[0] != p.N:
         raise ValueError("multiplier vector length inconsistent with horizon")
-    S = p.Pf
-    for i in range(n_stages - 1, -1, -1):
-        bound = top_eig(p.G.T @ S @ p.G)
-        if out[i] < bound + margin:
-            out[i] = bound + margin
-        if i > 0:
-            S, _, _, _, _ = _stage_step(p, S, float(out[i]), tol)
-    return MultiplierVector(lambdas=out, stage_offset=stage_offset)
+    return _nested_pass(p, raw, stage_offset, tol, margin, step0=False)[0].lam
 
 
 def receq_crosscheck(sw: RiccatiSweep, p: ProblemData) -> float:

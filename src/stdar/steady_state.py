@@ -5,9 +5,10 @@ The steady-state problem minimizes lambda subject to lambda >= ||G'Pi G||
 and the stationarity g(lambda, Pi) = 0 of the one-stage Riccati map. We
 recover (lambda_bar, Pi_bar) by bisection: a multiplier is feasible iff
 the damped fixed-point iteration from Pf converges with the block matrix
-M invertible throughout and lambda clearing ||G'Pi G||. The LMI check
-then certifies the solution as positive semidefiniteness of an assembled
-block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
+M invertible throughout and lambda clearing ||G'Pi G||; an iteration that
+stalls (see `_kernels`) has no fixed point near and counts as infeasible.
+The LMI check then certifies the solution as positive semidefiniteness of
+an assembled block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from ._kernels import HAVE_NUMBA, fixed_point_compiled, fixed_point_numpy
+from ._kernels import HAVE_NUMBA, fixed_point_compiled, fixed_point_numpy, game_map
 from ._linalg import sym, top_eig
 from .errors import (Diverged, FixedPointDiverged, NoFeasibleLambda,
                      SingularM, SingularPi)
@@ -57,39 +58,26 @@ class LmiCertificate:
     feasible: bool
 
 
-def _engine(name: str):
-    if name == "auto":
-        name = "compiled" if HAVE_NUMBA else "numpy"
-    if name == "compiled":
-        if not HAVE_NUMBA:
-            raise ValueError("compiled engine requested but numba is unavailable")
-        return fixed_point_compiled
-    if name == "numpy":
-        return fixed_point_numpy
-    raise ValueError(f"unknown engine {name!r}")
-
-
-def _riccati_map(A, B, G, Q, R, lam: float, Pi: np.ndarray) -> np.ndarray:
-    SA = Pi @ A
-    SB = Pi @ B
-    SG = Pi @ G
-    M = np.block([[B.T @ SB + R, B.T @ SG],
-                  [SG.T @ B, G.T @ SG - lam * np.eye(G.shape[1])]])
-    RH = np.vstack([B.T @ SA, G.T @ SA])
-    return sym(Q + A.T @ SA - RH.T @ la.solve(M, RH))
+def _kernel():
+    # read at call time, so that rebinding this module's kernel names
+    # (as a profiler wrapping them does) takes effect
+    return fixed_point_compiled if HAVE_NUMBA else fixed_point_numpy
 
 
 def steady_riccati_fixed_point(p: ProblemData, lam: float,
-                               engine: str = "auto",
                                max_iter: int = _FP_MAX_ITER) -> np.ndarray:
-    """Damped fixed point of the Riccati map at a fixed multiplier."""
-    run = _engine(engine)
-    status, iters, Pi = run(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
-                            _FP_TOL, max_iter)
+    """Damped fixed point of the Riccati map at a fixed multiplier.
+
+    Runs the compiled kernel when numba is available, the numpy one
+    otherwise. Raises FixedPointDiverged when the iteration diverges,
+    stalls (see `_kernels`) or reaches max_iter."""
+    status, iters, Pi = _kernel()(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
+                                  _FP_TOL, max_iter)
     if status == -2:
         raise SingularM(f"block matrix became singular at iteration {iters}")
     if status != 0:
-        why = "diverged" if status == -1 else f"no fixed point in {max_iter} iterations"
+        why = {-1: "diverged", 1: f"no fixed point in {max_iter} iterations",
+               2: f"stalled after {iters} iterations"}[status]
         raise FixedPointDiverged(f"lambda={lam:.6g}: {why}")
     return Pi
 
@@ -104,15 +92,15 @@ def _probe(p: ProblemData, lam: float, run, tol: Tolerances):
     return True, Pi
 
 
-def solve_steady_state(p: ProblemData, tol: Tolerances | None = None,
-                       engine: str = "auto") -> SteadyStateSolution:
+def solve_steady_state(p: ProblemData,
+                       tol: Tolerances | None = None) -> SteadyStateSolution:
     """Smallest feasible multiplier and its Riccati fixed point.
 
     Bisection to 1e-9 absolute; the upper bracket starts at
     10 (||G'Pf G|| + tr Q + tr R) and doubles at most 10 times.
     """
     tol = tol or Tolerances()
-    run = _engine(engine)
+    run = _kernel()
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
     ok, Pi_hi = _probe(p, hi, run, tol)
     doublings = 0
@@ -135,17 +123,13 @@ def solve_steady_state(p: ProblemData, tol: Tolerances | None = None,
             lo = mid
     lambda_bar = hi
 
-    S = Pi_bar
-    M = np.block([[p.B.T @ S @ p.B + p.R, p.B.T @ S @ p.G],
-                  [p.G.T @ S @ p.B, p.G.T @ S @ p.G - lambda_bar * np.eye(p.q)]])
-    RH = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
     try:
-        KJ = la.solve(M, RH)
+        Pi_next, KJ = game_map(p.A, p.B, p.G, p.Q, p.R, lambda_bar, Pi_bar,
+                               np.eye(p.q))
     except la.LinAlgError as exc:
         raise SingularM("block matrix singular at the recovered solution") from exc
     K_bar = KJ[:p.m, :].copy()
-    residual = float(np.linalg.norm(
-        Pi_bar - _riccati_map(p.A, p.B, p.G, p.Q, p.R, lambda_bar, Pi_bar)))
+    residual = float(np.linalg.norm(Pi_bar - Pi_next))
     boundary_gap = float(lambda_bar - top_eig(p.G.T @ Pi_bar @ p.G))
     sol = SteadyStateSolution(lambda_bar=float(lambda_bar), Pi_bar=Pi_bar,
                               K_bar=K_bar, residual=residual,

@@ -5,6 +5,7 @@ import sympy as sp
 from stdar import (BlockSaddle, BoundaryTooClose, MultiplierVector,
                    Tolerances, gradient, objective, project_feasible,
                    solve_constrained_minmax, solve_multipliers, sweep)
+from stdar.multiplier import _reconstruct
 from conftest import make_problem, scalar_problem
 from oracles import grid_minmax_two_stage_scalar, two_stage_value
 
@@ -196,6 +197,9 @@ def test_optimality_certificate(rng, tol):
         g = gradient(p, sol.lam_star, p.x0, method="fd", tol=tol)
         s = np.maximum(sol.lam_star.lambdas - sw.bounds - 1e-9, 0.0)
         active = s <= 1e-7 * (1.0 + np.abs(sw.bounds))
+        # the solver's slack rebuild, against the one written out above
+        assert _reconstruct(p, s, 0, tol).lam.lambdas == pytest.approx(
+            lam_of_slack(p, s, tol), rel=1e-14, abs=0.0)
         scale = 1.0 + abs(sol.value)
         h = 1e-6
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from stdar import (InfeasibleMultiplier, MultiplierVector, RiccatiSweep,
                    Tolerances, project_feasible, receq_crosscheck, sweep)
+from stdar._linalg import solve
+from stdar.riccati import _nested_pass
 from conftest import make_problem, scalar_problem
 from oracles import lqr_recursion
 
@@ -132,10 +135,24 @@ def test_project_feasible_two_stage_chain(tol):
 
 
 def test_project_output_always_sweepable(rng, tol):
+    # the one-pass projected sweep is the sweep of the projection, bit for bit
     for _ in range(20):
         p = make_problem(rng)
-        lam = project_feasible(p, rng.uniform(-1.0, 1.0, p.N), tol=tol)
-        sweep(p, lam, tol)  # must not raise
+        k = int(rng.integers(1, p.N))
+        for offset, raw in ((0, rng.uniform(-1.0, 1.0, p.N)),
+                            (0, np.full(p.N, -1.0)),  # all below their bounds
+                            (k, rng.uniform(-1.0, 1.0, p.N - k)),
+                            (k, np.zeros(p.N - k))):
+            lam = project_feasible(p, raw, stage_offset=offset, tol=tol)
+            sw = sweep(p, lam, tol)  # must not raise
+            one, _ = _nested_pass(p, raw, offset, tol, tol.eps_boundary)
+            assert one.stage_offset == offset
+            assert np.array_equal(one.lam.lambdas, lam.lambdas)
+            assert np.array_equal(one.bounds, sw.bounds)
+            for field in ("Pi", "M", "K", "J"):
+                assert len(getattr(one, field)) == len(getattr(sw, field))
+                for a, b in zip(getattr(one, field), getattr(sw, field)):
+                    assert np.array_equal(a, b)
 
 
 def test_stage_offset_bookkeeping(tol):
@@ -156,3 +173,22 @@ def test_degenerate_terminal_sweep(rng, tol):
     assert sw.bounds[-1] == 0.0
     for Pi in sw.Pi:
         assert np.linalg.eigvalsh(Pi)[0] >= -1e-9
+
+
+def test_stage_solve_matches_scipy(rng):
+    # the stage steps and the steady-state map solve through _linalg.solve,
+    # which must give scipy.linalg.solve's answer bit for bit, and raise
+    # where it raises
+    for _ in range(200):
+        k = int(rng.integers(2, 7))
+        X = rng.standard_normal((k, k))
+        rhs = rng.standard_normal((k, int(rng.integers(1, 4))))
+        for M, assume_a in ((X, None), (X + X.T, None), (X + X.T, "sym")):
+            assert np.array_equal(solve(M, rhs, assume_a),
+                                  la.solve(M, rhs, assume_a=assume_a))
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for assume_a in (None, "sym"):
+        with pytest.raises(la.LinAlgError):
+            solve(singular, np.ones((2, 1)), assume_a)
+    with pytest.raises(ValueError):
+        solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones((2, 1)))

@@ -6,7 +6,7 @@ import scipy.linalg as la
 
 from stdar import (Tolerances, lmi_certify, lqr_baseline, solve_steady_state,
                    steady_riccati_fixed_point)
-from stdar._kernels import HAVE_NUMBA
+from stdar import _kernels
 from stdar._linalg import top_eig
 from stdar.errors import FixedPointDiverged, SingularM, SingularPi
 from stdar.problem import ProblemData
@@ -95,21 +95,43 @@ def test_interior_fixed_point_solves_dare(rng):
         assert np.abs(X - Pi).max() <= 1e-8 * (1.0 + np.abs(X).max())
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="compiled engine unavailable")
+@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="compiled engine unavailable")
 def test_engines_agree(rng):
     for _ in range(3):
         p = make_problem(rng, n=2)
         sol = solve_steady_state(p)
         lam = sol.lambda_bar + 0.05
-        Pi_np = steady_riccati_fixed_point(p, lam, engine="numpy")
-        Pi_nb = steady_riccati_fixed_point(p, lam, engine="compiled")
+        args = (p.A, p.B, p.G, p.Q, p.R, lam, p.Pf, 1e-12, 100_000)
+        status_np, _, Pi_np = _kernels.fixed_point_numpy(*args)
+        status_nb, _, Pi_nb = _kernels.fixed_point_compiled(*args)
+        assert status_np == status_nb == 0
         assert np.abs(Pi_np - Pi_nb).max() <= 1e-10 * (1.0 + np.abs(Pi_np).max())
 
 
-def test_unknown_engine_rejected():
+def test_stalled_iteration_stops_early():
+    # lam = 0.6875 < 1 leaves the unit-coefficient map with no fixed point:
+    # the iteration keeps passing through the pole of M^{-1} and stops as
+    # stalled, far short of the iteration cap
     p = steady_scalar()
-    with pytest.raises(ValueError, match="engine"):
-        steady_riccati_fixed_point(p, 2.0, engine="bogus")
+    args = (p.A, p.B, p.G, p.Q, p.R, 0.6875, p.Pf, 1e-12, 100_000)
+    status, iters, _ = _kernels.fixed_point_numpy(*args)
+    assert status == 2
+    assert iters < 5_000
+    with pytest.raises(FixedPointDiverged, match="stalled"):
+        steady_riccati_fixed_point(p, 0.6875)
+
+
+def test_slow_escape_still_converges():
+    # just above lam_bar = 4/9 of the A = 0.5 map, started next to its
+    # repelling fixed point: the residual sets no new minimum for thousands
+    # of steps while the iterate leaves that point, passes through the pole
+    # once and creeps to the attracting one, which it must still reach
+    lam = 4.0 / 9.0 + 1e-5
+    c = 1.0 - 1.0 / lam
+    attracting, repelling = np.sort(np.roots([c, 0.75 - 0.2 * c, -0.2]).real)
+    p = steady_scalar(A=0.5, Pf=repelling + 1e-9)
+    Pi = steady_riccati_fixed_point(p, lam)
+    assert Pi[0, 0] == pytest.approx(attracting, abs=1e-8)
 
 
 def test_multiplier_is_minimal(rng):
