@@ -98,8 +98,3 @@ def pinv_apply(M: np.ndarray, b: np.ndarray, cutoff: float = PINV_CUTOFF) -> np.
     c = V.T @ b
     c = np.where(zero, 0.0, c / np.where(zero, 1.0, w))
     return V @ c
-
-
-def smallest_sv(M: np.ndarray) -> float:
-    s = la.svdvals(M)
-    return float(s[-1]) if s.size else 0.0

@@ -40,9 +40,9 @@ def _write_csv(path, header, rows) -> None:
 def _tolerances(args) -> Tolerances:
     t = Tolerances()
     over = {}
-    for flag, fld in (("tol_psd", "tol_psd"), ("tol_residual", "tol_residual"),
-                      ("tol_range", "tol_range"), ("tol_zero", "tol_zero"),
-                      ("tol_boundary", "eps_boundary"), ("tol_fd_step", "fd_step")):
+    for flag, fld in (("tol_psd", "tol_psd"), ("tol_range", "tol_range"),
+                      ("tol_zero", "tol_zero"), ("tol_boundary", "eps_boundary"),
+                      ("tol_fd_step", "fd_step")):
         v = getattr(args, flag, None)
         if v is not None:
             over[fld] = v
@@ -177,11 +177,13 @@ def cmd_steady(args) -> int:
         lqr_top = float("nan")
     header = (["lambda_bar", "residual", "boundary_gap", "lmi_min_eig",
                "lqr_top_eig"] + _pi_header(p.n)
-              + [f"K[{r}][{c}]" for r in range(p.m) for c in range(p.n)])
+              + [f"K[{r}][{c}]" for r in range(p.m) for c in range(p.n)]
+              + ["probes", "fp_iterations"])
     row = ([_fmt(sol.lambda_bar), _fmt(sol.residual), _fmt(sol.boundary_gap),
             _fmt(sol.lmi_min_eig), _fmt(lqr_top)]
            + [_fmt(v) for v in sol.Pi_bar.ravel()]
-           + [_fmt(v) for v in sol.K_bar.ravel()])
+           + [_fmt(v) for v in sol.K_bar.ravel()]
+           + [str(sol.probes), str(sol.fp_iterations)])
     _write_csv(os.path.join(out, "steady.csv"), header, [row])
     print(f"lambda_bar {sol.lambda_bar:.12g}  boundary_gap {sol.boundary_gap:.3e}  "
           f"lmi_min_eig {sol.lmi_min_eig:.3e}")
@@ -240,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--allow-degenerate-terminal", action="store_true",
                         help="accept G'Pf G = 0 (warn instead of fail)")
-    for flag in ("tol-psd", "tol-residual", "tol-range", "tol-zero",
-                 "tol-boundary", "tol-fd-step"):
+    for flag in ("tol-psd", "tol-range", "tol-zero", "tol-boundary",
+                 "tol-fd-step"):
         common.add_argument(f"--{flag}", type=float, default=None,
                             dest=flag.replace("-", "_"))
     ap = argparse.ArgumentParser(

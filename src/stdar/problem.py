@@ -52,15 +52,14 @@ class Tolerances:
     """Numerical tolerances used throughout the toolkit."""
 
     tol_psd: float = 1e-9        # eigenvalue floor for PSD checks
-    tol_residual: float = 1e-10  # Riccati / fixed-point residual target
     tol_range: float = 1e-10     # range-inclusion test
     tol_zero: float = 1e-12      # nonzero-matrix test
     eps_boundary: float = 1e-9   # margin kept above ||G' Pi G|| in the interior
     fd_step: float = 1e-6        # finite-difference base step
 
     def __post_init__(self):
-        for name in ("tol_psd", "tol_residual", "tol_range", "tol_zero",
-                     "eps_boundary", "fd_step"):
+        for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary",
+                     "fd_step"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -1,14 +1,22 @@
-"""Steady-state regulator: bisection over the multiplier, fixed-point
-Riccati solve, LMI feasibility certificate, and an LQR baseline.
+"""Steady-state regulator: a regula-falsi search over the multiplier,
+fixed-point Riccati solve, LMI feasibility certificate, and an LQR baseline.
 
 The steady-state problem minimizes lambda subject to lambda >= ||G'Pi G||
-and the stationarity g(lambda, Pi) = 0 of the one-stage Riccati map. We
-recover (lambda_bar, Pi_bar) by bisection: a multiplier is feasible iff
-the damped fixed-point iteration from Pf converges with the block matrix
-M invertible throughout and lambda clearing ||G'Pi G||; an iteration that
-stalls (see `_kernels`) has no fixed point near and counts as infeasible.
-The LMI check then certifies the solution as positive semidefiniteness of
-an assembled block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
+and the stationarity Pi = F(lambda, Pi) of the one-stage Riccati map. A
+multiplier is feasible when the damped fixed-point iteration converges
+with the block matrix M invertible throughout and its slack
+g(lambda) = lambda - ||G'Pi(lambda) G|| clears -eps_boundary; an iteration
+that stalls (see `_kernels`) has no fixed point near and counts as
+infeasible. Pi(lambda) falls in the Loewner order as lambda grows (a
+larger lambda charges the disturbance more), so g is increasing with
+slope at least 1 and the feasible multipliers form a half-line. The search
+keeps a bracket [lo, hi], hi feasible and lo not, and places each probe by
+Illinois regula falsi on g between them (Dowell & Jarratt, BIT 11, 1971),
+or by bisection while lo has reached no fixed point, as everywhere below a
+saddle-node of the map. Each probe starts its iteration from the fixed
+point at hi, which lies below its target in the Loewner order. The LMI
+check then certifies the solution as positive semidefiniteness of an
+assembled block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
 from __future__ import annotations
 
@@ -40,6 +48,8 @@ class SteadyStateSolution:
     residual: float            # ||Pi_bar - riccati_map(Pi_bar)||_F
     boundary_gap: float        # lambda_bar - ||G' Pi_bar G||
     lmi_min_eig: float         # nan when the certificate was not assembled
+    probes: int                # fixed-point solves made by the search
+    fp_iterations: int         # their iterations, summed
 
 
 @dataclass(frozen=True)
@@ -82,46 +92,77 @@ def steady_riccati_fixed_point(p: ProblemData, lam: float,
     return Pi
 
 
-def _probe(p: ProblemData, lam: float, run, tol: Tolerances):
-    status, _, Pi = run(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
-                        _FP_TOL, _FP_MAX_ITER)
+def _probe(p: ProblemData, lam: float, run, start: np.ndarray):
+    """Fixed point at lam, iterated from start: (g, Pi, iterations).
+
+    g = lam - ||G'Pi G|| is the boundary slack, None with Pi when the
+    iteration reaches no fixed point."""
+    status, iters, Pi = run(p.A, p.B, p.G, p.Q, p.R, float(lam), start,
+                            _FP_TOL, _FP_MAX_ITER)
     if status != 0:
-        return False, None
-    if lam < top_eig(p.G.T @ Pi @ p.G) - tol.eps_boundary:
-        return False, None
-    return True, Pi
+        return None, None, iters
+    return lam - top_eig(p.G.T @ Pi @ p.G), Pi, iters
 
 
 def solve_steady_state(p: ProblemData,
                        tol: Tolerances | None = None) -> SteadyStateSolution:
     """Smallest feasible multiplier and its Riccati fixed point.
 
-    Bisection to 1e-9 absolute; the upper bracket starts at
-    10 (||G'Pf G|| + tr Q + tr R) and doubles at most 10 times.
+    A multiplier is feasible when its fixed point exists and its slack
+    g = lam - ||G'Pi G|| is at least -eps_boundary. The upper bracket
+    starts at 10 (||G'Pf G|| + tr Q + tr R) and doubles at most 10 times;
+    the bracket [lo, hi] then shrinks to 1e-9 absolute by Illinois regula
+    falsi on g, with a bisection step while lo has no fixed point, and
+    each of these probes starts from the fixed point at hi.
     """
     tol = tol or Tolerances()
     run = _kernel()
+    probes = fp_iterations = 0
+
+    def probe(lam, start):
+        # (feasible, h, Pi) with h = g + eps_boundary, the value whose root
+        # the search seeks; h and Pi are None where no fixed point was reached
+        nonlocal probes, fp_iterations
+        g, Pi, iters = _probe(p, lam, run, start)
+        probes += 1
+        fp_iterations += iters
+        if g is None:
+            return False, None, None
+        h = g + tol.eps_boundary
+        return h >= 0.0, h, Pi
+
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
-    ok, Pi_hi = _probe(p, hi, run, tol)
+    ok, h_hi, Pi_hi = probe(hi, p.Pf)
     doublings = 0
     while not ok and doublings < 10:
         hi *= 2.0
-        ok, Pi_hi = _probe(p, hi, run, tol)
+        ok, h_hi, Pi_hi = probe(hi, p.Pf)
         doublings += 1
     if not ok:
         raise NoFeasibleLambda(
             f"no feasible multiplier up to {hi:.6g} after {doublings} doublings")
-    lo = 0.0
-    Pi_bar = Pi_hi
+    lo, h_lo = 0.0, None
+    prev_ok = None
     while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        ok, Pi_mid = _probe(p, mid, run, tol)
-        if ok:
-            hi = mid
-            Pi_bar = Pi_mid
+        falsi = h_lo is not None
+        if falsi:
+            mid = hi - h_hi * (hi - lo) / (h_hi - h_lo)
+            mid = min(max(mid, lo + 0.25 * _BISECT_TOL), hi - 0.25 * _BISECT_TOL)
         else:
-            lo = mid
-    lambda_bar = hi
+            mid = 0.5 * (lo + hi)
+        ok, h, Pi = probe(mid, Pi_hi)
+        if falsi and ok == prev_ok:
+            # Illinois: one end moved twice in a row, halve the other's value
+            if ok:
+                h_lo *= 0.5
+            else:
+                h_hi *= 0.5
+        if ok:
+            hi, h_hi, Pi_hi = mid, h, Pi
+        else:
+            lo, h_lo = mid, h
+        prev_ok = ok
+    lambda_bar, Pi_bar = hi, Pi_hi
 
     try:
         Pi_next, KJ = game_map(p.A, p.B, p.G, p.Q, p.R, lambda_bar, Pi_bar,
@@ -134,7 +175,8 @@ def solve_steady_state(p: ProblemData,
     sol = SteadyStateSolution(lambda_bar=float(lambda_bar), Pi_bar=Pi_bar,
                               K_bar=K_bar, residual=residual,
                               boundary_gap=boundary_gap,
-                              lmi_min_eig=float("nan"))
+                              lmi_min_eig=float("nan"), probes=probes,
+                              fp_iterations=fp_iterations)
     try:
         cert = lmi_certify(p, sol, tol)
     except SingularPi:

@@ -191,3 +191,39 @@ def steady_scalar_pi_at(A, B, G, Q, R, Pf, lam, iters=200_000, rtol=1e-13):
                 return new
             pi = new
     return pi
+
+
+def steady_scalar_closed_form(A, B, G, Q, R):
+    """Scalar steady state (lambda_bar, Pi_bar) from the stationary quadratic.
+
+    At a fixed multiplier the stationary equation is
+    c Pi^2 + (1 - Q c - A^2) Pi - Q = 0 with c = B^2/R - G^2/lam, and
+    Pi(lam) is its positive root, which rises as lam falls; lambda_bar is
+    the smallest lam with lam >= G^2 Pi(lam), found by bisection on that
+    test.
+    """
+    def pi_of(lam):
+        c = B * B / R - G * G / lam
+        lin = 1.0 - Q * c - A * A
+        if abs(c) < 1e-14:
+            return Q / lin if lin > 0.0 else np.inf
+        disc = lin * lin + 4.0 * c * Q
+        if disc < 0.0:
+            return np.inf
+        root = (-lin + np.sqrt(disc)) / (2.0 * c)
+        return root if root > 0.0 else np.inf
+
+    def feasible(lam):
+        return lam >= G * G * pi_of(lam)
+
+    hi = 1.0
+    while not feasible(hi):
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, pi_of(hi)

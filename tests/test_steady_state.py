@@ -6,12 +6,13 @@ import scipy.linalg as la
 
 from stdar import (Tolerances, lmi_certify, lqr_baseline, solve_steady_state,
                    steady_riccati_fixed_point)
-from stdar import _kernels
+from stdar import _kernels, steady_state
 from stdar._linalg import top_eig
 from stdar.errors import FixedPointDiverged, SingularM, SingularPi
 from stdar.problem import ProblemData
 from conftest import make_problem, scalar_problem
-from oracles import steady_scalar_grid, steady_scalar_pi_at
+from oracles import (steady_scalar_closed_form, steady_scalar_grid,
+                     steady_scalar_pi_at)
 
 
 def steady_scalar(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=1.0):
@@ -186,3 +187,51 @@ def test_solution_invariants(rng):
         assert sol.boundary_gap >= -1e-9 * (1.0 + sol.lambda_bar)
         assert la.eigvalsh(sol.Pi_bar)[0] >= -1e-9 * scale
         assert np.isfinite(sol.lmi_min_eig)
+
+
+def test_search_counters_match_kernel_calls(rng, monkeypatch):
+    # probes and fp_iterations count every fixed-point call of the search
+    calls = []
+
+    def counted(*args):
+        out = _kernels.fixed_point_numpy(*args)
+        calls.append(out[1])
+        return out
+
+    monkeypatch.setattr(steady_state, "HAVE_NUMBA", False)
+    monkeypatch.setattr(steady_state, "fixed_point_numpy", counted)
+    sol = solve_steady_state(make_problem(rng, n=3))
+    assert sol.probes == len(calls) > 0
+    assert sol.fp_iterations == sum(calls)
+
+
+def _bank_system(rng, n):
+    # as the steady benchmark draws them: B = G = R = Pf = I, A scaled to a
+    # spectral radius in [0.5, 0.95], Q = C'C/n + 0.5 I
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.5, 0.95) / float(np.abs(np.linalg.eigvals(A)).max())
+    C = rng.standard_normal((n, n))
+    eye = np.eye(n)
+    return ProblemData(A=A, B=eye, G=eye, Q=C.T @ C / n + 0.5 * eye, R=eye,
+                       Pf=eye, N=1, alpha=1.0)
+
+
+# (A, B, G, Q, R, Pf) of scalar systems whose lambda_bar is not a
+# saddle-node of the fixed-point map; the first is the paper's example
+_SCALAR_SYSTEMS = [(1.0, 1.0, 1.0, 0.2, 1.0, 1.0), (0.9, 1.0, 0.5, 1.0, 2.0, 1.0),
+                   (1.5, 2.0, 1.0, 0.5, 1.0, 0.5), (1.2, 1.0, 1.0, 1.0, 1.0, 1.0),
+                   (0.3, 1.0, 2.0, 1.0, 1.0, 0.1)]
+
+
+def test_search_probe_count(rng):
+    # regula falsi needs at most 16 probes on these systems, where
+    # bisection to the same bracket took 36-41
+    for A, B, G, Q, R, Pf in _SCALAR_SYSTEMS:
+        sol = solve_steady_state(steady_scalar(A=A, B=B, G=G, Q=Q, R=R, Pf=Pf))
+        lam, pi = steady_scalar_closed_form(A, B, G, Q, R)
+        assert sol.lambda_bar == pytest.approx(lam, abs=1e-8)
+        assert sol.Pi_bar[0, 0] == pytest.approx(pi, abs=1e-6)
+        assert sol.probes <= 20
+    for n in (2, 3, 4, 6, 8, 2, 3, 4, 6, 8):
+        sol = solve_steady_state(_bank_system(rng, n))
+        assert sol.probes <= 20
