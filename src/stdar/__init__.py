@@ -6,22 +6,16 @@ sweeps, the convex multiplier program, the nonlinear online policy with
 worst-case disturbance synthesis, and the steady-state solve with an LMI
 feasibility certificate.
 """
-from .errors import (AssumptionViolated, BoundaryTooClose, BracketingFailed,
-                     DimensionMismatch, Diverged, FixedPointDiverged,
-                     InconsistentCase, InfeasibleMultiplier, NoFeasibleLambda,
-                     NonConvergedEigen, NoSolution, NoSphereIntersection,
-                     RankDeficientD, RegulatorError, ScenarioError,
-                     SingularM, SingularPi)
-from .multiplier import MultiplierSolution, gradient, objective, solve_multipliers
+from .errors import (AssumptionViolated, DimensionMismatch, Diverged,
+                     FixedPointDiverged, InfeasibleMultiplier,
+                     NoFeasibleLambda, NoSphereIntersection, RegulatorError,
+                     ScenarioError, SingularM, SingularPi)
+from .multiplier import MultiplierSolution, objective, solve_multipliers
 from .policy import Trajectory, control_at, rollout, worst_disturbance_at
 from .problem import (ProblemData, StageBoundSchedule, Tolerances,
                       ValidationReport, validate_problem)
-from .riccati import (MultiplierVector, RiccatiSweep, project_feasible,
-                      receq_crosscheck, sweep)
+from .riccati import MultiplierVector, RiccatiSweep, project_feasible, sweep
 from .scenario import ScenarioFile, load_scenario, save_scenario
-from .sphere_qp import (BlockSaddle, SphereQP, SphereQPSolution,
-                        block_nonsingular, dual_value, saddle_point,
-                        solve_constrained_minmax, solve_sphere_qp)
 from .steady_state import (LmiCertificate, SteadyStateSolution, lmi_certify,
                            lqr_baseline, solve_steady_state,
                            steady_riccati_fixed_point)
@@ -29,19 +23,15 @@ from .steady_state import (LmiCertificate, SteadyStateSolution, lmi_certify,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolated", "BlockSaddle", "BoundaryTooClose",
-    "BracketingFailed", "DimensionMismatch", "Diverged",
-    "FixedPointDiverged", "InconsistentCase", "InfeasibleMultiplier",
-    "LmiCertificate", "MultiplierSolution", "MultiplierVector",
-    "NoFeasibleLambda", "NonConvergedEigen", "NoSolution",
-    "NoSphereIntersection", "ProblemData", "RankDeficientD",
-    "RegulatorError", "RiccatiSweep", "ScenarioError", "ScenarioFile",
-    "SingularM", "SingularPi", "SphereQP", "SphereQPSolution",
+    "AssumptionViolated", "DimensionMismatch", "Diverged",
+    "FixedPointDiverged", "InfeasibleMultiplier", "LmiCertificate",
+    "MultiplierSolution", "MultiplierVector", "NoFeasibleLambda",
+    "NoSphereIntersection", "ProblemData", "RegulatorError", "RiccatiSweep",
+    "ScenarioError", "ScenarioFile", "SingularM", "SingularPi",
     "StageBoundSchedule", "SteadyStateSolution", "Tolerances", "Trajectory",
-    "ValidationReport", "block_nonsingular", "control_at", "dual_value",
-    "gradient", "lmi_certify", "load_scenario", "lqr_baseline", "objective",
-    "project_feasible", "receq_crosscheck", "rollout", "save_scenario",
-    "solve_constrained_minmax", "solve_multipliers", "solve_sphere_qp",
-    "solve_steady_state", "saddle_point", "steady_riccati_fixed_point",
-    "sweep", "validate_problem", "worst_disturbance_at",
+    "ValidationReport", "control_at", "lmi_certify", "load_scenario",
+    "lqr_baseline", "objective", "project_feasible", "rollout",
+    "save_scenario", "solve_multipliers", "solve_steady_state",
+    "steady_riccati_fixed_point", "sweep", "validate_problem",
+    "worst_disturbance_at",
 ]

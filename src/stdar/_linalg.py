@@ -10,8 +10,9 @@ try:
 except ImportError:  # pragma: no cover - older scipy
     _lapack_solve = None
 
-# Singular values / eigenvalues below CUTOFF * (largest magnitude) are
-# treated as zero in pseudoinverse and nullspace computations.
+# Eigenvalues below PINV_CUTOFF * (largest magnitude) are treated as zero
+# where policy._sphere_response splits G'Pi G - lam I into its
+# pseudoinverse part and the top eigenspace it completes along.
 PINV_CUTOFF = 1e-11
 
 # scipy.linalg.solve's structure codes for the assume_a values used here
@@ -29,10 +30,6 @@ def top_eig(M: np.ndarray) -> float:
         # its call overhead; the stage steps take two of these per stage
         return float(M[0, 0])
     return float(la.eigvalsh(sym(M))[-1])
-
-
-def min_eig(M: np.ndarray) -> float:
-    return float(la.eigvalsh(sym(M))[0])
 
 
 def solve(M: np.ndarray, rhs: np.ndarray, assume_a: str | None = None) -> np.ndarray:
@@ -71,30 +68,3 @@ def _routine_matches() -> bool:
 
 if _lapack_solve is not None and not _routine_matches():  # pragma: no cover
     _lapack_solve = None
-
-
-def eigh_split(M: np.ndarray, cutoff: float = PINV_CUTOFF):
-    """Eigendecomposition of sym(M) with a zero/nonzero split.
-
-    Returns (w, V, zero_mask) where zero_mask flags eigenvalues of magnitude
-    at most cutoff * max|w|.
-    """
-    w, V = la.eigh(sym(M))
-    scale = np.abs(w).max() if w.size else 0.0
-    zero_mask = np.abs(w) <= cutoff * max(scale, 1e-300)
-    return w, V, zero_mask
-
-
-def pinv_sym(M: np.ndarray, cutoff: float = PINV_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix via eigh."""
-    w, V, zero = eigh_split(M, cutoff)
-    inv = np.where(zero, 0.0, np.divide(1.0, np.where(zero, 1.0, w)))
-    return (V * inv) @ V.T
-
-
-def pinv_apply(M: np.ndarray, b: np.ndarray, cutoff: float = PINV_CUTOFF) -> np.ndarray:
-    """Apply the symmetric pseudoinverse of M to b."""
-    w, V, zero = eigh_split(M, cutoff)
-    c = V.T @ b
-    c = np.where(zero, 0.0, c / np.where(zero, 1.0, w))
-    return V @ c

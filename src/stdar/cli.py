@@ -41,8 +41,7 @@ def _tolerances(args) -> Tolerances:
     t = Tolerances()
     over = {}
     for flag, fld in (("tol_psd", "tol_psd"), ("tol_range", "tol_range"),
-                      ("tol_zero", "tol_zero"), ("tol_boundary", "eps_boundary"),
-                      ("tol_fd_step", "fd_step")):
+                      ("tol_zero", "tol_zero"), ("tol_boundary", "eps_boundary")):
         v = getattr(args, flag, None)
         if v is not None:
             over[fld] = v
@@ -242,8 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--allow-degenerate-terminal", action="store_true",
                         help="accept G'Pf G = 0 (warn instead of fail)")
-    for flag in ("tol-psd", "tol-range", "tol-zero", "tol-boundary",
-                 "tol-fd-step"):
+    for flag in ("tol-psd", "tol-range", "tol-zero", "tol-boundary"):
         common.add_argument(f"--{flag}", type=float, default=None,
                             dest=flag.replace("-", "_"))
     ap = argparse.ArgumentParser(

@@ -17,25 +17,9 @@ class AssumptionViolated(RegulatorError):
         super().__init__(f"{which}" + (f": {detail}" if detail else ""))
 
 
-class NonConvergedEigen(RegulatorError):
-    """The eigenvalue solver failed to converge."""
 
 
-class InconsistentCase(RegulatorError):
-    """Neither the interior nor the boundary certificate holds within
-    tolerance; signals ill-conditioned sphere-QP data."""
 
-
-class NoSolution(RegulatorError):
-    """The quadratic minmax has no solution for this multiplier value."""
-
-
-class RankDeficientD(RegulatorError):
-    """The linear term is outside the range of the singular saddle matrix."""
-
-
-class BracketingFailed(RegulatorError):
-    """Could not bracket a minimizer of the scalar multiplier function."""
 
 
 class InfeasibleMultiplier(RegulatorError):
@@ -45,10 +29,6 @@ class InfeasibleMultiplier(RegulatorError):
 class SingularM(RegulatorError):
     """A stage matrix M is numerically singular despite feasibility."""
 
-
-class BoundaryTooClose(RegulatorError):
-    """The multiplier sits too close to the feasibility boundary for the
-    requested finite-difference stencil."""
 
 
 class NoSphereIntersection(RegulatorError):

@@ -34,8 +34,8 @@ multipliers,
 
     dphi/dlambda_j = (alpha_j - ||wbar_j||^2) / (2 alpha_bar),
 
-wbar_j = -J_j x_j the certainty disturbance, which gradient() returns
-alongside central finite differences.
+wbar_j = -J_j x_j the certainty disturbance. The tests check both
+gradients against finite differences of phi.
 """
 from __future__ import annotations
 
@@ -45,12 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import sym
-from .errors import BoundaryTooClose
 from .problem import ProblemData, Tolerances
 from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass,
                       project_feasible, sweep)
 
-__all__ = ["MultiplierSolution", "objective", "gradient", "solve_multipliers"]
+__all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
@@ -88,71 +87,6 @@ def objective(p: ProblemData, lam, x, k: int = 0,
     x = np.asarray(x, dtype=float).ravel()
     sw = sweep(p, _wrap(p, lam, k), tol)
     return _phi(p, x, sw.lam, sw.Pi[0])
-
-
-def _envelope_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
-    abar = p.schedule().alpha_bar
-    k = sw.stage_offset
-    g = np.zeros(p.N - k)
-    xj = x.copy()
-    for j in range(p.N - k):
-        w = -(sw.J[j] @ xj)
-        g[j] = (p.alpha[k + j] - float(w @ w)) / (2.0 * abar)
-        xj = p.A @ xj - p.B @ (sw.K[j] @ xj) + p.G @ w
-    return g
-
-
-def _fd_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray,
-                 phi0: float, tol: Tolerances) -> np.ndarray:
-    """Central differences of phi at the multipliers of sw (phi0 there),
-    forward ones where a probe's projection moves it."""
-    k = sw.stage_offset
-    base = sw.lam.lambdas
-    g = np.zeros(base.size)
-    for i in range(base.size):
-        h = max(tol.fd_step, tol.fd_step * abs(base[i]))
-        up = base.copy()
-        up[i] += h
-        sw_up, _ = _nested_pass(p, up, k, tol, tol.eps_boundary)
-        dn = base.copy()
-        dn[i] -= h
-        # a down-probe the projection moved sits on the bound, where its
-        # stage-0 step can fail; the pass finishes that step only when the
-        # probe is used
-        sw_dn, _ = _nested_pass(p, dn, k, tol, tol.eps_boundary, step0=False)
-        moved = max(float(np.abs(sw_up.lam.lambdas - up).max()),
-                    float(np.abs(sw_dn.lam.lambdas - dn).max()))
-        phi_up = _phi(p, x, sw_up.lam, sw_up.Pi[0])
-        if moved <= 1e-3 * h:
-            stage0, _ = _nested_pass(p, sw_dn.lam.lambdas[:1], k, tol, S=sw_dn.Pi[1])
-            g[i] = (phi_up - _phi(p, x, sw_dn.lam, stage0.Pi[0])) / (2.0 * h)
-        else:
-            g[i] = (phi_up - phi0) / h
-    return g
-
-
-def gradient(p: ProblemData, lam, x, k: int = 0, method: str = "fd",
-             tol: Tolerances | None = None, strict: bool = False) -> np.ndarray:
-    """Gradient of phi in the multipliers; "envelope" or "fd".
-
-    strict raises BoundaryTooClose when a multiplier sits within ten
-    finite-difference steps of its nested bound, where one-sided
-    differences lose accuracy.
-    """
-    tol = tol or Tolerances()
-    x = np.asarray(x, dtype=float).ravel()
-    lam = _wrap(p, lam, k)
-    sw = sweep(p, lam, tol)
-    if strict:
-        gap = float((lam.lambdas - sw.bounds).min())
-        if gap < 10.0 * tol.fd_step:
-            raise BoundaryTooClose(
-                f"multiplier within {gap:.3e} of its bound; finite differences unreliable")
-    if method == "envelope":
-        return _envelope_gradient(p, sw, x)
-    if method == "fd":
-        return _fd_gradient(p, sw, x, _phi(p, x, sw.lam, sw.Pi[0]), tol)
-    raise ValueError(f"unknown gradient method {method!r}")
 
 
 def _reconstruct(p: ProblemData, s: np.ndarray, k: int,

@@ -144,7 +144,7 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
 
 def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
             x0: np.ndarray | None = None, tol: Tolerances | None = None,
-            gradient_mode: str = "auto", max_iter: int = 5000) -> Trajectory:
+            max_iter: int = 5000) -> Trajectory:
     """Simulate the online policy over the full horizon.
 
     mode "worst_case" injects the bound-attaining disturbance, "zero" none,
@@ -174,8 +174,7 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     all_converged = True
 
     for k in range(p.N):
-        sol = solve_multipliers(p, x, k=k, init=warm, tol=tol,
-                                gradient_mode=gradient_mode, max_iter=max_iter)
+        sol = solve_multipliers(p, x, k=k, init=warm, tol=tol, max_iter=max_iter)
         all_converged &= sol.converged
         sw = sweep(p, sol.lam_star, tol)
         u = -(sw.K[0] @ x)

@@ -55,11 +55,9 @@ class Tolerances:
     tol_range: float = 1e-10     # range-inclusion test
     tol_zero: float = 1e-12      # nonzero-matrix test
     eps_boundary: float = 1e-9   # margin kept above ||G' Pi G|| in the interior
-    fd_step: float = 1e-6        # finite-difference base step
 
     def __post_init__(self):
-        for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary",
-                     "fd_step"):
+        for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from ._linalg import pinv_sym, solve, sym, top_eig
+from ._linalg import solve, sym, top_eig
 from .errors import InfeasibleMultiplier, SingularM
 from .problem import ProblemData, Tolerances
 
@@ -107,10 +107,10 @@ def _stage_step(p: ProblemData, S: np.ndarray, lam_j: float, tol: Tolerances):
 
 
 def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
-                 margin: float | None = None, slack=None, S=None,
+                 margin: float | None = None, slack=None,
                  step0: bool = True) -> tuple[RiccatiSweep, np.ndarray]:
-    """The backward recursion over len(raw) stages, from Pi = S (Pf by
-    default) after the last of them; k is the stage offset of the result.
+    """The backward recursion over len(raw) stages from Pi_N = Pf; k is
+    the stage offset of the result, so raw covers stages k..N-1.
 
     With margin None the multipliers are raw as given. Otherwise each stage j
     first sets
@@ -131,8 +131,7 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     J = [None] * n_stages
     bounds = np.zeros(n_stages)
     rule = np.zeros(n_stages)
-    S = p.Pf if S is None else S
-    Pi[n_stages] = S
+    S = Pi[n_stages] = p.Pf
     for i in range(n_stages - 1, -1, -1):
         if margin is not None:
             rule[i] = top_eig(p.G.T @ S @ p.G)
@@ -182,25 +181,3 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     if stage_offset + raw.shape[0] != p.N:
         raise ValueError("multiplier vector length inconsistent with horizon")
     return _nested_pass(p, raw, stage_offset, tol, margin, step0=False)[0].lam
-
-
-def receq_crosscheck(sw: RiccatiSweep, p: ProblemData) -> float:
-    """Largest Frobenius discrepancy of the closed-loop Riccati identity.
-
-    Each Pi_j is recomputed as
-        Qb + Ab'Pi_{j+1}Ab - Ab'Pi_{j+1}G (G'Pi_{j+1}G - lam_j I)^+ G'Pi_{j+1}Ab
-    with Ab = A - B K_j and Qb = Q + K_j'R K_j, and compared against the
-    sweep's Pi_j.
-    """
-    worst = 0.0
-    for i in range(sw.horizon()):
-        S = sw.Pi[i + 1]
-        Ab = p.A - p.B @ sw.K[i]
-        Qb = p.Q + sw.K[i].T @ p.R @ sw.K[i]
-        SG = S @ p.G
-        T = p.G.T @ SG - float(sw.lam.lambdas[i]) * np.eye(p.q)
-        SAb = S @ Ab
-        cross = SG.T @ Ab
-        alt = sym(Qb + Ab.T @ SAb - cross.T @ (pinv_sym(T) @ cross))
-        worst = max(worst, float(np.linalg.norm(alt - sw.Pi[i], ord="fro")))
-    return worst

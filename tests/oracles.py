@@ -1,10 +1,17 @@
 """Independent reference computations used to freeze expected values.
 
-Everything here is deliberately written from the problem statements with
-plain numpy (inverses, scans, golden section), not by calling the package
-internals, so tests compare two routes to the same quantity.
+The closed forms, scans and fixed points here are written from the problem
+statements with plain numpy (inverses, scans, golden section), not by
+calling the package, so tests compare two routes to the same quantity.
+The gradient oracles (`fd_gradient`, `envelope_gradient`) and the Riccati
+identity check (`receq_crosscheck`) take the package's public `sweep` and
+`project_feasible` as given and check what the solver builds on them: its
+exact adjoint gradient and the sweep's gains. The single-stage sphere
+reference lives in sphere_oracle.py.
 """
 import numpy as np
+
+from stdar import MultiplierVector, Tolerances, project_feasible, sweep
 
 _GR = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -227,3 +234,97 @@ def steady_scalar_closed_form(A, B, G, Q, R):
         else:
             lo = mid
     return hi, pi_of(hi)
+
+
+def _multipliers(lam, k):
+    if isinstance(lam, MultiplierVector):
+        return lam
+    return MultiplierVector(np.asarray(lam, dtype=float), stage_offset=k)
+
+
+def _phi(p, x, sw):
+    """The multiplier program's objective at the multipliers of sweep sw."""
+    tail = float(p.alpha[sw.stage_offset:] @ sw.lam.lambdas)
+    return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.schedule().alpha_bar)
+
+
+def envelope_gradient(p, lam, x, k=0, tol=None):
+    """dphi/dlambda_j = (alpha_j - ||wbar_j||^2) / (2 alpha_bar) along the
+    certainty trajectory x+ = (A - BK_j) x + G wbar_j, wbar_j = -J_j x_j.
+
+    lam is a MultiplierVector or raw multipliers for stages k..N-1.
+    """
+    tol = tol or Tolerances()
+    x = np.asarray(x, dtype=float).ravel()
+    sw = sweep(p, _multipliers(lam, k), tol)
+    k = sw.stage_offset
+    abar = p.schedule().alpha_bar
+    g = np.zeros(sw.horizon())
+    for j in range(g.size):
+        w = -(sw.J[j] @ x)
+        g[j] = (p.alpha[k + j] - float(w @ w)) / (2.0 * abar)
+        x = p.A @ x - p.B @ (sw.K[j] @ x) + p.G @ w
+    return g
+
+
+def fd_gradient(p, lam, x, k=0, tol=None, step=1e-6):
+    """Central differences of phi in the multipliers, with steps
+    h_j = step max(1, |lambda_j|).
+
+    Each probe is projected onto the feasible set before it is swept. Where
+    the projection moves a probe by more than 1e-3 h_j, as next to a nested
+    bound, the difference is a forward one.
+    """
+    tol = tol or Tolerances()
+    x = np.asarray(x, dtype=float).ravel()
+    lam = _multipliers(lam, k)
+    k = lam.stage_offset
+    base = lam.lambdas
+    phi0 = _phi(p, x, sweep(p, lam, tol))
+    g = np.zeros(base.size)
+    for i in range(base.size):
+        h = max(step, step * abs(base[i]))
+        up = base.copy()
+        up[i] += h
+        dn = base.copy()
+        dn[i] -= h
+        lam_up = project_feasible(p, up, stage_offset=k, tol=tol)
+        lam_dn = project_feasible(p, dn, stage_offset=k, tol=tol)
+        moved = max(float(np.abs(lam_up.lambdas - up).max()),
+                    float(np.abs(lam_dn.lambdas - dn).max()))
+        phi_up = _phi(p, x, sweep(p, lam_up, tol))
+        if moved <= 1e-3 * h:
+            g[i] = (phi_up - _phi(p, x, sweep(p, lam_dn, tol))) / (2.0 * h)
+        else:
+            # a moved down-probe sits on its bound, where the stage step
+            # can fail; it is never swept
+            g[i] = (phi_up - phi0) / h
+    return g
+
+
+def _pinv_sym(M, cutoff=1e-11):
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    zero = np.abs(w) <= cutoff * max(np.abs(w).max(), 1e-300)
+    return (V * np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, w))) @ V.T
+
+
+def receq_crosscheck(sw, p):
+    """Largest Frobenius discrepancy of the closed-loop Riccati identity.
+
+    Each Pi_j is recomputed as
+        Qb + Ab'Pi_{j+1}Ab - Ab'Pi_{j+1}G (G'Pi_{j+1}G - lam_j I)^+ G'Pi_{j+1}Ab
+    with Ab = A - B K_j and Qb = Q + K_j'R K_j, and compared against the
+    sweep's Pi_j.
+    """
+    worst = 0.0
+    for i in range(sw.horizon()):
+        S = sw.Pi[i + 1]
+        Ab = p.A - p.B @ sw.K[i]
+        Qb = p.Q + sw.K[i].T @ p.R @ sw.K[i]
+        SG = S @ p.G
+        T = p.G.T @ SG - float(sw.lam.lambdas[i]) * np.eye(p.q)
+        cross = SG.T @ Ab
+        alt = Qb + Ab.T @ S @ Ab - cross.T @ _pinv_sym(T) @ cross
+        alt = 0.5 * (alt + alt.T)
+        worst = max(worst, float(np.linalg.norm(alt - sw.Pi[i], ord="fro")))
+    return worst

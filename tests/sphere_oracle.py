@@ -1,4 +1,4 @@
-"""Sphere-constrained quadratic maximization and quadratic minmax kernels.
+"""Single-stage reference: sphere-constrained QP and quadratic minmax.
 
 Three related problems are solved exactly through eigenvalue arguments:
 
@@ -11,8 +11,11 @@ Three related problems are solved exactly through eigenvalue arguments:
   reduced to a scalar convex minimization of L(lam) over
   lam >= ||M22|| (`solve_constrained_minmax`).
 
-These kernels provide the single-stage regulator solve and the worst-case
-disturbance synthesis used by the multi-stage modules.
+The package solves none of these directly: the tests compare its N = 1
+multiplier program against `solve_constrained_minmax`, and check
+`solve_sphere_qp` itself against brute-force scans of the sphere. The
+module needs only numpy, scipy and the package's Tolerances and
+RegulatorError.
 """
 from __future__ import annotations
 
@@ -21,16 +24,53 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from ._linalg import PINV_CUTOFF, min_eig, pinv_apply, sym, top_eig
-from .errors import (BracketingFailed, InconsistentCase, NoSolution,
-                     NonConvergedEigen, RankDeficientD)
-from .problem import Tolerances
+from stdar import RegulatorError, Tolerances
 
-__all__ = [
-    "SphereQP", "SphereQPSolution", "BlockSaddle",
-    "solve_sphere_qp", "dual_value", "saddle_point",
-    "solve_constrained_minmax", "block_nonsingular",
-]
+# eigenvalues below PINV_CUTOFF * (largest magnitude) count as zero
+PINV_CUTOFF = 1e-11
+
+
+class NonConvergedEigen(RegulatorError):
+    """The eigenvalue solver failed to converge."""
+
+
+class InconsistentCase(RegulatorError):
+    """Neither the interior nor the boundary certificate holds within
+    tolerance; signals ill-conditioned sphere-QP data."""
+
+
+class NoSolution(RegulatorError):
+    """The quadratic minmax has no solution for this multiplier value."""
+
+
+class RankDeficientD(RegulatorError):
+    """The linear term is outside the range of the singular saddle matrix."""
+
+
+class BracketingFailed(RegulatorError):
+    """Could not bracket a minimizer of the scalar multiplier function."""
+
+
+def sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
+
+
+def top_eig(M: np.ndarray) -> float:
+    return float(la.eigvalsh(sym(M))[-1])
+
+
+def min_eig(M: np.ndarray) -> float:
+    return float(la.eigvalsh(sym(M))[0])
+
+
+def pinv_apply(M: np.ndarray, b: np.ndarray, cutoff: float = PINV_CUTOFF) -> np.ndarray:
+    """Apply the eigh pseudoinverse of the symmetric matrix M to b."""
+    w, V = la.eigh(sym(M))
+    scale = np.abs(w).max() if w.size else 0.0
+    zero = np.abs(w) <= cutoff * max(scale, 1e-300)
+    c = V.T @ b
+    return V @ np.where(zero, 0.0, c / np.where(zero, 1.0, w))
+
 
 _GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
 

@@ -11,16 +11,16 @@ import scipy.linalg as la
 import sympy as sp
 
 from stdar import _kernels
-from stdar import (SphereQP, Tolerances, block_nonsingular, gradient,
-                   lmi_certify, lqr_baseline, project_feasible,
-                   receq_crosscheck, rollout, solve_multipliers,
-                   solve_sphere_qp, solve_steady_state, sweep,
+from stdar import (lmi_certify, lqr_baseline, project_feasible, rollout,
+                   solve_multipliers, solve_steady_state, sweep,
                    validate_problem)
 from stdar.cli import main
 from stdar.scenario import ScenarioFile, save_scenario
 from conftest import make_problem, scalar_problem
-from oracles import (circle_scan_max, grid_minmax_two_stage_scalar,
+from oracles import (circle_scan_max, envelope_gradient, fd_gradient,
+                     grid_minmax_two_stage_scalar, receq_crosscheck,
                      two_stage_value)
+from sphere_oracle import SphereQP, block_nonsingular, solve_sphere_qp
 from test_multiplier import minmax_from_single_stage
 from test_riccati import feasible_lam
 
@@ -195,8 +195,8 @@ def test_gradient_check(rng, tol):
         p = make_problem(rng)
         lam = project_feasible(p, rng.uniform(0.5, 2.0, p.N), margin=0.05,
                                tol=tol)
-        g_fd = gradient(p, lam, p.x0, method="fd", tol=tol)
-        g_env = gradient(p, lam, p.x0, method="envelope", tol=tol)
+        g_fd = fd_gradient(p, lam, p.x0, tol=tol)
+        g_env = envelope_gradient(p, lam, p.x0, tol=tol)
         rel = float(np.abs(g_env - g_fd).max() / (np.abs(g_fd).max() + 1e-12))
         worst = max(worst, rel)
         assert rel <= 1e-4
@@ -212,7 +212,7 @@ def test_gradient_check(rng, tol):
     p1 = scalar_problem(A=A, B=B, G=G, Q=Q, R=R, Pf=Pf, N=1, alpha=a, x0=x)
     worst_sym = 0.0
     for lam0 in (1.5, 2.0, 3.0, 5.0):
-        g = gradient(p1, [lam0], np.array([x]), method="fd", tol=tol)
+        g = fd_gradient(p1, [lam0], np.array([x]), tol=tol)
         dev = abs(g[0] - float(dphi(lam0)))
         worst_sym = max(worst_sym, dev)
         assert dev <= 1e-6

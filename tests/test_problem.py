@@ -129,7 +129,7 @@ def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(tol_psd=0.0)
     with pytest.raises(ValueError):
-        Tolerances(fd_step=-1e-6)
+        Tolerances(eps_boundary=-1e-9)
 
 
 def test_stabilizability_warning_only():

@@ -1,0 +1,47 @@
+"""The package's public surface, and the README example that uses it."""
+import dataclasses
+import importlib
+import inspect
+import pathlib
+
+import pytest
+
+import stdar
+from stdar.cli import _build_parser
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = [
+    "AssumptionViolated", "DimensionMismatch", "Diverged",
+    "FixedPointDiverged", "InfeasibleMultiplier", "LmiCertificate",
+    "MultiplierSolution", "MultiplierVector", "NoFeasibleLambda",
+    "NoSphereIntersection", "ProblemData", "RegulatorError", "RiccatiSweep",
+    "ScenarioError", "ScenarioFile", "SingularM", "SingularPi",
+    "StageBoundSchedule", "SteadyStateSolution", "Tolerances", "Trajectory",
+    "ValidationReport", "control_at", "lmi_certify", "load_scenario",
+    "lqr_baseline", "objective", "project_feasible", "rollout",
+    "save_scenario", "solve_multipliers", "solve_steady_state",
+    "steady_riccati_fixed_point", "sweep", "validate_problem",
+    "worst_disturbance_at",
+]
+
+
+def test_public_surface():
+    assert sorted(stdar.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(stdar, name) is not None
+    assert [f.name for f in dataclasses.fields(stdar.Tolerances)] == [
+        "tol_psd", "tol_range", "tol_zero", "eps_boundary"]
+    assert "gradient_mode" not in inspect.signature(stdar.rollout).parameters
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("stdar.sphere_qp")
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(
+            ["validate", "--scenario", "s.yaml", "--tol-fd-step", "1e-6"])
+
+
+def test_readme_library_example(capsys):
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3

@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg as la
 
 from stdar import (InfeasibleMultiplier, MultiplierVector, RiccatiSweep,
-                   Tolerances, project_feasible, receq_crosscheck, sweep)
+                   Tolerances, project_feasible, sweep)
 from stdar._linalg import solve
 from stdar.riccati import _nested_pass
 from conftest import make_problem, scalar_problem
-from oracles import lqr_recursion
+from oracles import lqr_recursion, receq_crosscheck
 
 
 def feasible_lam(p, rng, tol, spread=2.0):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar import (BlockSaddle, NoSolution, RankDeficientD, SphereQP,
-                   Tolerances, block_nonsingular, dual_value, saddle_point,
-                   solve_constrained_minmax, solve_sphere_qp)
 from oracles import circle_scan_max, golden_min
+from sphere_oracle import (BlockSaddle, NoSolution, RankDeficientD, SphereQP,
+                           block_nonsingular, dual_value, saddle_point,
+                           solve_constrained_minmax, solve_sphere_qp)
 
 
 def rand_psd(rng, q, floor=0.0):
