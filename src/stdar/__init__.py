@@ -12,8 +12,8 @@ from .errors import (AssumptionViolated, DimensionMismatch, Diverged,
                      ScenarioError, SingularM, SingularPi)
 from .multiplier import MultiplierSolution, objective, solve_multipliers
 from .policy import Trajectory, control_at, rollout, worst_disturbance_at
-from .problem import (ProblemData, StageBoundSchedule, Tolerances,
-                      ValidationReport, validate_problem)
+from .problem import (ProblemData, Tolerances, ValidationReport,
+                      validate_problem)
 from .riccati import MultiplierVector, RiccatiSweep, project_feasible, sweep
 from .scenario import ScenarioFile, load_scenario, save_scenario
 from .steady_state import (LmiCertificate, SteadyStateSolution, lmi_certify,
@@ -26,9 +26,9 @@ __all__ = [
     "AssumptionViolated", "DimensionMismatch", "Diverged",
     "FixedPointDiverged", "InfeasibleMultiplier", "LmiCertificate",
     "MultiplierSolution", "MultiplierVector", "NoFeasibleLambda",
-    "NoSphereIntersection", "ProblemData", "RegulatorError", "RiccatiSweep",
-    "ScenarioError", "ScenarioFile", "SingularM", "SingularPi",
-    "StageBoundSchedule", "SteadyStateSolution", "Tolerances", "Trajectory",
+    "NoSphereIntersection", "ProblemData", "RegulatorError",
+    "RiccatiSweep", "ScenarioError", "ScenarioFile", "SingularM",
+    "SingularPi", "SteadyStateSolution", "Tolerances", "Trajectory",
     "ValidationReport", "control_at", "lmi_certify", "load_scenario",
     "lqr_baseline", "objective", "project_feasible", "rollout",
     "save_scenario", "solve_multipliers", "solve_steady_state",

@@ -27,7 +27,7 @@ def top_eig(M: np.ndarray) -> float:
     """Largest eigenvalue of the symmetrized matrix (= induced 2-norm for PSD)."""
     if M.shape == (1, 1):
         # the value the eigensolver returns, bit for bit, at a fraction of
-        # its call overhead; the stage steps take two of these per stage
+        # its call overhead; each stage step takes one of these
         return float(M[0, 0])
     return float(la.eigvalsh(sym(M))[-1])
 

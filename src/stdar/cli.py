@@ -21,7 +21,6 @@ from .errors import (AssumptionViolated, DimensionMismatch, Diverged,
 from .multiplier import solve_multipliers
 from .policy import rollout
 from .problem import ProblemData, Tolerances, validate_problem
-from .riccati import sweep
 from .scenario import load_scenario
 from .steady_state import lqr_baseline, solve_steady_state
 
@@ -48,26 +47,27 @@ def _tolerances(args) -> Tolerances:
     return dataclasses.replace(t, **over) if over else t
 
 
-def _prepare(args):
+def _load(args):
+    """Load the scenario and validate its problem, printing the warnings."""
     sc = load_scenario(args.scenario)
     tol = _tolerances(args)
-    out = args.out if args.out is not None else sc.out
-    seed = args.seed if args.seed is not None else sc.seed
     allow = args.allow_degenerate_terminal or sc.allow_degenerate_terminal
     report = validate_problem(sc.problem, tol=tol, allow_degenerate_terminal=allow)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    return sc, tol
+
+
+def _prepare(args):
+    sc, tol = _load(args)
+    out = args.out if args.out is not None else sc.out
+    seed = args.seed if args.seed is not None else sc.seed
     os.makedirs(out, exist_ok=True)
     return sc, tol, out, seed
 
 
 def cmd_validate(args) -> int:
-    sc = load_scenario(args.scenario)
-    tol = _tolerances(args)
-    allow = args.allow_degenerate_terminal or sc.allow_degenerate_terminal
-    report = validate_problem(sc.problem, tol=tol, allow_degenerate_terminal=allow)
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    sc, _ = _load(args)
     p = sc.problem
     print(f"ok: n={p.n} m={p.m} q={p.q} N={p.N} mode={sc.mode}")
     return 0
@@ -81,23 +81,22 @@ def cmd_finite(args) -> int:
     sc, tol, out, _ = _prepare(args)
     p = sc.problem
     x0s = list(sc.x0_list) if sc.x0_list else [p.x0]
-    abar = p.schedule().alpha_bar
     summary_rows = []
     failures = 0
     for i, x0 in enumerate(x0s):
         try:
             sol = solve_multipliers(p, x0, tol=tol)
-            sw = sweep(p, sol.lam_star, tol)
         except RegulatorError as exc:
             failures += 1
             summary_rows.append([str(i)] + [_fmt(v) for v in x0]
                                 + ["", "", "", "", f'"{exc}"'])
             continue
         lams = sol.lam_star.lambdas
+        sw = sol.sweep
         rows = []
         for k in range(p.N + 1):
             tail = float(p.alpha[k:] @ lams[k:]) if k < p.N else 0.0
-            val = (float(x0 @ sw.Pi[k] @ x0) + tail) / (2.0 * abar)
+            val = (float(x0 @ sw.Pi[k] @ x0) + tail) / (2.0 * p.alpha_bar)
             lam_cell = _fmt(lams[k]) if k < p.N else ""
             rows.append([str(k)] + [_fmt(v) for v in sw.Pi[k].ravel()]
                         + [lam_cell, _fmt(val)])
@@ -136,8 +135,7 @@ def cmd_policy_curve(args) -> int:
         if key in gains:
             continue
         sol = solve_multipliers(p, np.array([key]), tol=tol, init=init)
-        sw = sweep(p, sol.lam_star, tol)
-        gains[key] = float(sw.K[0][0, 0])
+        gains[key] = float(sol.sweep.K[0][0, 0])
         not_converged += 0 if sol.converged else 1
         init = sol.lam_star.lambdas
     rows = [[_fmt(x), _fmt(-gains[abs(float(x))] * float(x))] for x in xs]

@@ -39,14 +39,13 @@ gradients against finite differences of phi.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import sym
 from .problem import ProblemData, Tolerances
-from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass,
+from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass, at_bound,
                       project_feasible, sweep)
 
 __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
@@ -58,12 +57,20 @@ _MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class MultiplierSolution:
+    """Optimal multipliers of a stage-k tail program.
+
+    sweep is the backward sweep at lam_star that the solve ended on, equal
+    bit for bit to sweep(p, lam_star): its K[0] gives the control and its
+    Pi[1] and bounds[0] the worst-case disturbance, with no second sweep.
+    """
+
     lam_star: MultiplierVector
     value: float
     grad_norm: float              # final projected-gradient norm in the slacks
     boundary_flags: np.ndarray    # stage multiplier at its nested bound
     iterations: int
     converged: bool
+    sweep: RiccatiSweep
     gradient_mode: str = "envelope"  # or "corner" at x = 0
 
 
@@ -75,9 +82,8 @@ def _wrap(p: ProblemData, lam, k: int) -> MultiplierVector:
 
 def _phi(p: ProblemData, x: np.ndarray, lam: MultiplierVector,
          Pi0: np.ndarray) -> float:
-    abar = p.schedule().alpha_bar
     tail = float(p.alpha[lam.stage_offset:] @ lam.lambdas)
-    return (float(x @ Pi0 @ x) + tail) / (2.0 * abar)
+    return (float(x @ Pi0 @ x) + tail) / (2.0 * p.alpha_bar)
 
 
 def objective(p: ProblemData, lam, x, k: int = 0,
@@ -91,13 +97,11 @@ def objective(p: ProblemData, lam, x, k: int = 0,
 
 def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
                  tol: Tolerances) -> RiccatiSweep:
-    """Sweep at lambda_j = ||G'Pi_{j+1}G|| + eps_boundary + s_j, any s >= 0.
-
-    Its bounds are the ||G'Pi_{j+1}G|| the multipliers were built from.
-    """
-    sw, rule = _nested_pass(p, np.full(s.size, -np.inf), k, tol,
-                            tol.eps_boundary, s)
-    return dataclasses.replace(sw, bounds=rule)
+    """Sweep at lambda_j = ||G'Pi_{j+1}G|| + eps_boundary + s_j, any s >= 0:
+    the slack point s in one nested pass, whose bounds are the
+    ||G'Pi_{j+1}G|| the multipliers were built from."""
+    return _nested_pass(p, np.full(s.size, -np.inf), k, tol,
+                        tol.eps_boundary, s)
 
 
 def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
@@ -113,7 +117,7 @@ def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarr
         Gv = p.G[:, 0] if p.q == 1 else p.G @ np.linalg.eigh(
             sym(p.G.T @ sw.Pi[j + 1] @ p.G))[1][:, -1]
         X = Acl @ X @ Acl.T + g[j] * np.outer(Gv, Gv)
-    return g / (2.0 * p.schedule().alpha_bar)
+    return g / (2.0 * p.alpha_bar)
 
 
 def _bb_step(s_prev, s_cur, g_prev, g_cur, fallback: float) -> float:
@@ -188,7 +192,8 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     both select it, and the solution reports "envelope". At x = 0 the
     objective is minimized at the projected lower corner; that solution is
     returned directly and reports "corner". grad_norm is the
-    projected-gradient norm in the slacks.
+    projected-gradient norm in the slacks. The solution carries the sweep
+    at lam_star that the solve built.
     """
     tol = tol or Tolerances()
     x = np.asarray(x, dtype=float).ravel()
@@ -201,11 +206,11 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     n_stage = p.N - k
 
     if float(x @ x) == 0.0:
-        sw, _ = _nested_pass(p, np.zeros(n_stage), k, tol, tol.eps_boundary)
+        sw = _nested_pass(p, np.zeros(n_stage), k, tol, tol.eps_boundary)
         return MultiplierSolution(
             lam_star=sw.lam, value=_phi(p, x, sw.lam, sw.Pi[0]), grad_norm=0.0,
             boundary_flags=np.ones(n_stage, dtype=bool), iterations=0,
-            converged=True, gradient_mode="corner")
+            converged=True, sweep=sw, gradient_mode="corner")
 
     if init is None:
         corner = project_feasible(p, np.zeros(n_stage), stage_offset=k, tol=tol)
@@ -214,12 +219,11 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         init = np.asarray(init, dtype=float).ravel()
         if init.size != n_stage:
             raise ValueError(f"init has size {init.size}, expected {n_stage}")
-    start, rule = _nested_pass(p, init, k, tol, tol.eps_boundary, step0=False)
-    s = np.maximum(start.lam.lambdas - rule - tol.eps_boundary, 0.0)
+    start = _nested_pass(p, init, k, tol, tol.eps_boundary, step0=False)
+    s = np.maximum(start.lam.lambdas - start.bounds - tol.eps_boundary, 0.0)
     sw, phi, grad_norm, iterations, converged = _descend(
         p, x, s, _reconstruct(p, s, k, tol), tol, max_iter)
-
-    flags = sw.lam.lambdas <= sw.bounds + max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + np.abs(sw.bounds))
     return MultiplierSolution(lam_star=sw.lam, value=phi, grad_norm=grad_norm,
-                              boundary_flags=flags, iterations=iterations,
-                              converged=converged)
+                              boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
+                              iterations=iterations, converged=converged,
+                              sweep=sw)

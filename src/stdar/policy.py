@@ -17,7 +17,7 @@ from ._linalg import PINV_CUTOFF
 from .errors import NoSphereIntersection
 from .multiplier import solve_multipliers
 from .problem import ProblemData, Tolerances
-from .riccati import MultiplierVector, sweep
+from .riccati import MultiplierVector, at_bound, sweep
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def _sphere_response(Pi_next: np.ndarray, G: np.ndarray, lam_k: float,
     GPG = 0.5 * (GPG + GPG.T)
     d_w = G.T @ (Pi_next @ drive)
     radius = np.sqrt(alpha_k)
-    near_boundary = (lam_k - bound) <= max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + abs(bound))
-    if near_boundary:
+    if at_bound(lam_k, bound, tol):
         # multiplier at its nested bound: pseudoinverse response plus a
         # completion along the top eigenspace of G'Pi G
         mu, V = la.eigh(GPG - bound * np.eye(GPG.shape[0]))
@@ -143,8 +142,8 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
 
 
 def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
-            x0: np.ndarray | None = None, tol: Tolerances | None = None,
-            max_iter: int = 5000) -> Trajectory:
+            x0: np.ndarray | None = None,
+            tol: Tolerances | None = None) -> Trajectory:
     """Simulate the online policy over the full horizon.
 
     mode "worst_case" injects the bound-attaining disturbance, "zero" none,
@@ -174,9 +173,9 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     all_converged = True
 
     for k in range(p.N):
-        sol = solve_multipliers(p, x, k=k, init=warm, tol=tol, max_iter=max_iter)
+        sol = solve_multipliers(p, x, k=k, init=warm, tol=tol)
         all_converged &= sol.converged
-        sw = sweep(p, sol.lam_star, tol)
+        sw = sol.sweep
         u = -(sw.K[0] @ x)
         if mode == "worst_case":
             drive = p.A @ x + p.B @ u

@@ -7,6 +7,7 @@ disturbance bound ||w_k||^2 <= alpha_k over a horizon of N stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -60,21 +61,6 @@ class Tolerances:
         for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-
-
-@dataclass(frozen=True)
-class StageBoundSchedule:
-    """Per-stage disturbance bounds alpha_k and their aggregates."""
-
-    alpha: np.ndarray       # length N, all positive
-    alpha_bar: float        # sum of alpha
-    suffix_sums: np.ndarray  # length N+1; entry k is sum_{j>=k} alpha_j
-
-    @classmethod
-    def from_alpha(cls, alpha: np.ndarray) -> "StageBoundSchedule":
-        alpha = np.asarray(alpha, dtype=float)
-        suffix = np.concatenate([np.cumsum(alpha[::-1])[::-1], [0.0]])
-        return cls(alpha=alpha, alpha_bar=float(alpha.sum()), suffix_sums=suffix)
 
 
 @dataclass(frozen=True)
@@ -151,8 +137,10 @@ class ProblemData:
     def q(self) -> int:
         return self.G.shape[1]
 
-    def schedule(self) -> StageBoundSchedule:
-        return StageBoundSchedule.from_alpha(self.alpha)
+    @cached_property
+    def alpha_bar(self) -> float:
+        """The full-horizon disturbance budget, the sum of alpha."""
+        return float(self.alpha.sum())
 
     def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:
         return 0.5 * float(x @ self.Q @ x + u @ self.R @ u)

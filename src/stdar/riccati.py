@@ -71,16 +71,18 @@ class RiccatiSweep:
         return len(self.lam)
 
 
-def _stage_step(p: ProblemData, S: np.ndarray, lam_j: float, tol: Tolerances):
-    """One backward step from Pi_{j+1} = S. Returns (Pi_j, M, K, J, bound)."""
+def at_bound(lam, bound, tol: Tolerances):
+    """True where a multiplier sits at its nested bound: lam - bound within
+    max(100 eps_boundary, 1e-7)(1 + |bound|). Takes floats or arrays."""
+    return (lam - bound) <= max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + abs(bound))
+
+
+def _stage_step(p: ProblemData, S: np.ndarray, SG: np.ndarray,
+                GSG: np.ndarray, lam_j: float):
+    """One backward step from Pi_{j+1} = S, given SG = S G and GSG = G'S G.
+    Returns (Pi_j, M, K, J)."""
     SB = S @ p.B
-    SG = S @ p.G
     SA = S @ p.A
-    GSG = p.G.T @ SG
-    bound = top_eig(GSG)
-    if lam_j < bound - tol.eps_boundary:
-        raise InfeasibleMultiplier(
-            f"lam = {lam_j:.9g} below its bound ||G'Pi G|| = {bound:.9g}")
     m = p.m
     # filled block by block: np.block and np.vstack cost more than the
     # products at these sizes
@@ -103,25 +105,26 @@ def _stage_step(p: ProblemData, S: np.ndarray, lam_j: float, tol: Tolerances):
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
     Pi = sym(p.Q + p.A.T @ SA - rhs.T @ KJ)
-    return Pi, M, KJ[:m], KJ[m:], bound
+    return Pi, M, KJ[:m], KJ[m:]
 
 
 def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
                  margin: float | None = None, slack=None,
-                 step0: bool = True) -> tuple[RiccatiSweep, np.ndarray]:
+                 step0: bool = True) -> RiccatiSweep:
     """The backward recursion over len(raw) stages from Pi_N = Pf; k is
     the stage offset of the result, so raw covers stages k..N-1.
 
-    With margin None the multipliers are raw as given. Otherwise each stage j
-    first sets
+    Each stage j forms G'Pi_{j+1}G once and takes its top eigenvalue b_j,
+    which is the sweep's bounds[j]. With margin None the multipliers are
+    raw as given. Otherwise stage j first sets
 
-        lam_j = max(raw_j, b_j + margin) + slack_j,   b_j = ||G'Pi_{j+1}G||,
+        lam_j = max(raw_j, b_j + margin) + slack_j,
 
     with Pi_{j+1} built from the multipliers already set, so the result is
     feasible whatever raw is (raw = -inf gives the slack coordinates).
-    step0 False sets lam_0 but skips its stage step, which near the bound
-    can fail. Returns the sweep, whose bounds are the stage steps'
-    ||G'Pi_{j+1}G||, and the b_j (computed as (G'Pi)G, not G'(PiG)).
+    Raises InfeasibleMultiplier where lam_j < b_j - eps_boundary. step0
+    False sets lam_0 but skips its stage step, which near the bound can
+    fail; Pi[0], M[0], K[0] and J[0] are then None.
     """
     lam = np.array(raw, dtype=float)
     n_stages = lam.shape[0]
@@ -130,21 +133,24 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     K = [None] * n_stages
     J = [None] * n_stages
     bounds = np.zeros(n_stages)
-    rule = np.zeros(n_stages)
     S = Pi[n_stages] = p.Pf
     for i in range(n_stages - 1, -1, -1):
+        SG = S @ p.G
+        GSG = p.G.T @ SG
+        bounds[i] = top_eig(GSG)
         if margin is not None:
-            rule[i] = top_eig(p.G.T @ S @ p.G)
-            if lam[i] < rule[i] + margin:
-                lam[i] = rule[i] + margin
+            if lam[i] < bounds[i] + margin:
+                lam[i] = bounds[i] + margin
             if slack is not None:
                 lam[i] += slack[i]
+        if lam[i] < bounds[i] - tol.eps_boundary:
+            raise InfeasibleMultiplier(
+                f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
         if i > 0 or step0:
-            S, M[i], K[i], J[i], bounds[i] = _stage_step(p, S, float(lam[i]), tol)
+            S, M[i], K[i], J[i] = _stage_step(p, S, SG, GSG, float(lam[i]))
             Pi[i] = S
-    sw = RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
-                      lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
-    return sw, rule
+    return RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
+                        lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
 
 
 def sweep(p: ProblemData, lam: MultiplierVector,
@@ -161,7 +167,7 @@ def sweep(p: ProblemData, lam: MultiplierVector,
         raise ValueError(
             f"multiplier vector covers stages {k}..{k + n_stages - 1}, "
             f"expected tail end at {p.N - 1}")
-    return _nested_pass(p, lam.lambdas, k, tol)[0]
+    return _nested_pass(p, lam.lambdas, k, tol)
 
 
 def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
@@ -180,4 +186,4 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     raw = np.array(lam_raw, dtype=float).ravel()
     if stage_offset + raw.shape[0] != p.N:
         raise ValueError("multiplier vector length inconsistent with horizon")
-    return _nested_pass(p, raw, stage_offset, tol, margin, step0=False)[0].lam
+    return _nested_pass(p, raw, stage_offset, tol, margin, step0=False).lam

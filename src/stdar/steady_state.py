@@ -37,6 +37,7 @@ __all__ = ["SteadyStateSolution", "LmiCertificate", "solve_steady_state",
 
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 100_000
+_LQR_RTOL = 1e-12
 _BISECT_TOL = 1e-9
 
 
@@ -74,19 +75,18 @@ def _kernel():
     return fixed_point_compiled if HAVE_NUMBA else fixed_point_numpy
 
 
-def steady_riccati_fixed_point(p: ProblemData, lam: float,
-                               max_iter: int = _FP_MAX_ITER) -> np.ndarray:
+def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
     """Damped fixed point of the Riccati map at a fixed multiplier.
 
     Runs the compiled kernel when numba is available, the numpy one
     otherwise. Raises FixedPointDiverged when the iteration diverges,
-    stalls (see `_kernels`) or reaches max_iter."""
+    stalls (see `_kernels`) or reaches _FP_MAX_ITER iterations."""
     status, iters, Pi = _kernel()(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
-                                  _FP_TOL, max_iter)
+                                  _FP_TOL, _FP_MAX_ITER)
     if status == -2:
         raise SingularM(f"block matrix became singular at iteration {iters}")
     if status != 0:
-        why = {-1: "diverged", 1: f"no fixed point in {max_iter} iterations",
+        why = {-1: "diverged", 1: f"no fixed point in {_FP_MAX_ITER} iterations",
                2: f"stalled after {iters} iterations"}[status]
         raise FixedPointDiverged(f"lambda={lam:.6g}: {why}")
     return Pi
@@ -232,11 +232,11 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
                           feasible=min_eig >= -tol.tol_psd * scale)
 
 
-def lqr_baseline(p: ProblemData, rtol: float = 1e-12,
-                 max_iter: int = _FP_MAX_ITER) -> np.ndarray:
-    """Fixed point of the standard Riccati map (no disturbance channel)."""
+def lqr_baseline(p: ProblemData) -> np.ndarray:
+    """Fixed point of the standard Riccati map (no disturbance channel),
+    iterated from Pf until a step moves Pi by at most _LQR_RTOL relative."""
     Pi = p.Pf.copy()
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         SA = Pi @ p.A
         SB = Pi @ p.B
         K = la.solve(p.B.T @ SB + p.R, p.B.T @ SA, assume_a="sym")
@@ -244,7 +244,7 @@ def lqr_baseline(p: ProblemData, rtol: float = 1e-12,
         res = float(np.linalg.norm(Pn - Pi))
         scale = 1.0 + float(np.linalg.norm(Pi))
         Pi = Pn
-        if res <= rtol * scale:
+        if res <= _LQR_RTOL * scale:
             return Pi
         if res > 1e12 * scale:
             break

@@ -43,6 +43,17 @@ def scalar_problem(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=0.0, N=8,
                        Pf=arr(Pf), N=N, alpha=alpha, x0=np.array([float(x0)]))
 
 
+def assert_same_sweep(a, b):
+    """Two RiccatiSweeps agree bit for bit."""
+    assert a.stage_offset == b.stage_offset
+    assert np.array_equal(a.lam.lambdas, b.lam.lambdas)
+    assert np.array_equal(a.bounds, b.bounds)
+    for field in ("Pi", "M", "K", "J"):
+        assert len(getattr(a, field)) == len(getattr(b, field))
+        for x, y in zip(getattr(a, field), getattr(b, field)):
+            assert np.array_equal(x, y)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)

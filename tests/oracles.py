@@ -245,7 +245,7 @@ def _multipliers(lam, k):
 def _phi(p, x, sw):
     """The multiplier program's objective at the multipliers of sweep sw."""
     tail = float(p.alpha[sw.stage_offset:] @ sw.lam.lambdas)
-    return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.schedule().alpha_bar)
+    return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.alpha_bar)
 
 
 def envelope_gradient(p, lam, x, k=0, tol=None):
@@ -258,7 +258,7 @@ def envelope_gradient(p, lam, x, k=0, tol=None):
     x = np.asarray(x, dtype=float).ravel()
     sw = sweep(p, _multipliers(lam, k), tol)
     k = sw.stage_offset
-    abar = p.schedule().alpha_bar
+    abar = p.alpha_bar
     g = np.zeros(sw.horizon())
     for j in range(g.size):
         w = -(sw.J[j] @ x)

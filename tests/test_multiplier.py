@@ -5,7 +5,7 @@ import sympy as sp
 from stdar import (MultiplierVector, ProblemData, objective,
                    project_feasible, solve_multipliers, sweep)
 from stdar.multiplier import _reconstruct, _slack_gradient
-from conftest import make_problem, scalar_problem
+from conftest import assert_same_sweep, make_problem, scalar_problem
 from oracles import (envelope_gradient, fd_gradient,
                      grid_minmax_two_stage_scalar, two_stage_value)
 from sphere_oracle import BlockSaddle, solve_constrained_minmax
@@ -23,10 +23,25 @@ def test_value_recomputes_from_fresh_sweep(rng, tol):
         p = make_problem(rng)
         sol = solve_multipliers(p, p.x0, tol=tol)
         sw = sweep(p, sol.lam_star, tol)
-        abar = p.schedule().alpha_bar
+        abar = p.alpha_bar
         val = (float(p.x0 @ sw.Pi[0] @ p.x0)
                + float(p.alpha @ sol.lam_star.lambdas)) / (2.0 * abar)
         assert sol.value == pytest.approx(val, rel=1e-10)
+
+
+def test_solution_carries_its_sweep(rng, tol):
+    # the sweep a solve ends on is the sweep at its optimum, bit for bit:
+    # cold at k = 0, warm-started at k > 0, and the x = 0 corner
+    for _ in range(5):
+        p = make_problem(rng)
+        k = int(rng.integers(1, p.N))
+        cold = solve_multipliers(p, p.x0, tol=tol)
+        warm = solve_multipliers(p, rng.standard_normal(p.n), k=k,
+                                 init=cold.lam_star.lambdas[k:], tol=tol)
+        corner = solve_multipliers(p, np.zeros(p.n), k=k, tol=tol)
+        assert corner.gradient_mode == "corner"
+        for sol in (cold, warm, corner):
+            assert_same_sweep(sol.sweep, sweep(p, sol.lam_star, tol))
 
 
 def test_origin_gradient_is_alpha_ratio(tol):

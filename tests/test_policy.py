@@ -94,7 +94,7 @@ def test_worst_case_ratio_equals_program_value(tol):
                        alpha=1.0, x0=1.0)
     sol = solve_multipliers(p, p.x0, tol=tol)
     traj = rollout(p, mode="worst_case", tol=tol)
-    abar = p.schedule().alpha_bar
+    abar = p.alpha_bar
     assert traj.converged
     assert traj.stage_values[0] == pytest.approx(sol.value, rel=1e-8)
     assert traj.total_cost == pytest.approx(sol.value * abar, rel=1e-6)
@@ -105,7 +105,7 @@ def test_admissible_disturbance_never_beats_worst_case(rng, tol):
     for _ in range(5):
         p = make_problem(rng)
         sol = solve_multipliers(p, p.x0, tol=tol)
-        abar = p.schedule().alpha_bar
+        abar = p.alpha_bar
         w_seq = rng.standard_normal((p.N, p.q))
         w_seq *= (np.sqrt(0.5 * p.alpha)
                   / np.linalg.norm(w_seq, axis=1))[:, None]
@@ -127,7 +127,7 @@ def test_stage_value_telescopes(tol):
     p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=1, N=4,
                        alpha=1.0, x0=2.0)
     traj = rollout(p, mode="worst_case", tol=tol)
-    abar = p.schedule().alpha_bar
+    abar = p.alpha_bar
     scale = 1.0 + abs(traj.stage_values[0])
     for k in range(p.N - 1):
         lhs = abar * traj.stage_values[k]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stdar import (AssumptionViolated, DimensionMismatch, ProblemData,
-                   StageBoundSchedule, Tolerances, validate_problem)
+                   Tolerances, validate_problem)
 from conftest import make_problem, scalar_problem
 
 
@@ -101,21 +101,14 @@ def test_problem_data_immutable():
         p.A[0, 0] = 5.0
 
 
-def test_schedule_aggregates():
+def test_alpha_bar_is_the_budget(rng):
     p = scalar_problem(N=4, alpha=[0.5, 1.0, 2.0, 0.25])
-    sched = p.schedule()
-    assert sched.alpha_bar == pytest.approx(3.75, rel=1e-14)
-    assert sched.suffix_sums.shape == (5,)
-    assert sched.suffix_sums[0] == pytest.approx(3.75, rel=1e-14)
-    assert sched.suffix_sums[-1] == 0.0
-    assert np.all(np.diff(sched.suffix_sums) <= 0.0)
-
-
-def test_schedule_from_alpha_matches_cumsum(rng):
+    assert p.alpha_bar == pytest.approx(3.75, rel=1e-14)
+    assert scalar_problem(N=3, alpha=0.5).alpha_bar == pytest.approx(1.5, rel=1e-14)
     alpha = rng.uniform(0.1, 3.0, 7)
-    sched = StageBoundSchedule.from_alpha(alpha)
-    for k in range(8):
-        assert sched.suffix_sums[k] == pytest.approx(alpha[k:].sum(), rel=1e-14)
+    p = scalar_problem(N=7, alpha=alpha)
+    assert isinstance(p.alpha_bar, float)
+    assert p.alpha_bar == pytest.approx(alpha.sum(), rel=1e-14)
 
 
 def test_stage_and_terminal_cost():

@@ -17,7 +17,7 @@ PUBLIC = [
     "MultiplierSolution", "MultiplierVector", "NoFeasibleLambda",
     "NoSphereIntersection", "ProblemData", "RegulatorError", "RiccatiSweep",
     "ScenarioError", "ScenarioFile", "SingularM", "SingularPi",
-    "StageBoundSchedule", "SteadyStateSolution", "Tolerances", "Trajectory",
+    "SteadyStateSolution", "Tolerances", "Trajectory",
     "ValidationReport", "control_at", "lmi_certify", "load_scenario",
     "lqr_baseline", "objective", "project_feasible", "rollout",
     "save_scenario", "solve_multipliers", "solve_steady_state",
@@ -32,7 +32,13 @@ def test_public_surface():
         assert getattr(stdar, name) is not None
     assert [f.name for f in dataclasses.fields(stdar.Tolerances)] == [
         "tol_psd", "tol_range", "tol_zero", "eps_boundary"]
-    assert "gradient_mode" not in inspect.signature(stdar.rollout).parameters
+    assert hasattr(stdar.ProblemData, "alpha_bar")
+    assert not hasattr(stdar.ProblemData, "schedule")
+    for fn, removed in ((stdar.rollout, ("gradient_mode", "max_iter")),
+                        (stdar.steady_riccati_fixed_point, ("max_iter",)),
+                        (stdar.lqr_baseline, ("rtol", "max_iter"))):
+        params = inspect.signature(fn).parameters
+        assert not any(name in params for name in removed), fn.__name__
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("stdar.sphere_qp")
     with pytest.raises(SystemExit):

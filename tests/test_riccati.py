@@ -5,8 +5,9 @@ import scipy.linalg as la
 from stdar import (InfeasibleMultiplier, MultiplierVector, RiccatiSweep,
                    Tolerances, project_feasible, sweep)
 from stdar._linalg import solve
+from stdar.multiplier import _reconstruct
 from stdar.riccati import _nested_pass
-from conftest import make_problem, scalar_problem
+from conftest import assert_same_sweep, make_problem, scalar_problem
 from oracles import lqr_recursion, receq_crosscheck
 
 
@@ -135,24 +136,28 @@ def test_project_feasible_two_stage_chain(tol):
 
 
 def test_project_output_always_sweepable(rng, tol):
-    # the one-pass projected sweep is the sweep of the projection, bit for bit
+    # the one-pass projected sweep is the sweep of the projection, and the
+    # slack pass the sweep of its multipliers, bit for bit
     for _ in range(20):
         p = make_problem(rng)
         k = int(rng.integers(1, p.N))
+        passes = []
         for offset, raw in ((0, rng.uniform(-1.0, 1.0, p.N)),
                             (0, np.full(p.N, -1.0)),  # all below their bounds
                             (k, rng.uniform(-1.0, 1.0, p.N - k)),
                             (k, np.zeros(p.N - k))):
             lam = project_feasible(p, raw, stage_offset=offset, tol=tol)
-            sw = sweep(p, lam, tol)  # must not raise
-            one, _ = _nested_pass(p, raw, offset, tol, tol.eps_boundary)
-            assert one.stage_offset == offset
+            one = _nested_pass(p, raw, offset, tol, tol.eps_boundary)
             assert np.array_equal(one.lam.lambdas, lam.lambdas)
-            assert np.array_equal(one.bounds, sw.bounds)
-            for field in ("Pi", "M", "K", "J"):
-                assert len(getattr(one, field)) == len(getattr(sw, field))
-                for a, b in zip(getattr(one, field), getattr(sw, field)):
-                    assert np.array_equal(a, b)
+            passes.append((offset, one))
+        for offset in (0, k):
+            # slacks at zero (bound active) and above it
+            size = p.N - offset
+            s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
+            passes.append((offset, _reconstruct(p, s, offset, tol)))
+        for offset, one in passes:
+            assert one.stage_offset == offset
+            assert_same_sweep(one, sweep(p, one.lam, tol))  # must not raise
 
 
 def test_stage_offset_bookkeeping(tol):

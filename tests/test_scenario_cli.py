@@ -102,7 +102,7 @@ def test_cli_finite_matches_library(tmp_path, capsys):
         tol = Tolerances()
         sol = solve_multipliers(p, x0, tol=tol)
         sw = sweep(p, sol.lam_star, tol)
-        abar = p.schedule().alpha_bar
+        abar = p.alpha_bar
         lams = sol.lam_star.lambdas
         for k in range(p.N + 1):
             cells = lines[k + 1].split(",")
