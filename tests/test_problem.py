@@ -101,14 +101,20 @@ def test_problem_data_immutable():
         p.A[0, 0] = 5.0
 
 
-def test_alpha_bar_is_the_budget(rng):
+def test_schedule_aggregates():
     p = scalar_problem(N=4, alpha=[0.5, 1.0, 2.0, 0.25])
+    assert p.alpha.shape == (4,)
     assert p.alpha_bar == pytest.approx(3.75, rel=1e-14)
-    assert scalar_problem(N=3, alpha=0.5).alpha_bar == pytest.approx(1.5, rel=1e-14)
-    alpha = rng.uniform(0.1, 3.0, 7)
-    p = scalar_problem(N=7, alpha=alpha)
     assert isinstance(p.alpha_bar, float)
-    assert p.alpha_bar == pytest.approx(alpha.sum(), rel=1e-14)
+    assert scalar_problem(N=3, alpha=0.5).alpha_bar == pytest.approx(1.5, rel=1e-14)
+
+
+def test_schedule_from_alpha_matches_cumsum(rng):
+    # The budget of every tail schedule alpha[k:] is its suffix sum.
+    alpha = rng.uniform(0.1, 3.0, 7)
+    for k in range(7):
+        p = scalar_problem(N=7 - k, alpha=alpha[k:])
+        assert p.alpha_bar == pytest.approx(alpha[k:].sum(), rel=1e-14)
 
 
 def test_stage_and_terminal_cost():
