@@ -219,10 +219,9 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         init = np.asarray(init, dtype=float).ravel()
         if init.size != n_stage:
             raise ValueError(f"init has size {init.size}, expected {n_stage}")
-    start = _nested_pass(p, init, k, tol, tol.eps_boundary, step0=False)
-    s = np.maximum(start.lam.lambdas - start.bounds - tol.eps_boundary, 0.0)
-    sw, phi, grad_norm, iterations, converged = _descend(
-        p, x, s, _reconstruct(p, s, k, tol), tol, max_iter)
+    sw = _nested_pass(p, init, k, tol, tol.eps_boundary)
+    s = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
+    sw, phi, grad_norm, iterations, converged = _descend(p, x, s, sw, tol, max_iter)
     return MultiplierSolution(lam_star=sw.lam, value=phi, grad_norm=grad_norm,
                               boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
                               iterations=iterations, converged=converged,

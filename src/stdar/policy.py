@@ -79,14 +79,22 @@ def control_at(p: ProblemData, x: np.ndarray, k: int,
     return -(sw.K[0] @ x)
 
 
-def _sphere_response(Pi_next: np.ndarray, G: np.ndarray, lam_k: float,
-                     bound: float, drive: np.ndarray, alpha_k: float,
-                     tol: Tolerances) -> np.ndarray:
-    """Disturbance response (G'Pi G - lam I) w = -G'Pi drive, completed onto
-    the sphere ||w||^2 = alpha_k."""
-    GPG = G.T @ Pi_next @ G
+def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
+                         lam_star: MultiplierVector, u: np.ndarray,
+                         tol: Tolerances | None = None) -> np.ndarray:
+    """Worst-case stage-k disturbance, exactly on the sphere ||w||^2 = alpha_k:
+    the response (G'Pi G - lam I) w = -G'Pi (Ax + Bu), completed onto it."""
+    tol = tol or Tolerances()
+    x = np.asarray(x, dtype=float).ravel()
+    u = np.asarray(u, dtype=float).ravel()
+    if lam_star.stage_offset != k:
+        raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
+    sw = sweep(p, lam_star, tol)
+    Pi_next, lam_k = sw.Pi[1], float(lam_star.lambdas[0])
+    bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])
+    GPG = p.G.T @ Pi_next @ p.G
     GPG = 0.5 * (GPG + GPG.T)
-    d_w = G.T @ (Pi_next @ drive)
+    d_w = p.G.T @ (Pi_next @ (p.A @ x + p.B @ u))
     radius = np.sqrt(alpha_k)
     if at_bound(lam_k, bound, tol):
         # multiplier at its nested bound: pseudoinverse response plus a
@@ -126,21 +134,6 @@ def _sphere_response(Pi_next: np.ndarray, G: np.ndarray, lam_k: float,
     return w * (radius / nrm)
 
 
-def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
-                         lam_star: MultiplierVector, u: np.ndarray,
-                         tol: Tolerances | None = None) -> np.ndarray:
-    """Worst-case stage-k disturbance, exactly on the sphere ||w||^2 = alpha_k."""
-    tol = tol or Tolerances()
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if lam_star.stage_offset != k:
-        raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
-    sw = sweep(p, lam_star, tol)
-    drive = p.A @ x + p.B @ u
-    return _sphere_response(sw.Pi[1], p.G, float(lam_star.lambdas[0]),
-                            float(sw.bounds[0]), drive, float(p.alpha[k]), tol)
-
-
 def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
             x0: np.ndarray | None = None,
             tol: Tolerances | None = None) -> Trajectory:
@@ -175,12 +168,9 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     for k in range(p.N):
         sol = solve_multipliers(p, x, k=k, init=warm, tol=tol)
         all_converged &= sol.converged
-        sw = sol.sweep
-        u = -(sw.K[0] @ x)
+        u = control_at(p, x, k, sol.lam_star, tol)
         if mode == "worst_case":
-            drive = p.A @ x + p.B @ u
-            w = _sphere_response(sw.Pi[1], p.G, float(sol.lam_star.lambdas[0]),
-                                 float(sw.bounds[0]), drive, float(p.alpha[k]), tol)
+            w = worst_disturbance_at(p, x, k, sol.lam_star, u, tol)
         elif mode == "zero":
             w = np.zeros(p.q)
         else:

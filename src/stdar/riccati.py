@@ -19,12 +19,13 @@ so a candidate is projected and swept together.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 
-from ._linalg import solve, sym, top_eig
+from ._linalg import fro_norm, solve, sym, top_eig
 from .errors import InfeasibleMultiplier, SingularM
 from .problem import ProblemData, Tolerances
 
@@ -44,6 +45,9 @@ class MultiplierVector:
 
     def __len__(self) -> int:
         return self.lambdas.shape[0]
+
+    def __reduce__(self):  # copies and pickles leave the pass link behind
+        return MultiplierVector, (self.lambdas, self.stage_offset)
 
 
 @dataclass(frozen=True)
@@ -83,24 +87,25 @@ def _stage_step(p: ProblemData, S: np.ndarray, SG: np.ndarray,
     Returns (Pi_j, M, K, J)."""
     SB = S @ p.B
     SA = S @ p.A
-    m = p.m
+    m, d = p.m, p.m + p.q
     # filled block by block: np.block and np.vstack cost more than the
     # products at these sizes
-    M = np.empty((m + p.q, m + p.q))
+    M = np.empty((d, d))
     M[:m, :m] = p.B.T @ SB + p.R
     M[:m, m:] = p.B.T @ SG
     M[m:, :m] = SG.T @ p.B
-    M[m:, m:] = GSG - lam_j * np.eye(p.q)
+    M[m:, m:] = GSG
+    M.ravel()[m * (d + 1)::d + 1] -= lam_j  # GSG - lam_j I on the diagonal
     M = sym(M)
-    rhs = np.empty((m + p.q, p.n))
+    rhs = np.empty((d, p.n))
     rhs[:m] = p.B.T @ SA
     rhs[m:] = p.G.T @ SA
     try:
         KJ = solve(M, rhs, "sym")
     except la.LinAlgError as exc:
         raise SingularM(f"stage matrix singular at lam = {lam_j:.9g}") from exc
-    resid = np.linalg.norm(M @ KJ - rhs)
-    scale = 1.0 + np.linalg.norm(rhs) + np.abs(M).max() * np.linalg.norm(KJ)
+    resid = fro_norm(M @ KJ - rhs)
+    scale = 1.0 + fro_norm(rhs) + np.abs(M).max() * fro_norm(KJ)
     if resid > 1e-8 * scale:
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
@@ -123,8 +128,8 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     with Pi_{j+1} built from the multipliers already set, so the result is
     feasible whatever raw is (raw = -inf gives the slack coordinates).
     Raises InfeasibleMultiplier where lam_j < b_j - eps_boundary. step0
-    False sets lam_0 but skips its stage step, which near the bound can
-    fail; Pi[0], M[0], K[0] and J[0] are then None.
+    False skips stage 0's step, which near the bound can fail (Pi[0],
+    M[0], K[0], J[0] None); else lam links weakly to the result and to p.
     """
     lam = np.array(raw, dtype=float)
     n_stages = lam.shape[0]
@@ -149,8 +154,11 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
         if i > 0 or step0:
             S, M[i], K[i], J[i] = _stage_step(p, S, SG, GSG, float(lam[i]))
             Pi[i] = S
-    return RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
-                        lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
+    sw = RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
+                      lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
+    if step0:
+        object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))
+    return sw
 
 
 def sweep(p: ProblemData, lam: MultiplierVector,
@@ -158,7 +166,8 @@ def sweep(p: ProblemData, lam: MultiplierVector,
     """Run the backward recursion for the given multipliers.
 
     Raises InfeasibleMultiplier if some lam_j falls below its nested bound,
-    SingularM if a stage matrix cannot be solved reliably.
+    SingularM if a stage matrix cannot be solved reliably. Hands back the
+    live full pass on this p that built lam if its bounds pass tol.
     """
     tol = tol or Tolerances()
     n_stages = len(lam)
@@ -167,6 +176,10 @@ def sweep(p: ProblemData, lam: MultiplierVector,
         raise ValueError(
             f"multiplier vector covers stages {k}..{k + n_stages - 1}, "
             f"expected tail end at {p.N - 1}")
+    link = getattr(lam, "_pass", None)
+    sw = link[0]() if link and link[1]() is p else None
+    if sw is not None and not (lam.lambdas < sw.bounds - tol.eps_boundary).any():
+        return sw
     return _nested_pass(p, lam.lambdas, k, tol)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stdar.problem import ProblemData, Tolerances
+from stdar.riccati import MultiplierVector
 
 
 def make_problem(rng: np.random.Generator, n=None, m=None, q=None, N=None,
@@ -41,6 +42,12 @@ def scalar_problem(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=0.0, N=8,
     arr = lambda v: np.array([[float(v)]])
     return ProblemData(A=arr(A), B=arr(B), G=arr(G), Q=arr(Q), R=arr(R),
                        Pf=arr(Pf), N=N, alpha=alpha, x0=np.array([float(x0)]))
+
+
+def fresh(lam):
+    """An equal multiplier vector with no link to the pass that built lam,
+    so that sweep() runs the recursion again."""
+    return MultiplierVector(lam.lambdas, lam.stage_offset)
 
 
 def assert_same_sweep(a, b):

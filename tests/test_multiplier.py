@@ -5,7 +5,7 @@ import sympy as sp
 from stdar import (MultiplierVector, ProblemData, objective,
                    project_feasible, solve_multipliers, sweep)
 from stdar.multiplier import _reconstruct, _slack_gradient
-from conftest import assert_same_sweep, make_problem, scalar_problem
+from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import (envelope_gradient, fd_gradient,
                      grid_minmax_two_stage_scalar, two_stage_value)
 from sphere_oracle import BlockSaddle, solve_constrained_minmax
@@ -22,7 +22,7 @@ def test_value_recomputes_from_fresh_sweep(rng, tol):
     for _ in range(10):
         p = make_problem(rng)
         sol = solve_multipliers(p, p.x0, tol=tol)
-        sw = sweep(p, sol.lam_star, tol)
+        sw = sweep(p, fresh(sol.lam_star), tol)
         abar = p.alpha_bar
         val = (float(p.x0 @ sw.Pi[0] @ p.x0)
                + float(p.alpha @ sol.lam_star.lambdas)) / (2.0 * abar)
@@ -41,7 +41,7 @@ def test_solution_carries_its_sweep(rng, tol):
         corner = solve_multipliers(p, np.zeros(p.n), k=k, tol=tol)
         assert corner.gradient_mode == "corner"
         for sol in (cold, warm, corner):
-            assert_same_sweep(sol.sweep, sweep(p, sol.lam_star, tol))
+            assert_same_sweep(sol.sweep, sweep(p, fresh(sol.lam_star), tol))
 
 
 def test_origin_gradient_is_alpha_ratio(tol):

@@ -5,6 +5,7 @@ import pytest
 
 from stdar import (control_at, project_feasible, rollout, solve_multipliers,
                    sweep, worst_disturbance_at)
+from stdar import multiplier, riccati
 from conftest import make_problem, scalar_problem
 from test_multiplier import minmax_from_single_stage
 
@@ -22,6 +23,30 @@ def test_control_at_rejects_stage_mismatch(rng, tol):
     lam = project_feasible(p, np.zeros(p.N), margin=0.1, tol=tol)
     with pytest.raises(ValueError, match="stage"):
         control_at(p, p.x0, 1, lam, tol)
+
+
+def test_online_decision_stage_steps(rng, tol, monkeypatch):
+    # a warm stage-k decision steps through its tail once before the
+    # descent, and its control and disturbance take no stage step at all
+    steps, at_descent = [], []
+    step, descend = riccati._stage_step, multiplier._descend
+    monkeypatch.setattr(riccati, "_stage_step",
+                        lambda *a: steps.append(1) or step(*a))
+    monkeypatch.setattr(multiplier, "_descend",
+                        lambda *a: at_descent.append(len(steps)) or descend(*a))
+    for _ in range(5):
+        p = make_problem(rng, N=5)
+        k = int(rng.integers(1, p.N - 1))
+        cold = solve_multipliers(p, p.x0, tol=tol)
+        x = rng.standard_normal(p.n)
+        steps.clear()
+        at_descent.clear()
+        sol = solve_multipliers(p, x, k=k, init=cold.lam_star.lambdas[k:], tol=tol)
+        assert at_descent == [p.N - k]
+        in_solve = len(steps)
+        u = control_at(p, x, k, sol.lam_star, tol)
+        worst_disturbance_at(p, x, k, sol.lam_star, u, tol)
+        assert len(steps) == in_solve
 
 
 def test_single_stage_policy_matches_minmax(rng, tol):

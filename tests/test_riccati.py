@@ -1,13 +1,18 @@
+import copy
+import dataclasses
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from stdar import (InfeasibleMultiplier, MultiplierVector, RiccatiSweep,
-                   Tolerances, project_feasible, sweep)
+                   Tolerances, project_feasible, solve_multipliers, sweep)
 from stdar._linalg import solve
 from stdar.multiplier import _reconstruct
 from stdar.riccati import _nested_pass
-from conftest import assert_same_sweep, make_problem, scalar_problem
+from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import lqr_recursion, receq_crosscheck
 
 
@@ -157,7 +162,43 @@ def test_project_output_always_sweepable(rng, tol):
             passes.append((offset, _reconstruct(p, s, offset, tol)))
         for offset, one in passes:
             assert one.stage_offset == offset
-            assert_same_sweep(one, sweep(p, one.lam, tol))  # must not raise
+            assert_same_sweep(one, sweep(p, fresh(one.lam), tol))  # must not raise
+
+
+def test_sweep_reuses_linked_pass(rng, tol):
+    # a full pass is handed back for its own multipliers on the same p
+    # while it lives and its bounds pass tol; anything else runs again
+    for _ in range(5):
+        p = make_problem(rng)
+        k = int(rng.integers(0, p.N))
+        sol = solve_multipliers(p, rng.standard_normal(p.n), k=k, tol=tol)
+        lam = sol.lam_star
+        assert sweep(p, lam, tol) is sol.sweep
+        ref = sweep(p, fresh(lam), tol)
+        assert ref is not sol.sweep
+        twin = dataclasses.replace(p)
+        again = sweep(twin, lam, tol)
+        assert again is not sol.sweep
+        for other in (ref, again):
+            assert_same_sweep(other, sol.sweep)
+        link = weakref.ref(sol.sweep)
+        del sol, again
+        assert link() is None  # the vector holds its pass weakly
+        assert_same_sweep(sweep(p, lam, tol), ref)
+        # a pickled or copied vector carries no link, and still sweeps
+        for twin_lam in (pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)):
+            assert_same_sweep(sweep(p, twin_lam, tol), ref)
+
+        # multipliers 5e-4 below their bounds, feasible under a loose tol
+        loose = dataclasses.replace(tol, eps_boundary=1e-3)
+        below = _nested_pass(p, np.full(p.N - k, -np.inf), k, loose, -5e-4)
+        assert sweep(p, below.lam, loose) is below
+        errors = []
+        for vec in (below.lam, fresh(below.lam)):
+            with pytest.raises(InfeasibleMultiplier) as err:
+                sweep(p, vec, tol)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 def test_stage_offset_bookkeeping(tol):
