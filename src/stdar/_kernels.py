@@ -30,9 +30,6 @@ Status codes: 0 converged, 1 iteration cap, 2 stalled, -1 diverged,
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
-
-from ._linalg import solve
 
 try:
     from numba import njit
@@ -242,7 +239,7 @@ def game_map(A, B, G, Q, R, lam, Pi, Iq):
     RH = np.empty((M.shape[0], A.shape[0]))
     RH[:m] = B.T @ SA
     RH[m:] = G.T @ SA
-    KJ = solve(M, RH)
+    KJ = np.linalg.solve(M, RH)
     Pn = Q + A.T @ SA - RH.T @ KJ
     return 0.5 * (Pn + Pn.T), KJ
 
@@ -258,7 +255,7 @@ def fixed_point_numpy(A, B, G, Q, R, lam, Pf, tol, max_iter):
     for it in range(int(max_iter)):
         try:
             Pn, _ = game_map(A, B, G, Q, R, lam, Pi, Iq)
-        except la.LinAlgError:
+        except np.linalg.LinAlgError:
             return -2, it, Pi
         diff = Pn - Pi
         res = float(np.sqrt(np.sum(diff * diff)))

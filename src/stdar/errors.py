@@ -17,18 +17,12 @@ class AssumptionViolated(RegulatorError):
         super().__init__(f"{which}" + (f": {detail}" if detail else ""))
 
 
-
-
-
-
-
 class InfeasibleMultiplier(RegulatorError):
     """A multiplier falls below its nested feasibility bound."""
 
 
 class SingularM(RegulatorError):
     """A stage matrix M is numerically singular despite feasibility."""
-
 
 
 class NoSphereIntersection(RegulatorError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from ._linalg import PINV_CUTOFF
 from .errors import NoSphereIntersection
@@ -99,7 +98,7 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     if at_bound(lam_k, bound, tol):
         # multiplier at its nested bound: pseudoinverse response plus a
         # completion along the top eigenspace of G'Pi G
-        mu, V = la.eigh(GPG - bound * np.eye(GPG.shape[0]))
+        mu, V = np.linalg.eigh(GPG - bound * np.eye(GPG.shape[0]))
         # cutoff scaled to G'Pi G, not to the shifted spectrum: the shifted
         # matrix is numerically zero whenever G'Pi G is near-isotropic
         cut = PINV_CUTOFF * max(np.abs(mu).max(), abs(bound), 1e-300)
@@ -121,7 +120,7 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
         else:
             w = wbar
     else:
-        w = la.solve(GPG - lam_k * np.eye(GPG.shape[0]), -d_w, assume_a="sym")
+        w = np.linalg.solve(GPG - lam_k * np.eye(GPG.shape[0]), -d_w)
         if float(w @ w) > alpha_k * (1.0 + 1e-3) or float(w @ w) < alpha_k * (1.0 - 1e-3):
             raise NoSphereIntersection(
                 f"interior response norm^2 {float(w @ w):.6e} is off the "

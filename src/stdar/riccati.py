@@ -23,9 +23,8 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
-from ._linalg import fro_norm, solve, sym, top_eig
+from ._linalg import fro_norm, sym, top_eig
 from .errors import InfeasibleMultiplier, SingularM
 from .problem import ProblemData, Tolerances
 
@@ -101,12 +100,12 @@ def _stage_step(p: ProblemData, S: np.ndarray, SG: np.ndarray,
     rhs[:m] = p.B.T @ SA
     rhs[m:] = p.G.T @ SA
     try:
-        KJ = solve(M, rhs, "sym")
-    except la.LinAlgError as exc:
+        KJ = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularM(f"stage matrix singular at lam = {lam_j:.9g}") from exc
     resid = fro_norm(M @ KJ - rhs)
     scale = 1.0 + fro_norm(rhs) + np.abs(M).max() * fro_norm(KJ)
-    if resid > 1e-8 * scale:
+    if not resid <= 1e-8 * scale:  # also where M or rhs is not finite
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
     Pi = sym(p.Q + p.A.T @ SA - rhs.T @ KJ)
@@ -148,7 +147,7 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
                 lam[i] = bounds[i] + margin
             if slack is not None:
                 lam[i] += slack[i]
-        if lam[i] < bounds[i] - tol.eps_boundary:
+        if not lam[i] >= bounds[i] - tol.eps_boundary:  # NaN fails too
             raise InfeasibleMultiplier(
                 f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
         if i > 0 or step0:

@@ -24,7 +24,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from ._kernels import HAVE_NUMBA, fixed_point_compiled, fixed_point_numpy, game_map
 from ._linalg import sym, top_eig
@@ -80,7 +79,10 @@ def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
 
     Runs the compiled kernel when numba is available, the numpy one
     otherwise. Raises FixedPointDiverged when the iteration diverges,
-    stalls (see `_kernels`) or reaches _FP_MAX_ITER iterations."""
+    stalls (see `_kernels`) or reaches _FP_MAX_ITER iterations, and
+    ValueError for a non-finite lam, before either engine runs."""
+    if not np.isfinite(lam):
+        raise ValueError(f"multiplier {lam!r} is not finite")
     status, iters, Pi = _kernel()(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
                                   _FP_TOL, _FP_MAX_ITER)
     if status == -2:
@@ -167,7 +169,7 @@ def solve_steady_state(p: ProblemData,
     try:
         Pi_next, KJ = game_map(p.A, p.B, p.G, p.Q, p.R, lambda_bar, Pi_bar,
                                np.eye(p.q))
-    except la.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SingularM("block matrix singular at the recovered solution") from exc
     K_bar = KJ[:p.m, :].copy()
     residual = float(np.linalg.norm(Pi_bar - Pi_next))
@@ -185,7 +187,7 @@ def solve_steady_state(p: ProblemData,
 
 
 def _sqrt_psd(M: np.ndarray) -> np.ndarray:
-    w, V = la.eigh(sym(M))
+    w, V = np.linalg.eigh(sym(M))
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
@@ -205,11 +207,11 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
     """
     tol = tol or Tolerances()
     n, m, q = p.n, p.m, p.q
-    w = la.eigvalsh(sym(sol.Pi_bar))
+    w = np.linalg.eigvalsh(sym(sol.Pi_bar))
     if w[0] <= max(np.abs(w).max(), 1.0) * 1e-12:
         raise SingularPi(
             f"Pi_bar has eigenvalue {w[0]:.3e}; inverse certificate undefined")
-    P = sym(la.inv(sym(sol.Pi_bar)))
+    P = sym(np.linalg.inv(sym(sol.Pi_bar)))
     F = sol.K_bar @ P
     Qh = _sqrt_psd(p.Q)
     Rh = _sqrt_psd(p.R)
@@ -225,7 +227,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
         [top_right.T, z_nm.T, z_qm.T, np.eye(n + m)],
     ])
     assembled = sym(assembled)
-    min_eig = float(la.eigvalsh(assembled)[0])
+    min_eig = float(np.linalg.eigvalsh(assembled)[0])
     scale = max(1.0, float(np.abs(assembled).max()))
     return LmiCertificate(P=P, F=F, lam=float(sol.lambda_bar),
                           assembled=assembled, min_eig=min_eig,
@@ -239,7 +241,7 @@ def lqr_baseline(p: ProblemData) -> np.ndarray:
     for _ in range(_FP_MAX_ITER):
         SA = Pi @ p.A
         SB = Pi @ p.B
-        K = la.solve(p.B.T @ SB + p.R, p.B.T @ SA, assume_a="sym")
+        K = np.linalg.solve(p.B.T @ SB + p.R, p.B.T @ SA)
         Pn = sym(p.Q + p.A.T @ SA - (p.B.T @ SA).T @ K)
         res = float(np.linalg.norm(Pn - Pi))
         scale = 1.0 + float(np.linalg.norm(Pi))

@@ -1,0 +1,43 @@
+"""The package reaches LAPACK only through numpy.linalg's public routines."""
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import stdar
+
+SRC = Path(stdar.__file__).resolve().parent
+
+
+def _private(dotted: str) -> bool:
+    return any(part.startswith("_") and not part.startswith("__")
+               for part in dotted.split("."))
+
+
+def test_no_private_imports_or_raw_lapack():
+    # a private module of another package, or a raw LAPACK handle, ties the
+    # package to one version of that package's internals
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                if name in ("get_lapack_funcs", "get_blas_funcs"):
+                    found.append(f"{path.name}:{node.lineno} {name}()")
+                continue
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if _private(n)]
+    assert not found, found
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, stdar; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar import (InfeasibleMultiplier, MultiplierVector, RiccatiSweep,
-                   Tolerances, project_feasible, solve_multipliers, sweep)
-from stdar._linalg import solve
+from stdar import (InfeasibleMultiplier, MultiplierVector, RegulatorError,
+                   RiccatiSweep, SingularM, Tolerances, project_feasible,
+                   solve_multipliers, sweep)
+from stdar._linalg import top_eig
 from stdar.multiplier import _reconstruct
-from stdar.riccati import _nested_pass
+from stdar.riccati import _nested_pass, _stage_step
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import lqr_recursion, receq_crosscheck
 
@@ -107,6 +108,22 @@ def test_infeasible_multiplier_raises(tol):
     p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=1, N=1, alpha=1.0)
     with pytest.raises(InfeasibleMultiplier):
         sweep(p, MultiplierVector([0.5]), tol)  # bound is 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_multipliers_raise_typed_errors(rng, tol, bad):
+    # numpy's LAPACK routines do not reject non-finite input: NaN fails the
+    # feasibility test, inf the stage solve's residual check
+    p = make_problem(rng, n=2, m=2, q=1, N=3)
+    lam = feasible_lam(p, rng, tol).lambdas.copy()
+    lam[1] = bad
+    with pytest.raises(RegulatorError):
+        sweep(p, MultiplierVector(lam), tol)
+    with pytest.raises(RegulatorError):
+        project_feasible(p, lam, tol=tol)
+    with pytest.raises(RegulatorError):
+        solve_multipliers(p, p.x0, init=lam, tol=tol)
 
 
 def test_sweep_length_checked(tol):
@@ -222,19 +239,27 @@ def test_degenerate_terminal_sweep(rng, tol):
 
 
 def test_stage_solve_matches_scipy(rng):
-    # the stage steps and the steady-state map solve through _linalg.solve,
-    # which must give scipy.linalg.solve's answer bit for bit, and raise
-    # where it raises
+    # the stage step solves M [K; J] = rhs with numpy.linalg: its gains
+    # agree with scipy.linalg.solve's to within the conditioning of M, and
+    # its residual is at rounding level
     for _ in range(200):
-        k = int(rng.integers(2, 7))
-        X = rng.standard_normal((k, k))
-        rhs = rng.standard_normal((k, int(rng.integers(1, 4))))
-        for M, assume_a in ((X, None), (X + X.T, None), (X + X.T, "sym")):
-            assert np.array_equal(solve(M, rhs, assume_a),
-                                  la.solve(M, rhs, assume_a=assume_a))
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    for assume_a in (None, "sym"):
-        with pytest.raises(la.LinAlgError):
-            solve(singular, np.ones((2, 1)), assume_a)
-    with pytest.raises(ValueError):
-        solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones((2, 1)))
+        p = make_problem(rng)
+        E = rng.standard_normal((p.n, p.n))
+        S = E.T @ E
+        SG = S @ p.G
+        GSG = p.G.T @ SG
+        lam = top_eig(GSG) + rng.uniform(0.01, 2.0)
+        _, M, K, J = _stage_step(p, S, SG, GSG, lam)
+        KJ = np.vstack([K, J])
+        rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
+        ref = la.solve(M, rhs, assume_a="sym")
+        scale = np.linalg.norm(M) * np.linalg.norm(ref) + np.linalg.norm(rhs)
+        assert np.linalg.norm(KJ - ref) <= (
+            1e-13 * np.linalg.cond(M) * np.linalg.norm(ref))
+        assert np.linalg.norm(M @ KJ - rhs) <= 1e-14 * scale
+    # an exactly singular stage matrix is a typed failure, not LinAlgError:
+    # A = B = G = R = 1, S = 1 and lam = 0.5 give M = [[2, 1], [1, 0.5]]
+    p = scalar_problem(A=1, B=1, G=1, R=1)
+    S = np.ones((1, 1))
+    with pytest.raises(SingularM, match="singular"):
+        _stage_step(p, S, S @ p.G, p.G.T @ S @ p.G, 0.5)

@@ -122,6 +122,14 @@ def test_stalled_iteration_stops_early():
         steady_riccati_fixed_point(p, 0.6875)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fixed_point_rejects_non_finite_multiplier(bad):
+    # rejected up front: the numpy engine's residual tests are all False
+    # on NaN, so it would run to its 100 000-iteration cap
+    with pytest.raises(ValueError, match="not finite"):
+        steady_riccati_fixed_point(steady_scalar(), bad)
+
+
 def test_slow_escape_still_converges():
     # just above lam_bar = 4/9 of the A = 0.5 map, started next to its
     # repelling fixed point: the residual sets no new minimum for thousands
