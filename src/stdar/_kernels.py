@@ -1,16 +1,21 @@
 """Damped fixed-point iteration engines for the steady-state recursion.
 
-Two interchangeable engines compute the same iteration
+Both engines iterate the steady-state game Riccati map from Pi = Pf,
+damping 0.5 when the residual grows. The compiled one is a single
+allocation-free numba kernel (hand-rolled products and Gaussian
+elimination) in the block form
 
     Pi <- sym(Q + A'SA - [B'SA; G'SA]' M^{-1} [B'SA; G'SA]),
-    M  =  [[B'SB + R, B'SG], [G'SB, G'SG - lam I]],  S = Pi,
+    M  =  [[B'SB + R, B'SG], [G'SB, G'SG - lam I]],  S = Pi.
 
-from Pi = Pf, damping 0.5 when the residual grows. The compiled engine is
-a single allocation-free numba kernel (hand-rolled products and Gaussian
-elimination) so its cost scales with the linear-algebra work rather than
-per-call dispatch overhead; the numpy engine is the plain vectorized twin
-used as a reference and as the fallback when numba is unavailable. Its
-one-step map, `game_map`, also gives the steady-state gain and residual.
+The numpy one takes `game_step`, the n x n form: one n x n solve and three
+products per step, Z formed once per call,
+
+    Pi <- sym(Q + A'Pi (I + Z Pi)^{-1} A),  Z = B R^{-1} B' - G G'/lam.
+
+With W = [B G], D = blkdiag(R, -lam I), R > 0 and lam != 0 the identity
+S - SW(D + W'SW)^{-1}W'S = S(I + W D^{-1} W'S)^{-1} makes the forms equal,
+and det(I + Z Pi) = det(M) / det(D): I + Z Pi is singular where M is.
 
 Both stop early, as stalled, when the iteration circles instead of
 converging: its relative residual ||Pi_next - Pi|| / scale has set no new
@@ -30,6 +35,8 @@ Status codes: 0 converged, 1 iteration cap, 2 stalled, -1 diverged,
 from __future__ import annotations
 
 import numpy as np
+
+from ._linalg import fro_norm
 
 try:
     from numba import njit
@@ -221,45 +228,35 @@ def fixed_point_compiled(A, B, G, Q, R, lam, Pf, tol, max_iter):
     return int(status), int(iters), ws.bufs[0].copy()
 
 
-def game_map(A, B, G, Q, R, lam, Pi, Iq):
-    """One step of the steady-state game Riccati map, the numpy engine's
-    iteration: returns (sym(Pi_next), [K; J]); Iq = eye(q). Raises
-    LinAlgError when M is singular."""
-    m = B.shape[1]
-    SA = Pi @ A
-    SB = Pi @ B
-    SG = Pi @ G
-    # filled block by block: np.block and np.vstack cost more than the
-    # products at these sizes
-    M = np.empty((m + G.shape[1], m + G.shape[1]))
-    M[:m, :m] = B.T @ SB + R
-    M[:m, m:] = B.T @ SG
-    M[m:, :m] = SG.T @ B
-    M[m:, m:] = G.T @ SG - lam * Iq
-    RH = np.empty((M.shape[0], A.shape[0]))
-    RH[:m] = B.T @ SA
-    RH[m:] = G.T @ SA
-    KJ = np.linalg.solve(M, RH)
-    Pn = Q + A.T @ SA - RH.T @ KJ
-    return 0.5 * (Pn + Pn.T), KJ
+def coupling(B, G, R, lam):
+    """Z = B R^{-1} B' - G G'/lam of the n x n map; lam = inf drops the
+    disturbance channel, which leaves the LQR map."""
+    return B @ np.linalg.solve(R, B.T) - (G @ G.T) / lam
+
+
+def game_step(A, Q, Z, Pi):
+    """One step of the map: (sym(Q + A'Pi X), Pi X), X = (I + Z Pi)^{-1} A.
+    Raises LinAlgError where I + Z Pi, and so M, is singular."""
+    T = Z @ Pi
+    T.ravel()[::T.shape[0] + 1] += 1.0  # I + Z Pi, with no np.eye per step
+    PX = Pi @ np.linalg.solve(T, A)
+    Pn = Q + A.T @ PX
+    return 0.5 * (Pn + Pn.T), PX
 
 
 def fixed_point_numpy(A, B, G, Q, R, lam, Pf, tol, max_iter):
-    Iq = np.eye(G.shape[1])
+    Z = coupling(B, G, R, lam)
     Pi = Pf.copy()
-    prev_res = np.inf
-    best = np.inf
-    since_best = 0
-    jumps = 0
+    prev_res = best = np.inf
+    since_best = jumps = 0
     above = False
     for it in range(int(max_iter)):
         try:
-            Pn, _ = game_map(A, B, G, Q, R, lam, Pi, Iq)
+            Pn, _ = game_step(A, Q, Z, Pi)
         except np.linalg.LinAlgError:
             return -2, it, Pi
-        diff = Pn - Pi
-        res = float(np.sqrt(np.sum(diff * diff)))
-        scale = float(np.sqrt(1.0 + np.sum(Pi * Pi)))
+        res = fro_norm(Pn - Pi)
+        scale = (1.0 + fro_norm(Pi) ** 2) ** 0.5
         if res <= tol * scale:
             return 0, it, Pn
         if res > 1e12 * scale:

@@ -45,8 +45,8 @@ import numpy as np
 
 from ._linalg import sym
 from .problem import ProblemData, Tolerances
-from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass, at_bound,
-                      project_feasible, sweep)
+from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass,
+                      _require_finite, at_bound, project_feasible, sweep)
 
 __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 
@@ -187,13 +187,13 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
 
     The projected-gradient loop runs in the slack coordinates of the
     module docstring, from init (raw multipliers, projected onto the
-    feasible set) or from one above the lower corner, driven by the exact
-    adjoint gradient. gradient_mode accepts "auto" and "envelope", which
-    both select it, and the solution reports "envelope". At x = 0 the
-    objective is minimized at the projected lower corner; that solution is
-    returned directly and reports "corner". grad_norm is the
-    projected-gradient norm in the slacks. The solution carries the sweep
-    at lam_star that the solve built.
+    feasible set; a non-finite one raises InfeasibleMultiplier) or from one
+    above the lower corner, driven by the exact adjoint gradient.
+    gradient_mode accepts "auto" and "envelope", which both select it, and
+    the solution reports "envelope". At x = 0 the objective is minimized at
+    the projected lower corner; that solution is returned directly and
+    reports "corner". grad_norm is the projected-gradient norm in the
+    slacks. The solution carries the sweep at lam_star that the solve built.
     """
     tol = tol or Tolerances()
     x = np.asarray(x, dtype=float).ravel()
@@ -204,6 +204,11 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     if gradient_mode not in ("auto", "envelope"):
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
     n_stage = p.N - k
+    if init is not None:
+        init = np.asarray(init, dtype=float).ravel()
+        if init.size != n_stage:
+            raise ValueError(f"init has size {init.size}, expected {n_stage}")
+        _require_finite(init, k)
 
     if float(x @ x) == 0.0:
         sw = _nested_pass(p, np.zeros(n_stage), k, tol, tol.eps_boundary)
@@ -215,10 +220,6 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     if init is None:
         corner = project_feasible(p, np.zeros(n_stage), stage_offset=k, tol=tol)
         init = corner.lambdas + 1.0
-    else:
-        init = np.asarray(init, dtype=float).ravel()
-        if init.size != n_stage:
-            raise ValueError(f"init has size {init.size}, expected {n_stage}")
     sw = _nested_pass(p, init, k, tol, tol.eps_boundary)
     s = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
     sw, phi, grad_norm, iterations, converged = _descend(p, x, s, sw, tol, max_iter)

@@ -112,6 +112,13 @@ def _stage_step(p: ProblemData, S: np.ndarray, SG: np.ndarray,
     return Pi, M, KJ[:m], KJ[m:]
 
 
+def _require_finite(lam: np.ndarray, k: int) -> None:
+    """Raise InfeasibleMultiplier at the first non-finite lam_{k+j}."""
+    if not np.isfinite(lam).all():
+        j = int(np.flatnonzero(~np.isfinite(lam))[0])
+        raise InfeasibleMultiplier(f"multiplier lam_{k + j} = {lam[j]} is not finite")
+
+
 def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
                  margin: float | None = None, slack=None,
                  step0: bool = True) -> RiccatiSweep:
@@ -164,9 +171,9 @@ def sweep(p: ProblemData, lam: MultiplierVector,
           tol: Tolerances | None = None) -> RiccatiSweep:
     """Run the backward recursion for the given multipliers.
 
-    Raises InfeasibleMultiplier if some lam_j falls below its nested bound,
-    SingularM if a stage matrix cannot be solved reliably. Hands back the
-    live full pass on this p that built lam if its bounds pass tol.
+    Raises InfeasibleMultiplier if a lam_j is not finite or below its
+    nested bound, SingularM if a stage matrix cannot be solved reliably.
+    Reuses the live full pass on p that built lam if its bounds pass tol.
     """
     tol = tol or Tolerances()
     n_stages = len(lam)
@@ -175,6 +182,7 @@ def sweep(p: ProblemData, lam: MultiplierVector,
         raise ValueError(
             f"multiplier vector covers stages {k}..{k + n_stages - 1}, "
             f"expected tail end at {p.N - 1}")
+    _require_finite(lam.lambdas, k)
     link = getattr(lam, "_pass", None)
     sw = link[0]() if link and link[1]() is p else None
     if sw is not None and not (lam.lambdas < sw.bounds - tol.eps_boundary).any():
@@ -190,7 +198,7 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     Single backward pass: each lam_j is raised to its bound (plus margin)
     computed under the already-projected later multipliers. Well-defined
     because the bound at stage j depends only on lam_{j+1:}. Feasible
-    inputs are returned unchanged.
+    inputs are returned unchanged, non-finite ones InfeasibleMultiplier.
     """
     tol = tol or Tolerances()
     if margin is None:
@@ -198,4 +206,5 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     raw = np.array(lam_raw, dtype=float).ravel()
     if stage_offset + raw.shape[0] != p.N:
         raise ValueError("multiplier vector length inconsistent with horizon")
+    _require_finite(raw, stage_offset)
     return _nested_pass(p, raw, stage_offset, tol, margin, step0=False).lam

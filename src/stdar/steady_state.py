@@ -4,7 +4,7 @@ fixed-point Riccati solve, LMI feasibility certificate, and an LQR baseline.
 The steady-state problem minimizes lambda subject to lambda >= ||G'Pi G||
 and the stationarity Pi = F(lambda, Pi) of the one-stage Riccati map. A
 multiplier is feasible when the damped fixed-point iteration converges
-with the block matrix M invertible throughout and its slack
+with I + Z Pi invertible throughout (see `_kernels`) and its slack
 g(lambda) = lambda - ||G'Pi(lambda) G|| clears -eps_boundary; an iteration
 that stalls (see `_kernels`) has no fixed point near and counts as
 infeasible. Pi(lambda) falls in the Loewner order as lambda grows (a
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import HAVE_NUMBA, fixed_point_compiled, fixed_point_numpy, game_map
-from ._linalg import sym, top_eig
+from ._kernels import (HAVE_NUMBA, coupling, fixed_point_compiled,
+                       fixed_point_numpy, game_step)
+from ._linalg import fro_norm, sym, top_eig
 from .errors import (Diverged, FixedPointDiverged, NoFeasibleLambda,
                      SingularM, SingularPi)
 from .problem import ProblemData, Tolerances
@@ -78,11 +79,12 @@ def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
     """Damped fixed point of the Riccati map at a fixed multiplier.
 
     Runs the compiled kernel when numba is available, the numpy one
-    otherwise. Raises FixedPointDiverged when the iteration diverges,
-    stalls (see `_kernels`) or reaches _FP_MAX_ITER iterations, and
-    ValueError for a non-finite lam, before either engine runs."""
-    if not np.isfinite(lam):
-        raise ValueError(f"multiplier {lam!r} is not finite")
+    otherwise. Raises SingularM where I + Z Pi (so M) turns singular,
+    FixedPointDiverged when the iteration diverges, stalls (see
+    `_kernels`) or reaches _FP_MAX_ITER iterations, and ValueError for a
+    lam that is not finite and positive, before either engine runs."""
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"multiplier {lam!r} is not finite and positive")
     status, iters, Pi = _kernel()(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
                                   _FP_TOL, _FP_MAX_ITER)
     if status == -2:
@@ -92,18 +94,6 @@ def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
                2: f"stalled after {iters} iterations"}[status]
         raise FixedPointDiverged(f"lambda={lam:.6g}: {why}")
     return Pi
-
-
-def _probe(p: ProblemData, lam: float, run, start: np.ndarray):
-    """Fixed point at lam, iterated from start: (g, Pi, iterations).
-
-    g = lam - ||G'Pi G|| is the boundary slack, None with Pi when the
-    iteration reaches no fixed point."""
-    status, iters, Pi = run(p.A, p.B, p.G, p.Q, p.R, float(lam), start,
-                            _FP_TOL, _FP_MAX_ITER)
-    if status != 0:
-        return None, None, iters
-    return lam - top_eig(p.G.T @ Pi @ p.G), Pi, iters
 
 
 def solve_steady_state(p: ProblemData,
@@ -122,15 +112,17 @@ def solve_steady_state(p: ProblemData,
     probes = fp_iterations = 0
 
     def probe(lam, start):
-        # (feasible, h, Pi) with h = g + eps_boundary, the value whose root
-        # the search seeks; h and Pi are None where no fixed point was reached
+        # fixed point at lam iterated from start: (feasible, h, Pi) with
+        # h = g + eps_boundary, the value whose root the search seeks; h and
+        # Pi are None where no fixed point was reached
         nonlocal probes, fp_iterations
-        g, Pi, iters = _probe(p, lam, run, start)
+        status, iters, Pi = run(p.A, p.B, p.G, p.Q, p.R, float(lam), start,
+                                _FP_TOL, _FP_MAX_ITER)
         probes += 1
         fp_iterations += iters
-        if g is None:
+        if status != 0:
             return False, None, None
-        h = g + tol.eps_boundary
+        h = lam - top_eig(p.G.T @ Pi @ p.G) + tol.eps_boundary
         return h >= 0.0, h, Pi
 
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
@@ -167,11 +159,12 @@ def solve_steady_state(p: ProblemData,
     lambda_bar, Pi_bar = hi, Pi_hi
 
     try:
-        Pi_next, KJ = game_map(p.A, p.B, p.G, p.Q, p.R, lambda_bar, Pi_bar,
-                               np.eye(p.q))
+        # K_bar = R^{-1} B'Pi_bar (I + Z Pi_bar)^{-1} A, see `_kernels`
+        Pi_next, PX = game_step(p.A, p.Q, coupling(p.B, p.G, p.R, lambda_bar),
+                                Pi_bar)
     except np.linalg.LinAlgError as exc:
         raise SingularM("block matrix singular at the recovered solution") from exc
-    K_bar = KJ[:p.m, :].copy()
+    K_bar = np.linalg.solve(p.R, p.B.T @ PX)
     residual = float(np.linalg.norm(Pi_bar - Pi_next))
     boundary_gap = float(lambda_bar - top_eig(p.G.T @ Pi_bar @ p.G))
     sol = SteadyStateSolution(lambda_bar=float(lambda_bar), Pi_bar=Pi_bar,
@@ -236,15 +229,14 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
 
 def lqr_baseline(p: ProblemData) -> np.ndarray:
     """Fixed point of the standard Riccati map (no disturbance channel),
-    iterated from Pf until a step moves Pi by at most _LQR_RTOL relative."""
+    Pi <- sym(Q + A'Pi (I + B R^{-1} B' Pi)^{-1} A), iterated from Pf until
+    a step moves Pi by at most _LQR_RTOL relative."""
+    Z = coupling(p.B, p.G, p.R, np.inf)
     Pi = p.Pf.copy()
     for _ in range(_FP_MAX_ITER):
-        SA = Pi @ p.A
-        SB = Pi @ p.B
-        K = np.linalg.solve(p.B.T @ SB + p.R, p.B.T @ SA)
-        Pn = sym(p.Q + p.A.T @ SA - (p.B.T @ SA).T @ K)
-        res = float(np.linalg.norm(Pn - Pi))
-        scale = 1.0 + float(np.linalg.norm(Pi))
+        Pn, _ = game_step(p.A, p.Q, Z, Pi)
+        res = fro_norm(Pn - Pi)
+        scale = 1.0 + fro_norm(Pi)
         Pi = Pn
         if res <= _LQR_RTOL * scale:
             return Pi

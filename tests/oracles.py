@@ -6,8 +6,10 @@ calling the package, so tests compare two routes to the same quantity.
 The gradient oracles (`fd_gradient`, `envelope_gradient`) and the Riccati
 identity check (`receq_crosscheck`) take the package's public `sweep` and
 `project_feasible` as given and check what the solver builds on them: its
-exact adjoint gradient and the sweep's gains. The single-stage sphere
-reference lives in sphere_oracle.py.
+exact adjoint gradient and the sweep's gains. `game_map_reference` is the
+steady-state game Riccati map in its block form, against which the
+package's n x n form is checked. The single-stage sphere reference lives
+in sphere_oracle.py.
 """
 import numpy as np
 
@@ -135,6 +137,21 @@ def lqr_recursion(A, B, Q, R, Pf, n_iter=200_000, rtol=1e-13):
             return Pn
         P = Pn
     return P
+
+
+def game_map_reference(A, B, G, Q, R, lam, Pi):
+    """One step of the game Riccati map in its block form:
+    (sym(Q + A'Pi A - H'M^{-1}H), M^{-1}H) with H = [B G]'Pi A and
+    M = [B G]'Pi [B G] + blkdiag(R, -lam I). Raises LinAlgError where M
+    is singular."""
+    W = np.hstack([B, G])
+    q = G.shape[1]
+    D = np.block([[R, np.zeros((R.shape[0], q))],
+                  [np.zeros((q, R.shape[0])), -lam * np.eye(q)]])
+    H = W.T @ Pi @ A
+    KJ = np.linalg.solve(W.T @ Pi @ W + D, H)
+    Pn = Q + A.T @ Pi @ A - H.T @ KJ
+    return 0.5 * (Pn + Pn.T), KJ
 
 
 def _scalar_map_terms(A, B, G, Q, R, pi, lams):

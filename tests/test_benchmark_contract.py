@@ -71,3 +71,19 @@ def test_tracer_resolves_every_target_and_restores_bindings(rng):
         tracer.uninstall()
     for holder, attr, fn in before:
         assert getattr(holder, attr, None) is fn
+
+
+def test_traced_kernel_counts_match_steady_solution(rng):
+    # kernels.* are read from the engine under the name the tracer wraps;
+    # an engine that no longer runs under that name would leave them at 0
+    tracing = load_tracing()
+    api = SimpleNamespace(**{name: getattr(stdar, name) for name in api_names()})
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(api, stdar)
+        sol = api.solve_steady_state(make_problem(rng, n=3))
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        tracer.uninstall()
+    assert metrics["kernels.fp_calls"][0] == sol.probes > 0
+    assert metrics["kernels.fp_iterations"][0] == sol.fp_iterations > 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar import (InfeasibleMultiplier, MultiplierVector, RegulatorError,
+from stdar import (InfeasibleMultiplier, MultiplierVector,
                    RiccatiSweep, SingularM, Tolerances, project_feasible,
                    solve_multipliers, sweep)
 from stdar._linalg import top_eig
@@ -111,19 +111,23 @@ def test_infeasible_multiplier_raises(tol):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_multipliers_raise_typed_errors(rng, tol, bad):
-    # numpy's LAPACK routines do not reject non-finite input: NaN fails the
-    # feasibility test, inf the stage solve's residual check
+    # numpy's LAPACK routines do not reject non-finite input, so each entry
+    # point rejects it up front, naming the entry, before any stage step
+    # and with no numpy warning; projection skips stage 0's step, so a bad
+    # value there would otherwise pass through
     p = make_problem(rng, n=2, m=2, q=1, N=3)
-    lam = feasible_lam(p, rng, tol).lambdas.copy()
-    lam[1] = bad
-    with pytest.raises(RegulatorError):
-        sweep(p, MultiplierVector(lam), tol)
-    with pytest.raises(RegulatorError):
-        project_feasible(p, lam, tol=tol)
-    with pytest.raises(RegulatorError):
-        solve_multipliers(p, p.x0, init=lam, tol=tol)
+    for stage in (0, 1):
+        lam = feasible_lam(p, rng, tol).lambdas.copy()
+        lam[stage] = bad
+        name = f"lam_{stage} = {bad} is not finite"
+        with pytest.raises(InfeasibleMultiplier, match=name):
+            sweep(p, MultiplierVector(lam), tol)
+        with pytest.raises(InfeasibleMultiplier, match=name):
+            project_feasible(p, lam, tol=tol)
+        with pytest.raises(InfeasibleMultiplier, match=name):
+            solve_multipliers(p, p.x0, init=lam, tol=tol)
 
 
 def test_sweep_length_checked(tol):

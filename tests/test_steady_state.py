@@ -11,8 +11,8 @@ from stdar._linalg import top_eig
 from stdar.errors import FixedPointDiverged, SingularM, SingularPi
 from stdar.problem import ProblemData
 from conftest import make_problem, scalar_problem
-from oracles import (steady_scalar_closed_form, steady_scalar_grid,
-                     steady_scalar_pi_at)
+from oracles import (game_map_reference, steady_scalar_closed_form,
+                     steady_scalar_grid, steady_scalar_pi_at)
 
 
 def steady_scalar(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=1.0):
@@ -96,6 +96,42 @@ def test_interior_fixed_point_solves_dare(rng):
         assert np.abs(X - Pi).max() <= 1e-8 * (1.0 + np.abs(X).max())
 
 
+def test_map_matches_block_form(rng):
+    # the numpy engine's step Q + A'Pi (I + Z Pi)^{-1} A equals the block
+    # form with M by the push-through identity, and R^{-1} B'Pi X and
+    # -G'Pi X / lam are its gains [K; J]; Pi = Pf, zero for one in four
+    for i in range(200):
+        p = make_problem(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 5)),
+                         q=int(rng.integers(1, 4)), degenerate_pf=i % 4 == 0)
+        lam = top_eig(p.G.T @ p.Pf @ p.G) + float(rng.uniform(0.5, 3.0))
+        ref, KJ = game_map_reference(p.A, p.B, p.G, p.Q, p.R, lam, p.Pf)
+        Pn, PX = _kernels.game_step(p.A, p.Q, _kernels.coupling(p.B, p.G, p.R, lam),
+                                    p.Pf)
+        gains = np.vstack([np.linalg.solve(p.R, p.B.T @ PX), -p.G.T @ PX / lam])
+        assert np.abs(Pn - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(gains - KJ).max() <= 1e-12 * max(1.0, np.abs(KJ).max())
+
+
+def test_singular_step_reports_singular_m():
+    # A = B = G = R = Pf = 1, lam = 0.5: I + Z Pi = 1 + (1 - 2) 1 = 0 and
+    # M = [[2, 1], [1, 0.5]] are singular together at the first step
+    p = steady_scalar()
+    with pytest.raises(np.linalg.LinAlgError):
+        game_map_reference(p.A, p.B, p.G, p.Q, p.R, 0.5, p.Pf)
+    args = (p.A, p.B, p.G, p.Q, p.R, 0.5, p.Pf, 1e-12, 100_000)
+    status, iters, _ = _kernels.fixed_point_numpy(*args)
+    assert (status, iters) == (-2, 0)
+    with pytest.raises(SingularM):
+        steady_riccati_fixed_point(p, 0.5)
+
+
+def test_lqr_baseline_solves_dare(rng):
+    for i in range(20):
+        p = make_problem(rng, n=int(rng.integers(1, 6)), stable=i % 2 == 0)
+        X = la.solve_discrete_are(p.A, p.B, p.Q, p.R)
+        assert np.abs(lqr_baseline(p) - X).max() <= 1e-9 * np.abs(X).max()
+
+
 @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="compiled engine unavailable")
 def test_engines_agree(rng):
     for _ in range(3):
@@ -127,6 +163,13 @@ def test_fixed_point_rejects_non_finite_multiplier(bad):
     # rejected up front: the numpy engine's residual tests are all False
     # on NaN, so it would run to its 100 000-iteration cap
     with pytest.raises(ValueError, match="not finite"):
+        steady_riccati_fixed_point(steady_scalar(), bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_fixed_point_rejects_nonpositive_multiplier(bad):
+    # the numpy engine's Z = B R^{-1} B' - G G'/lam divides by it
+    with pytest.raises(ValueError, match="positive"):
         steady_riccati_fixed_point(steady_scalar(), bad)
 
 
