@@ -14,7 +14,10 @@ backward pass of riccati (raw = -inf) sets lambda_j = b_j + eps_boundary
 already set. There the feasible set is the nonnegative orthant, box
 projection is exact and the projected gradient vanishes at the optimum.
 One projected-gradient loop (Barzilai-Borwein step, Armijo backtracking)
-runs in these coordinates from the start.
+runs in these coordinates from the start. A cold solve starts at unit
+slack, s = 1, built in that same pass; a warm one projects its init in
+one margin pass and reads its slacks off it. No separate projection
+(riccati.project_feasible) runs on the way.
 
 Its gradient is exact: the reverse mode of the nested pass, one forward
 adjoint pass over the sweep. From X_0 = x x',
@@ -24,9 +27,11 @@ adjoint pass over the sweep. From X_0 = x x',
     X_{j+1}   = Acl_j X_j Acl_j' + g_j (G v_j)(G v_j)',
 
 with Acl_j = A - BK_j - GJ_j and v_j a unit top eigenvector of
-G'Pi_{j+1}G. X_j is 2 alpha_bar dphi/dPi_j and g_j is 2 alpha_bar
-dphi/dlambda_j with Pi_{j+1} held; the second term of X_{j+1} carries
-lambda_j's dependence on Pi_{j+1} through its bound. Where that
+G'Pi_{j+1}G, which the nested pass took with the bound (v_j = 1 for
+q = 1), so the adjoint pass forms no G'Pi G and takes no eigh. X_j is
+2 alpha_bar dphi/dPi_j and g_j is 2 alpha_bar dphi/dlambda_j with
+Pi_{j+1} held; the second term of X_{j+1} carries lambda_j's dependence
+on Pi_{j+1} through its bound. Where that
 eigenvalue is repeated (q > 1) the bound is not smooth and any such v_j
 gives a subgradient. Without the second term X_j = x_j x_j' along
 x+ = Acl x, and g_j / (2 alpha_bar) is the envelope gradient in the
@@ -43,8 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import sym
 from .problem import ProblemData, Tolerances
+# project_feasible stays bound here, the name benchmark/tracing.py wraps
+# as riccati.project: no solve calls it, so that span counts 0, and a
+# projection pass put back on the solve path through it would be counted.
 from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass,
                       _require_finite, at_bound, project_feasible, sweep)
 
@@ -62,6 +69,10 @@ class MultiplierSolution:
     sweep is the backward sweep at lam_star that the solve ended on, equal
     bit for bit to sweep(p, lam_star): its K[0] gives the control and its
     Pi[1] and bounds[0] the worst-case disturbance, with no second sweep.
+    stage_steps, gradient_evals and backtracks count the solve's work: one
+    backward pass (N - k stage steps) at the start and per trial point, one
+    adjoint pass per accepted point and at the start, and the trial points
+    rejected by the Armijo test.
     """
 
     lam_star: MultiplierVector
@@ -71,6 +82,9 @@ class MultiplierSolution:
     iterations: int
     converged: bool
     sweep: RiccatiSweep
+    stage_steps: int
+    gradient_evals: int
+    backtracks: int
     gradient_mode: str = "envelope"  # or "corner" at x = 0
 
 
@@ -110,13 +124,13 @@ def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarr
     k = sw.stage_offset
     g = np.zeros(sw.horizon())
     X = np.outer(x, x)
+    Gv = sw._tops @ p.G.T                # row j: G v_j, the pass's eigenvector
+    GG = Gv[:, :, None] * Gv[:, None, :]  # (G v_j)(G v_j)' of every stage
     for j in range(g.size):
         J = sw.J[j]
         g[j] = p.alpha[k + j] - float(np.sum((J @ X) * J))
         Acl = p.A - p.B @ sw.K[j] - p.G @ J
-        Gv = p.G[:, 0] if p.q == 1 else p.G @ np.linalg.eigh(
-            sym(p.G.T @ sw.Pi[j + 1] @ p.G))[1][:, -1]
-        X = Acl @ X @ Acl.T + g[j] * np.outer(Gv, Gv)
+        X = Acl @ X @ Acl.T + g[j] * GG[j]
     return g / (2.0 * p.alpha_bar)
 
 
@@ -135,16 +149,17 @@ def _pg_norm(g: np.ndarray, s: np.ndarray) -> float:
 
 
 def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
-             tol: Tolerances, max_iter: int):
-    """Projected gradient over the slack orthant from s >= 0 with sweep sw.
+             tol: Tolerances, max_iter: int) -> MultiplierSolution:
+    """Projected gradient over the slack orthant from s >= 0 with sweep sw,
+    the solve's start pass.
 
     Converged when the projected-gradient norm falls to 1e-8 (1 + |phi|),
-    or, once no step is accepted, to 1e-6 (1 + |phi|). Returns (sw, phi,
-    projected-gradient norm, iterations, converged).
+    or, once no step is accepted, to 1e-6 (1 + |phi|).
     """
     k = sw.stage_offset
     phi = _phi(p, x, sw.lam, sw.Pi[0])
     g = _slack_gradient(p, sw, x)
+    stage_steps, gradient_evals, backtracks = sw.horizon(), 1, 0
     t = 1.0
     s_prev = g_prev = None
     converged = False
@@ -164,19 +179,27 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             if float(np.abs(step).max()) == 0.0:
                 break
             sw_c = _reconstruct(p, cand, k, tol)
+            stage_steps += sw_c.horizon()
             phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
             if phi_c <= phi + _ARMIJO_C * float(g @ step):
                 s_prev, g_prev = s, g
                 s, phi, sw = cand, phi_c, sw_c
                 g = _slack_gradient(p, sw, x)
+                gradient_evals += 1
                 accepted = True
                 iterations += 1
                 break
+            backtracks += 1
             tt *= _ARMIJO_SHRINK
         if not accepted:
             converged = pgn <= 1e-6 * (1.0 + abs(phi))
             break
-    return sw, phi, _pg_norm(g, s), iterations, converged
+    return MultiplierSolution(
+        lam_star=sw.lam, value=phi, grad_norm=_pg_norm(g, s),
+        boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
+        iterations=iterations, converged=converged, sweep=sw,
+        stage_steps=stage_steps, gradient_evals=gradient_evals,
+        backtracks=backtracks)
 
 
 def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
@@ -187,8 +210,8 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
 
     The projected-gradient loop runs in the slack coordinates of the
     module docstring, from init (raw multipliers, projected onto the
-    feasible set; a non-finite one raises InfeasibleMultiplier) or from one
-    above the lower corner, driven by the exact adjoint gradient.
+    feasible set; a non-finite one raises InfeasibleMultiplier) or from
+    unit slack, driven by the exact adjoint gradient.
     gradient_mode accepts "auto" and "envelope", which both select it, and
     the solution reports "envelope". At x = 0 the objective is minimized at
     the projected lower corner; that solution is returned directly and
@@ -215,15 +238,13 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         return MultiplierSolution(
             lam_star=sw.lam, value=_phi(p, x, sw.lam, sw.Pi[0]), grad_norm=0.0,
             boundary_flags=np.ones(n_stage, dtype=bool), iterations=0,
-            converged=True, sweep=sw, gradient_mode="corner")
+            converged=True, sweep=sw, stage_steps=n_stage, gradient_evals=0,
+            backtracks=0, gradient_mode="corner")
 
     if init is None:
-        corner = project_feasible(p, np.zeros(n_stage), stage_offset=k, tol=tol)
-        init = corner.lambdas + 1.0
-    sw = _nested_pass(p, init, k, tol, tol.eps_boundary)
-    s = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
-    sw, phi, grad_norm, iterations, converged = _descend(p, x, s, sw, tol, max_iter)
-    return MultiplierSolution(lam_star=sw.lam, value=phi, grad_norm=grad_norm,
-                              boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
-                              iterations=iterations, converged=converged,
-                              sweep=sw)
+        s = np.ones(n_stage)
+        sw = _reconstruct(p, s, k, tol)
+    else:
+        sw = _nested_pass(p, init, k, tol, tol.eps_boundary)
+        s = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
+    return _descend(p, x, s, sw, tol, max_iter)

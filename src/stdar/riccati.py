@@ -16,6 +16,17 @@ One backward pass serves the sweep, the projection onto that set and the
 multiplier program's slack coordinates: before its stage step it may set
 lam_j = max(raw_j, b_j + margin) + s_j from the bound b_j of the stage,
 so a candidate is projected and swept together.
+
+Each stage forms two stacked products, with F = [B G A] built once per
+pass and E = [B G] its first m + q columns:
+
+    SF = Pi_{j+1} F,    T = E'SF = [E'Pi_{j+1}E, E'Pi_{j+1}A].
+
+T[:, :m+q] is M_j before R and -lam_j I are added, its block
+T[m:, m:m+q] = G'Pi_{j+1}G gives the bound b_j, T[:, m+q:] is the
+right-hand side [B'Pi_{j+1}A; G'Pi_{j+1}A], and A'Pi_{j+1}A = A'SF[:, m+q:].
+At these sizes numpy's per-call cost, not the arithmetic, sets a stage's
+time, so two products replace the ten that form the blocks one by one.
 """
 from __future__ import annotations
 
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fro_norm, sym, top_eig
+from ._linalg import fro_norm, sym, top_eigpair
 from .errors import InfeasibleMultiplier, SingularM
 from .problem import ProblemData, Tolerances
 
@@ -80,25 +91,14 @@ def at_bound(lam, bound, tol: Tolerances):
     return (lam - bound) <= max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + abs(bound))
 
 
-def _stage_step(p: ProblemData, S: np.ndarray, SG: np.ndarray,
-                GSG: np.ndarray, lam_j: float):
-    """One backward step from Pi_{j+1} = S, given SG = S G and GSG = G'S G.
-    Returns (Pi_j, M, K, J)."""
-    SB = S @ p.B
-    SA = S @ p.A
+def _stage_step(p: ProblemData, SF: np.ndarray, T: np.ndarray, lam_j: float):
+    """One backward step from Pi_{j+1}, given its stacked products
+    SF = Pi_{j+1} [B G A] and T = [B G]'SF. Returns (Pi_j, M, K, J)."""
     m, d = p.m, p.m + p.q
-    # filled block by block: np.block and np.vstack cost more than the
-    # products at these sizes
-    M = np.empty((d, d))
-    M[:m, :m] = p.B.T @ SB + p.R
-    M[:m, m:] = p.B.T @ SG
-    M[m:, :m] = SG.T @ p.B
-    M[m:, m:] = GSG
-    M.ravel()[m * (d + 1)::d + 1] -= lam_j  # GSG - lam_j I on the diagonal
-    M = sym(M)
-    rhs = np.empty((d, p.n))
-    rhs[:m] = p.B.T @ SA
-    rhs[m:] = p.G.T @ SA
+    M = sym(T[:, :d])
+    M[:m, :m] += p.R
+    M.ravel()[m * (d + 1)::d + 1] -= lam_j  # G'SG - lam_j I on the diagonal
+    rhs = T[:, d:]
     try:
         KJ = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -108,7 +108,7 @@ def _stage_step(p: ProblemData, S: np.ndarray, SG: np.ndarray,
     if not resid <= 1e-8 * scale:  # also where M or rhs is not finite
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
-    Pi = sym(p.Q + p.A.T @ SA - rhs.T @ KJ)
+    Pi = sym(p.Q + p.A.T @ SF[:, d:] - rhs.T @ KJ)
     return Pi, M, KJ[:m], KJ[m:]
 
 
@@ -125,9 +125,12 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     """The backward recursion over len(raw) stages from Pi_N = Pf; k is
     the stage offset of the result, so raw covers stages k..N-1.
 
-    Each stage j forms G'Pi_{j+1}G once and takes its top eigenvalue b_j,
-    which is the sweep's bounds[j]. With margin None the multipliers are
-    raw as given. Otherwise stage j first sets
+    Each stage j takes G'Pi_{j+1}G from its stacked product T and its top
+    eigenvalue b_j (for q > 1 from eigh), which is the sweep's bounds[j],
+    with a unit top eigenvector v_j (1 where q = 1) that it keeps in the
+    sweep's private _tops (row j) for the multiplier program's adjoint
+    pass. With margin
+    None the multipliers are raw as given. Otherwise stage j first sets
 
         lam_j = max(raw_j, b_j + margin) + slack_j,
 
@@ -144,11 +147,16 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     K = [None] * n_stages
     J = [None] * n_stages
     bounds = np.zeros(n_stages)
+    tops = np.empty((n_stages, p.q))
+    m, q = p.m, p.q
+    d = m + q
+    F = np.hstack([p.B, p.G, p.A])
+    E = F[:, :d]
     S = Pi[n_stages] = p.Pf
     for i in range(n_stages - 1, -1, -1):
-        SG = S @ p.G
-        GSG = p.G.T @ SG
-        bounds[i] = top_eig(GSG)
+        SF = S @ F
+        T = E.T @ SF
+        bounds[i], tops[i] = top_eigpair(T[m:, m:d])
         if margin is not None:
             if lam[i] < bounds[i] + margin:
                 lam[i] = bounds[i] + margin
@@ -158,10 +166,11 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
             raise InfeasibleMultiplier(
                 f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
         if i > 0 or step0:
-            S, M[i], K[i], J[i] = _stage_step(p, S, SG, GSG, float(lam[i]))
+            S, M[i], K[i], J[i] = _stage_step(p, SF, T, float(lam[i]))
             Pi[i] = S
     sw = RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
                       lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
+    object.__setattr__(sw, "_tops", tops)
     if step0:
         object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))
     return sw

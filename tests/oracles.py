@@ -8,8 +8,10 @@ identity check (`receq_crosscheck`) take the package's public `sweep` and
 `project_feasible` as given and check what the solver builds on them: its
 exact adjoint gradient and the sweep's gains. `game_map_reference` is the
 steady-state game Riccati map in its block form, against which the
-package's n x n form is checked. The single-stage sphere reference lives
-in sphere_oracle.py.
+package's n x n form is checked, and `stage_step_reference` is one step of
+the finite-horizon recursion in the same block form, against which the
+nested pass's stacked products are checked. The single-stage sphere
+reference lives in sphere_oracle.py.
 """
 import numpy as np
 
@@ -152,6 +154,19 @@ def game_map_reference(A, B, G, Q, R, lam, Pi):
     KJ = np.linalg.solve(W.T @ Pi @ W + D, H)
     Pn = Q + A.T @ Pi @ A - H.T @ KJ
     return 0.5 * (Pn + Pn.T), KJ
+
+
+def stage_step_reference(A, B, G, Q, R, S, lam):
+    """One backward step from Pi_{j+1} = S with M and the right-hand side
+    built by np.block as the riccati module docstring writes them:
+    returns (Pi_j, M, K, J, ||G'SG||)."""
+    m, q = B.shape[1], G.shape[1]
+    M = np.block([[B.T @ S @ B + R, B.T @ S @ G],
+                  [G.T @ S @ B, G.T @ S @ G - lam * np.eye(q)]])
+    rhs = np.block([[B.T @ S @ A], [G.T @ S @ A]])
+    KJ = np.linalg.solve(M, rhs)
+    Pi = Q + A.T @ S @ A - np.block([A.T @ S @ B, A.T @ S @ G]) @ KJ
+    return 0.5 * (Pi + Pi.T), M, KJ[:m], KJ[m:], _top(G.T @ S @ G)
 
 
 def _scalar_map_terms(A, B, G, Q, R, pi, lams):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar._linalg import fro_norm, sym, top_eig
+from stdar._linalg import fro_norm, sym, top_eig, top_eigpair
 
 
 def test_top_eig_is_eigvalsh_bit_for_bit(rng):
@@ -21,6 +21,11 @@ def test_top_eig_is_eigvalsh_bit_for_bit(rng):
         assert top == np.linalg.eigvalsh(sym(M))[-1]
         ref = la.eigvalsh(sym(M))
         assert abs(top - ref[-1]) <= 1e-13 * np.abs(ref).max()
+        # the pair: the same value up to rounding and a unit eigenvector
+        value, v = top_eigpair(M)
+        assert abs(value - ref[-1]) <= 1e-13 * np.abs(ref).max()
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.linalg.norm(sym(M) @ v - value * v) <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -29,6 +34,8 @@ def test_top_eig_rejects_non_finite(bad):
     M[1, 2] = bad
     with pytest.raises(ValueError):
         top_eig(M)
+    with pytest.raises(ValueError):
+        top_eigpair(M)
 
 
 def test_fro_norm_is_linalg_norm_bit_for_bit(rng):

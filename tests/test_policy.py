@@ -5,6 +5,7 @@ import pytest
 
 from stdar import (control_at, project_feasible, rollout, solve_multipliers,
                    sweep, worst_disturbance_at)
+import stdar
 from stdar import multiplier, riccati
 from conftest import make_problem, scalar_problem
 from test_multiplier import minmax_from_single_stage
@@ -26,27 +27,47 @@ def test_control_at_rejects_stage_mismatch(rng, tol):
 
 
 def test_online_decision_stage_steps(rng, tol, monkeypatch):
-    # a warm stage-k decision steps through its tail once before the
-    # descent, and its control and disturbance take no stage step at all
-    steps, at_descent = [], []
+    # a stage-k solve, cold or warm, steps through its tail once before the
+    # descent and once per trial point and runs no projection pass, and it
+    # counts that work; the decision's control and disturbance take no
+    # stage step at all
+    steps, at_descent, grads, backtracks = [], [], [], []
     step, descend = riccati._stage_step, multiplier._descend
+    gradient = multiplier._slack_gradient
     monkeypatch.setattr(riccati, "_stage_step",
                         lambda *a: steps.append(1) or step(*a))
     monkeypatch.setattr(multiplier, "_descend",
                         lambda *a: at_descent.append(len(steps)) or descend(*a))
+    monkeypatch.setattr(multiplier, "_slack_gradient",
+                        lambda *a: grads.append(1) or gradient(*a))
+    for module in (riccati, multiplier, stdar):
+        monkeypatch.setattr(module, "project_feasible",
+                            lambda *a, **kw: pytest.fail("projection pass"),
+                            raising=False)
+
+    def solve(p, x, k, init):
+        steps.clear()
+        at_descent.clear()
+        grads.clear()
+        sol = solve_multipliers(p, x, k=k, init=init, tol=tol)
+        assert at_descent == [p.N - k]
+        trials = sol.iterations + sol.backtracks
+        assert sol.stage_steps == len(steps) == (p.N - k) * (1 + trials)
+        assert sol.gradient_evals == len(grads) == 1 + sol.iterations
+        backtracks.append(sol.backtracks)
+        return sol
+
     for _ in range(5):
         p = make_problem(rng, N=5)
         k = int(rng.integers(1, p.N - 1))
-        cold = solve_multipliers(p, p.x0, tol=tol)
+        cold = solve(p, p.x0, k, None)
         x = rng.standard_normal(p.n)
-        steps.clear()
-        at_descent.clear()
-        sol = solve_multipliers(p, x, k=k, init=cold.lam_star.lambdas[k:], tol=tol)
-        assert at_descent == [p.N - k]
+        sol = solve(p, x, k, cold.lam_star.lambdas)
         in_solve = len(steps)
         u = control_at(p, x, k, sol.lam_star, tol)
         worst_disturbance_at(p, x, k, sol.lam_star, u, tol)
         assert len(steps) == in_solve
+    assert max(backtracks) > 0
 
 
 def test_single_stage_policy_matches_minmax(rng, tol):

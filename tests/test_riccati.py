@@ -14,7 +14,7 @@ from stdar._linalg import top_eig
 from stdar.multiplier import _reconstruct
 from stdar.riccati import _nested_pass, _stage_step
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
-from oracles import lqr_recursion, receq_crosscheck
+from oracles import lqr_recursion, receq_crosscheck, stage_step_reference
 
 
 def feasible_lam(p, rng, tol, spread=2.0):
@@ -242,6 +242,33 @@ def test_degenerate_terminal_sweep(rng, tol):
         assert np.linalg.eigvalsh(Pi)[0] >= -1e-9
 
 
+def test_nested_pass_matches_block_stage_oracle(rng, tol):
+    # every stage of the pass, from its own Pi_{j+1}, against the block
+    # form of M and the right-hand side, on m != n and q = 1, 2, 3
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        m = int(rng.choice([v for v in range(1, 5) if v != n]))
+        p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)))
+        s = rng.uniform(0.05, 2.0, p.N)
+        sw = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
+        assert sw.Pi[-1] is p.Pf
+        for j in range(p.N):
+            ref = stage_step_reference(p.A, p.B, p.G, p.Q, p.R, sw.Pi[j + 1],
+                                       sw.lam.lambdas[j])
+            got = (sw.Pi[j], sw.M[j], sw.K[j], sw.J[j], sw.bounds[j])
+            for a, b in zip(got, ref):
+                err = np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+                worst = max(worst, err)
+    assert worst <= 1e-12, worst
+
+
+def stacked(p, S):
+    """The two products a stage step takes: S [B G A] and [B G]'S [B G A]."""
+    SF = S @ np.hstack([p.B, p.G, p.A])
+    return SF, np.hstack([p.B, p.G]).T @ SF
+
+
 def test_stage_solve_matches_scipy(rng):
     # the stage step solves M [K; J] = rhs with numpy.linalg: its gains
     # agree with scipy.linalg.solve's to within the conditioning of M, and
@@ -250,10 +277,8 @@ def test_stage_solve_matches_scipy(rng):
         p = make_problem(rng)
         E = rng.standard_normal((p.n, p.n))
         S = E.T @ E
-        SG = S @ p.G
-        GSG = p.G.T @ SG
-        lam = top_eig(GSG) + rng.uniform(0.01, 2.0)
-        _, M, K, J = _stage_step(p, S, SG, GSG, lam)
+        lam = top_eig(p.G.T @ S @ p.G) + rng.uniform(0.01, 2.0)
+        _, M, K, J = _stage_step(p, *stacked(p, S), lam)
         KJ = np.vstack([K, J])
         rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
         ref = la.solve(M, rhs, assume_a="sym")
@@ -264,6 +289,11 @@ def test_stage_solve_matches_scipy(rng):
     # an exactly singular stage matrix is a typed failure, not LinAlgError:
     # A = B = G = R = 1, S = 1 and lam = 0.5 give M = [[2, 1], [1, 0.5]]
     p = scalar_problem(A=1, B=1, G=1, R=1)
-    S = np.ones((1, 1))
     with pytest.raises(SingularM, match="singular"):
-        _stage_step(p, S, S @ p.G, p.G.T @ S @ p.G, 0.5)
+        _stage_step(p, *stacked(p, np.ones((1, 1))), 0.5)
+    # so is a non-finite Pi_{j+1}, which numpy's solve does not detect
+    p = make_problem(rng, n=2)
+    S = np.eye(2)
+    S[0, 1] = S[1, 0] = np.nan
+    with pytest.raises(SingularM):
+        _stage_step(p, *stacked(p, S), 10.0)
