@@ -198,7 +198,7 @@ def _random_stable(rng: np.random.Generator, n: int) -> ProblemData:
 def cmd_bench(args) -> int:
     sc, tol, out, seed = _prepare(args)
     rng = np.random.default_rng(seed)
-    solve_steady_state(_random_stable(rng, 2), tol=tol)  # warm up the kernel
+    solve_steady_state(_random_stable(rng, 2), tol=tol)  # untimed: first-call costs
     rng = np.random.default_rng(seed)                    # timed instances
     rows = []
     meds = []

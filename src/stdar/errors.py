@@ -34,7 +34,8 @@ class NoFeasibleLambda(RegulatorError):
 
 
 class FixedPointDiverged(RegulatorError):
-    """The steady-state Riccati fixed-point iteration diverged."""
+    """The steady-state Riccati doubling diverged, reached no positive
+    semidefinite fixed point, or hit its doubling cap."""
 
 
 class SingularPi(RegulatorError):

@@ -3,19 +3,18 @@ fixed-point Riccati solve, LMI feasibility certificate, and an LQR baseline.
 
 The steady-state problem minimizes lambda subject to lambda >= ||G'Pi G||
 and the stationarity Pi = F(lambda, Pi) of the one-stage Riccati map. A
-multiplier is feasible when the damped fixed-point iteration converges
-with I + Z Pi invertible throughout (see `_kernels`) and its slack
-g(lambda) = lambda - ||G'Pi(lambda) G|| clears -eps_boundary; an iteration
-that stalls (see `_kernels`) has no fixed point near and counts as
-infeasible. Pi(lambda) falls in the Loewner order as lambda grows (a
-larger lambda charges the disturbance more), so g is increasing with
-slope at least 1 and the feasible multipliers form a half-line. The search
-keeps a bracket [lo, hi], hi feasible and lo not, and places each probe by
-Illinois regula falsi on g between them (Dowell & Jarratt, BIT 11, 1971),
-or by bisection while lo has reached no fixed point, as everywhere below a
-saddle-node of the map. Each probe starts its iteration from the fixed
-point at hi, which lies below its target in the Loewner order. The LMI
-check then certifies the solution as positive semidefiniteness of an
+multiplier is feasible when the doubling probe (see `_kernels`) reaches a
+positive semidefinite fixed point and its slack
+g(lambda) = lambda - ||G'Pi(lambda) G|| clears -eps_boundary. Pi(lambda)
+falls in the Loewner order as lambda grows (a larger lambda charges the
+disturbance more), so g is increasing with slope at least 1 and the
+feasible multipliers form a half-line. The search keeps a bracket
+[lo, hi], hi feasible and lo not, and places each probe by Illinois
+regula falsi on g between them (Dowell & Jarratt, BIT 11, 1971), or by
+bisection while lo has reached no fixed point, as everywhere below a
+saddle-node of the map. Each probe starts from the fixed point at hi,
+which lies below its target in the Loewner order. The LMI check then
+certifies the solution as positive semidefiniteness of an
 assembled block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
 from __future__ import annotations
@@ -25,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (HAVE_NUMBA, coupling, fixed_point_compiled,
-                       fixed_point_numpy, game_step)
-from ._linalg import fro_norm, sym, top_eig
+from ._kernels import coupling, fixed_point_numpy, game_step
+# fixed_point_compiled, an alias of fixed_point_numpy, stays bound here
+# only because benchmark/tracing.py wraps it under that name; nothing calls it
+from ._kernels import fixed_point_compiled  # noqa: F401
+from ._linalg import sym, top_eig
 from .errors import (Diverged, FixedPointDiverged, NoFeasibleLambda,
                      SingularM, SingularPi)
 from .problem import ProblemData, Tolerances
@@ -36,8 +37,7 @@ __all__ = ["SteadyStateSolution", "LmiCertificate", "solve_steady_state",
            "steady_riccati_fixed_point", "lmi_certify", "lqr_baseline"]
 
 _FP_TOL = 1e-12
-_FP_MAX_ITER = 100_000
-_LQR_RTOL = 1e-12
+_FP_MAX_DOUBLINGS = 64
 _BISECT_TOL = 1e-9
 
 
@@ -50,7 +50,7 @@ class SteadyStateSolution:
     boundary_gap: float        # lambda_bar - ||G' Pi_bar G||
     lmi_min_eig: float         # nan when the certificate was not assembled
     probes: int                # fixed-point solves made by the search
-    fp_iterations: int         # their iterations, summed
+    fp_iterations: int         # their doublings, summed
 
 
 @dataclass(frozen=True)
@@ -69,29 +69,26 @@ class LmiCertificate:
     feasible: bool
 
 
-def _kernel():
-    # read at call time, so that rebinding this module's kernel names
-    # (as a profiler wrapping them does) takes effect
-    return fixed_point_compiled if HAVE_NUMBA else fixed_point_numpy
-
-
 def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
-    """Damped fixed point of the Riccati map at a fixed multiplier.
+    """PSD fixed point of the Riccati map at a fixed multiplier, reached
+    from Pf by doubling (see `_kernels`).
 
-    Runs the compiled kernel when numba is available, the numpy one
-    otherwise. Raises SingularM where I + Z Pi (so M) turns singular,
-    FixedPointDiverged when the iteration diverges, stalls (see
-    `_kernels`) or reaches _FP_MAX_ITER iterations, and ValueError for a
-    lam that is not finite and positive, before either engine runs."""
+    Raises SingularM where a doubling's solve, I + G_k H_k or I + G_k Pf,
+    is singular,
+    FixedPointDiverged when the doubling diverges, converges to a fixed
+    point that is not positive semidefinite, or makes _FP_MAX_DOUBLINGS
+    doublings without converging, and ValueError for a lam that is not
+    finite and positive, before it runs."""
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"multiplier {lam!r} is not finite and positive")
-    status, iters, Pi = _kernel()(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
-                                  _FP_TOL, _FP_MAX_ITER)
+    status, doublings, Pi = fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R,
+                                              float(lam), p.Pf, _FP_TOL,
+                                              _FP_MAX_DOUBLINGS)
     if status == -2:
-        raise SingularM(f"block matrix became singular at iteration {iters}")
+        raise SingularM(f"block matrix became singular at doubling {doublings}")
     if status != 0:
-        why = {-1: "diverged", 1: f"no fixed point in {_FP_MAX_ITER} iterations",
-               2: f"stalled after {iters} iterations"}[status]
+        why = {-1: "diverged or no PSD fixed point",
+               1: f"no fixed point in {_FP_MAX_DOUBLINGS} doublings"}[status]
         raise FixedPointDiverged(f"lambda={lam:.6g}: {why}")
     return Pi
 
@@ -108,18 +105,18 @@ def solve_steady_state(p: ProblemData,
     each of these probes starts from the fixed point at hi.
     """
     tol = tol or Tolerances()
-    run = _kernel()
     probes = fp_iterations = 0
 
     def probe(lam, start):
-        # fixed point at lam iterated from start: (feasible, h, Pi) with
+        # fixed point at lam reached from start: (feasible, h, Pi) with
         # h = g + eps_boundary, the value whose root the search seeks; h and
         # Pi are None where no fixed point was reached
         nonlocal probes, fp_iterations
-        status, iters, Pi = run(p.A, p.B, p.G, p.Q, p.R, float(lam), start,
-                                _FP_TOL, _FP_MAX_ITER)
+        status, count, Pi = fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R,
+                                              float(lam), start, _FP_TOL,
+                                              _FP_MAX_DOUBLINGS)
         probes += 1
-        fp_iterations += iters
+        fp_iterations += count
         if status != 0:
             return False, None, None
         h = lam - top_eig(p.G.T @ Pi @ p.G) + tol.eps_boundary
@@ -229,17 +226,10 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
 
 def lqr_baseline(p: ProblemData) -> np.ndarray:
     """Fixed point of the standard Riccati map (no disturbance channel),
-    Pi <- sym(Q + A'Pi (I + B R^{-1} B' Pi)^{-1} A), iterated from Pf until
-    a step moves Pi by at most _LQR_RTOL relative."""
-    Z = coupling(p.B, p.G, p.R, np.inf)
-    Pi = p.Pf.copy()
-    for _ in range(_FP_MAX_ITER):
-        Pn, _ = game_step(p.A, p.Q, Z, Pi)
-        res = fro_norm(Pn - Pi)
-        scale = 1.0 + fro_norm(Pi)
-        Pi = Pn
-        if res <= _LQR_RTOL * scale:
-            return Pi
-        if res > 1e12 * scale:
-            break
-    raise Diverged("LQR Riccati iteration did not converge")
+    Pi = sym(Q + A'Pi (I + B R^{-1} B' Pi)^{-1} A): the doubling probe at
+    lam = inf, reached from Pf."""
+    status, _, Pi = fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R, np.inf, p.Pf,
+                                      _FP_TOL, _FP_MAX_DOUBLINGS)
+    if status != 0:
+        raise Diverged("LQR Riccati doubling did not converge")
+    return Pi

@@ -182,8 +182,8 @@ def steady_scalar_grid(A, B, G, Q, R, Pf, lam_hi=20.0, levels=3,
     """Smallest feasible steady-state multiplier by a vectorized grid scan.
 
     Each grid lambda runs a relaxed scalar fixed point (always averaging
-    with the previous iterate, a different damping scheme from the
-    package engine); feasibility needs convergence and lam >= G^2 Pi.
+    with the previous iterate, independent of the package's doubling);
+    feasibility needs convergence and lam >= G^2 Pi.
     The returned pi carries the critical-slowing error of the iteration
     right at the boundary; compare curvatures via steady_scalar_pi_at.
     """

@@ -97,7 +97,7 @@ def test_interior_fixed_point_solves_dare(rng):
 
 
 def test_map_matches_block_form(rng):
-    # the numpy engine's step Q + A'Pi (I + Z Pi)^{-1} A equals the block
+    # the map's step Q + A'Pi (I + Z Pi)^{-1} A equals the block
     # form with M by the push-through identity, and R^{-1} B'Pi X and
     # -G'Pi X / lam are its gains [K; J]; Pi = Pf, zero for one in four
     for i in range(200):
@@ -118,11 +118,14 @@ def test_singular_step_reports_singular_m():
     p = steady_scalar()
     with pytest.raises(np.linalg.LinAlgError):
         game_map_reference(p.A, p.B, p.G, p.Q, p.R, 0.5, p.Pf)
-    args = (p.A, p.B, p.G, p.Q, p.R, 0.5, p.Pf, 1e-12, 100_000)
-    status, iters, _ = _kernels.fixed_point_numpy(*args)
-    assert (status, iters) == (-2, 0)
+    # Q = 0.25, lam = 0.2: Z = 1 - 1/0.2 = -4, so the first doubling's
+    # W = I + Z Q = 0 is singular before any doubling completes
+    p = steady_scalar(Q=0.25)
+    args = (p.A, p.B, p.G, p.Q, p.R, 0.2, p.Pf, 1e-12, 64)
+    status, doublings, _ = _kernels.fixed_point_numpy(*args)
+    assert (status, doublings) == (-2, 0)
     with pytest.raises(SingularM):
-        steady_riccati_fixed_point(p, 0.5)
+        steady_riccati_fixed_point(p, 0.2)
 
 
 def test_lqr_baseline_solves_dare(rng):
@@ -132,52 +135,46 @@ def test_lqr_baseline_solves_dare(rng):
         assert np.abs(lqr_baseline(p) - X).max() <= 1e-9 * np.abs(X).max()
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="compiled engine unavailable")
-def test_engines_agree(rng):
-    for _ in range(3):
-        p = make_problem(rng, n=2)
-        sol = solve_steady_state(p)
-        lam = sol.lambda_bar + 0.05
-        args = (p.A, p.B, p.G, p.Q, p.R, lam, p.Pf, 1e-12, 100_000)
-        status_np, _, Pi_np = _kernels.fixed_point_numpy(*args)
-        status_nb, _, Pi_nb = _kernels.fixed_point_compiled(*args)
-        assert status_np == status_nb == 0
-        assert np.abs(Pi_np - Pi_nb).max() <= 1e-10 * (1.0 + np.abs(Pi_np).max())
-
-
-def test_stalled_iteration_stops_early():
-    # lam = 0.6875 < 1 leaves the unit-coefficient map with no fixed point:
-    # the iteration keeps passing through the pole of M^{-1} and stops as
-    # stalled, far short of the iteration cap
+def test_no_fixed_point_stops_early():
+    # lam = 0.6875 < 1 leaves the unit-coefficient map with no real fixed
+    # point (Z X^2 - 0.2 Z X - 0.2 = 0 has a negative discriminant): the
+    # doubling must report it within its 64-doubling cap
     p = steady_scalar()
-    args = (p.A, p.B, p.G, p.Q, p.R, 0.6875, p.Pf, 1e-12, 100_000)
-    status, iters, _ = _kernels.fixed_point_numpy(*args)
-    assert status == 2
-    assert iters < 5_000
-    with pytest.raises(FixedPointDiverged, match="stalled"):
+    args = (p.A, p.B, p.G, p.Q, p.R, 0.6875, p.Pf, 1e-12, 64)
+    status, doublings, _ = _kernels.fixed_point_numpy(*args)
+    assert status != 0
+    assert doublings <= 64
+    with pytest.raises(FixedPointDiverged):
         steady_riccati_fixed_point(p, 0.6875)
+
+
+def test_indefinite_fixed_point_rejected():
+    # A = 2, lam = 0.5: the doubling converges to X = -2.7266, a root of
+    # X^2 + 2.8 X + 0.2 = 0 with a stable closed loop that would pass the
+    # slack test; a Riccati fixed point of the game must be PSD
+    with pytest.raises(FixedPointDiverged):
+        steady_riccati_fixed_point(steady_scalar(A=2.0), 0.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fixed_point_rejects_non_finite_multiplier(bad):
-    # rejected up front: the numpy engine's residual tests are all False
-    # on NaN, so it would run to its 100 000-iteration cap
+    # rejected up front: lam = inf is the LQR map, and NaN would read as
+    # divergence
     with pytest.raises(ValueError, match="not finite"):
         steady_riccati_fixed_point(steady_scalar(), bad)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_fixed_point_rejects_nonpositive_multiplier(bad):
-    # the numpy engine's Z = B R^{-1} B' - G G'/lam divides by it
+    # the doubling's Z = B R^{-1} B' - G G'/lam divides by it
     with pytest.raises(ValueError, match="positive"):
         steady_riccati_fixed_point(steady_scalar(), bad)
 
 
 def test_slow_escape_still_converges():
     # just above lam_bar = 4/9 of the A = 0.5 map, started next to its
-    # repelling fixed point: the residual sets no new minimum for thousands
-    # of steps while the iterate leaves that point, passes through the pole
-    # once and creeps to the attracting one, which it must still reach
+    # repelling fixed point: the probe must still return the attracting
+    # one, which iterates of the map reach only after passing the pole
     lam = 4.0 / 9.0 + 1e-5
     c = 1.0 - 1.0 / lam
     attracting, repelling = np.sort(np.roots([c, 0.75 - 0.2 * c, -0.2]).real)
@@ -242,6 +239,7 @@ def test_solution_invariants(rng):
 
 def test_search_counters_match_kernel_calls(rng, monkeypatch):
     # probes and fp_iterations count every fixed-point call of the search
+    # and its doublings
     calls = []
 
     def counted(*args):
@@ -249,7 +247,6 @@ def test_search_counters_match_kernel_calls(rng, monkeypatch):
         calls.append(out[1])
         return out
 
-    monkeypatch.setattr(steady_state, "HAVE_NUMBA", False)
     monkeypatch.setattr(steady_state, "fixed_point_numpy", counted)
     sol = solve_steady_state(make_problem(rng, n=3))
     assert sol.probes == len(calls) > 0
@@ -272,6 +269,15 @@ def _bank_system(rng, n):
 _SCALAR_SYSTEMS = [(1.0, 1.0, 1.0, 0.2, 1.0, 1.0), (0.9, 1.0, 0.5, 1.0, 2.0, 1.0),
                    (1.5, 2.0, 1.0, 0.5, 1.0, 0.5), (1.2, 1.0, 1.0, 1.0, 1.0, 1.0),
                    (0.3, 1.0, 2.0, 1.0, 1.0, 0.1)]
+
+
+def test_saddle_node_doublings():
+    # lambda_bar = 4/9 of the A = 0.5 map is a saddle-node: probes next to
+    # it converge only linearly, halving their error per doubling, and the
+    # map itself needs hundreds of thousands of steps over the search
+    sol = solve_steady_state(steady_scalar(A=0.5))
+    assert sol.lambda_bar == pytest.approx(4.0 / 9.0, abs=1e-8)
+    assert sol.fp_iterations <= 2_000
 
 
 def test_search_probe_count(rng):
