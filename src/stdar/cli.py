@@ -89,7 +89,7 @@ def cmd_finite(args) -> int:
         except RegulatorError as exc:
             failures += 1
             summary_rows.append([str(i)] + [_fmt(v) for v in x0]
-                                + ["", "", "", "", f'"{exc}"'])
+                                + [""] * 7 + [f'"{exc}"'])
             continue
         lams = sol.lam_star.lambdas
         sw = sol.sweep
@@ -104,10 +104,13 @@ def cmd_finite(args) -> int:
                    ["k"] + _pi_header(p.n) + ["lambda_k", "value"], rows)
         summary_rows.append([str(i)] + [_fmt(v) for v in x0]
                             + [_fmt(sol.value), _fmt(sol.grad_norm),
-                               str(sol.iterations), str(sol.converged), ""])
+                               str(sol.iterations), str(sol.converged),
+                               str(sol.stage_steps), str(sol.gradient_evals),
+                               str(sol.backtracks), ""])
     _write_csv(os.path.join(out, "finite_summary.csv"),
                ["i"] + [f"x0[{j}]" for j in range(p.n)]
-               + ["value", "grad_norm", "iterations", "converged", "error"],
+               + ["value", "grad_norm", "iterations", "converged",
+                  "stage_steps", "gradient_evals", "backtracks", "error"],
                summary_rows)
     if failures == len(x0s):
         print("all initial states failed", file=sys.stderr)

@@ -19,6 +19,18 @@ slack, s = 1, built in that same pass; a warm one projects its init in
 one margin pass and reads its slacks off it. No separate projection
 (riccati.project_feasible) runs on the way.
 
+A trial pass resumes from the sweep of the current point. Stage j of a
+slack pass depends only on Pi_{j+1} and s_j, so where a trial point
+agrees with the current one bit for bit on s_i..s_{N-k-1}, stages i and
+above are the same computation as in the current sweep: the pass copies
+them and steps only from the last changed slack down. With most
+multipliers at their bounds a step changes only the first few slacks,
+so a trial pass steps a few stages, not N - k. The result equals a full
+pass bit for bit. Only a sweep built from slacks can be resumed from: the
+cold start and every accepted trial. A warm start's pass set lam_j from
+raw values, for which b_j + eps_boundary + s_j need not equal lam_j bit
+for bit, so the first trial after it runs a full pass.
+
 Its gradient is exact: the reverse mode of the nested pass, one forward
 adjoint pass over the sweep. From X_0 = x x',
 
@@ -69,10 +81,12 @@ class MultiplierSolution:
     sweep is the backward sweep at lam_star that the solve ended on, equal
     bit for bit to sweep(p, lam_star): its K[0] gives the control and its
     Pi[1] and bounds[0] the worst-case disturbance, with no second sweep.
-    stage_steps, gradient_evals and backtracks count the solve's work: one
-    backward pass (N - k stage steps) at the start and per trial point, one
-    adjoint pass per accepted point and at the start, and the trial points
-    rejected by the Armijo test.
+    stage_steps, gradient_evals and backtracks count the solve's work:
+    the stage steps actually taken (N - k in the start pass, then those of
+    each trial pass, which resumes from the current sweep and steps only
+    the stages from the last slack it changes down), one adjoint pass per
+    accepted point and at the start, and the trial points rejected by the
+    Armijo test.
     """
 
     lam_star: MultiplierVector
@@ -109,13 +123,28 @@ def objective(p: ProblemData, lam, x, k: int = 0,
     return _phi(p, x, sw.lam, sw.Pi[0])
 
 
-def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
-                 tol: Tolerances) -> RiccatiSweep:
+def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances,
+                 base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int]:
     """Sweep at lambda_j = ||G'Pi_{j+1}G|| + eps_boundary + s_j, any s >= 0:
     the slack point s in one nested pass, whose bounds are the
-    ||G'Pi_{j+1}G|| the multipliers were built from."""
-    return _nested_pass(p, np.full(s.size, -np.inf), k, tol,
-                        tol.eps_boundary, s)
+    ||G'Pi_{j+1}G|| the multipliers were built from, and the number of
+    stage steps the pass took. The sweep records s as its _slack.
+
+    base is a sweep of the same program and stage k, or None. If base
+    has a _slack, the pass resumes from it (module docstring) and steps
+    only the stages from the last index where s and base._slack differ
+    down; otherwise (a warm start's pass) it runs full.
+    """
+    if not hasattr(base, "_slack"):
+        base = None
+    top = s.size
+    if base is not None:
+        changed = np.flatnonzero(s != base._slack)
+        top = int(changed[-1]) + 1 if changed.size else 0
+    sw = _nested_pass(p, np.full(s.size, -np.inf), k, tol, tol.eps_boundary,
+                      s, base=base, resume=top)
+    object.__setattr__(sw, "_slack", s)
+    return sw, top
 
 
 def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
@@ -178,8 +207,8 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             step = cand - s
             if float(np.abs(step).max()) == 0.0:
                 break
-            sw_c = _reconstruct(p, cand, k, tol)
-            stage_steps += sw_c.horizon()
+            sw_c, steps = _reconstruct(p, cand, k, tol, sw)
+            stage_steps += steps
             phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
             if phi_c <= phi + _ARMIJO_C * float(g @ step):
                 s_prev, g_prev = s, g
@@ -243,7 +272,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
 
     if init is None:
         s = np.ones(n_stage)
-        sw = _reconstruct(p, s, k, tol)
+        sw, _ = _reconstruct(p, s, k, tol)
     else:
         sw = _nested_pass(p, init, k, tol, tol.eps_boundary)
         s = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)

@@ -17,6 +17,14 @@ multiplier program's slack coordinates: before its stage step it may set
 lam_j = max(raw_j, b_j + margin) + s_j from the bound b_j of the stage,
 so a candidate is projected and swept together.
 
+Stage j's step reads only Pi_{j+1} and lam_j, and Pi_N = Pf is fixed,
+so a pass may resume from an earlier pass of the same program: where
+both take the same inputs (raw values, or slacks) at stages i and up,
+those stages repeat the earlier pass bit for bit. It copies their Pi, M,
+K, J, bounds and eigenvectors and steps only stages i-1..0, which are
+then bit for bit those of a full pass. The copies share the earlier
+pass's stage arrays; no code writes a stage array in place.
+
 Each stage forms two stacked products, with F = [B G A] built once per
 pass and E = [B G] its first m + q columns:
 
@@ -121,7 +129,8 @@ def _require_finite(lam: np.ndarray, k: int) -> None:
 
 def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
                  margin: float | None = None, slack=None,
-                 step0: bool = True) -> RiccatiSweep:
+                 step0: bool = True, base: RiccatiSweep | None = None,
+                 resume: int = 0) -> RiccatiSweep:
     """The backward recursion over len(raw) stages from Pi_N = Pf; k is
     the stage offset of the result, so raw covers stages k..N-1.
 
@@ -139,6 +148,10 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     Raises InfeasibleMultiplier where lam_j < b_j - eps_boundary. step0
     False skips stage 0's step, which near the bound can fail (Pi[0],
     M[0], K[0], J[0] None); else lam links weakly to the result and to p.
+
+    With base, a pass of the same program and offset whose stages resume
+    and up this pass would repeat (module docstring), those stages are
+    copied from base and only stages resume-1..0 are stepped.
     """
     lam = np.array(raw, dtype=float)
     n_stages = lam.shape[0]
@@ -152,8 +165,17 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     d = m + q
     F = np.hstack([p.B, p.G, p.A])
     E = F[:, :d]
-    S = Pi[n_stages] = p.Pf
-    for i in range(n_stages - 1, -1, -1):
+    Pi[n_stages] = p.Pf
+    top = n_stages
+    if base is not None:
+        top = resume
+        Pi[top:] = base.Pi[top:]
+        M[top:], K[top:], J[top:] = base.M[top:], base.K[top:], base.J[top:]
+        bounds[top:] = base.bounds[top:]
+        tops[top:] = base._tops[top:]
+        lam[top:] = base.lam.lambdas[top:]
+    S = Pi[top]
+    for i in range(top - 1, -1, -1):
         SF = S @ F
         T = E.T @ SF
         bounds[i], tops[i] = top_eigpair(T[m:, m:d])

@@ -4,11 +4,15 @@ benchmark/run.py builds its api namespace from API_NAMES, and
 benchmark/tracing.py wraps the functions named in TARGETS where the
 package's modules bind them. A name removed or renamed in the package
 breaks the benchmark, not the package's own tests, so these tests read
-both lists from benchmark/ and resolve them.
+both lists from benchmark/ and resolve them. One short run of the
+long_horizon workload checks that the harness runs end to end.
 """
 import ast
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,3 +91,16 @@ def test_traced_kernel_counts_match_steady_solution(rng):
         tracer.uninstall()
     assert metrics["kernels.fp_calls"][0] == sol.probes > 0
     assert metrics["kernels.fp_iterations"][0] == sol.fp_iterations > 0
+
+
+def test_long_horizon_run_is_correct():
+    # one short untraced run: every op solved and passing the checker
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "long_horizon",
+         "--seed", "0", "--seconds", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0
+    assert last["attempted"] > 0

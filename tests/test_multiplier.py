@@ -4,6 +4,7 @@ import sympy as sp
 
 from stdar import (MultiplierVector, ProblemData, objective,
                    project_feasible, solve_multipliers, sweep)
+from stdar import multiplier
 from stdar.multiplier import _reconstruct, _slack_gradient
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import (envelope_gradient, fd_gradient,
@@ -207,7 +208,7 @@ def test_optimality_certificate(rng, tol):
         s = np.maximum(sol.lam_star.lambdas - sw.bounds - 1e-9, 0.0)
         active = s <= 1e-7 * (1.0 + np.abs(sw.bounds))
         # the solver's slack rebuild, against the one written out above
-        assert _reconstruct(p, s, 0, tol).lam.lambdas == pytest.approx(
+        assert _reconstruct(p, s, 0, tol)[0].lam.lambdas == pytest.approx(
             lam_of_slack(p, s, tol), rel=1e-14, abs=0.0)
         scale = 1.0 + abs(sol.value)
         h = 1e-6
@@ -240,7 +241,7 @@ def test_slack_gradient_matches_central_differences(rng, tol):
     for _ in range(20):
         p = make_problem(rng)
         s = rng.uniform(0.05, 1.0, p.N)
-        g = _slack_gradient(p, _reconstruct(p, s, 0, tol), p.x0)
+        g = _slack_gradient(p, _reconstruct(p, s, 0, tol)[0], p.x0)
 
         def psi(sv):
             return objective(p, lam_of_slack(p, sv, tol), p.x0, tol=tol)
@@ -269,8 +270,8 @@ def test_isotropic_system_matches_scalar(tol, a, Pf):
                     alpha=alpha, x0=x)
     ps = scalar_problem(A=a, Pf=Pf, N=4, alpha=alpha, x0=r[0])
     for s in (np.zeros(4), np.array([0.0, 0.3, 0.0, 1.2])):
-        g = _slack_gradient(p, _reconstruct(p, s, 0, tol), x)
-        g_ref = _slack_gradient(ps, _reconstruct(ps, s, 0, tol), r)
+        g = _slack_gradient(p, _reconstruct(p, s, 0, tol)[0], x)
+        g_ref = _slack_gradient(ps, _reconstruct(ps, s, 0, tol)[0], r)
         assert g == pytest.approx(g_ref, rel=1e-9, abs=1e-12)
     ref = solve_multipliers(ps, r, tol=tol)
     sol = solve_multipliers(p, x, tol=tol)
@@ -318,6 +319,34 @@ def test_warm_start_accepted(rng, tol):
     warm = solve_multipliers(p, p.x0, init=cold.lam_star.lambdas, tol=tol)
     assert warm.value == pytest.approx(cold.value, rel=1e-9)
     assert warm.iterations <= cold.iterations
+
+
+def test_resume_leaves_solves_unchanged(rng, tol, monkeypatch):
+    # cold and warm solves end on the same point, value and step counts
+    # whether each trial pass resumes from the current sweep or runs full
+    def solves(p, x, scale):
+        cold = solve_multipliers(p, x, tol=tol)
+        init = scale * cold.lam_star.lambdas
+        return cold, solve_multipliers(p, -x, init=init, tol=tol)
+
+    cases = []
+    for _ in range(10):
+        p = make_problem(rng, N=int(rng.integers(4, 9)))
+        x = 2.0 * rng.standard_normal(p.n)
+        scale = rng.uniform(0.5, 2.0, p.N)
+        cases.append((p, x, scale, solves(p, x, scale)))
+    full = multiplier._reconstruct
+    monkeypatch.setattr(multiplier, "_reconstruct",
+                        lambda p, s, k, tol, base=None: full(p, s, k, tol))
+    saved = 0
+    for p, x, scale, resumed in cases:
+        for a, b in zip(resumed, solves(p, x, scale)):
+            assert np.array_equal(a.lam_star.lambdas, b.lam_star.lambdas)
+            assert a.value == b.value
+            assert (a.iterations, a.backtracks) == (b.iterations, b.backtracks)
+            assert a.stage_steps <= b.stage_steps
+            saved += b.stage_steps - a.stage_steps
+    assert saved > 0
 
 
 def test_gradient_modes(rng, tol):

@@ -180,10 +180,39 @@ def test_project_output_always_sweepable(rng, tol):
             # slacks at zero (bound active) and above it
             size = p.N - offset
             s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
-            passes.append((offset, _reconstruct(p, s, offset, tol)))
+            passes.append((offset, _reconstruct(p, s, offset, tol)[0]))
         for offset, one in passes:
             assert one.stage_offset == offset
             assert_same_sweep(one, sweep(p, fresh(one.lam), tol))  # must not raise
+
+
+def test_resumed_pass_matches_full_pass(rng, tol):
+    # a slack pass resumed from an earlier one steps only the stages from
+    # the last changed slack down, and equals the full pass of its slacks
+    # bit for bit, its link to itself included; a pass without recorded
+    # slacks (a warm start's) is never resumed from
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        m = int(rng.choice([v for v in (1, 2, 3) if v != n]))
+        p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)))
+        k = int(rng.integers(0, p.N))
+        size = p.N - k
+        s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
+        base, steps = _reconstruct(p, s, k, tol)
+        assert steps == size
+        warm = _nested_pass(p, base.lam.lambdas, k, tol, tol.eps_boundary)
+        for changed in ([0], [size - 1], [], list(range(size)),
+                        list(np.flatnonzero(rng.random(size) < 0.5))):
+            cand = s.copy()
+            cand[changed] += rng.uniform(0.01, 1.0, len(changed))
+            full, full_steps = _reconstruct(p, cand, k, tol)
+            one, steps = _reconstruct(p, cand, k, tol, base)
+            assert full_steps == size
+            assert steps == (max(changed) + 1 if changed else 0)
+            assert_same_sweep(one, full)
+            assert np.array_equal(one._tops, full._tops)
+            assert sweep(p, one.lam, tol) is one
+            assert _reconstruct(p, cand, k, tol, warm)[1] == size
 
 
 def test_sweep_reuses_linked_pass(rng, tol):

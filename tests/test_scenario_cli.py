@@ -116,6 +116,15 @@ def test_cli_finite_matches_library(tmp_path, capsys):
                 assert cells[2] == ""
     summary = (out / "finite_summary.csv").read_text().strip().split("\n")
     assert len(summary) == 3
+    assert summary[0] == ("i,x0[0],value,grad_norm,iterations,converged,"
+                          "stage_steps,gradient_evals,backtracks,error")
+    for i, x0 in enumerate([np.array([0.0]), np.array([1.0])]):
+        sol = solve_multipliers(p, x0, tol=Tolerances())
+        cells = summary[i + 1].split(",")
+        assert float(cells[2]) == sol.value
+        assert cells[4:] == [str(sol.iterations), str(sol.converged),
+                             str(sol.stage_steps), str(sol.gradient_evals),
+                             str(sol.backtracks), ""]
     assert summary[1].split(",")[5] == "True"
 
 
