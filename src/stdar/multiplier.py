@@ -20,16 +20,16 @@ one margin pass and reads its slacks off it. No separate projection
 (riccati.project_feasible) runs on the way.
 
 A trial pass resumes from the sweep of the current point. Stage j of a
-slack pass depends only on Pi_{j+1} and s_j, so where a trial point
-agrees with the current one bit for bit on s_i..s_{N-k-1}, stages i and
-above are the same computation as in the current sweep: the pass copies
-them and steps only from the last changed slack down. With most
+slack pass reads only Pi_{j+1} and lam_j = (b_j + eps_boundary) + s_j,
+and b_j is a function of Pi_{j+1}. So by induction from Pi_N = Pf,
+stages i and above repeat the current sweep wherever that float sum
+equals its lam_j bit for bit for every j >= i: the pass copies them and
+steps only from the last stage where it differs down. With most
 multipliers at their bounds a step changes only the first few slacks,
 so a trial pass steps a few stages, not N - k. The result equals a full
-pass bit for bit. Only a sweep built from slacks can be resumed from: the
-cold start and every accepted trial. A warm start's pass set lam_j from
-raw values, for which b_j + eps_boundary + s_j need not equal lam_j bit
-for bit, so the first trial after it runs a full pass.
+pass bit for bit. The rule reads only the sweep's bounds and
+multipliers, so any pass is a base, a warm start's pass built from raw
+multipliers included.
 
 Its gradient is exact: the reverse mode of the nested pass, one forward
 adjoint pass over the sweep. From X_0 = x x',
@@ -84,7 +84,7 @@ class MultiplierSolution:
     stage_steps, gradient_evals and backtracks count the solve's work:
     the stage steps actually taken (N - k in the start pass, then those of
     each trial pass, which resumes from the current sweep and steps only
-    the stages from the last slack it changes down), one adjoint pass per
+    the stages from the last multiplier it changes down), one adjoint pass per
     accepted point and at the start, and the trial points rejected by the
     Armijo test.
     """
@@ -99,7 +99,7 @@ class MultiplierSolution:
     stage_steps: int
     gradient_evals: int
     backtracks: int
-    gradient_mode: str = "envelope"  # or "corner" at x = 0
+    gradient_mode: str = "envelope"  # the one mode; kept for callers that read it
 
 
 def _wrap(p: ProblemData, lam, k: int) -> MultiplierVector:
@@ -128,22 +128,20 @@ def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances,
     """Sweep at lambda_j = ||G'Pi_{j+1}G|| + eps_boundary + s_j, any s >= 0:
     the slack point s in one nested pass, whose bounds are the
     ||G'Pi_{j+1}G|| the multipliers were built from, and the number of
-    stage steps the pass took. The sweep records s as its _slack.
+    stage steps the pass took.
 
-    base is a sweep of the same program and stage k, or None. If base
-    has a _slack, the pass resumes from it (module docstring) and steps
-    only the stages from the last index where s and base._slack differ
-    down; otherwise (a warm start's pass) it runs full.
+    base is a sweep of the same program and stage k, or None. With a
+    base the pass resumes from it (module docstring) and steps only the
+    stages from the last index where base.bounds + eps_boundary + s
+    differs from base's multipliers down.
     """
-    if not hasattr(base, "_slack"):
-        base = None
     top = s.size
     if base is not None:
-        changed = np.flatnonzero(s != base._slack)
+        changed = np.flatnonzero(base.bounds + tol.eps_boundary + s
+                                 != base.lam.lambdas)
         top = int(changed[-1]) + 1 if changed.size else 0
     sw = _nested_pass(p, np.full(s.size, -np.inf), k, tol, tol.eps_boundary,
                       s, base=base, resume=top)
-    object.__setattr__(sw, "_slack", s)
     return sw, top
 
 
@@ -241,16 +239,18 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     module docstring, from init (raw multipliers, projected onto the
     feasible set; a non-finite one raises InfeasibleMultiplier) or from
     unit slack, driven by the exact adjoint gradient.
-    gradient_mode accepts "auto" and "envelope", which both select it, and
-    the solution reports "envelope". At x = 0 the objective is minimized at
-    the projected lower corner; that solution is returned directly and
-    reports "corner". grad_norm is the projected-gradient norm in the
-    slacks. The solution carries the sweep at lam_star that the solve built.
+    Every state, x = 0 included, takes this one path. gradient_mode
+    accepts "auto" and "envelope", which both select it, and the solution
+    reports "envelope". grad_norm is the projected-gradient norm in the
+    slacks. The solution carries the sweep at lam_star that the solve
+    built. A state of the wrong size or not finite raises ValueError.
     """
     tol = tol or Tolerances()
     x = np.asarray(x, dtype=float).ravel()
     if x.size != p.n:
         raise ValueError(f"state has size {x.size}, expected {p.n}")
+    if not np.isfinite(x).all():
+        raise ValueError("state is not finite")
     if not 0 <= k < p.N:
         raise ValueError(f"stage {k} outside horizon {p.N}")
     if gradient_mode not in ("auto", "envelope"):
@@ -261,14 +261,6 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         if init.size != n_stage:
             raise ValueError(f"init has size {init.size}, expected {n_stage}")
         _require_finite(init, k)
-
-    if float(x @ x) == 0.0:
-        sw = _nested_pass(p, np.zeros(n_stage), k, tol, tol.eps_boundary)
-        return MultiplierSolution(
-            lam_star=sw.lam, value=_phi(p, x, sw.lam, sw.Pi[0]), grad_norm=0.0,
-            boundary_flags=np.ones(n_stage, dtype=bool), iterations=0,
-            converged=True, sweep=sw, stage_steps=n_stage, gradient_evals=0,
-            backtracks=0, gradient_mode="corner")
 
     if init is None:
         s = np.ones(n_stage)

@@ -32,16 +32,17 @@ def test_value_recomputes_from_fresh_sweep(rng, tol):
 
 def test_solution_carries_its_sweep(rng, tol):
     # the sweep a solve ends on is the sweep at its optimum, bit for bit:
-    # cold at k = 0, warm-started at k > 0, and the x = 0 corner
+    # cold at k = 0, warm-started at k > 0, and at x = 0, which takes the
+    # same descent as any other state
     for _ in range(5):
         p = make_problem(rng)
         k = int(rng.integers(1, p.N))
         cold = solve_multipliers(p, p.x0, tol=tol)
         warm = solve_multipliers(p, rng.standard_normal(p.n), k=k,
                                  init=cold.lam_star.lambdas[k:], tol=tol)
-        corner = solve_multipliers(p, np.zeros(p.n), k=k, tol=tol)
-        assert corner.gradient_mode == "corner"
-        for sol in (cold, warm, corner):
+        origin = solve_multipliers(p, np.zeros(p.n), k=k, tol=tol)
+        assert origin.gradient_mode == "envelope"
+        for sol in (cold, warm, origin):
             assert_same_sweep(sol.sweep, sweep(p, fresh(sol.lam_star), tol))
 
 
@@ -56,16 +57,36 @@ def test_origin_gradient_is_alpha_ratio(tol):
     assert g_fd == pytest.approx(expect, abs=1e-9)
 
 
-def test_origin_solution_is_lower_corner(tol):
+def test_origin_solution_is_the_minimum(rng, tol):
+    # at x = 0 the lower corner (every multiplier at its nested bound) is
+    # not the minimum in general: the solve takes the same descent as at
+    # any other state, and its value matches the two-stage closed form
     p = scalar_problem(N=4, Pf=1.0, alpha=[1.0, 0.5, 2.0, 1.0])
     sol = solve_multipliers(p, np.zeros(1), tol=tol)
     corner = project_feasible(p, np.zeros(4), tol=tol)
-    assert np.array_equal(sol.lam_star.lambdas, corner.lambdas)
+    corner_value = float(p.alpha @ corner.lambdas) / (2.0 * p.alpha.sum())
+    assert corner_value == pytest.approx(0.577778, abs=1e-6)
     assert sol.converged
-    assert sol.iterations == 0
-    expect = float(p.alpha @ corner.lambdas) / (2.0 * p.alpha.sum())
-    assert sol.value == pytest.approx(expect, rel=1e-14)
-    assert all(sol.boundary_flags)
+    assert sol.value < corner_value - 1e-3
+    assert sol.value == objective(p, fresh(sol.lam_star), np.zeros(1), tol=tol)
+    assert not all(sol.boundary_flags)
+    for _ in range(10):
+        p = make_problem(rng, N=2)
+        x = np.zeros(p.n)
+        sol = solve_multipliers(p, x, tol=tol)
+        cf = two_stage_value(p.A, p.B, p.G, p.Q, p.R, p.Pf,
+                             float(p.alpha[0]), float(p.alpha[1]), x)
+        assert sol.converged
+        assert sol.value == pytest.approx(cf, abs=1e-7 * (1 + abs(cf)))
+
+
+def test_non_finite_state_rejected(rng, tol):
+    p = make_problem(rng)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = p.x0.copy()
+        x[-1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            solve_multipliers(p, x, tol=tol)
 
 
 def minmax_from_single_stage(p, x):

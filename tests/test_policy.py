@@ -28,12 +28,13 @@ def test_control_at_rejects_stage_mismatch(rng, tol):
 
 def test_online_decision_stage_steps(rng, tol, monkeypatch):
     # a stage-k solve, cold or warm, steps through its tail once before the
-    # descent and runs no projection pass; a trial pass resumed from a
-    # slack pass steps only the stages from the last slack it changes
-    # down, any other trial pass the whole tail. The solve counts that
-    # work; the decision's control and disturbance take no stage step
+    # descent and runs no projection pass; every trial pass resumes from
+    # the current pass, a warm start's included, and steps only the
+    # stages from the last one where bounds + eps_boundary + slack
+    # differs from its multiplier down. The solve counts that work; the
+    # decision's control and disturbance take no stage step
     steps, at_descent, grads, backtracks = [], [], [], []
-    built, trial_steps, fewer = {}, [], []
+    trial_steps, fewer = [], {"cold": [], "warm": []}
     step, descend = riccati._stage_step, multiplier._descend
     gradient, reconstruct = multiplier._slack_gradient, multiplier._reconstruct
     monkeypatch.setattr(riccati, "_stage_step",
@@ -48,23 +49,17 @@ def test_online_decision_stage_steps(rng, tol, monkeypatch):
                             raising=False)
 
     def traced_reconstruct(p, s, k, tol, base=None):
-        # every slack pass by the slack point it was built from, held
-        # alive so that no later sweep takes its id
-        if base is not None and id(base) not in built:  # a warm start's pass
-            trial_steps.append(s.size)
-        elif base is not None:
-            changed = np.flatnonzero(s != built[id(base)][1])
+        if base is not None:
+            changed = np.flatnonzero(base.bounds + tol.eps_boundary + s
+                                     != base.lam.lambdas)
             trial_steps.append(int(changed[-1]) + 1 if changed.size else 0)
-        sw, n_steps = reconstruct(p, s, k, tol, base)
-        built[id(sw)] = (sw, s.copy())
-        return sw, n_steps
+        return reconstruct(p, s, k, tol, base)
 
     monkeypatch.setattr(multiplier, "_reconstruct", traced_reconstruct)
 
     def solve(p, x, k, init):
         for log in (steps, at_descent, grads, trial_steps):
             log.clear()
-        built.clear()
         sol = solve_multipliers(p, x, k=k, init=init, tol=tol)
         assert at_descent == [p.N - k]
         trials = sol.iterations + sol.backtracks
@@ -72,8 +67,8 @@ def test_online_decision_stage_steps(rng, tol, monkeypatch):
         assert sol.stage_steps == len(steps) == p.N - k + sum(trial_steps)
         assert sol.gradient_evals == len(grads) == 1 + sol.iterations
         backtracks.append(sol.backtracks)
-        if init is None:
-            fewer.append(sol.stage_steps < (p.N - k) * (1 + trials))
+        fewer["cold" if init is None else "warm"].append(
+            sol.stage_steps < (p.N - k) * (1 + trials))
         return sol
 
     for _ in range(5):
@@ -87,7 +82,8 @@ def test_online_decision_stage_steps(rng, tol, monkeypatch):
         worst_disturbance_at(p, x, k, sol.lam_star, u, tol)
         assert len(steps) == in_solve
     assert max(backtracks) > 0
-    assert any(fewer)  # resumed trial passes step fewer stages
+    # resumed trial passes step fewer stages, cold and warm
+    assert any(fewer["cold"]) and any(fewer["warm"])
 
 
 def test_single_stage_policy_matches_minmax(rng, tol):

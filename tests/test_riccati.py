@@ -187,10 +187,13 @@ def test_project_output_always_sweepable(rng, tol):
 
 
 def test_resumed_pass_matches_full_pass(rng, tol):
-    # a slack pass resumed from an earlier one steps only the stages from
-    # the last changed slack down, and equals the full pass of its slacks
-    # bit for bit, its link to itself included; a pass without recorded
-    # slacks (a warm start's) is never resumed from
+    # a slack pass resumed from an earlier pass steps only the stages from
+    # the last one where bounds + eps_boundary + slack differs from the
+    # earlier multiplier down, and equals the full pass of its slacks bit
+    # for bit, its link to itself included. The earlier pass may be a
+    # slack pass, where that is the last changed slack, or a warm start's
+    # pass from raw multipliers
+    warm_resumed = 0
     for _ in range(200):
         n = int(rng.integers(1, 4))
         m = int(rng.choice([v for v in (1, 2, 3) if v != n]))
@@ -200,19 +203,29 @@ def test_resumed_pass_matches_full_pass(rng, tol):
         s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
         base, steps = _reconstruct(p, s, k, tol)
         assert steps == size
-        warm = _nested_pass(p, base.lam.lambdas, k, tol, tol.eps_boundary)
+        warm = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol,
+                            tol.eps_boundary)
+        s_warm = np.maximum(warm.lam.lambdas - warm.bounds - tol.eps_boundary,
+                            0.0)
         for changed in ([0], [size - 1], [], list(range(size)),
                         list(np.flatnonzero(rng.random(size) < 0.5))):
-            cand = s.copy()
-            cand[changed] += rng.uniform(0.01, 1.0, len(changed))
-            full, full_steps = _reconstruct(p, cand, k, tol)
-            one, steps = _reconstruct(p, cand, k, tol, base)
-            assert full_steps == size
-            assert steps == (max(changed) + 1 if changed else 0)
-            assert_same_sweep(one, full)
-            assert np.array_equal(one._tops, full._tops)
-            assert sweep(p, one.lam, tol) is one
-            assert _reconstruct(p, cand, k, tol, warm)[1] == size
+            for start, s0 in ((base, s), (warm, s_warm)):
+                cand = s0.copy()
+                cand[changed] += rng.uniform(0.01, 1.0, len(changed))
+                full, full_steps = _reconstruct(p, cand, k, tol)
+                one, steps = _reconstruct(p, cand, k, tol, start)
+                differ = np.flatnonzero(start.bounds + tol.eps_boundary + cand
+                                        != start.lam.lambdas)
+                assert full_steps == size
+                assert steps == (differ[-1] + 1 if differ.size else 0)
+                if start is base:
+                    assert steps == (max(changed) + 1 if changed else 0)
+                else:
+                    warm_resumed += steps < size
+                assert_same_sweep(one, full)
+                assert np.array_equal(one._tops, full._tops)
+                assert sweep(p, one.lam, tol) is one
+    assert warm_resumed > 0
 
 
 def test_sweep_reuses_linked_pass(rng, tol):
