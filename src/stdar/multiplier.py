@@ -14,10 +14,13 @@ backward pass of riccati (raw = -inf) sets lambda_j = b_j + eps_boundary
 already set. There the feasible set is the nonnegative orthant, box
 projection is exact and the projected gradient vanishes at the optimum.
 One projected-gradient loop (Barzilai-Borwein step, Armijo backtracking)
-runs in these coordinates from the start. A cold solve starts at unit
-slack, s = 1, built in that same pass; a warm one projects its init in
-one margin pass and reads its slacks off it. No separate projection
-(riccati.project_feasible) runs on the way.
+runs in these coordinates from the start. A cold solve starts at the
+lower corner s = 0, where most multipliers of an optimum sit, built in
+that same pass; a warm one projects its init in one margin pass and
+reads its slacks off it. No separate projection
+(riccati.project_feasible) runs on the way. The first trial moves no
+slack by more than 1: at the corner an interior stage's gradient can be
+in the hundreds.
 
 A trial pass resumes from the sweep of the current point. Stage j of a
 slack pass reads only Pi_{j+1} and lam_j = (b_j + eps_boundary) + s_j,
@@ -40,7 +43,9 @@ adjoint pass over the sweep. From X_0 = x x',
 
 with Acl_j = A - BK_j - GJ_j and v_j a unit top eigenvector of
 G'Pi_{j+1}G, which the nested pass took with the bound (v_j = 1 for
-q = 1), so the adjoint pass forms no G'Pi G and takes no eigh. X_j is
+q = 1), so the adjoint pass forms no G'Pi G and takes no eigh. Every
+Acl_j and J_j'J_j comes from one batched product over the [K_j; J_j]
+the pass keeps stacked. X_j is
 2 alpha_bar dphi/dPi_j and g_j is 2 alpha_bar dphi/dlambda_j with
 Pi_{j+1} held; the second term of X_{j+1} carries lambda_j's dependence
 on Pi_{j+1} through its bound. Where that
@@ -148,16 +153,18 @@ def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances,
 def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
     """Exact gradient of phi in the slack coordinates at the sweep sw, by
     the forward adjoint pass of the module docstring."""
-    k = sw.stage_offset
+    alpha = p.alpha[sw.stage_offset:]
     g = np.zeros(sw.horizon())
     X = np.outer(x, x)
+    Acl = p.A - np.hstack([p.B, p.G]) @ sw._kj
+    J = sw._kj[:, p.m:]
+    JJ = (J.transpose(0, 2, 1) @ J).reshape(g.size, -1)
     Gv = sw._tops @ p.G.T                # row j: G v_j, the pass's eigenvector
     GG = Gv[:, :, None] * Gv[:, None, :]  # (G v_j)(G v_j)' of every stage
     for j in range(g.size):
-        J = sw.J[j]
-        g[j] = p.alpha[k + j] - float(np.sum((J @ X) * J))
-        Acl = p.A - p.B @ sw.K[j] - p.G @ J
-        X = Acl @ X @ Acl.T + g[j] * GG[j]
+        gj = alpha[j] - JJ[j].dot(X.ravel())
+        X = Acl[j].dot(X).dot(Acl[j].T) + gj * GG[j]
+        g[j] = gj
     return g / (2.0 * p.alpha_bar)
 
 
@@ -187,7 +194,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     phi = _phi(p, x, sw.lam, sw.Pi[0])
     g = _slack_gradient(p, sw, x)
     stage_steps, gradient_evals, backtracks = sw.horizon(), 1, 0
-    t = 1.0
+    t = 1.0 / max(1.0, float(np.abs(np.maximum(s - g, 0.0) - s).max()))
     s_prev = g_prev = None
     converged = False
     iterations = 0
@@ -238,7 +245,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     The projected-gradient loop runs in the slack coordinates of the
     module docstring, from init (raw multipliers, projected onto the
     feasible set; a non-finite one raises InfeasibleMultiplier) or from
-    unit slack, driven by the exact adjoint gradient.
+    the lower corner, zero slack, driven by the exact adjoint gradient.
     Every state, x = 0 included, takes this one path. gradient_mode
     accepts "auto" and "envelope", which both select it, and the solution
     reports "envelope". grad_norm is the projected-gradient norm in the
@@ -263,7 +270,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         _require_finite(init, k)
 
     if init is None:
-        s = np.ones(n_stage)
+        s = np.zeros(n_stage)
         sw, _ = _reconstruct(p, s, k, tol)
     else:
         sw = _nested_pass(p, init, k, tol, tol.eps_boundary)

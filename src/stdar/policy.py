@@ -24,9 +24,10 @@ class Trajectory:
     """Closed-loop record over one horizon.
 
     multipliers[k] is the head multiplier of the stage-k re-solve;
-    stage_values[k] the stage-k program value at x_k. value_ratio is the
-    realized cost over the realized disturbance energy (nan if the
-    denominator vanishes).
+    stage_values[k] the stage-k program value at x_k; iterations[k] and
+    stage_steps[k] that re-solve's descent iterations and stage steps, as
+    its MultiplierSolution reports them. value_ratio is the realized cost
+    over the realized disturbance energy (nan if the denominator vanishes).
     """
 
     states: np.ndarray        # (N+1, n)
@@ -38,6 +39,8 @@ class Trajectory:
     value_ratio: float
     stage_values: np.ndarray  # (N,)
     converged: bool
+    iterations: np.ndarray    # (N,) int
+    stage_steps: np.ndarray   # (N,) int
 
     @property
     def total_cost(self) -> float:
@@ -50,7 +53,7 @@ class Trajectory:
         q = self.disturbances.shape[1]
         cols = (["k"] + [f"x[{i}]" for i in range(n)]
                 + [f"u[{i}]" for i in range(m)] + [f"w[{i}]" for i in range(q)]
-                + ["lambda_k", "stage_cost"])
+                + ["lambda_k", "stage_cost", "iterations", "stage_steps"])
         fmt = lambda v: f"{v:.17g}"
         lines = [",".join(cols)]
         N = self.controls.shape[0]
@@ -58,10 +61,11 @@ class Trajectory:
             row = ([str(k)] + [fmt(v) for v in self.states[k]]
                    + [fmt(v) for v in self.controls[k]]
                    + [fmt(v) for v in self.disturbances[k]]
-                   + [fmt(self.multipliers[k]), fmt(self.stage_costs[k])])
+                   + [fmt(self.multipliers[k]), fmt(self.stage_costs[k]),
+                      str(self.iterations[k]), str(self.stage_steps[k])])
             lines.append(",".join(row))
         tail = ([str(N)] + [fmt(v) for v in self.states[N]]
-                + [""] * (m + q) + ["", fmt(self.terminal_cost)])
+                + [""] * (m + q) + ["", fmt(self.terminal_cost), "", ""])
         lines.append(",".join(tail))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -160,6 +164,8 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     multipliers = np.zeros(p.N)
     stage_costs = np.zeros(p.N)
     stage_values = np.zeros(p.N)
+    iterations = np.zeros(p.N, dtype=int)
+    stage_steps = np.zeros(p.N, dtype=int)
     states[0] = x
     warm = None
     all_converged = True
@@ -179,6 +185,8 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
         multipliers[k] = sol.lam_star.lambdas[0]
         stage_costs[k] = p.stage_cost(x, u)
         stage_values[k] = sol.value
+        iterations[k] = sol.iterations
+        stage_steps[k] = sol.stage_steps
         x = p.A @ x + p.B @ u + p.G @ w
         states[k + 1] = x
         warm = sol.lam_star.lambdas[1:] if k < p.N - 1 else None
@@ -191,4 +199,5 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
                       disturbances=disturbances, multipliers=multipliers,
                       stage_costs=stage_costs, terminal_cost=terminal,
                       value_ratio=ratio, stage_values=stage_values,
-                      converged=all_converged)
+                      converged=all_converged, iterations=iterations,
+                      stage_steps=stage_steps)

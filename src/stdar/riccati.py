@@ -137,8 +137,8 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     Each stage j takes G'Pi_{j+1}G from its stacked product T and its top
     eigenvalue b_j (for q > 1 from eigh), which is the sweep's bounds[j],
     with a unit top eigenvector v_j (1 where q = 1) that it keeps in the
-    sweep's private _tops (row j) for the multiplier program's adjoint
-    pass. With margin
+    sweep's private _tops (row j), and the gains [K_j; J_j] stacked in its
+    private _kj, both for the multiplier program's adjoint pass. With margin
     None the multipliers are raw as given. Otherwise stage j first sets
 
         lam_j = max(raw_j, b_j + margin) + slack_j,
@@ -163,6 +163,7 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     tops = np.empty((n_stages, p.q))
     m, q = p.m, p.q
     d = m + q
+    kj = np.empty((n_stages, d, p.n))
     F = np.hstack([p.B, p.G, p.A])
     E = F[:, :d]
     Pi[n_stages] = p.Pf
@@ -173,6 +174,7 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
         M[top:], K[top:], J[top:] = base.M[top:], base.K[top:], base.J[top:]
         bounds[top:] = base.bounds[top:]
         tops[top:] = base._tops[top:]
+        kj[top:] = base._kj[top:]
         lam[top:] = base.lam.lambdas[top:]
     S = Pi[top]
     for i in range(top - 1, -1, -1):
@@ -189,10 +191,11 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
                 f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
         if i > 0 or step0:
             S, M[i], K[i], J[i] = _stage_step(p, SF, T, float(lam[i]))
-            Pi[i] = S
+            Pi[i], kj[i, :m], kj[i, m:] = S, K[i], J[i]
     sw = RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
                       lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
     object.__setattr__(sw, "_tops", tops)
+    object.__setattr__(sw, "_kj", kj)
     if step0:
         object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))
     return sw

@@ -6,7 +6,9 @@ calling the package, so tests compare two routes to the same quantity.
 The gradient oracles (`fd_gradient`, `envelope_gradient`) and the Riccati
 identity check (`receq_crosscheck`) take the package's public `sweep` and
 `project_feasible` as given and check what the solver builds on them: its
-exact adjoint gradient and the sweep's gains. `game_map_reference` is the
+exact adjoint gradient and the sweep's gains. `slack_gradient_reference`
+is that adjoint pass written one stage at a time, against which the
+solver's batched form is checked. `game_map_reference` is the
 steady-state game Riccati map in its block form, against which the
 package's n x n form is checked, and `stage_step_reference` is one step of
 the finite-horizon recursion in the same block form, against which the
@@ -297,6 +299,26 @@ def envelope_gradient(p, lam, x, k=0, tol=None):
         g[j] = (p.alpha[k + j] - float(w @ w)) / (2.0 * abar)
         x = p.A @ x - p.B @ (sw.K[j] @ x) + p.G @ w
     return g
+
+
+def slack_gradient_reference(p, sw, x):
+    """The multiplier program's slack gradient at the sweep sw by the
+    forward adjoint pass written stage by stage: Acl_j and J_j'J_j are
+    formed inside the loop from the sweep's K_j, J_j and top eigenvectors
+    v_j (sw._tops), one stage at a time.
+
+        g_j = alpha_j - <X_j, J_j'J_j>,  X_{j+1} = Acl_j X_j Acl_j' + g_j (G v_j)(G v_j)'
+    """
+    k = sw.stage_offset
+    g = np.zeros(sw.horizon())
+    X = np.outer(x, x)
+    Gv = sw._tops @ p.G.T
+    for j in range(g.size):
+        J = sw.J[j]
+        g[j] = p.alpha[k + j] - float(np.sum((J @ X) * J))
+        Acl = p.A - p.B @ sw.K[j] - p.G @ J
+        X = Acl @ X @ Acl.T + g[j] * np.outer(Gv[j], Gv[j])
+    return g / (2.0 * p.alpha_bar)
 
 
 def fd_gradient(p, lam, x, k=0, tol=None, step=1e-6):

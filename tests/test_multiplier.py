@@ -6,9 +6,11 @@ from stdar import (MultiplierVector, ProblemData, objective,
                    project_feasible, solve_multipliers, sweep)
 from stdar import multiplier
 from stdar.multiplier import _reconstruct, _slack_gradient
+from stdar.riccati import _nested_pass
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import (envelope_gradient, fd_gradient,
-                     grid_minmax_two_stage_scalar, two_stage_value)
+                     grid_minmax_two_stage_scalar, slack_gradient_reference,
+                     two_stage_value)
 from sphere_oracle import BlockSaddle, solve_constrained_minmax
 
 
@@ -67,6 +69,7 @@ def test_origin_solution_is_the_minimum(rng, tol):
     corner_value = float(p.alpha @ corner.lambdas) / (2.0 * p.alpha.sum())
     assert corner_value == pytest.approx(0.577778, abs=1e-6)
     assert sol.converged
+    assert sol.value == pytest.approx(0.567087, abs=1e-6)
     assert sol.value < corner_value - 1e-3
     assert sol.value == objective(p, fresh(sol.lam_star), np.zeros(1), tol=tol)
     assert not all(sol.boundary_flags)
@@ -326,12 +329,90 @@ def test_shrinking_horizon_consistency(rng, tol):
             sol0.lam_star.lambdas[1:], abs=1e-6 * (1 + sol0.lam_star.lambdas.max()))
 
 
-def test_max_iterations_returns_best_iterate(rng, tol):
-    p = make_problem(rng, n=3, m=2, q=2, N=5)
-    sol = solve_multipliers(p, 3.0 * p.x0, tol=tol, max_iter=1)
+def corner_gradient(p, x, k, tol):
+    # the slack gradient at the cold start, the lower corner s = 0, and
+    # its projected norm there, min(g, 0)
+    sw = _reconstruct(p, np.zeros(p.N - k), k, tol)[0]
+    g = _slack_gradient(p, sw, x)
+    return g, float(np.linalg.norm(np.minimum(g, 0.0))), sw
+
+
+def test_max_iterations_returns_best_iterate(tol):
+    # the paper's scalar system at x = 0: its lower corner is not optimal
+    # (test_origin_solution_is_the_minimum), so the cold solve, which
+    # starts there, must step
+    p = scalar_problem(N=4, Pf=1.0, alpha=[1.0, 0.5, 2.0, 1.0])
+    x = np.zeros(1)
+    assert corner_gradient(p, x, 0, tol)[1] > 1e-3
+    sol = solve_multipliers(p, x, tol=tol, max_iter=1)
     assert not sol.converged
     assert sol.iterations >= 1
     assert np.isfinite(sol.value)
+
+
+def test_cold_solve_ends_at_an_optimal_corner(rng, tol):
+    # a cold solve starts at the lower corner s = 0; where the projected
+    # gradient already vanishes there, it ends after its start pass and
+    # one gradient, on the corner itself
+    p = make_problem(rng, n=3, m=2, q=2, N=5)
+    x = 3.0 * p.x0
+    for k in (0, 2):
+        _, pgn, corner = corner_gradient(p, x, k, tol)
+        assert pgn == 0.0  # g >= 0 at every stage
+        sol = solve_multipliers(p, x, k=k, tol=tol)
+        assert sol.converged
+        assert (sol.iterations, sol.stage_steps, sol.gradient_evals,
+                sol.backtracks) == (0, p.N - k, 1, 0)
+        assert np.array_equal(sol.lam_star.lambdas, corner.lam.lambdas)
+        assert all(sol.boundary_flags)
+
+
+def test_first_trial_moves_no_slack_by_more_than_one(tol, monkeypatch):
+    # all multipliers interior (small B and G): at the corner the stage-0
+    # slack gradient is about -490, and a unit first step would move that
+    # slack 490 from its optimum; the first trial is capped at 1
+    p = scalar_problem(A=0.063, B=-0.132, G=-0.042, Q=1, R=1, Pf=1, N=5,
+                       alpha=1.0, x0=1.0)
+    g = corner_gradient(p, p.x0, 0, tol)[0]
+    assert g.min() < -100.0
+    trials = []
+    full = multiplier._reconstruct
+
+    def record(p, s, k, tol, base=None):
+        if base is not None:
+            trials.append(s.copy())
+        return full(p, s, k, tol, base)
+
+    monkeypatch.setattr(multiplier, "_reconstruct", record)
+    sol = solve_multipliers(p, p.x0, tol=tol)
+    assert sol.converged
+    assert np.abs(trials[0]).max() == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(trials[0] > 0.0, g < 0.0)
+
+
+def test_slack_gradient_matches_stagewise_reference(rng, tol):
+    # the batched adjoint pass against the same pass written stage by
+    # stage, on cold slack passes, warm starts' passes from raw multipliers
+    # and trial passes resumed from either
+    for i in range(200):
+        n = int(rng.integers(1, 4))
+        m = int(rng.choice([v for v in (1, 2, 3) if v != n]))
+        p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)),
+                         N=int(rng.integers(1, 9)))
+        k = int(rng.integers(0, p.N))
+        size = p.N - k
+        s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
+        sw = (_reconstruct(p, s, k, tol)[0] if i % 2 == 0 else
+              _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol,
+                           tol.eps_boundary))
+        if i % 4 >= 2:
+            cand = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
+            cand[rng.integers(0, size)] += rng.uniform(0.01, 1.0)
+            sw = _reconstruct(p, cand, k, tol, sw)[0]
+        x = rng.uniform(0.1, 3.0) * rng.standard_normal(p.n)
+        g = _slack_gradient(p, sw, x)
+        ref = slack_gradient_reference(p, sw, x)
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_warm_start_accepted(rng, tol):

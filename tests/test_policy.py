@@ -227,24 +227,44 @@ def test_trajectory_csv_round_trip(rng, tol, tmp_path):
         rows = list(csv.reader(fh))
     header = (["k"] + [f"x[{i}]" for i in range(p.n)]
               + [f"u[{i}]" for i in range(p.m)]
-              + [f"w[{i}]" for i in range(p.q)] + ["lambda_k", "stage_cost"])
+              + [f"w[{i}]" for i in range(p.q)]
+              + ["lambda_k", "stage_cost", "iterations", "stage_steps"])
     assert rows[0] == header
     assert len(rows) == p.N + 2
     for k in range(p.N):
         vals = rows[k + 1]
         assert int(vals[0]) == k
         # %.17g survives the float round trip bit for bit
-        back = np.array([float(v) for v in vals[1:]])
+        back = np.array([float(v) for v in vals[1:-2]])
         ref = np.concatenate([traj.states[k], traj.controls[k],
                               traj.disturbances[k],
                               [traj.multipliers[k], traj.stage_costs[k]]])
         assert np.array_equal(back, ref)
-    tail = rows[p.N + 1]
-    assert int(tail[0]) == p.N
-    assert np.array_equal(np.array([float(v) for v in tail[1:1 + p.n]]),
+        assert [int(v) for v in vals[-2:]] == [traj.iterations[k],
+                                               traj.stage_steps[k]]
+    tail = dict(zip(header, rows[p.N + 1]))
+    assert int(tail["k"]) == p.N
+    assert np.array_equal(np.array([float(tail[f"x[{i}]"]) for i in range(p.n)]),
                           traj.states[p.N])
-    assert all(v == "" for v in tail[1 + p.n:-1])
-    assert float(tail[-1]) == traj.terminal_cost
+    assert float(tail["stage_cost"]) == traj.terminal_cost
+    assert all(v == "" for c, v in tail.items()
+               if c not in ("k", "stage_cost") and not c.startswith("x["))
+
+
+def test_trajectory_reports_each_resolve_work(rng, tol):
+    # iterations[k] and stage_steps[k] are those of the stage-k re-solve,
+    # repeated here from the recorded states and the same warm starts
+    for _ in range(3):
+        p = make_problem(rng)
+        traj = rollout(p, mode="worst_case", tol=tol)
+        assert traj.iterations.shape == traj.stage_steps.shape == (p.N,)
+        warm = None
+        for k in range(p.N):
+            sol = solve_multipliers(p, traj.states[k], k=k, init=warm, tol=tol)
+            assert (traj.iterations[k], traj.stage_steps[k]) == (
+                sol.iterations, sol.stage_steps)
+            assert sol.stage_steps >= p.N - k  # the start pass at least
+            warm = sol.lam_star.lambdas[1:]
 
 
 def test_per_stage_saddle_inequality(rng, tol):

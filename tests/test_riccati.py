@@ -224,6 +224,7 @@ def test_resumed_pass_matches_full_pass(rng, tol):
                     warm_resumed += steps < size
                 assert_same_sweep(one, full)
                 assert np.array_equal(one._tops, full._tops)
+                assert np.array_equal(one._kj, full._kj)
                 assert sweep(p, one.lam, tol) is one
     assert warm_resumed > 0
 

@@ -172,6 +172,14 @@ def test_cli_rollout_matches_library(tmp_path, capsys):
     tr.to_csv(ref)
     got = (tmp_path / "res" / "rollout.csv").read_text()
     assert got == ref.read_text()
+    lines = got.strip().split("\n")
+    assert lines[0].split(",") == (
+        ["k"] + [f"x[{i}]" for i in range(p.n)] + [f"u[{i}]" for i in range(p.m)]
+        + [f"w[{i}]" for i in range(p.q)]
+        + ["lambda_k", "stage_cost", "iterations", "stage_steps"])
+    for k in range(p.N):
+        row = lines[k + 1].split(",")
+        assert [int(v) for v in row[-2:]] == [tr.iterations[k], tr.stage_steps[k]]
 
 
 def test_cli_rollout_external_w_file(tmp_path):
