@@ -156,9 +156,9 @@ def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarr
     alpha = p.alpha[sw.stage_offset:]
     g = np.zeros(sw.horizon())
     X = np.outer(x, x)
-    Acl = p.A - np.hstack([p.B, p.G]) @ sw._kj
-    J = sw._kj[:, p.m:]
-    JJ = (J.transpose(0, 2, 1) @ J).reshape(g.size, -1)
+    KJ = np.concatenate((sw.K, sw.J), axis=1)  # the stacked gains [K_j; J_j]
+    Acl = p.A - np.hstack([p.B, p.G]) @ KJ
+    JJ = (sw.J.transpose(0, 2, 1) @ sw.J).reshape(g.size, -1)
     Gv = sw._tops @ p.G.T                # row j: G v_j, the pass's eigenvector
     GG = Gv[:, :, None] * Gv[:, None, :]  # (G v_j)(G v_j)' of every stage
     for j in range(g.size):

@@ -86,7 +86,12 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
                          lam_star: MultiplierVector, u: np.ndarray,
                          tol: Tolerances | None = None) -> np.ndarray:
     """Worst-case stage-k disturbance, exactly on the sphere ||w||^2 = alpha_k:
-    the response (G'Pi G - lam I) w = -G'Pi (Ax + Bu), completed onto it."""
+    the response (G'Pi G - shift I) w = -G'Pi (Ax + Bu) on the nonzero
+    eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and lam_k
+    otherwise, completed along the zero eigenspace where there is one.
+    Raises NoSphereIntersection where its norm^2 exceeds alpha_k, or with
+    no eigenspace to complete along misses it, by more than 1e-3 relative.
+    """
     tol = tol or Tolerances()
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
@@ -95,46 +100,30 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     sw = sweep(p, lam_star, tol)
     Pi_next, lam_k = sw.Pi[1], float(lam_star.lambdas[0])
     bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])
+    shift = bound if at_bound(lam_k, bound, tol) else lam_k
     GPG = p.G.T @ Pi_next @ p.G
     GPG = 0.5 * (GPG + GPG.T)
     d_w = p.G.T @ (Pi_next @ (p.A @ x + p.B @ u))
-    radius = np.sqrt(alpha_k)
-    if at_bound(lam_k, bound, tol):
-        # multiplier at its nested bound: pseudoinverse response plus a
-        # completion along the top eigenspace of G'Pi G
-        mu, V = np.linalg.eigh(GPG - bound * np.eye(GPG.shape[0]))
-        # cutoff scaled to G'Pi G, not to the shifted spectrum: the shifted
-        # matrix is numerically zero whenever G'Pi G is near-isotropic
-        cut = PINV_CUTOFF * max(np.abs(mu).max(), abs(bound), 1e-300)
-        zero = np.abs(mu) <= cut
-        c = V.T @ d_w
-        coef = np.where(zero, 0.0, -c / np.where(zero, 1.0, mu))
-        wbar = V @ coef
-        nrm2 = float(coef @ coef)
-        gap2 = alpha_k - nrm2
-        if gap2 < -1e-3 * alpha_k:
-            raise NoSphereIntersection(
-                f"response norm^2 {nrm2:.6e} exceeds the bound {alpha_k:.6e}")
-        if np.any(zero):
-            z = V[:, zero][:, -1]
-            t = np.sqrt(max(0.0, gap2))
-            if z @ d_w < 0.0:
-                t = -t
-            w = wbar + t * z
-        else:
-            w = wbar
-    else:
-        w = np.linalg.solve(GPG - lam_k * np.eye(GPG.shape[0]), -d_w)
-        if float(w @ w) > alpha_k * (1.0 + 1e-3) or float(w @ w) < alpha_k * (1.0 - 1e-3):
-            raise NoSphereIntersection(
-                f"interior response norm^2 {float(w @ w):.6e} is off the "
-                f"bound {alpha_k:.6e}; multipliers are not stage-optimal")
-    nrm = np.linalg.norm(w)
-    if nrm == 0.0:
-        w = np.zeros(GPG.shape[0])
-        w[0] = radius
-        return w
-    return w * (radius / nrm)
+    mu, V = np.linalg.eigh(GPG - shift * np.eye(GPG.shape[0]))
+    # cutoff scaled to G'Pi G, not to the shifted spectrum: the shifted
+    # matrix is numerically zero whenever G'Pi G is near-isotropic
+    cut = PINV_CUTOFF * max(np.abs(mu).max(), abs(shift), 1e-300)
+    zero = np.abs(mu) <= cut
+    c = V.T @ d_w
+    coef = np.where(zero, 0.0, -c / np.where(zero, 1.0, mu))
+    w = V @ coef
+    nrm2 = float(coef @ coef)
+    gap2 = alpha_k - nrm2
+    complete = zero.any()  # at the bound: along the top eigenspace of G'Pi G
+    if gap2 < -1e-3 * alpha_k or (gap2 > 1e-3 * alpha_k and not complete):
+        raise NoSphereIntersection(
+            f"response norm^2 {nrm2:.6e} is off the bound {alpha_k:.6e}"
+            + ("" if complete else "; multipliers are not stage-optimal"))
+    if complete:
+        z = V[:, zero][:, -1]
+        t = np.sqrt(max(0.0, gap2))
+        w = w + (-t if z @ d_w < 0.0 else t) * z
+    return w * (np.sqrt(alpha_k) / np.linalg.norm(w))
 
 
 def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,

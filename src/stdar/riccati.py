@@ -13,17 +13,22 @@ lam_j >= ||G'Pi_{j+1}(lam_{j+1:})G||, which is not a product set: the bound
 at stage j depends on the multipliers of all later stages.
 
 One backward pass serves the sweep, the projection onto that set and the
-multiplier program's slack coordinates: before its stage step it may set
+multiplier program's slack coordinates: before its stage step it sets
 lam_j = max(raw_j, b_j + margin) + s_j from the bound b_j of the stage,
-so a candidate is projected and swept together.
+so a candidate is projected and swept together. The sweep takes its
+multipliers as given (margin -inf, no slack). Every pass steps every
+stage, stage 0 included, and links its multipliers to itself.
+
+A pass stores each quantity once, stacked over its stages: Pi as an
+(N-k+1, n, n) array, M as (N-k, m+q, m+q) and the gains [K_j; J_j] as one
+(N-k, m+q, n) buffer, of which K and J are the first m and last q rows.
 
 Stage j's step reads only Pi_{j+1} and lam_j, and Pi_N = Pf is fixed,
 so a pass may resume from an earlier pass of the same program: where
 both take the same inputs (raw values, or slacks) at stages i and up,
-those stages repeat the earlier pass bit for bit. It copies their Pi, M,
-K, J, bounds and eigenvectors and steps only stages i-1..0, which are
-then bit for bit those of a full pass. The copies share the earlier
-pass's stage arrays; no code writes a stage array in place.
+those stages repeat the earlier pass bit for bit. It copies their slices
+of Pi, M, the gains, the bounds and the eigenvectors and steps only
+stages i-1..0, which are then bit for bit those of a full pass.
 
 Each stage forms two stacked products, with F = [B G A] built once per
 pass and E = [B G] its first m + q columns:
@@ -39,7 +44,7 @@ time, so two products replace the ten that form the blocks one by one.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,20 +75,22 @@ class MultiplierVector:
 
 @dataclass(frozen=True)
 class RiccatiSweep:
-    """Backward sweep output for stages k..N.
+    """Backward sweep output for stages k..N, stacked over the stages.
 
-    Pi[i] is the cost-to-go matrix at stage k+i (so Pi[0] belongs to the
-    sweep's start stage and Pi[-1] = Pf). M, K, J, bounds have one entry per
-    stage k..N-1; bounds[i] = ||G'Pi_{k+i+1}G||, the feasibility threshold
-    that lam_{k+i} must dominate.
+    Pi, of shape (N-k+1, n, n), holds the cost-to-go matrix Pi[i] of stage
+    k+i (so Pi[0] belongs to the sweep's start stage and Pi[-1] = Pf). M,
+    K, J, bounds have one entry per stage k..N-1; K and J are views of one
+    gain buffer [K; J]. bounds[i] = ||G'Pi_{k+i+1}G||, the feasibility
+    threshold that lam_{k+i} must dominate.
     """
 
-    Pi: tuple
-    M: tuple
-    K: tuple
-    J: tuple
+    Pi: np.ndarray
+    M: np.ndarray
+    K: np.ndarray
+    J: np.ndarray
     lam: MultiplierVector
     bounds: np.ndarray
+    _tops: np.ndarray = field(repr=False, compare=False)
 
     @property
     def stage_offset(self) -> int:
@@ -101,7 +108,7 @@ def at_bound(lam, bound, tol: Tolerances):
 
 def _stage_step(p: ProblemData, SF: np.ndarray, T: np.ndarray, lam_j: float):
     """One backward step from Pi_{j+1}, given its stacked products
-    SF = Pi_{j+1} [B G A] and T = [B G]'SF. Returns (Pi_j, M, K, J)."""
+    SF = Pi_{j+1} [B G A] and T = [B G]'SF. Returns (Pi_j, M, [K; J])."""
     m, d = p.m, p.m + p.q
     M = sym(T[:, :d])
     M[:m, :m] += p.R
@@ -116,8 +123,18 @@ def _stage_step(p: ProblemData, SF: np.ndarray, T: np.ndarray, lam_j: float):
     if not resid <= 1e-8 * scale:  # also where M or rhs is not finite
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
-    Pi = sym(p.Q + p.A.T @ SF[:, d:] - rhs.T @ KJ)
-    return Pi, M, KJ[:m], KJ[m:]
+    return sym(p.Q + p.A.T @ SF[:, d:] - rhs.T @ KJ), M, KJ
+
+
+def _require_tail(p: ProblemData, k: int, n_stages: int) -> None:
+    """Raise ValueError unless n_stages multipliers from stage k cover
+    stages k..N-1 with 0 <= k < N."""
+    if not 0 <= k < p.N:
+        raise ValueError(f"stage offset {k} outside horizon {p.N}")
+    if k + n_stages != p.N:
+        raise ValueError(
+            f"multiplier vector covers stages {k}..{k + n_stages - 1}, "
+            f"expected tail end at {p.N - 1}")
 
 
 def _require_finite(lam: np.ndarray, k: int) -> None:
@@ -128,8 +145,8 @@ def _require_finite(lam: np.ndarray, k: int) -> None:
 
 
 def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
-                 margin: float | None = None, slack=None,
-                 step0: bool = True, base: RiccatiSweep | None = None,
+                 margin: float = -np.inf, slack=None,
+                 base: RiccatiSweep | None = None,
                  resume: int = 0) -> RiccatiSweep:
     """The backward recursion over len(raw) stages from Pi_N = Pf; k is
     the stage offset of the result, so raw covers stages k..N-1.
@@ -137,17 +154,16 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     Each stage j takes G'Pi_{j+1}G from its stacked product T and its top
     eigenvalue b_j (for q > 1 from eigh), which is the sweep's bounds[j],
     with a unit top eigenvector v_j (1 where q = 1) that it keeps in the
-    sweep's private _tops (row j), and the gains [K_j; J_j] stacked in its
-    private _kj, both for the multiplier program's adjoint pass. With margin
-    None the multipliers are raw as given. Otherwise stage j first sets
+    sweep's _tops (row j) for the multiplier program's adjoint pass. Stage
+    j first sets
 
         lam_j = max(raw_j, b_j + margin) + slack_j,
 
-    with Pi_{j+1} built from the multipliers already set, so the result is
-    feasible whatever raw is (raw = -inf gives the slack coordinates).
-    Raises InfeasibleMultiplier where lam_j < b_j - eps_boundary. step0
-    False skips stage 0's step, which near the bound can fail (Pi[0],
-    M[0], K[0], J[0] None); else lam links weakly to the result and to p.
+    with Pi_{j+1} built from the multipliers already set, so a finite
+    margin makes the result feasible whatever raw is (raw = -inf gives the
+    slack coordinates), and margin -inf takes raw as given. Raises
+    InfeasibleMultiplier where lam_j < b_j - eps_boundary, SingularM at a
+    stage step (stage 0's included). lam links weakly to the result and p.
 
     With base, a pass of the same program and offset whose stages resume
     and up this pass would repeat (module docstring), those stages are
@@ -155,15 +171,13 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     """
     lam = np.array(raw, dtype=float)
     n_stages = lam.shape[0]
-    Pi = [None] * (n_stages + 1)
-    M = [None] * n_stages
-    K = [None] * n_stages
-    J = [None] * n_stages
-    bounds = np.zeros(n_stages)
-    tops = np.empty((n_stages, p.q))
     m, q = p.m, p.q
     d = m + q
-    kj = np.empty((n_stages, d, p.n))
+    Pi = np.empty((n_stages + 1, p.n, p.n))
+    M = np.empty((n_stages, d, d))
+    KJ = np.empty((n_stages, d, p.n))
+    bounds = np.zeros(n_stages)
+    tops = np.empty((n_stages, q))
     F = np.hstack([p.B, p.G, p.A])
     E = F[:, :d]
     Pi[n_stages] = p.Pf
@@ -171,33 +185,28 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     if base is not None:
         top = resume
         Pi[top:] = base.Pi[top:]
-        M[top:], K[top:], J[top:] = base.M[top:], base.K[top:], base.J[top:]
+        M[top:] = base.M[top:]
+        KJ[top:, :m] = base.K[top:]
+        KJ[top:, m:] = base.J[top:]
         bounds[top:] = base.bounds[top:]
         tops[top:] = base._tops[top:]
-        kj[top:] = base._kj[top:]
         lam[top:] = base.lam.lambdas[top:]
-    S = Pi[top]
     for i in range(top - 1, -1, -1):
-        SF = S @ F
+        SF = Pi[i + 1] @ F
         T = E.T @ SF
         bounds[i], tops[i] = top_eigpair(T[m:, m:d])
-        if margin is not None:
-            if lam[i] < bounds[i] + margin:
-                lam[i] = bounds[i] + margin
-            if slack is not None:
-                lam[i] += slack[i]
+        if lam[i] < bounds[i] + margin:
+            lam[i] = bounds[i] + margin
+        if slack is not None:
+            lam[i] += slack[i]
         if not lam[i] >= bounds[i] - tol.eps_boundary:  # NaN fails too
             raise InfeasibleMultiplier(
                 f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
-        if i > 0 or step0:
-            S, M[i], K[i], J[i] = _stage_step(p, SF, T, float(lam[i]))
-            Pi[i], kj[i, :m], kj[i, m:] = S, K[i], J[i]
-    sw = RiccatiSweep(Pi=tuple(Pi), M=tuple(M), K=tuple(K), J=tuple(J),
-                      lam=MultiplierVector(lam, stage_offset=k), bounds=bounds)
-    object.__setattr__(sw, "_tops", tops)
-    object.__setattr__(sw, "_kj", kj)
-    if step0:
-        object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))
+        Pi[i], M[i], KJ[i] = _stage_step(p, SF, T, float(lam[i]))
+    sw = RiccatiSweep(Pi=Pi, M=M, K=KJ[:, :m], J=KJ[:, m:],
+                      lam=MultiplierVector(lam, stage_offset=k), bounds=bounds,
+                      _tops=tops)
+    object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))
     return sw
 
 
@@ -205,17 +214,14 @@ def sweep(p: ProblemData, lam: MultiplierVector,
           tol: Tolerances | None = None) -> RiccatiSweep:
     """Run the backward recursion for the given multipliers.
 
-    Raises InfeasibleMultiplier if a lam_j is not finite or below its
+    Raises ValueError unless the vector covers stages k..N-1 with
+    0 <= k < N, InfeasibleMultiplier if a lam_j is not finite or below its
     nested bound, SingularM if a stage matrix cannot be solved reliably.
     Reuses the live full pass on p that built lam if its bounds pass tol.
     """
     tol = tol or Tolerances()
-    n_stages = len(lam)
     k = lam.stage_offset
-    if k + n_stages != p.N:
-        raise ValueError(
-            f"multiplier vector covers stages {k}..{k + n_stages - 1}, "
-            f"expected tail end at {p.N - 1}")
+    _require_tail(p, k, len(lam))
     _require_finite(lam.lambdas, k)
     link = getattr(lam, "_pass", None)
     sw = link[0]() if link and link[1]() is p else None
@@ -232,13 +238,17 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     Single backward pass: each lam_j is raised to its bound (plus margin)
     computed under the already-projected later multipliers. Well-defined
     because the bound at stage j depends only on lam_{j+1:}. Feasible
-    inputs are returned unchanged, non-finite ones InfeasibleMultiplier.
+    inputs are returned unchanged, non-finite ones InfeasibleMultiplier,
+    and a vector that does not cover stages k..N-1 with 0 <= k < N
+    ValueError.
+    The pass steps every stage, stage 0 included, so a projection whose
+    stage matrix is singular there (a multiplier at its bound with margin
+    0, say) raises SingularM.
     """
     tol = tol or Tolerances()
     if margin is None:
         margin = tol.eps_boundary
     raw = np.array(lam_raw, dtype=float).ravel()
-    if stage_offset + raw.shape[0] != p.N:
-        raise ValueError("multiplier vector length inconsistent with horizon")
+    _require_tail(p, stage_offset, raw.shape[0])
     _require_finite(raw, stage_offset)
-    return _nested_pass(p, raw, stage_offset, tol, margin, step0=False).lam
+    return _nested_pass(p, raw, stage_offset, tol, margin).lam

@@ -12,8 +12,7 @@ feasible multipliers form a half-line. The search keeps a bracket
 [lo, hi], hi feasible and lo not, and places each probe by Illinois
 regula falsi on g between them (Dowell & Jarratt, BIT 11, 1971), or by
 bisection while lo has reached no fixed point, as everywhere below a
-saddle-node of the map. Each probe starts from the fixed point at hi,
-which lies below its target in the Loewner order. The LMI check then
+saddle-node of the map. Each probe doubles from Pf. The LMI check then
 certifies the solution as positive semidefiniteness of an
 assembled block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
@@ -101,19 +100,19 @@ def solve_steady_state(p: ProblemData,
     g = lam - ||G'Pi G|| is at least -eps_boundary. The upper bracket
     starts at 10 (||G'Pf G|| + tr Q + tr R) and doubles at most 10 times;
     the bracket [lo, hi] then shrinks to 1e-9 absolute by Illinois regula
-    falsi on g, with a bisection step while lo has no fixed point, and
-    each of these probes starts from the fixed point at hi.
+    falsi on g, with a bisection step while lo has no fixed point. Every
+    probe doubles from Pf.
     """
     tol = tol or Tolerances()
     probes = fp_iterations = 0
 
-    def probe(lam, start):
-        # fixed point at lam reached from start: (feasible, h, Pi) with
+    def probe(lam):
+        # fixed point at lam reached from Pf: (feasible, h, Pi) with
         # h = g + eps_boundary, the value whose root the search seeks; h and
         # Pi are None where no fixed point was reached
         nonlocal probes, fp_iterations
         status, count, Pi = fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R,
-                                              float(lam), start, _FP_TOL,
+                                              float(lam), p.Pf, _FP_TOL,
                                               _FP_MAX_DOUBLINGS)
         probes += 1
         fp_iterations += count
@@ -123,11 +122,11 @@ def solve_steady_state(p: ProblemData,
         return h >= 0.0, h, Pi
 
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
-    ok, h_hi, Pi_hi = probe(hi, p.Pf)
+    ok, h_hi, Pi_hi = probe(hi)
     doublings = 0
     while not ok and doublings < 10:
         hi *= 2.0
-        ok, h_hi, Pi_hi = probe(hi, p.Pf)
+        ok, h_hi, Pi_hi = probe(hi)
         doublings += 1
     if not ok:
         raise NoFeasibleLambda(
@@ -141,7 +140,7 @@ def solve_steady_state(p: ProblemData,
             mid = min(max(mid, lo + 0.25 * _BISECT_TOL), hi - 0.25 * _BISECT_TOL)
         else:
             mid = 0.5 * (lo + hi)
-        ok, h, Pi = probe(mid, Pi_hi)
+        ok, h, Pi = probe(mid)
         if falsi and ok == prev_ok:
             # Illinois: one end moved twice in a row, halve the other's value
             if ok:

@@ -5,7 +5,8 @@ benchmark/tracing.py wraps the functions named in TARGETS where the
 package's modules bind them. A name removed or renamed in the package
 breaks the benchmark, not the package's own tests, so these tests read
 both lists from benchmark/ and resolve them. One short run each of the
-long_horizon and online workloads checks that the harness runs end to end.
+long_horizon, steady and online workloads checks that the harness runs end
+to end.
 """
 import ast
 import importlib.util
@@ -106,6 +107,14 @@ def short_run(workload):
 def test_long_horizon_run_is_correct():
     # every op solved and passing the checker
     last = short_run("long_horizon")
+    assert last["correct"] is True
+    assert last["failed"] == 0
+    assert last["attempted"] > 0
+
+
+def test_steady_run_is_correct():
+    # every steady-state design solved and passing the checker
+    last = short_run("steady")
     assert last["correct"] is True
     assert last["failed"] == 0
     assert last["attempted"] > 0

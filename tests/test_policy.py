@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from stdar import (control_at, project_feasible, rollout, solve_multipliers,
-                   sweep, worst_disturbance_at)
+from stdar import (NoSphereIntersection, control_at, project_feasible,
+                   rollout, solve_multipliers, sweep, worst_disturbance_at)
+from stdar.riccati import at_bound
 import stdar
 from stdar import multiplier, riccati
 from conftest import make_problem, scalar_problem
@@ -135,6 +136,27 @@ def test_worst_disturbance_at_origin(rng, tol):
     GPG = p.G.T @ sw.Pi[1] @ p.G
     resid = (GPG - sw.bounds[0] * np.eye(p.q)) @ w
     assert np.linalg.norm(resid) <= 1e-6 * (1.0 + sw.bounds[0])
+
+
+def test_disturbance_off_the_sphere_raises(rng, tol):
+    # multipliers 0.5 above their bounds are interior and not stage-optimal:
+    # the response has no eigenspace to complete along, and from the origin
+    # it is zero, from a large state far outside the sphere
+    p = make_problem(rng, n=2, m=2, q=2, N=3)
+    lam = project_feasible(p, np.zeros(p.N), margin=0.5, tol=tol)
+    for x in (np.zeros(p.n), 1e3 * p.x0):
+        with pytest.raises(NoSphereIntersection, match="not stage-optimal"):
+            worst_disturbance_at(p, x, 0, lam, np.zeros(p.m), tol)
+    # at the bound the response lives off the top eigenspace of G'Pi G; from
+    # a large state its norm exceeds alpha_0, where no completion can reach
+    lam = project_feasible(p, np.zeros(p.N), tol=tol)
+    sw = sweep(p, lam, tol)
+    assert at_bound(lam.lambdas[0], sw.bounds[0], tol)
+    with pytest.raises(NoSphereIntersection, match="off the bound"):
+        worst_disturbance_at(p, 1e3 * p.x0, 0, lam, np.zeros(p.m), tol)
+    # from the origin the same multipliers complete onto the sphere
+    w = worst_disturbance_at(p, np.zeros(p.n), 0, lam, np.zeros(p.m), tol)
+    assert float(w @ w) == pytest.approx(p.alpha[0], rel=1e-10)
 
 
 def test_rollout_zero_mode_from_origin(tol):

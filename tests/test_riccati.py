@@ -8,8 +8,9 @@ import pytest
 import scipy.linalg as la
 
 from stdar import (InfeasibleMultiplier, MultiplierVector,
-                   RiccatiSweep, SingularM, Tolerances, project_feasible,
-                   solve_multipliers, sweep)
+                   RiccatiSweep, SingularM, Tolerances, control_at, objective,
+                   project_feasible, solve_multipliers, sweep,
+                   worst_disturbance_at)
 from stdar._linalg import top_eig
 from stdar.multiplier import _reconstruct
 from stdar.riccati import _nested_pass, _stage_step
@@ -115,8 +116,7 @@ def test_infeasible_multiplier_raises(tol):
 def test_non_finite_multipliers_raise_typed_errors(rng, tol, bad):
     # numpy's LAPACK routines do not reject non-finite input, so each entry
     # point rejects it up front, naming the entry, before any stage step
-    # and with no numpy warning; projection skips stage 0's step, so a bad
-    # value there would otherwise pass through
+    # and with no numpy warning
     p = make_problem(rng, n=2, m=2, q=1, N=3)
     for stage in (0, 1):
         lam = feasible_lam(p, rng, tol).lambdas.copy()
@@ -136,6 +136,27 @@ def test_sweep_length_checked(tol):
         sweep(p, MultiplierVector([2.0, 2.0]), tol)
     with pytest.raises(ValueError):
         sweep(p, MultiplierVector([2.0, 2.0], stage_offset=2), tol)
+
+
+def test_stage_offset_outside_horizon_raises(tol):
+    # a vector must start at a stage 0 <= k < N: one that starts before
+    # stage 0, or one with no entries at stage N, is rejected by sweep and
+    # so by every caller of it, and by the projection, before any stage step
+    p = scalar_problem(N=3)
+    x, u = p.x0, np.zeros(p.m)
+    for lam in (MultiplierVector(np.full(p.N + 1, 5.0), stage_offset=-1),
+                MultiplierVector(np.zeros(0), stage_offset=p.N)):
+        k = lam.stage_offset
+        with pytest.raises(ValueError, match="outside horizon"):
+            project_feasible(p, lam.lambdas, stage_offset=k, tol=tol)
+        with pytest.raises(ValueError, match="outside horizon"):
+            sweep(p, lam, tol)
+        with pytest.raises(ValueError, match="outside horizon"):
+            control_at(p, x, k, lam, tol)
+        with pytest.raises(ValueError, match="outside horizon"):
+            worst_disturbance_at(p, x, k, lam, u, tol)
+        with pytest.raises(ValueError, match="outside horizon"):
+            objective(p, lam, x, k, tol)
 
 
 def test_project_feasible_single_stage(tol):
@@ -224,7 +245,8 @@ def test_resumed_pass_matches_full_pass(rng, tol):
                     warm_resumed += steps < size
                 assert_same_sweep(one, full)
                 assert np.array_equal(one._tops, full._tops)
-                assert np.array_equal(one._kj, full._kj)
+                assert np.array_equal(one.K, full.K)
+                assert np.array_equal(one.J, full.J)
                 assert sweep(p, one.lam, tol) is one
     assert warm_resumed > 0
 
@@ -265,6 +287,46 @@ def test_sweep_reuses_linked_pass(rng, tol):
         assert errors[0] == errors[1]
 
 
+def test_project_feasible_singular_stage_zero_raises(tol):
+    # the projection steps stage 0 too: with G'Pf G = 0 and margin 0 the
+    # multiplier lands on lam_0 = 0 and M = [[B'Pf B + R, 0], [0, 0]]
+    p = scalar_problem(Pf=0.0, N=1)
+    with pytest.raises(SingularM, match="singular"):
+        project_feasible(p, [0.0], margin=0.0, tol=tol)
+
+
+def test_sweep_is_stacked(rng, tol):
+    # one array per quantity, stacked over the stages; K and J are the
+    # first m and last q rows of one gain buffer, in full, resumed and
+    # reused passes alike
+    for _ in range(20):
+        p = make_problem(rng)
+        k = int(rng.integers(0, p.N))
+        size, d = p.N - k, p.m + p.q
+        s = rng.uniform(0.0, 1.0, size)
+        full, _ = _reconstruct(p, s, k, tol)
+        cand = s.copy()
+        cand[0] += 0.5
+        resumed, steps = _reconstruct(p, cand, k, tol, full)
+        assert steps == 1
+        for sw in (full, resumed, sweep(p, full.lam, tol),
+                   sweep(p, fresh(full.lam), tol)):
+            assert sw.Pi.shape == (size + 1, p.n, p.n)
+            assert sw.M.shape == (size, d, d)
+            assert sw.K.shape == (size, p.m, p.n)
+            assert sw.J.shape == (size, p.q, p.n)
+            gains = sw.K.base
+            assert gains is not None and gains is sw.J.base
+            assert gains.shape == (size, d, p.n)
+            assert np.shares_memory(gains, sw.K) and np.shares_memory(gains, sw.J)
+            assert np.array_equal(gains[:, :p.m], sw.K)
+            assert np.array_equal(gains[:, p.m:], sw.J)
+            assert np.array_equal(sw.Pi[-1], p.Pf)
+        # a resumed pass copies its base's stages, it does not share them
+        assert not np.shares_memory(resumed.Pi, full.Pi)
+        assert not np.shares_memory(resumed.K.base, full.K.base)
+
+
 def test_stage_offset_bookkeeping(tol):
     p = scalar_problem(N=4, Pf=1.0)
     lam = project_feasible(p, np.zeros(2), margin=0.1, stage_offset=2, tol=tol)
@@ -295,7 +357,7 @@ def test_nested_pass_matches_block_stage_oracle(rng, tol):
         p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)))
         s = rng.uniform(0.05, 2.0, p.N)
         sw = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
-        assert sw.Pi[-1] is p.Pf
+        assert np.array_equal(sw.Pi[-1], p.Pf)
         for j in range(p.N):
             ref = stage_step_reference(p.A, p.B, p.G, p.Q, p.R, sw.Pi[j + 1],
                                        sw.lam.lambdas[j])
@@ -321,8 +383,7 @@ def test_stage_solve_matches_scipy(rng):
         E = rng.standard_normal((p.n, p.n))
         S = E.T @ E
         lam = top_eig(p.G.T @ S @ p.G) + rng.uniform(0.01, 2.0)
-        _, M, K, J = _stage_step(p, *stacked(p, S), lam)
-        KJ = np.vstack([K, J])
+        _, M, KJ = _stage_step(p, *stacked(p, S), lam)
         rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
         ref = la.solve(M, rhs, assume_a="sym")
         scale = np.linalg.norm(M) * np.linalg.norm(ref) + np.linalg.norm(rhs)
