@@ -22,17 +22,13 @@ reads its slacks off it. No separate projection
 slack by more than 1: at the corner an interior stage's gradient can be
 in the hundreds.
 
-A trial pass resumes from the sweep of the current point. Stage j of a
-slack pass reads only Pi_{j+1} and lam_j = (b_j + eps_boundary) + s_j,
-and b_j is a function of Pi_{j+1}. So by induction from Pi_N = Pf,
-stages i and above repeat the current sweep wherever that float sum
-equals its lam_j bit for bit for every j >= i: the pass copies them and
-steps only from the last stage where it differs down. With most
-multipliers at their bounds a step changes only the first few slacks,
-so a trial pass steps a few stages, not N - k. The result equals a full
-pass bit for bit. The rule reads only the sweep's bounds and
-multipliers, so any pass is a base, a warm start's pass built from raw
-multipliers included.
+A trial pass is the slack pass at the trial point with the sweep of
+the current point as its base; the pass itself decides which stages it
+repeats (riccati's module docstring) and steps only from the last stage
+whose multiplier differs down. With most multipliers at their bounds a
+step changes only the first few slacks, so a trial pass steps a few
+stages, not N - k, and equals a full pass bit for bit. Any pass is a
+base, a warm start's pass built from raw multipliers included.
 
 Its gradient is exact: the reverse mode of the nested pass, one forward
 adjoint pass over the sweep. From X_0 = x x',
@@ -65,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemData, Tolerances
+from .problem import ProblemData, Tolerances, _as_point
 # project_feasible stays bound here, the name benchmark/tracing.py wraps
 # as riccati.project: no solve calls it, so that span counts 0, and a
 # projection pass put back on the solve path through it would be counted.
@@ -121,33 +117,21 @@ def _phi(p: ProblemData, x: np.ndarray, lam: MultiplierVector,
 
 def objective(p: ProblemData, lam, x, k: int = 0,
               tol: Tolerances | None = None) -> float:
-    """phi at a feasible multiplier vector for the tail program at stage k."""
+    """phi at a feasible multiplier vector for the tail program at stage k.
+    A state of the wrong size or not finite raises ValueError."""
     tol = tol or Tolerances()
-    x = np.asarray(x, dtype=float).ravel()
+    x = _as_point(x, p.n, "state")
     sw = sweep(p, _wrap(p, lam, k), tol)
     return _phi(p, x, sw.lam, sw.Pi[0])
 
 
 def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances,
                  base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int]:
-    """Sweep at lambda_j = ||G'Pi_{j+1}G|| + eps_boundary + s_j, any s >= 0:
-    the slack point s in one nested pass, whose bounds are the
-    ||G'Pi_{j+1}G|| the multipliers were built from, and the number of
-    stage steps the pass took.
-
-    base is a sweep of the same program and stage k, or None. With a
-    base the pass resumes from it (module docstring) and steps only the
-    stages from the last index where base.bounds + eps_boundary + s
-    differs from base's multipliers down.
-    """
-    top = s.size
-    if base is not None:
-        changed = np.flatnonzero(base.bounds + tol.eps_boundary + s
-                                 != base.lam.lambdas)
-        top = int(changed[-1]) + 1 if changed.size else 0
-    sw = _nested_pass(p, np.full(s.size, -np.inf), k, tol, tol.eps_boundary,
-                      s, base=base, resume=top)
-    return sw, top
+    """The slack pass: the sweep at lambda_j = ||G'Pi_{j+1}G|| +
+    eps_boundary + s_j, any s >= 0, and its stage steps; with base, a
+    pass of the same program and stage k, it resumes from base."""
+    return _nested_pass(p, np.full(s.size, -np.inf), k, tol, tol.eps_boundary,
+                        s, base)
 
 
 def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
@@ -253,11 +237,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     built. A state of the wrong size or not finite raises ValueError.
     """
     tol = tol or Tolerances()
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != p.n:
-        raise ValueError(f"state has size {x.size}, expected {p.n}")
-    if not np.isfinite(x).all():
-        raise ValueError("state is not finite")
+    x = _as_point(x, p.n, "state")
     if not 0 <= k < p.N:
         raise ValueError(f"stage {k} outside horizon {p.N}")
     if gradient_mode not in ("auto", "envelope"):
@@ -273,6 +253,6 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         s = np.zeros(n_stage)
         sw, _ = _reconstruct(p, s, k, tol)
     else:
-        sw = _nested_pass(p, init, k, tol, tol.eps_boundary)
+        sw, _ = _nested_pass(p, init, k, tol, tol.eps_boundary)
         s = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
     return _descend(p, x, s, sw, tol, max_iter)

@@ -15,7 +15,7 @@ import numpy as np
 from ._linalg import PINV_CUTOFF
 from .errors import NoSphereIntersection
 from .multiplier import solve_multipliers
-from .problem import ProblemData, Tolerances
+from .problem import ProblemData, Tolerances, _as_point
 from .riccati import MultiplierVector, at_bound, sweep
 
 
@@ -73,9 +73,10 @@ class Trajectory:
 
 def control_at(p: ProblemData, x: np.ndarray, k: int,
                lam_star: MultiplierVector, tol: Tolerances | None = None) -> np.ndarray:
-    """Stage-k control u = -K_k x at the supplied optimal multipliers."""
+    """Stage-k control u = -K_k x at the supplied optimal multipliers.
+    A state of the wrong size or not finite raises ValueError."""
     tol = tol or Tolerances()
-    x = np.asarray(x, dtype=float).ravel()
+    x = _as_point(x, p.n, "state")
     if lam_star.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
     sw = sweep(p, lam_star, tol)
@@ -90,11 +91,12 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and lam_k
     otherwise, completed along the zero eigenspace where there is one.
     Raises NoSphereIntersection where its norm^2 exceeds alpha_k, or with
-    no eigenspace to complete along misses it, by more than 1e-3 relative.
+    no eigenspace to complete along misses it, by more than 1e-3 relative,
+    and ValueError for a state or control of the wrong size or not finite.
     """
     tol = tol or Tolerances()
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
+    x = _as_point(x, p.n, "state")
+    u = _as_point(u, p.m, "control")
     if lam_star.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
     sw = sweep(p, lam_star, tol)
@@ -132,8 +134,8 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     """Simulate the online policy over the full horizon.
 
     mode "worst_case" injects the bound-attaining disturbance, "zero" none,
-    "external" the supplied w_seq (rejected if any ||w_k||^2 exceeds
-    alpha_k beyond 1e-9 relative).
+    "external" the supplied w_seq (rejected if an entry is not finite or
+    any ||w_k||^2 exceeds alpha_k beyond 1e-9 relative).
     """
     tol = tol or Tolerances()
     x = np.asarray(p.x0 if x0 is None else x0, dtype=float).ravel()
@@ -143,6 +145,8 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
         w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
         if w_seq.shape != (p.N, p.q):
             raise ValueError(f"w_seq must be {p.N}x{p.q}, got {w_seq.shape}")
+        if not np.isfinite(w_seq).all():
+            raise ValueError("w_seq is not finite")
         norms2 = np.sum(w_seq * w_seq, axis=1)
         if np.any(norms2 > p.alpha * (1.0 + 1e-9)):
             raise ValueError("external disturbance exceeds its stage bound")

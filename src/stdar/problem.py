@@ -41,6 +41,17 @@ def _as_vector(value, name: str) -> np.ndarray:
     return arr
 
 
+def _as_point(value, size: int, name: str) -> np.ndarray:
+    """A state or control as a float vector of the given size; ValueError
+    where its size differs or an entry is not finite."""
+    arr = np.asarray(value, dtype=float).ravel()
+    if arr.size != size:
+        raise ValueError(f"{name} has size {arr.size}, expected {size}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} is not finite")
+    return arr
+
+
 def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
     skew = np.linalg.norm(M - M.T)
     if skew > _SYM_RTOL * (1.0 + np.linalg.norm(M)):

@@ -17,18 +17,26 @@ multiplier program's slack coordinates: before its stage step it sets
 lam_j = max(raw_j, b_j + margin) + s_j from the bound b_j of the stage,
 so a candidate is projected and swept together. The sweep takes its
 multipliers as given (margin -inf, no slack). Every pass steps every
-stage, stage 0 included, and links its multipliers to itself.
+stage it does not repeat, stage 0 included, and links its multipliers to
+itself.
 
 A pass stores each quantity once, stacked over its stages: Pi as an
 (N-k+1, n, n) array, M as (N-k, m+q, m+q) and the gains [K_j; J_j] as one
 (N-k, m+q, n) buffer, of which K and J are the first m and last q rows.
+Every array it stores is read-only, so a sweep that sweep() hands back or
+that another pass takes as its base cannot change under a later decision.
 
-Stage j's step reads only Pi_{j+1} and lam_j, and Pi_N = Pf is fixed,
-so a pass may resume from an earlier pass of the same program: where
-both take the same inputs (raw values, or slacks) at stages i and up,
-those stages repeat the earlier pass bit for bit. It copies their slices
-of Pi, M, the gains, the bounds and the eigenvectors and steps only
-stages i-1..0, which are then bit for bit those of a full pass.
+Stage j's step reads only Pi_{j+1} and lam_j, and Pi_N = Pf is fixed.
+So a pass given a base, an earlier pass of the same program, offset and
+tolerances, decides itself which stages it repeats: it evaluates its
+rule over the base's bounds, in one vectorised expression that matches
+the per-stage one bit for bit, against the base's multipliers. By
+induction from Pi_N, every stage above the last one that differs repeats
+the base bit for bit. The pass copies their slices of Pi, M, the gains,
+the bounds and the eigenvectors and steps the rest, which are then bit
+for bit those of a full pass; where none differs it returns the base
+itself. The rule reads only the base's bounds and multipliers, so any
+pass is a base, whatever its raw values, margin and slacks.
 
 Each stage forms two stacked products, with F = [B G A] built once per
 pass and E = [B G] its first m + q columns:
@@ -146,10 +154,10 @@ def _require_finite(lam: np.ndarray, k: int) -> None:
 
 def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
                  margin: float = -np.inf, slack=None,
-                 base: RiccatiSweep | None = None,
-                 resume: int = 0) -> RiccatiSweep:
+                 base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int]:
     """The backward recursion over len(raw) stages from Pi_N = Pf; k is
-    the stage offset of the result, so raw covers stages k..N-1.
+    the stage offset of the result, so raw covers stages k..N-1. Returns
+    the sweep and the number of stage steps the pass took.
 
     Each stage j takes G'Pi_{j+1}G from its stacked product T and its top
     eigenvalue b_j (for q > 1 from eigh), which is the sweep's bounds[j],
@@ -165,12 +173,22 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     InfeasibleMultiplier where lam_j < b_j - eps_boundary, SingularM at a
     stage step (stage 0's included). lam links weakly to the result and p.
 
-    With base, a pass of the same program and offset whose stages resume
-    and up this pass would repeat (module docstring), those stages are
-    copied from base and only stages resume-1..0 are stepped.
+    base is a pass of the same program, offset and tolerances, or None.
+    With a base the pass evaluates that rule over base.bounds, copies the
+    stages above the last one where it differs from base's multipliers
+    (module docstring) and steps the rest; where none differs it returns
+    base itself with 0 steps. Every array of the result is read-only.
     """
     lam = np.array(raw, dtype=float)
-    n_stages = lam.shape[0]
+    n_stages = top = lam.shape[0]
+    if base is not None:
+        rule = np.maximum(lam, base.bounds + margin)
+        if slack is not None:
+            rule = rule + slack
+        changed = np.flatnonzero(rule != base.lam.lambdas)  # NaN differs
+        if not changed.size:
+            return base, 0
+        top = int(changed[-1]) + 1
     m, q = p.m, p.q
     d = m + q
     Pi = np.empty((n_stages + 1, p.n, p.n))
@@ -181,9 +199,7 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     F = np.hstack([p.B, p.G, p.A])
     E = F[:, :d]
     Pi[n_stages] = p.Pf
-    top = n_stages
     if base is not None:
-        top = resume
         Pi[top:] = base.Pi[top:]
         M[top:] = base.M[top:]
         KJ[top:, :m] = base.K[top:]
@@ -203,11 +219,13 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
             raise InfeasibleMultiplier(
                 f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
         Pi[i], M[i], KJ[i] = _stage_step(p, SF, T, float(lam[i]))
+    for arr in (Pi, M, KJ, bounds, tops):
+        arr.flags.writeable = False
     sw = RiccatiSweep(Pi=Pi, M=M, K=KJ[:, :m], J=KJ[:, m:],
                       lam=MultiplierVector(lam, stage_offset=k), bounds=bounds,
                       _tops=tops)
     object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))
-    return sw
+    return sw, top
 
 
 def sweep(p: ProblemData, lam: MultiplierVector,
@@ -227,7 +245,7 @@ def sweep(p: ProblemData, lam: MultiplierVector,
     sw = link[0]() if link and link[1]() is p else None
     if sw is not None and not (lam.lambdas < sw.bounds - tol.eps_boundary).any():
         return sw
-    return _nested_pass(p, lam.lambdas, k, tol)
+    return _nested_pass(p, lam.lambdas, k, tol)[0]
 
 
 def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
@@ -251,4 +269,4 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     raw = np.array(lam_raw, dtype=float).ravel()
     _require_tail(p, stage_offset, raw.shape[0])
     _require_finite(raw, stage_offset)
-    return _nested_pass(p, raw, stage_offset, tol, margin).lam
+    return _nested_pass(p, raw, stage_offset, tol, margin)[0].lam

@@ -68,6 +68,15 @@ class LmiCertificate:
     feasible: bool
 
 
+def _double(p: ProblemData, lam: float):
+    """The doubling probe from Pf at lam (inf: no disturbance channel),
+    (status, doublings, Pi) as `_kernels` returns them. It calls this
+    module's fixed_point_numpy binding, which benchmark/tracing.py wraps
+    and the tests patch to count probes."""
+    return fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
+                             _FP_TOL, _FP_MAX_DOUBLINGS)
+
+
 def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
     """PSD fixed point of the Riccati map at a fixed multiplier, reached
     from Pf by doubling (see `_kernels`).
@@ -80,9 +89,7 @@ def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
     finite and positive, before it runs."""
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"multiplier {lam!r} is not finite and positive")
-    status, doublings, Pi = fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R,
-                                              float(lam), p.Pf, _FP_TOL,
-                                              _FP_MAX_DOUBLINGS)
+    status, doublings, Pi = _double(p, lam)
     if status == -2:
         raise SingularM(f"block matrix became singular at doubling {doublings}")
     if status != 0:
@@ -111,9 +118,7 @@ def solve_steady_state(p: ProblemData,
         # h = g + eps_boundary, the value whose root the search seeks; h and
         # Pi are None where no fixed point was reached
         nonlocal probes, fp_iterations
-        status, count, Pi = fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R,
-                                              float(lam), p.Pf, _FP_TOL,
-                                              _FP_MAX_DOUBLINGS)
+        status, count, Pi = _double(p, lam)
         probes += 1
         fp_iterations += count
         if status != 0:
@@ -227,8 +232,7 @@ def lqr_baseline(p: ProblemData) -> np.ndarray:
     """Fixed point of the standard Riccati map (no disturbance channel),
     Pi = sym(Q + A'Pi (I + B R^{-1} B' Pi)^{-1} A): the doubling probe at
     lam = inf, reached from Pf."""
-    status, _, Pi = fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R, np.inf, p.Pf,
-                                      _FP_TOL, _FP_MAX_DOUBLINGS)
+    status, _, Pi = _double(p, np.inf)
     if status != 0:
         raise Diverged("LQR Riccati doubling did not converge")
     return Pi

@@ -51,11 +51,12 @@ def fresh(lam):
 
 
 def assert_same_sweep(a, b):
-    """Two RiccatiSweeps agree bit for bit."""
+    """Two RiccatiSweeps agree bit for bit, the top eigenvectors the
+    adjoint pass reads included."""
     assert a.stage_offset == b.stage_offset
     assert np.array_equal(a.lam.lambdas, b.lam.lambdas)
     assert np.array_equal(a.bounds, b.bounds)
-    for field in ("Pi", "M", "K", "J"):
+    for field in ("Pi", "M", "K", "J", "_tops"):
         assert len(getattr(a, field)) == len(getattr(b, field))
         for x, y in zip(getattr(a, field), getattr(b, field)):
             assert np.array_equal(x, y)

@@ -404,7 +404,7 @@ def test_slack_gradient_matches_stagewise_reference(rng, tol):
         s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
         sw = (_reconstruct(p, s, k, tol)[0] if i % 2 == 0 else
               _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol,
-                           tol.eps_boundary))
+                           tol.eps_boundary)[0])
         if i % 4 >= 2:
             cand = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
             cand[rng.integers(0, size)] += rng.uniform(0.01, 1.0)

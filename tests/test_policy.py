@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from stdar import (NoSphereIntersection, control_at, project_feasible,
-                   rollout, solve_multipliers, sweep, worst_disturbance_at)
+from stdar import (NoSphereIntersection, control_at, objective,
+                   project_feasible, rollout, solve_multipliers, sweep,
+                   worst_disturbance_at)
 from stdar.riccati import at_bound
 import stdar
 from stdar import multiplier, riccati
@@ -238,6 +239,59 @@ def test_rollout_rejects_bad_external_input(rng, tol):
         rollout(p, mode="external", w_seq=np.zeros((p.N + 1, p.q)), tol=tol)
     with pytest.raises(ValueError, match="mode"):
         rollout(p, mode="nominal", tol=tol)
+
+
+def test_rollout_rejects_non_finite_external_input(rng, tol):
+    # NaN passes the bound test (NaN > bound is False), so a non-finite
+    # disturbance is rejected before it, in any row
+    p = make_problem(rng, N=3)
+    for row in (0, p.N - 1):
+        for bad in (np.nan, np.inf):
+            w_seq = np.zeros((p.N, p.q))
+            w_seq[row, -1] = bad
+            with pytest.raises(ValueError, match="w_seq is not finite"):
+                rollout(p, mode="external", w_seq=w_seq, tol=tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "long", "short"])
+def test_states_and_controls_checked(rng, tol, bad):
+    # one state contract: every entry point that takes a state or a
+    # control rejects a non-finite one or one of the wrong size
+    p = make_problem(rng)
+    x = p.x0
+    sol = solve_multipliers(p, x, tol=tol)
+    lam = sol.lam_star
+    u = control_at(p, x, 0, lam, tol)
+
+    def spoil(v):
+        if bad == "long":
+            return np.append(v, 0.0)
+        if bad == "short":
+            return v[:-1]
+        v = v.copy()
+        v[-1] = bad
+        return v
+
+    match = "has size" if isinstance(bad, str) else "not finite"
+    for call in (lambda: solve_multipliers(p, spoil(x), tol=tol),
+                 lambda: objective(p, lam, spoil(x), 0, tol),
+                 lambda: control_at(p, spoil(x), 0, lam, tol),
+                 lambda: worst_disturbance_at(p, spoil(x), 0, lam, u, tol),
+                 lambda: worst_disturbance_at(p, x, 0, lam, spoil(u), tol)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_solution_sweep_cannot_be_written(rng, tol):
+    # a write into a solution's sweep raises and leaves every later
+    # decision from its multipliers as it was
+    p = make_problem(rng)
+    sol = solve_multipliers(p, p.x0, tol=tol)
+    u = control_at(p, p.x0, 0, sol.lam_star, tol)
+    with pytest.raises(ValueError, match="read-only"):
+        sol.sweep.K[0] *= 2.0
+    assert sweep(p, sol.lam_star, tol) is sol.sweep
+    assert np.array_equal(control_at(p, p.x0, 0, sol.lam_star, tol), u)
 
 
 def test_trajectory_csv_round_trip(rng, tol, tmp_path):

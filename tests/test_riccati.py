@@ -194,7 +194,7 @@ def test_project_output_always_sweepable(rng, tol):
                             (k, rng.uniform(-1.0, 1.0, p.N - k)),
                             (k, np.zeros(p.N - k))):
             lam = project_feasible(p, raw, stage_offset=offset, tol=tol)
-            one = _nested_pass(p, raw, offset, tol, tol.eps_boundary)
+            one, _ = _nested_pass(p, raw, offset, tol, tol.eps_boundary)
             assert np.array_equal(one.lam.lambdas, lam.lambdas)
             passes.append((offset, one))
         for offset in (0, k):
@@ -224,8 +224,8 @@ def test_resumed_pass_matches_full_pass(rng, tol):
         s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
         base, steps = _reconstruct(p, s, k, tol)
         assert steps == size
-        warm = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol,
-                            tol.eps_boundary)
+        warm, _ = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol,
+                               tol.eps_boundary)
         s_warm = np.maximum(warm.lam.lambdas - warm.bounds - tol.eps_boundary,
                             0.0)
         for changed in ([0], [size - 1], [], list(range(size)),
@@ -249,6 +249,61 @@ def test_resumed_pass_matches_full_pass(rng, tol):
                 assert np.array_equal(one.J, full.J)
                 assert sweep(p, one.lam, tol) is one
     assert warm_resumed > 0
+
+
+def test_pass_decides_which_stages_it_repeats(rng, tol):
+    # given a base, a pass evaluates its own stage rule over the base's
+    # bounds and copies the stages above the last one that differs. The
+    # full pass is the oracle: stage j of it repeats the base exactly
+    # where no multiplier from j up differs, so the resumed pass steps the
+    # stages from the last differing multiplier down, equals the full pass
+    # bit for bit, and hands back the base itself where none differs.
+    # Bases and resumed passes are slack, margin and sweep passes, each
+    # resumed from its own base with one stage's input changed, and from
+    # every other base.
+    eps = tol.eps_boundary
+    partial = 0
+    for _ in range(150):
+        p = make_problem(rng, N=int(rng.integers(1, 9)))
+        k = int(rng.integers(0, p.N))
+        size = p.N - k
+        s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
+        feasible = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol, eps)[0]
+        programs = [  # (raw, margin, slack)
+            (np.full(size, -np.inf), eps, s),
+            (rng.uniform(0.0, 3.0, size), eps, None),
+            (feasible.lam.lambdas + rng.uniform(0.0, 1.0, size), -np.inf, None)]
+        bases = []
+        for raw, margin, slack in programs:
+            base, steps = _nested_pass(p, raw, k, tol, margin, slack)
+            assert steps == size
+            again, steps = _nested_pass(p, raw, k, tol, margin, slack, base)
+            assert again is base and steps == 0
+            i = int(rng.integers(0, size))
+            raw, slack = raw.copy(), None if slack is None else slack.copy()
+            if slack is None:  # above the rule's floor, so lam_i moves
+                raw[i] = base.lam.lambdas[i] + rng.uniform(0.01, 1.0)
+            else:
+                slack[i] += rng.uniform(0.01, 1.0)
+            one, steps = _nested_pass(p, raw, k, tol, margin, slack, base)
+            assert steps == i + 1
+            assert_same_sweep(one, _nested_pass(p, raw, k, tol, margin, slack)[0])
+            assert sweep(p, one.lam, tol) is one
+            bases.append(base)
+        # the slack pass at the slacks each base's multipliers read as
+        programs += [(np.full(size, -np.inf), eps,
+                      np.maximum(b.lam.lambdas - b.bounds - eps, 0.0))
+                     for b in bases]
+        for raw, margin, slack in programs:
+            full, _ = _nested_pass(p, raw, k, tol, margin, slack)
+            for base in bases:
+                one, steps = _nested_pass(p, raw, k, tol, margin, slack, base)
+                differ = np.flatnonzero(full.lam.lambdas != base.lam.lambdas)
+                assert steps == (differ[-1] + 1 if differ.size else 0)
+                assert (one is base) == (steps == 0)
+                assert_same_sweep(one, full)
+                partial += 0 < steps < size
+    assert partial > 0
 
 
 def test_sweep_reuses_linked_pass(rng, tol):
@@ -277,7 +332,7 @@ def test_sweep_reuses_linked_pass(rng, tol):
 
         # multipliers 5e-4 below their bounds, feasible under a loose tol
         loose = dataclasses.replace(tol, eps_boundary=1e-3)
-        below = _nested_pass(p, np.full(p.N - k, -np.inf), k, loose, -5e-4)
+        below, _ = _nested_pass(p, np.full(p.N - k, -np.inf), k, loose, -5e-4)
         assert sweep(p, below.lam, loose) is below
         errors = []
         for vec in (below.lam, fresh(below.lam)):
@@ -298,7 +353,8 @@ def test_project_feasible_singular_stage_zero_raises(tol):
 def test_sweep_is_stacked(rng, tol):
     # one array per quantity, stacked over the stages; K and J are the
     # first m and last q rows of one gain buffer, in full, resumed and
-    # reused passes alike
+    # reused passes alike. Every array is read-only, so a sweep handed
+    # back or shared as a base cannot change under a later decision
     for _ in range(20):
         p = make_problem(rng)
         k = int(rng.integers(0, p.N))
@@ -322,6 +378,11 @@ def test_sweep_is_stacked(rng, tol):
             assert np.array_equal(gains[:, :p.m], sw.K)
             assert np.array_equal(gains[:, p.m:], sw.J)
             assert np.array_equal(sw.Pi[-1], p.Pf)
+            for name in ("Pi", "M", "K", "J", "bounds", "_tops"):
+                assert not getattr(sw, name).flags.writeable, name
+            assert not gains.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                sw.Pi[-1] += 1.0
         # a resumed pass copies its base's stages, it does not share them
         assert not np.shares_memory(resumed.Pi, full.Pi)
         assert not np.shares_memory(resumed.K.base, full.K.base)
@@ -356,7 +417,7 @@ def test_nested_pass_matches_block_stage_oracle(rng, tol):
         m = int(rng.choice([v for v in range(1, 5) if v != n]))
         p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)))
         s = rng.uniform(0.05, 2.0, p.N)
-        sw = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
+        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
         assert np.array_equal(sw.Pi[-1], p.Pf)
         for j in range(p.N):
             ref = stage_step_reference(p.A, p.B, p.G, p.Q, p.R, sw.Pi[j + 1],
