@@ -26,14 +26,17 @@ at the fixed point is stable, A_k vanishes and H_k converges quadratically
 the map the error still halves with each doubling (Chiang et al., SIAM J.
 Matrix Anal. Appl. 31(2), 2009), and each doubling stands for 2^k steps.
 
-Status codes: 0 converged, 1 doubling cap, -1 diverged or no positive
-semidefinite fixed point, -2 singular M.
+Status codes: 0 converged, 1 doubling cap, -1 diverged, or converged to
+an X that is not positive semidefinite or not a fixed point of the map
+itself, -2 singular M.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ._linalg import fro_norm
+
+_FP_CHECK = 1e-8
 
 
 def coupling(B, G, R, lam):
@@ -56,9 +59,13 @@ def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
     """Fixed point of the map at lam, reached from X0 by doubling:
     (status, doublings, X). Converged when a doubling moves H_k, and
     ||A_k||^2 ||X0|| bounds what X0 still adds, both within tol relative;
-    only then is X = F^(2^k)(X0) formed, and it must be PSD."""
+    only then is X = F^(2^k)(X0) formed. X must be PSD and a fixed point
+    of the map itself: ||F(X) - X|| < _FP_CHECK (1 + ||X||), 1e-8. On
+    random systems the doubling now and then settles on an X whose step
+    moves it by 5e-3 or more; the fixed points it reaches move by 1e-13."""
     n = A.shape[0]
-    AG = np.hstack([A, coupling(B, G, R, lam)])  # [A_k G_k]
+    Z = coupling(B, G, R, lam)
+    AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
     start = fro_norm(X0)
     for k in range(int(max_doublings)):
@@ -84,6 +91,12 @@ def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
             except np.linalg.LinAlgError:
                 return -2, k + 1, X0
             if np.linalg.eigvalsh(X)[0] < -tol * scale:
+                return -1, k + 1, X
+            try:
+                Xn, _ = game_step(A, Q, Z, X)
+            except np.linalg.LinAlgError:
+                return -2, k + 1, X
+            if not fro_norm(Xn - X) < _FP_CHECK * (1.0 + fro_norm(X)):
                 return -1, k + 1, X
             return 0, k + 1, X
     return 1, int(max_doublings), X0

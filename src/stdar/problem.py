@@ -70,8 +70,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

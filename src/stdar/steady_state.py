@@ -1,4 +1,4 @@
-"""Steady-state regulator: a regula-falsi search over the multiplier,
+"""Steady-state regulator: a bracketed search over the multiplier,
 fixed-point Riccati solve, LMI feasibility certificate, and an LQR baseline.
 
 The steady-state problem minimizes lambda subject to lambda >= ||G'Pi G||
@@ -9,12 +9,11 @@ g(lambda) = lambda - ||G'Pi(lambda) G|| clears -eps_boundary. Pi(lambda)
 falls in the Loewner order as lambda grows (a larger lambda charges the
 disturbance more), so g is increasing with slope at least 1 and the
 feasible multipliers form a half-line. The search keeps a bracket
-[lo, hi], hi feasible and lo not, and places each probe by Illinois
-regula falsi on g between them (Dowell & Jarratt, BIT 11, 1971), or by
-bisection while lo has reached no fixed point, as everywhere below a
-saddle-node of the map. Each probe doubles from Pf. The LMI check then
-certifies the solution as positive semidefiniteness of an
-assembled block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
+[lo, hi], hi feasible and lo not; since Pi(lambda_bar) dominates Pi_hi,
+||G'Pi_hi G|| - eps_boundary is a lower bound on lambda_bar that each
+feasible probe hands the next (see `solve_steady_state`). The LMI check
+certifies the solution as positive semidefiniteness of an assembled block
+matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
 from __future__ import annotations
 
@@ -83,10 +82,10 @@ def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
 
     Raises SingularM where a doubling's solve, I + G_k H_k or I + G_k Pf,
     is singular,
-    FixedPointDiverged when the doubling diverges, converges to a fixed
-    point that is not positive semidefinite, or makes _FP_MAX_DOUBLINGS
-    doublings without converging, and ValueError for a lam that is not
-    finite and positive, before it runs."""
+    FixedPointDiverged when the doubling diverges, converges to an X that
+    is not positive semidefinite or not a fixed point, or makes
+    _FP_MAX_DOUBLINGS doublings without converging, and ValueError for a
+    lam that is not finite and positive, before it runs."""
     if not (np.isfinite(lam) and lam > 0.0):
         raise ValueError(f"multiplier {lam!r} is not finite and positive")
     status, doublings, Pi = _double(p, lam)
@@ -106,9 +105,11 @@ def solve_steady_state(p: ProblemData,
     A multiplier is feasible when its fixed point exists and its slack
     g = lam - ||G'Pi G|| is at least -eps_boundary. The upper bracket
     starts at 10 (||G'Pf G|| + tr Q + tr R) and doubles at most 10 times;
-    the bracket [lo, hi] then shrinks to 1e-9 absolute by Illinois regula
-    falsi on g, with a bisection step while lo has no fixed point. Every
-    probe doubles from Pf.
+    the bracket [lo, hi] then shrinks to 1e-9 absolute. Each probe, clamped
+    0.25e-9 inside it and doubled from Pf, goes to the lower bound
+    ||G'Pi_hi G|| - eps_boundary while that lies above lo and lo is 0 or
+    has a fixed point, else to the secant of g where lo has a slack, else
+    to the midpoint.
     """
     tol = tol or Tolerances()
     probes = fp_iterations = 0
@@ -137,26 +138,20 @@ def solve_steady_state(p: ProblemData,
         raise NoFeasibleLambda(
             f"no feasible multiplier up to {hi:.6g} after {doublings} doublings")
     lo, h_lo = 0.0, None
-    prev_ok = None
     while hi - lo > _BISECT_TOL:
-        falsi = h_lo is not None
-        if falsi:
+        bound = hi - h_hi  # ||G'Pi_hi G|| - eps_boundary, at most lambda_bar
+        if (lo == 0.0 or h_lo is not None) and bound > lo:
+            mid = bound
+        elif h_lo is not None:
             mid = hi - h_hi * (hi - lo) / (h_hi - h_lo)
-            mid = min(max(mid, lo + 0.25 * _BISECT_TOL), hi - 0.25 * _BISECT_TOL)
         else:
             mid = 0.5 * (lo + hi)
+        mid = min(max(mid, lo + 0.25 * _BISECT_TOL), hi - 0.25 * _BISECT_TOL)
         ok, h, Pi = probe(mid)
-        if falsi and ok == prev_ok:
-            # Illinois: one end moved twice in a row, halve the other's value
-            if ok:
-                h_lo *= 0.5
-            else:
-                h_hi *= 0.5
         if ok:
             hi, h_hi, Pi_hi = mid, h, Pi
         else:
             lo, h_lo = mid, h
-        prev_ok = ok
     lambda_bar, Pi_bar = hi, Pi_hi
 
     try:

@@ -129,6 +129,10 @@ def test_tolerances_must_be_positive():
         Tolerances(tol_psd=0.0)
     with pytest.raises(ValueError):
         Tolerances(eps_boundary=-1e-9)
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary"):
+            with pytest.raises(ValueError, match="finite"):
+                Tolerances(**{name: bad})
 
 
 def test_stabilizability_warning_only():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stdar import Tolerances, rollout, solve_multipliers, sweep
+from stdar import (Tolerances, rollout, solve_multipliers,
+                   solve_steady_state, sweep)
 from stdar.cli import main, _random_stable
 from stdar.errors import ScenarioError
 from stdar.scenario import ScenarioFile, load_scenario, save_scenario
@@ -209,6 +210,9 @@ def test_cli_steady(tmp_path, capsys):
                                                       abs=1e-6)
     assert float(row["Pi[0][0]"]) == pytest.approx(1.2, abs=1e-4)
     assert float(row["K[0][0]"]) == pytest.approx(1.0, abs=1e-4)
+    sol = solve_steady_state(sec5())
+    assert int(row["probes"]) == sol.probes > 0
+    assert int(row["fp_iterations"]) == sol.fp_iterations > 0
 
 
 def test_cli_bench(tmp_path, capsys):
@@ -246,6 +250,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n")
     assert main(["validate", "--scenario", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    good = write_scenario(tmp_path, sec5(), mode="steady")
+    assert main(["validate", "--scenario", good, "--tol-psd", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_out_override(tmp_path):

@@ -281,14 +281,57 @@ def test_saddle_node_doublings():
 
 
 def test_search_probe_count(rng):
-    # regula falsi needs at most 16 probes on these systems, where
-    # bisection to the same bracket took 36-41
+    # each feasible probe's lower bound on lambda_bar ends the search within
+    # 20 probes on each of these systems, where bisection to the same
+    # bracket took 36-41; the ten random systems take 72 probes and 374
+    # doublings together, counts that do not depend on the host
     for A, B, G, Q, R, Pf in _SCALAR_SYSTEMS:
         sol = solve_steady_state(steady_scalar(A=A, B=B, G=G, Q=Q, R=R, Pf=Pf))
         lam, pi = steady_scalar_closed_form(A, B, G, Q, R)
         assert sol.lambda_bar == pytest.approx(lam, abs=1e-8)
         assert sol.Pi_bar[0, 0] == pytest.approx(pi, abs=1e-6)
         assert sol.probes <= 20
+    probes = doublings = 0
     for n in (2, 3, 4, 6, 8, 2, 3, 4, 6, 8):
         sol = solve_steady_state(_bank_system(rng, n))
         assert sol.probes <= 20
+        probes += sol.probes
+        doublings += sol.fp_iterations
+    assert probes <= 85
+    assert doublings <= 450
+
+
+def test_doubling_stop_test_is_not_a_fixed_point():
+    # the doubling meets its stop test here at an X (||X|| = 13) that one
+    # step of the map moves by 3.9: the probe must not report it converged
+    rng = np.random.default_rng(7)
+    for _ in range(132):
+        p = make_problem(rng)
+    args = (p.A, p.B, p.G, p.Q, p.R, 5.2, p.Pf, 1e-12, 64)
+    assert _kernels.fixed_point_numpy(*args)[0] == -1
+    with pytest.raises(FixedPointDiverged):
+        steady_riccati_fixed_point(p, 5.2)
+
+
+def _dare_slack(p, lam):
+    # lam - ||G'X G|| at the stabilizing DARE solution X for the extended
+    # input [B G] with weight blkdiag(R, -lam I)
+    X = la.solve_discrete_are(p.A, np.hstack([p.B, p.G]), p.Q,
+                              la.block_diag(p.R, -lam * np.eye(p.q)))
+    return lam - top_eig(p.G.T @ X @ p.G)
+
+
+def test_solution_is_a_fixed_point():
+    # on these systems a probe can settle on an X that is no fixed point and
+    # whose slack clears the boundary; counted feasible, it would end the
+    # search well below lambda_bar (near 5.95 for 8.739 at index 50)
+    rng = np.random.default_rng(9)
+    systems = [make_problem(rng) for _ in range(262)]
+    for i in (50, 68, 71, 261):
+        p = systems[i]
+        sol = solve_steady_state(p)
+        assert sol.residual <= 1e-8 * (1.0 + np.linalg.norm(sol.Pi_bar))
+        if i in (50, 261):
+            # lambda_bar is where the DARE's slack changes sign
+            assert _dare_slack(p, sol.lambda_bar * (1.0 + 1e-6)) > 0.0
+            assert _dare_slack(p, sol.lambda_bar * (1.0 - 1e-6)) < 0.0
