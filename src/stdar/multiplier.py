@@ -17,10 +17,13 @@ One projected-gradient loop (Barzilai-Borwein step, Armijo backtracking)
 runs in these coordinates from the start. A cold solve starts at the
 lower corner s = 0, where most multipliers of an optimum sit, built in
 that same pass; a warm one projects its init in one margin pass and
-reads its slacks off it. No separate projection
-(riccati.project_feasible) runs on the way. The first trial moves no
-slack by more than 1: at the corner an interior stage's gradient can be
-in the hundreds.
+reads its slacks off it, one within lambda_j's rounding as 0 (at a bound
+lambda_j - b_j - eps_boundary is rounding noise). The loop evaluates no
+trial whose predicted decrease lies within phi's rounding, so a warm
+start at an optimum that met its 1e-8 rule costs its start pass and one
+gradient. No separate projection (riccati.project_feasible) runs on the
+way. The first trial moves no slack by more than 1: at the corner an
+interior stage's gradient can be in the hundreds.
 
 A trial pass is the slack pass at the trial point with the sweep of
 the current point as its base; the pass itself decides which stages it
@@ -73,6 +76,7 @@ __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
+_ROUNDING = 16.0 * np.finfo(float).eps  # relative rounding of phi and lambda
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class MultiplierSolution:
     each trial pass, which resumes from the current sweep and steps only
     the stages from the last multiplier it changes down), one adjoint pass per
     accepted point and at the start, and the trial points rejected by the
-    Armijo test.
+    Armijo test; a trial within phi's rounding is not evaluated (_descend).
     """
 
     lam_star: MultiplierVector
@@ -140,8 +144,7 @@ def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarr
     alpha = p.alpha[sw.stage_offset:]
     g = np.zeros(sw.horizon())
     X = np.outer(x, x)
-    KJ = np.concatenate((sw.K, sw.J), axis=1)  # the stacked gains [K_j; J_j]
-    Acl = p.A - np.hstack([p.B, p.G]) @ KJ
+    Acl = p.A - np.hstack([p.B, p.G]) @ sw._gains
     JJ = (sw.J.transpose(0, 2, 1) @ sw.J).reshape(g.size, -1)
     Gv = sw._tops @ p.G.T                # row j: G v_j, the pass's eigenvector
     GG = Gv[:, :, None] * Gv[:, None, :]  # (G v_j)(G v_j)' of every stage
@@ -171,8 +174,11 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     """Projected gradient over the slack orthant from s >= 0 with sweep sw,
     the solve's start pass.
 
-    Converged when the projected-gradient norm falls to 1e-8 (1 + |phi|),
-    or, once no step is accepted, to 1e-6 (1 + |phi|).
+    A trial whose predicted decrease -g.step is at most phi's rounding,
+    _ROUNDING |phi|, would be tested on noise: the line search ends there,
+    unevaluated, as backtracking only shrinks it. Converged when the
+    projected-gradient norm falls to 1e-8 (1 + |phi|), or, once no step is
+    accepted, to 1e-6 (1 + |phi|).
     """
     k = sw.stage_offset
     phi = _phi(p, x, sw.lam, sw.Pi[0])
@@ -194,8 +200,8 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
         for _ in range(_MAX_BACKTRACKS):
             cand = np.maximum(s - tt * g, 0.0)
             step = cand - s
-            if float(np.abs(step).max()) == 0.0:
-                break
+            if not -float(g @ step) > _ROUNDING * abs(phi):
+                break  # the predicted decrease is lost in phi's rounding
             sw_c, steps = _reconstruct(p, cand, k, tol, sw)
             stage_steps += steps
             phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
@@ -254,5 +260,6 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         sw, _ = _reconstruct(p, s, k, tol)
     else:
         sw, _ = _nested_pass(p, init, k, tol, tol.eps_boundary)
-        s = np.maximum(sw.lam.lambdas - sw.bounds - tol.eps_boundary, 0.0)
+        s = sw.lam.lambdas - sw.bounds - tol.eps_boundary
+        s[s <= _ROUNDING * np.abs(sw.lam.lambdas)] = 0.0
     return _descend(p, x, s, sw, tol, max_iter)

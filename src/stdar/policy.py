@@ -24,10 +24,11 @@ class Trajectory:
     """Closed-loop record over one horizon.
 
     multipliers[k] is the head multiplier of the stage-k re-solve;
-    stage_values[k] the stage-k program value at x_k; iterations[k] and
-    stage_steps[k] that re-solve's descent iterations and stage steps, as
-    its MultiplierSolution reports them. value_ratio is the realized cost
-    over the realized disturbance energy (nan if the denominator vanishes).
+    stage_values[k] the stage-k program value at x_k; iterations[k],
+    stage_steps[k] and stage_converged[k] that re-solve's MultiplierSolution
+    counts and flag; converged is all of the flags. value_ratio is the
+    realized cost over the realized disturbance energy (nan if the
+    denominator vanishes).
     """
 
     states: np.ndarray        # (N+1, n)
@@ -41,6 +42,7 @@ class Trajectory:
     converged: bool
     iterations: np.ndarray    # (N,) int
     stage_steps: np.ndarray   # (N,) int
+    stage_converged: np.ndarray  # (N,) bool
 
     @property
     def total_cost(self) -> float:
@@ -53,7 +55,8 @@ class Trajectory:
         q = self.disturbances.shape[1]
         cols = (["k"] + [f"x[{i}]" for i in range(n)]
                 + [f"u[{i}]" for i in range(m)] + [f"w[{i}]" for i in range(q)]
-                + ["lambda_k", "stage_cost", "iterations", "stage_steps"])
+                + ["lambda_k", "stage_cost", "iterations", "stage_steps",
+                   "converged"])
         fmt = lambda v: f"{v:.17g}"
         lines = [",".join(cols)]
         N = self.controls.shape[0]
@@ -62,10 +65,11 @@ class Trajectory:
                    + [fmt(v) for v in self.controls[k]]
                    + [fmt(v) for v in self.disturbances[k]]
                    + [fmt(self.multipliers[k]), fmt(self.stage_costs[k]),
-                      str(self.iterations[k]), str(self.stage_steps[k])])
+                      str(self.iterations[k]), str(self.stage_steps[k]),
+                      str(bool(self.stage_converged[k]))])
             lines.append(",".join(row))
         tail = ([str(N)] + [fmt(v) for v in self.states[N]]
-                + [""] * (m + q) + ["", fmt(self.terminal_cost), "", ""])
+                + [""] * (m + q) + ["", fmt(self.terminal_cost), "", "", ""])
         lines.append(",".join(tail))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -159,13 +163,12 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     stage_values = np.zeros(p.N)
     iterations = np.zeros(p.N, dtype=int)
     stage_steps = np.zeros(p.N, dtype=int)
+    converged = np.zeros(p.N, dtype=bool)
     states[0] = x
     warm = None
-    all_converged = True
 
     for k in range(p.N):
         sol = solve_multipliers(p, x, k=k, init=warm, tol=tol)
-        all_converged &= sol.converged
         u = control_at(p, x, k, sol.lam_star, tol)
         if mode == "worst_case":
             w = worst_disturbance_at(p, x, k, sol.lam_star, u, tol)
@@ -180,6 +183,7 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
         stage_values[k] = sol.value
         iterations[k] = sol.iterations
         stage_steps[k] = sol.stage_steps
+        converged[k] = sol.converged
         x = p.A @ x + p.B @ u + p.G @ w
         states[k + 1] = x
         warm = sol.lam_star.lambdas[1:] if k < p.N - 1 else None
@@ -192,5 +196,5 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
                       disturbances=disturbances, multipliers=multipliers,
                       stage_costs=stage_costs, terminal_cost=terminal,
                       value_ratio=ratio, stage_values=stage_values,
-                      converged=all_converged, iterations=iterations,
-                      stage_steps=stage_steps)
+                      converged=bool(converged.all()), iterations=iterations,
+                      stage_steps=stage_steps, stage_converged=converged)

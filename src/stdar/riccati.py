@@ -38,16 +38,15 @@ for bit those of a full pass; where none differs it returns the base
 itself. The rule reads only the base's bounds and multipliers, so any
 pass is a base, whatever its raw values, margin and slacks.
 
-Each stage forms two stacked products, with F = [B G A] built once per
-pass and E = [B G] its first m + q columns:
-
-    SF = Pi_{j+1} F,    T = E'SF = [E'Pi_{j+1}E, E'Pi_{j+1}A].
-
-T[:, :m+q] is M_j before R and -lam_j I are added, its block
-T[m:, m:m+q] = G'Pi_{j+1}G gives the bound b_j, T[:, m+q:] is the
-right-hand side [B'Pi_{j+1}A; G'Pi_{j+1}A], and A'Pi_{j+1}A = A'SF[:, m+q:].
-At these sizes numpy's per-call cost, not the arithmetic, sets a stage's
-time, so two products replace the ten that form the blocks one by one.
+Each stage forms one bordered matrix, with F = [B G A] and the constant
+C = blockdiag(R, 0, Q) built once per pass: H = sym(F'Pi_{j+1}F) + C.
+Its G block G'Pi_{j+1}G gives the bound b_j; with lam_j taken off that
+block's diagonal, M_j = H[:m+q, :m+q] and rhs = H[:m+q, m+q:]. One more
+product, H [K_j; J_j; -I] = [M_j [K_j; J_j] - rhs; -Pi_j], gives both the
+residual the stage solve is checked by and Pi_j, symmetric to rounding
+(the next stage's H is symmetrized). At these sizes numpy's per-call
+cost, not the arithmetic, sets a stage's time, so a stage makes three
+products: Pi_{j+1}F, F'(Pi_{j+1}F) and that one.
 """
 from __future__ import annotations
 
@@ -88,8 +87,8 @@ class RiccatiSweep:
     Pi, of shape (N-k+1, n, n), holds the cost-to-go matrix Pi[i] of stage
     k+i (so Pi[0] belongs to the sweep's start stage and Pi[-1] = Pf). M,
     K, J, bounds have one entry per stage k..N-1; K and J are views of one
-    gain buffer [K; J]. bounds[i] = ||G'Pi_{k+i+1}G||, the feasibility
-    threshold that lam_{k+i} must dominate.
+    gain buffer [K; J], _gains. bounds[i] = ||G'Pi_{k+i+1}G||, the
+    feasibility threshold that lam_{k+i} must dominate.
     """
 
     Pi: np.ndarray
@@ -99,6 +98,7 @@ class RiccatiSweep:
     lam: MultiplierVector
     bounds: np.ndarray
     _tops: np.ndarray = field(repr=False, compare=False)
+    _gains: np.ndarray = field(repr=False, compare=False)
 
     @property
     def stage_offset(self) -> int:
@@ -114,24 +114,25 @@ def at_bound(lam, bound, tol: Tolerances):
     return (lam - bound) <= max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + abs(bound))
 
 
-def _stage_step(p: ProblemData, SF: np.ndarray, T: np.ndarray, lam_j: float):
-    """One backward step from Pi_{j+1}, given its stacked products
-    SF = Pi_{j+1} [B G A] and T = [B G]'SF. Returns (Pi_j, M, [K; J])."""
+def _stage_step(p: ProblemData, H: np.ndarray, Z: np.ndarray, lam_j: float):
+    """One backward step from the bordered matrix H (module docstring),
+    which it shifts by -lam_j, and a buffer Z = [0; -I] it writes the gains
+    into. Returns (Pi_j, M, [K; J]), M and [K; J] views of H and Z."""
     m, d = p.m, p.m + p.q
-    M = sym(T[:, :d])
-    M[:m, :m] += p.R
-    M.ravel()[m * (d + 1)::d + 1] -= lam_j  # G'SG - lam_j I on the diagonal
-    rhs = T[:, d:]
+    step = H.shape[0] + 1
+    H.ravel()[m * step:d * step:step] -= lam_j
+    M, rhs = H[:d, :d], H[:d, d:]
     try:
-        KJ = np.linalg.solve(M, rhs)
+        Z[:d] = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularM(f"stage matrix singular at lam = {lam_j:.9g}") from exc
-    resid = fro_norm(M @ KJ - rhs)
-    scale = 1.0 + fro_norm(rhs) + np.abs(M).max() * fro_norm(KJ)
+    HZ = H @ Z  # [M KJ - rhs; -Pi_j]
+    resid = fro_norm(HZ[:d])
+    scale = 1.0 + fro_norm(rhs) + np.abs(M).max() * fro_norm(Z[:d])
     if not resid <= 1e-8 * scale:  # also where M or rhs is not finite
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
-    return sym(p.Q + p.A.T @ SF[:, d:] - rhs.T @ KJ), M, KJ
+    return -HZ[d:], M, Z[:d]
 
 
 def _require_tail(p: ProblemData, k: int, n_stages: int) -> None:
@@ -159,7 +160,7 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     the stage offset of the result, so raw covers stages k..N-1. Returns
     the sweep and the number of stage steps the pass took.
 
-    Each stage j takes G'Pi_{j+1}G from its stacked product T and its top
+    Each stage j takes G'Pi_{j+1}G from its bordered matrix H and its top
     eigenvalue b_j (for q > 1 from eigh), which is the sweep's bounds[j],
     with a unit top eigenvector v_j (1 where q = 1) that it keeps in the
     sweep's _tops (row j) for the multiplier program's adjoint pass. Stage
@@ -197,20 +198,20 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     bounds = np.zeros(n_stages)
     tops = np.empty((n_stages, q))
     F = np.hstack([p.B, p.G, p.A])
-    E = F[:, :d]
+    C = np.zeros((d + p.n, d + p.n))
+    C[:m, :m], C[d:, d:] = p.R, p.Q
+    Z = np.vstack([np.zeros((d, p.n)), -np.eye(p.n)])
     Pi[n_stages] = p.Pf
     if base is not None:
         Pi[top:] = base.Pi[top:]
         M[top:] = base.M[top:]
-        KJ[top:, :m] = base.K[top:]
-        KJ[top:, m:] = base.J[top:]
+        KJ[top:] = base._gains[top:]
         bounds[top:] = base.bounds[top:]
         tops[top:] = base._tops[top:]
         lam[top:] = base.lam.lambdas[top:]
     for i in range(top - 1, -1, -1):
-        SF = Pi[i + 1] @ F
-        T = E.T @ SF
-        bounds[i], tops[i] = top_eigpair(T[m:, m:d])
+        H = sym(F.T @ (Pi[i + 1] @ F)) + C
+        bounds[i], tops[i] = top_eigpair(H[m:d, m:d])
         if lam[i] < bounds[i] + margin:
             lam[i] = bounds[i] + margin
         if slack is not None:
@@ -218,12 +219,12 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
         if not lam[i] >= bounds[i] - tol.eps_boundary:  # NaN fails too
             raise InfeasibleMultiplier(
                 f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
-        Pi[i], M[i], KJ[i] = _stage_step(p, SF, T, float(lam[i]))
+        Pi[i], M[i], KJ[i] = _stage_step(p, H, Z, float(lam[i]))
     for arr in (Pi, M, KJ, bounds, tops):
         arr.flags.writeable = False
     sw = RiccatiSweep(Pi=Pi, M=M, K=KJ[:, :m], J=KJ[:, m:],
                       lam=MultiplierVector(lam, stage_offset=k), bounds=bounds,
-                      _tops=tops)
+                      _tops=tops, _gains=KJ)
     object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))
     return sw, top
 

@@ -6,7 +6,8 @@ package's modules bind them. A name removed or renamed in the package
 breaks the benchmark, not the package's own tests, so these tests read
 both lists from benchmark/ and resolve them. One short run each of the
 long_horizon, steady and online workloads checks that the harness runs end
-to end.
+to end, and one pass over the online bank bounds the solver work its
+decisions report, counts that do not depend on the host.
 """
 import ast
 import importlib.util
@@ -92,6 +93,37 @@ def test_traced_kernel_counts_match_steady_solution(rng):
         tracer.uninstall()
     assert metrics["kernels.fp_calls"][0] == sol.probes > 0
     assert metrics["kernels.fp_iterations"][0] == sol.fp_iterations > 0
+
+
+def test_online_bank_counts(monkeypatch):
+    # host-independent work of one pass over the online bank, summed over
+    # its 72 decisions, counted on the solutions the workload's own solve
+    # calls return. Warm re-solves that start at their optimum take their
+    # start pass and one gradient, and no trial is rejected on rounding
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checker
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    api = SimpleNamespace(**{name: getattr(stdar, name) for name in api_names()})
+    api.begin_op = lambda: None
+    solutions = []
+
+    def solve(*args, **kwargs):
+        solutions.append(stdar.solve_multipliers(*args, **kwargs))
+        return solutions[-1]
+
+    api.solve_multipliers = solve
+    wl = workloads.Online()
+    cases = wl.bank()
+    for case in cases:
+        case.build(api)
+        wl.run(api, case, np.random.default_rng(0))
+    assert len(solutions) == sum(wl.ops(case) for case in cases) == 72
+    assert all(sol.converged for sol in solutions)
+    assert sum(sol.stage_steps for sol in solutions) <= 600
+    assert sum(sol.gradient_evals for sol in solutions) <= 100
+    assert sum(sol.backtracks for sol in solutions) == 0
 
 
 def short_run(workload):

@@ -423,6 +423,66 @@ def test_warm_start_accepted(rng, tol):
     assert warm.iterations <= cold.iterations
 
 
+def test_warm_resolve_at_the_optimum_costs_its_start_pass(rng, tol):
+    # a warm re-solve from a solution's own lam_star (same p, x, k) starts
+    # on that solution's sweep. Slacks at their bounds read as 0, not as
+    # lam - b - eps_boundary's rounding noise, so a solve that met the
+    # 1e-8 rule meets it again at once: its start pass and one gradient.
+    # A solve that ended under the 1e-6 rule (no trial accepted) is not at
+    # that tolerance, and its re-solve may try steps again from the first
+    # step length
+    tight = 0
+    for _ in range(100):
+        p = make_problem(rng)
+        k = int(rng.integers(0, p.N))
+        x = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(p.n)
+        sol = solve_multipliers(p, x, k=k, tol=tol)
+        assert sol.converged
+        warm = solve_multipliers(p, x, k=k, init=sol.lam_star.lambdas, tol=tol)
+        assert warm.converged
+        assert warm.value <= sol.value
+        if sol.grad_norm <= 1e-8 * (1.0 + abs(sol.value)):
+            tight += 1
+            assert (warm.iterations, warm.gradient_evals, warm.stage_steps,
+                    warm.backtracks) == (0, 1, p.N - k, 0)
+            assert warm.value == sol.value
+    assert tight >= 90
+
+
+def test_no_trial_within_phi_rounding(rng, tol, monkeypatch):
+    # every trial pass the descent evaluates predicts a decrease -g.step
+    # of phi above phi's rounding; smaller ones end the line search
+    # unevaluated. Slack points are read off the start and trial passes
+    slacks, trials = {}, []
+    descend, full = multiplier._descend, multiplier._reconstruct
+
+    def start(p, x, s, sw, tol, max_iter):
+        slacks[id(sw)] = s
+        return descend(p, x, s, sw, tol, max_iter)
+
+    def record(p, s, k, tol, base=None):
+        sw, steps = full(p, s, k, tol, base)
+        if base is not None:
+            g = _slack_gradient(p, base, x)
+            phi = multiplier._phi(p, x, base.lam, base.Pi[0])
+            trials.append((-float(g @ (s - slacks[id(base)])), abs(phi)))
+        slacks[id(sw)] = s
+        return sw, steps
+
+    monkeypatch.setattr(multiplier, "_descend", start)
+    monkeypatch.setattr(multiplier, "_reconstruct", record)
+    for i in range(60):
+        p = make_problem(rng, N=int(rng.integers(2, 12)))
+        k = int(rng.integers(0, p.N))
+        x = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(p.n)
+        init = (None if i % 2 == 0 else
+                rng.uniform(0.0, 3.0) * np.ones(p.N - k))
+        assert solve_multipliers(p, x, k=k, init=init, tol=tol).converged
+    assert len(trials) > 100
+    rounding = 16.0 * np.finfo(float).eps
+    assert all(pred > rounding * phi for pred, phi in trials)
+
+
 def test_resume_leaves_solves_unchanged(rng, tol, monkeypatch):
     # cold and warm solves end on the same point, value and step counts
     # whether each trial pass resumes from the current sweep or runs full

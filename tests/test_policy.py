@@ -304,20 +304,22 @@ def test_trajectory_csv_round_trip(rng, tol, tmp_path):
     header = (["k"] + [f"x[{i}]" for i in range(p.n)]
               + [f"u[{i}]" for i in range(p.m)]
               + [f"w[{i}]" for i in range(p.q)]
-              + ["lambda_k", "stage_cost", "iterations", "stage_steps"])
+              + ["lambda_k", "stage_cost", "iterations", "stage_steps",
+                 "converged"])
     assert rows[0] == header
     assert len(rows) == p.N + 2
     for k in range(p.N):
         vals = rows[k + 1]
         assert int(vals[0]) == k
         # %.17g survives the float round trip bit for bit
-        back = np.array([float(v) for v in vals[1:-2]])
+        back = np.array([float(v) for v in vals[1:-3]])
         ref = np.concatenate([traj.states[k], traj.controls[k],
                               traj.disturbances[k],
                               [traj.multipliers[k], traj.stage_costs[k]]])
         assert np.array_equal(back, ref)
-        assert [int(v) for v in vals[-2:]] == [traj.iterations[k],
-                                               traj.stage_steps[k]]
+        assert [int(v) for v in vals[-3:-1]] == [traj.iterations[k],
+                                                 traj.stage_steps[k]]
+        assert vals[-1] == str(bool(traj.stage_converged[k]))
     tail = dict(zip(header, rows[p.N + 1]))
     assert int(tail["k"]) == p.N
     assert np.array_equal(np.array([float(tail[f"x[{i}]"]) for i in range(p.n)]),
@@ -328,17 +330,21 @@ def test_trajectory_csv_round_trip(rng, tol, tmp_path):
 
 
 def test_trajectory_reports_each_resolve_work(rng, tol):
-    # iterations[k] and stage_steps[k] are those of the stage-k re-solve,
-    # repeated here from the recorded states and the same warm starts
+    # iterations[k], stage_steps[k] and stage_converged[k] are those of
+    # the stage-k re-solve, repeated here from the recorded states and the
+    # same warm starts; converged is all of the flags
     for _ in range(3):
         p = make_problem(rng)
         traj = rollout(p, mode="worst_case", tol=tol)
-        assert traj.iterations.shape == traj.stage_steps.shape == (p.N,)
+        assert (traj.iterations.shape == traj.stage_steps.shape
+                == traj.stage_converged.shape == (p.N,))
+        assert traj.converged == traj.stage_converged.all()
         warm = None
         for k in range(p.N):
             sol = solve_multipliers(p, traj.states[k], k=k, init=warm, tol=tol)
-            assert (traj.iterations[k], traj.stage_steps[k]) == (
-                sol.iterations, sol.stage_steps)
+            assert (traj.iterations[k], traj.stage_steps[k],
+                    traj.stage_converged[k]) == (
+                sol.iterations, sol.stage_steps, sol.converged)
             assert sol.stage_steps >= p.N - k  # the start pass at least
             warm = sol.lam_star.lambdas[1:]
 

@@ -352,7 +352,7 @@ def test_project_feasible_singular_stage_zero_raises(tol):
 
 def test_sweep_is_stacked(rng, tol):
     # one array per quantity, stacked over the stages; K and J are the
-    # first m and last q rows of one gain buffer, in full, resumed and
+    # first m and last q rows of one gain buffer, _gains, in full, resumed and
     # reused passes alike. Every array is read-only, so a sweep handed
     # back or shared as a base cannot change under a later decision
     for _ in range(20):
@@ -372,7 +372,7 @@ def test_sweep_is_stacked(rng, tol):
             assert sw.K.shape == (size, p.m, p.n)
             assert sw.J.shape == (size, p.q, p.n)
             gains = sw.K.base
-            assert gains is not None and gains is sw.J.base
+            assert gains is not None and gains is sw.J.base is sw._gains
             assert gains.shape == (size, d, p.n)
             assert np.shares_memory(gains, sw.K) and np.shares_memory(gains, sw.J)
             assert np.array_equal(gains[:, :p.m], sw.K)
@@ -429,36 +429,44 @@ def test_nested_pass_matches_block_stage_oracle(rng, tol):
     assert worst <= 1e-12, worst
 
 
-def stacked(p, S):
-    """The two products a stage step takes: S [B G A] and [B G]'S [B G A]."""
-    SF = S @ np.hstack([p.B, p.G, p.A])
-    return SF, np.hstack([p.B, p.G]).T @ SF
+def bordered(p, S):
+    """A stage step's input: H = sym(F'SF) + blockdiag(R, 0, Q) with
+    F = [B G A], and the buffer [0; -I] the step writes its gains into."""
+    F = np.hstack([p.B, p.G, p.A])
+    H = F.T @ S @ F
+    H = 0.5 * (H + H.T) + la.block_diag(p.R, np.zeros((p.q, p.q)), p.Q)
+    return H, np.vstack([np.zeros((p.m + p.q, p.n)), -np.eye(p.n)])
 
 
 def test_stage_solve_matches_scipy(rng):
     # the stage step solves M [K; J] = rhs with numpy.linalg: its gains
     # agree with scipy.linalg.solve's to within the conditioning of M, and
-    # its residual is at rounding level
+    # its residual is at rounding level. The product that gives the
+    # residual also gives Pi_j = Q + A'SA - rhs'[K; J]
     for _ in range(200):
         p = make_problem(rng)
         E = rng.standard_normal((p.n, p.n))
         S = E.T @ E
         lam = top_eig(p.G.T @ S @ p.G) + rng.uniform(0.01, 2.0)
-        _, M, KJ = _stage_step(p, *stacked(p, S), lam)
+        Pi, M, KJ = _stage_step(p, *bordered(p, S), lam)
         rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
         ref = la.solve(M, rhs, assume_a="sym")
         scale = np.linalg.norm(M) * np.linalg.norm(ref) + np.linalg.norm(rhs)
         assert np.linalg.norm(KJ - ref) <= (
             1e-13 * np.linalg.cond(M) * np.linalg.norm(ref))
         assert np.linalg.norm(M @ KJ - rhs) <= 1e-14 * scale
+        Pi_ref = p.Q + p.A.T @ S @ p.A - rhs.T @ KJ
+        assert np.linalg.norm(Pi - Pi_ref) <= 1e-12 * (
+            1.0 + np.linalg.norm(p.Q) + np.linalg.norm(p.A.T @ S @ p.A)
+            + np.linalg.norm(rhs.T @ KJ))
     # an exactly singular stage matrix is a typed failure, not LinAlgError:
     # A = B = G = R = 1, S = 1 and lam = 0.5 give M = [[2, 1], [1, 0.5]]
     p = scalar_problem(A=1, B=1, G=1, R=1)
     with pytest.raises(SingularM, match="singular"):
-        _stage_step(p, *stacked(p, np.ones((1, 1))), 0.5)
+        _stage_step(p, *bordered(p, np.ones((1, 1))), 0.5)
     # so is a non-finite Pi_{j+1}, which numpy's solve does not detect
     p = make_problem(rng, n=2)
     S = np.eye(2)
     S[0, 1] = S[1, 0] = np.nan
     with pytest.raises(SingularM):
-        _stage_step(p, *stacked(p, S), 10.0)
+        _stage_step(p, *bordered(p, S), 10.0)

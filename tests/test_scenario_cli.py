@@ -177,10 +177,13 @@ def test_cli_rollout_matches_library(tmp_path, capsys):
     assert lines[0].split(",") == (
         ["k"] + [f"x[{i}]" for i in range(p.n)] + [f"u[{i}]" for i in range(p.m)]
         + [f"w[{i}]" for i in range(p.q)]
-        + ["lambda_k", "stage_cost", "iterations", "stage_steps"])
+        + ["lambda_k", "stage_cost", "iterations", "stage_steps", "converged"])
     for k in range(p.N):
         row = lines[k + 1].split(",")
-        assert [int(v) for v in row[-2:]] == [tr.iterations[k], tr.stage_steps[k]]
+        assert [int(v) for v in row[-3:-1]] == [tr.iterations[k], tr.stage_steps[k]]
+        assert row[-1] == str(bool(tr.stage_converged[k]))
+    assert tr.converged == tr.stage_converged.all()
+    assert lines[-1].split(",")[-3:] == ["", "", ""]
 
 
 def test_cli_rollout_external_w_file(tmp_path):
