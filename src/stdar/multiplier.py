@@ -13,8 +13,11 @@ backward pass of riccati (raw = -inf) sets lambda_j = b_j + eps_boundary
 + s_j stage by stage from b_j = ||G'Pi_{j+1}G|| under the multipliers
 already set. There the feasible set is the nonnegative orthant, box
 projection is exact and the projected gradient vanishes at the optimum.
-One projected-gradient loop (Barzilai-Borwein step, Armijo backtracking)
-runs in these coordinates from the start. A cold solve starts at the
+One descent loop runs in these coordinates from the start: a two-metric
+projected L-BFGS direction (Bertsekas's eps-active slacks take -g, the
+free ones the limited-memory quasi-Newton step) with Armijo backtracking
+along the projection arc max(s + t d, 0); a failed line search drops the
+memory and retries from -g (_descend). A cold solve starts at the
 lower corner s = 0, where most multipliers of an optimum sit, built in
 that same pass; a warm one projects its init in one margin pass and
 reads its slacks off it, one within lambda_j's rounding as 0 (at a bound
@@ -76,6 +79,7 @@ __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
+_MEMORY = 8  # (ds, dg) pairs the direction keeps
 _ROUNDING = 16.0 * np.finfo(float).eps  # relative rounding of phi and lambda
 
 
@@ -92,6 +96,7 @@ class MultiplierSolution:
     the stages from the last multiplier it changes down), one adjoint pass per
     accepted point and at the start, and the trial points rejected by the
     Armijo test; a trial within phi's rounding is not evaluated (_descend).
+    iterations counts accepted steps, L-BFGS or projected-gradient ones.
     """
 
     lam_star: MultiplierVector
@@ -155,37 +160,66 @@ def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarr
     return g / (2.0 * p.alpha_bar)
 
 
-def _bb_step(s_prev, s_cur, g_prev, g_cur, fallback: float) -> float:
-    ds = s_cur - s_prev
-    dg = g_cur - g_prev
-    denom = float(ds @ dg)
-    if denom <= 0.0:
-        return fallback
-    t = float(ds @ ds) / denom
-    return float(np.clip(t, 1e-12, 1e12))
-
-
 def _pg_norm(g: np.ndarray, s: np.ndarray) -> float:
     return float(np.linalg.norm(np.where(s > 0.0, g, np.minimum(g, 0.0))))
 
 
+def _direction(g: np.ndarray, s: np.ndarray, pgn: float,
+               pairs: list) -> tuple[np.ndarray, float]:
+    """The trial direction and its first step length (_descend).
+
+    The eps-active slacks, s_i <= min(1e-3, pgn) with g_i > 0, take -g.
+    The free ones take -H g, H the L-BFGS inverse Hessian of the stored
+    (ds, dg) pairs restricted to them, scaled by ds'dg / dg'dg of the last
+    pair; a pair whose restricted ds'dg is not positive drops out. The
+    two-loop recursion runs on the pairs' Gram matrix, so building the
+    direction takes a few numpy calls whatever the memory. Unit length;
+    with no pair left, -g at the first-step length.
+    """
+    if pairs:
+        m = len(pairs)
+        free = ~((s <= min(1e-3, pgn)) & (g > 0.0))
+        V = np.array(pairs).transpose(1, 0, 2).reshape(2 * m, -1) * free
+        W, Vg = (V @ V.T).tolist(), (V @ g).tolist()  # rows ds_0.., dg_0..
+        sy = [W[i][m + i] for i in range(m)]
+        kept = [i for i in range(m) if sy[i] > 0.0]
+        if kept:
+            # both loops on coefficients: H g = gamma (g - sum a_i dg_i)
+            # + sum c_i ds_i on the free slacks
+            a, c = [0.0] * m, [0.0] * m
+            for i in reversed(kept):
+                a[i] = (Vg[i] - sum(a[j] * W[i][m + j] for j in kept if j > i)) / sy[i]
+            gamma = sy[kept[-1]] / W[m + kept[-1]][m + kept[-1]]
+            for i in kept:
+                yr = (gamma * (Vg[m + i] - sum(a[j] * W[m + i][m + j] for j in kept))
+                      + sum(c[j] * W[m + i][j] for j in kept if j < i))
+                c[i] = a[i] - yr / sy[i]
+            r = gamma * g + np.array(c + [-gamma * aj for aj in a]) @ V
+            return -np.where(free, r, g), 1.0
+    return -g, 1.0 / max(1.0, float(np.abs(np.maximum(s - g, 0.0) - s).max()))
+
+
 def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
              tol: Tolerances, max_iter: int) -> MultiplierSolution:
-    """Projected gradient over the slack orthant from s >= 0 with sweep sw,
-    the solve's start pass.
+    """Two-metric projected L-BFGS over the slack orthant (Bertsekas 1982;
+    Byrd, Lu, Nocedal & Zhu 1995) from s >= 0 with sweep sw, the solve's
+    start pass.
 
-    A trial whose predicted decrease -g.step is at most phi's rounding,
+    Each iteration backtracks by Armijo from the direction and first step
+    of _direction along the projection arc max(s + t d, 0). An accepted
+    step stores its (ds, dg) where ds'dg > 0, the last _MEMORY of them. A
+    trial whose predicted decrease -g.step is at most phi's rounding,
     _ROUNDING |phi|, would be tested on noise: the line search ends there,
     unevaluated, as backtracking only shrinks it. Converged when the
-    projected-gradient norm falls to 1e-8 (1 + |phi|), or, once no step is
-    accepted, to 1e-6 (1 + |phi|).
+    projected-gradient norm falls to 1e-8 (1 + |phi|), or, once a line
+    search fails, to 1e-6 (1 + |phi|). A failed search short of that with
+    stored pairs drops them and retries from -g; without pairs it ends.
     """
     k = sw.stage_offset
     phi = _phi(p, x, sw.lam, sw.Pi[0])
     g = _slack_gradient(p, sw, x)
     stage_steps, gradient_evals, backtracks = sw.horizon(), 1, 0
-    t = 1.0 / max(1.0, float(np.abs(np.maximum(s - g, 0.0) - s).max()))
-    s_prev = g_prev = None
+    pairs: list = []
     converged = False
     iterations = 0
     while iterations < max_iter:
@@ -193,23 +227,24 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
         if pgn <= 1e-8 * (1.0 + abs(phi)):
             converged = True
             break
-        if s_prev is not None:
-            t = _bb_step(s_prev, s, g_prev, g, t)
+        d, tt = _direction(g, s, pgn, pairs)
         accepted = False
-        tt = t
         for _ in range(_MAX_BACKTRACKS):
-            cand = np.maximum(s - tt * g, 0.0)
+            cand = np.maximum(s + tt * d, 0.0)
             step = cand - s
-            if not -float(g @ step) > _ROUNDING * abs(phi):
+            decrease = -float(g @ step)  # predicted
+            if not decrease > _ROUNDING * abs(phi):
                 break  # the predicted decrease is lost in phi's rounding
             sw_c, steps = _reconstruct(p, cand, k, tol, sw)
             stage_steps += steps
             phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
-            if phi_c <= phi + _ARMIJO_C * float(g @ step):
-                s_prev, g_prev = s, g
-                s, phi, sw = cand, phi_c, sw_c
-                g = _slack_gradient(p, sw, x)
+            if phi_c <= phi - _ARMIJO_C * decrease:
+                g_c = _slack_gradient(p, sw_c, x)
                 gradient_evals += 1
+                dg = g_c - g
+                if float(step @ dg) > 0.0:  # curvature along the step
+                    pairs = pairs[1 - _MEMORY:] + [(step, dg)]
+                s, phi, sw, g = cand, phi_c, sw_c, g_c
                 accepted = True
                 iterations += 1
                 break
@@ -217,7 +252,9 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             tt *= _ARMIJO_SHRINK
         if not accepted:
             converged = pgn <= 1e-6 * (1.0 + abs(phi))
-            break
+            if converged or not pairs:
+                break
+            pairs = []
     return MultiplierSolution(
         lam_star=sw.lam, value=phi, grad_norm=_pg_norm(g, s),
         boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
@@ -232,7 +269,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
                       max_iter: int = 5000) -> MultiplierSolution:
     """Minimize phi over the nested feasible set for the stage-k tail.
 
-    The projected-gradient loop runs in the slack coordinates of the
+    The descent loop (_descend) runs in the slack coordinates of the
     module docstring, from init (raw multipliers, projected onto the
     feasible set; a non-finite one raises InfeasibleMultiplier) or from
     the lower corner, zero slack, driven by the exact adjoint gradient.

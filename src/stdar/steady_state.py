@@ -105,11 +105,12 @@ def solve_steady_state(p: ProblemData,
     A multiplier is feasible when its fixed point exists and its slack
     g = lam - ||G'Pi G|| is at least -eps_boundary. The upper bracket
     starts at 10 (||G'Pf G|| + tr Q + tr R) and doubles at most 10 times;
-    the bracket [lo, hi] then shrinks to 1e-9 absolute. Each probe, clamped
-    0.25e-9 inside it and doubled from Pf, goes to the lower bound
-    ||G'Pi_hi G|| - eps_boundary while that lies above lo and lo is 0 or
-    has a fixed point, else to the secant of g where lo has a slack, else
-    to the midpoint.
+    the bracket [lo, hi] then shrinks until lo or the lower bound
+    ||G'Pi_hi G|| - eps_boundary lies within 1e-9 of hi, either way
+    pinning lambda_bar to 1e-9. Each probe, clamped 0.25e-9 inside
+    the bracket and doubled from Pf, goes to that lower bound while it
+    lies above lo and lo is 0 or has a fixed point, else to the secant of
+    g where lo has a slack, else to the midpoint.
     """
     tol = tol or Tolerances()
     probes = fp_iterations = 0
@@ -138,7 +139,7 @@ def solve_steady_state(p: ProblemData,
         raise NoFeasibleLambda(
             f"no feasible multiplier up to {hi:.6g} after {doublings} doublings")
     lo, h_lo = 0.0, None
-    while hi - lo > _BISECT_TOL:
+    while min(hi - lo, h_hi) > _BISECT_TOL:  # lo or bound within tol of hi
         bound = hi - h_hi  # ||G'Pi_hi G|| - eps_boundary, at most lambda_bar
         if (lo == 0.0 or h_lo is not None) and bound > lo:
             mid = bound

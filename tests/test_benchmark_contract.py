@@ -6,8 +6,9 @@ package's modules bind them. A name removed or renamed in the package
 breaks the benchmark, not the package's own tests, so these tests read
 both lists from benchmark/ and resolve them. One short run each of the
 long_horizon, steady and online workloads checks that the harness runs end
-to end, and one pass over the online bank bounds the solver work its
-decisions report, counts that do not depend on the host.
+to end, and one pass over each of the online and long_horizon banks
+bounds the solver work its solves report, counts that do not depend on
+the host.
 """
 import ast
 import importlib.util
@@ -124,6 +125,38 @@ def test_online_bank_counts(monkeypatch):
     assert sum(sol.stage_steps for sol in solutions) <= 600
     assert sum(sol.gradient_evals for sol in solutions) <= 100
     assert sum(sol.backtracks for sol in solutions) == 0
+
+
+def test_long_horizon_bank_counts(monkeypatch):
+    # the same count over one pass of the long_horizon bank, 6 cold solves
+    # from the lower corner. Four end at their corner; the N = 40 op, with
+    # interior multipliers, takes most of the work, where the descent's
+    # curvature pairs count
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checker
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    api = SimpleNamespace(**{name: getattr(stdar, name) for name in api_names()})
+    api.begin_op = lambda: None
+    solutions = []
+
+    def solve(*args, **kwargs):
+        solutions.append(stdar.solve_multipliers(*args, **kwargs))
+        return solutions[-1]
+
+    api.solve_multipliers = solve
+    wl = workloads.LongHorizon()
+    cases = wl.bank()
+    for case in cases:
+        case.build(api)
+        wl.run(api, case, np.random.default_rng(0))
+    assert len(solutions) == sum(wl.ops(case) for case in cases) == 6
+    assert all(sol.converged for sol in solutions)
+    assert sum(sol.stage_steps for sol in solutions) <= 310
+    assert sum(sol.iterations for sol in solutions) <= 30
+    assert sum(sol.gradient_evals for sol in solutions) <= 36
+    assert sum(sol.backtracks for sol in solutions) <= 12
 
 
 def short_run(workload):

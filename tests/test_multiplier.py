@@ -337,6 +337,52 @@ def corner_gradient(p, x, k, tol):
     return g, float(np.linalg.norm(np.minimum(g, 0.0))), sw
 
 
+def test_interior_ill_conditioned_solve_converges(tol):
+    # small B and G: all 16 tail multipliers are interior and phi is
+    # ill-conditioned in them, so a projected-gradient step creeps (with a
+    # Barzilai-Borwein step it stops at max_iter = 5 000 unconverged, 12%
+    # above the minimum). 0.07048129333 is the minimum scipy's L-BFGS-B
+    # reaches with gradient tolerance 1e-14
+    alpha = [0.27234527657621566, 0.9982821876287793, 1.4817699165869855,
+             0.36943357990531006, 0.2681508745008452, 1.5814157269695732,
+             0.6181760074955454, 0.8445722089390131, 1.3696649331042712,
+             1.6533597895209649, 1.5924999468922345, 0.6817505173781183,
+             1.5891172035695693, 1.065601696774996, 0.622640058460263,
+             0.43669521473767636, 0.8834455435132502, 0.3668700467902596,
+             1.2508474601495088, 1.2474052885656968, 0.8547177377284083]
+    p = scalar_problem(A=0.9, B=-0.07799433183569109, G=0.01235852453336173,
+                       Q=3.4512262897469164, R=0.5650540597820861,
+                       Pf=0.10002410848427355, N=21, alpha=alpha,
+                       x0=-0.4269438986061513)
+    sol = solve_multipliers(p, p.x0, k=5, tol=tol)
+    assert sol.converged
+    assert sol.value <= 0.07048129333 * (1.0 + 1e-9)
+    assert sol.iterations <= 200
+    assert sol.stage_steps <= 5000
+    assert not any(sol.boundary_flags)
+
+
+def test_random_cold_solves_converge(tol):
+    # 200 cold solves, N = 2-40, k uniform, x = 10^U(-1, 1) x0. All
+    # converge, 197 of them under the 1e-8 rule, in 1 440 iterations, at
+    # most 79 in one solve. The floor of 188 under the 1e-8 rule is what
+    # projected Barzilai-Borwein steps reached on these draws
+    rng = np.random.default_rng(15)
+    iterations, tight = [], 0
+    for _ in range(200):
+        N = int(rng.integers(2, 41))
+        p = make_problem(rng, N=N)
+        k = int(rng.integers(0, N))
+        x = 10.0 ** rng.uniform(-1.0, 1.0) * p.x0
+        sol = solve_multipliers(p, x, k=k, tol=tol)
+        assert sol.converged
+        iterations.append(sol.iterations)
+        tight += sol.grad_norm <= 1e-8 * (1.0 + abs(sol.value))
+    assert sum(iterations) <= 1500
+    assert max(iterations) <= 85
+    assert tight >= 188
+
+
 def test_max_iterations_returns_best_iterate(tol):
     # the paper's scalar system at x = 0: its lower corner is not optimal
     # (test_origin_solution_is_the_minimum), so the cold solve, which
@@ -446,7 +492,7 @@ def test_warm_resolve_at_the_optimum_costs_its_start_pass(rng, tol):
             assert (warm.iterations, warm.gradient_evals, warm.stage_steps,
                     warm.backtracks) == (0, 1, p.N - k, 0)
             assert warm.value == sol.value
-    assert tight >= 90
+    assert tight >= 98
 
 
 def test_no_trial_within_phi_rounding(rng, tol, monkeypatch):
