@@ -82,7 +82,7 @@ def cmd_finite(args) -> int:
     p = sc.problem
     x0s = list(sc.x0_list) if sc.x0_list else [p.x0]
     summary_rows = []
-    failures = 0
+    failures = not_converged = 0
     for i, x0 in enumerate(x0s):
         try:
             sol = solve_multipliers(p, x0, tol=tol)
@@ -91,6 +91,7 @@ def cmd_finite(args) -> int:
             summary_rows.append([str(i)] + [_fmt(v) for v in x0]
                                 + [""] * 7 + [f'"{exc}"'])
             continue
+        not_converged += not sol.converged
         lams = sol.lam_star.lambdas
         sw = sol.sweep
         rows = []
@@ -112,8 +113,9 @@ def cmd_finite(args) -> int:
                + ["value", "grad_norm", "iterations", "converged",
                   "stage_steps", "gradient_evals", "backtracks", "error"],
                summary_rows)
-    if failures == len(x0s):
-        print("all initial states failed", file=sys.stderr)
+    if failures or not_converged:
+        print(f"{failures} of {len(x0s)} initial states failed, "
+              f"{not_converged} did not converge", file=sys.stderr)
         return 3
     return 0
 

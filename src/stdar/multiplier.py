@@ -67,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemData, Tolerances, _as_point
+from ._linalg import fro_norm
+from .problem import _DEFAULT_TOL, ProblemData, Tolerances, _as_point
 # project_feasible stays bound here, the name benchmark/tracing.py wraps
 # as riccati.project: no solve calls it, so that span counts 0, and a
 # projection pass put back on the solve path through it would be counted.
@@ -128,7 +129,7 @@ def objective(p: ProblemData, lam, x, k: int = 0,
               tol: Tolerances | None = None) -> float:
     """phi at a feasible multiplier vector for the tail program at stage k.
     A state of the wrong size or not finite raises ValueError."""
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
     sw = sweep(p, _wrap(p, lam, k), tol)
     return _phi(p, x, sw.lam, sw.Pi[0])
@@ -146,22 +147,22 @@ def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances,
 def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
     """Exact gradient of phi in the slack coordinates at the sweep sw, by
     the forward adjoint pass of the module docstring."""
-    alpha = p.alpha[sw.stage_offset:]
-    g = np.zeros(sw.horizon())
-    X = np.outer(x, x)
-    Acl = p.A - np.hstack([p.B, p.G]) @ sw._gains
-    JJ = (sw.J.transpose(0, 2, 1) @ sw.J).reshape(g.size, -1)
+    alpha = p.alpha[sw.stage_offset:].tolist()
+    X = np.multiply.outer(x, x)
+    Acl = p.A - p.W @ sw._gains
+    JJ = (sw.J.transpose(0, 2, 1) @ sw.J).reshape(len(alpha), -1)
     Gv = sw._tops @ p.G.T                # row j: G v_j, the pass's eigenvector
     GG = Gv[:, :, None] * Gv[:, None, :]  # (G v_j)(G v_j)' of every stage
-    for j in range(g.size):
-        gj = alpha[j] - JJ[j].dot(X.ravel())
-        X = Acl[j].dot(X).dot(Acl[j].T) + gj * GG[j]
-        g[j] = gj
-    return g / (2.0 * p.alpha_bar)
+    g = [alpha[0] - JJ[0].dot(X.ravel())]
+    # X_{j+1} from X_j; the last stage's X_{j+1} is not needed
+    for A_j, G_j, JJ_j, a_j in zip(Acl, GG, JJ[1:], alpha[1:]):
+        X = A_j.dot(X).dot(A_j.T) + g[-1] * G_j
+        g.append(a_j - JJ_j.dot(X.ravel()))
+    return np.array(g) / (2.0 * p.alpha_bar)
 
 
 def _pg_norm(g: np.ndarray, s: np.ndarray) -> float:
-    return float(np.linalg.norm(np.where(s > 0.0, g, np.minimum(g, 0.0))))
+    return fro_norm(np.where(s > 0.0, g, np.minimum(g, 0.0)))
 
 
 def _direction(g: np.ndarray, s: np.ndarray, pgn: float,
@@ -219,11 +220,11 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     phi = _phi(p, x, sw.lam, sw.Pi[0])
     g = _slack_gradient(p, sw, x)
     stage_steps, gradient_evals, backtracks = sw.horizon(), 1, 0
+    pgn = _pg_norm(g, s)
     pairs: list = []
     converged = False
     iterations = 0
     while iterations < max_iter:
-        pgn = _pg_norm(g, s)
         if pgn <= 1e-8 * (1.0 + abs(phi)):
             converged = True
             break
@@ -245,6 +246,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
                 if float(step @ dg) > 0.0:  # curvature along the step
                     pairs = pairs[1 - _MEMORY:] + [(step, dg)]
                 s, phi, sw, g = cand, phi_c, sw_c, g_c
+                pgn = _pg_norm(g, s)
                 accepted = True
                 iterations += 1
                 break
@@ -256,7 +258,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
                 break
             pairs = []
     return MultiplierSolution(
-        lam_star=sw.lam, value=phi, grad_norm=_pg_norm(g, s),
+        lam_star=sw.lam, value=phi, grad_norm=pgn,
         boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
         iterations=iterations, converged=converged, sweep=sw,
         stage_steps=stage_steps, gradient_evals=gradient_evals,
@@ -279,7 +281,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     slacks. The solution carries the sweep at lam_star that the solve
     built. A state of the wrong size or not finite raises ValueError.
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
     if not 0 <= k < p.N:
         raise ValueError(f"stage {k} outside horizon {p.N}")

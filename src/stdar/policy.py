@@ -8,15 +8,19 @@ worst-case mode, injects the disturbance that attains the stage bound
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import PINV_CUTOFF
+from ._linalg import PINV_CUTOFF, fro_norm
 from .errors import NoSphereIntersection
 from .multiplier import solve_multipliers
-from .problem import ProblemData, Tolerances, _as_point
+from .problem import _DEFAULT_TOL, ProblemData, Tolerances, _as_point
 from .riccati import MultiplierVector, at_bound, sweep
+
+_UNIT = np.ones((1, 1))  # eigh's eigenvectors of a 1x1 matrix
+_UNIT.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def control_at(p: ProblemData, x: np.ndarray, k: int,
                lam_star: MultiplierVector, tol: Tolerances | None = None) -> np.ndarray:
     """Stage-k control u = -K_k x at the supplied optimal multipliers.
     A state of the wrong size or not finite raises ValueError."""
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
     if lam_star.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
@@ -98,7 +102,7 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     no eigenspace to complete along misses it, by more than 1e-3 relative,
     and ValueError for a state or control of the wrong size or not finite.
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
     u = _as_point(u, p.m, "control")
     if lam_star.stage_offset != k:
@@ -108,28 +112,32 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])
     shift = bound if at_bound(lam_k, bound, tol) else lam_k
     GPG = p.G.T @ Pi_next @ p.G
-    GPG = 0.5 * (GPG + GPG.T)
+    S = GPG + GPG.T
+    S *= 0.5
+    for r in range(p.q):  # sym(G'Pi G) - shift I
+        S[r, r] -= shift
     d_w = p.G.T @ (Pi_next @ (p.A @ x + p.B @ u))
-    mu, V = np.linalg.eigh(GPG - shift * np.eye(GPG.shape[0]))
+    mu, V = (S[0], _UNIT) if p.q == 1 else np.linalg.eigh(S)
+    mu = mu.tolist()  # q floats: scalar arithmetic beats numpy calls
     # cutoff scaled to G'Pi G, not to the shifted spectrum: the shifted
     # matrix is numerically zero whenever G'Pi G is near-isotropic
-    cut = PINV_CUTOFF * max(np.abs(mu).max(), abs(shift), 1e-300)
-    zero = np.abs(mu) <= cut
-    c = V.T @ d_w
-    coef = np.where(zero, 0.0, -c / np.where(zero, 1.0, mu))
+    cut = PINV_CUTOFF * max(max(map(abs, mu)), abs(shift), 1e-300)
+    zero = [abs(v) <= cut for v in mu]
+    coef = np.array([0.0 if z else -c / v
+                     for z, c, v in zip(zero, (V.T @ d_w).tolist(), mu)])
     w = V @ coef
     nrm2 = float(coef @ coef)
     gap2 = alpha_k - nrm2
-    complete = zero.any()  # at the bound: along the top eigenspace of G'Pi G
+    complete = any(zero)  # at the bound: along the top eigenspace of G'Pi G
     if gap2 < -1e-3 * alpha_k or (gap2 > 1e-3 * alpha_k and not complete):
         raise NoSphereIntersection(
             f"response norm^2 {nrm2:.6e} is off the bound {alpha_k:.6e}"
             + ("" if complete else "; multipliers are not stage-optimal"))
     if complete:
-        z = V[:, zero][:, -1]
-        t = np.sqrt(max(0.0, gap2))
+        z = V[:, max(j for j, zj in enumerate(zero) if zj)]
+        t = math.sqrt(max(0.0, gap2))
         w = w + (-t if z @ d_w < 0.0 else t) * z
-    return w * (np.sqrt(alpha_k) / np.linalg.norm(w))
+    return w * (math.sqrt(alpha_k) / fro_norm(w))
 
 
 def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
@@ -141,7 +149,7 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     "external" the supplied w_seq (rejected if an entry is not finite or
     any ||w_k||^2 exceeds alpha_k beyond 1e-9 relative).
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     x = np.asarray(p.x0 if x0 is None else x0, dtype=float).ravel()
     if mode not in ("worst_case", "zero", "external"):
         raise ValueError(f"unknown rollout mode {mode!r}")

@@ -74,12 +74,22 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite and strictly positive")
 
 
+_DEFAULT_TOL = Tolerances()  # frozen, so every call may share it
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """Immutable problem description. Matrices are dense, double precision.
 
     alpha may be passed as a scalar (broadcast over the horizon) or a
     length-N sequence. Matrices accept scalars for 1x1 systems.
+
+    Besides its fields it holds the sizes n, m, q and the constants every
+    backward stage reads, built once and read-only like its arrays:
+    F = [B G A], C = blockdiag(R, 0, Q), Z = [0; -I], the template of a
+    stage's gain buffer, and W = [B G]. The constructor copies its inputs,
+    and copies and pickles are rebuilt through it, so they are read-only
+    too.
     """
 
     A: np.ndarray
@@ -91,6 +101,13 @@ class ProblemData:
     N: int
     alpha: np.ndarray
     x0: np.ndarray = field(default=None)
+    n: int = field(init=False, repr=False, compare=False)
+    m: int = field(init=False, repr=False, compare=False)
+    q: int = field(init=False, repr=False, compare=False)
+    F: np.ndarray = field(init=False, repr=False, compare=False)
+    C: np.ndarray = field(init=False, repr=False, compare=False)
+    Z: np.ndarray = field(init=False, repr=False, compare=False)
+    W: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -129,24 +146,24 @@ class ProblemData:
         x0 = _as_vector(x0, "x0")
         if x0.shape != (n,):
             raise DimensionMismatch(f"x0 must have length {n}, got {x0.shape[0]}")
+        m, q = B.shape[1], G.shape[1]
+        d = m + q
+        C = np.zeros((d + n, d + n))
+        C[:m, :m], C[d:, d:] = R, Q
         for name, arr in (("A", A), ("B", B), ("G", G), ("Q", Q), ("R", R),
-                          ("Pf", Pf), ("alpha", alpha), ("x0", x0)):
-            arr = np.ascontiguousarray(arr)
+                          ("Pf", Pf), ("alpha", alpha), ("x0", x0),
+                          ("F", np.hstack([B, G, A])), ("C", C),
+                          ("Z", np.vstack([np.zeros((d, n)), -np.eye(n)])),
+                          ("W", np.hstack([B, G]))):
+            arr = np.array(arr, order="C")  # a copy: the caller keeps its arrays
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "N", N)
+        for name, value in (("N", N), ("n", n), ("m", m), ("q", q)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.G.shape[1]
+    def __reduce__(self):  # copies and pickles rebuild through the constructor
+        return ProblemData, (self.A, self.B, self.G, self.Q, self.R, self.Pf,
+                             self.N, self.alpha, self.x0)
 
     @cached_property
     def alpha_bar(self) -> float:
@@ -195,7 +212,7 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
     allow_degenerate_terminal). Stabilizability, detectability, and strict
     positive definiteness of Q and Pf are reported as warnings only.
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     warnings: list[str] = []
 
     for name, M, floor in (("Q", p.Q, -tol.tol_psd), ("Pf", p.Pf, -tol.tol_psd)):

@@ -38,8 +38,9 @@ for bit those of a full pass; where none differs it returns the base
 itself. The rule reads only the base's bounds and multipliers, so any
 pass is a base, whatever its raw values, margin and slacks.
 
-Each stage forms one bordered matrix, with F = [B G A] and the constant
-C = blockdiag(R, 0, Q) built once per pass: H = sym(F'Pi_{j+1}F) + C.
+Each stage forms one bordered matrix from the constants F = [B G A] and
+C = blockdiag(R, 0, Q), which ProblemData builds once: H =
+sym(F'Pi_{j+1}F) + C.
 Its G block G'Pi_{j+1}G gives the bound b_j; with lam_j taken off that
 block's diagonal, M_j = H[:m+q, :m+q] and rhs = H[:m+q, m+q:]. One more
 product, H [K_j; J_j; -I] = [M_j [K_j; J_j] - rhs; -Pi_j], gives both the
@@ -55,9 +56,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import fro_norm, sym, top_eigpair
+from ._linalg import fro_norm, top_eigpair
 from .errors import InfeasibleMultiplier, SingularM
-from .problem import ProblemData, Tolerances
+from .problem import _DEFAULT_TOL, ProblemData, Tolerances
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,8 @@ class MultiplierVector:
     stage_offset: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.lambdas, dtype=float).ravel().copy()
-        arr.flags.writeable = False
+        arr = np.array(self.lambdas, dtype=float).ravel()  # a copy
+        arr.setflags(write=False)
         object.__setattr__(self, "lambdas", arr)
         object.__setattr__(self, "stage_offset", int(self.stage_offset))
 
@@ -116,11 +117,11 @@ def at_bound(lam, bound, tol: Tolerances):
 
 def _stage_step(p: ProblemData, H: np.ndarray, Z: np.ndarray, lam_j: float):
     """One backward step from the bordered matrix H (module docstring),
-    which it shifts by -lam_j, and a buffer Z = [0; -I] it writes the gains
-    into. Returns (Pi_j, M, [K; J]), M and [K; J] views of H and Z."""
+    which it shifts by -lam_j, and a copy Z of p.Z = [0; -I] it writes the
+    gains into. Returns (Pi_j, M, [K; J]), M and [K; J] views of H and Z."""
     m, d = p.m, p.m + p.q
-    step = H.shape[0] + 1
-    H.ravel()[m * step:d * step:step] -= lam_j
+    for r in range(m, d):  # q scalar updates beat one strided ufunc call
+        H[r, r] -= lam_j
     M, rhs = H[:d, :d], H[:d, d:]
     try:
         Z[:d] = np.linalg.solve(M, rhs)
@@ -190,17 +191,15 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
         if not changed.size:
             return base, 0
         top = int(changed[-1]) + 1
-    m, q = p.m, p.q
-    d = m + q
+    m, d = p.m, p.m + p.q
     Pi = np.empty((n_stages + 1, p.n, p.n))
     M = np.empty((n_stages, d, d))
     KJ = np.empty((n_stages, d, p.n))
     bounds = np.zeros(n_stages)
-    tops = np.empty((n_stages, q))
-    F = np.hstack([p.B, p.G, p.A])
-    C = np.zeros((d + p.n, d + p.n))
-    C[:m, :m], C[d:, d:] = p.R, p.Q
-    Z = np.vstack([np.zeros((d, p.n)), -np.eye(p.n)])
+    tops = np.empty((n_stages, p.q))
+    F, FT, C, Z = p.F, p.F.T, p.C, p.Z.copy()
+    H = np.empty(C.shape)  # each stage's bordered matrix, in place
+    Hg = H[m:d, m:d]
     Pi[n_stages] = p.Pf
     if base is not None:
         Pi[top:] = base.Pi[top:]
@@ -209,19 +208,26 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
         bounds[top:] = base.bounds[top:]
         tops[top:] = base._tops[top:]
         lam[top:] = base.lam.lambdas[top:]
+    raw_j, slack_j = lam.tolist(), None if slack is None else slack.tolist()
+    eps = tol.eps_boundary
     for i in range(top - 1, -1, -1):
-        H = sym(F.T @ (Pi[i + 1] @ F)) + C
-        bounds[i], tops[i] = top_eigpair(H[m:d, m:d])
-        if lam[i] < bounds[i] + margin:
-            lam[i] = bounds[i] + margin
-        if slack is not None:
-            lam[i] += slack[i]
-        if not lam[i] >= bounds[i] - tol.eps_boundary:  # NaN fails too
+        X = FT @ (Pi[i + 1] @ F)
+        np.add(X, X.T, out=H)
+        H *= 0.5
+        H += C
+        b, tops[i] = top_eigpair(Hg)
+        lam_i = raw_j[i]
+        if lam_i < b + margin:
+            lam_i = b + margin
+        if slack_j is not None:
+            lam_i += slack_j[i]
+        if not lam_i >= b - eps:  # NaN fails too
             raise InfeasibleMultiplier(
-                f"lam = {lam[i]:.9g} below its bound ||G'Pi G|| = {bounds[i]:.9g}")
-        Pi[i], M[i], KJ[i] = _stage_step(p, H, Z, float(lam[i]))
+                f"lam = {lam_i:.9g} below its bound ||G'Pi G|| = {b:.9g}")
+        bounds[i], lam[i] = b, lam_i
+        Pi[i], M[i], KJ[i] = _stage_step(p, H, Z, lam_i)
     for arr in (Pi, M, KJ, bounds, tops):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     sw = RiccatiSweep(Pi=Pi, M=M, K=KJ[:, :m], J=KJ[:, m:],
                       lam=MultiplierVector(lam, stage_offset=k), bounds=bounds,
                       _tops=tops, _gains=KJ)
@@ -238,7 +244,7 @@ def sweep(p: ProblemData, lam: MultiplierVector,
     nested bound, SingularM if a stage matrix cannot be solved reliably.
     Reuses the live full pass on p that built lam if its bounds pass tol.
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     k = lam.stage_offset
     _require_tail(p, k, len(lam))
     _require_finite(lam.lambdas, k)
@@ -264,7 +270,7 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     stage matrix is singular there (a multiplier at its bound with margin
     0, say) raises SingularM.
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     if margin is None:
         margin = tol.eps_boundary
     raw = np.array(lam_raw, dtype=float).ravel()

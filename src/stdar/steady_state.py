@@ -29,7 +29,7 @@ from ._kernels import fixed_point_compiled  # noqa: F401
 from ._linalg import sym, top_eig
 from .errors import (Diverged, FixedPointDiverged, NoFeasibleLambda,
                      SingularM, SingularPi)
-from .problem import ProblemData, Tolerances
+from .problem import _DEFAULT_TOL, ProblemData, Tolerances
 
 __all__ = ["SteadyStateSolution", "LmiCertificate", "solve_steady_state",
            "steady_riccati_fixed_point", "lmi_certify", "lqr_baseline"]
@@ -112,7 +112,7 @@ def solve_steady_state(p: ProblemData,
     lies above lo and lo is 0 or has a fixed point, else to the secant of
     g where lo has a slack, else to the midpoint.
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     probes = fp_iterations = 0
 
     def probe(lam):
@@ -195,7 +195,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
 
     with Qh = Q^{1/2}, Rh = R^{1/2}.
     """
-    tol = tol or Tolerances()
+    tol = tol or _DEFAULT_TOL
     n, m, q = p.n, p.m, p.q
     w = np.linalg.eigvalsh(sym(sol.Pi_bar))
     if w[0] <= max(np.abs(w).max(), 1.0) * 1e-12:

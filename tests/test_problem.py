@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from stdar import (AssumptionViolated, DimensionMismatch, ProblemData,
                    Tolerances, validate_problem)
@@ -97,8 +102,36 @@ def test_default_x0_is_origin():
 
 def test_problem_data_immutable():
     p = scalar_problem()
-    with pytest.raises(ValueError):
-        p.A[0, 0] = 5.0
+    for q in (p, pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        for name in ("A", "B", "G", "Q", "R", "Pf", "alpha", "x0",
+                     "F", "C", "Z", "W"):
+            assert np.array_equal(getattr(q, name), getattr(p, name))
+            with pytest.raises(ValueError):
+                getattr(q, name).ravel()[0] = 5.0
+    # the problem copies the caller's arrays, which stay writeable and apart
+    A = np.array([[0.5]])
+    p = ProblemData(A=A, B=1.0, G=1.0, Q=1.0, R=1.0, Pf=1.0, N=1, alpha=1.0)
+    A[0, 0] = 2.0
+    assert p.A[0, 0] == 0.5 and p.F[0, -1] == 0.5
+
+
+def test_stage_constants(rng):
+    # the constants every backward stage reads, built once per problem
+    p = make_problem(rng, n=3, m=2, q=2)
+    assert (p.n, p.m, p.q) == (3, 2, 2)
+    expected = {"F": np.hstack([p.B, p.G, p.A]),
+                "C": la.block_diag(p.R, np.zeros((p.q, p.q)), p.Q),
+                "Z": np.vstack([np.zeros((p.m + p.q, p.n)), -np.eye(p.n)]),
+                "W": np.hstack([p.B, p.G])}
+    for name, ref in expected.items():
+        got = getattr(p, name)
+        assert np.array_equal(got, ref), name
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+    # a problem derived with replace rebuilds them from its own weights
+    ps = dataclasses.replace(p, Q=2.0 * p.Q)
+    assert np.array_equal(ps.C, la.block_diag(p.R, np.zeros((2, 2)), 2.0 * p.Q))
+    assert np.array_equal(p.C, expected["C"])
 
 
 def test_schedule_aggregates():

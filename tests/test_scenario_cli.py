@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+
+import stdar.cli
 
 from stdar import (Tolerances, rollout, solve_multipliers,
                    solve_steady_state, sweep)
 from stdar.cli import main, _random_stable
-from stdar.errors import ScenarioError
+from stdar.errors import ScenarioError, SingularM
 from stdar.scenario import ScenarioFile, load_scenario, save_scenario
 from conftest import scalar_problem
 
@@ -127,6 +131,34 @@ def test_cli_finite_matches_library(tmp_path, capsys):
                              str(sol.stage_steps), str(sol.gradient_evals),
                              str(sol.backtracks), ""]
     assert summary[1].split(",")[5] == "True"
+
+
+def test_cli_finite_exit_code_on_unconverged_or_failed_solve(tmp_path, monkeypatch,
+                                                            capsys):
+    # one solve that stops short of convergence, or raises, among states
+    # that solve, makes the run exit 3 after every file is written
+    x0s = (np.array([0.0]), np.array([3.0]))
+    path = write_scenario(tmp_path, sec5(), mode="finite",
+                          out=str(tmp_path / "res"), x0_list=x0s)
+    out = tmp_path / "res"
+    monkeypatch.setattr(stdar.cli, "solve_multipliers",
+                        functools.partial(solve_multipliers, max_iter=1))
+    assert main(["finite", "--scenario", path]) == 3
+    assert "1 did not converge" in capsys.readouterr().err
+    summary = (out / "finite_summary.csv").read_text().strip().split("\n")
+    assert [row.split(",")[5] for row in summary[1:]] == ["True", "False"]
+    assert (out / "finite_x0_0.csv").exists() and (out / "finite_x0_1.csv").exists()
+
+    def fails_at_three(p, x0, **kw):
+        if x0[0] == 3.0:
+            raise SingularM("stage matrix singular")
+        return solve_multipliers(p, x0, **kw)
+
+    monkeypatch.setattr(stdar.cli, "solve_multipliers", fails_at_three)
+    assert main(["finite", "--scenario", path]) == 3
+    assert "1 of 2 initial states failed" in capsys.readouterr().err
+    summary = (out / "finite_summary.csv").read_text().strip().split("\n")
+    assert summary[2].endswith('"stage matrix singular"')
 
 
 def test_cli_policy_curve_odd_with_spread(tmp_path):
