@@ -7,9 +7,9 @@ worst-case disturbance synthesis, and the steady-state solve with an LMI
 feasibility certificate.
 """
 from .errors import (AssumptionViolated, DimensionMismatch, Diverged,
-                     FixedPointDiverged, InfeasibleMultiplier,
-                     NoFeasibleLambda, NoSphereIntersection, RegulatorError,
-                     ScenarioError, SingularM, SingularPi)
+                     InfeasibleMultiplier, NoFeasibleLambda,
+                     NoSphereIntersection, RegulatorError, ScenarioError,
+                     SingularM, SingularPi)
 from .multiplier import MultiplierSolution, objective, solve_multipliers
 from .policy import Trajectory, control_at, rollout, worst_disturbance_at
 from .problem import (ProblemData, Tolerances, ValidationReport,
@@ -17,21 +17,19 @@ from .problem import (ProblemData, Tolerances, ValidationReport,
 from .riccati import MultiplierVector, RiccatiSweep, project_feasible, sweep
 from .scenario import ScenarioFile, load_scenario, save_scenario
 from .steady_state import (LmiCertificate, SteadyStateSolution, lmi_certify,
-                           lqr_baseline, solve_steady_state,
-                           steady_riccati_fixed_point)
+                           lqr_baseline, solve_steady_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolated", "DimensionMismatch", "Diverged",
-    "FixedPointDiverged", "InfeasibleMultiplier", "LmiCertificate",
-    "MultiplierSolution", "MultiplierVector", "NoFeasibleLambda",
-    "NoSphereIntersection", "ProblemData", "RegulatorError",
-    "RiccatiSweep", "ScenarioError", "ScenarioFile", "SingularM",
-    "SingularPi", "SteadyStateSolution", "Tolerances", "Trajectory",
-    "ValidationReport", "control_at", "lmi_certify", "load_scenario",
-    "lqr_baseline", "objective", "project_feasible", "rollout",
-    "save_scenario", "solve_multipliers", "solve_steady_state",
-    "steady_riccati_fixed_point", "sweep", "validate_problem",
+    "InfeasibleMultiplier", "LmiCertificate", "MultiplierSolution",
+    "MultiplierVector", "NoFeasibleLambda", "NoSphereIntersection",
+    "ProblemData", "RegulatorError", "RiccatiSweep", "ScenarioError",
+    "ScenarioFile", "SingularM", "SingularPi", "SteadyStateSolution",
+    "Tolerances", "Trajectory", "ValidationReport", "control_at",
+    "lmi_certify", "load_scenario", "lqr_baseline", "objective",
+    "project_feasible", "rollout", "save_scenario", "solve_multipliers",
+    "solve_steady_state", "sweep", "validate_problem",
     "worst_disturbance_at",
 ]

@@ -57,17 +57,22 @@ def game_step(A, Q, Z, Pi):
 
 def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
     """Fixed point of the map at lam, reached from X0 by doubling:
-    (status, doublings, X). Converged when a doubling moves H_k, and
-    ||A_k||^2 ||X0|| bounds what X0 still adds, both within tol relative;
-    only then is X = F^(2^k)(X0) formed. X must be PSD and a fixed point
-    of the map itself: ||F(X) - X|| < _FP_CHECK (1 + ||X||), 1e-8. On
-    random systems the doubling now and then settles on an X whose step
-    moves it by 5e-3 or more; the fixed points it reaches move by 1e-13."""
+    (status, doublings, X, step), where step = game_step(A, Q, Z, X) is
+    the map step that verified X, None unless status is 0. Converged when
+    a doubling moves H_k, and ||A_k||^2 ||X0|| bounds what X0 still adds,
+    both within tol relative; only then is X = F^(2^k)(X0) formed. X must
+    be PSD and a fixed point of the map itself: ||F(X) - X|| <
+    _FP_CHECK (1 + ||X||), 1e-8. On random systems the doubling now and
+    then settles on an X whose step moves it by 5e-3 or more; the fixed
+    points it reaches move by 1e-13. Diverged where H_k grows by 1e12
+    against 1 + ||Q|| + ||X0||: under a mode that B cannot reach, the
+    relative tests grow with H_k and never trip before floats overflow."""
     n = A.shape[0]
     Z = coupling(B, G, R, lam)
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
     start = fro_norm(X0)
+    cap = 1e12 * (1.0 + fro_norm(Q) + start)
     for k in range(int(max_doublings)):
         Ak, Gk = AG[:, :n], AG[:, n:]
         W = Gk @ H
@@ -75,7 +80,7 @@ def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
         try:
             S = np.linalg.solve(W, AG)
         except np.linalg.LinAlgError:
-            return -2, k, X0
+            return -2, k, X0, None
         Hn = H + Ak.T @ (H @ S[:, :n])
         AG = Ak @ S
         AG[:, n:] = Gk + AG[:, n:] @ Ak.T
@@ -83,23 +88,23 @@ def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
         H = Hn
         scale = (1.0 + fro_norm(H) ** 2) ** 0.5
         tail = fro_norm(AG[:, :n]) ** 2 * start
-        if not (res <= 1e12 * scale and tail <= 1e12 * scale):
-            return -1, k + 1, X0
+        if not (res <= 1e12 * scale and tail <= 1e12 * scale and scale <= cap):
+            return -1, k + 1, X0, None
         if res <= tol * scale and tail <= tol * scale:
             try:
                 X, _ = game_step(AG[:, :n], H, AG[:, n:], X0)
             except np.linalg.LinAlgError:
-                return -2, k + 1, X0
+                return -2, k + 1, X0, None
             if np.linalg.eigvalsh(X)[0] < -tol * scale:
-                return -1, k + 1, X
+                return -1, k + 1, X, None
             try:
-                Xn, _ = game_step(A, Q, Z, X)
+                step = game_step(A, Q, Z, X)
             except np.linalg.LinAlgError:
-                return -2, k + 1, X
-            if not fro_norm(Xn - X) < _FP_CHECK * (1.0 + fro_norm(X)):
-                return -1, k + 1, X
-            return 0, k + 1, X
-    return 1, int(max_doublings), X0
+                return -2, k + 1, X, None
+            if not fro_norm(step[0] - X) < _FP_CHECK * (1.0 + fro_norm(X)):
+                return -1, k + 1, X, None
+            return 0, k + 1, X, step
+    return 1, int(max_doublings), X0, None
 
 
 # wrapped by name by benchmark/tracing.py; nothing calls it

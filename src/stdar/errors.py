@@ -33,11 +33,6 @@ class NoFeasibleLambda(RegulatorError):
     """No feasible steady-state multiplier found within the bracket budget."""
 
 
-class FixedPointDiverged(RegulatorError):
-    """The steady-state Riccati doubling diverged, reached no positive
-    semidefinite fixed point, or hit its doubling cap."""
-
-
 class SingularPi(RegulatorError):
     """The steady-state Riccati matrix is not invertible; cannot certify."""
 

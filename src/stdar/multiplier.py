@@ -73,7 +73,8 @@ from .problem import _DEFAULT_TOL, ProblemData, Tolerances, _as_point
 # as riccati.project: no solve calls it, so that span counts 0, and a
 # projection pass put back on the solve path through it would be counted.
 from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass,
-                      _require_finite, at_bound, project_feasible, sweep)
+                      _require_finite, _require_tail, at_bound,
+                      project_feasible, sweep)
 
 __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 
@@ -283,21 +284,16 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     """
     tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
-    if not 0 <= k < p.N:
-        raise ValueError(f"stage {k} outside horizon {p.N}")
-    if gradient_mode not in ("auto", "envelope"):
-        raise ValueError(f"unknown gradient mode {gradient_mode!r}")
-    n_stage = p.N - k
     if init is not None:
         init = np.asarray(init, dtype=float).ravel()
-        if init.size != n_stage:
-            raise ValueError(f"init has size {init.size}, expected {n_stage}")
-        _require_finite(init, k)
-
+    _require_tail(p, k, p.N - k if init is None else init.size)
+    if gradient_mode not in ("auto", "envelope"):
+        raise ValueError(f"unknown gradient mode {gradient_mode!r}")
     if init is None:
-        s = np.zeros(n_stage)
+        s = np.zeros(p.N - k)
         sw, _ = _reconstruct(p, s, k, tol)
     else:
+        _require_finite(init, k)
         sw, _ = _nested_pass(p, init, k, tol, tol.eps_boundary)
         s = sw.lam.lambdas - sw.bounds - tol.eps_boundary
         s[s <= _ROUNDING * np.abs(sw.lam.lambdas)] = 0.0

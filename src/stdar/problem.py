@@ -215,13 +215,15 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
     tol = tol or _DEFAULT_TOL
     warnings: list[str] = []
 
-    for name, M, floor in (("Q", p.Q, -tol.tol_psd), ("Pf", p.Pf, -tol.tol_psd)):
-        if np.linalg.eigvalsh(M)[0] < floor:
+    low = {name: np.linalg.eigvalsh(M)[0]
+           for name, M in (("Q", p.Q), ("Pf", p.Pf), ("R", p.R))}
+    for name in ("Q", "Pf"):
+        if low[name] < -tol.tol_psd:
             raise AssumptionViolated(f"{name} positive semidefinite",
-                                     f"min eigenvalue {np.linalg.eigvalsh(M)[0]:.3e}")
-    if np.linalg.eigvalsh(p.R)[0] <= tol.tol_psd:
+                                     f"min eigenvalue {low[name]:.3e}")
+    if low["R"] <= tol.tol_psd:
         raise AssumptionViolated("R positive definite",
-                                 f"min eigenvalue {np.linalg.eigvalsh(p.R)[0]:.3e}")
+                                 f"min eigenvalue {low['R']:.3e}")
 
     stabilizable = _pbh_unit_circle_rank(p.A, p.B, stack_rows=False)
     if not stabilizable:
@@ -247,8 +249,7 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
         warnings.append("G'Pf G = 0: terminal stage handled through the "
                         "convexity boundary argument (degenerate terminal)")
 
-    strict_weights = (np.linalg.eigvalsh(p.Q)[0] > tol.tol_psd
-                      and np.linalg.eigvalsh(p.Pf)[0] > tol.tol_psd)
+    strict_weights = low["Q"] > tol.tol_psd and low["Pf"] > tol.tol_psd
     if not strict_weights:
         warnings.append("Q or Pf is not strictly positive definite; "
                         "steady-state uniqueness arguments may not apply")

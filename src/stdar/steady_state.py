@@ -22,17 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import coupling, fixed_point_numpy, game_step
+from ._kernels import fixed_point_numpy
 # fixed_point_compiled, an alias of fixed_point_numpy, stays bound here
 # only because benchmark/tracing.py wraps it under that name; nothing calls it
 from ._kernels import fixed_point_compiled  # noqa: F401
 from ._linalg import sym, top_eig
-from .errors import (Diverged, FixedPointDiverged, NoFeasibleLambda,
-                     SingularM, SingularPi)
+from .errors import Diverged, NoFeasibleLambda, SingularPi
 from .problem import _DEFAULT_TOL, ProblemData, Tolerances
 
 __all__ = ["SteadyStateSolution", "LmiCertificate", "solve_steady_state",
-           "steady_riccati_fixed_point", "lmi_certify", "lqr_baseline"]
+           "lmi_certify", "lqr_baseline"]
 
 _FP_TOL = 1e-12
 _FP_MAX_DOUBLINGS = 64
@@ -69,33 +68,11 @@ class LmiCertificate:
 
 def _double(p: ProblemData, lam: float):
     """The doubling probe from Pf at lam (inf: no disturbance channel),
-    (status, doublings, Pi) as `_kernels` returns them. It calls this
+    (status, doublings, Pi, step) as `_kernels` returns them. It calls this
     module's fixed_point_numpy binding, which benchmark/tracing.py wraps
     and the tests patch to count probes."""
     return fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
                              _FP_TOL, _FP_MAX_DOUBLINGS)
-
-
-def steady_riccati_fixed_point(p: ProblemData, lam: float) -> np.ndarray:
-    """PSD fixed point of the Riccati map at a fixed multiplier, reached
-    from Pf by doubling (see `_kernels`).
-
-    Raises SingularM where a doubling's solve, I + G_k H_k or I + G_k Pf,
-    is singular,
-    FixedPointDiverged when the doubling diverges, converges to an X that
-    is not positive semidefinite or not a fixed point, or makes
-    _FP_MAX_DOUBLINGS doublings without converging, and ValueError for a
-    lam that is not finite and positive, before it runs."""
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"multiplier {lam!r} is not finite and positive")
-    status, doublings, Pi = _double(p, lam)
-    if status == -2:
-        raise SingularM(f"block matrix became singular at doubling {doublings}")
-    if status != 0:
-        why = {-1: "diverged or no PSD fixed point",
-               1: f"no fixed point in {_FP_MAX_DOUBLINGS} doublings"}[status]
-        raise FixedPointDiverged(f"lambda={lam:.6g}: {why}")
-    return Pi
 
 
 def solve_steady_state(p: ProblemData,
@@ -110,30 +87,35 @@ def solve_steady_state(p: ProblemData,
     pinning lambda_bar to 1e-9. Each probe, clamped 0.25e-9 inside
     the bracket and doubled from Pf, goes to that lower bound while it
     lies above lo and lo is 0 or has a fixed point, else to the secant of
-    g where lo has a slack, else to the midpoint.
+    g where lo has a slack, else to the midpoint. The answer is the
+    accepted probe at hi as it stands: K_bar and the residual come from
+    the map step that verified Pi_bar (see `_kernels`), and the gap from
+    the ||G'Pi_bar G|| that judged it feasible.
     """
     tol = tol or _DEFAULT_TOL
     probes = fp_iterations = 0
 
     def probe(lam):
-        # fixed point at lam reached from Pf: (feasible, h, Pi) with
+        # fixed point at lam reached from Pf: (feasible, h, (Pi, top, step))
+        # with top = ||G'Pi G||, step the map step that verified Pi and
         # h = g + eps_boundary, the value whose root the search seeks; h and
-        # Pi are None where no fixed point was reached
+        # the triple are None where no fixed point was reached
         nonlocal probes, fp_iterations
-        status, count, Pi = _double(p, lam)
+        status, count, Pi, step = _double(p, lam)
         probes += 1
         fp_iterations += count
         if status != 0:
             return False, None, None
-        h = lam - top_eig(p.G.T @ Pi @ p.G) + tol.eps_boundary
-        return h >= 0.0, h, Pi
+        top = top_eig(p.G.T @ Pi @ p.G)
+        h = lam - top + tol.eps_boundary
+        return h >= 0.0, h, (Pi, top, step)
 
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
-    ok, h_hi, Pi_hi = probe(hi)
+    ok, h_hi, fp_hi = probe(hi)
     doublings = 0
     while not ok and doublings < 10:
         hi *= 2.0
-        ok, h_hi, Pi_hi = probe(hi)
+        ok, h_hi, fp_hi = probe(hi)
         doublings += 1
     if not ok:
         raise NoFeasibleLambda(
@@ -148,25 +130,17 @@ def solve_steady_state(p: ProblemData,
         else:
             mid = 0.5 * (lo + hi)
         mid = min(max(mid, lo + 0.25 * _BISECT_TOL), hi - 0.25 * _BISECT_TOL)
-        ok, h, Pi = probe(mid)
+        ok, h, fp = probe(mid)
         if ok:
-            hi, h_hi, Pi_hi = mid, h, Pi
+            hi, h_hi, fp_hi = mid, h, fp
         else:
             lo, h_lo = mid, h
-    lambda_bar, Pi_bar = hi, Pi_hi
-
-    try:
-        # K_bar = R^{-1} B'Pi_bar (I + Z Pi_bar)^{-1} A, see `_kernels`
-        Pi_next, PX = game_step(p.A, p.Q, coupling(p.B, p.G, p.R, lambda_bar),
-                                Pi_bar)
-    except np.linalg.LinAlgError as exc:
-        raise SingularM("block matrix singular at the recovered solution") from exc
-    K_bar = np.linalg.solve(p.R, p.B.T @ PX)
-    residual = float(np.linalg.norm(Pi_bar - Pi_next))
-    boundary_gap = float(lambda_bar - top_eig(p.G.T @ Pi_bar @ p.G))
-    sol = SteadyStateSolution(lambda_bar=float(lambda_bar), Pi_bar=Pi_bar,
-                              K_bar=K_bar, residual=residual,
-                              boundary_gap=boundary_gap,
+    Pi_bar, top, (Pi_next, PX) = fp_hi
+    # K_bar = R^{-1} B'Pi_bar (I + Z Pi_bar)^{-1} A, see `_kernels`
+    sol = SteadyStateSolution(lambda_bar=float(hi), Pi_bar=Pi_bar,
+                              K_bar=np.linalg.solve(p.R, p.B.T @ PX),
+                              residual=float(np.linalg.norm(Pi_bar - Pi_next)),
+                              boundary_gap=float(hi - top),
                               lmi_min_eig=float("nan"), probes=probes,
                               fp_iterations=fp_iterations)
     try:
@@ -228,7 +202,7 @@ def lqr_baseline(p: ProblemData) -> np.ndarray:
     """Fixed point of the standard Riccati map (no disturbance channel),
     Pi = sym(Q + A'Pi (I + B R^{-1} B' Pi)^{-1} A): the doubling probe at
     lam = inf, reached from Pf."""
-    status, _, Pi = _double(p, np.inf)
+    status, _, Pi, _ = _double(p, np.inf)
     if status != 0:
         raise Diverged("LQR Riccati doubling did not converge")
     return Pi

@@ -1,4 +1,5 @@
 """The package's public surface, and the README example that uses it."""
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -10,18 +11,18 @@ import stdar
 from stdar.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = pathlib.Path(stdar.__file__).resolve().parent
 
 PUBLIC = [
     "AssumptionViolated", "DimensionMismatch", "Diverged",
-    "FixedPointDiverged", "InfeasibleMultiplier", "LmiCertificate",
-    "MultiplierSolution", "MultiplierVector", "NoFeasibleLambda",
-    "NoSphereIntersection", "ProblemData", "RegulatorError", "RiccatiSweep",
-    "ScenarioError", "ScenarioFile", "SingularM", "SingularPi",
-    "SteadyStateSolution", "Tolerances", "Trajectory",
-    "ValidationReport", "control_at", "lmi_certify", "load_scenario",
-    "lqr_baseline", "objective", "project_feasible", "rollout",
-    "save_scenario", "solve_multipliers", "solve_steady_state",
-    "steady_riccati_fixed_point", "sweep", "validate_problem",
+    "InfeasibleMultiplier", "LmiCertificate", "MultiplierSolution",
+    "MultiplierVector", "NoFeasibleLambda", "NoSphereIntersection",
+    "ProblemData", "RegulatorError", "RiccatiSweep", "ScenarioError",
+    "ScenarioFile", "SingularM", "SingularPi", "SteadyStateSolution",
+    "Tolerances", "Trajectory", "ValidationReport", "control_at",
+    "lmi_certify", "load_scenario", "lqr_baseline", "objective",
+    "project_feasible", "rollout", "save_scenario", "solve_multipliers",
+    "solve_steady_state", "sweep", "validate_problem",
     "worst_disturbance_at",
 ]
 
@@ -35,7 +36,6 @@ def test_public_surface():
     assert hasattr(stdar.ProblemData, "alpha_bar")
     assert not hasattr(stdar.ProblemData, "schedule")
     for fn, removed in ((stdar.rollout, ("gradient_mode", "max_iter")),
-                        (stdar.steady_riccati_fixed_point, ("max_iter",)),
                         (stdar.lqr_baseline, ("rtol", "max_iter"))):
         params = inspect.signature(fn).parameters
         assert not any(name in params for name in removed), fn.__name__
@@ -44,6 +44,22 @@ def test_public_surface():
     with pytest.raises(SystemExit):
         _build_parser().parse_args(
             ["validate", "--scenario", "s.yaml", "--tol-fd-step", "1e-6"])
+
+
+def test_every_exported_error_is_raised():
+    # a static scan of the package: each exported RegulatorError subclass
+    # appears in some raise statement, so no error type outlives its raiser
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    exported = (getattr(stdar, name) for name in stdar.__all__)
+    errors = {e.__name__ for e in exported if isinstance(e, type)
+              and issubclass(e, stdar.RegulatorError)} - {"RegulatorError"}
+    assert errors and errors <= raised, sorted(errors - raised)
 
 
 def test_readme_library_example(capsys):

@@ -136,12 +136,15 @@ def test_sweep_length_checked(tol):
         sweep(p, MultiplierVector([2.0, 2.0]), tol)
     with pytest.raises(ValueError):
         sweep(p, MultiplierVector([2.0, 2.0], stage_offset=2), tol)
+    with pytest.raises(ValueError, match="stages"):
+        solve_multipliers(p, p.x0, init=[2.0, 2.0], tol=tol)
 
 
 def test_stage_offset_outside_horizon_raises(tol):
     # a vector must start at a stage 0 <= k < N: one that starts before
     # stage 0, or one with no entries at stage N, is rejected by sweep and
-    # so by every caller of it, and by the projection, before any stage step
+    # so by every caller of it, and by the projection and the solve, before
+    # any stage step
     p = scalar_problem(N=3)
     x, u = p.x0, np.zeros(p.m)
     for lam in (MultiplierVector(np.full(p.N + 1, 5.0), stage_offset=-1),
@@ -157,6 +160,8 @@ def test_stage_offset_outside_horizon_raises(tol):
             worst_disturbance_at(p, x, k, lam, u, tol)
         with pytest.raises(ValueError, match="outside horizon"):
             objective(p, lam, x, k, tol)
+        with pytest.raises(ValueError, match="outside horizon"):
+            solve_multipliers(p, x, k, tol=tol)
 
 
 def test_project_feasible_single_stage(tol):

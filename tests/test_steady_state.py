@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar import (Tolerances, lmi_certify, lqr_baseline, solve_steady_state,
-                   steady_riccati_fixed_point)
+from stdar import (Diverged, NoFeasibleLambda, Tolerances, lmi_certify,
+                   lqr_baseline, solve_steady_state)
 from stdar import _kernels, steady_state
 from stdar._linalg import top_eig
-from stdar.errors import FixedPointDiverged, SingularM, SingularPi
+from stdar.errors import SingularPi
 from stdar.problem import ProblemData
 from conftest import make_problem, scalar_problem
 from oracles import (game_map_reference, steady_scalar_closed_form,
@@ -19,6 +19,13 @@ def steady_scalar(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=1.0):
     # N, alpha, x0 are irrelevant to the steady-state program
     return scalar_problem(A=A, B=B, G=G, Q=Q, R=R, Pf=Pf, N=2,
                           alpha=1.0, x0=1.0)
+
+
+def fixed_point(p, lam):
+    # the search's probe at lam, which must reach a fixed point
+    status, _, Pi, _ = steady_state._double(p, lam)
+    assert status == 0
+    return Pi
 
 
 def test_scalar_reference_solution():
@@ -45,7 +52,7 @@ def test_scalar_grid_oracle_agrees():
     assert sol.lambda_bar == pytest.approx(lam_g, abs=1e-6)
     lam_c = sol.lambda_bar + 1e-6
     pi_o = steady_scalar_pi_at(0.5, 1.0, 1.0, 0.2, 1.0, 1.0, lam_c)
-    pi_s = steady_riccati_fixed_point(p, lam_c)[0, 0]
+    pi_s = fixed_point(p, lam_c)[0, 0]
     assert pi_s == pytest.approx(pi_o, abs=1e-6)
     assert sol.Pi_bar[0, 0] == pytest.approx(pi_g, abs=1e-3)
 
@@ -89,7 +96,7 @@ def test_interior_fixed_point_solves_dare(rng):
         p = make_problem(rng, n=int(rng.integers(1, 4)))
         sol = solve_steady_state(p)
         lam = sol.lambda_bar + 0.1
-        Pi = steady_riccati_fixed_point(p, lam)
+        Pi = fixed_point(p, lam)
         Bt = np.hstack([p.B, p.G])
         Rt = la.block_diag(p.R, -lam * np.eye(p.q))
         X = la.solve_discrete_are(p.A, Bt, p.Q, Rt)
@@ -121,11 +128,7 @@ def test_singular_step_reports_singular_m():
     # Q = 0.25, lam = 0.2: Z = 1 - 1/0.2 = -4, so the first doubling's
     # W = I + Z Q = 0 is singular before any doubling completes
     p = steady_scalar(Q=0.25)
-    args = (p.A, p.B, p.G, p.Q, p.R, 0.2, p.Pf, 1e-12, 64)
-    status, doublings, _ = _kernels.fixed_point_numpy(*args)
-    assert (status, doublings) == (-2, 0)
-    with pytest.raises(SingularM):
-        steady_riccati_fixed_point(p, 0.2)
+    assert steady_state._double(p, 0.2)[:2] == (-2, 0)
 
 
 def test_lqr_baseline_solves_dare(rng):
@@ -139,36 +142,36 @@ def test_no_fixed_point_stops_early():
     # lam = 0.6875 < 1 leaves the unit-coefficient map with no real fixed
     # point (Z X^2 - 0.2 Z X - 0.2 = 0 has a negative discriminant): the
     # doubling must report it within its 64-doubling cap
-    p = steady_scalar()
-    args = (p.A, p.B, p.G, p.Q, p.R, 0.6875, p.Pf, 1e-12, 64)
-    status, doublings, _ = _kernels.fixed_point_numpy(*args)
-    assert status != 0
+    status, doublings, _, step = steady_state._double(steady_scalar(), 0.6875)
+    assert status in (-1, 1)
     assert doublings <= 64
-    with pytest.raises(FixedPointDiverged):
-        steady_riccati_fixed_point(p, 0.6875)
+    assert step is None
 
 
 def test_indefinite_fixed_point_rejected():
     # A = 2, lam = 0.5: the doubling converges to X = -2.7266, a root of
     # X^2 + 2.8 X + 0.2 = 0 with a stable closed loop that would pass the
     # slack test; a Riccati fixed point of the game must be PSD
-    with pytest.raises(FixedPointDiverged):
-        steady_riccati_fixed_point(steady_scalar(A=2.0), 0.5)
+    status, _, X, step = steady_state._double(steady_scalar(A=2.0), 0.5)
+    assert status == -1
+    assert X[0, 0] == pytest.approx(-2.7266, abs=1e-4)
+    assert step is None
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_fixed_point_rejects_non_finite_multiplier(bad):
-    # rejected up front: lam = inf is the LQR map, and NaN would read as
-    # divergence
-    with pytest.raises(ValueError, match="not finite"):
-        steady_riccati_fixed_point(steady_scalar(), bad)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_fixed_point_rejects_nonpositive_multiplier(bad):
-    # the doubling's Z = B R^{-1} B' - G G'/lam divides by it
-    with pytest.raises(ValueError, match="positive"):
-        steady_riccati_fixed_point(steady_scalar(), bad)
+def test_unreachable_unstable_mode_fails_typed():
+    # the mode at 2 is one that B cannot reach, so H_k grows like 4^(2^k)
+    # and the doubling's relative tests, which grow with it, never trip: it
+    # must stop at its cap on ||H_k||, well before the floats overflow,
+    # and the solvers raise their own errors, not numpy's RuntimeWarning
+    B = np.array([[0.0], [1.0]])
+    p = ProblemData(A=np.diag([2.0, 0.5]), B=B, G=B / 2, Q=np.eye(2),
+                    R=np.eye(1), Pf=np.eye(2), N=1, alpha=[1.0])
+    status, doublings, _, _ = steady_state._double(p, 1.0)
+    assert status == -1 and doublings < 10
+    with pytest.raises(NoFeasibleLambda):
+        solve_steady_state(p)
+    with pytest.raises(Diverged):
+        lqr_baseline(p)
 
 
 def test_slow_escape_still_converges():
@@ -179,7 +182,7 @@ def test_slow_escape_still_converges():
     c = 1.0 - 1.0 / lam
     attracting, repelling = np.sort(np.roots([c, 0.75 - 0.2 * c, -0.2]).real)
     p = steady_scalar(A=0.5, Pf=repelling + 1e-9)
-    Pi = steady_riccati_fixed_point(p, lam)
+    Pi = fixed_point(p, lam)
     assert Pi[0, 0] == pytest.approx(attracting, abs=1e-8)
 
 
@@ -191,9 +194,8 @@ def test_multiplier_is_minimal(rng):
     for p in probes:
         sol = solve_steady_state(p)
         lam = sol.lambda_bar - 1e-4
-        try:
-            Pi = steady_riccati_fixed_point(p, lam)
-        except (FixedPointDiverged, SingularM):
+        status, _, Pi, _ = steady_state._double(p, lam)
+        if status != 0:
             continue
         assert top_eig(p.G.T @ Pi @ p.G) - lam > 0.5e-4
 
@@ -280,6 +282,20 @@ def test_saddle_node_doublings():
     assert sol.fp_iterations <= 2_000
 
 
+def test_solution_is_the_verifying_step(rng):
+    # K_bar, residual and boundary_gap are those of the map step that
+    # verified Pi_bar, bit for bit the step and ||G'Pi_bar G|| taken afresh
+    for n in (2, 3, 4, 6, 8):
+        p = _bank_system(rng, n)
+        sol = solve_steady_state(p)
+        Z = _kernels.coupling(p.B, p.G, p.R, sol.lambda_bar)
+        Pi_next, PX = _kernels.game_step(p.A, p.Q, Z, sol.Pi_bar)
+        assert np.array_equal(sol.K_bar, np.linalg.solve(p.R, p.B.T @ PX))
+        assert sol.residual == float(np.linalg.norm(sol.Pi_bar - Pi_next))
+        assert sol.boundary_gap == sol.lambda_bar - top_eig(
+            p.G.T @ sol.Pi_bar @ p.G)
+
+
 def test_search_probe_count(rng):
     # each feasible probe's lower bound on lambda_bar ends the search within
     # 20 probes on each of these systems, where bisection to the same
@@ -309,10 +325,7 @@ def test_doubling_stop_test_is_not_a_fixed_point():
     rng = np.random.default_rng(7)
     for _ in range(132):
         p = make_problem(rng)
-    args = (p.A, p.B, p.G, p.Q, p.R, 5.2, p.Pf, 1e-12, 64)
-    assert _kernels.fixed_point_numpy(*args)[0] == -1
-    with pytest.raises(FixedPointDiverged):
-        steady_riccati_fixed_point(p, 5.2)
+    assert steady_state._double(p, 5.2)[0] == -1
 
 
 def _dare_slack(p, lam):
