@@ -160,7 +160,18 @@ def cmd_rollout(args) -> int:
             raise ScenarioError("rollout_mode external needs run.w_file")
         w_seq = np.loadtxt(sc.w_file, delimiter=",", ndmin=2)
     tr = rollout(p, mode=sc.rollout_mode, w_seq=w_seq, tol=tol)
-    tr.to_csv(os.path.join(out, "rollout.csv"))
+    header = (["k"] + [f"x[{i}]" for i in range(p.n)]
+              + [f"u[{i}]" for i in range(p.m)] + [f"w[{i}]" for i in range(p.q)]
+              + ["lambda_k", "stage_cost", "iterations", "stage_steps", "converged"])
+    rows = [[str(k)] + [_fmt(v) for v in np.concatenate(
+                [tr.states[k], tr.controls[k], tr.disturbances[k],
+                 [tr.multipliers[k], tr.stage_costs[k]]])]
+            + [str(tr.iterations[k]), str(tr.stage_steps[k]),
+               str(bool(tr.stage_converged[k]))] for k in range(p.N)]
+    # the terminal row carries x_N and the terminal cost
+    rows.append([str(p.N)] + [_fmt(v) for v in tr.states[p.N]]
+                + [""] * (p.m + p.q + 1) + [_fmt(tr.terminal_cost), "", "", ""])
+    _write_csv(os.path.join(out, "rollout.csv"), header, rows)
     print(f"total cost {tr.total_cost:.12g}  ratio {tr.value_ratio:.12g}  "
           f"converged {tr.converged}")
     if not tr.converged:

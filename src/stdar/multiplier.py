@@ -17,11 +17,11 @@ One descent loop runs in these coordinates from the start: a two-metric
 projected L-BFGS direction (Bertsekas's eps-active slacks take -g, the
 free ones the limited-memory quasi-Newton step) with Armijo backtracking
 along the projection arc max(s + t d, 0); a failed line search drops the
-memory and retries from -g (_descend). A cold solve starts at the
-lower corner s = 0, where most multipliers of an optimum sit, built in
-that same pass; a warm one projects its init in one margin pass and
-reads its slacks off it, one within lambda_j's rounding as 0 (at a bound
-lambda_j - b_j - eps_boundary is rounding noise). The loop evaluates no
+memory and retries from -g (_descend). A solve starts from one margin
+pass, lambda_j = max(init_j, b_j + eps_boundary), and reads its slacks
+off it, one within lambda_j's rounding as 0 (at a bound it is noise). A
+cold solve is the warm start from init = -inf: the lower corner s = 0,
+where most multipliers of an optimum sit. The loop evaluates no
 trial whose predicted decrease lies within phi's rounding, so a warm
 start at an optimum that met its 1e-8 rule costs its start pass and one
 gradient. No separate projection (riccati.project_feasible) runs on the
@@ -150,7 +150,7 @@ def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarr
     the forward adjoint pass of the module docstring."""
     alpha = p.alpha[sw.stage_offset:].tolist()
     X = np.multiply.outer(x, x)
-    Acl = p.A - p.W @ sw._gains
+    Acl = p.A - p.F[:, :p.m + p.q] @ sw._gains  # A - [B G][K_j; J_j]
     JJ = (sw.J.transpose(0, 2, 1) @ sw.J).reshape(len(alpha), -1)
     Gv = sw._tops @ p.G.T                # row j: G v_j, the pass's eigenvector
     GG = Gv[:, :, None] * Gv[:, None, :]  # (G v_j)(G v_j)' of every stage
@@ -273,9 +273,9 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     """Minimize phi over the nested feasible set for the stage-k tail.
 
     The descent loop (_descend) runs in the slack coordinates of the
-    module docstring, from init (raw multipliers, projected onto the
-    feasible set; a non-finite one raises InfeasibleMultiplier) or from
-    the lower corner, zero slack, driven by the exact adjoint gradient.
+    module docstring from one margin pass over init (raw multipliers; a
+    non-finite one raises InfeasibleMultiplier; None is -inf, the lower
+    corner), driven by the exact adjoint gradient.
     Every state, x = 0 included, takes this one path. gradient_mode
     accepts "auto" and "envelope", which both select it, and the solution
     reports "envelope". grad_norm is the projected-gradient norm in the
@@ -289,12 +289,11 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     _require_tail(p, k, p.N - k if init is None else init.size)
     if gradient_mode not in ("auto", "envelope"):
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
-    if init is None:
-        s = np.zeros(p.N - k)
-        sw, _ = _reconstruct(p, s, k, tol)
+    if init is None:  # the warm start from -inf: the lower corner
+        init = np.full(p.N - k, -np.inf)
     else:
         _require_finite(init, k)
-        sw, _ = _nested_pass(p, init, k, tol, tol.eps_boundary)
-        s = sw.lam.lambdas - sw.bounds - tol.eps_boundary
-        s[s <= _ROUNDING * np.abs(sw.lam.lambdas)] = 0.0
+    sw, _ = _nested_pass(p, init, k, tol, tol.eps_boundary)
+    s = sw.lam.lambdas - sw.bounds - tol.eps_boundary
+    s[s <= _ROUNDING * np.abs(sw.lam.lambdas)] = 0.0
     return _descend(p, x, s, sw, tol, max_iter)

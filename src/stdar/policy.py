@@ -52,32 +52,6 @@ class Trajectory:
     def total_cost(self) -> float:
         return float(self.stage_costs.sum() + self.terminal_cost)
 
-    def to_csv(self, path) -> None:
-        """Columnar export; the terminal row carries x_N and the terminal cost."""
-        n = self.states.shape[1]
-        m = self.controls.shape[1]
-        q = self.disturbances.shape[1]
-        cols = (["k"] + [f"x[{i}]" for i in range(n)]
-                + [f"u[{i}]" for i in range(m)] + [f"w[{i}]" for i in range(q)]
-                + ["lambda_k", "stage_cost", "iterations", "stage_steps",
-                   "converged"])
-        fmt = lambda v: f"{v:.17g}"
-        lines = [",".join(cols)]
-        N = self.controls.shape[0]
-        for k in range(N):
-            row = ([str(k)] + [fmt(v) for v in self.states[k]]
-                   + [fmt(v) for v in self.controls[k]]
-                   + [fmt(v) for v in self.disturbances[k]]
-                   + [fmt(self.multipliers[k]), fmt(self.stage_costs[k]),
-                      str(self.iterations[k]), str(self.stage_steps[k]),
-                      str(bool(self.stage_converged[k]))])
-            lines.append(",".join(row))
-        tail = ([str(N)] + [fmt(v) for v in self.states[N]]
-                + [""] * (m + q) + ["", fmt(self.terminal_cost), "", "", ""])
-        lines.append(",".join(tail))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def control_at(p: ProblemData, x: np.ndarray, k: int,
                lam_star: MultiplierVector, tol: Tolerances | None = None) -> np.ndarray:
@@ -98,6 +72,8 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     the response (G'Pi G - shift I) w = -G'Pi (Ax + Bu) on the nonzero
     eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and lam_k
     otherwise, completed along the zero eigenspace where there is one.
+    G'Pi G - shift I is the sweep's own stage matrix block G'Pi G - lam_k I
+    with lam_k - shift added back: no G'Pi G is formed a second time.
     Raises NoSphereIntersection where its norm^2 exceeds alpha_k, or with
     no eigenspace to complete along misses it, by more than 1e-3 relative,
     and ValueError for a state or control of the wrong size or not finite.
@@ -111,11 +87,9 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     Pi_next, lam_k = sw.Pi[1], float(lam_star.lambdas[0])
     bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])
     shift = bound if at_bound(lam_k, bound, tol) else lam_k
-    GPG = p.G.T @ Pi_next @ p.G
-    S = GPG + GPG.T
-    S *= 0.5
-    for r in range(p.q):  # sym(G'Pi G) - shift I
-        S[r, r] -= shift
+    S = sw.M[0][p.m:, p.m:].copy()
+    for r in range(p.q):  # exactly 0 at q = 1 on the bound
+        S[r, r] += lam_k - shift
     d_w = p.G.T @ (Pi_next @ (p.A @ x + p.B @ u))
     mu, V = (S[0], _UNIT) if p.q == 1 else np.linalg.eigh(S)
     mu = mu.tolist()  # q floats: scalar arithmetic beats numpy calls

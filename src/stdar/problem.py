@@ -86,10 +86,9 @@ class ProblemData:
 
     Besides its fields it holds the sizes n, m, q and the constants every
     backward stage reads, built once and read-only like its arrays:
-    F = [B G A], C = blockdiag(R, 0, Q), Z = [0; -I], the template of a
-    stage's gain buffer, and W = [B G]. The constructor copies its inputs,
-    and copies and pickles are rebuilt through it, so they are read-only
-    too.
+    F = [B G A], C = blockdiag(R, 0, Q) and Z = [0; -I], the template of a
+    stage's gain buffer. The constructor copies its inputs, and copies and
+    pickles are rebuilt through it, so they are read-only too.
     """
 
     A: np.ndarray
@@ -107,7 +106,6 @@ class ProblemData:
     F: np.ndarray = field(init=False, repr=False, compare=False)
     C: np.ndarray = field(init=False, repr=False, compare=False)
     Z: np.ndarray = field(init=False, repr=False, compare=False)
-    W: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -153,8 +151,7 @@ class ProblemData:
         for name, arr in (("A", A), ("B", B), ("G", G), ("Q", Q), ("R", R),
                           ("Pf", Pf), ("alpha", alpha), ("x0", x0),
                           ("F", np.hstack([B, G, A])), ("C", C),
-                          ("Z", np.vstack([np.zeros((d, n)), -np.eye(n)])),
-                          ("W", np.hstack([B, G]))):
+                          ("Z", np.vstack([np.zeros((d, n)), -np.eye(n)]))):
             arr = np.array(arr, order="C")  # a copy: the caller keeps its arrays
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -183,8 +180,6 @@ class ValidationReport:
 
     stabilizable: bool
     detectable: bool
-    range_inclusion: bool
-    terminal_coupling: bool
     strict_weights: bool
     degenerate_terminal: bool
     warnings: tuple[str, ...]
@@ -234,14 +229,12 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
 
     # range(G) <= range(B), tested as ||(I - B B+) G|| <= tol_range
     resid = np.linalg.norm(p.G - p.B @ (np.linalg.pinv(p.B) @ p.G))
-    range_inclusion = resid <= tol.tol_range * max(1.0, np.linalg.norm(p.G))
-    if not range_inclusion:
+    if not resid <= tol.tol_range * max(1.0, np.linalg.norm(p.G)):
         raise AssumptionViolated("range inclusion",
                                  f"||(I - B B+) G|| = {resid:.3e}")
 
     coupling = np.linalg.norm(p.G.T @ p.Pf @ p.G)
-    terminal_coupling = coupling > tol.tol_zero
-    degenerate_terminal = not terminal_coupling
+    degenerate_terminal = not coupling > tol.tol_zero
     if degenerate_terminal:
         if not allow_degenerate_terminal:
             raise AssumptionViolated("G'Pf G nonzero",
@@ -257,8 +250,6 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
     return ValidationReport(
         stabilizable=stabilizable,
         detectable=detectable,
-        range_inclusion=range_inclusion,
-        terminal_coupling=terminal_coupling,
         strict_weights=strict_weights,
         degenerate_terminal=degenerate_terminal,
         warnings=tuple(warnings),

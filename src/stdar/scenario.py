@@ -62,9 +62,16 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _run_value(run: dict, key: str, default, convert, path):
+    try:
+        return convert(run.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: bad run.{key}: {exc}") from None
+
+
 def load_scenario(path) -> ScenarioFile:
     """Parse a scenario YAML file; errors carry a line number when the
-    parser provides one."""
+    parser provides one, and the key of a value of the wrong type."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -110,21 +117,23 @@ def load_scenario(path) -> ScenarioFile:
         g = run["grid"]
         try:
             grid = (float(g["lo"]), float(g["hi"]), int(g["points"]))
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise ScenarioError(f"{path}: grid needs lo, hi, points ({exc})") from None
         if grid[2] < 1:
             raise ScenarioError(f"{path}: grid needs at least one point")
-    x0_list = tuple(np.array(v, dtype=float).ravel() for v in run.get("x0_list", []))
+    x0_list = _run_value(run, "x0_list", [], lambda vs: tuple(
+        np.array(v, dtype=float).ravel() for v in vs), path)
     for i, v in enumerate(x0_list):
         if v.size != problem.n:
             raise ScenarioError(
                 f"{path}: x0_list[{i}] has size {v.size}, expected {problem.n}")
-    sizes = run.get("sizes", ScenarioFile.sizes)
     return ScenarioFile(
         problem=problem, mode=mode, out=str(run.get("out", ".")),
-        seed=int(run.get("seed", 0)), x0_list=x0_list, grid=grid,
+        seed=_run_value(run, "seed", 0, int, path), x0_list=x0_list, grid=grid,
         rollout_mode=rollout_mode, w_file=run.get("w_file"),
-        sizes=tuple(int(s) for s in sizes), instances=int(run.get("instances", 4)),
+        sizes=_run_value(run, "sizes", ScenarioFile.sizes,
+                         lambda v: tuple(int(s) for s in v), path),
+        instances=_run_value(run, "instances", 4, int, path),
         allow_degenerate_terminal=bool(run.get("allow_degenerate_terminal", False)))
 
 

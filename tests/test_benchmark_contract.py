@@ -117,10 +117,16 @@ def test_online_bank_counts(monkeypatch):
     api.solve_multipliers = solve
     wl = workloads.Online()
     cases = wl.bank()
+    failed = []
     for case in cases:
         case.build(api)
-        wl.run(api, case, np.random.default_rng(0))
+        res = wl.run(api, case, np.random.default_rng(0))
+        assert not res.wrong
+        failed.append(res.failed)
     assert len(solutions) == sum(wl.ops(case) for case in cases) == 72
+    # the failed ops are the 12 decisions of episode 1, whose worst-case
+    # rollout misses its stage-0 value (the saddle failure, ROADMAP item 3)
+    assert failed == [0, 12, 0, 0, 0, 0]
     assert all(sol.converged for sol in solutions)
     assert sum(sol.stage_steps for sol in solutions) <= 600
     assert sum(sol.gradient_evals for sol in solutions) <= 100

@@ -469,6 +469,27 @@ def test_warm_start_accepted(rng, tol):
     assert warm.iterations <= cold.iterations
 
 
+def test_cold_start_is_the_warm_start_from_minus_infinity(rng, tol, monkeypatch):
+    # a cold solve takes a warm start's one margin pass from raw -inf: that
+    # pass is the slack pass at s = 0 bit for bit, and its slacks read back
+    # as exact zeros, the lower corner
+    starts = []
+    descend = multiplier._descend
+
+    def record(p, x, s, sw, tol, max_iter):
+        starts.append((s, sw))
+        return descend(p, x, s, sw, tol, max_iter)
+
+    monkeypatch.setattr(multiplier, "_descend", record)
+    for i in range(40):
+        p = make_problem(rng, N=int(rng.integers(1, 9)), degenerate_pf=i % 4 == 0)
+        k = int(rng.integers(0, p.N))
+        solve_multipliers(p, p.x0, k=k, tol=tol)
+        s, sw = starts.pop()
+        assert np.array_equal(s, np.zeros(p.N - k))
+        assert_same_sweep(sw, _reconstruct(p, np.zeros(p.N - k), k, tol)[0])
+
+
 def test_warm_resolve_at_the_optimum_costs_its_start_pass(rng, tol):
     # a warm re-solve from a solution's own lam_star (same p, x, k) starts
     # on that solution's sweep. Slacks at their bounds read as 0, not as

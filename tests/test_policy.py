@@ -6,7 +6,9 @@ import pytest
 from stdar import (NoSphereIntersection, control_at, objective,
                    project_feasible, rollout, solve_multipliers, sweep,
                    worst_disturbance_at)
+from stdar.cli import main
 from stdar.riccati import at_bound
+from stdar.scenario import ScenarioFile, save_scenario
 import stdar
 from stdar import multiplier, riccati
 from conftest import make_problem, scalar_problem
@@ -295,11 +297,16 @@ def test_solution_sweep_cannot_be_written(rng, tol):
 
 
 def test_trajectory_csv_round_trip(rng, tol, tmp_path):
+    # `stdar rollout` writes the Trajectory to rollout.csv; %.17g survives
+    # the float round trip bit for bit, and the terminal row carries x_N
+    # and the terminal cost
     p = make_problem(rng)
+    sc = tmp_path / "sc.yaml"
+    save_scenario(ScenarioFile(problem=p, mode="rollout", rollout_mode="worst_case",
+                               out=str(tmp_path / "res")), sc)
     traj = rollout(p, mode="worst_case", tol=tol)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    with open(path) as fh:
+    assert main(["rollout", "--scenario", str(sc)]) == (0 if traj.converged else 3)
+    with open(tmp_path / "res" / "rollout.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     header = (["k"] + [f"x[{i}]" for i in range(p.n)]
               + [f"u[{i}]" for i in range(p.m)]
@@ -311,7 +318,6 @@ def test_trajectory_csv_round_trip(rng, tol, tmp_path):
     for k in range(p.N):
         vals = rows[k + 1]
         assert int(vals[0]) == k
-        # %.17g survives the float round trip bit for bit
         back = np.array([float(v) for v in vals[1:-3]])
         ref = np.concatenate([traj.states[k], traj.controls[k],
                               traj.disturbances[k],

@@ -16,8 +16,6 @@ def test_scalar_reference_system_passes_all_checks():
     rep = validate_problem(p)
     assert rep.stabilizable
     assert rep.detectable
-    assert rep.range_inclusion
-    assert rep.terminal_coupling
     assert not rep.degenerate_terminal
     assert rep.warnings == ()
 
@@ -40,7 +38,6 @@ def test_degenerate_terminal_flag_downgrades_to_warning():
     p = scalar_problem(Pf=0.0)
     rep = validate_problem(p, allow_degenerate_terminal=True)
     assert rep.degenerate_terminal
-    assert not rep.terminal_coupling
     assert any("degenerate terminal" in w for w in rep.warnings)
 
 
@@ -104,7 +101,7 @@ def test_problem_data_immutable():
     p = scalar_problem()
     for q in (p, pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         for name in ("A", "B", "G", "Q", "R", "Pf", "alpha", "x0",
-                     "F", "C", "Z", "W"):
+                     "F", "C", "Z"):
             assert np.array_equal(getattr(q, name), getattr(p, name))
             with pytest.raises(ValueError):
                 getattr(q, name).ravel()[0] = 5.0
@@ -121,8 +118,7 @@ def test_stage_constants(rng):
     assert (p.n, p.m, p.q) == (3, 2, 2)
     expected = {"F": np.hstack([p.B, p.G, p.A]),
                 "C": la.block_diag(p.R, np.zeros((p.q, p.q)), p.Q),
-                "Z": np.vstack([np.zeros((p.m + p.q, p.n)), -np.eye(p.n)]),
-                "W": np.hstack([p.B, p.G])}
+                "Z": np.vstack([np.zeros((p.m + p.q, p.n)), -np.eye(p.n)])}
     for name, ref in expected.items():
         got = getattr(p, name)
         assert np.array_equal(got, ref), name
@@ -198,5 +194,4 @@ def test_validate_deterministic(rng):
 def test_random_instances_validate_clean(rng):
     for _ in range(20):
         rep = validate_problem(make_problem(rng))
-        assert rep.range_inclusion
-        assert rep.terminal_coupling
+        assert not rep.degenerate_terminal

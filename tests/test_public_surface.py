@@ -35,6 +35,11 @@ def test_public_surface():
         "tol_psd", "tol_range", "tol_zero", "eps_boundary"]
     assert hasattr(stdar.ProblemData, "alpha_bar")
     assert not hasattr(stdar.ProblemData, "schedule")
+    assert "W" not in {f.name for f in dataclasses.fields(stdar.ProblemData)}
+    assert not hasattr(stdar.Trajectory, "to_csv")  # cli writes rollout.csv
+    assert [f.name for f in dataclasses.fields(stdar.ValidationReport)] == [
+        "stabilizable", "detectable", "strict_weights", "degenerate_terminal",
+        "warnings"]
     for fn, removed in ((stdar.rollout, ("gradient_mode", "max_iter")),
                         (stdar.lqr_baseline, ("rtol", "max_iter"))):
         params = inspect.signature(fn).parameters
@@ -60,6 +65,24 @@ def test_every_exported_error_is_raised():
     errors = {e.__name__ for e in exported if isinstance(e, type)
               and issubclass(e, stdar.RegulatorError)} - {"RegulatorError"}
     assert errors and errors <= raised, sorted(errors - raised)
+
+
+def test_only_cli_and_scenario_write_files():
+    # a static scan of the package: open in a write mode (any mode but
+    # r, b and t, or one not spelt out) appears only in cli, which writes
+    # the run's outputs, and scenario, whose save_scenario writes a file
+    writers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt")):
+                writers.add(path.stem)
+    assert "cli" in writers and writers <= {"cli", "scenario"}, sorted(writers)
 
 
 def test_readme_library_example(capsys):

@@ -1,3 +1,4 @@
+import csv
 import functools
 
 import numpy as np
@@ -79,9 +80,25 @@ def test_loader_error_reporting(tmp_path):
     bad.write_text(base + "run:\n  x0_list: [[1.0, 2.0]]\n")
     with pytest.raises(ScenarioError, match=r"x0_list\[0\]"):
         load_scenario(bad)
-    bad.write_text(base + "run:\n  grid: {lo: 0.0, hi: 1.0}\n")
-    with pytest.raises(ScenarioError, match="grid needs"):
+    for grid in ("{lo: 0.0, hi: 1.0}", "{lo: a, hi: 1.0, points: 3}"):
+        bad.write_text(base + f"run:\n  grid: {grid}\n")
+        with pytest.raises(ScenarioError, match="grid needs"):
+            load_scenario(bad)
+
+
+@pytest.mark.parametrize("entry", ["x0_list: 5", "seed: [1]", "sizes: 7",
+                                   "instances: [2]", "seed: one"])
+def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
+    # a run value of the wrong type names its key and exits 2 from the CLI
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
+                   "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n"
+                   f"run:\n  {entry}\n")
+    key = entry.split(":")[0]
+    with pytest.raises(ScenarioError, match=f"run.{key}"):
         load_scenario(bad)
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert f"run.{key}" in capsys.readouterr().err
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -194,28 +211,25 @@ def test_cli_policy_curve_needs_scalar_and_grid(tmp_path):
 
 
 def test_cli_rollout_matches_library(tmp_path, capsys):
+    # the field-by-field re-parse of rollout.csv is
+    # test_policy::test_trajectory_csv_round_trip; here the scenario run
+    # reports the library's rollout
     p = sec5()
     path = write_scenario(tmp_path, p, mode="rollout",
                           out=str(tmp_path / "res"), rollout_mode="worst_case")
     rc = main(["rollout", "--scenario", path])
     assert rc == 0
-    assert "total cost" in capsys.readouterr().out
     tr = rollout(p, mode="worst_case", tol=Tolerances())
-    ref = tmp_path / "ref.csv"
-    tr.to_csv(ref)
-    got = (tmp_path / "res" / "rollout.csv").read_text()
-    assert got == ref.read_text()
-    lines = got.strip().split("\n")
-    assert lines[0].split(",") == (
-        ["k"] + [f"x[{i}]" for i in range(p.n)] + [f"u[{i}]" for i in range(p.m)]
-        + [f"w[{i}]" for i in range(p.q)]
-        + ["lambda_k", "stage_cost", "iterations", "stage_steps", "converged"])
-    for k in range(p.N):
-        row = lines[k + 1].split(",")
-        assert [int(v) for v in row[-3:-1]] == [tr.iterations[k], tr.stage_steps[k]]
-        assert row[-1] == str(bool(tr.stage_converged[k]))
+    assert capsys.readouterr().out == (
+        f"total cost {tr.total_cost:.12g}  ratio {tr.value_ratio:.12g}  "
+        f"converged {tr.converged}\n")
+    with open(tmp_path / "res" / "rollout.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == p.N + 2
+    assert [r[-1] for r in rows[1:-1]] == [str(bool(c)) for c in tr.stage_converged]
     assert tr.converged == tr.stage_converged.all()
-    assert lines[-1].split(",")[-3:] == ["", "", ""]
+    assert np.array_equal([float(r[-4]) for r in rows[1:]],
+                          np.append(tr.stage_costs, tr.terminal_cost))
 
 
 def test_cli_rollout_external_w_file(tmp_path):
