@@ -89,7 +89,7 @@ def cmd_finite(args) -> int:
         except RegulatorError as exc:
             failures += 1
             summary_rows.append([str(i)] + [_fmt(v) for v in x0]
-                                + [""] * 7 + [f'"{exc}"'])
+                                + [""] * 8 + [f'"{exc}"'])
             continue
         not_converged += not sol.converged
         lams = sol.lam_star.lambdas
@@ -107,11 +107,12 @@ def cmd_finite(args) -> int:
                             + [_fmt(sol.value), _fmt(sol.grad_norm),
                                str(sol.iterations), str(sol.converged),
                                str(sol.stage_steps), str(sol.gradient_evals),
-                               str(sol.backtracks), ""])
+                               str(sol.adjoint_stages), str(sol.backtracks), ""])
     _write_csv(os.path.join(out, "finite_summary.csv"),
                ["i"] + [f"x0[{j}]" for j in range(p.n)]
                + ["value", "grad_norm", "iterations", "converged",
-                  "stage_steps", "gradient_evals", "backtracks", "error"],
+                  "stage_steps", "gradient_evals", "adjoint_stages", "backtracks",
+                  "error"],
                summary_rows)
     if failures or not_converged:
         print(f"{failures} of {len(x0s)} initial states failed, "

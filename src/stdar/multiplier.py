@@ -60,6 +60,17 @@ multipliers,
 
 wbar_j = -J_j x_j the certainty disturbance. The tests check both
 gradients against finite differences of phi.
+
+The recurrence is affine, [vec X_{j+1}; 1] = T_j [vec X_j; 1] with
+T_j = [[Acl_j (x) Acl_j - vec(GG_j) vec(J_j'J_j)', alpha_{k+j} vec(GG_j)];
+[0, 1]], GG_j = (G v_j)(G v_j)'. So on stages t.. that a pass repeats
+from an earlier one, g_j = alpha_{k+j} - L_j [vec X_t; 1] with the tail
+map L_j = [vec J_j'J_j; 0]' T_{j-1}...T_t. An accepted trial pass steps
+only stages below its depth t, so the descent builds L at the first
+accepted step's depth and again only when a step reaches deeper; then a
+gradient loops over t head stages (bit for bit the loop) and multiplies
+by L once. The start pass's gradient, and any without a map, is the loop;
+n > 4 builds no map and a fast-growing tail's map is unused (_MAP_*).
 """
 from __future__ import annotations
 
@@ -83,6 +94,13 @@ _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 _MEMORY = 8  # (ds, dg) pairs the direction keeps
 _ROUNDING = 16.0 * np.finfo(float).eps  # relative rounding of phi and lambda
+# A tail map stage is an (n^2+1)^3 product: at n <= 4 it costs about one
+# loop stage, at n = 8 twenty and at n = 16 two hundred, so larger n keep
+# the loop. A map is not used where the Acl (x) Acl block of its composed
+# products passes _MAP_GROWTH: its rounding outgrows the loop's with that
+# block (at 1e2 it lost 3e-12 of the gradient, the loop 5e-14).
+_MAP_MAX_N = 4
+_MAP_GROWTH = 1e1
 
 
 @dataclass(frozen=True)
@@ -98,6 +116,9 @@ class MultiplierSolution:
     the stages from the last multiplier it changes down), one adjoint pass per
     accepted point and at the start, and the trial points rejected by the
     Armijo test; a trial within phi's rounding is not evaluated (_descend).
+    adjoint_stages counts their stage updates (N - k, or t with a tail map
+    of depth t) plus the N - k - t stages of each tail map built; a map
+    stage costs about one stage update at the n <= 4 where maps are built.
     iterations counts accepted steps, L-BFGS or projected-gradient ones.
     """
 
@@ -110,6 +131,7 @@ class MultiplierSolution:
     sweep: RiccatiSweep
     stage_steps: int
     gradient_evals: int
+    adjoint_stages: int
     backtracks: int
     gradient_mode: str = "envelope"  # the one mode; kept for callers that read it
 
@@ -145,21 +167,56 @@ def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances,
                         s, base)
 
 
-def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
+def _adjoint_terms(p: ProblemData, sw: RiccatiSweep, lo: int, hi: int):
+    """Acl_j, (G v_j)(G v_j)' and J_j'J_j (flattened) of stages lo..hi-1
+    of sw, each from one batched product."""
+    Acl = p.A - p.F[:, :p.m + p.q] @ sw._gains[lo:hi]  # A - [B G][K_j; J_j]
+    J = sw.J[lo:hi]
+    Gv = sw._tops[lo:hi] @ p.G.T         # row j: G v_j, the pass's eigenvector
+    return (Acl, Gv[:, :, None] * Gv[:, None, :],
+            (J.transpose(0, 2, 1) @ J).reshape(hi - lo, -1))
+
+
+def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray, tail=None) -> np.ndarray:
     """Exact gradient of phi in the slack coordinates at the sweep sw, by
-    the forward adjoint pass of the module docstring."""
-    alpha = p.alpha[sw.stage_offset:].tolist()
+    the forward adjoint pass of the module docstring; with the tail map
+    (t, L) of a pass that sw repeats from stage t, the loop stops at X_t."""
+    k = sw.stage_offset
+    t, L = (sw.horizon(), None) if tail is None or tail[1] is None else tail
+    alpha = p.alpha[k:k + t].tolist()
     X = np.multiply.outer(x, x)
-    Acl = p.A - p.F[:, :p.m + p.q] @ sw._gains  # A - [B G][K_j; J_j]
-    JJ = (sw.J.transpose(0, 2, 1) @ sw.J).reshape(len(alpha), -1)
-    Gv = sw._tops @ p.G.T                # row j: G v_j, the pass's eigenvector
-    GG = Gv[:, :, None] * Gv[:, None, :]  # (G v_j)(G v_j)' of every stage
+    Acl, GG, JJ = _adjoint_terms(p, sw, 0, t)
     g = [alpha[0] - JJ[0].dot(X.ravel())]
     # X_{j+1} from X_j; the last stage's X_{j+1} is not needed
     for A_j, G_j, JJ_j, a_j in zip(Acl, GG, JJ[1:], alpha[1:]):
         X = A_j.dot(X).dot(A_j.T) + g[-1] * G_j
         g.append(a_j - JJ_j.dot(X.ravel()))
+    if L is not None:
+        X = Acl[-1].dot(X).dot(Acl[-1].T) + g[-1] * GG[-1]
+        g.extend(p.alpha[k + t:] - L @ np.append(X.ravel(), 1.0))
     return np.array(g) / (2.0 * p.alpha_bar)
+
+
+def _tail_map(p: ProblemData, sw: RiccatiSweep, t: int):
+    """The tail map (t, L) over stages t.. of sw, None unless 0 < t < N - k.
+    L is None, and a gradient the loop, where an entry of the Acl (x) Acl
+    block of a composed product T_{j-1}...T_t passes _MAP_GROWTH."""
+    size, nn = sw.horizon(), p.n * p.n
+    if not 0 < t < size:
+        return None
+    S, (Acl, GG, JJ) = size - t, _adjoint_terms(p, sw, t, size)
+    T = np.zeros((S, nn + 1, nn + 1))
+    T[:, :nn, :nn] = ((Acl[:, :, None, :, None] * Acl[:, None, :, None, :])
+                      .reshape(S, nn, nn) - GG.reshape(S, nn, 1) * JJ[:, None, :])
+    T[:, :nn, nn] = p.alpha[sw.stage_offset + t:, None] * GG.reshape(S, nn)
+    T[:, nn, nn] = 1.0
+    P = np.broadcast_to(np.eye(nn + 1), T.shape).copy()  # P[0] = I
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for i in range(S - 1):
+            np.matmul(T[i], P[i], out=P[i + 1])
+    if not np.abs(P[:, :nn, :nn]).max() <= _MAP_GROWTH:  # also where it overflowed
+        return t, None
+    return t, (JJ[:, None, :] @ P[:, :nn])[:, 0]
 
 
 def _pg_norm(g: np.ndarray, s: np.ndarray) -> float:
@@ -220,7 +277,8 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     k = sw.stage_offset
     phi = _phi(p, x, sw.lam, sw.Pi[0])
     g = _slack_gradient(p, sw, x)
-    stage_steps, gradient_evals, backtracks = sw.horizon(), 1, 0
+    stage_steps = adjoint_stages = size = sw.horizon()
+    gradient_evals, backtracks, tail = 1, 0, None  # tail: _tail_map of sw's last stages
     pgn = _pg_norm(g, s)
     pairs: list = []
     converged = False
@@ -241,7 +299,11 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             stage_steps += steps
             phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
             if phi_c <= phi - _ARMIJO_C * decrease:
-                g_c = _slack_gradient(p, sw_c, x)
+                if p.n <= _MAP_MAX_N and (tail is None or steps > tail[0]):
+                    tail = _tail_map(p, sw_c, steps)  # the pass stepped into it
+                    adjoint_stages += size - tail[0] if tail else 0
+                g_c = _slack_gradient(p, sw_c, x, tail)
+                adjoint_stages += size if tail is None or tail[1] is None else tail[0]
                 gradient_evals += 1
                 dg = g_c - g
                 if float(step @ dg) > 0.0:  # curvature along the step
@@ -263,7 +325,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
         boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
         iterations=iterations, converged=converged, sweep=sw,
         stage_steps=stage_steps, gradient_evals=gradient_evals,
-        backtracks=backtracks)
+        adjoint_stages=adjoint_stages, backtracks=backtracks)
 
 
 def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,

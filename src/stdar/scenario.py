@@ -62,6 +62,19 @@ def _need(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _integer(v) -> int:
+    """A YAML integer, or a float with an integral value; not a boolean."""
+    if type(v) is int or isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{v!r} is not an integer")
+
+
+def _boolean(v) -> bool:
+    if type(v) is not bool:  # a string such as "false" is no flag
+        raise ValueError(f"{v!r} is not true or false")
+    return v
+
+
 def _run_value(run: dict, key: str, default, convert, path):
     try:
         return convert(run.get(key, default))
@@ -116,11 +129,11 @@ def load_scenario(path) -> ScenarioFile:
     if "grid" in run:
         g = run["grid"]
         try:
-            grid = (float(g["lo"]), float(g["hi"]), int(g["points"]))
+            grid = (float(g["lo"]), float(g["hi"]), _integer(g["points"]))
         except (TypeError, KeyError, ValueError) as exc:
-            raise ScenarioError(f"{path}: grid needs lo, hi, points ({exc})") from None
+            raise ScenarioError(f"{path}: run.grid needs lo, hi, points ({exc})") from None
         if grid[2] < 1:
-            raise ScenarioError(f"{path}: grid needs at least one point")
+            raise ScenarioError(f"{path}: run.grid needs at least one point")
     x0_list = _run_value(run, "x0_list", [], lambda vs: tuple(
         np.array(v, dtype=float).ravel() for v in vs), path)
     for i, v in enumerate(x0_list):
@@ -129,12 +142,13 @@ def load_scenario(path) -> ScenarioFile:
                 f"{path}: x0_list[{i}] has size {v.size}, expected {problem.n}")
     return ScenarioFile(
         problem=problem, mode=mode, out=str(run.get("out", ".")),
-        seed=_run_value(run, "seed", 0, int, path), x0_list=x0_list, grid=grid,
+        seed=_run_value(run, "seed", 0, _integer, path), x0_list=x0_list, grid=grid,
         rollout_mode=rollout_mode, w_file=run.get("w_file"),
         sizes=_run_value(run, "sizes", ScenarioFile.sizes,
-                         lambda v: tuple(int(s) for s in v), path),
-        instances=_run_value(run, "instances", 4, int, path),
-        allow_degenerate_terminal=bool(run.get("allow_degenerate_terminal", False)))
+                         lambda v: tuple(_integer(s) for s in v), path),
+        instances=_run_value(run, "instances", 4, _integer, path),
+        allow_degenerate_terminal=_run_value(run, "allow_degenerate_terminal",
+                                             False, _boolean, path))
 
 
 def save_scenario(sc: ScenarioFile, path) -> None:

@@ -180,17 +180,16 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
     Qh = _sqrt_psd(p.Q)
     Rh = _sqrt_psd(p.R)
     closed = p.A @ P - p.B @ F
-    top_right = np.hstack([P @ Qh, -F.T @ Rh])  # n x (n+m)
-    z_nq = np.zeros((n, q))
-    z_nm = np.zeros((n, n + m))
-    z_qm = np.zeros((q, n + m))
-    assembled = np.block([
-        [P, closed.T, z_nq, top_right],
-        [closed, P, p.G, z_nm],
-        [z_nq.T, p.G.T, sol.lambda_bar * np.eye(q), z_qm],
-        [top_right.T, z_nm.T, z_qm.T, np.eye(n + m)],
-    ])
-    assembled = sym(assembled)
+    # one array written block by block: np.block costs more than eigvalsh
+    a, b, c = n, 2 * n, 2 * n + q  # block offsets
+    L = np.zeros((c + n + m, c + n + m))
+    L[:a, :a] = L[a:b, a:b] = P
+    L[a:b, :a], L[:a, a:b] = closed, closed.T
+    L[a:b, b:c], L[b:c, a:b] = p.G, p.G.T
+    L[b:c, b:c] = sol.lambda_bar * np.eye(q)
+    L[:a, c:c + n], L[:a, c + n:] = P @ Qh, -F.T @ Rh
+    L[c:, :a], L[c:, c:] = L[:a, c:].T, np.eye(n + m)
+    assembled = sym(L)
     min_eig = float(np.linalg.eigvalsh(assembled)[0])
     scale = max(1.0, float(np.abs(assembled).max()))
     return LmiCertificate(P=P, F=F, lam=float(sol.lambda_bar),

@@ -96,11 +96,9 @@ def test_traced_kernel_counts_match_steady_solution(rng):
     assert metrics["kernels.fp_iterations"][0] == sol.fp_iterations > 0
 
 
-def test_online_bank_counts(monkeypatch):
-    # host-independent work of one pass over the online bank, summed over
-    # its 72 decisions, counted on the solutions the workload's own solve
-    # calls return. Warm re-solves that start at their optimum take their
-    # start pass and one gradient, and no trial is rejected on rounding
+def bank_pass(monkeypatch, workload):
+    # one pass over a workload's bank with the workload's own run; returns
+    # the solutions its solve calls return, the bank and each case's result
     monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checker
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   BENCH / "workloads.py")
@@ -115,21 +113,31 @@ def test_online_bank_counts(monkeypatch):
         return solutions[-1]
 
     api.solve_multipliers = solve
-    wl = workloads.Online()
+    wl = getattr(workloads, workload)()
     cases = wl.bank()
-    failed = []
+    results = []
     for case in cases:
         case.build(api)
-        res = wl.run(api, case, np.random.default_rng(0))
-        assert not res.wrong
-        failed.append(res.failed)
-    assert len(solutions) == sum(wl.ops(case) for case in cases) == 72
+        results.append(wl.run(api, case, np.random.default_rng(0)))
+    assert len(solutions) == sum(wl.ops(case) for case in cases)
+    return solutions, cases, results
+
+
+def test_online_bank_counts(monkeypatch):
+    # host-independent work of one pass over the online bank, summed over
+    # its 72 decisions, counted on the solutions the workload's own solve
+    # calls return. Warm re-solves that start at their optimum take their
+    # start pass and one gradient, and no trial is rejected on rounding
+    solutions, _, results = bank_pass(monkeypatch, "Online")
+    assert not any(res.wrong for res in results)
+    assert len(solutions) == 72
     # the failed ops are the 12 decisions of episode 1, whose worst-case
     # rollout misses its stage-0 value (the saddle failure, ROADMAP item 3)
-    assert failed == [0, 12, 0, 0, 0, 0]
+    assert [res.failed for res in results] == [0, 12, 0, 0, 0, 0]
     assert all(sol.converged for sol in solutions)
     assert sum(sol.stage_steps for sol in solutions) <= 600
     assert sum(sol.gradient_evals for sol in solutions) <= 100
+    assert sum(sol.adjoint_stages for sol in solutions) <= 600
     assert sum(sol.backtracks for sol in solutions) == 0
 
 
@@ -137,32 +145,35 @@ def test_long_horizon_bank_counts(monkeypatch):
     # the same count over one pass of the long_horizon bank, 6 cold solves
     # from the lower corner. Four end at their corner; the N = 40 op, with
     # interior multipliers, takes most of the work, where the descent's
-    # curvature pairs count
-    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checker
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    api = SimpleNamespace(**{name: getattr(stdar, name) for name in api_names()})
-    api.begin_op = lambda: None
-    solutions = []
-
-    def solve(*args, **kwargs):
-        solutions.append(stdar.solve_multipliers(*args, **kwargs))
-        return solutions[-1]
-
-    api.solve_multipliers = solve
-    wl = workloads.LongHorizon()
-    cases = wl.bank()
-    for case in cases:
-        case.build(api)
-        wl.run(api, case, np.random.default_rng(0))
-    assert len(solutions) == sum(wl.ops(case) for case in cases) == 6
+    # curvature pairs count. Its trial passes step only the first stages,
+    # so its gradients take the rest from a tail map: 33 gradients of
+    # N = 30-50 stages cost 1 200 adjoint stage updates without one
+    solutions, _, _ = bank_pass(monkeypatch, "LongHorizon")
+    assert len(solutions) == 6
     assert all(sol.converged for sol in solutions)
     assert sum(sol.stage_steps for sol in solutions) <= 310
     assert sum(sol.iterations for sol in solutions) <= 30
     assert sum(sol.gradient_evals for sol in solutions) <= 36
+    assert sum(sol.adjoint_stages for sol in solutions) <= 400
     assert sum(sol.backtracks for sol in solutions) <= 12
+
+
+def test_long_horizon_bank_without_tail_maps(monkeypatch):
+    # with the tail-map builder taken out every gradient is the full loop:
+    # the bank's solves end at the same multipliers and values, within
+    # 1e-12, with the same counts, and each gradient costs N stage updates
+    with_maps, _, _ = bank_pass(monkeypatch, "LongHorizon")
+    monkeypatch.setattr(stdar.multiplier, "_tail_map", lambda *a: None)
+    without, cases, _ = bank_pass(monkeypatch, "LongHorizon")
+    for a, b, case in zip(with_maps, without, cases):
+        lam_a, lam_b = a.lam_star.lambdas, b.lam_star.lambdas
+        assert np.abs(lam_a - lam_b).max() <= 1e-12 * np.abs(lam_b).max()
+        assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
+        counts = ("iterations", "stage_steps", "gradient_evals", "backtracks")
+        assert [getattr(a, c) for c in counts] == [getattr(b, c) for c in counts]
+        assert b.adjoint_stages == b.gradient_evals * case.problem.N
+    assert (sum(sol.adjoint_stages for sol in with_maps)
+            < sum(sol.adjoint_stages for sol in without) == 1200)
 
 
 def short_run(workload):

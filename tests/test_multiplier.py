@@ -5,7 +5,7 @@ import sympy as sp
 from stdar import (MultiplierVector, ProblemData, objective,
                    project_feasible, solve_multipliers, sweep)
 from stdar import multiplier
-from stdar.multiplier import _reconstruct, _slack_gradient
+from stdar.multiplier import _reconstruct, _slack_gradient, _tail_map
 from stdar.riccati import _nested_pass
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import (envelope_gradient, fd_gradient,
@@ -459,6 +459,138 @@ def test_slack_gradient_matches_stagewise_reference(rng, tol):
         g = _slack_gradient(p, sw, x)
         ref = slack_gradient_reference(p, sw, x)
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_tail_map_gradient_matches_the_loop(rng, tol):
+    # a map built over stages t.. of a base pass gives the gradient of any
+    # pass resumed from that base which steps only stages below t: its head
+    # is the loop's own, bit for bit, and its tail agrees with the loop and
+    # the stage-by-stage reference. No map exists at t = 0 or t = N - k
+    checked = 0
+    for i in range(60):
+        n = int(rng.integers(1, 4))
+        m = int(rng.choice([v for v in (1, 2, 3) if v != n]))
+        p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)),
+                         N=int(rng.integers(1, 9)))
+        k = int(rng.integers(0, p.N))
+        size = p.N - k
+        slack = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
+        base = None
+        if i % 2:  # a slack pass resumed from a warm start's raw pass
+            base = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol,
+                                tol.eps_boundary)[0]
+            slack = np.maximum(base.lam.lambdas - base.bounds - tol.eps_boundary, 0.0)
+        base = _reconstruct(p, slack, k, tol, base)[0]
+        x = rng.uniform(0.1, 3.0) * rng.standard_normal(p.n)
+        assert _tail_map(p, base, 0) is None and _tail_map(p, base, size) is None
+        for t in range(1, size):
+            tail = _tail_map(p, base, t)
+            cand = slack.copy()
+            cand[rng.integers(0, t)] += rng.uniform(0.01, 1.0)
+            sw, steps = _reconstruct(p, cand, k, tol, base)
+            assert steps <= t
+            for pass_ in (base, sw):
+                g = _slack_gradient(p, pass_, x, tail)
+                loop = _slack_gradient(p, pass_, x)
+                ref = slack_gradient_reference(p, pass_, x)
+                assert np.array_equal(g[:t], loop[:t])
+                assert np.abs(g - loop).max() <= 1e-12 * np.abs(loop).max()
+                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+                checked += 1
+    assert checked > 100
+
+
+def test_tail_maps_leave_solves_unchanged(rng, tol, monkeypatch):
+    # cold and warm solves end on the same point, within 1e-12, with the
+    # same counts whether their gradients take tails from maps or run the
+    # full loop; a map must be rebuilt when a step reaches past it
+    def solves(p, x, scale):
+        cold = solve_multipliers(p, x, tol=tol)
+        return cold, solve_multipliers(p, -x, init=scale * cold.lam_star.lambdas,
+                                       tol=tol)
+
+    cases = []
+    for _ in range(30):
+        p = make_problem(rng, N=int(rng.integers(4, 13)))
+        x = 2.0 * rng.standard_normal(p.n)
+        scale = rng.uniform(0.5, 2.0, p.N)
+        cases.append((p, x, scale, solves(p, x, scale)))
+    monkeypatch.setattr(multiplier, "_tail_map", lambda *a: None)
+    saved = 0
+    for p, x, scale, with_maps in cases:
+        for a, b in zip(with_maps, solves(p, x, scale)):
+            lam = b.lam_star.lambdas
+            assert np.abs(a.lam_star.lambdas - lam).max() <= 1e-12 * np.abs(lam).max()
+            assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
+            assert ((a.iterations, a.stage_steps, a.gradient_evals, a.backtracks)
+                    == (b.iterations, b.stage_steps, b.gradient_evals, b.backtracks))
+            assert b.adjoint_stages == b.gradient_evals * len(lam)
+            saved += b.adjoint_stages - a.adjoint_stages
+    assert saved > 0
+
+
+def test_tail_map_over_long_growing_tails(rng, tol):
+    # over 30-50 stages of unstable systems, where many closed loops grow
+    # over the tail, a map in use loses at most 1e-12 of the reference's
+    # scale beyond what the loop loses; a map whose composed products pass
+    # the growth bound is not used, and its gradient is the loop's
+    used = refused = grown = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        p = make_problem(rng, n=n, q=int(rng.integers(1, 4)),
+                         N=int(rng.integers(30, 51)), stable=False)
+        slack = np.where(rng.random(p.N) < 0.5, 0.0, rng.uniform(0.0, 1.0, p.N))
+        sw = _reconstruct(p, slack, 0, tol)[0]
+        x = 3.0 * rng.standard_normal(n)
+        ref = slack_gradient_reference(p, sw, x)
+        loop = _slack_gradient(p, sw, x)
+        loop_err = np.abs(loop - ref).max()
+        for t in (1, p.N // 2, p.N - 2):
+            tail = _tail_map(p, sw, t)
+            g = _slack_gradient(p, sw, x, tail)
+            if tail[1] is None:
+                refused += 1
+                assert np.array_equal(g, loop)
+                continue
+            used += 1
+            grown += max(np.abs(np.linalg.eigvals(p.A - p.B @ K - p.G @ J)).max()
+                         for K, J in zip(sw.K[t:], sw.J[t:])) > 1.0
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max() + loop_err
+    assert used > 50 and refused > 0 and grown > 25
+
+
+def test_tail_maps_leave_long_solves_unchanged(rng, tol, monkeypatch):
+    # cold solves over 30-50 stages of unstable systems end where the loop's
+    # do, with the same counts; at n = 5 no map is built, however many
+    # steps the descent takes
+    built = []
+
+    def recording(p, sw, t):
+        built.append(p.n)
+        return _tail_map(p, sw, t)
+
+    monkeypatch.setattr(multiplier, "_tail_map", recording)
+    cases = []
+    for i in range(20):
+        n = 5 if i % 2 else int(rng.integers(1, 5))
+        p = make_problem(rng, n=n, N=int(rng.integers(30, 51)), stable=False)
+        x = 2.0 * rng.standard_normal(n)
+        cases.append((p, x, solve_multipliers(p, x, tol=tol)))
+    assert built and max(built) <= 4
+    monkeypatch.setattr(multiplier, "_tail_map", lambda *a: None)
+    saved = stepped = 0
+    for p, x, a in cases:
+        b = solve_multipliers(p, x, tol=tol)
+        lam = b.lam_star.lambdas
+        assert np.abs(a.lam_star.lambdas - lam).max() <= 1e-12 * np.abs(lam).max()
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
+        assert ((a.iterations, a.stage_steps, a.gradient_evals, a.backtracks)
+                == (b.iterations, b.stage_steps, b.gradient_evals, b.backtracks))
+        if p.n > 4:
+            assert a.adjoint_stages == b.adjoint_stages == a.gradient_evals * p.N
+            stepped += a.iterations > 0
+        saved += b.adjoint_stages - a.adjoint_stages
+    assert saved > 0 and stepped > 0
 
 
 def test_warm_start_accepted(rng, tol):

@@ -34,6 +34,10 @@ def test_public_surface():
     assert [f.name for f in dataclasses.fields(stdar.Tolerances)] == [
         "tol_psd", "tol_range", "tol_zero", "eps_boundary"]
     assert hasattr(stdar.ProblemData, "alpha_bar")
+    assert [f.name for f in dataclasses.fields(stdar.MultiplierSolution)] == [
+        "lam_star", "value", "grad_norm", "boundary_flags", "iterations",
+        "converged", "sweep", "stage_steps", "gradient_evals", "adjoint_stages",
+        "backtracks", "gradient_mode"]
     assert not hasattr(stdar.ProblemData, "schedule")
     assert "W" not in {f.name for f in dataclasses.fields(stdar.ProblemData)}
     assert not hasattr(stdar.Trajectory, "to_csv")  # cli writes rollout.csv

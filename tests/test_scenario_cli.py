@@ -84,12 +84,23 @@ def test_loader_error_reporting(tmp_path):
         bad.write_text(base + f"run:\n  grid: {grid}\n")
         with pytest.raises(ScenarioError, match="grid needs"):
             load_scenario(bad)
+    # an integral float is an integer; a YAML boolean is the flag
+    bad.write_text(base + "run:\n  seed: 2.0\n  allow_degenerate_terminal: false\n")
+    sc = load_scenario(bad)
+    assert sc.seed == 2 and type(sc.seed) is int
+    assert sc.allow_degenerate_terminal is False
 
 
-@pytest.mark.parametrize("entry", ["x0_list: 5", "seed: [1]", "sizes: 7",
-                                   "instances: [2]", "seed: one"])
+@pytest.mark.parametrize("entry", [
+    "x0_list: 5", "seed: [1]", "sizes: 7", "instances: [2]", "seed: one",
+    "allow_degenerate_terminal: 'false'", "allow_degenerate_terminal: 0",
+    "seed: 1.5", "seed: true", "instances: 2.7", "sizes: [6, 10.5]",
+    "grid: {lo: -1.0, hi: 1.0, points: 2.5}"])
 def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
-    # a run value of the wrong type names its key and exits 2 from the CLI
+    # a run value of the wrong type names its key and exits 2 from the CLI:
+    # a flag takes only a YAML boolean, so a quoted 'false' is no flag, and
+    # an integer key takes no fraction and no boolean, which int() would
+    # truncate or read as 1
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
                    "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n"
@@ -139,14 +150,14 @@ def test_cli_finite_matches_library(tmp_path, capsys):
     summary = (out / "finite_summary.csv").read_text().strip().split("\n")
     assert len(summary) == 3
     assert summary[0] == ("i,x0[0],value,grad_norm,iterations,converged,"
-                          "stage_steps,gradient_evals,backtracks,error")
+                          "stage_steps,gradient_evals,adjoint_stages,backtracks,error")
     for i, x0 in enumerate([np.array([0.0]), np.array([1.0])]):
         sol = solve_multipliers(p, x0, tol=Tolerances())
         cells = summary[i + 1].split(",")
         assert float(cells[2]) == sol.value
         assert cells[4:] == [str(sol.iterations), str(sol.converged),
                              str(sol.stage_steps), str(sol.gradient_evals),
-                             str(sol.backtracks), ""]
+                             str(sol.adjoint_stages), str(sol.backtracks), ""]
     assert summary[1].split(",")[5] == "True"
 
 
@@ -176,6 +187,7 @@ def test_cli_finite_exit_code_on_unconverged_or_failed_solve(tmp_path, monkeypat
     assert "1 of 2 initial states failed" in capsys.readouterr().err
     summary = (out / "finite_summary.csv").read_text().strip().split("\n")
     assert summary[2].endswith('"stage matrix singular"')
+    assert len(summary[2].split(",")) == len(summary[0].split(","))
 
 
 def test_cli_policy_curve_odd_with_spread(tmp_path):

@@ -211,6 +211,40 @@ def test_lmi_certificate_batch(rng):
         assert np.allclose(cert.P, la.inv(sol.Pi_bar), atol=1e-10 * scale)
 
 
+def test_lmi_assembly_is_the_block_matrix_bit_for_bit(rng):
+    # the certificate's matrix, written block by block into one array,
+    # equals np.block's assembly of the docstring's blocks to the bit, at
+    # solutions and at random candidates (Pi_bar, K_bar, lambda_bar)
+    for i in range(12):
+        n = int(rng.integers(1, 5))
+        p = make_problem(rng, n=n, m=int(rng.integers(1, 4)),
+                         q=int(rng.integers(1, 4)))
+        sol = solve_steady_state(p)
+        if i % 2:
+            C = rng.standard_normal((n, n))
+            sol = dataclasses.replace(
+                sol, Pi_bar=C @ C.T + 0.1 * np.eye(n),
+                K_bar=rng.standard_normal((p.m, n)),
+                lambda_bar=float(rng.uniform(0.1, 5.0)))
+        cert = lmi_certify(p, sol)
+        P, F, q = cert.P, cert.F, p.q
+        top_right = np.hstack([P @ steady_state._sqrt_psd(p.Q),
+                               -F.T @ steady_state._sqrt_psd(p.R)])
+        closed = p.A @ P - p.B @ F
+        z_nq, z_nm, z_qm = (np.zeros((n, q)), np.zeros((n, n + p.m)),
+                            np.zeros((q, n + p.m)))
+        ref = np.block([
+            [P, closed.T, z_nq, top_right],
+            [closed, P, p.G, z_nm],
+            [z_nq.T, p.G.T, sol.lambda_bar * np.eye(q), z_qm],
+            [top_right.T, z_nm.T, z_qm.T, np.eye(n + p.m)],
+        ])
+        ref = 0.5 * (ref + ref.T)
+        assert cert.assembled.shape == ref.shape
+        assert cert.assembled.tobytes() == ref.tobytes()
+        assert cert.min_eig == float(np.linalg.eigvalsh(ref)[0])
+
+
 def test_lmi_rejects_shrunk_multiplier():
     p = steady_scalar()
     sol = solve_steady_state(p)
