@@ -6,11 +6,11 @@ import math
 import numpy as np
 
 # Eigenvalues below PINV_CUTOFF * (largest magnitude) are treated as zero
-# where policy.worst_disturbance_at splits G'Pi G - lam I into its
+# where policy.worst_disturbance_at splits G'Pi G - shift I into its
 # pseudoinverse part and the top eigenspace it completes along.
 PINV_CUTOFF = 1e-11
 
-_UNIT = np.ones(1)
+_UNIT = np.ones((1, 1))
 _UNIT.flags.writeable = False
 
 
@@ -30,19 +30,19 @@ def top_eig(M: np.ndarray) -> float:
     raise ValueError("top_eig of a matrix with non-finite entries")
 
 
-def top_eigpair(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of sym(M) and a unit eigenvector for it. For
-    1x1 M that is (M[0, 0], [1]); otherwise both come from eigh, so the
-    value may differ from top_eig(M), which takes eigvalsh, in the last
-    bits. Raises ValueError on non-finite input."""
+def eigpairs(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """sym(M)'s largest eigenvalue as a float, all eigenvalues ascending
+    and unit eigenvectors as the rows of U: (M[0, 0], M[0, 0], [[1]]) for
+    1x1 M, else from eigh, so the top value may differ from top_eig(M)'s
+    eigvalsh in the last bits. Raises ValueError on non-finite input."""
     if M.shape == (1, 1):
         v = float(M[0, 0])
         if math.isfinite(v):
-            return v, _UNIT
+            return v, v, _UNIT
     elif np.isfinite(M).all():
         w, V = np.linalg.eigh(sym(M))
-        return float(w[-1]), V[:, -1]
-    raise ValueError("top_eigpair of a matrix with non-finite entries")
+        return float(w[-1]), w, V.T
+    raise ValueError("eigpairs of a matrix with non-finite entries")
 
 
 def fro_norm(v: np.ndarray) -> float:

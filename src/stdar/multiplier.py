@@ -44,7 +44,7 @@ adjoint pass over the sweep. From X_0 = x x',
     X_{j+1}   = Acl_j X_j Acl_j' + g_j (G v_j)(G v_j)',
 
 with Acl_j = A - BK_j - GJ_j and v_j a unit top eigenvector of
-G'Pi_{j+1}G, which the nested pass took with the bound (v_j = 1 for
+G'Pi_{j+1}G, which the nested pass stores with the bound (v_j = 1 for
 q = 1), so the adjoint pass forms no G'Pi G and takes no eigh. Every
 Acl_j and J_j'J_j comes from one batched product over the [K_j; J_j]
 the pass keeps stacked. X_j is
@@ -172,7 +172,7 @@ def _adjoint_terms(p: ProblemData, sw: RiccatiSweep, lo: int, hi: int):
     of sw, each from one batched product."""
     Acl = p.A - p.F[:, :p.m + p.q] @ sw._gains[lo:hi]  # A - [B G][K_j; J_j]
     J = sw.J[lo:hi]
-    Gv = sw._tops[lo:hi] @ p.G.T         # row j: G v_j, the pass's eigenvector
+    Gv = sw._eigvecs[lo:hi, -1] @ p.G.T  # row j: G v_j, the pass's top eigenvector
     return (Acl, Gv[:, :, None] * Gv[:, None, :],
             (J.transpose(0, 2, 1) @ J).reshape(hi - lo, -1))
 
@@ -229,31 +229,27 @@ def _direction(g: np.ndarray, s: np.ndarray, pgn: float,
 
     The eps-active slacks, s_i <= min(1e-3, pgn) with g_i > 0, take -g.
     The free ones take -H g, H the L-BFGS inverse Hessian of the stored
-    (ds, dg) pairs restricted to them, scaled by ds'dg / dg'dg of the last
-    pair; a pair whose restricted ds'dg is not positive drops out. The
-    two-loop recursion runs on the pairs' Gram matrix, so building the
-    direction takes a few numpy calls whatever the memory. Unit length;
+    (ds, dg) pairs restricted to them, by the two-loop recursion (Nocedal
+    & Wright, Algorithm 7.4) scaled by ds'dg / dg'dg of the last pair; a
+    pair whose restricted ds'dg is not positive drops out. Unit length;
     with no pair left, -g at the first-step length.
     """
     if pairs:
-        m = len(pairs)
         free = ~((s <= min(1e-3, pgn)) & (g > 0.0))
-        V = np.array(pairs).transpose(1, 0, 2).reshape(2 * m, -1) * free
-        W, Vg = (V @ V.T).tolist(), (V @ g).tolist()  # rows ds_0.., dg_0..
-        sy = [W[i][m + i] for i in range(m)]
-        kept = [i for i in range(m) if sy[i] > 0.0]
+        kept = []
+        for ds, dg in pairs:
+            ds, dg = ds * free, dg * free
+            sy = float(ds @ dg)
+            if sy > 0.0:
+                kept.append((ds, dg, sy))
         if kept:
-            # both loops on coefficients: H g = gamma (g - sum a_i dg_i)
-            # + sum c_i ds_i on the free slacks
-            a, c = [0.0] * m, [0.0] * m
-            for i in reversed(kept):
-                a[i] = (Vg[i] - sum(a[j] * W[i][m + j] for j in kept if j > i)) / sy[i]
-            gamma = sy[kept[-1]] / W[m + kept[-1]][m + kept[-1]]
-            for i in kept:
-                yr = (gamma * (Vg[m + i] - sum(a[j] * W[m + i][m + j] for j in kept))
-                      + sum(c[j] * W[m + i][j] for j in kept if j < i))
-                c[i] = a[i] - yr / sy[i]
-            r = gamma * g + np.array(c + [-gamma * aj for aj in a]) @ V
+            r, a = g * free, []
+            for ds, dg, sy in reversed(kept):
+                a.append(float(ds @ r) / sy)
+                r -= a[-1] * dg
+            r *= kept[-1][2] / float(kept[-1][1] @ kept[-1][1])
+            for (ds, dg, sy), a_i in zip(kept, reversed(a)):
+                r += (a_i - float(dg @ r) / sy) * ds
             return -np.where(free, r, g), 1.0
     return -g, 1.0 / max(1.0, float(np.abs(np.maximum(s - g, 0.0) - s).max()))
 

@@ -19,9 +19,6 @@ from .multiplier import solve_multipliers
 from .problem import _DEFAULT_TOL, ProblemData, Tolerances, _as_point
 from .riccati import MultiplierVector, at_bound, sweep
 
-_UNIT = np.ones((1, 1))  # eigh's eigenvectors of a 1x1 matrix
-_UNIT.flags.writeable = False
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -72,8 +69,8 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     the response (G'Pi G - shift I) w = -G'Pi (Ax + Bu) on the nonzero
     eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and lam_k
     otherwise, completed along the zero eigenspace where there is one.
-    G'Pi G - shift I is the sweep's own stage matrix block G'Pi G - lam_k I
-    with lam_k - shift added back: no G'Pi G is formed a second time.
+    It reads the eigenpairs of G'Pi G that the pass setting the bound
+    stored, so on the bound the top shifted eigenvalue is exactly 0.
     Raises NoSphereIntersection where its norm^2 exceeds alpha_k, or with
     no eigenspace to complete along misses it, by more than 1e-3 relative,
     and ValueError for a state or control of the wrong size or not finite.
@@ -87,19 +84,16 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     Pi_next, lam_k = sw.Pi[1], float(lam_star.lambdas[0])
     bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])
     shift = bound if at_bound(lam_k, bound, tol) else lam_k
-    S = sw.M[0][p.m:, p.m:].copy()
-    for r in range(p.q):  # exactly 0 at q = 1 on the bound
-        S[r, r] += lam_k - shift
     d_w = p.G.T @ (Pi_next @ (p.A @ x + p.B @ u))
-    mu, V = (S[0], _UNIT) if p.q == 1 else np.linalg.eigh(S)
-    mu = mu.tolist()  # q floats: scalar arithmetic beats numpy calls
+    U = sw._eigvecs[0]  # rows: unit eigenvectors of G'Pi G
+    mu = [v - shift for v in sw._eigvals[0].tolist()]  # floats beat numpy calls
     # cutoff scaled to G'Pi G, not to the shifted spectrum: the shifted
     # matrix is numerically zero whenever G'Pi G is near-isotropic
     cut = PINV_CUTOFF * max(max(map(abs, mu)), abs(shift), 1e-300)
     zero = [abs(v) <= cut for v in mu]
     coef = np.array([0.0 if z else -c / v
-                     for z, c, v in zip(zero, (V.T @ d_w).tolist(), mu)])
-    w = V @ coef
+                     for z, c, v in zip(zero, (U @ d_w).tolist(), mu)])
+    w = coef @ U
     nrm2 = float(coef @ coef)
     gap2 = alpha_k - nrm2
     complete = any(zero)  # at the bound: along the top eigenspace of G'Pi G
@@ -108,7 +102,7 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
             f"response norm^2 {nrm2:.6e} is off the bound {alpha_k:.6e}"
             + ("" if complete else "; multipliers are not stage-optimal"))
     if complete:
-        z = V[:, max(j for j, zj in enumerate(zero) if zj)]
+        z = U[max(j for j, zj in enumerate(zero) if zj)]
         t = math.sqrt(max(0.0, gap2))
         w = w + (-t if z @ d_w < 0.0 else t) * z
     return w * (math.sqrt(alpha_k) / fro_norm(w))

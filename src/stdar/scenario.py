@@ -28,7 +28,7 @@ parse -> save -> parse is the identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -38,6 +38,7 @@ from .problem import ProblemData
 
 _MODES = ("finite", "steady", "rollout", "bench", "policy_curve")
 _ROLLOUT_MODES = ("worst_case", "zero", "external")
+_MATRICES = ("A", "B", "G", "Q", "R", "Pf")
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,22 @@ class ScenarioFile:
     allow_degenerate_terminal: bool = False
 
 
+_KEYS = {"scenario": ("problem", "run"), "problem": _MATRICES + ("N", "alpha", "x0"),
+         "run": tuple(f.name for f in fields(ScenarioFile) if f.name != "problem"),
+         "run.grid": ("lo", "hi", "points")}  # run's keys are ScenarioFile's fields
+
+
 def _need(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ScenarioError(f"missing key {key!r} in {where}")
     return mapping[key]
+
+
+def _known(mapping: dict, where: str, path) -> None:
+    """Raise ScenarioError at the first key of mapping the layout lacks."""
+    for key in mapping:
+        if key not in _KEYS[where]:
+            raise ScenarioError(f"{path}: unknown key {key!r} in {where}")
 
 
 def _integer(v) -> int:
@@ -84,7 +97,8 @@ def _run_value(run: dict, key: str, default, convert, path):
 
 def load_scenario(path) -> ScenarioFile:
     """Parse a scenario YAML file; errors carry a line number when the
-    parser provides one, and the key of a value of the wrong type."""
+    parser provides one, and the key of a value of the wrong type or of a
+    key the layout does not have."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -95,22 +109,18 @@ def load_scenario(path) -> ScenarioFile:
         raise ScenarioError(f"{path}: parse error at {where}: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
+    _known(doc, "scenario", path)
     prob = _need(doc, "problem", "scenario")
     run = doc.get("run", {})
     if not isinstance(prob, dict) or not isinstance(run, dict):
         raise ScenarioError(f"{path}: 'problem' and 'run' must be mappings")
+    _known(prob, "problem", path)
+    _known(run, "run", path)
 
     try:
-        kwargs = dict(
-            A=np.array(_need(prob, "A", "problem"), dtype=float),
-            B=np.array(_need(prob, "B", "problem"), dtype=float),
-            G=np.array(_need(prob, "G", "problem"), dtype=float),
-            Q=np.array(_need(prob, "Q", "problem"), dtype=float),
-            R=np.array(_need(prob, "R", "problem"), dtype=float),
-            Pf=np.array(_need(prob, "Pf", "problem"), dtype=float),
-            N=int(_need(prob, "N", "problem")),
-            alpha=prob.get("alpha", 1.0),
-        )
+        kwargs = {key: np.array(_need(prob, key, "problem"), dtype=float)
+                  for key in _MATRICES}
+        kwargs.update(N=int(_need(prob, "N", "problem")), alpha=prob.get("alpha", 1.0))
         if "x0" in prob:
             kwargs["x0"] = np.array(prob["x0"], dtype=float)
         problem = ProblemData(**kwargs)
@@ -132,6 +142,7 @@ def load_scenario(path) -> ScenarioFile:
             grid = (float(g["lo"]), float(g["hi"]), _integer(g["points"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise ScenarioError(f"{path}: run.grid needs lo, hi, points ({exc})") from None
+        _known(g, "run.grid", path)
         if grid[2] < 1:
             raise ScenarioError(f"{path}: run.grid needs at least one point")
     x0_list = _run_value(run, "x0_list", [], lambda vs: tuple(
@@ -154,11 +165,8 @@ def load_scenario(path) -> ScenarioFile:
 def save_scenario(sc: ScenarioFile, path) -> None:
     p = sc.problem
     doc: dict = {
-        "problem": {
-            "A": p.A.tolist(), "B": p.B.tolist(), "G": p.G.tolist(),
-            "Q": p.Q.tolist(), "R": p.R.tolist(), "Pf": p.Pf.tolist(),
-            "N": p.N, "alpha": p.alpha.tolist(), "x0": p.x0.tolist(),
-        },
+        "problem": {**{key: getattr(p, key).tolist() for key in _MATRICES},
+                    "N": p.N, "alpha": p.alpha.tolist(), "x0": p.x0.tolist()},
         "run": {
             "mode": sc.mode, "out": sc.out, "seed": sc.seed,
             "rollout_mode": sc.rollout_mode,

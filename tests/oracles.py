@@ -305,14 +305,14 @@ def slack_gradient_reference(p, sw, x):
     """The multiplier program's slack gradient at the sweep sw by the
     forward adjoint pass written stage by stage: Acl_j and J_j'J_j are
     formed inside the loop from the sweep's K_j, J_j and top eigenvectors
-    v_j (sw._tops), one stage at a time.
+    v_j (the top rows of sw._eigvecs), one stage at a time.
 
         g_j = alpha_j - <X_j, J_j'J_j>,  X_{j+1} = Acl_j X_j Acl_j' + g_j (G v_j)(G v_j)'
     """
     k = sw.stage_offset
     g = np.zeros(sw.horizon())
     X = np.outer(x, x)
-    Gv = sw._tops @ p.G.T
+    Gv = sw._eigvecs[:, -1] @ p.G.T
     for j in range(g.size):
         J = sw.J[j]
         g[j] = p.alpha[k + j] - float(np.sum((J @ X) * J))

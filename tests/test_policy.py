@@ -30,6 +30,13 @@ def test_control_at_rejects_stage_mismatch(rng, tol):
         control_at(p, p.x0, 1, lam, tol)
 
 
+def test_worst_disturbance_rejects_stage_mismatch(rng, tol):
+    p = make_problem(rng, N=3)
+    lam = project_feasible(p, np.zeros(p.N), tol=tol)
+    with pytest.raises(ValueError, match="stage"):
+        worst_disturbance_at(p, p.x0, 1, lam, np.zeros(p.m), tol)
+
+
 def test_online_decision_stage_steps(rng, tol, monkeypatch):
     # a stage-k solve, cold or warm, steps through its tail once before the
     # descent and runs no projection pass; every trial pass resumes from
@@ -139,6 +146,30 @@ def test_worst_disturbance_at_origin(rng, tol):
     GPG = p.G.T @ sw.Pi[1] @ p.G
     resid = (GPG - sw.bounds[0] * np.eye(p.q)) @ w
     assert np.linalg.norm(resid) <= 1e-6 * (1.0 + sw.bounds[0])
+
+
+def test_worst_disturbance_takes_no_eigendecomposition(rng, tol, monkeypatch):
+    # the completion reads the eigenpairs of G'Pi G that the solve's pass
+    # stored: with numpy's symmetric eigensolvers patched to raise around
+    # the call it returns the same disturbance at q = 2 and 3, from the
+    # origin (a pure completion on the bound) and from random states
+    on_bound = 0
+    for q in (2, 3):
+        for _ in range(6):
+            p = make_problem(rng, n=3, m=3, q=q)
+            for x in (np.zeros(p.n), 3.0 * rng.standard_normal(p.n)):
+                sol = solve_multipliers(p, x, tol=tol)
+                u = control_at(p, x, 0, sol.lam_star, tol)
+                w = worst_disturbance_at(p, x, 0, sol.lam_star, u, tol)
+                on_bound += bool(sol.boundary_flags[0])
+                with monkeypatch.context() as mp:
+                    for name in ("eigh", "eigvalsh"):
+                        mp.setattr(np.linalg, name,
+                                   lambda *a, **kw: pytest.fail("eigendecomposition"))
+                    again = worst_disturbance_at(p, x, 0, sol.lam_star, u, tol)
+                assert np.array_equal(again, w)
+                assert float(w @ w) == pytest.approx(p.alpha[0], rel=1e-10)
+    assert on_bound >= 6
 
 
 def test_disturbance_off_the_sphere_raises(rng, tol):

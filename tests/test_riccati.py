@@ -249,7 +249,7 @@ def test_resumed_pass_matches_full_pass(rng, tol):
                 else:
                     warm_resumed += steps < size
                 assert_same_sweep(one, full)
-                assert np.array_equal(one._tops, full._tops)
+                assert np.array_equal(one._eigvecs, full._eigvecs)
                 assert np.array_equal(one.K, full.K)
                 assert np.array_equal(one.J, full.J)
                 assert sweep(p, one.lam, tol) is one
@@ -383,7 +383,7 @@ def test_sweep_is_stacked(rng, tol):
             assert np.array_equal(gains[:, :p.m], sw.K)
             assert np.array_equal(gains[:, p.m:], sw.J)
             assert np.array_equal(sw.Pi[-1], p.Pf)
-            for name in ("Pi", "M", "K", "J", "bounds", "_tops"):
+            for name in ("Pi", "M", "K", "J", "bounds", "_eigvals", "_eigvecs"):
                 assert not getattr(sw, name).flags.writeable, name
             assert not gains.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -432,6 +432,29 @@ def test_nested_pass_matches_block_stage_oracle(rng, tol):
                 err = np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
                 worst = max(worst, err)
     assert worst <= 1e-12, worst
+
+
+def test_pass_stores_each_stage_eigendecomposition(rng, tol):
+    # every stage keeps all eigenpairs of sym(G'Pi_{j+1}G) once: values
+    # ascending, unit eigenvectors as rows, [[1]] at q = 1, and the bounds
+    # are the view of the top values, not a copy
+    for _ in range(60):
+        p = make_problem(rng, q=int(rng.integers(1, 4)))
+        s = rng.uniform(0.05, 2.0, p.N)
+        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
+        assert sw._eigvals.shape == (p.N, p.q)
+        assert sw._eigvecs.shape == (p.N, p.q, p.q)
+        assert sw.bounds.base is sw._eigvals
+        assert np.array_equal(sw.bounds, sw._eigvals[:, -1])
+        for j in range(p.N):
+            GPG = p.G.T @ sw.Pi[j + 1] @ p.G
+            w, U = sw._eigvals[j], sw._eigvecs[j]
+            scale = 1.0 + np.abs(GPG).max()
+            assert np.all(np.diff(w) >= 0.0)
+            assert np.abs(U @ U.T - np.eye(p.q)).max() <= 1e-14
+            assert np.abs(U @ (0.5 * (GPG + GPG.T)) - w[:, None] * U).max() <= 1e-12 * scale
+            if p.q == 1:
+                assert U[0, 0] == 1.0 and w[0] - sw.lam.lambdas[j] == sw.M[j][p.m, p.m]
 
 
 def bordered(p, S):

@@ -1,13 +1,15 @@
 import csv
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stdar.cli
+import stdar.policy
 
-from stdar import (Tolerances, rollout, solve_multipliers,
-                   solve_steady_state, sweep)
+from stdar import (Diverged, ProblemData, Tolerances, rollout,
+                   solve_multipliers, solve_steady_state, sweep)
 from stdar.cli import main, _random_stable
 from stdar.errors import ScenarioError, SingularM
 from stdar.scenario import ScenarioFile, load_scenario, save_scenario
@@ -110,6 +112,37 @@ def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
         load_scenario(bad)
     assert main(["validate", "--scenario", str(bad)]) == 2
     assert f"run.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key, entry", [
+    ("problem", "x_0", "  x_0: [3.0]"), ("run", "x0list", "  x0list: [[1.0], [3.0]]"),
+    ("run", "instance", "  instance: 9"),
+    ("run.grid", "step", "  grid: {lo: 0.0, hi: 1.0, points: 3, step: 1}"),
+    ("scenario", "runs", "runs: {mode: steady}")])
+def test_misspelt_key_is_a_scenario_error(tmp_path, capsys, where, key, entry):
+    # a key the layout lacks would be ignored, its value lost: x_0 would
+    # leave x0 = 0 and x0list no x0_list, and `stdar finite` would solve at
+    # the origin and exit 0. The error names the key and the CLI exits 2
+    problem = ("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
+               "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n")
+    text = {"problem": problem + entry + "\nrun:\n  out: res\n",
+            "run": problem + "run:\n  out: res\n" + entry + "\n",
+            "run.grid": problem + "run:\n  out: res\n" + entry + "\n",
+            "scenario": problem + entry + "\n"}[where]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    with pytest.raises(ScenarioError, match=f"unknown key '{key}' in {where}"):
+        load_scenario(bad)
+    assert main(["finite", "--scenario", str(bad), "--out", str(tmp_path / "res")]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_every_shipped_scenario_loads():
+    paths = sorted((Path(__file__).parents[1] / "scenarios").glob("*.yaml"))
+    assert paths
+    for path in paths:
+        load_scenario(path)
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -314,6 +347,59 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     good = write_scenario(tmp_path, sec5(), mode="steady")
     assert main(["validate", "--scenario", good, "--tol-psd", "nan"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def _unstabilizable():
+    # the mode at 2 feeds the second state, which B and G reach, but B
+    # cannot steer it: validation warns, and no steady multiplier exists
+    B = np.array([[0.0], [1.0]])
+    return ProblemData(A=np.array([[2.0, 0.0], [1.0, 0.5]]), B=B, G=B,
+                       Q=np.eye(2), R=np.eye(1), Pf=np.eye(2), N=3, alpha=1.0)
+
+
+def test_cli_validate_prints_warnings(tmp_path, capsys):
+    path = write_scenario(tmp_path, _unstabilizable(), mode="steady")
+    assert main(["validate", "--scenario", path]) == 0
+    outp = capsys.readouterr()
+    assert "ok: n=2 m=1 q=1 N=3" in outp.out
+    assert "warning: (A, B) fails the PBH stabilizability test" in outp.err
+
+
+def test_cli_solver_error_exits_3(tmp_path, capsys):
+    # a RegulatorError no command handles itself reaches main: exit 3
+    path = write_scenario(tmp_path, _unstabilizable(), mode="steady",
+                          out=str(tmp_path / "res"))
+    assert main(["steady", "--scenario", path]) == 3
+    assert "solver error: no feasible multiplier" in capsys.readouterr().err
+    assert not (tmp_path / "res" / "steady.csv").exists()
+
+
+def test_cli_steady_without_lqr_baseline(tmp_path, monkeypatch):
+    # a diverged LQR baseline leaves its column nan; the solve still counts
+    def diverges(p):
+        raise Diverged("LQR Riccati doubling did not converge")
+
+    monkeypatch.setattr(stdar.cli, "lqr_baseline", diverges)
+    path = write_scenario(tmp_path, sec5(), mode="steady", out=str(tmp_path / "res"))
+    assert main(["steady", "--scenario", path]) == 0
+    with open(tmp_path / "res" / "steady.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["lqr_top_eig"] == "nan"
+    assert float(row["lambda_bar"]) == pytest.approx(1.2, abs=1e-6)
+
+
+def test_cli_rollout_exit_code_on_unconverged_resolve(tmp_path, capsys, monkeypatch):
+    # one iteration is too few for the stage-0 re-solve from x0 = 3: the
+    # rollout still runs and writes its CSV, flags the stage and exits 3
+    monkeypatch.setattr(stdar.policy, "solve_multipliers",
+                        functools.partial(solve_multipliers, max_iter=1))
+    path = write_scenario(tmp_path, sec5(x0=3.0), mode="rollout",
+                          out=str(tmp_path / "res"), rollout_mode="zero")
+    assert main(["rollout", "--scenario", path]) == 3
+    assert capsys.readouterr().out.endswith("converged False\n")
+    with open(tmp_path / "res" / "rollout.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "converged" and rows[1][-1] == "False"
 
 
 def test_cli_out_override(tmp_path):

@@ -262,6 +262,22 @@ def test_lmi_rejects_singular_pi():
         lmi_certify(p, bad)
 
 
+def test_singular_solution_has_no_lmi_certificate():
+    # Q and Pf leave the second state unweighted and A maps it to 0, so
+    # Pi_bar = diag(1.25, 0) is singular: the solve still returns it, with
+    # lmi_min_eig nan, as the certificate needs Pi_bar^{-1}
+    p = ProblemData(A=np.diag([0.5, 0.0]), B=np.eye(2), G=np.eye(2),
+                    Q=np.diag([1.0, 0.0]), R=np.eye(2), Pf=np.diag([1.0, 0.0]),
+                    N=1, alpha=1.0)
+    sol = solve_steady_state(p)
+    assert np.isnan(sol.lmi_min_eig)
+    assert sol.lambda_bar == pytest.approx(1.25, rel=1e-8)
+    assert sol.Pi_bar[1, 1] == 0.0
+    assert np.allclose(sol.Pi_bar, np.diag([1.25, 0.0]), rtol=1e-8)
+    with pytest.raises(SingularPi):
+        lmi_certify(p, sol)
+
+
 def test_solution_invariants(rng):
     for _ in range(5):
         p = make_problem(rng, n=int(rng.integers(1, 4)))
