@@ -46,9 +46,12 @@ eigenpairs, the top eigenvalue being the bound b_j; with lam_j taken off
 that block's diagonal, M_j = H[:m+q, :m+q] and rhs = H[:m+q, m+q:]. One
 more product, H [K_j; J_j; -I] = [M_j [K_j; J_j] - rhs; -Pi_j], gives
 both the residual the stage solve is checked by and Pi_j, symmetric to
-rounding (the next stage's H is symmetrized). At these sizes numpy's
-per-call cost, not the arithmetic, sets a stage's time, so a stage makes
-three products: Pi_{j+1}F, F'(Pi_{j+1}F) and that one.
+rounding (the next stage's H is symmetrized). The check compares the
+residual with 1e-8 before it forms its scale, which is at least 1 where
+the residual is finite and costs up to as much as the solve, so only a
+residual above 1e-8 pays for the scale (_stage_step). At these sizes
+numpy's per-call cost, not the arithmetic, sets a stage's time, so a
+stage makes three products: Pi_{j+1}F, F'(Pi_{j+1}F) and that one.
 """
 from __future__ import annotations
 
@@ -121,7 +124,14 @@ def at_bound(lam, bound, tol: Tolerances):
 def _stage_step(p: ProblemData, H: np.ndarray, Z: np.ndarray, lam_j: float):
     """One backward step from the bordered matrix H (module docstring),
     which it shifts by -lam_j, and a copy Z of p.Z = [0; -I] it writes the
-    gains into. Returns (Pi_j, M, [K; J]), M and [K; J] views of H and Z."""
+    gains into. Returns (Pi_j, M, [K; J]), M and [K; J] views of H and Z.
+
+    The solve must leave resid = ||M [K; J] - rhs||_F <= 1e-8 scale, with
+    scale = 1 + ||rhs||_F + max|M| ||[K; J]||_F, else SingularM. resid is
+    tested against 1e-8 first, and the scale formed only above that: a
+    resid at or below 1e-8 is finite, which a NaN or inf in M, rhs or
+    [K; J] would not leave it, so there the scale is at least 1 and the
+    full test accepts too. Either order decides the same."""
     m, d = p.m, p.m + p.q
     for r in range(m, d):  # q scalar updates beat one strided ufunc call
         H[r, r] -= lam_j
@@ -132,8 +142,8 @@ def _stage_step(p: ProblemData, H: np.ndarray, Z: np.ndarray, lam_j: float):
         raise SingularM(f"stage matrix singular at lam = {lam_j:.9g}") from exc
     HZ = H @ Z  # [M KJ - rhs; -Pi_j]
     resid = fro_norm(HZ[:d])
-    scale = 1.0 + fro_norm(rhs) + np.abs(M).max() * fro_norm(Z[:d])
-    if not resid <= 1e-8 * scale:  # also where M or rhs is not finite
+    if not resid <= 1e-8 and not resid <= 1e-8 * (  # also where not finite
+            1.0 + fro_norm(rhs) + np.abs(M).max() * fro_norm(Z[:d])):
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
     return -HZ[d:], M, Z[:d]

@@ -88,6 +88,14 @@ def _boolean(v) -> bool:
     return v
 
 
+def _path(v):
+    """A YAML scalar as the path it spells, None (null) as None; a list
+    or mapping is a typo, not a path."""
+    if isinstance(v, (list, dict)):
+        raise TypeError(f"{v!r} is not a path")
+    return v if v is None else str(v)
+
+
 def _run_value(run: dict, key: str, default, convert, path):
     try:
         return convert(run.get(key, default))
@@ -152,9 +160,9 @@ def load_scenario(path) -> ScenarioFile:
             raise ScenarioError(
                 f"{path}: x0_list[{i}] has size {v.size}, expected {problem.n}")
     return ScenarioFile(
-        problem=problem, mode=mode, out=str(run.get("out", ".")),
+        problem=problem, mode=mode, out=_run_value(run, "out", None, _path, path) or ".",
         seed=_run_value(run, "seed", 0, _integer, path), x0_list=x0_list, grid=grid,
-        rollout_mode=rollout_mode, w_file=run.get("w_file"),
+        rollout_mode=rollout_mode, w_file=_run_value(run, "w_file", None, _path, path),
         sizes=_run_value(run, "sizes", ScenarioFile.sizes,
                          lambda v: tuple(_integer(s) for s in v), path),
         instances=_run_value(run, "instances", 4, _integer, path),

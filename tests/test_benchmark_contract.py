@@ -123,12 +123,36 @@ def bank_pass(monkeypatch, workload):
     return solutions, cases, results
 
 
+def count_stage_norms(monkeypatch):
+    # counts the stage steps of riccati's passes and the Frobenius norms
+    # they form. A step forms one, of its residual, unless the residual
+    # exceeds 1e-8 and the check forms its scale too
+    counts = {"steps": 0, "norms": 0}
+    step, norm = stdar.riccati._stage_step, stdar.riccati.fro_norm
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    def counted_norm(v):
+        counts["norms"] += 1
+        return norm(v)
+
+    monkeypatch.setattr(stdar.riccati, "_stage_step", counted_step)
+    monkeypatch.setattr(stdar.riccati, "fro_norm", counted_norm)
+    return counts
+
+
 def test_online_bank_counts(monkeypatch):
     # host-independent work of one pass over the online bank, summed over
     # its 72 decisions, counted on the solutions the workload's own solve
     # calls return. Warm re-solves that start at their optimum take their
-    # start pass and one gradient, and no trial is rejected on rounding
+    # start pass and one gradient, and no trial is rejected on rounding.
+    # Every stage step (592) settles its check on the residual alone
+    counts = count_stage_norms(monkeypatch)
     solutions, _, results = bank_pass(monkeypatch, "Online")
+    assert counts["norms"] == counts["steps"] == sum(
+        sol.stage_steps for sol in solutions)
     assert not any(res.wrong for res in results)
     assert len(solutions) == 72
     # the failed ops are the 12 decisions of episode 1, whose worst-case
@@ -147,8 +171,12 @@ def test_long_horizon_bank_counts(monkeypatch):
     # interior multipliers, takes most of the work, where the descent's
     # curvature pairs count. Its trial passes step only the first stages,
     # so its gradients take the rest from a tail map: 33 gradients of
-    # N = 30-50 stages cost 1 200 adjoint stage updates without one
+    # N = 30-50 stages cost 1 200 adjoint stage updates without one.
+    # Every stage step (296) settles its check on the residual alone
+    counts = count_stage_norms(monkeypatch)
     solutions, _, _ = bank_pass(monkeypatch, "LongHorizon")
+    assert counts["norms"] == counts["steps"] == sum(
+        sol.stage_steps for sol in solutions)
     assert len(solutions) == 6
     assert all(sol.converged for sol in solutions)
     assert sum(sol.stage_steps for sol in solutions) <= 310

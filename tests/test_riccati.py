@@ -453,6 +453,10 @@ def test_pass_stores_each_stage_eigendecomposition(rng, tol):
             assert np.all(np.diff(w) >= 0.0)
             assert np.abs(U @ U.T - np.eye(p.q)).max() <= 1e-14
             assert np.abs(U @ (0.5 * (GPG + GPG.T)) - w[:, None] * U).max() <= 1e-12 * scale
+            # eigpairs takes the block unsymmetrized: it is exactly
+            # symmetric, as M's off-diagonal entries show
+            Mg = sw.M[j][p.m:, p.m:]
+            assert np.array_equal(Mg, Mg.T)
             if p.q == 1:
                 assert U[0, 0] == 1.0 and w[0] - sw.lam.lambdas[j] == sw.M[j][p.m, p.m]
 
@@ -464,6 +468,65 @@ def bordered(p, S):
     H = F.T @ S @ F
     H = 0.5 * (H + H.T) + la.block_diag(p.R, np.zeros((p.q, p.q)), p.Q)
     return H, np.vstack([np.zeros((p.m + p.q, p.n)), -np.eye(p.n)])
+
+
+def full_check_accepts(p, H, Z, lam):
+    """The stage step's check evaluated whole, from copies of its inputs:
+    ||M KJ - rhs||_F <= 1e-8 (1 + ||rhs||_F + max|M| ||KJ||_F) with the
+    residual from H [KJ; -I], and False where the solve fails. Returns
+    (accepted, resid)."""
+    H, Z, d = H.copy(), Z.copy(), p.m + p.q
+    for r in range(p.m, d):
+        H[r, r] -= lam
+    M, rhs = H[:d, :d], H[:d, d:]
+    try:
+        Z[:d] = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return False, np.nan
+    resid = np.linalg.norm((H @ Z)[:d])
+    scale = 1.0 + np.linalg.norm(rhs) + np.abs(M).max() * np.linalg.norm(Z[:d])
+    return bool(resid <= 1e-8 * scale), resid
+
+
+def step_accepts(p, H, Z, lam):
+    try:
+        _stage_step(p, H.copy(), Z.copy(), lam)
+    except SingularM:
+        return False
+    return True
+
+
+def test_stage_check_decides_as_the_full_formula(rng):
+    # the step tests its residual against 1e-8 before it forms the scale;
+    # it accepts and rejects what the whole formula does: random stages,
+    # stages with lam just above the bound b, stages with entries of
+    # 1e6-1e8, whose residuals exceed 1e-8 while the scale accepts them,
+    # and a NaN or inf in Pi_{j+1}
+    full_path = 0
+    for trial in range(600):
+        p = make_problem(rng)
+        E = rng.standard_normal((p.n, p.n))
+        S = E.T @ E
+        if trial % 3 == 2:
+            S *= 10.0 ** rng.uniform(6.0, 8.0)
+        b = top_eig(p.G.T @ S @ p.G)
+        lam = (b + rng.uniform(0.01, 2.0) * (1.0 + b) if trial % 3 != 1
+               else b * (1.0 + 10.0 ** -rng.uniform(1.0, 16.0)))
+        H, Z = bordered(p, S)
+        accepted, resid = full_check_accepts(p, H, Z, lam)
+        assert step_accepts(p, H, Z, lam) == accepted
+        full_path += accepted and resid > 1e-8
+    assert full_path >= 20
+    for bad in (np.nan, np.inf, -np.inf):
+        for _ in range(20):
+            p = make_problem(rng, n=int(rng.integers(2, 4)))
+            S = np.eye(p.n)
+            i, j = rng.integers(0, p.n, 2)
+            S[i, j] = S[j, i] = bad
+            with np.errstate(invalid="ignore"):  # inf * 0 in the products
+                H, Z = bordered(p, S)
+                assert not full_check_accepts(p, H, Z, 10.0)[0]
+                assert not step_accepts(p, H, Z, 10.0)
 
 
 def test_stage_solve_matches_scipy(rng):

@@ -91,18 +91,27 @@ def test_loader_error_reporting(tmp_path):
     sc = load_scenario(bad)
     assert sc.seed == 2 and type(sc.seed) is int
     assert sc.allow_degenerate_terminal is False
+    # a scalar path is the path it spells; null takes the default
+    bad.write_text(base + "run:\n  out: 2024\n  w_file: 7\n")
+    sc = load_scenario(bad)
+    assert (sc.out, sc.w_file) == ("2024", "7")
+    bad.write_text(base + "run:\n  out: null\n  w_file: null\n")
+    sc = load_scenario(bad)
+    assert (sc.out, sc.w_file) == (".", None)
 
 
 @pytest.mark.parametrize("entry", [
     "x0_list: 5", "seed: [1]", "sizes: 7", "instances: [2]", "seed: one",
     "allow_degenerate_terminal: 'false'", "allow_degenerate_terminal: 0",
     "seed: 1.5", "seed: true", "instances: 2.7", "sizes: [6, 10.5]",
-    "grid: {lo: -1.0, hi: 1.0, points: 2.5}"])
+    "grid: {lo: -1.0, hi: 1.0, points: 2.5}",
+    "out: [a, b]", "out: {x: 1}", "w_file: [a]"])
 def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
     # a run value of the wrong type names its key and exits 2 from the CLI:
     # a flag takes only a YAML boolean, so a quoted 'false' is no flag, and
     # an integer key takes no fraction and no boolean, which int() would
-    # truncate or read as 1
+    # truncate or read as 1; a path is a scalar, so a list or mapping under
+    # out would name a directory such as "['a', 'b']"
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
                    "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n"
