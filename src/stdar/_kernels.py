@@ -28,7 +28,7 @@ Matrix Anal. Appl. 31(2), 2009), and each doubling stands for 2^k steps.
 
 Status codes: 0 converged, 1 doubling cap, -1 diverged, or converged to
 an X that is not positive semidefinite or not a fixed point of the map
-itself, -2 singular M.
+itself (`verify`, run apart from the doubling), -2 singular M.
 """
 from __future__ import annotations
 
@@ -39,10 +39,15 @@ from ._linalg import fro_norm
 _FP_CHECK = 1e-8
 
 
-def coupling(B, G, R, lam):
-    """Z = B R^{-1} B' - G G'/lam of the n x n map; lam = inf drops the
-    disturbance channel, which leaves the LQR map."""
-    return B @ np.linalg.solve(R, B.T) - (G @ G.T) / lam
+def couplings(B, G, R):
+    """Z(lam) = B R^{-1} B' - G G'/lam of the n x n map, its lam-free terms
+    formed once; lam = inf drops the disturbance channel: the LQR map."""
+    BRB, GG = B @ np.linalg.solve(R, B.T), G @ G.T
+    return lambda lam: BRB - GG / lam
+
+
+def coupling(B, G, R, lam):  # Z at one lam
+    return couplings(B, G, R)(lam)
 
 
 def game_step(A, Q, Z, Pi):
@@ -55,24 +60,16 @@ def game_step(A, Q, Z, Pi):
     return 0.5 * (Pn + Pn.T), PX
 
 
-def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
-    """Fixed point of the map at lam, reached from X0 by doubling:
-    (status, doublings, X, step), where step = game_step(A, Q, Z, X) is
-    the map step that verified X, None unless status is 0. Converged when
-    a doubling moves H_k, and ||A_k||^2 ||X0|| bounds what X0 still adds,
-    both within tol relative; only then is X = F^(2^k)(X0) formed. X must
-    be PSD and a fixed point of the map itself: ||F(X) - X|| <
-    _FP_CHECK (1 + ||X||), 1e-8. On random systems the doubling now and
-    then settles on an X whose step moves it by 5e-3 or more; the fixed
-    points it reaches move by 1e-13. Diverged where H_k grows by 1e12
-    against 1 + ||Q|| + ||X0||: under a mode that B cannot reach, the
-    relative tests grow with H_k and never trip before floats overflow."""
+def fixed_point_numpy(A, Q, Z, X0, x0, cap, tol, max_doublings):
+    """The doubling from X0 at Z, x0 = ||X0||: (status, doublings, X, scale).
+    Status 0 when a doubling moves H_k, and ||A_k||^2 x0 bounds what X0
+    still adds, both within tol relative to scale = (1 + ||H_k||^2)^{1/2};
+    only then is X = F^(2^k)(X0) formed, for `verify`. Diverged past
+    ||H_k|| = cap = 1e12 (1 + ||Q|| + x0), where a mode B cannot reach
+    grows H_k and the relative tests with it."""
     n = A.shape[0]
-    Z = coupling(B, G, R, lam)
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
-    start = fro_norm(X0)
-    cap = 1e12 * (1.0 + fro_norm(Q) + start)
     for k in range(int(max_doublings)):
         Ak, Gk = AG[:, :n], AG[:, n:]
         W = Gk @ H
@@ -87,7 +84,7 @@ def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
         res = fro_norm(Hn - H)
         H = Hn
         scale = (1.0 + fro_norm(H) ** 2) ** 0.5
-        tail = fro_norm(AG[:, :n]) ** 2 * start
+        tail = fro_norm(AG[:, :n]) ** 2 * x0
         if not (res <= 1e12 * scale and tail <= 1e12 * scale and scale <= cap):
             return -1, k + 1, X0, None
         if res <= tol * scale and tail <= tol * scale:
@@ -95,16 +92,23 @@ def fixed_point_numpy(A, B, G, Q, R, lam, X0, tol, max_doublings):
                 X, _ = game_step(AG[:, :n], H, AG[:, n:], X0)
             except np.linalg.LinAlgError:
                 return -2, k + 1, X0, None
-            if np.linalg.eigvalsh(X)[0] < -tol * scale:
-                return -1, k + 1, X, None
-            try:
-                step = game_step(A, Q, Z, X)
-            except np.linalg.LinAlgError:
-                return -2, k + 1, X, None
-            if not fro_norm(step[0] - X) < _FP_CHECK * (1.0 + fro_norm(X)):
-                return -1, k + 1, X, None
-            return 0, k + 1, X, step
+            return 0, k + 1, X, scale
     return 1, int(max_doublings), X0, None
+
+
+def verify(A, Q, Z, X, tol, scale):
+    """(0, game_step(A, Q, Z, X)) where X is PSD to within tol scale and
+    ||F(X) - X|| < _FP_CHECK (1 + ||X||), 1e-8: the doubling now and then
+    settles on an X that its step moves by 5e-3 or more; fixed points move
+    by 1e-13. Else (-1, None), or (-2, None) where the step is singular."""
+    if np.linalg.eigvalsh(X)[0] < -tol * scale:
+        return -1, None
+    try:
+        step = game_step(A, Q, Z, X)
+    except np.linalg.LinAlgError:
+        return -2, None
+    fixed = fro_norm(step[0] - X) < _FP_CHECK * (1.0 + fro_norm(X))
+    return (0, step) if fixed else (-1, None)
 
 
 # wrapped by name by benchmark/tracing.py; nothing calls it

@@ -192,12 +192,12 @@ def cmd_steady(args) -> int:
     header = (["lambda_bar", "residual", "boundary_gap", "lmi_min_eig",
                "lqr_top_eig"] + _pi_header(p.n)
               + [f"K[{r}][{c}]" for r in range(p.m) for c in range(p.n)]
-              + ["probes", "fp_iterations"])
+              + ["probes", "fp_iterations", "capped"])
     row = ([_fmt(sol.lambda_bar), _fmt(sol.residual), _fmt(sol.boundary_gap),
             _fmt(sol.lmi_min_eig), _fmt(lqr_top)]
            + [_fmt(v) for v in sol.Pi_bar.ravel()]
            + [_fmt(v) for v in sol.K_bar.ravel()]
-           + [str(sol.probes), str(sol.fp_iterations)])
+           + [str(sol.probes), str(sol.fp_iterations), str(sol.capped)])
     _write_csv(os.path.join(out, "steady.csv"), header, [row])
     print(f"lambda_bar {sol.lambda_bar:.12g}  boundary_gap {sol.boundary_gap:.3e}  "
           f"lmi_min_eig {sol.lmi_min_eig:.3e}")

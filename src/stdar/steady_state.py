@@ -11,7 +11,8 @@ disturbance more), so g is increasing with slope at least 1 and the
 feasible multipliers form a half-line. The search keeps a bracket
 [lo, hi], hi feasible and lo not; since Pi(lambda_bar) dominates Pi_hi,
 ||G'Pi_hi G|| - eps_boundary is a lower bound on lambda_bar that each
-feasible probe hands the next (see `solve_steady_state`). The LMI check
+feasible probe hands the next (see `solve_steady_state`); a probe's fixed
+point is verified only where its slack clears -eps_boundary. The LMI check
 certifies the solution as positive semidefiniteness of an assembled block
 matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
@@ -22,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fixed_point_numpy
-# fixed_point_compiled, an alias of fixed_point_numpy, stays bound here
-# only because benchmark/tracing.py wraps it under that name; nothing calls it
-from ._kernels import fixed_point_compiled  # noqa: F401
-from ._linalg import sym, top_eig
+from ._kernels import couplings, fixed_point_numpy, verify
+from ._kernels import fixed_point_compiled  # noqa: F401, benchmark/tracing.py wraps it
+from ._linalg import fro_norm, sym, top_eig
 from .errors import Diverged, NoFeasibleLambda, SingularPi
 from .problem import _DEFAULT_TOL, ProblemData, Tolerances
 
@@ -48,6 +47,7 @@ class SteadyStateSolution:
     lmi_min_eig: float         # nan when the certificate was not assembled
     probes: int                # fixed-point solves made by the search
     fp_iterations: int         # their doublings, summed
+    capped: int                # probes that ended at the doubling cap
 
 
 @dataclass(frozen=True)
@@ -66,49 +66,67 @@ class LmiCertificate:
     feasible: bool
 
 
+def _prober(p: ProblemData):
+    """lam -> (Z, the unverified doubling from Pf at lam), lam-free terms
+    formed once, through this module's fixed_point_numpy binding, which
+    benchmark/tracing.py wraps and the tests patch to count probes."""
+    z_of, x0 = couplings(p.B, p.G, p.R), fro_norm(p.Pf)
+    cap = 1e12 * (1.0 + fro_norm(p.Q) + x0)
+
+    def run(lam):
+        Z = z_of(float(lam))
+        return Z, fixed_point_numpy(p.A, p.Q, Z, p.Pf, x0, cap, _FP_TOL,
+                                    _FP_MAX_DOUBLINGS)
+    return run
+
+
 def _double(p: ProblemData, lam: float):
-    """The doubling probe from Pf at lam (inf: no disturbance channel),
-    (status, doublings, Pi, step) as `_kernels` returns them. It calls this
-    module's fixed_point_numpy binding, which benchmark/tracing.py wraps
-    and the tests patch to count probes."""
-    return fixed_point_numpy(p.A, p.B, p.G, p.Q, p.R, float(lam), p.Pf,
-                             _FP_TOL, _FP_MAX_DOUBLINGS)
+    """The verified probe from Pf at lam (inf: no disturbance channel):
+    (status, doublings, Pi, step), step None unless status is 0."""
+    Z, (status, count, Pi, scale) = _prober(p)(lam)
+    status, step = (verify(p.A, p.Q, Z, Pi, _FP_TOL, scale) if status == 0
+                    else (status, None))
+    return status, count, Pi, step
 
 
 def solve_steady_state(p: ProblemData,
                        tol: Tolerances | None = None) -> SteadyStateSolution:
     """Smallest feasible multiplier and its Riccati fixed point.
 
-    A multiplier is feasible when its fixed point exists and its slack
-    g = lam - ||G'Pi G|| is at least -eps_boundary. The upper bracket
-    starts at 10 (||G'Pf G|| + tr Q + tr R) and doubles at most 10 times;
-    the bracket [lo, hi] then shrinks until lo or the lower bound
-    ||G'Pi_hi G|| - eps_boundary lies within 1e-9 of hi, either way
-    pinning lambda_bar to 1e-9. Each probe, clamped 0.25e-9 inside
-    the bracket and doubled from Pf, goes to that lower bound while it
-    lies above lo and lo is 0 or has a fixed point, else to the secant of
-    g where lo has a slack, else to the midpoint. The answer is the
+    The upper bracket starts at 10 (||G'Pf G|| + tr Q + tr R) and doubles
+    at most 10 times; the bracket [lo, hi] then shrinks until lo or the
+    lower bound ||G'Pi_hi G|| - eps_boundary lies within 1e-9 of hi,
+    either way pinning lambda_bar to 1e-9. Each probe, clamped 0.25e-9
+    inside the bracket and doubled from Pf, goes to that lower bound while
+    it lies above lo and lo is 0 or has a slack, else to the secant of g
+    where lo has one, else to the midpoint. A converged probe whose slack
+    is below -eps_boundary goes to lo unverified and keeps its slack; any
+    other is verified, and one that fails keeps none. The answer is the
     accepted probe at hi as it stands: K_bar and the residual come from
     the map step that verified Pi_bar (see `_kernels`), and the gap from
     the ||G'Pi_bar G|| that judged it feasible.
     """
     tol = tol or _DEFAULT_TOL
-    probes = fp_iterations = 0
+    run = _prober(p)
+    probes = fp_iterations = capped = 0
 
     def probe(lam):
         # fixed point at lam reached from Pf: (feasible, h, (Pi, top, step))
         # with top = ||G'Pi G||, step the map step that verified Pi and
-        # h = g + eps_boundary, the value whose root the search seeks; h and
-        # the triple are None where no fixed point was reached
-        nonlocal probes, fp_iterations
-        status, count, Pi, step = _double(p, lam)
+        # h = g + eps_boundary, the value whose root the search seeks
+        nonlocal probes, fp_iterations, capped
+        Z, (status, count, Pi, scale) = run(lam)
         probes += 1
         fp_iterations += count
+        capped += status == 1
         if status != 0:
             return False, None, None
         top = top_eig(p.G.T @ Pi @ p.G)
         h = lam - top + tol.eps_boundary
-        return h >= 0.0, h, (Pi, top, step)
+        if h < 0.0:
+            return False, h, None
+        status, step = verify(p.A, p.Q, Z, Pi, _FP_TOL, scale)
+        return (True, h, (Pi, top, step)) if status == 0 else (False, None, None)
 
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
     ok, h_hi, fp_hi = probe(hi)
@@ -142,7 +160,7 @@ def solve_steady_state(p: ProblemData,
                               residual=float(np.linalg.norm(Pi_bar - Pi_next)),
                               boundary_gap=float(hi - top),
                               lmi_min_eig=float("nan"), probes=probes,
-                              fp_iterations=fp_iterations)
+                              fp_iterations=fp_iterations, capped=capped)
     try:
         cert = lmi_certify(p, sol, tol)
     except SingularPi:
@@ -177,8 +195,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
             f"Pi_bar has eigenvalue {w[0]:.3e}; inverse certificate undefined")
     P = sym(np.linalg.inv(sym(sol.Pi_bar)))
     F = sol.K_bar @ P
-    Qh = _sqrt_psd(p.Q)
-    Rh = _sqrt_psd(p.R)
+    Qh, Rh = _sqrt_psd(p.Q), _sqrt_psd(p.R)
     closed = p.A @ P - p.B @ F
     # one array written block by block: np.block costs more than eigvalsh
     a, b, c = n, 2 * n, 2 * n + q  # block offsets
@@ -189,11 +206,10 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
     L[b:c, b:c] = sol.lambda_bar * np.eye(q)
     L[:a, c:c + n], L[:a, c + n:] = P @ Qh, -F.T @ Rh
     L[c:, :a], L[c:, c:] = L[:a, c:].T, np.eye(n + m)
-    assembled = sym(L)
-    min_eig = float(np.linalg.eigvalsh(assembled)[0])
-    scale = max(1.0, float(np.abs(assembled).max()))
+    min_eig = float(np.linalg.eigvalsh(L)[0])
+    scale = max(1.0, float(np.abs(L).max()))
     return LmiCertificate(P=P, F=F, lam=float(sol.lambda_bar),
-                          assembled=assembled, min_eig=min_eig,
+                          assembled=L, min_eig=min_eig,
                           feasible=min_eig >= -tol.tol_psd * scale)
 
 

@@ -6,9 +6,9 @@ package's modules bind them. A name removed or renamed in the package
 breaks the benchmark, not the package's own tests, so these tests read
 both lists from benchmark/ and resolve them. One short run each of the
 long_horizon, steady and online workloads checks that the harness runs end
-to end, and one pass over each of the online and long_horizon banks
-bounds the solver work its solves report, counts that do not depend on
-the host.
+to end, and one pass over each of the online, long_horizon and steady
+banks bounds the solver work its solves report, counts that do not depend
+on the host.
 """
 import ast
 import importlib.util
@@ -94,11 +94,13 @@ def test_traced_kernel_counts_match_steady_solution(rng):
         tracer.uninstall()
     assert metrics["kernels.fp_calls"][0] == sol.probes > 0
     assert metrics["kernels.fp_iterations"][0] == sol.fp_iterations > 0
+    assert metrics["kernels.fp_capped"][0] == sol.capped
 
 
-def bank_pass(monkeypatch, workload):
+def bank_pass(monkeypatch, workload, solver="solve_multipliers"):
     # one pass over a workload's bank with the workload's own run; returns
-    # the solutions its solve calls return, the bank and each case's result
+    # the solutions its calls of the named solver return, the bank and each
+    # case's result
     monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checker
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   BENCH / "workloads.py")
@@ -109,10 +111,10 @@ def bank_pass(monkeypatch, workload):
     solutions = []
 
     def solve(*args, **kwargs):
-        solutions.append(stdar.solve_multipliers(*args, **kwargs))
+        solutions.append(getattr(stdar, solver)(*args, **kwargs))
         return solutions[-1]
 
-    api.solve_multipliers = solve
+    setattr(api, solver, solve)
     wl = getattr(workloads, workload)()
     cases = wl.bank()
     results = []
@@ -184,6 +186,39 @@ def test_long_horizon_bank_counts(monkeypatch):
     assert sum(sol.gradient_evals for sol in solutions) <= 36
     assert sum(sol.adjoint_stages for sol in solutions) <= 400
     assert sum(sol.backtracks for sol in solutions) <= 12
+
+
+def test_steady_bank_counts(monkeypatch):
+    # the same count over one pass of the steady bank: the paper's scalar
+    # example and 40 random systems, each solved and given its LQR baseline.
+    # The scalar example's two probes below its saddle-node end at the
+    # 64-doubling cap. A converged probe below its bound goes to lo
+    # unverified, so the search verifies 149 of its probes, and each LQR
+    # baseline verifies its one
+    verified = {"search": 0, "lqr": 0}
+    phase = ["search"]
+    verify, lqr_baseline = stdar.steady_state.verify, stdar.lqr_baseline
+
+    def counted_verify(*args):
+        verified[phase[0]] += 1
+        return verify(*args)
+
+    def counted_lqr(p):
+        phase[0] = "lqr"
+        try:
+            return lqr_baseline(p)
+        finally:
+            phase[0] = "search"
+
+    monkeypatch.setattr(stdar.steady_state, "verify", counted_verify)
+    monkeypatch.setattr(stdar, "lqr_baseline", counted_lqr)
+    solutions, _, results = bank_pass(monkeypatch, "Steady", "solve_steady_state")
+    assert not any(res.wrong or res.failed for res in results)
+    assert len(solutions) == 41
+    assert sum(sol.probes for sol in solutions) == 262
+    assert sum(sol.fp_iterations for sol in solutions) == 1480
+    assert [sol.capped for sol in solutions] == [2] + [0] * 40
+    assert verified == {"search": 149, "lqr": 41}
 
 
 def test_long_horizon_bank_without_tail_maps(monkeypatch):

@@ -38,6 +38,9 @@ def test_public_surface():
         "lam_star", "value", "grad_norm", "boundary_flags", "iterations",
         "converged", "sweep", "stage_steps", "gradient_evals", "adjoint_stages",
         "backtracks", "gradient_mode"]
+    assert [f.name for f in dataclasses.fields(stdar.SteadyStateSolution)] == [
+        "lambda_bar", "Pi_bar", "K_bar", "residual", "boundary_gap",
+        "lmi_min_eig", "probes", "fp_iterations", "capped"]
     assert not hasattr(stdar.ProblemData, "schedule")
     assert "W" not in {f.name for f in dataclasses.fields(stdar.ProblemData)}
     assert not hasattr(stdar.Trajectory, "to_csv")  # cli writes rollout.csv

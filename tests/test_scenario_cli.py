@@ -316,6 +316,10 @@ def test_cli_steady(tmp_path, capsys):
     sol = solve_steady_state(sec5())
     assert int(row["probes"]) == sol.probes > 0
     assert int(row["fp_iterations"]) == sol.fp_iterations > 0
+    # the paper's example sends its two probes below the saddle-node to the
+    # 64-doubling cap; the column follows fp_iterations
+    assert header[-3:] == ["probes", "fp_iterations", "capped"]
+    assert int(row["capped"]) == sol.capped == 2
 
 
 def test_cli_bench(tmp_path, capsys):

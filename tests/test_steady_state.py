@@ -245,6 +245,23 @@ def test_lmi_assembly_is_the_block_matrix_bit_for_bit(rng):
         assert cert.min_eig == float(np.linalg.eigvalsh(ref)[0])
 
 
+def test_lmi_assembly_is_exactly_symmetric(rng):
+    # the certificate's matrix is written symmetric block by block, from
+    # P = sym(Pi_bar^{-1}), so it equals its transpose to the bit, also
+    # for a Pi_bar that is not symmetric
+    for i in range(8):
+        n = int(rng.integers(1, 5))
+        p = make_problem(rng, n=n, m=int(rng.integers(1, 4)),
+                         q=int(rng.integers(1, 4)))
+        sol = solve_steady_state(p)
+        if i % 2:
+            C = rng.standard_normal((n, n))
+            sol = dataclasses.replace(sol, Pi_bar=C @ C.T + np.eye(n)
+                                      + 0.1 * np.triu(C, 1))
+        assembled = lmi_certify(p, sol).assembled
+        assert assembled.tobytes() == np.ascontiguousarray(assembled.T).tobytes()
+
+
 def test_lmi_rejects_shrunk_multiplier():
     p = steady_scalar()
     sol = solve_steady_state(p)
@@ -303,6 +320,68 @@ def test_search_counters_match_kernel_calls(rng, monkeypatch):
     sol = solve_steady_state(make_problem(rng, n=3))
     assert sol.probes == len(calls) > 0
     assert sol.fp_iterations == sum(calls)
+
+
+def test_coupling_terms_formed_once_per_call(rng, monkeypatch):
+    # B R^{-1} B' does not depend on lam: a solve forms it once, not once per
+    # probe, and so does the LQR baseline. Counted as numpy solves of R
+    # against B'; the solve's K_bar = R^{-1} B'Pi X is not one of them
+    p = None
+    formed = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        formed.append(a is p.R and b.base is p.B)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for p in (_bank_system(rng, 3), make_problem(rng, n=3, m=2, q=2)):
+        formed.clear()
+        sol = solve_steady_state(p)
+        assert sol.probes > 1 and sum(formed) == 1
+        formed.clear()
+        lqr_baseline(p)
+        assert sum(formed) == 1
+
+
+def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
+    # a converged probe whose slack lam - ||G'Pi G|| + eps_boundary is
+    # negative goes to lo whether or not Pi is a fixed point, so the search
+    # runs the verifying map step once for each probe with a non-negative
+    # slack, on its Pi, and never for a probe below its bound
+    lams, outs, steps = [], [], []
+    step = _kernels.game_step
+
+    def couplings(B, G, R):
+        z_of = _kernels.couplings(B, G, R)
+        return lambda lam: lams.append(lam) or z_of(lam)
+
+    def counted(*args):
+        outs.append(_kernels.fixed_point_numpy(*args))
+        return outs[-1]
+
+    def counted_step(A, Q, Z, Pi):
+        if A is p.A:  # the map step itself, not the doubling's last step
+            steps.append(Pi)
+        return step(A, Q, Z, Pi)
+
+    monkeypatch.setattr(steady_state, "couplings", couplings)
+    monkeypatch.setattr(steady_state, "fixed_point_numpy", counted)
+    monkeypatch.setattr(_kernels, "game_step", counted_step)
+    eps = Tolerances().eps_boundary
+    below = 0
+    for n in (2, 3, 4, 6, 8):
+        p = _bank_system(rng, n)
+        del lams[:], outs[:], steps[:]
+        sol = solve_steady_state(p)
+        assert len(lams) == len(outs) == sol.probes
+        converged = [(lam, out[2]) for lam, out in zip(lams, outs) if out[0] == 0]
+        clearing = [Pi for lam, Pi in converged
+                    if lam - top_eig(p.G.T @ Pi @ p.G) + eps >= 0.0]
+        assert len(steps) == len(clearing)
+        assert all(a is b for a, b in zip(steps, clearing))
+        below += len(converged) - len(clearing)
+    assert below > 0
 
 
 def _bank_system(rng, n):
