@@ -46,10 +46,6 @@ def couplings(B, G, R):
     return lambda lam: BRB - GG / lam
 
 
-def coupling(B, G, R, lam):  # Z at one lam
-    return couplings(B, G, R)(lam)
-
-
 def game_step(A, Q, Z, Pi):
     """One step of the map: (sym(Q + A'Pi X), Pi X), X = (I + Z Pi)^{-1} A.
     Raises LinAlgError where I + Z Pi, and so M, is singular."""

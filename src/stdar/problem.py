@@ -6,6 +6,7 @@ disturbance bound ||w_k||^2 <= alpha_k over a horizon of N stages.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -15,6 +16,14 @@ import numpy as np
 from .errors import AssumptionViolated, DimensionMismatch
 
 _SYM_RTOL = 1e-8
+
+
+def _integer(v, name: str = "") -> int:
+    """An integer or an integral float; not a boolean or a string."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+            isinstance(v, numbers.Integral) or float(v).is_integer()):
+        return int(v)
+    raise ValueError(f"{name}{v!r} is not an integer")
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -127,7 +136,7 @@ class ProblemData:
             raise DimensionMismatch(f"R must be {B.shape[1]}x{B.shape[1]}, got {R.shape}")
         if Pf.shape != (n, n):
             raise DimensionMismatch(f"Pf must be {n}x{n}, got {Pf.shape}")
-        N = int(self.N)
+        N = _integer(self.N, "N = ")
         if N < 1:
             raise ValueError("N must be at least 1")
         alpha = np.asarray(self.alpha, dtype=float)

@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from .errors import ScenarioError
-from .problem import ProblemData
+from .problem import ProblemData, _integer
 
 _MODES = ("finite", "steady", "rollout", "bench", "policy_curve")
 _ROLLOUT_MODES = ("worst_case", "zero", "external")
@@ -75,11 +75,19 @@ def _known(mapping: dict, where: str, path) -> None:
             raise ScenarioError(f"{path}: unknown key {key!r} in {where}")
 
 
-def _integer(v) -> int:
-    """A YAML integer, or a float with an integral value; not a boolean."""
-    if type(v) is int or isinstance(v, float) and v.is_integer():
-        return int(v)
-    raise ValueError(f"{v!r} is not an integer")
+def _count(v) -> int:  # an integer of at least 1
+    if _integer(v) < 1:
+        raise ValueError(f"{v!r} is below 1")
+    return int(v)
+
+
+def _floats(v) -> np.ndarray:
+    """A number or nested lists of them as a float array; a YAML boolean
+    or string is a typo, which numpy would read as 1.0 or parse."""
+    if isinstance(v, (bool, str)):
+        raise ValueError(f"{v!r} is not a number")
+    return np.array([_floats(x) for x in v] if isinstance(v, list) else v,
+                    dtype=float)
 
 
 def _boolean(v) -> bool:
@@ -96,11 +104,11 @@ def _path(v):
     return v if v is None else str(v)
 
 
-def _run_value(run: dict, key: str, default, convert, path):
+def _value(section: dict, key: str, default, convert, path, where="run"):
     try:
-        return convert(run.get(key, default))
+        return convert(section.get(key, default))
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: bad run.{key}: {exc}") from None
+        raise ScenarioError(f"{path}: bad {where}.{key}: {exc}") from None
 
 
 def load_scenario(path) -> ScenarioFile:
@@ -125,15 +133,12 @@ def load_scenario(path) -> ScenarioFile:
     _known(prob, "problem", path)
     _known(run, "run", path)
 
+    for key in _MATRICES + ("N",):
+        _need(prob, key, "problem")
+    kwargs = {key: _value(prob, key, None, _integer if key == "N" else _floats,
+                          path, "problem") for key in prob}
     try:
-        kwargs = {key: np.array(_need(prob, key, "problem"), dtype=float)
-                  for key in _MATRICES}
-        kwargs.update(N=int(_need(prob, "N", "problem")), alpha=prob.get("alpha", 1.0))
-        if "x0" in prob:
-            kwargs["x0"] = np.array(prob["x0"], dtype=float)
-        problem = ProblemData(**kwargs)
-    except ScenarioError:
-        raise
+        problem = ProblemData(**{"alpha": 1.0, **kwargs})
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: bad problem data: {exc}") from None
 
@@ -147,27 +152,25 @@ def load_scenario(path) -> ScenarioFile:
     if "grid" in run:
         g = run["grid"]
         try:
-            grid = (float(g["lo"]), float(g["hi"]), _integer(g["points"]))
+            grid = (float(g["lo"]), float(g["hi"]), _count(g["points"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise ScenarioError(f"{path}: run.grid needs lo, hi, points ({exc})") from None
         _known(g, "run.grid", path)
-        if grid[2] < 1:
-            raise ScenarioError(f"{path}: run.grid needs at least one point")
-    x0_list = _run_value(run, "x0_list", [], lambda vs: tuple(
-        np.array(v, dtype=float).ravel() for v in vs), path)
+    x0_list = _value(run, "x0_list", [], lambda vs: tuple(
+        _floats(v).ravel() for v in vs), path)
     for i, v in enumerate(x0_list):
         if v.size != problem.n:
             raise ScenarioError(
                 f"{path}: x0_list[{i}] has size {v.size}, expected {problem.n}")
     return ScenarioFile(
-        problem=problem, mode=mode, out=_run_value(run, "out", None, _path, path) or ".",
-        seed=_run_value(run, "seed", 0, _integer, path), x0_list=x0_list, grid=grid,
-        rollout_mode=rollout_mode, w_file=_run_value(run, "w_file", None, _path, path),
-        sizes=_run_value(run, "sizes", ScenarioFile.sizes,
-                         lambda v: tuple(_integer(s) for s in v), path),
-        instances=_run_value(run, "instances", 4, _integer, path),
-        allow_degenerate_terminal=_run_value(run, "allow_degenerate_terminal",
-                                             False, _boolean, path))
+        problem=problem, mode=mode, out=_value(run, "out", None, _path, path) or ".",
+        seed=_value(run, "seed", 0, _integer, path), x0_list=x0_list, grid=grid,
+        rollout_mode=rollout_mode, w_file=_value(run, "w_file", None, _path, path),
+        sizes=_value(run, "sizes", ScenarioFile.sizes,
+                     lambda v: tuple(_count(s) for s in v), path),
+        instances=_value(run, "instances", 4, _count, path),
+        allow_degenerate_terminal=_value(run, "allow_degenerate_terminal",
+                                         False, _boolean, path))
 
 
 def save_scenario(sc: ScenarioFile, path) -> None:

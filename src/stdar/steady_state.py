@@ -11,8 +11,7 @@ disturbance more), so g is increasing with slope at least 1 and the
 feasible multipliers form a half-line. The search keeps a bracket
 [lo, hi], hi feasible and lo not; since Pi(lambda_bar) dominates Pi_hi,
 ||G'Pi_hi G|| - eps_boundary is a lower bound on lambda_bar that each
-feasible probe hands the next (see `solve_steady_state`); a probe's fixed
-point is verified only where its slack clears -eps_boundary. The LMI check
+feasible probe hands the next (see `solve_steady_state`). The LMI check
 certifies the solution as positive semidefiniteness of an assembled block
 matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
@@ -66,27 +65,28 @@ class LmiCertificate:
     feasible: bool
 
 
-def _prober(p: ProblemData):
-    """lam -> (Z, the unverified doubling from Pf at lam), lam-free terms
-    formed once, through this module's fixed_point_numpy binding, which
-    benchmark/tracing.py wraps and the tests patch to count probes."""
+def _prober(p: ProblemData, tol: Tolerances | None = None):
+    """The one probe, lam -> (status, doublings, Pi, top, step): the doubling
+    from Pf at lam through this module's fixed_point_numpy binding (wrapped
+    by benchmark/tracing.py, patched by the tests), top = ||G'Pi G|| where
+    it converged at a finite lam, and Pi verified unless lam - top is below
+    -eps_boundary (then status 0, step None). At lam = inf, the LQR map, Pi
+    is always verified and top is None."""
+    tol = tol or _DEFAULT_TOL
     z_of, x0 = couplings(p.B, p.G, p.R), fro_norm(p.Pf)
     cap = 1e12 * (1.0 + fro_norm(p.Q) + x0)
 
     def run(lam):
         Z = z_of(float(lam))
-        return Z, fixed_point_numpy(p.A, p.Q, Z, p.Pf, x0, cap, _FP_TOL,
-                                    _FP_MAX_DOUBLINGS)
+        status, count, Pi, scale = fixed_point_numpy(
+            p.A, p.Q, Z, p.Pf, x0, cap, _FP_TOL, _FP_MAX_DOUBLINGS)
+        top = step = None
+        if status == 0 and lam < np.inf:
+            top = top_eig(p.G.T @ Pi @ p.G)
+        if status == 0 and (top is None or lam - top + tol.eps_boundary >= 0.0):
+            status, step = verify(p.A, p.Q, Z, Pi, _FP_TOL, scale)
+        return status, count, Pi, top, step
     return run
-
-
-def _double(p: ProblemData, lam: float):
-    """The verified probe from Pf at lam (inf: no disturbance channel):
-    (status, doublings, Pi, step), step None unless status is 0."""
-    Z, (status, count, Pi, scale) = _prober(p)(lam)
-    status, step = (verify(p.A, p.Q, Z, Pi, _FP_TOL, scale) if status == 0
-                    else (status, None))
-    return status, count, Pi, step
 
 
 def solve_steady_state(p: ProblemData,
@@ -99,34 +99,26 @@ def solve_steady_state(p: ProblemData,
     either way pinning lambda_bar to 1e-9. Each probe, clamped 0.25e-9
     inside the bracket and doubled from Pf, goes to that lower bound while
     it lies above lo and lo is 0 or has a slack, else to the secant of g
-    where lo has one, else to the midpoint. A converged probe whose slack
-    is below -eps_boundary goes to lo unverified and keeps its slack; any
-    other is verified, and one that fails keeps none. The answer is the
-    accepted probe at hi as it stands: K_bar and the residual come from
-    the map step that verified Pi_bar (see `_kernels`), and the gap from
-    the ||G'Pi_bar G|| that judged it feasible.
+    where lo has one, else to the midpoint. A converged probe below its
+    bound goes to lo with its slack, one that fails with none (see
+    `_prober`). The answer is the accepted probe at hi as it stands: K_bar
+    and the residual come from the map step that verified Pi_bar (see
+    `_kernels`), and the gap from the ||G'Pi_bar G|| that judged it.
     """
     tol = tol or _DEFAULT_TOL
-    run = _prober(p)
+    run = _prober(p, tol)
     probes = fp_iterations = capped = 0
 
     def probe(lam):
-        # fixed point at lam reached from Pf: (feasible, h, (Pi, top, step))
-        # with top = ||G'Pi G||, step the map step that verified Pi and
-        # h = g + eps_boundary, the value whose root the search seeks
+        # (feasible, h, (Pi, top, step)), h = lam - top + eps_boundary the
+        # value whose root the search seeks, None where the probe failed
         nonlocal probes, fp_iterations, capped
-        Z, (status, count, Pi, scale) = run(lam)
+        status, count, Pi, top, step = run(lam)
         probes += 1
         fp_iterations += count
         capped += status == 1
-        if status != 0:
-            return False, None, None
-        top = top_eig(p.G.T @ Pi @ p.G)
-        h = lam - top + tol.eps_boundary
-        if h < 0.0:
-            return False, h, None
-        status, step = verify(p.A, p.Q, Z, Pi, _FP_TOL, scale)
-        return (True, h, (Pi, top, step)) if status == 0 else (False, None, None)
+        h = lam - top + tol.eps_boundary if status == 0 else None
+        return step is not None, h, (Pi, top, step)
 
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
     ok, h_hi, fp_hi = probe(hi)
@@ -217,7 +209,7 @@ def lqr_baseline(p: ProblemData) -> np.ndarray:
     """Fixed point of the standard Riccati map (no disturbance channel),
     Pi = sym(Q + A'Pi (I + B R^{-1} B' Pi)^{-1} A): the doubling probe at
     lam = inf, reached from Pf."""
-    status, _, Pi, _ = _double(p, np.inf)
+    status, _, Pi, _, _ = _prober(p)(np.inf)
     if status != 0:
         raise Diverged("LQR Riccati doubling did not converge")
     return Pi

@@ -17,7 +17,8 @@ reference lives in sphere_oracle.py.
 """
 import numpy as np
 
-from stdar import MultiplierVector, Tolerances, project_feasible, sweep
+from stdar import MultiplierVector, Tolerances, sweep
+from stdar.riccati import project_feasible
 
 _GR = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -10,10 +10,10 @@ import pytest
 import scipy.linalg as la
 import sympy as sp
 
-from stdar import (lmi_certify, lqr_baseline, project_feasible, rollout,
-                   solve_multipliers, solve_steady_state, sweep,
-                   validate_problem)
+from stdar import (lmi_certify, lqr_baseline, rollout, solve_multipliers,
+                   solve_steady_state, sweep, validate_problem)
 from stdar.cli import main
+from stdar.riccati import project_feasible
 from stdar.scenario import ScenarioFile, save_scenario
 from conftest import make_problem, scalar_problem
 from oracles import (circle_scan_max, envelope_gradient, fd_gradient,

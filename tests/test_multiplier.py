@@ -3,10 +3,10 @@ import pytest
 import sympy as sp
 
 from stdar import (MultiplierVector, ProblemData, objective,
-                   project_feasible, solve_multipliers, sweep)
+                   solve_multipliers, sweep)
 from stdar import multiplier
 from stdar.multiplier import _reconstruct, _slack_gradient, _tail_map
-from stdar.riccati import _nested_pass
+from stdar.riccati import _nested_pass, project_feasible
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import (envelope_gradient, fd_gradient,
                      grid_minmax_two_stage_scalar, slack_gradient_reference,

@@ -3,11 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from stdar import (NoSphereIntersection, control_at, objective,
-                   project_feasible, rollout, solve_multipliers, sweep,
-                   worst_disturbance_at)
+from stdar import (NoSphereIntersection, control_at, objective, rollout,
+                   solve_multipliers, sweep, worst_disturbance_at)
 from stdar.cli import main
-from stdar.riccati import at_bound
+from stdar.riccati import at_bound, project_feasible
 from stdar.scenario import ScenarioFile, save_scenario
 import stdar
 from stdar import multiplier, riccati

@@ -81,6 +81,18 @@ def test_alpha_broadcast_and_positivity():
         scalar_problem(N=0)
 
 
+@pytest.mark.parametrize("N", [2.9, True, "3", np.float64(2.5)])
+def test_horizon_must_be_an_integer(N):
+    # int() would truncate 2.9 to 2, read True as 1 and parse "3"
+    with pytest.raises(ValueError, match="N = "):
+        scalar_problem(N=N)
+
+
+def test_integral_horizon_is_an_int():
+    for N in (3, 3.0, np.int64(3), np.float64(3.0)):
+        assert type(scalar_problem(N=N, alpha=[1.0, 2.0, 3.0]).N) is int
+
+
 def test_symmetrization_of_accepted_weights(rng):
     # noise below the symmetry tolerance is absorbed, result is exactly sym
     C = rng.standard_normal((3, 3))

@@ -20,10 +20,9 @@ PUBLIC = [
     "ProblemData", "RegulatorError", "RiccatiSweep", "ScenarioError",
     "ScenarioFile", "SingularM", "SingularPi", "SteadyStateSolution",
     "Tolerances", "Trajectory", "ValidationReport", "control_at",
-    "lmi_certify", "load_scenario", "lqr_baseline", "objective",
-    "project_feasible", "rollout", "save_scenario", "solve_multipliers",
-    "solve_steady_state", "sweep", "validate_problem",
-    "worst_disturbance_at",
+    "lmi_certify", "load_scenario", "lqr_baseline", "objective", "rollout",
+    "save_scenario", "solve_multipliers", "solve_steady_state", "sweep",
+    "validate_problem", "worst_disturbance_at",
 ]
 
 
@@ -31,6 +30,12 @@ def test_public_surface():
     assert sorted(stdar.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(stdar, name) is not None
+    # the steady state has one probe, steady_state._prober; the projection
+    # stays in riccati, where no solver calls it
+    for module, name in ((stdar, "project_feasible"),
+                         (stdar.steady_state, "_double"),
+                         (stdar._kernels, "coupling")):
+        assert not hasattr(module, name), name
     assert [f.name for f in dataclasses.fields(stdar.Tolerances)] == [
         "tol_psd", "tol_range", "tol_zero", "eps_boundary"]
     assert hasattr(stdar.ProblemData, "alpha_bar")

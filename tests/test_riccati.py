@@ -9,11 +9,10 @@ import scipy.linalg as la
 
 from stdar import (InfeasibleMultiplier, MultiplierVector,
                    RiccatiSweep, SingularM, Tolerances, control_at, objective,
-                   project_feasible, solve_multipliers, sweep,
-                   worst_disturbance_at)
+                   solve_multipliers, sweep, worst_disturbance_at)
 from stdar._linalg import top_eig
 from stdar.multiplier import _reconstruct
-from stdar.riccati import _nested_pass, _stage_step
+from stdar.riccati import _nested_pass, _stage_step, project_feasible
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import lqr_recursion, receq_crosscheck, stage_step_reference
 

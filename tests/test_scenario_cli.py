@@ -105,13 +105,17 @@ def test_loader_error_reporting(tmp_path):
     "allow_degenerate_terminal: 'false'", "allow_degenerate_terminal: 0",
     "seed: 1.5", "seed: true", "instances: 2.7", "sizes: [6, 10.5]",
     "grid: {lo: -1.0, hi: 1.0, points: 2.5}",
-    "out: [a, b]", "out: {x: 1}", "w_file: [a]"])
+    "out: [a, b]", "out: {x: 1}", "w_file: [a]", "instances: 0",
+    "instances: -3", "sizes: [0, -2]", "sizes: [6, 0]",
+    "grid: {lo: -1.0, hi: 1.0, points: 0}"])
 def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
     # a run value of the wrong type names its key and exits 2 from the CLI:
     # a flag takes only a YAML boolean, so a quoted 'false' is no flag, and
     # an integer key takes no fraction and no boolean, which int() would
     # truncate or read as 1; a path is a scalar, so a list or mapping under
-    # out would name a directory such as "['a', 'b']"
+    # out would name a directory such as "['a', 'b']". A count is at least
+    # 1: instances: 0 would make `stdar bench` write a header-only
+    # bench.csv and exit 3, and a size of 0 would reach numpy
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
                    "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n"
@@ -121,6 +125,25 @@ def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
         load_scenario(bad)
     assert main(["validate", "--scenario", str(bad)]) == 2
     assert f"run.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", "2.7"), ("N", "true"), ("N", "'3'"), ("A", "[[true]]"),
+    ("Q", "[['0.2']]"), ("alpha", "true"), ("alpha", "[1.0, '2']"),
+    ("x0", "[yes]")])
+def test_mistyped_problem_value_is_a_scenario_error(tmp_path, capsys, key, value):
+    # a problem value takes numbers only, and N an integer: int() would
+    # truncate 2.7 to 2 and read true as 1, and numpy would read a YAML
+    # boolean as 1.0 and parse a quoted number. The error names the key
+    # and the CLI exits 2
+    entries = {"A": "[[1.0]]", "B": "[[1.0]]", "G": "[[1.0]]", "Q": "[[0.2]]",
+               "R": "[[1.0]]", "Pf": "[[1.0]]", "N": "2", key: value}
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("problem:\n" + "".join(f"  {k}: {v}\n" for k, v in entries.items()))
+    with pytest.raises(ScenarioError, match=f"problem.{key}"):
+        load_scenario(bad)
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert f"problem.{key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where, key, entry", [

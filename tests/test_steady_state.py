@@ -23,7 +23,7 @@ def steady_scalar(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=1.0):
 
 def fixed_point(p, lam):
     # the search's probe at lam, which must reach a fixed point
-    status, _, Pi, _ = steady_state._double(p, lam)
+    status, _, Pi, _, _ = steady_state._prober(p)(lam)
     assert status == 0
     return Pi
 
@@ -112,8 +112,8 @@ def test_map_matches_block_form(rng):
                          q=int(rng.integers(1, 4)), degenerate_pf=i % 4 == 0)
         lam = top_eig(p.G.T @ p.Pf @ p.G) + float(rng.uniform(0.5, 3.0))
         ref, KJ = game_map_reference(p.A, p.B, p.G, p.Q, p.R, lam, p.Pf)
-        Pn, PX = _kernels.game_step(p.A, p.Q, _kernels.coupling(p.B, p.G, p.R, lam),
-                                    p.Pf)
+        Z = _kernels.couplings(p.B, p.G, p.R)(lam)
+        Pn, PX = _kernels.game_step(p.A, p.Q, Z, p.Pf)
         gains = np.vstack([np.linalg.solve(p.R, p.B.T @ PX), -p.G.T @ PX / lam])
         assert np.abs(Pn - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         assert np.abs(gains - KJ).max() <= 1e-12 * max(1.0, np.abs(KJ).max())
@@ -128,7 +128,7 @@ def test_singular_step_reports_singular_m():
     # Q = 0.25, lam = 0.2: Z = 1 - 1/0.2 = -4, so the first doubling's
     # W = I + Z Q = 0 is singular before any doubling completes
     p = steady_scalar(Q=0.25)
-    assert steady_state._double(p, 0.2)[:2] == (-2, 0)
+    assert steady_state._prober(p)(0.2)[:2] == (-2, 0)
 
 
 def test_lqr_baseline_solves_dare(rng):
@@ -142,7 +142,7 @@ def test_no_fixed_point_stops_early():
     # lam = 0.6875 < 1 leaves the unit-coefficient map with no real fixed
     # point (Z X^2 - 0.2 Z X - 0.2 = 0 has a negative discriminant): the
     # doubling must report it within its 64-doubling cap
-    status, doublings, _, step = steady_state._double(steady_scalar(), 0.6875)
+    status, doublings, _, _, step = steady_state._prober(steady_scalar())(0.6875)
     assert status in (-1, 1)
     assert doublings <= 64
     assert step is None
@@ -152,7 +152,7 @@ def test_indefinite_fixed_point_rejected():
     # A = 2, lam = 0.5: the doubling converges to X = -2.7266, a root of
     # X^2 + 2.8 X + 0.2 = 0 with a stable closed loop that would pass the
     # slack test; a Riccati fixed point of the game must be PSD
-    status, _, X, step = steady_state._double(steady_scalar(A=2.0), 0.5)
+    status, _, X, _, step = steady_state._prober(steady_scalar(A=2.0))(0.5)
     assert status == -1
     assert X[0, 0] == pytest.approx(-2.7266, abs=1e-4)
     assert step is None
@@ -166,7 +166,7 @@ def test_unreachable_unstable_mode_fails_typed():
     B = np.array([[0.0], [1.0]])
     p = ProblemData(A=np.diag([2.0, 0.5]), B=B, G=B / 2, Q=np.eye(2),
                     R=np.eye(1), Pf=np.eye(2), N=1, alpha=[1.0])
-    status, doublings, _, _ = steady_state._double(p, 1.0)
+    status, doublings, _, _, _ = steady_state._prober(p)(1.0)
     assert status == -1 and doublings < 10
     with pytest.raises(NoFeasibleLambda):
         solve_steady_state(p)
@@ -194,7 +194,7 @@ def test_multiplier_is_minimal(rng):
     for p in probes:
         sol = solve_steady_state(p)
         lam = sol.lambda_bar - 1e-4
-        status, _, Pi, _ = steady_state._double(p, lam)
+        status, _, Pi, _, _ = steady_state._prober(p)(lam)
         if status != 0:
             continue
         assert top_eig(p.G.T @ Pi @ p.G) - lam > 0.5e-4
@@ -384,6 +384,38 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
     assert below > 0
 
 
+def test_probe_below_its_bound_is_not_verified(monkeypatch):
+    # 1e-4 below lambda_bar = 1.2 of the paper's scalar example the doubling
+    # converges, to a Pi whose slack is below -eps_boundary: the probe
+    # returns it with status 0, its ||G'Pi G|| and no step, unverified
+    verified = []
+    verify = steady_state.verify
+    monkeypatch.setattr(steady_state, "verify",
+                        lambda *a: verified.append(1) or verify(*a))
+    p = steady_scalar()
+    lam = 1.2 - 1e-4
+    status, _, Pi, top, step = steady_state._prober(p)(lam)
+    assert (status, step, verified) == (0, None, [])
+    assert top == top_eig(p.G.T @ Pi @ p.G) > lam + Tolerances().eps_boundary
+
+
+def test_lqr_baseline_is_the_probe_at_infinity(rng, monkeypatch):
+    # lqr_baseline is the probe at lam = inf: one doubling, one verification
+    # of its fixed point and no ||G'Pi G||, which has no bound to meet there
+    calls = []
+    for name in ("fixed_point_numpy", "verify", "top_eig"):
+        fn = getattr(steady_state, name)
+        monkeypatch.setattr(steady_state, name, lambda *a, name=name, fn=fn:
+                            calls.append(name) or fn(*a))
+    for p in (steady_scalar(), make_problem(rng, n=3, m=2, q=2)):
+        calls.clear()
+        P = lqr_baseline(p)
+        assert calls == ["fixed_point_numpy", "verify"]
+        status, _, Pi, top, step = steady_state._prober(p)(np.inf)
+        assert (status, top) == (0, None) and step is not None
+        assert np.array_equal(P, Pi)
+
+
 def _bank_system(rng, n):
     # as the steady benchmark draws them: B = G = R = Pf = I, A scaled to a
     # spectral radius in [0.5, 0.95], Q = C'C/n + 0.5 I
@@ -417,7 +449,7 @@ def test_solution_is_the_verifying_step(rng):
     for n in (2, 3, 4, 6, 8):
         p = _bank_system(rng, n)
         sol = solve_steady_state(p)
-        Z = _kernels.coupling(p.B, p.G, p.R, sol.lambda_bar)
+        Z = _kernels.couplings(p.B, p.G, p.R)(sol.lambda_bar)
         Pi_next, PX = _kernels.game_step(p.A, p.Q, Z, sol.Pi_bar)
         assert np.array_equal(sol.K_bar, np.linalg.solve(p.R, p.B.T @ PX))
         assert sol.residual == float(np.linalg.norm(sol.Pi_bar - Pi_next))
@@ -454,7 +486,7 @@ def test_doubling_stop_test_is_not_a_fixed_point():
     rng = np.random.default_rng(7)
     for _ in range(132):
         p = make_problem(rng)
-    assert steady_state._double(p, 5.2)[0] == -1
+    assert steady_state._prober(p)(5.2)[0] == -1
 
 
 def _dare_slack(p, lam):
