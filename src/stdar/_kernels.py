@@ -36,6 +36,8 @@ import numpy as np
 
 from ._linalg import fro_norm
 
+_FP_TOL = 1e-12          # the doubling's stop rule and verify's PSD test
+_FP_MAX_DOUBLINGS = 64
 _FP_CHECK = 1e-8
 
 
@@ -56,17 +58,17 @@ def game_step(A, Q, Z, Pi):
     return 0.5 * (Pn + Pn.T), PX
 
 
-def fixed_point_numpy(A, Q, Z, X0, x0, cap, tol, max_doublings):
+def fixed_point_numpy(A, Q, Z, X0, x0, cap):
     """The doubling from X0 at Z, x0 = ||X0||: (status, doublings, X, scale).
     Status 0 when a doubling moves H_k, and ||A_k||^2 x0 bounds what X0
-    still adds, both within tol relative to scale = (1 + ||H_k||^2)^{1/2};
-    only then is X = F^(2^k)(X0) formed, for `verify`. Diverged past
-    ||H_k|| = cap = 1e12 (1 + ||Q|| + x0), where a mode B cannot reach
-    grows H_k and the relative tests with it."""
+    still adds, both by at most _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2};
+    only then is X = F^(2^k)(X0) formed, for `verify`. 1 at _FP_MAX_DOUBLINGS.
+    Diverged past ||H_k|| = cap, which the caller forms as 1e12 (1 + ||Q||
+    + x0): a mode B cannot reach grows H_k and the relative tests with it."""
     n = A.shape[0]
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
-    for k in range(int(max_doublings)):
+    for k in range(_FP_MAX_DOUBLINGS):
         Ak, Gk = AG[:, :n], AG[:, n:]
         W = Gk @ H
         W.ravel()[::n + 1] += 1.0
@@ -83,21 +85,21 @@ def fixed_point_numpy(A, Q, Z, X0, x0, cap, tol, max_doublings):
         tail = fro_norm(AG[:, :n]) ** 2 * x0
         if not (res <= 1e12 * scale and tail <= 1e12 * scale and scale <= cap):
             return -1, k + 1, X0, None
-        if res <= tol * scale and tail <= tol * scale:
+        if res <= _FP_TOL * scale and tail <= _FP_TOL * scale:
             try:
                 X, _ = game_step(AG[:, :n], H, AG[:, n:], X0)
             except np.linalg.LinAlgError:
                 return -2, k + 1, X0, None
             return 0, k + 1, X, scale
-    return 1, int(max_doublings), X0, None
+    return 1, _FP_MAX_DOUBLINGS, X0, None
 
 
-def verify(A, Q, Z, X, tol, scale):
-    """(0, game_step(A, Q, Z, X)) where X is PSD to within tol scale and
+def verify(A, Q, Z, X, scale):
+    """(0, game_step(A, Q, Z, X)) where X is PSD to within _FP_TOL scale and
     ||F(X) - X|| < _FP_CHECK (1 + ||X||), 1e-8: the doubling now and then
     settles on an X that its step moves by 5e-3 or more; fixed points move
     by 1e-13. Else (-1, None), or (-2, None) where the step is singular."""
-    if np.linalg.eigvalsh(X)[0] < -tol * scale:
+    if np.linalg.eigvalsh(X)[0] < -_FP_TOL * scale:
         return -1, None
     try:
         step = game_step(A, Q, Z, X)

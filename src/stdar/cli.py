@@ -9,7 +9,6 @@ validation failure, 3 on solver non-convergence. Floats are emitted with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -37,14 +36,10 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _tolerances(args) -> Tolerances:
-    t = Tolerances()
-    over = {}
-    for flag, fld in (("tol_psd", "tol_psd"), ("tol_range", "tol_range"),
-                      ("tol_zero", "tol_zero"), ("tol_boundary", "eps_boundary")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            over[fld] = v
-    return dataclasses.replace(t, **over) if over else t
+    """The defaults, with the --tol-* flags given laid over them."""
+    flags = {"tol_psd": args.tol_psd, "tol_range": args.tol_range,
+             "tol_zero": args.tol_zero, "eps_boundary": args.tol_boundary}
+    return Tolerances(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _load(args):
@@ -62,6 +57,8 @@ def _prepare(args):
     sc, tol = _load(args)
     out = args.out if args.out is not None else sc.out
     seed = args.seed if args.seed is not None else sc.seed
+    if seed < 0:  # run.seed is checked at load; numpy takes no negative seed
+        raise ValueError(f"--seed {seed} is below 0")
     os.makedirs(out, exist_ok=True)
     return sc, tol, out, seed
 
@@ -217,9 +214,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(seed)
     solve_steady_state(_random_stable(rng, 2), tol=tol)  # untimed: first-call costs
     rng = np.random.default_rng(seed)                    # timed instances
-    rows = []
-    meds = []
-    sizes_done = []
+    done = []  # (n, median seconds) of the sizes with a solve
     for n in sc.sizes:
         times = []
         for _ in range(sc.instances):
@@ -231,22 +226,20 @@ def cmd_bench(args) -> int:
                 print(f"n={n}: {exc}", file=sys.stderr)
                 continue
             times.append(time.perf_counter() - t0)
-        if not times:
-            continue
-        med = float(np.median(times))
-        rows.append([str(n), _fmt(med)])
-        meds.append(med)
-        sizes_done.append(n)
-    _write_csv(os.path.join(out, "bench.csv"), ["n", "median_s"], rows)
-    if len(sizes_done) >= 2:
-        slope = float(np.polyfit(np.log(sizes_done), np.log(meds), 1)[0])
+        if times:
+            done.append((n, float(np.median(times))))
+    _write_csv(os.path.join(out, "bench.csv"), ["n", "median_s"],
+               [[str(n), _fmt(med)] for n, med in done])
+    if len(done) >= 2:
+        sizes, meds = zip(*done)
+        slope = float(np.polyfit(np.log(sizes), np.log(meds), 1)[0])
         report = f"fitted exponent: {slope:.4f}"
     else:
         report = "fitted exponent: undefined (need at least two sizes)"
     with open(os.path.join(out, "bench_report.txt"), "w") as fh:
         fh.write(report + "\n")
     print(report)
-    return 0 if rows else 3
+    return 0 if done else 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -136,7 +136,7 @@ class MultiplierSolution:
     gradient_mode: str = "envelope"  # the one mode; kept for callers that read it
 
 
-def _wrap(p: ProblemData, lam, k: int) -> MultiplierVector:
+def _wrap(lam, k: int) -> MultiplierVector:
     if isinstance(lam, MultiplierVector):
         return lam
     return MultiplierVector(np.asarray(lam, dtype=float), stage_offset=k)
@@ -154,7 +154,7 @@ def objective(p: ProblemData, lam, x, k: int = 0,
     A state of the wrong size or not finite raises ValueError."""
     tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
-    sw = sweep(p, _wrap(p, lam, k), tol)
+    sw = sweep(p, _wrap(lam, k), tol)
     return _phi(p, x, sw.lam, sw.Pi[0])
 
 

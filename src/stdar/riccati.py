@@ -20,12 +20,14 @@ multipliers as given (margin -inf, no slack). Every pass steps every
 stage it does not repeat, stage 0 included, and links its multipliers to
 itself.
 
-A pass stores each quantity once, stacked over its stages: Pi as an
-(N-k+1, n, n) array, M as (N-k, m+q, m+q) and the gains [K_j; J_j] as one
+A pass stores what its readers read, each once and stacked over its
+stages: Pi as an (N-k+1, n, n) array, the gains [K_j; J_j] as one
 (N-k, m+q, n) buffer, of which K and J are the first m and last q rows,
 and the eigenpairs of each G'Pi_{j+1}G, of which the bounds are a view.
-Every array it stores is read-only, so a sweep that sweep() hands back or
-that another pass takes as its base cannot change under a later decision.
+M_j is only an intermediate of the stage solve; a caller forms it from
+Pi_{j+1} and lam_j. Every array a pass stores is read-only, so a sweep
+that sweep() hands back or that another pass takes as its base cannot
+change under a later decision.
 
 Stage j's step reads only Pi_{j+1} and lam_j, and Pi_N = Pf is fixed.
 So a pass given a base, an earlier pass of the same program, offset and
@@ -33,9 +35,9 @@ tolerances, decides itself which stages it repeats: it evaluates its
 rule over the base's bounds, in one vectorised expression that matches
 the per-stage one bit for bit, against the base's multipliers. By
 induction from Pi_N, every stage above the last one that differs repeats
-the base bit for bit. The pass copies their slices of Pi, M, the gains
-and the eigenpairs and steps the rest, which are then bit for bit those
-of a full pass; where none differs it returns the base itself. The rule
+the base bit for bit. The pass copies their slices of Pi, the gains and
+the eigenpairs and steps the rest, which are then bit for bit those of
+a full pass; where none differs it returns the base itself. The rule
 reads only the base's bounds and multipliers, so any pass is a base,
 whatever its raw values, margin and slacks.
 
@@ -90,15 +92,14 @@ class RiccatiSweep:
     """Backward sweep output for stages k..N, stacked over the stages.
 
     Pi, of shape (N-k+1, n, n), holds the cost-to-go matrix Pi[i] of stage
-    k+i (so Pi[0] belongs to the sweep's start stage and Pi[-1] = Pf). M,
-    K, J, bounds have one entry per stage k..N-1; K and J are views of one
+    k+i (so Pi[0] belongs to the sweep's start stage and Pi[-1] = Pf). K,
+    J, bounds have one entry per stage k..N-1; K and J are views of one
     gain buffer [K; J], _gains. Row r of _eigvecs[i] is a unit eigenvector
     of sym(G'Pi_{k+i+1}G) for _eigvals[i, r], ascending in r; bounds is the
     view _eigvals[:, -1]: bounds[i] = ||G'Pi_{k+i+1}G||, lam_{k+i}'s floor.
     """
 
     Pi: np.ndarray
-    M: np.ndarray
     K: np.ndarray
     J: np.ndarray
     lam: MultiplierVector
@@ -124,7 +125,7 @@ def at_bound(lam, bound, tol: Tolerances):
 def _stage_step(p: ProblemData, H: np.ndarray, Z: np.ndarray, lam_j: float):
     """One backward step from the bordered matrix H (module docstring),
     which it shifts by -lam_j, and a copy Z of p.Z = [0; -I] it writes the
-    gains into. Returns (Pi_j, M, [K; J]), M and [K; J] views of H and Z.
+    gains into. Returns (Pi_j, [K; J]), [K; J] a view of Z.
 
     The solve must leave resid = ||M [K; J] - rhs||_F <= 1e-8 scale, with
     scale = 1 + ||rhs||_F + max|M| ||[K; J]||_F, else SingularM. resid is
@@ -146,7 +147,7 @@ def _stage_step(p: ProblemData, H: np.ndarray, Z: np.ndarray, lam_j: float):
             1.0 + fro_norm(rhs) + np.abs(M).max() * fro_norm(Z[:d])):
         raise SingularM(
             f"stage solve residual {resid:.3e} at lam = {lam_j:.9g}")
-    return -HZ[d:], M, Z[:d]
+    return -HZ[d:], Z[:d]
 
 
 def _require_tail(p: ProblemData, k: int, n_stages: int) -> None:
@@ -206,7 +207,6 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
         top = int(changed[-1]) + 1
     m, d = p.m, p.m + p.q
     Pi = np.empty((n_stages + 1, p.n, p.n))
-    M = np.empty((n_stages, d, d))
     KJ = np.empty((n_stages, d, p.n))
     vals = np.empty((n_stages, p.q))
     vecs = np.empty((n_stages, p.q, p.q))  # rows, so each top vector is contiguous
@@ -215,9 +215,8 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     Hg = H[m:d, m:d]
     Pi[n_stages] = p.Pf
     if base is not None:  # the stages it repeats, of every array it stores
-        for arr, old in ((Pi, base.Pi), (M, base.M), (KJ, base._gains),
-                         (vals, base._eigvals), (vecs, base._eigvecs),
-                         (lam, base.lam.lambdas)):
+        for arr, old in ((Pi, base.Pi), (KJ, base._gains), (vals, base._eigvals),
+                         (vecs, base._eigvecs), (lam, base.lam.lambdas)):
             arr[top:] = old[top:]
     raw_j, slack_j = lam.tolist(), None if slack is None else slack.tolist()
     eps = tol.eps_boundary
@@ -236,10 +235,10 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
             raise InfeasibleMultiplier(
                 f"lam = {lam_i:.9g} below its bound ||G'Pi G|| = {b:.9g}")
         lam[i] = lam_i
-        Pi[i], M[i], KJ[i] = _stage_step(p, H, Z, lam_i)
-    for arr in (Pi, M, KJ, vals, vecs):
+        Pi[i], KJ[i] = _stage_step(p, H, Z, lam_i)
+    for arr in (Pi, KJ, vals, vecs):
         arr.setflags(write=False)
-    sw = RiccatiSweep(Pi=Pi, M=M, K=KJ[:, :m], J=KJ[:, m:],
+    sw = RiccatiSweep(Pi=Pi, K=KJ[:, :m], J=KJ[:, m:],
                       lam=MultiplierVector(lam, stage_offset=k),
                       bounds=vals[:, -1], _eigvals=vals, _eigvecs=vecs, _gains=KJ)
     object.__setattr__(sw.lam, "_pass", (weakref.ref(sw), weakref.ref(p)))

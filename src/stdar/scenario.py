@@ -75,19 +75,23 @@ def _known(mapping: dict, where: str, path) -> None:
             raise ScenarioError(f"{path}: unknown key {key!r} in {where}")
 
 
-def _count(v) -> int:  # an integer of at least 1
-    if _integer(v) < 1:
-        raise ValueError(f"{v!r} is below 1")
+def _count(v, least: int = 1) -> int:  # an integer of at least `least`
+    if _integer(v) < least:
+        raise ValueError(f"{v!r} is below {least}")
     return int(v)
 
 
 def _floats(v) -> np.ndarray:
-    """A number or nested lists of them as a float array; a YAML boolean
-    or string is a typo, which numpy would read as 1.0 or parse."""
+    """A finite number or nested lists of them as a float array; a YAML
+    boolean or string is a typo, which numpy would read as 1.0 or parse,
+    and a .nan or .inf no value a run can use."""
     if isinstance(v, (bool, str)):
         raise ValueError(f"{v!r} is not a number")
-    return np.array([_floats(x) for x in v] if isinstance(v, list) else v,
-                    dtype=float)
+    arr = np.array([_floats(x) for x in v] if isinstance(v, list) else v,
+                   dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{v!r} is not finite")
+    return arr
 
 
 def _boolean(v) -> bool:
@@ -152,19 +156,23 @@ def load_scenario(path) -> ScenarioFile:
     if "grid" in run:
         g = run["grid"]
         try:
-            grid = (float(g["lo"]), float(g["hi"]), _count(g["points"]))
+            grid = (float(_floats(g["lo"])), float(_floats(g["hi"])),
+                    _count(g["points"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise ScenarioError(f"{path}: run.grid needs lo, hi, points ({exc})") from None
         _known(g, "run.grid", path)
-    x0_list = _value(run, "x0_list", [], lambda vs: tuple(
-        _floats(v).ravel() for v in vs), path)
+    x0_list = _value(run, "x0_list", [], list, path)
     for i, v in enumerate(x0_list):
-        if v.size != problem.n:
-            raise ScenarioError(
-                f"{path}: x0_list[{i}] has size {v.size}, expected {problem.n}")
+        try:
+            x0_list[i] = _floats(v).ravel()
+            if x0_list[i].size != problem.n:
+                raise ValueError(f"size {x0_list[i].size}, expected {problem.n}")
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{path}: bad run.x0_list[{i}]: {exc}") from None
     return ScenarioFile(
         problem=problem, mode=mode, out=_value(run, "out", None, _path, path) or ".",
-        seed=_value(run, "seed", 0, _integer, path), x0_list=x0_list, grid=grid,
+        seed=_value(run, "seed", 0, lambda v: _count(v, 0), path),
+        x0_list=tuple(x0_list), grid=grid,
         rollout_mode=rollout_mode, w_file=_value(run, "w_file", None, _path, path),
         sizes=_value(run, "sizes", ScenarioFile.sizes,
                      lambda v: tuple(_count(s) for s in v), path),

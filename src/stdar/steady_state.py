@@ -31,8 +31,6 @@ from .problem import _DEFAULT_TOL, ProblemData, Tolerances
 __all__ = ["SteadyStateSolution", "LmiCertificate", "solve_steady_state",
            "lmi_certify", "lqr_baseline"]
 
-_FP_TOL = 1e-12
-_FP_MAX_DOUBLINGS = 64
 _BISECT_TOL = 1e-9
 
 
@@ -78,13 +76,12 @@ def _prober(p: ProblemData, tol: Tolerances | None = None):
 
     def run(lam):
         Z = z_of(float(lam))
-        status, count, Pi, scale = fixed_point_numpy(
-            p.A, p.Q, Z, p.Pf, x0, cap, _FP_TOL, _FP_MAX_DOUBLINGS)
+        status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, p.Pf, x0, cap)
         top = step = None
         if status == 0 and lam < np.inf:
             top = top_eig(p.G.T @ Pi @ p.G)
         if status == 0 and (top is None or lam - top + tol.eps_boundary >= 0.0):
-            status, step = verify(p.A, p.Q, Z, Pi, _FP_TOL, scale)
+            status, step = verify(p.A, p.Q, Z, Pi, scale)
         return status, count, Pi, top, step
     return run
 

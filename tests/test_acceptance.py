@@ -21,7 +21,7 @@ from oracles import (circle_scan_max, envelope_gradient, fd_gradient,
                      two_stage_value)
 from sphere_oracle import SphereQP, block_nonsingular, solve_sphere_qp
 from test_multiplier import minmax_from_single_stage
-from test_riccati import feasible_lam
+from test_riccati import feasible_lam, stage_matrix
 
 
 def test_scalar_steady_state_reference_values(tol):
@@ -145,8 +145,8 @@ def test_identity_suite(rng, tol):
         assert req <= 1e-8
         for P in sw.Pi:
             assert la.eigvalsh(P)[0] >= -1e-9 * scale
-        for M in sw.M:
-            s = la.svdvals(M)
+        for j in range(p.N):
+            s = la.svdvals(stage_matrix(p, sw, j))
             assert s[-1] > 1e-12 * s[0]
     agree = 0
     hits = {True: 0, False: 0}

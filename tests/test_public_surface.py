@@ -36,6 +36,16 @@ def test_public_surface():
                          (stdar.steady_state, "_double"),
                          (stdar._kernels, "coupling")):
         assert not hasattr(module, name), name
+    # a pass keeps what its readers read, and the doubling's stop rule
+    # (_FP_TOL, _FP_MAX_DOUBLINGS) lives in _kernels alone
+    assert [f.name for f in dataclasses.fields(stdar.RiccatiSweep)] == [
+        "Pi", "K", "J", "lam", "bounds", "_eigvals", "_eigvecs", "_gains"]
+    for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z X0 x0 cap"),
+                       (stdar._kernels.verify, "A Q Z X scale")):
+        assert list(inspect.signature(fn).parameters) == params.split()
+    for name in ("_FP_TOL", "_FP_MAX_DOUBLINGS"):
+        assert hasattr(stdar._kernels, name)
+        assert not hasattr(stdar.steady_state, name), name
     assert [f.name for f in dataclasses.fields(stdar.Tolerances)] == [
         "tol_psd", "tol_range", "tol_zero", "eps_boundary"]
     assert hasattr(stdar.ProblemData, "alpha_bar")

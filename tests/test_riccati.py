@@ -22,14 +22,20 @@ def feasible_lam(p, rng, tol, spread=2.0):
     return project_feasible(p, raw, margin=0.05, tol=tol)
 
 
+def stage_matrix(p, sw, j):
+    """M_j in block form, from the sweep's Pi_{j+1} and lam_j."""
+    return stage_step_reference(p.A, p.B, p.G, p.Q, p.R, sw.Pi[j + 1],
+                                sw.lam.lambdas[j])[1]
+
+
 def test_hand_evaluated_single_stage(tol):
     # A=B=G=1, Q=0.2, R=1, Pf=1, lam=2:
     #   M = [[2, 1], [1, -1]],  [K; J] = M^{-1} [1; 1] = [2/3; -1/3]
     #   Pi0 = 1.2 - [1 1] [K; J] = 13/15
     p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=1, N=1, alpha=1.0)
     sw = sweep(p, MultiplierVector([2.0]), tol)
-    assert sw.M[0] == pytest.approx(np.array([[2.0, 1.0], [1.0, -1.0]]),
-                                    abs=1e-14)
+    assert stage_matrix(p, sw, 0) == pytest.approx(
+        np.array([[2.0, 1.0], [1.0, -1.0]]), abs=1e-14)
     assert sw.K[0][0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert sw.J[0][0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert sw.Pi[0][0, 0] == pytest.approx(13.0 / 15.0, abs=1e-12)
@@ -79,8 +85,8 @@ def test_m_invertible_on_feasible_interior(rng, tol):
     for _ in range(40):
         p = make_problem(rng)
         sw = sweep(p, feasible_lam(p, rng, tol), tol)
-        for M in sw.M:
-            s = np.linalg.svd(M, compute_uv=False)
+        for j in range(p.N):
+            s = np.linalg.svd(stage_matrix(p, sw, j), compute_uv=False)
             assert s[-1] > 1e-12 * s[0]
 
 
@@ -91,7 +97,8 @@ def test_gain_equations_hold(rng, tol):
         S = sw.Pi[j + 1]
         rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
         KJ = np.vstack([sw.K[j], sw.J[j]])
-        assert np.linalg.norm(sw.M[j] @ KJ - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
+        M = stage_matrix(p, sw, j)
+        assert np.linalg.norm(M @ KJ - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
 
 
 def test_monotone_domain(rng, tol):
@@ -372,7 +379,6 @@ def test_sweep_is_stacked(rng, tol):
         for sw in (full, resumed, sweep(p, full.lam, tol),
                    sweep(p, fresh(full.lam), tol)):
             assert sw.Pi.shape == (size + 1, p.n, p.n)
-            assert sw.M.shape == (size, d, d)
             assert sw.K.shape == (size, p.m, p.n)
             assert sw.J.shape == (size, p.q, p.n)
             gains = sw.K.base
@@ -382,7 +388,7 @@ def test_sweep_is_stacked(rng, tol):
             assert np.array_equal(gains[:, :p.m], sw.K)
             assert np.array_equal(gains[:, p.m:], sw.J)
             assert np.array_equal(sw.Pi[-1], p.Pf)
-            for name in ("Pi", "M", "K", "J", "bounds", "_eigvals", "_eigvecs"):
+            for name in ("Pi", "K", "J", "bounds", "_eigvals", "_eigvecs"):
                 assert not getattr(sw, name).flags.writeable, name
             assert not gains.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -414,7 +420,8 @@ def test_degenerate_terminal_sweep(rng, tol):
 
 def test_nested_pass_matches_block_stage_oracle(rng, tol):
     # every stage of the pass, from its own Pi_{j+1}, against the block
-    # form of M and the right-hand side, on m != n and q = 1, 2, 3
+    # form of M and the right-hand side, on m != n and q = 1, 2, 3: Pi_j,
+    # the gains and the bound (the pass keeps no M_j)
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 5))
@@ -424,10 +431,10 @@ def test_nested_pass_matches_block_stage_oracle(rng, tol):
         sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
         assert np.array_equal(sw.Pi[-1], p.Pf)
         for j in range(p.N):
-            ref = stage_step_reference(p.A, p.B, p.G, p.Q, p.R, sw.Pi[j + 1],
-                                       sw.lam.lambdas[j])
-            got = (sw.Pi[j], sw.M[j], sw.K[j], sw.J[j], sw.bounds[j])
-            for a, b in zip(got, ref):
+            Pi, _, K, J, top = stage_step_reference(p.A, p.B, p.G, p.Q, p.R,
+                                                    sw.Pi[j + 1], sw.lam.lambdas[j])
+            got = (sw.Pi[j], sw.K[j], sw.J[j], sw.bounds[j])
+            for a, b in zip(got, (Pi, K, J, top)):
                 err = np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
                 worst = max(worst, err)
     assert worst <= 1e-12, worst
@@ -452,12 +459,14 @@ def test_pass_stores_each_stage_eigendecomposition(rng, tol):
             assert np.all(np.diff(w) >= 0.0)
             assert np.abs(U @ U.T - np.eye(p.q)).max() <= 1e-14
             assert np.abs(U @ (0.5 * (GPG + GPG.T)) - w[:, None] * U).max() <= 1e-12 * scale
-            # eigpairs takes the block unsymmetrized: it is exactly
-            # symmetric, as M's off-diagonal entries show
-            Mg = sw.M[j][p.m:, p.m:]
-            assert np.array_equal(Mg, Mg.T)
+            # eigpairs takes the G block of the bordered H unsymmetrized:
+            # it is exactly symmetric. H rebuilt with the pass's arithmetic
+            X = p.F.T @ (sw.Pi[j + 1] @ p.F)
+            H = 0.5 * (X + X.T) + p.C
+            Hg = H[p.m:p.m + p.q, p.m:p.m + p.q]
+            assert np.array_equal(Hg, Hg.T)
             if p.q == 1:
-                assert U[0, 0] == 1.0 and w[0] - sw.lam.lambdas[j] == sw.M[j][p.m, p.m]
+                assert U[0, 0] == 1.0 and w[0] == H[p.m, p.m]
 
 
 def bordered(p, S):
@@ -538,7 +547,9 @@ def test_stage_solve_matches_scipy(rng):
         E = rng.standard_normal((p.n, p.n))
         S = E.T @ E
         lam = top_eig(p.G.T @ S @ p.G) + rng.uniform(0.01, 2.0)
-        Pi, M, KJ = _stage_step(p, *bordered(p, S), lam)
+        H, Z = bordered(p, S)
+        Pi, KJ = _stage_step(p, H, Z, lam)
+        M = H[:p.m + p.q, :p.m + p.q]  # the stage matrix, shifted in place
         rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
         ref = la.solve(M, rhs, assume_a="sym")
         scale = np.linalg.norm(M) * np.linalg.norm(ref) + np.linalg.norm(rhs)

@@ -80,7 +80,10 @@ def test_loader_error_reporting(tmp_path):
     with pytest.raises(ScenarioError, match="unknown rollout mode"):
         load_scenario(bad)
     bad.write_text(base + "run:\n  x0_list: [[1.0, 2.0]]\n")
-    with pytest.raises(ScenarioError, match=r"x0_list\[0\]"):
+    with pytest.raises(ScenarioError, match=r"run\.x0_list\[0\]: size 2"):
+        load_scenario(bad)
+    bad.write_text(base + "run:\n  x0_list: [[1.0], [.nan]]\n")
+    with pytest.raises(ScenarioError, match=r"run\.x0_list\[1\]: nan is not finite"):
         load_scenario(bad)
     for grid in ("{lo: 0.0, hi: 1.0}", "{lo: a, hi: 1.0, points: 3}"):
         bad.write_text(base + f"run:\n  grid: {grid}\n")
@@ -107,7 +110,10 @@ def test_loader_error_reporting(tmp_path):
     "grid: {lo: -1.0, hi: 1.0, points: 2.5}",
     "out: [a, b]", "out: {x: 1}", "w_file: [a]", "instances: 0",
     "instances: -3", "sizes: [0, -2]", "sizes: [6, 0]",
-    "grid: {lo: -1.0, hi: 1.0, points: 0}"])
+    "grid: {lo: -1.0, hi: 1.0, points: 0}",
+    "grid: {lo: true, hi: '2', points: 3}", "grid: {lo: .nan, hi: 1.0, points: 3}",
+    "grid: {lo: -1.0, hi: .inf, points: 3}",
+    "x0_list: [[1.0], [.nan]]", "x0_list: [[.inf]]", "seed: -1"])
 def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
     # a run value of the wrong type names its key and exits 2 from the CLI:
     # a flag takes only a YAML boolean, so a quoted 'false' is no flag, and
@@ -115,7 +121,9 @@ def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
     # truncate or read as 1; a path is a scalar, so a list or mapping under
     # out would name a directory such as "['a', 'b']". A count is at least
     # 1: instances: 0 would make `stdar bench` write a header-only
-    # bench.csv and exit 3, and a size of 0 would reach numpy
+    # bench.csv and exit 3, and a size of 0 would reach numpy. A number is
+    # finite: grid ends of .nan or .inf, or an x0_list entry with one,
+    # would reach the solver. A seed is at least 0, as numpy takes it
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
                    "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n"
@@ -383,6 +391,29 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     good = write_scenario(tmp_path, sec5(), mode="steady")
     assert main(["validate", "--scenario", good, "--tol-psd", "nan"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_cli_finite_rejects_non_finite_x0_before_solving(tmp_path, capsys):
+    # a NaN entry of run.x0_list fails at load, naming itself: no entry
+    # ahead of it is solved and no file is written
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
+                   "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n"
+                   "run:\n  x0_list: [[1.0], [.nan]]\n")
+    out = tmp_path / "res"
+    assert main(["finite", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "run.x0_list[1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
+    # --seed takes an integer of at least 0, as numpy's generators do: -5
+    # exits 2 with a message naming the flag, before any file is written
+    path = write_scenario(tmp_path, sec5(), mode="bench", sizes=(2,),
+                          instances=1, out=str(tmp_path / "res"))
+    assert main(["bench", "--scenario", path, "--seed", "-5"]) == 2
+    assert "error: --seed -5 is below 0" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 def _unstabilizable():
