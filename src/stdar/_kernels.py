@@ -20,21 +20,24 @@ map by a triple (A_k, G_k, H_k) that starts at (A, Z, Q):
     G_{k+1}    = G_k + A_k W_k^{-1} G_k A_k',
     H_{k+1}    = H_k + A_k' H_k W_k^{-1} A_k.
 
-Each doubling is one solve of W_k against [A_k G_k]. Where the closed loop
-at the fixed point is stable, A_k vanishes and H_k converges quadratically
+Each doubling is one solve of W_k against [A_k G_k]. At a fixed point
+X = F^(2^k)(X), X - H_k = A_k'X (I + G_k X)^{-1} A_k: ||A_k||^2 bounds the
+error of H_k and what X_0 still adds to F^(2^k)(X_0), so the doubling
+stops on that bound and returns sym(H_k). Where the closed loop at the
+fixed point is stable, A_k vanishes and H_k converges quadratically
 (Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006); at a saddle-node of
 the map the error still halves with each doubling (Chiang et al., SIAM J.
 Matrix Anal. Appl. 31(2), 2009), and each doubling stands for 2^k steps.
 
 Status codes: 0 converged, 1 doubling cap, -1 diverged, or converged to
 an X that is not positive semidefinite or not a fixed point of the map
-itself (`verify`, run apart from the doubling), -2 singular M.
+itself (`verify`, run apart from the doubling), -2 singular W_k or M.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import fro_norm
+from ._linalg import fro_norm, sym
 
 _FP_TOL = 1e-12          # the doubling's stop rule and verify's PSD test
 _FP_MAX_DOUBLINGS = 64
@@ -60,11 +63,11 @@ def game_step(A, Q, Z, Pi):
 
 def fixed_point_numpy(A, Q, Z, X0, x0, cap):
     """The doubling from X0 at Z, x0 = ||X0||: (status, doublings, X, scale).
-    Status 0 when a doubling moves H_k, and ||A_k||^2 x0 bounds what X0
-    still adds, both by at most _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2};
-    only then is X = F^(2^k)(X0) formed, for `verify`. 1 at _FP_MAX_DOUBLINGS.
-    Diverged past ||H_k|| = cap, which the caller forms as 1e12 (1 + ||Q||
-    + x0): a mode B cannot reach grows H_k and the relative tests with it."""
+    Status 0, X = sym(H_k), at the first k with ||A_k||^2 (||H_k|| + x0) <=
+    _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2}; 1 at _FP_MAX_DOUBLINGS.
+    Diverged once ||A_k||^2 x0 passes 1e12 scale or ||H_k|| passes cap,
+    which the caller forms as 1e12 (1 + ||Q|| + x0): a mode B cannot reach
+    grows H_k and the relative tests with it."""
     n = A.shape[0]
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
@@ -76,29 +79,23 @@ def fixed_point_numpy(A, Q, Z, X0, x0, cap):
             S = np.linalg.solve(W, AG)
         except np.linalg.LinAlgError:
             return -2, k, X0, None
-        Hn = H + Ak.T @ (H @ S[:, :n])
+        H = H + Ak.T @ (H @ S[:, :n])
         AG = Ak @ S
         AG[:, n:] = Gk + AG[:, n:] @ Ak.T
-        res = fro_norm(Hn - H)
-        H = Hn
-        scale = (1.0 + fro_norm(H) ** 2) ** 0.5
-        tail = fro_norm(AG[:, :n]) ** 2 * x0
-        if not (res <= 1e12 * scale and tail <= 1e12 * scale and scale <= cap):
+        h, a2 = fro_norm(H), fro_norm(AG[:, :n]) ** 2
+        scale = (1.0 + h * h) ** 0.5
+        if not (a2 * x0 <= 1e12 * scale and scale <= cap):
             return -1, k + 1, X0, None
-        if res <= _FP_TOL * scale and tail <= _FP_TOL * scale:
-            try:
-                X, _ = game_step(AG[:, :n], H, AG[:, n:], X0)
-            except np.linalg.LinAlgError:
-                return -2, k + 1, X0, None
-            return 0, k + 1, X, scale
+        if a2 * (h + x0) <= _FP_TOL * scale:
+            return 0, k + 1, sym(H), scale
     return 1, _FP_MAX_DOUBLINGS, X0, None
 
 
 def verify(A, Q, Z, X, scale):
     """(0, game_step(A, Q, Z, X)) where X is PSD to within _FP_TOL scale and
-    ||F(X) - X|| < _FP_CHECK (1 + ||X||), 1e-8: the doubling now and then
-    settles on an X that its step moves by 5e-3 or more; fixed points move
-    by 1e-13. Else (-1, None), or (-2, None) where the step is singular."""
+    ||F(X) - X|| < _FP_CHECK (1 + ||X||), 1e-8: the doubling may stop at an X
+    that its step moves by 1.5e-8 or more; nearly all fixed points move by
+    at most 2.2e-13. Else (-1, None), or (-2, None) if the step is singular."""
     if np.linalg.eigvalsh(X)[0] < -_FP_TOL * scale:
         return -1, None
     try:

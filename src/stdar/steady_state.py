@@ -7,13 +7,16 @@ multiplier is feasible when the doubling probe (see `_kernels`) reaches a
 positive semidefinite fixed point and its slack
 g(lambda) = lambda - ||G'Pi(lambda) G|| clears -eps_boundary. Pi(lambda)
 falls in the Loewner order as lambda grows (a larger lambda charges the
-disturbance more), so g is increasing with slope at least 1 and the
-feasible multipliers form a half-line. The search keeps a bracket
-[lo, hi], hi feasible and lo not; since Pi(lambda_bar) dominates Pi_hi,
-||G'Pi_hi G|| - eps_boundary is a lower bound on lambda_bar that each
-feasible probe hands the next (see `solve_steady_state`). The LMI check
-certifies the solution as positive semidefiniteness of an assembled block
-matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
+disturbance more), so g is increasing with slope at least 1, and the
+feasible multipliers form a half-line where each probe reaches its fixed
+point or clearly fails to. Not so at the existence edge: on default_rng(9)
+systems 68 and 521 of the tests' make_problem, passing and failing probes
+interleave from 7e-9 and 4e-7 below lambda_bar up to it, and the answer
+depends on the search's path. The search keeps a bracket [lo, hi], hi
+feasible and lo not; as Pi(lambda_bar) dominates Pi_hi, ||G'Pi_hi G|| -
+eps_boundary is a lower bound on lambda_bar that each feasible probe hands
+the next (see `solve_steady_state`). The LMI check certifies the solution
+by a PSD block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
 from __future__ import annotations
 

@@ -215,8 +215,8 @@ def test_steady_bank_counts(monkeypatch):
     solutions, _, results = bank_pass(monkeypatch, "Steady", "solve_steady_state")
     assert not any(res.wrong or res.failed for res in results)
     assert len(solutions) == 41
-    assert sum(sol.probes for sol in solutions) == 262
-    assert sum(sol.fp_iterations for sol in solutions) == 1480
+    assert sum(sol.probes for sol in solutions) == 263
+    assert sum(sol.fp_iterations for sol in solutions) == 1243
     assert [sol.capped for sol in solutions] == [2] + [0] * 40
     assert verified == {"search": 149, "lqr": 41}
 

@@ -100,7 +100,7 @@ def test_interior_fixed_point_solves_dare(rng):
         Bt = np.hstack([p.B, p.G])
         Rt = la.block_diag(p.R, -lam * np.eye(p.q))
         X = la.solve_discrete_are(p.A, Bt, p.Q, Rt)
-        assert np.abs(X - Pi).max() <= 1e-8 * (1.0 + np.abs(X).max())
+        assert np.abs(X - Pi).max() <= 1e-11 * (1.0 + np.abs(X).max())
 
 
 def test_map_matches_block_form(rng):
@@ -361,8 +361,7 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
         return outs[-1]
 
     def counted_step(A, Q, Z, Pi):
-        if A is p.A:  # the map step itself, not the doubling's last step
-            steps.append(Pi)
+        steps.append(Pi)
         return step(A, Q, Z, Pi)
 
     monkeypatch.setattr(steady_state, "couplings", couplings)
@@ -460,7 +459,7 @@ def test_solution_is_the_verifying_step(rng):
 def test_search_probe_count(rng):
     # each feasible probe's lower bound on lambda_bar ends the search within
     # 20 probes on each of these systems, where bisection to the same
-    # bracket took 36-41; the ten random systems take 63 probes and 327
+    # bracket took 36-41; the ten random systems take 63 probes and 270
     # doublings together, counts that do not depend on the host. The search
     # stops once that bound is within the bracket tolerance of hi, with no
     # probe spent to close the bracket
@@ -477,7 +476,58 @@ def test_search_probe_count(rng):
         probes += sol.probes
         doublings += sol.fp_iterations
     assert probes <= 63
-    assert doublings <= 327
+    assert doublings <= 270
+
+
+def _doubling_reference(A, Q, Z, doublings):
+    # the triples (A_k, G_k, H_k), k = 0..doublings, of the doubling's
+    # recurrence as the _kernels docstring writes it, with W_k inverted
+    triples = [(A, Z, Q)]
+    for _ in range(doublings):
+        Ak, Gk, Hk = triples[-1]
+        Wi = np.linalg.inv(np.eye(A.shape[0]) + Gk @ Hk)
+        triples.append((Ak @ Wi @ Ak, Gk + Ak @ Wi @ Gk @ Ak.T,
+                        Hk + Ak.T @ Hk @ Wi @ Ak))
+    return triples
+
+
+def test_doubling_stops_on_its_error_bound(rng, monkeypatch):
+    # at a fixed point X of the map X - H_k = A_k'X (I + G_k X)^{-1} A_k, so
+    # the doubling stops at the first k where ||A_k||^2 (||H_k|| + ||X_0||)
+    # is at most 1e-12 (1 + ||H_k||^2)^{1/2} and returns sym(H_k), after one
+    # solve per doubling and no step of the map; one step moves what it
+    # returns by at most 1e-12 (1 + ||X||). The start enters only the stop
+    # test, which a start 1e9 Pf makes wait for a smaller ||A_k||
+    solves, symmetrized = [], []
+    solve, sym = np.linalg.solve, _kernels.sym
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append(1) or solve(a, b))
+    monkeypatch.setattr(_kernels, "sym", lambda M: symmetrized.append(M) or sym(M))
+    norm = np.linalg.norm
+    for n in (2, 3, 4, 6, 8):
+        p = _bank_system(rng, n)
+        lam_bar = solve_steady_state(p).lambda_bar
+        z_of = _kernels.couplings(p.B, p.G, p.R)
+        for lam, X0 in ((1.01 * lam_bar, p.Pf), (np.inf, p.Pf),
+                        (1.01 * lam_bar, 1e9 * p.Pf)):
+            Z, x0 = z_of(lam), norm(X0)
+            cap = 1e12 * (1.0 + norm(p.Q) + x0)
+            del solves[:], symmetrized[:]
+            status, k, X, scale = _kernels.fixed_point_numpy(p.A, p.Q, Z, X0,
+                                                             x0, cap)
+            assert status == 0 and len(solves) == k and len(symmetrized) == 1
+            H = symmetrized[0]
+            assert np.array_equal(X, sym(H)) and scale == pytest.approx(
+                (1.0 + norm(H) ** 2) ** 0.5, rel=1e-15)
+            triples = _doubling_reference(p.A, p.Q, Z, k)
+            stops = [norm(Ak) ** 2 * (norm(Hk) + x0)
+                     <= 1e-12 * (1.0 + norm(Hk) ** 2) ** 0.5
+                     for Ak, _, Hk in triples]
+            assert stops[k] and not any(stops[1:k])
+            Hk = triples[k][2]
+            assert norm(H - Hk) <= 1e-12 * (1.0 + norm(Hk))
+            Pn, _ = _kernels.game_step(p.A, p.Q, Z, X)
+            assert norm(Pn - X) <= 1e-12 * (1.0 + norm(X))
 
 
 def test_doubling_stop_test_is_not_a_fixed_point():
@@ -500,10 +550,13 @@ def _dare_slack(p, lam):
 def test_solution_is_a_fixed_point():
     # on these systems a probe can settle on an X that is no fixed point and
     # whose slack clears the boundary; counted feasible, it would end the
-    # search well below lambda_bar (near 5.95 for 8.739 at index 50)
+    # search well below lambda_bar (near 5.95 for 8.739 at index 50). At
+    # the existence edge of 68 and 521 feasibility is not monotone in lam (a
+    # probe passes just below ones that fail), so the answer depends on the
+    # search's path; whichever probe it accepts must be a fixed point
     rng = np.random.default_rng(9)
-    systems = [make_problem(rng) for _ in range(262)]
-    for i in (50, 68, 71, 261):
+    systems = [make_problem(rng) for _ in range(522)]
+    for i in (50, 68, 71, 261, 521):
         p = systems[i]
         sol = solve_steady_state(p)
         assert sol.residual <= 1e-8 * (1.0 + np.linalg.norm(sol.Pi_bar))
