@@ -12,8 +12,7 @@ from .errors import (AssumptionViolated, DimensionMismatch, Diverged,
                      SingularM, SingularPi)
 from .multiplier import MultiplierSolution, objective, solve_multipliers
 from .policy import Trajectory, control_at, rollout, worst_disturbance_at
-from .problem import (ProblemData, Tolerances, ValidationReport,
-                      validate_problem)
+from .problem import ProblemData, ValidationReport, validate_problem
 from .riccati import MultiplierVector, RiccatiSweep, sweep
 from .scenario import ScenarioFile, load_scenario, save_scenario
 from .steady_state import (LmiCertificate, SteadyStateSolution, lmi_certify,
@@ -27,7 +26,7 @@ __all__ = [
     "MultiplierVector", "NoFeasibleLambda", "NoSphereIntersection",
     "ProblemData", "RegulatorError", "RiccatiSweep", "ScenarioError",
     "ScenarioFile", "SingularM", "SingularPi", "SteadyStateSolution",
-    "Tolerances", "Trajectory", "ValidationReport", "control_at",
+    "Trajectory", "ValidationReport", "control_at",
     "lmi_certify", "load_scenario", "lqr_baseline", "objective", "rollout",
     "save_scenario", "solve_multipliers", "solve_steady_state", "sweep",
     "validate_problem", "worst_disturbance_at",

@@ -19,7 +19,7 @@ from .errors import (AssumptionViolated, DimensionMismatch, Diverged,
                      RegulatorError, ScenarioError)
 from .multiplier import solve_multipliers
 from .policy import rollout
-from .problem import ProblemData, Tolerances, validate_problem
+from .problem import ProblemData, validate_problem
 from .scenario import load_scenario
 from .steady_state import lqr_baseline, solve_steady_state
 
@@ -35,38 +35,29 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _tolerances(args) -> Tolerances:
-    """The defaults, with the --tol-* flags given laid over them."""
-    flags = {"tol_psd": args.tol_psd, "tol_range": args.tol_range,
-             "tol_zero": args.tol_zero, "eps_boundary": args.tol_boundary}
-    return Tolerances(**{k: v for k, v in flags.items() if v is not None})
-
-
 def _load(args):
     """Load the scenario and validate its problem, printing the warnings."""
     sc = load_scenario(args.scenario)
-    tol = _tolerances(args)
     allow = args.allow_degenerate_terminal or sc.allow_degenerate_terminal
-    report = validate_problem(sc.problem, tol=tol, allow_degenerate_terminal=allow)
+    report = validate_problem(sc.problem, allow_degenerate_terminal=allow)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return sc, tol
+    return sc
 
 
 def _prepare(args):
-    sc, tol = _load(args)
+    sc = _load(args)
     out = args.out if args.out is not None else sc.out
     seed = args.seed if args.seed is not None else sc.seed
     if seed < 0:  # run.seed is checked at load; numpy takes no negative seed
         raise ValueError(f"--seed {seed} is below 0")
     os.makedirs(out, exist_ok=True)
-    return sc, tol, out, seed
+    return sc, out, seed
 
 
 def cmd_validate(args) -> int:
-    sc, _ = _load(args)
-    p = sc.problem
-    print(f"ok: n={p.n} m={p.m} q={p.q} N={p.N} mode={sc.mode}")
+    p = _load(args).problem
+    print(f"ok: n={p.n} m={p.m} q={p.q} N={p.N}")
     return 0
 
 
@@ -75,14 +66,14 @@ def _pi_header(n: int) -> list:
 
 
 def cmd_finite(args) -> int:
-    sc, tol, out, _ = _prepare(args)
+    sc, out, _ = _prepare(args)
     p = sc.problem
     x0s = list(sc.x0_list) if sc.x0_list else [p.x0]
     summary_rows = []
     failures = not_converged = 0
     for i, x0 in enumerate(x0s):
         try:
-            sol = solve_multipliers(p, x0, tol=tol)
+            sol = solve_multipliers(p, x0)
         except RegulatorError as exc:
             failures += 1
             summary_rows.append([str(i)] + [_fmt(v) for v in x0]
@@ -119,7 +110,7 @@ def cmd_finite(args) -> int:
 
 
 def cmd_policy_curve(args) -> int:
-    sc, tol, out, _ = _prepare(args)
+    sc, out, _ = _prepare(args)
     p = sc.problem
     if p.n != 1 or p.m != 1:
         raise ScenarioError("policy-curve needs a scalar system (n = m = 1)")
@@ -137,7 +128,7 @@ def cmd_policy_curve(args) -> int:
         key = abs(float(xs[idx]))
         if key in gains:
             continue
-        sol = solve_multipliers(p, np.array([key]), tol=tol, init=init)
+        sol = solve_multipliers(p, np.array([key]), init=init)
         gains[key] = float(sol.sweep.K[0][0, 0])
         not_converged += 0 if sol.converged else 1
         init = sol.lam_star.lambdas
@@ -150,14 +141,14 @@ def cmd_policy_curve(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    sc, tol, out, _ = _prepare(args)
+    sc, out, _ = _prepare(args)
     p = sc.problem
     w_seq = None
     if sc.rollout_mode == "external":
         if sc.w_file is None:
             raise ScenarioError("rollout_mode external needs run.w_file")
         w_seq = np.loadtxt(sc.w_file, delimiter=",", ndmin=2)
-    tr = rollout(p, mode=sc.rollout_mode, w_seq=w_seq, tol=tol)
+    tr = rollout(p, mode=sc.rollout_mode, w_seq=w_seq)
     header = (["k"] + [f"x[{i}]" for i in range(p.n)]
               + [f"u[{i}]" for i in range(p.m)] + [f"w[{i}]" for i in range(p.q)]
               + ["lambda_k", "stage_cost", "iterations", "stage_steps", "converged"])
@@ -178,9 +169,9 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    sc, tol, out, _ = _prepare(args)
+    sc, out, _ = _prepare(args)
     p = sc.problem
-    sol = solve_steady_state(p, tol=tol)
+    sol = solve_steady_state(p)
     try:
         lqr = lqr_baseline(p)
         lqr_top = float(np.linalg.eigvalsh(lqr)[-1])
@@ -210,28 +201,29 @@ def _random_stable(rng: np.random.Generator, n: int) -> ProblemData:
 
 
 def cmd_bench(args) -> int:
-    sc, tol, out, seed = _prepare(args)
+    sc, out, seed = _prepare(args)
     rng = np.random.default_rng(seed)
-    solve_steady_state(_random_stable(rng, 2), tol=tol)  # untimed: first-call costs
-    rng = np.random.default_rng(seed)                    # timed instances
-    done = []  # (n, median seconds) of the sizes with a solve
+    solve_steady_state(_random_stable(rng, 2))  # untimed: first-call costs
+    rng = np.random.default_rng(seed)           # timed instances
+    done = []  # (n, median seconds, median probes, median doublings) per size solved
     for n in sc.sizes:
-        times = []
+        runs = []
         for _ in range(sc.instances):
             prob = _random_stable(rng, n)
             t0 = time.perf_counter()
             try:
-                solve_steady_state(prob, tol=tol)
+                sol = solve_steady_state(prob)
             except RegulatorError as exc:
                 print(f"n={n}: {exc}", file=sys.stderr)
                 continue
-            times.append(time.perf_counter() - t0)
-        if times:
-            done.append((n, float(np.median(times))))
-    _write_csv(os.path.join(out, "bench.csv"), ["n", "median_s"],
-               [[str(n), _fmt(med)] for n, med in done])
+            runs.append((time.perf_counter() - t0, sol.probes, sol.fp_iterations))
+        if runs:
+            done.append((n, *np.median(runs, axis=0).tolist()))
+    _write_csv(os.path.join(out, "bench.csv"),
+               ["n", "median_s", "probes", "fp_iterations"],
+               [[str(n)] + [_fmt(v) for v in meds] for n, *meds in done])
     if len(done) >= 2:
-        sizes, meds = zip(*done)
+        sizes, meds, *_ = zip(*done)
         slope = float(np.polyfit(np.log(sizes), np.log(meds), 1)[0])
         report = f"fitted exponent: {slope:.4f}"
     else:
@@ -249,9 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="seed override")
     common.add_argument("--allow-degenerate-terminal", action="store_true",
                         help="accept G'Pf G = 0 (warn instead of fail)")
-    for flag in ("tol-psd", "tol-range", "tol-zero", "tol-boundary"):
-        common.add_argument(f"--{flag}", type=float, default=None,
-                            dest=flag.replace("-", "_"))
     ap = argparse.ArgumentParser(
         prog="stdar",
         description="Stage-bound disturbance attenuation regulator toolkit")

@@ -8,8 +8,8 @@ tail programs starting at k > 0.
 An active bound's level moves with the tail multipliers, so in the
 multipliers themselves the componentwise projected gradient need not
 vanish at a constrained optimum. The solver therefore works in the slack
-coordinates s_j = lambda_j - b_j - eps_boundary >= 0, where one nested
-backward pass of riccati (raw = -inf) sets lambda_j = b_j + eps_boundary
+coordinates s_j = lambda_j - b_j - EPS_BOUNDARY >= 0, where one nested
+backward pass of riccati (raw = -inf) sets lambda_j = b_j + EPS_BOUNDARY
 + s_j stage by stage from b_j = ||G'Pi_{j+1}G|| under the multipliers
 already set. There the feasible set is the nonnegative orthant, box
 projection is exact and the projected gradient vanishes at the optimum.
@@ -18,7 +18,7 @@ projected L-BFGS direction (Bertsekas's eps-active slacks take -g, the
 free ones the limited-memory quasi-Newton step) with Armijo backtracking
 along the projection arc max(s + t d, 0); a failed line search drops the
 memory and retries from -g (_descend). A solve starts from one margin
-pass, lambda_j = max(init_j, b_j + eps_boundary), and reads its slacks
+pass, lambda_j = max(init_j, b_j + EPS_BOUNDARY), and reads its slacks
 off it, one within lambda_j's rounding as 0 (at a bound it is noise). A
 cold solve is the warm start from init = -inf: the lower corner s = 0,
 where most multipliers of an optimum sit. The loop evaluates no
@@ -79,12 +79,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import fro_norm
-from .problem import _DEFAULT_TOL, ProblemData, Tolerances, _as_point
+from .problem import ProblemData, _as_point
 # project_feasible stays bound here, the name benchmark/tracing.py wraps
 # as riccati.project: no solve calls it, so that span counts 0, and a
 # projection pass put back on the solve path through it would be counted.
-from .riccati import (MultiplierVector, RiccatiSweep, _nested_pass,
-                      _require_finite, _require_tail, at_bound,
+from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep,
+                      _nested_pass, _require_finite, _require_tail, at_bound,
                       project_feasible, sweep)
 
 __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
@@ -148,23 +148,20 @@ def _phi(p: ProblemData, x: np.ndarray, lam: MultiplierVector,
     return (float(x @ Pi0 @ x) + tail) / (2.0 * p.alpha_bar)
 
 
-def objective(p: ProblemData, lam, x, k: int = 0,
-              tol: Tolerances | None = None) -> float:
+def objective(p: ProblemData, lam, x, k: int = 0) -> float:
     """phi at a feasible multiplier vector for the tail program at stage k.
     A state of the wrong size or not finite raises ValueError."""
-    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
-    sw = sweep(p, _wrap(lam, k), tol)
+    sw = sweep(p, _wrap(lam, k))
     return _phi(p, x, sw.lam, sw.Pi[0])
 
 
-def _reconstruct(p: ProblemData, s: np.ndarray, k: int, tol: Tolerances,
+def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
                  base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int]:
     """The slack pass: the sweep at lambda_j = ||G'Pi_{j+1}G|| +
-    eps_boundary + s_j, any s >= 0, and its stage steps; with base, a
+    EPS_BOUNDARY + s_j, any s >= 0, and its stage steps; with base, a
     pass of the same program and stage k, it resumes from base."""
-    return _nested_pass(p, np.full(s.size, -np.inf), k, tol, tol.eps_boundary,
-                        s, base)
+    return _nested_pass(p, np.full(s.size, -np.inf), k, EPS_BOUNDARY, s, base)
 
 
 def _adjoint_terms(p: ProblemData, sw: RiccatiSweep, lo: int, hi: int):
@@ -255,7 +252,7 @@ def _direction(g: np.ndarray, s: np.ndarray, pgn: float,
 
 
 def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
-             tol: Tolerances, max_iter: int) -> MultiplierSolution:
+             max_iter: int) -> MultiplierSolution:
     """Two-metric projected L-BFGS over the slack orthant (Bertsekas 1982;
     Byrd, Lu, Nocedal & Zhu 1995) from s >= 0 with sweep sw, the solve's
     start pass.
@@ -291,7 +288,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             decrease = -float(g @ step)  # predicted
             if not decrease > _ROUNDING * abs(phi):
                 break  # the predicted decrease is lost in phi's rounding
-            sw_c, steps = _reconstruct(p, cand, k, tol, sw)
+            sw_c, steps = _reconstruct(p, cand, k, sw)
             stage_steps += steps
             phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
             if phi_c <= phi - _ARMIJO_C * decrease:
@@ -318,14 +315,13 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             pairs = []
     return MultiplierSolution(
         lam_star=sw.lam, value=phi, grad_norm=pgn,
-        boundary_flags=at_bound(sw.lam.lambdas, sw.bounds, tol),
+        boundary_flags=at_bound(sw.lam.lambdas, sw.bounds),
         iterations=iterations, converged=converged, sweep=sw,
         stage_steps=stage_steps, gradient_evals=gradient_evals,
         adjoint_stages=adjoint_stages, backtracks=backtracks)
 
 
 def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
-                      tol: Tolerances | None = None,
                       gradient_mode: str = "auto",
                       max_iter: int = 5000) -> MultiplierSolution:
     """Minimize phi over the nested feasible set for the stage-k tail.
@@ -340,7 +336,6 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     slacks. The solution carries the sweep at lam_star that the solve
     built. A state of the wrong size or not finite raises ValueError.
     """
-    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
     if init is not None:
         init = np.asarray(init, dtype=float).ravel()
@@ -351,7 +346,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         init = np.full(p.N - k, -np.inf)
     else:
         _require_finite(init, k)
-    sw, _ = _nested_pass(p, init, k, tol, tol.eps_boundary)
-    s = sw.lam.lambdas - sw.bounds - tol.eps_boundary
+    sw, _ = _nested_pass(p, init, k, EPS_BOUNDARY)
+    s = sw.lam.lambdas - sw.bounds - EPS_BOUNDARY
     s[s <= _ROUNDING * np.abs(sw.lam.lambdas)] = 0.0
-    return _descend(p, x, s, sw, tol, max_iter)
+    return _descend(p, x, s, sw, max_iter)

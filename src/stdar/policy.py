@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import PINV_CUTOFF, fro_norm
 from .errors import NoSphereIntersection
 from .multiplier import solve_multipliers
-from .problem import _DEFAULT_TOL, ProblemData, Tolerances, _as_point
+from .problem import ProblemData, _as_point
 from .riccati import MultiplierVector, at_bound, sweep
 
 
@@ -51,20 +51,18 @@ class Trajectory:
 
 
 def control_at(p: ProblemData, x: np.ndarray, k: int,
-               lam_star: MultiplierVector, tol: Tolerances | None = None) -> np.ndarray:
+               lam_star: MultiplierVector) -> np.ndarray:
     """Stage-k control u = -K_k x at the supplied optimal multipliers.
     A state of the wrong size or not finite raises ValueError."""
-    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
     if lam_star.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
-    sw = sweep(p, lam_star, tol)
+    sw = sweep(p, lam_star)
     return -(sw.K[0] @ x)
 
 
 def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
-                         lam_star: MultiplierVector, u: np.ndarray,
-                         tol: Tolerances | None = None) -> np.ndarray:
+                         lam_star: MultiplierVector, u: np.ndarray) -> np.ndarray:
     """Worst-case stage-k disturbance, exactly on the sphere ||w||^2 = alpha_k:
     the response (G'Pi G - shift I) w = -G'Pi (Ax + Bu) on the nonzero
     eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and lam_k
@@ -75,15 +73,14 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     no eigenspace to complete along misses it, by more than 1e-3 relative,
     and ValueError for a state or control of the wrong size or not finite.
     """
-    tol = tol or _DEFAULT_TOL
     x = _as_point(x, p.n, "state")
     u = _as_point(u, p.m, "control")
     if lam_star.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
-    sw = sweep(p, lam_star, tol)
+    sw = sweep(p, lam_star)
     Pi_next, lam_k = sw.Pi[1], float(lam_star.lambdas[0])
     bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])
-    shift = bound if at_bound(lam_k, bound, tol) else lam_k
+    shift = bound if at_bound(lam_k, bound) else lam_k
     d_w = p.G.T @ (Pi_next @ (p.A @ x + p.B @ u))
     U = sw._eigvecs[0]  # rows: unit eigenvectors of G'Pi G
     mu = [v - shift for v in sw._eigvals[0].tolist()]  # floats beat numpy calls
@@ -109,15 +106,13 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
 
 
 def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
-            x0: np.ndarray | None = None,
-            tol: Tolerances | None = None) -> Trajectory:
+            x0: np.ndarray | None = None) -> Trajectory:
     """Simulate the online policy over the full horizon.
 
     mode "worst_case" injects the bound-attaining disturbance, "zero" none,
     "external" the supplied w_seq (rejected if an entry is not finite or
     any ||w_k||^2 exceeds alpha_k beyond 1e-9 relative).
     """
-    tol = tol or _DEFAULT_TOL
     x = np.asarray(p.x0 if x0 is None else x0, dtype=float).ravel()
     if mode not in ("worst_case", "zero", "external"):
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -144,10 +139,10 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
     warm = None
 
     for k in range(p.N):
-        sol = solve_multipliers(p, x, k=k, init=warm, tol=tol)
-        u = control_at(p, x, k, sol.lam_star, tol)
+        sol = solve_multipliers(p, x, k=k, init=warm)
+        u = control_at(p, x, k, sol.lam_star)
         if mode == "worst_case":
-            w = worst_disturbance_at(p, x, k, sol.lam_star, u, tol)
+            w = worst_disturbance_at(p, x, k, sol.lam_star, u)
         elif mode == "zero":
             w = np.zeros(p.q)
         else:

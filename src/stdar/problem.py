@@ -1,4 +1,4 @@
-"""Problem data, tolerances, and structural validation.
+"""Problem data and structural validation.
 
 The regulated system is x+ = A x + B u + G w with stage cost
 l(x, u) = (x'Qx + u'Ru)/2, terminal cost x'Pf x / 2, and a per-stage
@@ -16,6 +16,9 @@ import numpy as np
 from .errors import AssumptionViolated, DimensionMismatch
 
 _SYM_RTOL = 1e-8
+_TOL_PSD = 1e-9     # eigenvalue floor of the PSD and PD checks
+_TOL_RANGE = 1e-10  # range inclusion, relative to max(1, ||G||)
+_TOL_ZERO = 1e-12   # the terminal coupling G'Pf G counts as nonzero above it
 
 
 def _integer(v, name: str = "") -> int:
@@ -66,24 +69,6 @@ def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
     if skew > _SYM_RTOL * (1.0 + np.linalg.norm(M)):
         raise ValueError(f"{name} is not symmetric (||M - M'|| = {skew:.3e})")
     return 0.5 * (M + M.T)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used throughout the toolkit."""
-
-    tol_psd: float = 1e-9        # eigenvalue floor for PSD checks
-    tol_range: float = 1e-10     # range-inclusion test
-    tol_zero: float = 1e-12      # nonzero-matrix test
-    eps_boundary: float = 1e-9   # margin kept above ||G' Pi G|| in the interior
-
-    def __post_init__(self):
-        for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary"):
-            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and strictly positive")
-
-
-_DEFAULT_TOL = Tolerances()  # frozen, so every call may share it
 
 
 @dataclass(frozen=True)
@@ -207,7 +192,7 @@ def _pbh_unit_circle_rank(A: np.ndarray, other: np.ndarray, stack_rows: bool) ->
     return True
 
 
-def validate_problem(p: ProblemData, tol: Tolerances | None = None,
+def validate_problem(p: ProblemData,
                      allow_degenerate_terminal: bool = False) -> ValidationReport:
     """Check the structural assumptions on the problem data.
 
@@ -216,16 +201,15 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
     allow_degenerate_terminal). Stabilizability, detectability, and strict
     positive definiteness of Q and Pf are reported as warnings only.
     """
-    tol = tol or _DEFAULT_TOL
     warnings: list[str] = []
 
     low = {name: np.linalg.eigvalsh(M)[0]
            for name, M in (("Q", p.Q), ("Pf", p.Pf), ("R", p.R))}
     for name in ("Q", "Pf"):
-        if low[name] < -tol.tol_psd:
+        if low[name] < -_TOL_PSD:
             raise AssumptionViolated(f"{name} positive semidefinite",
                                      f"min eigenvalue {low[name]:.3e}")
-    if low["R"] <= tol.tol_psd:
+    if low["R"] <= _TOL_PSD:
         raise AssumptionViolated("R positive definite",
                                  f"min eigenvalue {low['R']:.3e}")
 
@@ -236,14 +220,14 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
     if not detectable:
         warnings.append("(A, Q) fails the PBH detectability test on the unit circle")
 
-    # range(G) <= range(B), tested as ||(I - B B+) G|| <= tol_range
+    # range(G) <= range(B), tested as ||(I - B B+) G|| <= _TOL_RANGE max(1, ||G||)
     resid = np.linalg.norm(p.G - p.B @ (np.linalg.pinv(p.B) @ p.G))
-    if not resid <= tol.tol_range * max(1.0, np.linalg.norm(p.G)):
+    if not resid <= _TOL_RANGE * max(1.0, np.linalg.norm(p.G)):
         raise AssumptionViolated("range inclusion",
                                  f"||(I - B B+) G|| = {resid:.3e}")
 
     coupling = np.linalg.norm(p.G.T @ p.Pf @ p.G)
-    degenerate_terminal = not coupling > tol.tol_zero
+    degenerate_terminal = not coupling > _TOL_ZERO
     if degenerate_terminal:
         if not allow_degenerate_terminal:
             raise AssumptionViolated("G'Pf G nonzero",
@@ -251,7 +235,7 @@ def validate_problem(p: ProblemData, tol: Tolerances | None = None,
         warnings.append("G'Pf G = 0: terminal stage handled through the "
                         "convexity boundary argument (degenerate terminal)")
 
-    strict_weights = low["Q"] > tol.tol_psd and low["Pf"] > tol.tol_psd
+    strict_weights = low["Q"] > _TOL_PSD and low["Pf"] > _TOL_PSD
     if not strict_weights:
         warnings.append("Q or Pf is not strictly positive definite; "
                         "steady-state uniqueness arguments may not apply")

@@ -30,10 +30,10 @@ that sweep() hands back or that another pass takes as its base cannot
 change under a later decision.
 
 Stage j's step reads only Pi_{j+1} and lam_j, and Pi_N = Pf is fixed.
-So a pass given a base, an earlier pass of the same program, offset and
-tolerances, decides itself which stages it repeats: it evaluates its
-rule over the base's bounds, in one vectorised expression that matches
-the per-stage one bit for bit, against the base's multipliers. By
+So a pass given a base, an earlier pass of the same program and offset,
+decides itself which stages it repeats: it evaluates its rule over the
+base's bounds, in one vectorised expression that matches the per-stage
+one bit for bit, against the base's multipliers. By
 induction from Pi_N, every stage above the last one that differs repeats
 the base bit for bit. The pass copies their slices of Pi, the gains and
 the eigenpairs and steps the rest, which are then bit for bit those of
@@ -64,7 +64,11 @@ import numpy as np
 
 from ._linalg import eigpairs, fro_norm
 from .errors import InfeasibleMultiplier, SingularM
-from .problem import _DEFAULT_TOL, ProblemData, Tolerances
+from .problem import ProblemData
+
+# The margin the multiplier program keeps above each bound ||G'Pi G||, and
+# how far below its bound a pass accepts a multiplier.
+EPS_BOUNDARY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,10 @@ class RiccatiSweep:
         return len(self.lam)
 
 
-def at_bound(lam, bound, tol: Tolerances):
+def at_bound(lam, bound):
     """True where a multiplier sits at its nested bound: lam - bound within
-    max(100 eps_boundary, 1e-7)(1 + |bound|). Takes floats or arrays."""
-    return (lam - bound) <= max(100.0 * tol.eps_boundary, 1e-7) * (1.0 + abs(bound))
+    100 EPS_BOUNDARY (1 + |bound|). Takes floats or arrays."""
+    return (lam - bound) <= 100.0 * EPS_BOUNDARY * (1.0 + abs(bound))
 
 
 def _stage_step(p: ProblemData, H: np.ndarray, Z: np.ndarray, lam_j: float):
@@ -168,8 +172,7 @@ def _require_finite(lam: np.ndarray, k: int) -> None:
         raise InfeasibleMultiplier(f"multiplier lam_{k + j} = {lam[j]} is not finite")
 
 
-def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
-                 margin: float = -np.inf, slack=None,
+def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=None,
                  base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int]:
     """The backward recursion over len(raw) stages from Pi_N = Pf; k is
     the stage offset of the result, so raw covers stages k..N-1. Returns
@@ -186,10 +189,10 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     with Pi_{j+1} built from the multipliers already set, so a finite
     margin makes the result feasible whatever raw is (raw = -inf gives the
     slack coordinates), and margin -inf takes raw as given. Raises
-    InfeasibleMultiplier where lam_j < b_j - eps_boundary, SingularM at a
+    InfeasibleMultiplier where lam_j < b_j - EPS_BOUNDARY, SingularM at a
     stage step (stage 0's included). lam links weakly to the result and p.
 
-    base is a pass of the same program, offset and tolerances, or None.
+    base is a pass of the same program and offset, or None.
     With a base the pass evaluates that rule over base.bounds, copies the
     stages above the last one where it differs from base's multipliers
     (module docstring) and steps the rest; where none differs it returns
@@ -219,7 +222,6 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
                          (vecs, base._eigvecs), (lam, base.lam.lambdas)):
             arr[top:] = old[top:]
     raw_j, slack_j = lam.tolist(), None if slack is None else slack.tolist()
-    eps = tol.eps_boundary
     for i in range(top - 1, -1, -1):
         X = FT @ (Pi[i + 1] @ F)
         np.add(X, X.T, out=H)
@@ -231,7 +233,7 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
             lam_i = b + margin
         if slack_j is not None:
             lam_i += slack_j[i]
-        if not lam_i >= b - eps:  # NaN fails too
+        if not lam_i >= b - EPS_BOUNDARY:  # NaN fails too
             raise InfeasibleMultiplier(
                 f"lam = {lam_i:.9g} below its bound ||G'Pi G|| = {b:.9g}")
         lam[i] = lam_i
@@ -245,29 +247,25 @@ def _nested_pass(p: ProblemData, raw, k: int, tol: Tolerances,
     return sw, top
 
 
-def sweep(p: ProblemData, lam: MultiplierVector,
-          tol: Tolerances | None = None) -> RiccatiSweep:
+def sweep(p: ProblemData, lam: MultiplierVector) -> RiccatiSweep:
     """Run the backward recursion for the given multipliers.
 
     Raises ValueError unless the vector covers stages k..N-1 with
     0 <= k < N, InfeasibleMultiplier if a lam_j is not finite or below its
     nested bound, SingularM if a stage matrix cannot be solved reliably.
-    Reuses the live full pass on p that built lam if its bounds pass tol.
+    Returns the live pass on p that built lam, which checked lam against
+    its bounds as it set it, and else runs a pass.
     """
-    tol = tol or _DEFAULT_TOL
     k = lam.stage_offset
     _require_tail(p, k, len(lam))
     _require_finite(lam.lambdas, k)
     link = getattr(lam, "_pass", None)
     sw = link[0]() if link and link[1]() is p else None
-    if sw is not None and not (lam.lambdas < sw.bounds - tol.eps_boundary).any():
-        return sw
-    return _nested_pass(p, lam.lambdas, k, tol)[0]
+    return sw if sw is not None else _nested_pass(p, lam.lambdas, k)[0]
 
 
-def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
-                     stage_offset: int = 0,
-                     tol: Tolerances | None = None) -> MultiplierVector:
+def project_feasible(p: ProblemData, lam_raw, margin: float = EPS_BOUNDARY,
+                     stage_offset: int = 0) -> MultiplierVector:
     """Project a raw multiplier vector onto the feasible set, with margin.
 
     Single backward pass: each lam_j is raised to its bound (plus margin)
@@ -280,10 +278,7 @@ def project_feasible(p: ProblemData, lam_raw, margin: float | None = None,
     stage matrix is singular there (a multiplier at its bound with margin
     0, say) raises SingularM.
     """
-    tol = tol or _DEFAULT_TOL
-    if margin is None:
-        margin = tol.eps_boundary
     raw = np.array(lam_raw, dtype=float).ravel()
     _require_tail(p, stage_offset, raw.shape[0])
     _require_finite(raw, stage_offset)
-    return _nested_pass(p, raw, stage_offset, tol, margin)[0].lam
+    return _nested_pass(p, raw, stage_offset, margin)[0].lam

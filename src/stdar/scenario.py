@@ -13,7 +13,6 @@ Layout:
       alpha: 1.0          # scalar or list of N
       x0: [1.0]           # optional
     run:
-      mode: finite        # finite | steady | rollout | bench | policy_curve
       out: results        # output directory
       seed: 0
       x0_list: [[1.0], [3.0]]                 # finite
@@ -36,7 +35,6 @@ import yaml
 from .errors import ScenarioError
 from .problem import ProblemData, _integer
 
-_MODES = ("finite", "steady", "rollout", "bench", "policy_curve")
 _ROLLOUT_MODES = ("worst_case", "zero", "external")
 _MATRICES = ("A", "B", "G", "Q", "R", "Pf")
 
@@ -44,7 +42,6 @@ _MATRICES = ("A", "B", "G", "Q", "R", "Pf")
 @dataclass(frozen=True)
 class ScenarioFile:
     problem: ProblemData
-    mode: str
     out: str = "."
     seed: int = 0
     x0_list: tuple = ()
@@ -146,9 +143,6 @@ def load_scenario(path) -> ScenarioFile:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: bad problem data: {exc}") from None
 
-    mode = run.get("mode", "finite")
-    if mode not in _MODES:
-        raise ScenarioError(f"{path}: unknown run mode {mode!r}")
     rollout_mode = run.get("rollout_mode", "worst_case")
     if rollout_mode not in _ROLLOUT_MODES:
         raise ScenarioError(f"{path}: unknown rollout mode {rollout_mode!r}")
@@ -170,7 +164,7 @@ def load_scenario(path) -> ScenarioFile:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: bad run.x0_list[{i}]: {exc}") from None
     return ScenarioFile(
-        problem=problem, mode=mode, out=_value(run, "out", None, _path, path) or ".",
+        problem=problem, out=_value(run, "out", None, _path, path) or ".",
         seed=_value(run, "seed", 0, lambda v: _count(v, 0), path),
         x0_list=tuple(x0_list), grid=grid,
         rollout_mode=rollout_mode, w_file=_value(run, "w_file", None, _path, path),
@@ -187,7 +181,7 @@ def save_scenario(sc: ScenarioFile, path) -> None:
         "problem": {**{key: getattr(p, key).tolist() for key in _MATRICES},
                     "N": p.N, "alpha": p.alpha.tolist(), "x0": p.x0.tolist()},
         "run": {
-            "mode": sc.mode, "out": sc.out, "seed": sc.seed,
+            "out": sc.out, "seed": sc.seed,
             "rollout_mode": sc.rollout_mode,
             "sizes": list(sc.sizes), "instances": sc.instances,
             "allow_degenerate_terminal": sc.allow_degenerate_terminal,

@@ -5,7 +5,7 @@ The steady-state problem minimizes lambda subject to lambda >= ||G'Pi G||
 and the stationarity Pi = F(lambda, Pi) of the one-stage Riccati map. A
 multiplier is feasible when the doubling probe (see `_kernels`) reaches a
 positive semidefinite fixed point and its slack
-g(lambda) = lambda - ||G'Pi(lambda) G|| clears -eps_boundary. Pi(lambda)
+g(lambda) = lambda - ||G'Pi(lambda) G|| clears -EPS_BOUNDARY. Pi(lambda)
 falls in the Loewner order as lambda grows (a larger lambda charges the
 disturbance more), so g is increasing with slope at least 1, and the
 feasible multipliers form a half-line where each probe reaches its fixed
@@ -14,7 +14,7 @@ systems 68 and 521 of the tests' make_problem, passing and failing probes
 interleave from 7e-9 and 4e-7 below lambda_bar up to it, and the answer
 depends on the search's path. The search keeps a bracket [lo, hi], hi
 feasible and lo not; as Pi(lambda_bar) dominates Pi_hi, ||G'Pi_hi G|| -
-eps_boundary is a lower bound on lambda_bar that each feasible probe hands
+EPS_BOUNDARY is a lower bound on lambda_bar that each feasible probe hands
 the next (see `solve_steady_state`). The LMI check certifies the solution
 by a PSD block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
@@ -29,7 +29,8 @@ from ._kernels import couplings, fixed_point_numpy, verify
 from ._kernels import fixed_point_compiled  # noqa: F401, benchmark/tracing.py wraps it
 from ._linalg import fro_norm, sym, top_eig
 from .errors import Diverged, NoFeasibleLambda, SingularPi
-from .problem import _DEFAULT_TOL, ProblemData, Tolerances
+from .problem import _TOL_PSD, ProblemData
+from .riccati import EPS_BOUNDARY
 
 __all__ = ["SteadyStateSolution", "LmiCertificate", "solve_steady_state",
            "lmi_certify", "lqr_baseline"]
@@ -55,7 +56,8 @@ class LmiCertificate:
     """Block PSD certificate in the inverse variables.
 
     P = Pi_bar^{-1}, F = K_bar P (so the closed loop is A - B F P^{-1}).
-    feasible reflects min_eig >= -tol_psd relative to the block scale.
+    feasible is min_eig >= -1e-9 scale (problem._TOL_PSD), with scale the
+    larger of 1 and the largest |entry| of assembled.
     """
 
     P: np.ndarray
@@ -66,14 +68,13 @@ class LmiCertificate:
     feasible: bool
 
 
-def _prober(p: ProblemData, tol: Tolerances | None = None):
+def _prober(p: ProblemData):
     """The one probe, lam -> (status, doublings, Pi, top, step): the doubling
     from Pf at lam through this module's fixed_point_numpy binding (wrapped
     by benchmark/tracing.py, patched by the tests), top = ||G'Pi G|| where
     it converged at a finite lam, and Pi verified unless lam - top is below
-    -eps_boundary (then status 0, step None). At lam = inf, the LQR map, Pi
+    -EPS_BOUNDARY (then status 0, step None). At lam = inf, the LQR map, Pi
     is always verified and top is None."""
-    tol = tol or _DEFAULT_TOL
     z_of, x0 = couplings(p.B, p.G, p.R), fro_norm(p.Pf)
     cap = 1e12 * (1.0 + fro_norm(p.Q) + x0)
 
@@ -83,19 +84,18 @@ def _prober(p: ProblemData, tol: Tolerances | None = None):
         top = step = None
         if status == 0 and lam < np.inf:
             top = top_eig(p.G.T @ Pi @ p.G)
-        if status == 0 and (top is None or lam - top + tol.eps_boundary >= 0.0):
+        if status == 0 and (top is None or lam - top + EPS_BOUNDARY >= 0.0):
             status, step = verify(p.A, p.Q, Z, Pi, scale)
         return status, count, Pi, top, step
     return run
 
 
-def solve_steady_state(p: ProblemData,
-                       tol: Tolerances | None = None) -> SteadyStateSolution:
+def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     """Smallest feasible multiplier and its Riccati fixed point.
 
     The upper bracket starts at 10 (||G'Pf G|| + tr Q + tr R) and doubles
     at most 10 times; the bracket [lo, hi] then shrinks until lo or the
-    lower bound ||G'Pi_hi G|| - eps_boundary lies within 1e-9 of hi,
+    lower bound ||G'Pi_hi G|| - EPS_BOUNDARY lies within 1e-9 of hi,
     either way pinning lambda_bar to 1e-9. Each probe, clamped 0.25e-9
     inside the bracket and doubled from Pf, goes to that lower bound while
     it lies above lo and lo is 0 or has a slack, else to the secant of g
@@ -105,19 +105,18 @@ def solve_steady_state(p: ProblemData,
     and the residual come from the map step that verified Pi_bar (see
     `_kernels`), and the gap from the ||G'Pi_bar G|| that judged it.
     """
-    tol = tol or _DEFAULT_TOL
-    run = _prober(p, tol)
+    run = _prober(p)
     probes = fp_iterations = capped = 0
 
     def probe(lam):
-        # (feasible, h, (Pi, top, step)), h = lam - top + eps_boundary the
+        # (feasible, h, (Pi, top, step)), h = lam - top + EPS_BOUNDARY the
         # value whose root the search seeks, None where the probe failed
         nonlocal probes, fp_iterations, capped
         status, count, Pi, top, step = run(lam)
         probes += 1
         fp_iterations += count
         capped += status == 1
-        h = lam - top + tol.eps_boundary if status == 0 else None
+        h = lam - top + EPS_BOUNDARY if status == 0 else None
         return step is not None, h, (Pi, top, step)
 
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
@@ -132,7 +131,7 @@ def solve_steady_state(p: ProblemData,
             f"no feasible multiplier up to {hi:.6g} after {doublings} doublings")
     lo, h_lo = 0.0, None
     while min(hi - lo, h_hi) > _BISECT_TOL:  # lo or bound within tol of hi
-        bound = hi - h_hi  # ||G'Pi_hi G|| - eps_boundary, at most lambda_bar
+        bound = hi - h_hi  # ||G'Pi_hi G|| - EPS_BOUNDARY, at most lambda_bar
         if (lo == 0.0 or h_lo is not None) and bound > lo:
             mid = bound
         elif h_lo is not None:
@@ -154,7 +153,7 @@ def solve_steady_state(p: ProblemData,
                               lmi_min_eig=float("nan"), probes=probes,
                               fp_iterations=fp_iterations, capped=capped)
     try:
-        cert = lmi_certify(p, sol, tol)
+        cert = lmi_certify(p, sol)
     except SingularPi:
         return sol
     return dataclasses.replace(sol, lmi_min_eig=cert.min_eig)
@@ -165,8 +164,7 @@ def _sqrt_psd(M: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
-                tol: Tolerances | None = None) -> LmiCertificate:
+def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
     """Assemble and check the block PSD certificate at a candidate solution.
 
     Block sizes (n, n, q, n+m); with P = Pi_bar^{-1} and F = K_bar P the
@@ -179,7 +177,6 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
 
     with Qh = Q^{1/2}, Rh = R^{1/2}.
     """
-    tol = tol or _DEFAULT_TOL
     n, m, q = p.n, p.m, p.q
     w = np.linalg.eigvalsh(sym(sol.Pi_bar))
     if w[0] <= max(np.abs(w).max(), 1.0) * 1e-12:
@@ -202,7 +199,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution,
     scale = max(1.0, float(np.abs(L).max()))
     return LmiCertificate(P=P, F=F, lam=float(sol.lambda_bar),
                           assembled=L, min_eig=min_eig,
-                          feasible=min_eig >= -tol.tol_psd * scale)
+                          feasible=min_eig >= -_TOL_PSD * scale)
 
 
 def lqr_baseline(p: ProblemData) -> np.ndarray:

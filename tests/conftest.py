@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stdar.problem import ProblemData, Tolerances
+from stdar.problem import ProblemData
 from stdar.riccati import MultiplierVector
 
 
@@ -66,8 +66,3 @@ def assert_same_sweep(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
-
-
-@pytest.fixture
-def tol():
-    return Tolerances()

@@ -17,7 +17,7 @@ reference lives in sphere_oracle.py.
 """
 import numpy as np
 
-from stdar import MultiplierVector, Tolerances, sweep
+from stdar import MultiplierVector, sweep
 from stdar.riccati import project_feasible
 
 _GR = (np.sqrt(5.0) - 1.0) / 2.0
@@ -283,15 +283,14 @@ def _phi(p, x, sw):
     return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.alpha_bar)
 
 
-def envelope_gradient(p, lam, x, k=0, tol=None):
+def envelope_gradient(p, lam, x, k=0):
     """dphi/dlambda_j = (alpha_j - ||wbar_j||^2) / (2 alpha_bar) along the
     certainty trajectory x+ = (A - BK_j) x + G wbar_j, wbar_j = -J_j x_j.
 
     lam is a MultiplierVector or raw multipliers for stages k..N-1.
     """
-    tol = tol or Tolerances()
     x = np.asarray(x, dtype=float).ravel()
-    sw = sweep(p, _multipliers(lam, k), tol)
+    sw = sweep(p, _multipliers(lam, k))
     k = sw.stage_offset
     abar = p.alpha_bar
     g = np.zeros(sw.horizon())
@@ -322,7 +321,7 @@ def slack_gradient_reference(p, sw, x):
     return g / (2.0 * p.alpha_bar)
 
 
-def fd_gradient(p, lam, x, k=0, tol=None, step=1e-6):
+def fd_gradient(p, lam, x, k=0, step=1e-6):
     """Central differences of phi in the multipliers, with steps
     h_j = step max(1, |lambda_j|).
 
@@ -330,12 +329,11 @@ def fd_gradient(p, lam, x, k=0, tol=None, step=1e-6):
     the projection moves a probe by more than 1e-3 h_j, as next to a nested
     bound, the difference is a forward one.
     """
-    tol = tol or Tolerances()
     x = np.asarray(x, dtype=float).ravel()
     lam = _multipliers(lam, k)
     k = lam.stage_offset
     base = lam.lambdas
-    phi0 = _phi(p, x, sweep(p, lam, tol))
+    phi0 = _phi(p, x, sweep(p, lam))
     g = np.zeros(base.size)
     for i in range(base.size):
         h = max(step, step * abs(base[i]))
@@ -343,13 +341,13 @@ def fd_gradient(p, lam, x, k=0, tol=None, step=1e-6):
         up[i] += h
         dn = base.copy()
         dn[i] -= h
-        lam_up = project_feasible(p, up, stage_offset=k, tol=tol)
-        lam_dn = project_feasible(p, dn, stage_offset=k, tol=tol)
+        lam_up = project_feasible(p, up, stage_offset=k)
+        lam_dn = project_feasible(p, dn, stage_offset=k)
         moved = max(float(np.abs(lam_up.lambdas - up).max()),
                     float(np.abs(lam_dn.lambdas - dn).max()))
-        phi_up = _phi(p, x, sweep(p, lam_up, tol))
+        phi_up = _phi(p, x, sweep(p, lam_up))
         if moved <= 1e-3 * h:
-            g[i] = (phi_up - _phi(p, x, sweep(p, lam_dn, tol))) / (2.0 * h)
+            g[i] = (phi_up - _phi(p, x, sweep(p, lam_dn))) / (2.0 * h)
         else:
             # a moved down-probe sits on its bound, where the stage step
             # can fail; it is never swept

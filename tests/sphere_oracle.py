@@ -14,8 +14,8 @@ Three related problems are solved exactly through eigenvalue arguments:
 The package solves none of these directly: the tests compare its N = 1
 multiplier program against `solve_constrained_minmax`, and check
 `solve_sphere_qp` itself against brute-force scans of the sphere. The
-module needs only numpy, scipy and the package's Tolerances and
-RegulatorError.
+module needs only numpy, scipy and the package's RegulatorError, and
+keeps its own tolerances, equal to the package's.
 """
 from __future__ import annotations
 
@@ -24,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from stdar import RegulatorError, Tolerances
+from stdar import RegulatorError
 
 # eigenvalues below PINV_CUTOFF * (largest magnitude) count as zero
 PINV_CUTOFF = 1e-11
+TOL_PSD = 1e-9       # the PSD test of D, relative to max(1, its scale)
+EPS_BOUNDARY = 1e-9  # how close to ||M22|| a multiplier is at the boundary
 
 
 class NonConvergedEigen(RegulatorError):
@@ -210,7 +212,7 @@ def _secular_newton(mu: np.ndarray, c2: np.ndarray, lam0: float, lo: float) -> f
     return lam
 
 
-def solve_sphere_qp(qp: SphereQP, tol: Tolerances | None = None) -> SphereQPSolution:
+def solve_sphere_qp(qp: SphereQP) -> SphereQPSolution:
     """Maximize w'Dw/2 + w'd over the sphere ||w|| = r.
 
     The problem is mapped to unit-sphere data (r^2 D, r d). The optimal
@@ -224,8 +226,7 @@ def solve_sphere_qp(qp: SphereQP, tol: Tolerances | None = None) -> SphereQPSolu
     Parameters
     ----------
     qp : SphereQP
-        Problem data; D must be PSD up to -tol_psd.
-    tol : Tolerances, optional
+        Problem data; D must be PSD up to -TOL_PSD.
 
     Returns
     -------
@@ -233,12 +234,11 @@ def solve_sphere_qp(qp: SphereQP, tol: Tolerances | None = None) -> SphereQPSolu
         Multiplier, one maximizer with ||w|| = r exactly, optimal value,
         boundary flag, and the completion nullspace basis.
     """
-    tol = tol or Tolerances()
     r = qp.radius
     Du = (r * r) * qp.D
     du = r * qp.d
     scale = max(np.abs(Du).max(), np.abs(du).max(), 1e-300)
-    if min_eig(Du) < -tol.tol_psd * max(1.0, scale):
+    if min_eig(Du) < -TOL_PSD * max(1.0, scale):
         raise ValueError("D must be positive semidefinite")
 
     mu, V = la.eigh(Du)
@@ -308,23 +308,22 @@ def dual_value(qp: SphereQP, lam: float) -> float:
     return float(-0.5 * qp.d @ resp + 0.5 * lam * qp.radius**2)
 
 
-def saddle_point(bs: BlockSaddle, tol: Tolerances | None = None):
+def saddle_point(bs: BlockSaddle):
     """Saddle point of the quadratic L(u, w, lam) in min-max order.
 
     Requires lam > ||M22|| (solutions exist for every linear term) or
     lam = ||M22|| with d in range(M(lam)). Returns (u_star, w_star, L0)
     where L0 = -d'M(lam)^+ d / 2 + lam / 2.
     """
-    tol = tol or Tolerances()
     if bs.lam is None:
         raise ValueError("BlockSaddle.lam must be set for saddle_point")
     lam = float(bs.lam)
     m22 = top_eig(bs.M22)
     d = bs.dvec()
-    if lam > m22 + tol.eps_boundary:
+    if lam > m22 + EPS_BOUNDARY:
         M = bs.assembled(lam)
         z = -la.solve(M, d, assume_a="sym")
-    elif lam >= m22 - tol.eps_boundary:
+    elif lam >= m22 - EPS_BOUNDARY:
         M = bs.assembled(lam)
         z = -pinv_apply(M, d)
         resid = np.linalg.norm(M @ z + d)
@@ -349,7 +348,7 @@ def _saddle_L(bs: BlockSaddle, lam: float, m22: float, eps: float) -> float:
     return float(0.5 * d @ z + 0.5 * lam)
 
 
-def solve_constrained_minmax(bs: BlockSaddle, tol: Tolerances | None = None):
+def solve_constrained_minmax(bs: BlockSaddle):
     """Exact solve of min_u max_{||w||=1} of the block quadratic.
 
     Minimizes the scalar convex function L(lam) over [||M22||, inf) by
@@ -362,9 +361,8 @@ def solve_constrained_minmax(bs: BlockSaddle, tol: Tolerances | None = None):
     -------
     (u0, w0, lambda0, value)
     """
-    tol = tol or Tolerances()
     m22 = top_eig(bs.M22)
-    eps = tol.eps_boundary * (1.0 + abs(m22))
+    eps = EPS_BOUNDARY * (1.0 + abs(m22))
     L = lambda lam: _saddle_L(bs, lam, m22, eps)
 
     lo = m22
@@ -407,7 +405,7 @@ def solve_constrained_minmax(bs: BlockSaddle, tol: Tolerances | None = None):
             f2 = L(x2)
     lam0 = 0.5 * (a + b)
 
-    boundary_tol = max(10.0 * tol.eps_boundary * (1.0 + abs(m22)), 4.0 * xtol)
+    boundary_tol = max(10.0 * EPS_BOUNDARY * (1.0 + abs(m22)), 4.0 * xtol)
     if lam0 - m22 <= boundary_tol:
         lam0 = m22
         M = bs.assembled(lam0)

@@ -8,7 +8,8 @@ both lists from benchmark/ and resolve them. One short run each of the
 long_horizon, steady and online workloads checks that the harness runs end
 to end, and one pass over each of the online, long_horizon and steady
 banks bounds the solver work its solves report, counts that do not depend
-on the host.
+on the host. The steady bank's systems also check the steady state against
+the finite-horizon program.
 """
 import ast
 import importlib.util
@@ -97,15 +98,20 @@ def test_traced_kernel_counts_match_steady_solution(rng):
     assert metrics["kernels.fp_capped"][0] == sol.capped
 
 
-def bank_pass(monkeypatch, workload, solver="solve_multipliers"):
-    # one pass over a workload's bank with the workload's own run; returns
-    # the solutions its calls of the named solver return, the bank and each
-    # case's result
+def load_workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # workloads imports checker
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bank_pass(monkeypatch, workload, solver="solve_multipliers"):
+    # one pass over a workload's bank with the workload's own run; returns
+    # the solutions its calls of the named solver return, the bank and each
+    # case's result
+    workloads = load_workloads(monkeypatch)
     api = SimpleNamespace(**{name: getattr(stdar, name) for name in api_names()})
     api.begin_op = lambda: None
     solutions = []
@@ -219,6 +225,21 @@ def test_steady_bank_counts(monkeypatch):
     assert sum(sol.fp_iterations for sol in solutions) == 1243
     assert [sol.capped for sol in solutions] == [2] + [0] * 40
     assert verified == {"search": 149, "lqr": 41}
+
+
+def test_finite_horizon_program_meets_the_steady_state(monkeypatch):
+    # the paper's two results meet: with alpha = 1 and x = 0 the nested
+    # recursion at margin 0, lam_j = ||G'Pi_{j+1}G|| from Pi_N = Pf, is the
+    # finite-horizon program's, and at N = 200 its lam_0 is lambda_bar on
+    # the first 12 steady bank systems (the paper's scalar example, n to 24)
+    cases = load_workloads(monkeypatch).Steady().bank()[:12]
+    for case in cases:
+        s = case.sys
+        p = stdar.ProblemData(A=s["A"], B=s["B"], G=s["G"], Q=s["Q"], R=s["R"],
+                              Pf=s["Pf"], N=200, alpha=1.0)
+        sw, _ = stdar.riccati._nested_pass(p, np.full(p.N, -np.inf), 0, 0.0)
+        lam_bar = stdar.solve_steady_state(p).lambda_bar
+        assert abs(sw.lam.lambdas[0] - lam_bar) <= 1e-9 * lam_bar, p.n
 
 
 def test_long_horizon_bank_without_tail_maps(monkeypatch):

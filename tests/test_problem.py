@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as la
 
 from stdar import (AssumptionViolated, DimensionMismatch, ProblemData,
-                   Tolerances, validate_problem)
+                   validate_problem)
 from conftest import make_problem, scalar_problem
 
 
@@ -163,17 +163,6 @@ def test_stage_and_terminal_cost():
     assert p.stage_cost(np.array([2.0]), np.array([3.0])) == pytest.approx(
         0.5 * (0.2 * 4 + 9))
     assert p.terminal_cost(np.array([2.0])) == pytest.approx(0.5 * 0.5 * 4)
-
-
-def test_tolerances_must_be_positive():
-    with pytest.raises(ValueError):
-        Tolerances(tol_psd=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(eps_boundary=-1e-9)
-    for bad in (np.nan, np.inf, -np.inf):
-        for name in ("tol_psd", "tol_range", "tol_zero", "eps_boundary"):
-            with pytest.raises(ValueError, match="finite"):
-                Tolerances(**{name: bad})
 
 
 def test_stabilizability_warning_only():

@@ -1,9 +1,11 @@
 """The package's public surface, and the README example that uses it."""
+import argparse
 import ast
 import dataclasses
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -19,7 +21,7 @@ PUBLIC = [
     "MultiplierVector", "NoFeasibleLambda", "NoSphereIntersection",
     "ProblemData", "RegulatorError", "RiccatiSweep", "ScenarioError",
     "ScenarioFile", "SingularM", "SingularPi", "SteadyStateSolution",
-    "Tolerances", "Trajectory", "ValidationReport", "control_at",
+    "Trajectory", "ValidationReport", "control_at",
     "lmi_certify", "load_scenario", "lqr_baseline", "objective", "rollout",
     "save_scenario", "solve_multipliers", "solve_steady_state", "sweep",
     "validate_problem", "worst_disturbance_at",
@@ -46,8 +48,13 @@ def test_public_surface():
     for name in ("_FP_TOL", "_FP_MAX_DOUBLINGS"):
         assert hasattr(stdar._kernels, name)
         assert not hasattr(stdar.steady_state, name), name
-    assert [f.name for f in dataclasses.fields(stdar.Tolerances)] == [
-        "tol_psd", "tol_range", "tol_zero", "eps_boundary"]
+    # the tolerances are module constants where they are read, not a setting
+    assert not hasattr(stdar, "Tolerances")
+    assert not hasattr(stdar.problem, "_DEFAULT_TOL")
+    for name in stdar.__all__:
+        obj = getattr(stdar, name)
+        if inspect.isfunction(obj):
+            assert "tol" not in inspect.signature(obj).parameters, name
     assert hasattr(stdar.ProblemData, "alpha_bar")
     assert [f.name for f in dataclasses.fields(stdar.MultiplierSolution)] == [
         "lam_star", "value", "grad_norm", "boundary_flags", "iterations",
@@ -68,9 +75,23 @@ def test_public_surface():
         assert not any(name in params for name in removed), fn.__name__
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("stdar.sphere_qp")
-    with pytest.raises(SystemExit):
-        _build_parser().parse_args(
-            ["validate", "--scenario", "s.yaml", "--tol-fd-step", "1e-6"])
+    for flag in ("--tol-fd-step", "--tol-psd"):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["validate", "--scenario", "s.yaml", flag, "1e-6"])
+
+
+def test_readme_synopsis_matches_the_parser():
+    # the flags of README's command-line synopsis are the options every
+    # subcommand takes, no more and no fewer
+    section = README.read_text().split("## Command line", 1)[1]
+    documented = set(re.findall(r"--[\w-]+", section.split("```", 2)[1]))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented and len(sub.choices) == 6
+    for name, parser in sub.choices.items():
+        options = {opt for a in parser._actions for opt in a.option_strings
+                   if opt.startswith("--")} - {"--help"}
+        assert options == documented, name
 
 
 def test_every_exported_error_is_raised():

@@ -8,18 +8,19 @@ import pytest
 import scipy.linalg as la
 
 from stdar import (InfeasibleMultiplier, MultiplierVector,
-                   RiccatiSweep, SingularM, Tolerances, control_at, objective,
+                   RiccatiSweep, SingularM, control_at, objective,
                    solve_multipliers, sweep, worst_disturbance_at)
 from stdar._linalg import top_eig
 from stdar.multiplier import _reconstruct
-from stdar.riccati import _nested_pass, _stage_step, project_feasible
+from stdar.riccati import (EPS_BOUNDARY, _nested_pass, _stage_step,
+                           project_feasible)
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
 from oracles import lqr_recursion, receq_crosscheck, stage_step_reference
 
 
-def feasible_lam(p, rng, tol, spread=2.0):
+def feasible_lam(p, rng, spread=2.0):
     raw = rng.uniform(0.0, spread, p.N)
-    return project_feasible(p, raw, margin=0.05, tol=tol)
+    return project_feasible(p, raw, margin=0.05)
 
 
 def stage_matrix(p, sw, j):
@@ -28,12 +29,12 @@ def stage_matrix(p, sw, j):
                                 sw.lam.lambdas[j])[1]
 
 
-def test_hand_evaluated_single_stage(tol):
+def test_hand_evaluated_single_stage():
     # A=B=G=1, Q=0.2, R=1, Pf=1, lam=2:
     #   M = [[2, 1], [1, -1]],  [K; J] = M^{-1} [1; 1] = [2/3; -1/3]
     #   Pi0 = 1.2 - [1 1] [K; J] = 13/15
     p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=1, N=1, alpha=1.0)
-    sw = sweep(p, MultiplierVector([2.0]), tol)
+    sw = sweep(p, MultiplierVector([2.0]))
     assert stage_matrix(p, sw, 0) == pytest.approx(
         np.array([[2.0, 1.0], [1.0, -1.0]]), abs=1e-14)
     assert sw.K[0][0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -43,20 +44,20 @@ def test_hand_evaluated_single_stage(tol):
     assert sw.bounds[0] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_zero_dynamics_gives_q(rng, tol):
+def test_zero_dynamics_gives_q(rng):
     p = make_problem(rng, n=3, m=2, q=2, N=4)
     p = type(p)(A=np.zeros((3, 3)), B=p.B, G=p.G, Q=p.Q, R=p.R, Pf=p.Pf,
                 N=4, alpha=p.alpha, x0=p.x0)
-    lam = feasible_lam(p, rng, tol)
-    sw = sweep(p, lam, tol)
+    lam = feasible_lam(p, rng)
+    sw = sweep(p, lam)
     for j in range(4):
         assert sw.Pi[j] == pytest.approx(p.Q, abs=1e-12)
 
 
-def test_lqr_limit(rng, tol):
+def test_lqr_limit(rng):
     # with a huge multiplier the disturbance channel is priced out
     p = make_problem(rng, n=3, m=2, q=2, N=6)
-    sw = sweep(p, MultiplierVector(np.full(6, 1e8)), tol)
+    sw = sweep(p, MultiplierVector(np.full(6, 1e8)))
     P = p.Pf.copy()
     for _ in range(6):
         K = np.linalg.solve(p.B.T @ P @ p.B + p.R, p.B.T @ P @ p.A)
@@ -65,34 +66,34 @@ def test_lqr_limit(rng, tol):
     assert np.linalg.norm(sw.Pi[0] - P) <= 1e-5 * (1.0 + np.linalg.norm(P))
 
 
-def test_receq_identity_on_random_sweeps(rng, tol):
+def test_receq_identity_on_random_sweeps(rng):
     for _ in range(40):
         p = make_problem(rng)
-        sw = sweep(p, feasible_lam(p, rng, tol), tol)
+        sw = sweep(p, feasible_lam(p, rng))
         rel = receq_crosscheck(sw, p)
         assert rel <= 1e-8
 
 
-def test_pi_stays_psd(rng, tol):
+def test_pi_stays_psd(rng):
     for _ in range(40):
         p = make_problem(rng)
-        sw = sweep(p, feasible_lam(p, rng, tol), tol)
+        sw = sweep(p, feasible_lam(p, rng))
         for Pi in sw.Pi:
             assert np.linalg.eigvalsh(Pi)[0] >= -1e-9
 
 
-def test_m_invertible_on_feasible_interior(rng, tol):
+def test_m_invertible_on_feasible_interior(rng):
     for _ in range(40):
         p = make_problem(rng)
-        sw = sweep(p, feasible_lam(p, rng, tol), tol)
+        sw = sweep(p, feasible_lam(p, rng))
         for j in range(p.N):
             s = np.linalg.svd(stage_matrix(p, sw, j), compute_uv=False)
             assert s[-1] > 1e-12 * s[0]
 
 
-def test_gain_equations_hold(rng, tol):
+def test_gain_equations_hold(rng):
     p = make_problem(rng, n=3, m=2, q=2, N=3)
-    sw = sweep(p, feasible_lam(p, rng, tol), tol)
+    sw = sweep(p, feasible_lam(p, rng))
     for j in range(3):
         S = sw.Pi[j + 1]
         rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
@@ -101,52 +102,52 @@ def test_gain_equations_hold(rng, tol):
         assert np.linalg.norm(M @ KJ - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
 
 
-def test_monotone_domain(rng, tol):
+def test_monotone_domain(rng):
     # moving the multipliers outward keeps the sweep feasible
     for _ in range(10):
         p = make_problem(rng)
-        lam = feasible_lam(p, rng, tol)
-        sweep(p, lam, tol)
+        lam = feasible_lam(p, rng)
+        sweep(p, lam)
         bigger = MultiplierVector(lam.lambdas + rng.uniform(0.0, 3.0, p.N))
-        sweep(p, bigger, tol)
+        sweep(p, bigger)
 
 
-def test_infeasible_multiplier_raises(tol):
+def test_infeasible_multiplier_raises():
     p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=1, N=1, alpha=1.0)
     with pytest.raises(InfeasibleMultiplier):
-        sweep(p, MultiplierVector([0.5]), tol)  # bound is 1
+        sweep(p, MultiplierVector([0.5]))  # bound is 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.filterwarnings("error")
-def test_non_finite_multipliers_raise_typed_errors(rng, tol, bad):
+def test_non_finite_multipliers_raise_typed_errors(rng, bad):
     # numpy's LAPACK routines do not reject non-finite input, so each entry
     # point rejects it up front, naming the entry, before any stage step
     # and with no numpy warning
     p = make_problem(rng, n=2, m=2, q=1, N=3)
     for stage in (0, 1):
-        lam = feasible_lam(p, rng, tol).lambdas.copy()
+        lam = feasible_lam(p, rng).lambdas.copy()
         lam[stage] = bad
         name = f"lam_{stage} = {bad} is not finite"
         with pytest.raises(InfeasibleMultiplier, match=name):
-            sweep(p, MultiplierVector(lam), tol)
+            sweep(p, MultiplierVector(lam))
         with pytest.raises(InfeasibleMultiplier, match=name):
-            project_feasible(p, lam, tol=tol)
+            project_feasible(p, lam)
         with pytest.raises(InfeasibleMultiplier, match=name):
-            solve_multipliers(p, p.x0, init=lam, tol=tol)
+            solve_multipliers(p, p.x0, init=lam)
 
 
-def test_sweep_length_checked(tol):
+def test_sweep_length_checked():
     p = scalar_problem(N=3)
     with pytest.raises(ValueError, match="stages"):
-        sweep(p, MultiplierVector([2.0, 2.0]), tol)
+        sweep(p, MultiplierVector([2.0, 2.0]))
     with pytest.raises(ValueError):
-        sweep(p, MultiplierVector([2.0, 2.0], stage_offset=2), tol)
+        sweep(p, MultiplierVector([2.0, 2.0], stage_offset=2))
     with pytest.raises(ValueError, match="stages"):
-        solve_multipliers(p, p.x0, init=[2.0, 2.0], tol=tol)
+        solve_multipliers(p, p.x0, init=[2.0, 2.0])
 
 
-def test_stage_offset_outside_horizon_raises(tol):
+def test_stage_offset_outside_horizon_raises():
     # a vector must start at a stage 0 <= k < N: one that starts before
     # stage 0, or one with no entries at stage N, is rejected by sweep and
     # so by every caller of it, and by the projection and the solve, before
@@ -157,43 +158,43 @@ def test_stage_offset_outside_horizon_raises(tol):
                 MultiplierVector(np.zeros(0), stage_offset=p.N)):
         k = lam.stage_offset
         with pytest.raises(ValueError, match="outside horizon"):
-            project_feasible(p, lam.lambdas, stage_offset=k, tol=tol)
+            project_feasible(p, lam.lambdas, stage_offset=k)
         with pytest.raises(ValueError, match="outside horizon"):
-            sweep(p, lam, tol)
+            sweep(p, lam)
         with pytest.raises(ValueError, match="outside horizon"):
-            control_at(p, x, k, lam, tol)
+            control_at(p, x, k, lam)
         with pytest.raises(ValueError, match="outside horizon"):
-            worst_disturbance_at(p, x, k, lam, u, tol)
+            worst_disturbance_at(p, x, k, lam, u)
         with pytest.raises(ValueError, match="outside horizon"):
-            objective(p, lam, x, k, tol)
+            objective(p, lam, x, k)
         with pytest.raises(ValueError, match="outside horizon"):
-            solve_multipliers(p, x, k, tol=tol)
+            solve_multipliers(p, x, k)
 
 
-def test_project_feasible_single_stage(tol):
+def test_project_feasible_single_stage():
     p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=1, N=1, alpha=1.0)
-    lam = project_feasible(p, [0.0], margin=1e-3, tol=tol)
+    lam = project_feasible(p, [0.0], margin=1e-3)
     assert lam.lambdas[0] == pytest.approx(1.0 + 1e-3, abs=1e-14)
 
 
-def test_project_feasible_idempotent_on_feasible(rng, tol):
+def test_project_feasible_idempotent_on_feasible(rng):
     p = make_problem(rng)
-    lam = feasible_lam(p, rng, tol)
-    again = project_feasible(p, lam.lambdas, margin=1e-9, tol=tol)
+    lam = feasible_lam(p, rng)
+    again = project_feasible(p, lam.lambdas, margin=1e-9)
     assert np.array_equal(again.lambdas, lam.lambdas)
 
 
-def test_project_feasible_two_stage_chain(tol):
+def test_project_feasible_two_stage_chain():
     # lam1 raised to ||G'Pf G|| + margin, then lam0 to ||G'Pi1 G|| + margin
     p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=1, N=2, alpha=1.0)
     margin = 1e-3
-    lam = project_feasible(p, [0.0, 0.0], margin=margin, tol=tol)
+    lam = project_feasible(p, [0.0, 0.0], margin=margin)
     assert lam.lambdas[1] == pytest.approx(1.0 + margin, abs=1e-14)
-    sw = sweep(p, lam, tol)
+    sw = sweep(p, lam)
     assert lam.lambdas[0] == pytest.approx(sw.Pi[1][0, 0] + margin, abs=1e-12)
 
 
-def test_project_output_always_sweepable(rng, tol):
+def test_project_output_always_sweepable(rng):
     # the one-pass projected sweep is the sweep of the projection, and the
     # slack pass the sweep of its multipliers, bit for bit
     for _ in range(20):
@@ -204,21 +205,21 @@ def test_project_output_always_sweepable(rng, tol):
                             (0, np.full(p.N, -1.0)),  # all below their bounds
                             (k, rng.uniform(-1.0, 1.0, p.N - k)),
                             (k, np.zeros(p.N - k))):
-            lam = project_feasible(p, raw, stage_offset=offset, tol=tol)
-            one, _ = _nested_pass(p, raw, offset, tol, tol.eps_boundary)
+            lam = project_feasible(p, raw, stage_offset=offset)
+            one, _ = _nested_pass(p, raw, offset, EPS_BOUNDARY)
             assert np.array_equal(one.lam.lambdas, lam.lambdas)
             passes.append((offset, one))
         for offset in (0, k):
             # slacks at zero (bound active) and above it
             size = p.N - offset
             s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
-            passes.append((offset, _reconstruct(p, s, offset, tol)[0]))
+            passes.append((offset, _reconstruct(p, s, offset)[0]))
         for offset, one in passes:
             assert one.stage_offset == offset
-            assert_same_sweep(one, sweep(p, fresh(one.lam), tol))  # must not raise
+            assert_same_sweep(one, sweep(p, fresh(one.lam)))  # must not raise
 
 
-def test_resumed_pass_matches_full_pass(rng, tol):
+def test_resumed_pass_matches_full_pass(rng):
     # a slack pass resumed from an earlier pass steps only the stages from
     # the last one where bounds + eps_boundary + slack differs from the
     # earlier multiplier down, and equals the full pass of its slacks bit
@@ -233,20 +234,19 @@ def test_resumed_pass_matches_full_pass(rng, tol):
         k = int(rng.integers(0, p.N))
         size = p.N - k
         s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
-        base, steps = _reconstruct(p, s, k, tol)
+        base, steps = _reconstruct(p, s, k)
         assert steps == size
-        warm, _ = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol,
-                               tol.eps_boundary)
-        s_warm = np.maximum(warm.lam.lambdas - warm.bounds - tol.eps_boundary,
+        warm, _ = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, EPS_BOUNDARY)
+        s_warm = np.maximum(warm.lam.lambdas - warm.bounds - EPS_BOUNDARY,
                             0.0)
         for changed in ([0], [size - 1], [], list(range(size)),
                         list(np.flatnonzero(rng.random(size) < 0.5))):
             for start, s0 in ((base, s), (warm, s_warm)):
                 cand = s0.copy()
                 cand[changed] += rng.uniform(0.01, 1.0, len(changed))
-                full, full_steps = _reconstruct(p, cand, k, tol)
-                one, steps = _reconstruct(p, cand, k, tol, start)
-                differ = np.flatnonzero(start.bounds + tol.eps_boundary + cand
+                full, full_steps = _reconstruct(p, cand, k)
+                one, steps = _reconstruct(p, cand, k, start)
+                differ = np.flatnonzero(start.bounds + EPS_BOUNDARY + cand
                                         != start.lam.lambdas)
                 assert full_steps == size
                 assert steps == (differ[-1] + 1 if differ.size else 0)
@@ -258,11 +258,11 @@ def test_resumed_pass_matches_full_pass(rng, tol):
                 assert np.array_equal(one._eigvecs, full._eigvecs)
                 assert np.array_equal(one.K, full.K)
                 assert np.array_equal(one.J, full.J)
-                assert sweep(p, one.lam, tol) is one
+                assert sweep(p, one.lam) is one
     assert warm_resumed > 0
 
 
-def test_pass_decides_which_stages_it_repeats(rng, tol):
+def test_pass_decides_which_stages_it_repeats(rng):
     # given a base, a pass evaluates its own stage rule over the base's
     # bounds and copies the stages above the last one that differs. The
     # full pass is the oracle: stage j of it repeats the base exactly
@@ -272,23 +272,23 @@ def test_pass_decides_which_stages_it_repeats(rng, tol):
     # Bases and resumed passes are slack, margin and sweep passes, each
     # resumed from its own base with one stage's input changed, and from
     # every other base.
-    eps = tol.eps_boundary
+    eps = EPS_BOUNDARY
     partial = 0
     for _ in range(150):
         p = make_problem(rng, N=int(rng.integers(1, 9)))
         k = int(rng.integers(0, p.N))
         size = p.N - k
         s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
-        feasible = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, tol, eps)[0]
+        feasible = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, eps)[0]
         programs = [  # (raw, margin, slack)
             (np.full(size, -np.inf), eps, s),
             (rng.uniform(0.0, 3.0, size), eps, None),
             (feasible.lam.lambdas + rng.uniform(0.0, 1.0, size), -np.inf, None)]
         bases = []
         for raw, margin, slack in programs:
-            base, steps = _nested_pass(p, raw, k, tol, margin, slack)
+            base, steps = _nested_pass(p, raw, k, margin, slack)
             assert steps == size
-            again, steps = _nested_pass(p, raw, k, tol, margin, slack, base)
+            again, steps = _nested_pass(p, raw, k, margin, slack, base)
             assert again is base and steps == 0
             i = int(rng.integers(0, size))
             raw, slack = raw.copy(), None if slack is None else slack.copy()
@@ -296,19 +296,19 @@ def test_pass_decides_which_stages_it_repeats(rng, tol):
                 raw[i] = base.lam.lambdas[i] + rng.uniform(0.01, 1.0)
             else:
                 slack[i] += rng.uniform(0.01, 1.0)
-            one, steps = _nested_pass(p, raw, k, tol, margin, slack, base)
+            one, steps = _nested_pass(p, raw, k, margin, slack, base)
             assert steps == i + 1
-            assert_same_sweep(one, _nested_pass(p, raw, k, tol, margin, slack)[0])
-            assert sweep(p, one.lam, tol) is one
+            assert_same_sweep(one, _nested_pass(p, raw, k, margin, slack)[0])
+            assert sweep(p, one.lam) is one
             bases.append(base)
         # the slack pass at the slacks each base's multipliers read as
         programs += [(np.full(size, -np.inf), eps,
                       np.maximum(b.lam.lambdas - b.bounds - eps, 0.0))
                      for b in bases]
         for raw, margin, slack in programs:
-            full, _ = _nested_pass(p, raw, k, tol, margin, slack)
+            full, _ = _nested_pass(p, raw, k, margin, slack)
             for base in bases:
-                one, steps = _nested_pass(p, raw, k, tol, margin, slack, base)
+                one, steps = _nested_pass(p, raw, k, margin, slack, base)
                 differ = np.flatnonzero(full.lam.lambdas != base.lam.lambdas)
                 assert steps == (differ[-1] + 1 if differ.size else 0)
                 assert (one is base) == (steps == 0)
@@ -317,51 +317,52 @@ def test_pass_decides_which_stages_it_repeats(rng, tol):
     assert partial > 0
 
 
-def test_sweep_reuses_linked_pass(rng, tol):
+def test_sweep_reuses_linked_pass(rng):
     # a full pass is handed back for its own multipliers on the same p
-    # while it lives and its bounds pass tol; anything else runs again
+    # while it lives; anything else runs again
     for _ in range(5):
         p = make_problem(rng)
         k = int(rng.integers(0, p.N))
-        sol = solve_multipliers(p, rng.standard_normal(p.n), k=k, tol=tol)
+        sol = solve_multipliers(p, rng.standard_normal(p.n), k=k)
         lam = sol.lam_star
-        assert sweep(p, lam, tol) is sol.sweep
-        ref = sweep(p, fresh(lam), tol)
+        assert sweep(p, lam) is sol.sweep
+        ref = sweep(p, fresh(lam))
         assert ref is not sol.sweep
         twin = dataclasses.replace(p)
-        again = sweep(twin, lam, tol)
+        again = sweep(twin, lam)
         assert again is not sol.sweep
         for other in (ref, again):
             assert_same_sweep(other, sol.sweep)
         link = weakref.ref(sol.sweep)
         del sol, again
         assert link() is None  # the vector holds its pass weakly
-        assert_same_sweep(sweep(p, lam, tol), ref)
+        assert_same_sweep(sweep(p, lam), ref)
         # a pickled or copied vector carries no link, and still sweeps
         for twin_lam in (pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)):
-            assert_same_sweep(sweep(p, twin_lam, tol), ref)
+            assert_same_sweep(sweep(p, twin_lam), ref)
 
-        # multipliers 5e-4 below their bounds, feasible under a loose tol
-        loose = dataclasses.replace(tol, eps_boundary=1e-3)
-        below, _ = _nested_pass(p, np.full(p.N - k, -np.inf), k, loose, -5e-4)
-        assert sweep(p, below.lam, loose) is below
+        # a multiplier 5e-4 below its bound is infeasible, whether a pass
+        # sets it there (margin -5e-4) or a vector brings it
+        lams = ref.lam.lambdas.copy()
+        lams[-1] = ref.bounds[-1] - 5e-4
         errors = []
-        for vec in (below.lam, fresh(below.lam)):
+        for call in (lambda: _nested_pass(p, np.full(p.N - k, -np.inf), k, -5e-4),
+                     lambda: sweep(p, MultiplierVector(lams, k))):
             with pytest.raises(InfeasibleMultiplier) as err:
-                sweep(p, vec, tol)
+                call()
             errors.append(str(err.value))
         assert errors[0] == errors[1]
 
 
-def test_project_feasible_singular_stage_zero_raises(tol):
+def test_project_feasible_singular_stage_zero_raises():
     # the projection steps stage 0 too: with G'Pf G = 0 and margin 0 the
     # multiplier lands on lam_0 = 0 and M = [[B'Pf B + R, 0], [0, 0]]
     p = scalar_problem(Pf=0.0, N=1)
     with pytest.raises(SingularM, match="singular"):
-        project_feasible(p, [0.0], margin=0.0, tol=tol)
+        project_feasible(p, [0.0], margin=0.0)
 
 
-def test_sweep_is_stacked(rng, tol):
+def test_sweep_is_stacked(rng):
     # one array per quantity, stacked over the stages; K and J are the
     # first m and last q rows of one gain buffer, _gains, in full, resumed and
     # reused passes alike. Every array is read-only, so a sweep handed
@@ -371,13 +372,13 @@ def test_sweep_is_stacked(rng, tol):
         k = int(rng.integers(0, p.N))
         size, d = p.N - k, p.m + p.q
         s = rng.uniform(0.0, 1.0, size)
-        full, _ = _reconstruct(p, s, k, tol)
+        full, _ = _reconstruct(p, s, k)
         cand = s.copy()
         cand[0] += 0.5
-        resumed, steps = _reconstruct(p, cand, k, tol, full)
+        resumed, steps = _reconstruct(p, cand, k, full)
         assert steps == 1
-        for sw in (full, resumed, sweep(p, full.lam, tol),
-                   sweep(p, fresh(full.lam), tol)):
+        for sw in (full, resumed, sweep(p, full.lam),
+                   sweep(p, fresh(full.lam))):
             assert sw.Pi.shape == (size + 1, p.n, p.n)
             assert sw.K.shape == (size, p.m, p.n)
             assert sw.J.shape == (size, p.q, p.n)
@@ -398,27 +399,27 @@ def test_sweep_is_stacked(rng, tol):
         assert not np.shares_memory(resumed.K.base, full.K.base)
 
 
-def test_stage_offset_bookkeeping(tol):
+def test_stage_offset_bookkeeping():
     p = scalar_problem(N=4, Pf=1.0)
-    lam = project_feasible(p, np.zeros(2), margin=0.1, stage_offset=2, tol=tol)
-    sw = sweep(p, lam, tol)
+    lam = project_feasible(p, np.zeros(2), margin=0.1, stage_offset=2)
+    sw = sweep(p, lam)
     assert sw.stage_offset == 2
     assert sw.horizon() == 2
     assert len(sw.Pi) == 3
     assert sw.Pi[-1][0, 0] == 1.0
 
 
-def test_degenerate_terminal_sweep(rng, tol):
+def test_degenerate_terminal_sweep(rng):
     # Pf = 0 keeps the recursion valid; last-stage bound is zero
     p = make_problem(rng, n=2, m=2, q=1, N=3, degenerate_pf=True)
-    lam = project_feasible(p, np.ones(3), margin=0.05, tol=tol)
-    sw = sweep(p, lam, tol)
+    lam = project_feasible(p, np.ones(3), margin=0.05)
+    sw = sweep(p, lam)
     assert sw.bounds[-1] == 0.0
     for Pi in sw.Pi:
         assert np.linalg.eigvalsh(Pi)[0] >= -1e-9
 
 
-def test_nested_pass_matches_block_stage_oracle(rng, tol):
+def test_nested_pass_matches_block_stage_oracle(rng):
     # every stage of the pass, from its own Pi_{j+1}, against the block
     # form of M and the right-hand side, on m != n and q = 1, 2, 3: Pi_j,
     # the gains and the bound (the pass keeps no M_j)
@@ -428,7 +429,7 @@ def test_nested_pass_matches_block_stage_oracle(rng, tol):
         m = int(rng.choice([v for v in range(1, 5) if v != n]))
         p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)))
         s = rng.uniform(0.05, 2.0, p.N)
-        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
+        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, EPS_BOUNDARY, s)
         assert np.array_equal(sw.Pi[-1], p.Pf)
         for j in range(p.N):
             Pi, _, K, J, top = stage_step_reference(p.A, p.B, p.G, p.Q, p.R,
@@ -440,14 +441,14 @@ def test_nested_pass_matches_block_stage_oracle(rng, tol):
     assert worst <= 1e-12, worst
 
 
-def test_pass_stores_each_stage_eigendecomposition(rng, tol):
+def test_pass_stores_each_stage_eigendecomposition(rng):
     # every stage keeps all eigenpairs of sym(G'Pi_{j+1}G) once: values
     # ascending, unit eigenvectors as rows, [[1]] at q = 1, and the bounds
     # are the view of the top values, not a copy
     for _ in range(60):
         p = make_problem(rng, q=int(rng.integers(1, 4)))
         s = rng.uniform(0.05, 2.0, p.N)
-        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, tol, tol.eps_boundary, s)
+        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, EPS_BOUNDARY, s)
         assert sw._eigvals.shape == (p.N, p.q)
         assert sw._eigvecs.shape == (p.N, p.q, p.q)
         assert sw.bounds.base is sw._eigvals

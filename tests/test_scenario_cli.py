@@ -8,8 +8,8 @@ import pytest
 import stdar.cli
 import stdar.policy
 
-from stdar import (Diverged, ProblemData, Tolerances, rollout,
-                   solve_multipliers, solve_steady_state, sweep)
+from stdar import (Diverged, ProblemData, rollout, solve_multipliers,
+                   solve_steady_state, sweep)
 from stdar.cli import main, _random_stable
 from stdar.errors import ScenarioError, SingularM
 from stdar.scenario import ScenarioFile, load_scenario, save_scenario
@@ -31,12 +31,12 @@ def sec5(N=4, x0=1.0):
 def test_save_load_round_trip(tmp_path):
     p = sec5()
     path = tmp_path / "a.yaml"
-    sc = ScenarioFile(problem=p, mode="finite", out="res", seed=7,
+    sc = ScenarioFile(problem=p, out="res", seed=7,
                       x0_list=(np.array([0.0]), np.array([2.0])),
                       grid=(-1.0, 1.0, 11))
     save_scenario(sc, path)
     back = load_scenario(path)
-    assert back.mode == "finite" and back.out == "res" and back.seed == 7
+    assert back.out == "res" and back.seed == 7
     assert back.grid == (-1.0, 1.0, 11)
     assert len(back.x0_list) == 2
     for f in ("A", "B", "G", "Q", "R", "Pf"):
@@ -56,7 +56,6 @@ def test_scalar_alpha_broadcasts(tmp_path):
         "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 3\n  alpha: 2.0\n")
     sc = load_scenario(path)
     assert np.array_equal(sc.problem.alpha, np.full(3, 2.0))
-    assert sc.mode == "finite"
 
 
 def test_loader_error_reporting(tmp_path):
@@ -73,9 +72,6 @@ def test_loader_error_reporting(tmp_path):
 
     base = ("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
             "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n")
-    bad.write_text(base + "run:\n  mode: nominal\n")
-    with pytest.raises(ScenarioError, match="unknown run mode"):
-        load_scenario(bad)
     bad.write_text(base + "run:\n  rollout_mode: adversary\n")
     with pytest.raises(ScenarioError, match="unknown rollout mode"):
         load_scenario(bad)
@@ -156,7 +152,7 @@ def test_mistyped_problem_value_is_a_scenario_error(tmp_path, capsys, key, value
 
 @pytest.mark.parametrize("where, key, entry", [
     ("problem", "x_0", "  x_0: [3.0]"), ("run", "x0list", "  x0list: [[1.0], [3.0]]"),
-    ("run", "instance", "  instance: 9"),
+    ("run", "instance", "  instance: 9"), ("run", "mode", "  mode: steady"),
     ("run.grid", "step", "  grid: {lo: 0.0, hi: 1.0, points: 3, step: 1}"),
     ("scenario", "runs", "runs: {mode: steady}")])
 def test_misspelt_key_is_a_scenario_error(tmp_path, capsys, where, key, entry):
@@ -186,16 +182,16 @@ def test_every_shipped_scenario_loads():
 
 
 def test_cli_validate(tmp_path, capsys):
-    path = write_scenario(tmp_path, sec5(), mode="finite")
-    rc = main(["validate", "--scenario", path, "--tol-psd", "1e-9"])
+    path = write_scenario(tmp_path, sec5())
+    rc = main(["validate", "--scenario", path])
     assert rc == 0
     outp = capsys.readouterr()
-    assert "ok: n=1 m=1 q=1 N=4 mode=finite" in outp.out
+    assert "ok: n=1 m=1 q=1 N=4\n" in outp.out
 
 
 def test_cli_finite_matches_library(tmp_path, capsys):
     p = sec5()
-    path = write_scenario(tmp_path, p, mode="finite", out=str(tmp_path / "res"),
+    path = write_scenario(tmp_path, p, out=str(tmp_path / "res"),
                           x0_list=(np.array([0.0]), np.array([1.0])))
     rc = main(["finite", "--scenario", path])
     assert rc == 0
@@ -205,9 +201,8 @@ def test_cli_finite_matches_library(tmp_path, capsys):
         lines = (out / f"finite_x0_{i}.csv").read_text().strip().split("\n")
         assert lines[0] == "k,Pi[0][0],lambda_k,value"
         assert len(lines) == p.N + 2
-        tol = Tolerances()
-        sol = solve_multipliers(p, x0, tol=tol)
-        sw = sweep(p, sol.lam_star, tol)
+        sol = solve_multipliers(p, x0)
+        sw = sweep(p, sol.lam_star)
         abar = p.alpha_bar
         lams = sol.lam_star.lambdas
         for k in range(p.N + 1):
@@ -225,7 +220,7 @@ def test_cli_finite_matches_library(tmp_path, capsys):
     assert summary[0] == ("i,x0[0],value,grad_norm,iterations,converged,"
                           "stage_steps,gradient_evals,adjoint_stages,backtracks,error")
     for i, x0 in enumerate([np.array([0.0]), np.array([1.0])]):
-        sol = solve_multipliers(p, x0, tol=Tolerances())
+        sol = solve_multipliers(p, x0)
         cells = summary[i + 1].split(",")
         assert float(cells[2]) == sol.value
         assert cells[4:] == [str(sol.iterations), str(sol.converged),
@@ -239,8 +234,7 @@ def test_cli_finite_exit_code_on_unconverged_or_failed_solve(tmp_path, monkeypat
     # one solve that stops short of convergence, or raises, among states
     # that solve, makes the run exit 3 after every file is written
     x0s = (np.array([0.0]), np.array([3.0]))
-    path = write_scenario(tmp_path, sec5(), mode="finite",
-                          out=str(tmp_path / "res"), x0_list=x0s)
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"), x0_list=x0s)
     out = tmp_path / "res"
     monkeypatch.setattr(stdar.cli, "solve_multipliers",
                         functools.partial(solve_multipliers, max_iter=1))
@@ -266,8 +260,7 @@ def test_cli_finite_exit_code_on_unconverged_or_failed_solve(tmp_path, monkeypat
 def test_cli_policy_curve_odd_with_spread(tmp_path):
     p = scalar_problem(A=0.5, B=1, G=1, Q=0.2, R=1, Pf=1, N=3,
                        alpha=1.0, x0=1.0)
-    path = write_scenario(tmp_path, p, mode="policy_curve",
-                          out=str(tmp_path / "res"), grid=(-2.0, 2.0, 9))
+    path = write_scenario(tmp_path, p, out=str(tmp_path / "res"), grid=(-2.0, 2.0, 9))
     rc = main(["policy-curve", "--scenario", path])
     assert rc == 0
     lines = (tmp_path / "res" / "policy_curve.csv").read_text().strip().split("\n")
@@ -285,13 +278,12 @@ def test_cli_policy_curve_odd_with_spread(tmp_path):
 
 def test_cli_policy_curve_needs_scalar_and_grid(tmp_path):
     p2 = sec5()
-    path = write_scenario(tmp_path, p2, mode="policy_curve",
-                          out=str(tmp_path / "res"))
+    path = write_scenario(tmp_path, p2, out=str(tmp_path / "res"))
     assert main(["policy-curve", "--scenario", path]) == 2  # no grid
     from conftest import make_problem
     pm = make_problem(np.random.default_rng(0), n=2, m=2, q=1, N=2)
-    path2 = write_scenario(tmp_path, pm, name="m.yaml", mode="policy_curve",
-                           out=str(tmp_path / "res"), grid=(-1.0, 1.0, 3))
+    path2 = write_scenario(tmp_path, pm, name="m.yaml", out=str(tmp_path / "res"),
+                           grid=(-1.0, 1.0, 3))
     assert main(["policy-curve", "--scenario", path2]) == 2
 
 
@@ -300,11 +292,11 @@ def test_cli_rollout_matches_library(tmp_path, capsys):
     # test_policy::test_trajectory_csv_round_trip; here the scenario run
     # reports the library's rollout
     p = sec5()
-    path = write_scenario(tmp_path, p, mode="rollout",
-                          out=str(tmp_path / "res"), rollout_mode="worst_case")
+    path = write_scenario(tmp_path, p, out=str(tmp_path / "res"),
+                          rollout_mode="worst_case")
     rc = main(["rollout", "--scenario", path])
     assert rc == 0
-    tr = rollout(p, mode="worst_case", tol=Tolerances())
+    tr = rollout(p, mode="worst_case")
     assert capsys.readouterr().out == (
         f"total cost {tr.total_cost:.12g}  ratio {tr.value_ratio:.12g}  "
         f"converged {tr.converged}\n")
@@ -321,8 +313,7 @@ def test_cli_rollout_external_w_file(tmp_path):
     p = sec5()
     wf = tmp_path / "w.csv"
     np.savetxt(wf, np.zeros((p.N, p.q)), delimiter=",")
-    path = write_scenario(tmp_path, p, mode="rollout",
-                          out=str(tmp_path / "res"),
+    path = write_scenario(tmp_path, p, out=str(tmp_path / "res"),
                           rollout_mode="external", w_file=str(wf))
     assert main(["rollout", "--scenario", path]) == 0
     lines = (tmp_path / "res" / "rollout.csv").read_text().strip().split("\n")
@@ -330,8 +321,7 @@ def test_cli_rollout_external_w_file(tmp_path):
 
 
 def test_cli_steady(tmp_path, capsys):
-    path = write_scenario(tmp_path, sec5(), mode="steady",
-                          out=str(tmp_path / "res"))
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"))
     rc = main(["steady", "--scenario", path])
     assert rc == 0
     outp = capsys.readouterr().out
@@ -354,27 +344,34 @@ def test_cli_steady(tmp_path, capsys):
 
 
 def test_cli_bench(tmp_path, capsys):
-    path = write_scenario(tmp_path, sec5(), mode="bench",
-                          out=str(tmp_path / "res"), seed=3,
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"), seed=3,
                           sizes=(2, 3), instances=2)
     rc = main(["bench", "--scenario", path])
     assert rc == 0
     outp = capsys.readouterr().out
     assert "fitted exponent:" in outp
-    lines = (tmp_path / "res" / "bench.csv").read_text().strip().split("\n")
-    assert lines[0] == "n,median_s"
-    assert len(lines) == 3
+    with open(tmp_path / "res" / "bench.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["n", "median_s", "probes", "fp_iterations"]
+    assert [row["n"] for row in rows] == ["2", "3"]
+    # the counts are the medians over the solves of the bench's own systems
+    rng = np.random.default_rng(3)
+    for row in rows:
+        sols = [solve_steady_state(_random_stable(rng, int(row["n"])))
+                for _ in range(2)]
+        for col in ("probes", "fp_iterations"):
+            assert float(row[col]) == np.median([getattr(s, col) for s in sols])
     report = (tmp_path / "res" / "bench_report.txt").read_text()
     assert report.startswith("fitted exponent:")
 
 
 def test_cli_bench_degenerate_sizes(tmp_path, capsys):
-    path = write_scenario(tmp_path, sec5(), mode="bench",
-                          out=str(tmp_path / "res"), sizes=(3,), instances=1)
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"), sizes=(3,),
+                          instances=1)
     assert main(["bench", "--scenario", path]) == 0
     assert "undefined" in capsys.readouterr().out
-    path2 = write_scenario(tmp_path, sec5(), name="e.yaml", mode="bench",
-                           out=str(tmp_path / "res2"), sizes=(), instances=1)
+    path2 = write_scenario(tmp_path, sec5(), name="e.yaml", out=str(tmp_path / "res2"),
+                           sizes=(), instances=1)
     assert main(["bench", "--scenario", path2]) == 3
 
 
@@ -388,9 +385,6 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n")
     assert main(["validate", "--scenario", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
-    good = write_scenario(tmp_path, sec5(), mode="steady")
-    assert main(["validate", "--scenario", good, "--tol-psd", "nan"]) == 2
-    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_finite_rejects_non_finite_x0_before_solving(tmp_path, capsys):
@@ -409,7 +403,7 @@ def test_cli_finite_rejects_non_finite_x0_before_solving(tmp_path, capsys):
 def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
     # --seed takes an integer of at least 0, as numpy's generators do: -5
     # exits 2 with a message naming the flag, before any file is written
-    path = write_scenario(tmp_path, sec5(), mode="bench", sizes=(2,),
+    path = write_scenario(tmp_path, sec5(), sizes=(2,),
                           instances=1, out=str(tmp_path / "res"))
     assert main(["bench", "--scenario", path, "--seed", "-5"]) == 2
     assert "error: --seed -5 is below 0" in capsys.readouterr().err
@@ -425,7 +419,7 @@ def _unstabilizable():
 
 
 def test_cli_validate_prints_warnings(tmp_path, capsys):
-    path = write_scenario(tmp_path, _unstabilizable(), mode="steady")
+    path = write_scenario(tmp_path, _unstabilizable())
     assert main(["validate", "--scenario", path]) == 0
     outp = capsys.readouterr()
     assert "ok: n=2 m=1 q=1 N=3" in outp.out
@@ -434,8 +428,7 @@ def test_cli_validate_prints_warnings(tmp_path, capsys):
 
 def test_cli_solver_error_exits_3(tmp_path, capsys):
     # a RegulatorError no command handles itself reaches main: exit 3
-    path = write_scenario(tmp_path, _unstabilizable(), mode="steady",
-                          out=str(tmp_path / "res"))
+    path = write_scenario(tmp_path, _unstabilizable(), out=str(tmp_path / "res"))
     assert main(["steady", "--scenario", path]) == 3
     assert "solver error: no feasible multiplier" in capsys.readouterr().err
     assert not (tmp_path / "res" / "steady.csv").exists()
@@ -447,7 +440,7 @@ def test_cli_steady_without_lqr_baseline(tmp_path, monkeypatch):
         raise Diverged("LQR Riccati doubling did not converge")
 
     monkeypatch.setattr(stdar.cli, "lqr_baseline", diverges)
-    path = write_scenario(tmp_path, sec5(), mode="steady", out=str(tmp_path / "res"))
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"))
     assert main(["steady", "--scenario", path]) == 0
     with open(tmp_path / "res" / "steady.csv", newline="") as fh:
         row = next(csv.DictReader(fh))
@@ -460,8 +453,8 @@ def test_cli_rollout_exit_code_on_unconverged_resolve(tmp_path, capsys, monkeypa
     # rollout still runs and writes its CSV, flags the stage and exits 3
     monkeypatch.setattr(stdar.policy, "solve_multipliers",
                         functools.partial(solve_multipliers, max_iter=1))
-    path = write_scenario(tmp_path, sec5(x0=3.0), mode="rollout",
-                          out=str(tmp_path / "res"), rollout_mode="zero")
+    path = write_scenario(tmp_path, sec5(x0=3.0), out=str(tmp_path / "res"),
+                          rollout_mode="zero")
     assert main(["rollout", "--scenario", path]) == 3
     assert capsys.readouterr().out.endswith("converged False\n")
     with open(tmp_path / "res" / "rollout.csv", newline="") as fh:
@@ -470,8 +463,7 @@ def test_cli_rollout_exit_code_on_unconverged_resolve(tmp_path, capsys, monkeypa
 
 
 def test_cli_out_override(tmp_path):
-    path = write_scenario(tmp_path, sec5(), mode="steady",
-                          out=str(tmp_path / "orig"))
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "orig"))
     other = tmp_path / "other"
     assert main(["steady", "--scenario", path, "--out", str(other)]) == 0
     assert (other / "steady.csv").exists()

@@ -128,7 +128,7 @@ def test_saddle_point_rank_deficient_d():
         saddle_point(bs)
 
 
-def test_saddle_point_inner_optimizer_residuals(rng, tol):
+def test_saddle_point_inner_optimizer_residuals(rng):
     for _ in range(30):
         m = int(rng.integers(1, 4))
         q = int(rng.integers(1, 4))

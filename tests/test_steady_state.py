@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar import (Diverged, NoFeasibleLambda, Tolerances, lmi_certify,
-                   lqr_baseline, solve_steady_state)
+from stdar import (Diverged, NoFeasibleLambda, lmi_certify, lqr_baseline,
+                   solve_steady_state)
 from stdar import _kernels, steady_state
 from stdar._linalg import top_eig
 from stdar.errors import SingularPi
 from stdar.problem import ProblemData
+from stdar.riccati import EPS_BOUNDARY
 from conftest import make_problem, scalar_problem
 from oracles import (game_map_reference, steady_scalar_closed_form,
                      steady_scalar_grid, steady_scalar_pi_at)
@@ -345,7 +346,7 @@ def test_coupling_terms_formed_once_per_call(rng, monkeypatch):
 
 
 def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
-    # a converged probe whose slack lam - ||G'Pi G|| + eps_boundary is
+    # a converged probe whose slack lam - ||G'Pi G|| + EPS_BOUNDARY is
     # negative goes to lo whether or not Pi is a fixed point, so the search
     # runs the verifying map step once for each probe with a non-negative
     # slack, on its Pi, and never for a probe below its bound
@@ -367,7 +368,6 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
     monkeypatch.setattr(steady_state, "couplings", couplings)
     monkeypatch.setattr(steady_state, "fixed_point_numpy", counted)
     monkeypatch.setattr(_kernels, "game_step", counted_step)
-    eps = Tolerances().eps_boundary
     below = 0
     for n in (2, 3, 4, 6, 8):
         p = _bank_system(rng, n)
@@ -376,7 +376,7 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
         assert len(lams) == len(outs) == sol.probes
         converged = [(lam, out[2]) for lam, out in zip(lams, outs) if out[0] == 0]
         clearing = [Pi for lam, Pi in converged
-                    if lam - top_eig(p.G.T @ Pi @ p.G) + eps >= 0.0]
+                    if lam - top_eig(p.G.T @ Pi @ p.G) + EPS_BOUNDARY >= 0.0]
         assert len(steps) == len(clearing)
         assert all(a is b for a, b in zip(steps, clearing))
         below += len(converged) - len(clearing)
@@ -385,7 +385,7 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
 
 def test_probe_below_its_bound_is_not_verified(monkeypatch):
     # 1e-4 below lambda_bar = 1.2 of the paper's scalar example the doubling
-    # converges, to a Pi whose slack is below -eps_boundary: the probe
+    # converges, to a Pi whose slack is below -EPS_BOUNDARY: the probe
     # returns it with status 0, its ||G'Pi G|| and no step, unverified
     verified = []
     verify = steady_state.verify
@@ -395,7 +395,7 @@ def test_probe_below_its_bound_is_not_verified(monkeypatch):
     lam = 1.2 - 1e-4
     status, _, Pi, top, step = steady_state._prober(p)(lam)
     assert (status, step, verified) == (0, None, [])
-    assert top == top_eig(p.G.T @ Pi @ p.G) > lam + Tolerances().eps_boundary
+    assert top == top_eig(p.G.T @ Pi @ p.G) > lam + EPS_BOUNDARY
 
 
 def test_lqr_baseline_is_the_probe_at_infinity(rng, monkeypatch):
