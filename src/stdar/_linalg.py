@@ -10,9 +10,6 @@ import numpy as np
 # pseudoinverse part and the top eigenspace it completes along.
 PINV_CUTOFF = 1e-11
 
-_UNIT = np.ones((1, 1))
-_UNIT.flags.writeable = False
-
 
 def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
@@ -32,15 +29,10 @@ def top_eig(M: np.ndarray) -> float:
 
 def eigpairs(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """A symmetric M's largest eigenvalue as a float, all eigenvalues
-    ascending and unit eigenvectors as the rows of U: (M[0, 0], M[0, 0],
-    [[1]]) for 1x1 M, else from eigh, so the top value may differ from
-    top_eig(M)'s eigvalsh in the last bits. M is not symmetrized: eigh
-    reads one triangle. Raises ValueError on non-finite input."""
-    if M.shape == (1, 1):
-        v = float(M[0, 0])
-        if math.isfinite(v):
-            return v, v, _UNIT
-    elif np.isfinite(M).all():
+    ascending and unit eigenvectors as the rows of U, from eigh, which
+    reads one triangle (the top value may differ from top_eig(M)'s in the
+    last bits). Raises ValueError on non-finite input."""
+    if np.isfinite(M).all():
         w, V = np.linalg.eigh(M)
         return float(w[-1]), w, V.T
     raise ValueError("eigpairs of a matrix with non-finite entries")

@@ -80,9 +80,9 @@ class ProblemData:
 
     Besides its fields it holds the sizes n, m, q and the constants every
     backward stage reads, built once and read-only like its arrays:
-    F = [B G A], C = blockdiag(R, 0, Q) and Z = [0; -I], the template of a
-    stage's gain buffer. The constructor copies its inputs, and copies and
-    pickles are rebuilt through it, so they are read-only too.
+    F = [B G A], C = blockdiag(R, 0, Q) and Z = [0; I], the template a
+    stage writes -[K; J] into. The constructor copies its inputs, and
+    copies and pickles are rebuilt through it, so they are read-only too.
     """
 
     A: np.ndarray
@@ -145,7 +145,7 @@ class ProblemData:
         for name, arr in (("A", A), ("B", B), ("G", G), ("Q", Q), ("R", R),
                           ("Pf", Pf), ("alpha", alpha), ("x0", x0),
                           ("F", np.hstack([B, G, A])), ("C", C),
-                          ("Z", np.vstack([np.zeros((d, n)), -np.eye(n)]))):
+                          ("Z", np.vstack([np.zeros((d, n)), np.eye(n)]))):
             arr = np.array(arr, order="C")  # a copy: the caller keeps its arrays
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

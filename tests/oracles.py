@@ -12,7 +12,9 @@ solver's batched form is checked. `game_map_reference` is the
 steady-state game Riccati map in its block form, against which the
 package's n x n form is checked, and `stage_step_reference` is one step of
 the finite-horizon recursion in the same block form, against which the
-nested pass's stacked products are checked. The single-stage sphere
+nested pass's stacked products are checked. `bordered_pass_reference` is
+the nested pass in the bordered form's first arithmetic, which the pass
+must reproduce bit for bit. The single-stage sphere
 reference lives in sphere_oracle.py.
 """
 import numpy as np
@@ -170,6 +172,37 @@ def stage_step_reference(A, B, G, Q, R, S, lam):
     KJ = np.linalg.solve(M, rhs)
     Pi = Q + A.T @ S @ A - np.block([A.T @ S @ B, A.T @ S @ G]) @ KJ
     return 0.5 * (Pi + Pi.T), M, KJ[:m], KJ[m:], _top(G.T @ S @ G)
+
+
+def bordered_pass_reference(p, raw, margin=-np.inf, slack=None):
+    """The nested pass over len(raw) stages from Pi_N = Pf, one stage at a
+    time in the bordered form's first arithmetic: from Pi_{j+1} = S,
+    H = (X + X.T) * 0.5 + C with X = F'(S F); the G block's eigenpairs
+    (eigh for q > 1, the 1 x 1 block its own with eigenvector 1); lam_j =
+    max(raw_j, b_j + margin) + slack_j in floats; lam_j taken off the G
+    block's diagonal, M [K; J] = rhs solved and H [K; J; -I] =
+    [M [K; J] - rhs; -Pi_j]. Returns Pi, [K; J], the eigenvalues, the
+    eigenvectors as rows and lam, each stacked over the stages."""
+    m, d, size = p.m, p.m + p.q, len(raw)
+    Pi, KJ = [None] * size + [p.Pf], [None] * size
+    vals, vecs, lam = [None] * size, [None] * size, [None] * size
+    for j in range(size - 1, -1, -1):
+        X = p.F.T @ (Pi[j + 1] @ p.F)
+        H = (X + X.T) * 0.5 + p.C
+        if p.q == 1:
+            vals[j], vecs[j] = H[m, m:d].copy(), np.ones((1, 1))
+        else:
+            w, V = np.linalg.eigh(H[m:d, m:d])
+            vals[j], vecs[j] = w, V.T
+        b = float(vals[j][-1])
+        lam[j] = max(float(raw[j]), b + margin)
+        if slack is not None:
+            lam[j] += float(slack[j])
+        for r in range(m, d):
+            H[r, r] -= lam[j]
+        KJ[j] = np.linalg.solve(H[:d, :d], H[:d, d:])
+        Pi[j] = -(H @ np.vstack([KJ[j], -np.eye(p.n)]))[d:]
+    return tuple(np.array(v) for v in (Pi, KJ, vals, vecs, lam))
 
 
 def _scalar_map_terms(A, B, G, Q, R, pi, lams):

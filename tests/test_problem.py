@@ -125,12 +125,13 @@ def test_problem_data_immutable():
 
 
 def test_stage_constants(rng):
-    # the constants every backward stage reads, built once per problem
+    # the constants every backward stage reads, built once per problem;
+    # Z is the gain template [0; I]
     p = make_problem(rng, n=3, m=2, q=2)
     assert (p.n, p.m, p.q) == (3, 2, 2)
     expected = {"F": np.hstack([p.B, p.G, p.A]),
                 "C": la.block_diag(p.R, np.zeros((p.q, p.q)), p.Q),
-                "Z": np.vstack([np.zeros((p.m + p.q, p.n)), -np.eye(p.n)])}
+                "Z": np.vstack([np.zeros((p.m + p.q, p.n)), np.eye(p.n)])}
     for name, ref in expected.items():
         got = getattr(p, name)
         assert np.array_equal(got, ref), name

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar import (InfeasibleMultiplier, MultiplierVector,
+from stdar import (InfeasibleMultiplier, MultiplierVector, ProblemData,
                    RiccatiSweep, SingularM, control_at, objective,
                    solve_multipliers, sweep, worst_disturbance_at)
 from stdar._linalg import top_eig
@@ -15,7 +15,8 @@ from stdar.multiplier import _reconstruct
 from stdar.riccati import (EPS_BOUNDARY, _nested_pass, _stage_step,
                            project_feasible)
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
-from oracles import lqr_recursion, receq_crosscheck, stage_step_reference
+from oracles import (bordered_pass_reference, lqr_recursion, receq_crosscheck,
+                     stage_step_reference)
 
 
 def feasible_lam(p, rng, spread=2.0):
@@ -470,36 +471,47 @@ def test_pass_stores_each_stage_eigendecomposition(rng):
                 assert U[0, 0] == 1.0 and w[0] == H[p.m, p.m]
 
 
-def bordered(p, S):
-    """A stage step's input: H = sym(F'SF) + blockdiag(R, 0, Q) with
-    F = [B G A], and the buffer [0; -I] the step writes its gains into."""
+def bordered(p, S, lam):
+    """A stage step's input as the pass hands it over: H = sym(F'SF) +
+    blockdiag(R, 0, Q) with F = [B G A], shifted by -lam on the G block's
+    diagonal, and the gain template [0; I]."""
     F = np.hstack([p.B, p.G, p.A])
     H = F.T @ S @ F
     H = 0.5 * (H + H.T) + la.block_diag(p.R, np.zeros((p.q, p.q)), p.Q)
-    return H, np.vstack([np.zeros((p.m + p.q, p.n)), -np.eye(p.n)])
+    for r in range(p.m, p.m + p.q):
+        H[r, r] -= lam
+    return H, np.vstack([np.zeros((p.m + p.q, p.n)), np.eye(p.n)])
 
 
-def full_check_accepts(p, H, Z, lam):
-    """The stage step's check evaluated whole, from copies of its inputs:
-    ||M KJ - rhs||_F <= 1e-8 (1 + ||rhs||_F + max|M| ||KJ||_F) with the
+def step(p, H, Z, lam):
+    """_stage_step as the pass calls it: with the views M and rhs of H, the
+    template Z and its top block, and an (m+q+n) x n slot for H Z.
+    Returns (Pi_j, [K; J], the slot)."""
+    d = p.m + p.q
+    out = np.empty((d + p.n, p.n))
+    KJ = _stage_step(H, H[:d, :d], H[:d, d:], Z, Z[:d], out, lam)
+    return out[d:], KJ, out
+
+
+def full_check_accepts(p, H, lam):
+    """The stage step's check evaluated whole, from a copy of its shifted
+    H: ||M KJ - rhs||_F <= 1e-8 (1 + ||rhs||_F + max|M| ||KJ||_F) with the
     residual from H [KJ; -I], and False where the solve fails. Returns
     (accepted, resid)."""
-    H, Z, d = H.copy(), Z.copy(), p.m + p.q
-    for r in range(p.m, d):
-        H[r, r] -= lam
+    H, d = H.copy(), p.m + p.q
     M, rhs = H[:d, :d], H[:d, d:]
     try:
-        Z[:d] = np.linalg.solve(M, rhs)
+        KJ = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         return False, np.nan
-    resid = np.linalg.norm((H @ Z)[:d])
-    scale = 1.0 + np.linalg.norm(rhs) + np.abs(M).max() * np.linalg.norm(Z[:d])
+    resid = np.linalg.norm((H @ np.vstack([KJ, -np.eye(p.n)]))[:d])
+    scale = 1.0 + np.linalg.norm(rhs) + np.abs(M).max() * np.linalg.norm(KJ)
     return bool(resid <= 1e-8 * scale), resid
 
 
 def step_accepts(p, H, Z, lam):
     try:
-        _stage_step(p, H.copy(), Z.copy(), lam)
+        step(p, H.copy(), Z.copy(), lam)
     except SingularM:
         return False
     return True
@@ -521,8 +533,8 @@ def test_stage_check_decides_as_the_full_formula(rng):
         b = top_eig(p.G.T @ S @ p.G)
         lam = (b + rng.uniform(0.01, 2.0) * (1.0 + b) if trial % 3 != 1
                else b * (1.0 + 10.0 ** -rng.uniform(1.0, 16.0)))
-        H, Z = bordered(p, S)
-        accepted, resid = full_check_accepts(p, H, Z, lam)
+        H, Z = bordered(p, S, lam)
+        accepted, resid = full_check_accepts(p, H, lam)
         assert step_accepts(p, H, Z, lam) == accepted
         full_path += accepted and resid > 1e-8
     assert full_path >= 20
@@ -533,8 +545,8 @@ def test_stage_check_decides_as_the_full_formula(rng):
             i, j = rng.integers(0, p.n, 2)
             S[i, j] = S[j, i] = bad
             with np.errstate(invalid="ignore"):  # inf * 0 in the products
-                H, Z = bordered(p, S)
-                assert not full_check_accepts(p, H, Z, 10.0)[0]
+                H, Z = bordered(p, S, 10.0)
+                assert not full_check_accepts(p, H, 10.0)[0]
                 assert not step_accepts(p, H, Z, 10.0)
 
 
@@ -542,16 +554,21 @@ def test_stage_solve_matches_scipy(rng):
     # the stage step solves M [K; J] = rhs with numpy.linalg: its gains
     # agree with scipy.linalg.solve's to within the conditioning of M, and
     # its residual is at rounding level. The product that gives the
-    # residual also gives Pi_j = Q + A'SA - rhs'[K; J]
+    # residual also gives Pi_j = Q + A'SA - rhs'[K; J]: the template's top
+    # block holds -[K; J], its identity block stays, and H is not changed
     for _ in range(200):
         p = make_problem(rng)
         E = rng.standard_normal((p.n, p.n))
         S = E.T @ E
         lam = top_eig(p.G.T @ S @ p.G) + rng.uniform(0.01, 2.0)
-        H, Z = bordered(p, S)
-        Pi, KJ = _stage_step(p, H, Z, lam)
-        M = H[:p.m + p.q, :p.m + p.q]  # the stage matrix, shifted in place
+        H, Z = bordered(p, S, lam)
+        H0, d = H.copy(), p.m + p.q
+        Pi, KJ, out = step(p, H, Z, lam)
+        assert np.array_equal(H, H0)
+        assert np.array_equal(Z[:d], -KJ) and np.array_equal(Z[d:], np.eye(p.n))
+        M = H[:d, :d]  # the stage matrix
         rhs = np.vstack([p.B.T @ S @ p.A, p.G.T @ S @ p.A])
+        assert np.array_equal(out, H @ Z)  # [rhs - M [K; J]; Pi_j]
         ref = la.solve(M, rhs, assume_a="sym")
         scale = np.linalg.norm(M) * np.linalg.norm(ref) + np.linalg.norm(rhs)
         assert np.linalg.norm(KJ - ref) <= (
@@ -565,10 +582,61 @@ def test_stage_solve_matches_scipy(rng):
     # A = B = G = R = 1, S = 1 and lam = 0.5 give M = [[2, 1], [1, 0.5]]
     p = scalar_problem(A=1, B=1, G=1, R=1)
     with pytest.raises(SingularM, match="singular"):
-        _stage_step(p, *bordered(p, np.ones((1, 1))), 0.5)
+        step(p, *bordered(p, np.ones((1, 1)), 0.5), 0.5)
     # so is a non-finite Pi_{j+1}, which numpy's solve does not detect
     p = make_problem(rng, n=2)
     S = np.eye(2)
     S[0, 1] = S[1, 0] = np.nan
     with pytest.raises(SingularM):
-        _stage_step(p, *bordered(p, S), 10.0)
+        step(p, *bordered(p, S, 10.0), 10.0)
+
+
+def test_pass_is_the_bordered_formula_bit_for_bit(rng):
+    # the halved product F'(Pi (F/2)), the [0; I] template and the bound
+    # read off H at q = 1 change no bit: every array full and resumed slack
+    # passes and warm passes store equals, exactly, the pass written in
+    # the bordered form's first arithmetic, at q = 1, 2 and 3 and n = 1-4
+    for trial in range(150):
+        p = make_problem(rng, n=int(rng.integers(1, 5)), q=trial % 3 + 1)
+        k = int(rng.integers(0, p.N))
+        size = p.N - k
+        s = rng.uniform(0.0, 1.0, size)
+        cand = s.copy()
+        cand[int(rng.integers(0, size))] += 0.5
+        full, _ = _reconstruct(p, s, k)
+        resumed, _ = _reconstruct(p, cand, k, full)
+        raw = rng.uniform(0.0, 3.0, size)
+        warm, _ = _nested_pass(p, raw, k, EPS_BOUNDARY)
+        lower = np.full(size, -np.inf)
+        for sw, args in ((full, (lower, EPS_BOUNDARY, s)),
+                         (resumed, (lower, EPS_BOUNDARY, cand)),
+                         (warm, (raw, EPS_BOUNDARY))):
+            Pi, KJ, vals, vecs, lam = bordered_pass_reference(p, *args)
+            assert np.array_equal(sw.Pi, Pi)
+            assert np.array_equal(sw._gains, KJ)
+            assert np.array_equal(sw.K, KJ[:, :p.m])
+            assert np.array_equal(sw.J, KJ[:, p.m:])
+            assert np.array_equal(sw.bounds, vals[:, -1])
+            assert np.array_equal(sw._eigvals, vals)
+            assert np.array_equal(sw._eigvecs, vecs)
+            assert np.array_equal(sw.lam.lambdas, lam)
+
+
+def test_overflowing_pass_raises_singular_m():
+    # a recursion that overflows is a typed failure, which Online.run and
+    # rollout catch: at Pf = 1e307 the last stage's A'Pi A overflows, so
+    # its Pi is not finite and the next stage's G'Pi G fails the finiteness
+    # test; with one stage no later stage reads that Pi, and the pass tests
+    # Pi_k itself. (At Pf = 1e306 the halved product F'(Pi (F/2)) stays
+    # finite.)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in (1, 2):
+            eye = np.eye(q)
+            for N, match in ((3, "G'Pi G not finite at stage 1"),
+                             (1, "Pi not finite at stage 0")):
+                p = ProblemData(A=10.0 * eye, B=eye, G=eye, Q=eye, R=eye,
+                                Pf=1e307 * eye, N=N, alpha=1.0)
+                with pytest.raises(SingularM, match=match):
+                    solve_multipliers(p, np.ones(q))
+                with pytest.raises(SingularM, match="not finite"):
+                    sweep(p, MultiplierVector(np.full(N, 1e308)))
