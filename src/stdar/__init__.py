@@ -14,7 +14,6 @@ from .multiplier import MultiplierSolution, objective, solve_multipliers
 from .policy import Trajectory, control_at, rollout, worst_disturbance_at
 from .problem import ProblemData, ValidationReport, validate_problem
 from .riccati import MultiplierVector, RiccatiSweep, sweep
-from .scenario import ScenarioFile, load_scenario, save_scenario
 from .steady_state import (LmiCertificate, SteadyStateSolution, lmi_certify,
                            lqr_baseline, solve_steady_state)
 
@@ -25,9 +24,8 @@ __all__ = [
     "InfeasibleMultiplier", "LmiCertificate", "MultiplierSolution",
     "MultiplierVector", "NoFeasibleLambda", "NoSphereIntersection",
     "ProblemData", "RegulatorError", "RiccatiSweep", "ScenarioError",
-    "ScenarioFile", "SingularM", "SingularPi", "SteadyStateSolution",
-    "Trajectory", "ValidationReport", "control_at",
-    "lmi_certify", "load_scenario", "lqr_baseline", "objective", "rollout",
-    "save_scenario", "solve_multipliers", "solve_steady_state", "sweep",
-    "validate_problem", "worst_disturbance_at",
+    "SingularM", "SingularPi", "SteadyStateSolution", "Trajectory",
+    "ValidationReport", "control_at", "lmi_certify", "lqr_baseline",
+    "objective", "rollout", "solve_multipliers", "solve_steady_state",
+    "sweep", "validate_problem", "worst_disturbance_at",
 ]

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: validate, finite, policy-curve, rollout, steady, bench. Each
-reads a scenario file, writes CSV outputs into the run's output directory
-(overridable with --out), and returns exit code 0 on success, 2 on
-validation failure, 3 on solver non-convergence. Floats are emitted with
-17 significant digits so files re-parse bit-for-bit.
+reads a scenario file and returns exit code 0 on success, 2 on validation
+failure, 3 on solver non-convergence; all but validate write CSV outputs
+into the run's output directory (overridable with --out). Floats are
+emitted with 17 significant digits so files re-parse bit-for-bit.
 """
 from __future__ import annotations
 
@@ -48,11 +48,8 @@ def _load(args):
 def _prepare(args):
     sc = _load(args)
     out = args.out if args.out is not None else sc.out
-    seed = args.seed if args.seed is not None else sc.seed
-    if seed < 0:  # run.seed is checked at load; numpy takes no negative seed
-        raise ValueError(f"--seed {seed} is below 0")
     os.makedirs(out, exist_ok=True)
-    return sc, out, seed
+    return sc, out
 
 
 def cmd_validate(args) -> int:
@@ -66,7 +63,7 @@ def _pi_header(n: int) -> list:
 
 
 def cmd_finite(args) -> int:
-    sc, out, _ = _prepare(args)
+    sc, out = _prepare(args)
     p = sc.problem
     x0s = list(sc.x0_list) if sc.x0_list else [p.x0]
     summary_rows = []
@@ -110,7 +107,7 @@ def cmd_finite(args) -> int:
 
 
 def cmd_policy_curve(args) -> int:
-    sc, out, _ = _prepare(args)
+    sc, out = _prepare(args)
     p = sc.problem
     if p.n != 1 or p.m != 1:
         raise ScenarioError("policy-curve needs a scalar system (n = m = 1)")
@@ -141,7 +138,7 @@ def cmd_policy_curve(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    sc, out, _ = _prepare(args)
+    sc, out = _prepare(args)
     p = sc.problem
     w_seq = None
     if sc.rollout_mode == "external":
@@ -169,7 +166,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    sc, out, _ = _prepare(args)
+    sc, out = _prepare(args)
     p = sc.problem
     sol = solve_steady_state(p)
     try:
@@ -201,7 +198,10 @@ def _random_stable(rng: np.random.Generator, n: int) -> ProblemData:
 
 
 def cmd_bench(args) -> int:
-    sc, out, seed = _prepare(args)
+    if args.seed is not None and args.seed < 0:  # numpy takes no negative seed
+        raise ValueError(f"--seed {args.seed} is below 0")
+    sc, out = _prepare(args)
+    seed = args.seed if args.seed is not None else sc.seed
     rng = np.random.default_rng(seed)
     solve_steady_state(_random_stable(rng, 2))  # untimed: first-call costs
     rng = np.random.default_rng(seed)           # timed instances
@@ -235,28 +235,27 @@ def cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", required=True, help="scenario YAML path")
-    common.add_argument("--out", default=None, help="output directory override")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--allow-degenerate-terminal", action="store_true",
-                        help="accept G'Pf G = 0 (warn instead of fail)")
+    # each subcommand takes only the flags it reads: --out where it writes
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--scenario", required=True, help="scenario YAML path")
+    reads.add_argument("--allow-degenerate-terminal", action="store_true",
+                       help="accept G'Pf G = 0 (warn instead of fail)")
+    writes = argparse.ArgumentParser(add_help=False, parents=[reads])
+    writes.add_argument("--out", default=None, help="output directory override")
+    draws = argparse.ArgumentParser(add_help=False, parents=[writes])
+    draws.add_argument("--seed", type=int, default=None, help="seed override")
     ap = argparse.ArgumentParser(
         prog="stdar",
         description="Stage-bound disturbance attenuation regulator toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
-                   help="check problem assumptions").set_defaults(fn=cmd_validate)
-    sub.add_parser("finite", parents=[common],
-                   help="finite-horizon solves over x0_list").set_defaults(fn=cmd_finite)
-    sub.add_parser("policy-curve", parents=[common],
-                   help="u0*(x0) over a grid").set_defaults(fn=cmd_policy_curve)
-    sub.add_parser("rollout", parents=[common],
-                   help="closed-loop simulation").set_defaults(fn=cmd_rollout)
-    sub.add_parser("steady", parents=[common],
-                   help="steady-state solve with LMI certificate").set_defaults(fn=cmd_steady)
-    sub.add_parser("bench", parents=[common],
-                   help="complexity benchmark").set_defaults(fn=cmd_bench)
+    for name, fn, flags, text in (
+            ("validate", cmd_validate, reads, "check problem assumptions"),
+            ("finite", cmd_finite, writes, "finite-horizon solves over x0_list"),
+            ("policy-curve", cmd_policy_curve, writes, "u0*(x0) over a grid"),
+            ("rollout", cmd_rollout, writes, "closed-loop simulation"),
+            ("steady", cmd_steady, writes, "steady-state solve with LMI certificate"),
+            ("bench", cmd_bench, draws, "complexity benchmark")):
+        sub.add_parser(name, parents=[flags], help=text).set_defaults(fn=fn)
     return ap
 
 

@@ -105,15 +105,14 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     return w * (math.sqrt(alpha_k) / fro_norm(w))
 
 
-def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None,
-            x0: np.ndarray | None = None) -> Trajectory:
-    """Simulate the online policy over the full horizon.
+def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
+    """Simulate the online policy over the full horizon from p.x0.
 
     mode "worst_case" injects the bound-attaining disturbance, "zero" none,
     "external" the supplied w_seq (rejected if an entry is not finite or
     any ||w_k||^2 exceeds alpha_k beyond 1e-9 relative).
     """
-    x = np.asarray(p.x0 if x0 is None else x0, dtype=float).ravel()
+    x = p.x0
     if mode not in ("worst_case", "zero", "external"):
         raise ValueError(f"unknown rollout mode {mode!r}")
     if mode == "external":

@@ -65,10 +65,14 @@ def _as_point(value, size: int, name: str) -> np.ndarray:
 
 
 def _symmetrized(M: np.ndarray, name: str) -> np.ndarray:
-    skew = np.linalg.norm(M - M.T)
-    if skew > _SYM_RTOL * (1.0 + np.linalg.norm(M)):
-        raise ValueError(f"{name} is not symmetric (||M - M'|| = {skew:.3e})")
-    return 0.5 * (M + M.T)
+    # ||M - M'|| <= _SYM_RTOL (1 + ||M||) tested on M / s, s = 2^e > max|M| / 2:
+    # exact where M's norms are finite, and no norm overflows where they are not
+    s = 2.0 ** max(0, int(np.frexp(np.abs(M).max(initial=0.0))[1]) - 1)
+    S = M / s
+    skew = np.linalg.norm(S - S.T)
+    if skew > _SYM_RTOL * (1.0 / s + np.linalg.norm(S)):
+        raise ValueError(f"{name} is not symmetric (||M - M'|| = {float(skew) * s:.3e})")
+    return s * (0.5 * (S + S.T))
 
 
 @dataclass(frozen=True)

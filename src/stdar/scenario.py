@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
-from .errors import ScenarioError
+from .errors import DimensionMismatch, ScenarioError
 from .problem import ProblemData, _integer
 
 _ROLLOUT_MODES = ("worst_case", "zero", "external")
@@ -140,7 +140,7 @@ def load_scenario(path) -> ScenarioFile:
                           path, "problem") for key in prob}
     try:
         problem = ProblemData(**{"alpha": 1.0, **kwargs})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise ScenarioError(f"{path}: bad problem data: {exc}") from None
 
     rollout_mode = run.get("rollout_mode", "worst_case")

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,52 @@ def test_nonsymmetric_weight_rejected():
         ProblemData(A=np.eye(2), B=np.eye(2), G=np.eye(2),
                     Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(2),
                     Pf=np.eye(2), N=2, alpha=1.0)
+
+
+def _square(**kw):
+    # a valid 2x2 problem with the given data replaced
+    return ProblemData(**{"A": np.eye(2), "B": np.eye(2), "G": np.eye(2),
+                          "Q": np.eye(2), "R": np.eye(2), "Pf": np.eye(2),
+                          "N": 2, "alpha": 1.0, **kw})
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+def test_symmetry_test_is_scale_free(scale):
+    # the test decides alike at every scale: the skewed matrix fails and the
+    # symmetric one passes, at 1e300 too, where ||M|| overflows, with no
+    # RuntimeWarning
+    with pytest.raises(ValueError, match="Pf is not symmetric"):
+        _square(Pf=scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
+    sym = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_square(Pf=sym).Pf, sym)
+
+
+@pytest.mark.parametrize("key, value, error, match", [
+    ("A", np.ones((2, 2, 1)), DimensionMismatch, "A must be a matrix, got ndim=3"),
+    ("A", [[1.0, np.nan], [0.0, 1.0]], ValueError, "A contains non-finite"),
+    ("A", np.ones((2, 3)), DimensionMismatch, "A must be square"),
+    ("G", np.ones((3, 1)), DimensionMismatch, "G has 3 rows, expected 2"),
+    ("Q", np.eye(3), DimensionMismatch, r"Q must be 2x2, got \(3, 3\)"),
+    ("R", np.eye(3), DimensionMismatch, r"R must be 2x2, got \(3, 3\)"),
+    ("Pf", 1.0, DimensionMismatch, r"Pf must be 2x2, got \(1, 1\)"),
+    ("alpha", np.ones((2, 2)), DimensionMismatch, "alpha must be a vector, got ndim=2"),
+    ("alpha", np.inf, ValueError, "alpha contains non-finite"),
+    ("x0", np.zeros((1, 1, 2)), DimensionMismatch, "x0 must be a vector, got ndim=3"),
+    ("x0", [0.0, np.inf], ValueError, "x0 contains non-finite")])
+def test_malformed_data_rejected(key, value, error, match):
+    # each shape and finiteness check of the constructor, with its own message
+    with pytest.raises(error, match=match):
+        _square(**{key: value})
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+def test_row_and_column_vectors_ravel(shape):
+    p = _square(alpha=np.array([0.5, 2.0]).reshape(shape),
+                x0=np.array([1.0, -1.0]).reshape(shape))
+    assert np.array_equal(p.alpha, [0.5, 2.0])
+    assert np.array_equal(p.x0, [1.0, -1.0])
 
 
 def test_dimension_mismatches_rejected():

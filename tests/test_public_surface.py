@@ -20,16 +20,28 @@ PUBLIC = [
     "InfeasibleMultiplier", "LmiCertificate", "MultiplierSolution",
     "MultiplierVector", "NoFeasibleLambda", "NoSphereIntersection",
     "ProblemData", "RegulatorError", "RiccatiSweep", "ScenarioError",
-    "ScenarioFile", "SingularM", "SingularPi", "SteadyStateSolution",
-    "Trajectory", "ValidationReport", "control_at",
-    "lmi_certify", "load_scenario", "lqr_baseline", "objective", "rollout",
-    "save_scenario", "solve_multipliers", "solve_steady_state", "sweep",
-    "validate_problem", "worst_disturbance_at",
+    "SingularM", "SingularPi", "SteadyStateSolution", "Trajectory",
+    "ValidationReport", "control_at", "lmi_certify", "lqr_baseline",
+    "objective", "rollout", "solve_multipliers", "solve_steady_state",
+    "sweep", "validate_problem", "worst_disturbance_at",
 ]
+
+
+def _subcommands():
+    """The long options of each subcommand, by its name."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for a in parser._actions for opt in a.option_strings
+                   if opt.startswith("--")} - {"--help"}
+            for name, parser in sub.choices.items()}
 
 
 def test_public_surface():
     assert sorted(stdar.__all__) == PUBLIC
+    # the scenario layer is the command line's, imported from its module
+    for name in ("ScenarioFile", "load_scenario", "save_scenario"):
+        assert not hasattr(stdar, name), name
+        assert getattr(importlib.import_module("stdar.scenario"), name)
     for name in PUBLIC:
         assert getattr(stdar, name) is not None
     # the steady state has one probe, steady_state._prober; the projection
@@ -69,7 +81,7 @@ def test_public_surface():
     assert [f.name for f in dataclasses.fields(stdar.ValidationReport)] == [
         "stabilizable", "detectable", "strict_weights", "degenerate_terminal",
         "warnings"]
-    for fn, removed in ((stdar.rollout, ("gradient_mode", "max_iter")),
+    for fn, removed in ((stdar.rollout, ("gradient_mode", "max_iter", "x0")),
                         (stdar.lqr_baseline, ("rtol", "max_iter"))):
         params = inspect.signature(fn).parameters
         assert not any(name in params for name in removed), fn.__name__
@@ -78,20 +90,25 @@ def test_public_surface():
     for flag in ("--tol-fd-step", "--tol-psd"):
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["validate", "--scenario", "s.yaml", flag, "1e-6"])
+    # a subcommand takes only the flags it reads: only bench draws random
+    # numbers, and validate writes nothing
+    flags = _subcommands()
+    assert [name for name in flags if "--seed" in flags[name]] == ["bench"]
+    assert flags["validate"] == {"--scenario", "--allow-degenerate-terminal"}
+    assert sum(map(len, flags.values())) == 18
 
 
 def test_readme_synopsis_matches_the_parser():
-    # the flags of README's command-line synopsis are the options every
-    # subcommand takes, no more and no fewer
+    # README's command-line synopsis has one line per subcommand, and its
+    # flags are the options that subcommand takes, no more and no fewer
     section = README.read_text().split("## Command line", 1)[1]
-    documented = set(re.findall(r"--[\w-]+", section.split("```", 2)[1]))
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert documented and len(sub.choices) == 6
-    for name, parser in sub.choices.items():
-        options = {opt for a in parser._actions for opt in a.option_strings
-                   if opt.startswith("--")} - {"--help"}
-        assert options == documented, name
+    documented = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+                  for line in section.split("```", 2)[1].splitlines()
+                  if line.startswith("stdar ")}
+    flags = _subcommands()
+    assert len(flags) == 6 and documented.keys() == flags.keys()
+    for name, options in flags.items():
+        assert options == documented[name], name
 
 
 def test_every_exported_error_is_raised():

@@ -99,6 +99,30 @@ def test_loader_error_reporting(tmp_path):
     assert (sc.out, sc.w_file) == (".", None)
 
 
+_PROBLEM = ("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
+            "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("problem: 5\n", "'problem' and 'run' must be mappings"),
+    (_PROBLEM + "run: [1, 2]\n", "'problem' and 'run' must be mappings"),
+    (_PROBLEM.replace("B: [[1.0]]", "B: [[1.0], [2.0]]"),
+     "bad problem data: B has 2 rows, expected 1"),
+    (_PROBLEM + "  alpha: [1.0, 2.0, 3.0]\n",
+     "bad problem data: alpha must have length 2, got 3"),
+    (_PROBLEM + "  x0: [1.0, 2.0]\n", "bad problem data: x0 must have length 1, got 2")],
+    ids=["problem-scalar", "run-list", "B-rows", "alpha-length", "x0-length"])
+def test_malformed_section_names_the_file(tmp_path, capsys, text, match):
+    # a section that is no mapping, or problem data of the wrong shape, is
+    # a ScenarioError naming the file, and the CLI exits 2
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario(bad)
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert f"error: {bad}: {match}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [
     "x0_list: 5", "seed: [1]", "sizes: 7", "instances: [2]", "seed: one",
     "allow_degenerate_terminal: 'false'", "allow_degenerate_terminal: 0",
@@ -287,6 +311,20 @@ def test_cli_policy_curve_needs_scalar_and_grid(tmp_path):
     assert main(["policy-curve", "--scenario", path2]) == 2
 
 
+def test_cli_policy_curve_exit_code_on_unconverged_solve(tmp_path, capsys,
+                                                         monkeypatch):
+    # one iteration solves x0 = 0 but not x0 = 3: the curve is still
+    # written, and the run exits 3
+    monkeypatch.setattr(stdar.cli, "solve_multipliers",
+                        functools.partial(solve_multipliers, max_iter=1))
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"),
+                          grid=(-3.0, 3.0, 3))
+    assert main(["policy-curve", "--scenario", path]) == 3
+    assert "1 grid points did not converge" in capsys.readouterr().err
+    lines = (tmp_path / "res" / "policy_curve.csv").read_text().strip().split("\n")
+    assert len(lines) == 4
+
+
 def test_cli_rollout_matches_library(tmp_path, capsys):
     # the field-by-field re-parse of rollout.csv is
     # test_policy::test_trajectory_csv_round_trip; here the scenario run
@@ -307,6 +345,14 @@ def test_cli_rollout_matches_library(tmp_path, capsys):
     assert tr.converged == tr.stage_converged.all()
     assert np.array_equal([float(r[-4]) for r in rows[1:]],
                           np.append(tr.stage_costs, tr.terminal_cost))
+
+
+def test_cli_rollout_external_needs_w_file(tmp_path, capsys):
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"),
+                          rollout_mode="external")
+    assert main(["rollout", "--scenario", path]) == 2
+    assert "rollout_mode external needs run.w_file" in capsys.readouterr().err
+    assert not (tmp_path / "res" / "rollout.csv").exists()
 
 
 def test_cli_rollout_external_w_file(tmp_path):
@@ -408,6 +454,21 @@ def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
     assert main(["bench", "--scenario", path, "--seed", "-5"]) == 2
     assert "error: --seed -5 is below 0" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--seed", "-1"),
+                                         ("--out", "zzz")])
+def test_cli_validate_takes_no_seed_or_out(tmp_path, capsys, monkeypatch,
+                                          flag, value):
+    # validate reads no seed and writes nothing, so either flag is a usage
+    # error, not an option it would silently ignore
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(tmp_path, sec5())
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--scenario", path, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "zzz").exists()
 
 
 def _unstabilizable():
