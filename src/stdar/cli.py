@@ -45,11 +45,11 @@ def _load(args):
     return sc
 
 
-def _prepare(args):
-    sc = _load(args)
+def _out_dir(args, sc) -> str:
+    """Make the output directory, after the command's checks of sc."""
     out = args.out if args.out is not None else sc.out
     os.makedirs(out, exist_ok=True)
-    return sc, out
+    return out
 
 
 def cmd_validate(args) -> int:
@@ -63,7 +63,8 @@ def _pi_header(n: int) -> list:
 
 
 def cmd_finite(args) -> int:
-    sc, out = _prepare(args)
+    sc = _load(args)
+    out = _out_dir(args, sc)
     p = sc.problem
     x0s = list(sc.x0_list) if sc.x0_list else [p.x0]
     summary_rows = []
@@ -77,8 +78,8 @@ def cmd_finite(args) -> int:
                                 + [""] * 8 + [f'"{exc}"'])
             continue
         not_converged += not sol.converged
-        lams = sol.lam_star.lambdas
-        sw = sol.sweep
+        sw = sol.lam_star
+        lams = sw.lambdas
         rows = []
         for k in range(p.N + 1):
             tail = float(p.alpha[k:] @ lams[k:]) if k < p.N else 0.0
@@ -107,12 +108,13 @@ def cmd_finite(args) -> int:
 
 
 def cmd_policy_curve(args) -> int:
-    sc, out = _prepare(args)
+    sc = _load(args)
     p = sc.problem
     if p.n != 1 or p.m != 1:
         raise ScenarioError("policy-curve needs a scalar system (n = m = 1)")
     if sc.grid is None:
         raise ScenarioError("policy-curve needs run.grid (lo, hi, points)")
+    out = _out_dir(args, sc)
     lo, hi, pts = sc.grid
     xs = np.linspace(lo, hi, pts)
     # solve once per |x|: the program depends on x only through x^2, so
@@ -126,7 +128,7 @@ def cmd_policy_curve(args) -> int:
         if key in gains:
             continue
         sol = solve_multipliers(p, np.array([key]), init=init)
-        gains[key] = float(sol.sweep.K[0][0, 0])
+        gains[key] = float(sol.lam_star.K[0][0, 0])
         not_converged += 0 if sol.converged else 1
         init = sol.lam_star.lambdas
     rows = [[_fmt(x), _fmt(-gains[abs(float(x))] * float(x))] for x in xs]
@@ -138,14 +140,15 @@ def cmd_policy_curve(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    sc, out = _prepare(args)
+    sc = _load(args)
     p = sc.problem
     w_seq = None
     if sc.rollout_mode == "external":
         if sc.w_file is None:
             raise ScenarioError("rollout_mode external needs run.w_file")
         w_seq = np.loadtxt(sc.w_file, delimiter=",", ndmin=2)
-    tr = rollout(p, mode=sc.rollout_mode, w_seq=w_seq)
+    tr = rollout(p, mode=sc.rollout_mode, w_seq=w_seq)  # checks w_seq first
+    out = _out_dir(args, sc)
     header = (["k"] + [f"x[{i}]" for i in range(p.n)]
               + [f"u[{i}]" for i in range(p.m)] + [f"w[{i}]" for i in range(p.q)]
               + ["lambda_k", "stage_cost", "iterations", "stage_steps", "converged"])
@@ -166,9 +169,10 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    sc, out = _prepare(args)
+    sc = _load(args)
     p = sc.problem
     sol = solve_steady_state(p)
+    out = _out_dir(args, sc)
     try:
         lqr = lqr_baseline(p)
         lqr_top = float(np.linalg.eigvalsh(lqr)[-1])
@@ -200,7 +204,8 @@ def _random_stable(rng: np.random.Generator, n: int) -> ProblemData:
 def cmd_bench(args) -> int:
     if args.seed is not None and args.seed < 0:  # numpy takes no negative seed
         raise ValueError(f"--seed {args.seed} is below 0")
-    sc, out = _prepare(args)
+    sc = _load(args)
+    out = _out_dir(args, sc)
     seed = args.seed if args.seed is not None else sc.seed
     rng = np.random.default_rng(seed)
     solve_steady_state(_random_stable(rng, 2))  # untimed: first-call costs

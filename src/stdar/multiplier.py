@@ -107,9 +107,9 @@ _MAP_GROWTH = 1e1
 class MultiplierSolution:
     """Optimal multipliers of a stage-k tail program.
 
-    sweep is the backward sweep at lam_star that the solve ended on, equal
-    bit for bit to sweep(p, lam_star): its K[0] gives the control and its
-    Pi[1] and bounds[0] the worst-case disturbance, with no second sweep.
+    lam_star is the pass the solve ended on, a RiccatiSweep that sweep(p,
+    lam_star) hands back: its K[0] gives the control and its Pi[1] and
+    bounds[0] the worst-case disturbance, with no second pass.
     stage_steps, gradient_evals and backtracks count the solve's work:
     the stage steps actually taken (N - k in the start pass, then those of
     each trial pass, which resumes from the current sweep and steps only
@@ -122,13 +122,12 @@ class MultiplierSolution:
     iterations counts accepted steps, L-BFGS or projected-gradient ones.
     """
 
-    lam_star: MultiplierVector
+    lam_star: RiccatiSweep
     value: float
     grad_norm: float              # final projected-gradient norm in the slacks
     boundary_flags: np.ndarray    # stage multiplier at its nested bound
     iterations: int
     converged: bool
-    sweep: RiccatiSweep
     stage_steps: int
     gradient_evals: int
     adjoint_stages: int
@@ -137,23 +136,24 @@ class MultiplierSolution:
 
 
 def _wrap(lam, k: int) -> MultiplierVector:
-    if isinstance(lam, MultiplierVector):
-        return lam
-    return MultiplierVector(np.asarray(lam, dtype=float), stage_offset=k)
+    if not isinstance(lam, MultiplierVector):
+        return MultiplierVector(np.asarray(lam, dtype=float), stage_offset=k)
+    if lam.stage_offset != k:
+        raise ValueError(f"multipliers start at stage {lam.stage_offset}, not {k}")
+    return lam
 
 
-def _phi(p: ProblemData, x: np.ndarray, lam: MultiplierVector,
-         Pi0: np.ndarray) -> float:
-    tail = float(p.alpha[lam.stage_offset:] @ lam.lambdas)
-    return (float(x @ Pi0 @ x) + tail) / (2.0 * p.alpha_bar)
+def _phi(p: ProblemData, x: np.ndarray, sw: RiccatiSweep) -> float:
+    tail = float(p.alpha[sw.stage_offset:] @ sw.lambdas)
+    return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.alpha_bar)
 
 
 def objective(p: ProblemData, lam, x, k: int = 0) -> float:
     """phi at a feasible multiplier vector for the tail program at stage k.
-    A state of the wrong size or not finite raises ValueError."""
+    A state of the wrong size or not finite, or a MultiplierVector that
+    does not start at stage k, raises ValueError."""
     x = _as_point(x, p.n, "state")
-    sw = sweep(p, _wrap(lam, k))
-    return _phi(p, x, sw.lam, sw.Pi[0])
+    return _phi(p, x, sweep(p, _wrap(lam, k)))
 
 
 def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
@@ -179,7 +179,7 @@ def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray, tail=None) 
     the forward adjoint pass of the module docstring; with the tail map
     (t, L) of a pass that sw repeats from stage t, the loop stops at X_t."""
     k = sw.stage_offset
-    t, L = (sw.horizon(), None) if tail is None or tail[1] is None else tail
+    t, L = (len(sw), None) if tail is None or tail[1] is None else tail
     alpha = p.alpha[k:k + t].tolist()
     X = np.multiply.outer(x, x)
     Acl, GG, JJ = _adjoint_terms(p, sw, 0, t)
@@ -198,7 +198,7 @@ def _tail_map(p: ProblemData, sw: RiccatiSweep, t: int):
     """The tail map (t, L) over stages t.. of sw, None unless 0 < t < N - k.
     L is None, and a gradient the loop, where an entry of the Acl (x) Acl
     block of a composed product T_{j-1}...T_t passes _MAP_GROWTH."""
-    size, nn = sw.horizon(), p.n * p.n
+    size, nn = len(sw), p.n * p.n
     if not 0 < t < size:
         return None
     S, (Acl, GG, JJ) = size - t, _adjoint_terms(p, sw, t, size)
@@ -268,9 +268,9 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     stored pairs drops them and retries from -g; without pairs it ends.
     """
     k = sw.stage_offset
-    phi = _phi(p, x, sw.lam, sw.Pi[0])
+    phi = _phi(p, x, sw)
     g = _slack_gradient(p, sw, x)
-    stage_steps = adjoint_stages = size = sw.horizon()
+    stage_steps = adjoint_stages = size = len(sw)
     gradient_evals, backtracks, tail = 1, 0, None  # tail: _tail_map of sw's last stages
     pgn = _pg_norm(g, s)
     pairs: list = []
@@ -290,7 +290,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
                 break  # the predicted decrease is lost in phi's rounding
             sw_c, steps = _reconstruct(p, cand, k, sw)
             stage_steps += steps
-            phi_c = _phi(p, x, sw_c.lam, sw_c.Pi[0])
+            phi_c = _phi(p, x, sw_c)
             if phi_c <= phi - _ARMIJO_C * decrease:
                 if p.n <= _MAP_MAX_N and (tail is None or steps > tail[0]):
                     tail = _tail_map(p, sw_c, steps)  # the pass stepped into it
@@ -314,9 +314,9 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
                 break
             pairs = []
     return MultiplierSolution(
-        lam_star=sw.lam, value=phi, grad_norm=pgn,
-        boundary_flags=at_bound(sw.lam.lambdas, sw.bounds),
-        iterations=iterations, converged=converged, sweep=sw,
+        lam_star=sw, value=phi, grad_norm=pgn,
+        boundary_flags=at_bound(sw.lambdas, sw.bounds),
+        iterations=iterations, converged=converged,
         stage_steps=stage_steps, gradient_evals=gradient_evals,
         adjoint_stages=adjoint_stages, backtracks=backtracks)
 
@@ -333,8 +333,8 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     Every state, x = 0 included, takes this one path. gradient_mode
     accepts "auto" and "envelope", which both select it, and the solution
     reports "envelope". grad_norm is the projected-gradient norm in the
-    slacks. The solution carries the sweep at lam_star that the solve
-    built. A state of the wrong size or not finite raises ValueError.
+    slacks. lam_star is the solve's last pass, the sweep at the optimal
+    multipliers. A state of the wrong size or not finite raises ValueError.
     """
     x = _as_point(x, p.n, "state")
     if init is not None:
@@ -347,6 +347,6 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     else:
         _require_finite(init, k)
     sw, _ = _nested_pass(p, init, k, EPS_BOUNDARY)
-    s = sw.lam.lambdas - sw.bounds - EPS_BOUNDARY
-    s[s <= _ROUNDING * np.abs(sw.lam.lambdas)] = 0.0
+    s = sw.lambdas - sw.bounds - EPS_BOUNDARY
+    s[s <= _ROUNDING * np.abs(sw.lambdas)] = 0.0
     return _descend(p, x, s, sw, max_iter)

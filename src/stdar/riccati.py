@@ -17,8 +17,8 @@ multiplier program's slack coordinates: before its stage step it sets
 lam_j = max(raw_j, b_j + margin) + s_j from the bound b_j of the stage,
 so a candidate is projected and swept together. The sweep takes its
 multipliers as given (margin -inf, no slack). Every pass steps every
-stage it does not repeat, stage 0 included, and links its multipliers to
-itself.
+stage it does not repeat, stage 0 included, and is the multiplier vector
+it set: a RiccatiSweep is a MultiplierVector, with the sweep at it.
 
 A pass stores what its readers read, each once and stacked over its
 stages: Pi as an (N-k+1, n, n) array, the gains [K_j; J_j] as one
@@ -57,7 +57,6 @@ and eigh. A pass raises SingularM where G'Pi_{j+1}G or Pi_k is not finite.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,13 +86,13 @@ class MultiplierVector:
     def __len__(self) -> int:
         return self.lambdas.shape[0]
 
-    def __reduce__(self):  # copies and pickles leave the pass link behind
+    def __reduce__(self):  # copies and pickles leave the pass behind
         return MultiplierVector, (self.lambdas, self.stage_offset)
 
 
-@dataclass(frozen=True)
-class RiccatiSweep:
-    """Backward sweep output for stages k..N, stacked over the stages.
+@dataclass(frozen=True, kw_only=True)
+class RiccatiSweep(MultiplierVector):
+    """A pass: the multipliers it set and the sweep at them, stacked over k..N.
 
     Pi, of shape (N-k+1, n, n), holds the cost-to-go matrix Pi[i] of stage
     k+i (so Pi[0] belongs to the sweep's start stage and Pi[-1] = Pf). K,
@@ -101,23 +100,17 @@ class RiccatiSweep:
     gain buffer [K; J], _gains. Row r of _eigvecs[i] is a unit eigenvector
     of sym(G'Pi_{k+i+1}G) for _eigvals[i, r], ascending in r; bounds is the
     view _eigvals[:, -1]: bounds[i] = ||G'Pi_{k+i+1}G||, lam_{k+i}'s floor.
+    _problem is the ProblemData the pass ran on, for sweep() to read.
     """
 
     Pi: np.ndarray
     K: np.ndarray
     J: np.ndarray
-    lam: MultiplierVector
     bounds: np.ndarray
     _eigvals: np.ndarray = field(repr=False, compare=False)
     _eigvecs: np.ndarray = field(repr=False, compare=False)
     _gains: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def stage_offset(self) -> int:
-        return self.lam.stage_offset
-
-    def horizon(self) -> int:
-        return len(self.lam)
+    _problem: ProblemData = field(repr=False, compare=False)
 
 
 def at_bound(lam, bound):
@@ -184,8 +177,8 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
     margin makes the result feasible whatever raw is (raw = -inf gives the
     slack coordinates), and margin -inf takes raw as given. Raises
     InfeasibleMultiplier where lam_j < b_j - EPS_BOUNDARY, SingularM at a
-    stage step or where the recursion overflows. lam links weakly to the
-    result and p.
+    stage step or where the recursion overflows. The result is the vector
+    lam it set, with the sweep at lam and p.
 
     base is a pass of the same program and offset, or None; with a base
     the pass copies the stages it repeats (module docstring), or returns
@@ -198,7 +191,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
         np.maximum(rule, lam, out=rule)
         if slack is not None:
             rule += slack
-        changed = (rule != base.lam.lambdas).nonzero()[0]  # NaN differs
+        changed = (rule != base.lambdas).nonzero()[0]  # NaN differs
         if not changed.size:
             return base, 0
         top = int(changed[-1]) + 1
@@ -213,7 +206,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
         Pi[n_stages] = p.Pf
     else:  # the stages it repeats, of every array it stores
         for arr, old in ((Pi, base.Pi), (KJ, base._gains), (vals, base._eigvals),
-                         (vecs, base._eigvecs), (lam, base.lam.lambdas)):
+                         (vecs, base._eigvecs), (lam, base.lambdas)):
             arr[top:] = old[top:]
     raw_j, bounds = lam[:top].tolist(), []
     slack_j = None if slack is None else slack[:top].tolist()
@@ -249,11 +242,10 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
         vals[:top, 0], vecs[:top] = bounds[::-1], 1.0
     for arr in (HZ, KJ, vals, vecs, lam):
         arr.setflags(write=False)
-    vec, sw = object.__new__(MultiplierVector), object.__new__(RiccatiSweep)  # no copy
-    sw.__dict__.update(Pi=HZ[:, d:], K=KJ[:, :m], J=KJ[:, m:], lam=vec,
-                       bounds=vals[:, -1], _eigvals=vals, _eigvecs=vecs, _gains=KJ)
-    vec.__dict__.update(lambdas=lam, stage_offset=k,
-                        _pass=(weakref.ref(sw), weakref.ref(p)))
+    sw = object.__new__(RiccatiSweep)  # no copy
+    sw.__dict__.update(lambdas=lam, stage_offset=k, Pi=HZ[:, d:], K=KJ[:, :m],
+                       J=KJ[:, m:], bounds=vals[:, -1], _eigvals=vals,
+                       _eigvecs=vecs, _gains=KJ, _problem=p)
     return sw, top
 
 
@@ -263,23 +255,24 @@ def sweep(p: ProblemData, lam: MultiplierVector) -> RiccatiSweep:
     Raises ValueError unless the vector covers stages k..N-1 with
     0 <= k < N, InfeasibleMultiplier if a lam_j is not finite or below its
     nested bound, SingularM if a stage matrix cannot be solved reliably.
-    Returns the live pass on p that built lam, which checked lam against
-    its bounds as it set it, and else runs a pass.
+    A pass on p is returned as itself, as it checked its multipliers
+    against their bounds as it set them; any other vector runs a pass.
     """
     k = lam.stage_offset
     _require_tail(p, k, len(lam))
     _require_finite(lam.lambdas, k)
-    link = getattr(lam, "_pass", None)
-    sw = link[0]() if link and link[1]() is p else None
-    return sw if sw is not None else _nested_pass(p, lam.lambdas, k)[0]
+    if isinstance(lam, RiccatiSweep) and lam._problem is p:
+        return lam
+    return _nested_pass(p, lam.lambdas, k)[0]
 
 
 def project_feasible(p: ProblemData, lam_raw, margin: float = EPS_BOUNDARY,
-                     stage_offset: int = 0) -> MultiplierVector:
+                     stage_offset: int = 0) -> RiccatiSweep:
     """Project a raw multiplier vector onto the feasible set, with margin.
 
     Single backward pass: each lam_j is raised to its bound (plus margin)
-    computed under the already-projected later multipliers. Feasible
+    computed under the already-projected later multipliers; the pass is
+    returned, the projected vector with its sweep. Feasible
     inputs are returned unchanged, non-finite ones InfeasibleMultiplier,
     and a vector that does not cover stages k..N-1 with 0 <= k < N
     ValueError. The pass steps stage 0 too, so a projection whose stage
@@ -289,4 +282,4 @@ def project_feasible(p: ProblemData, lam_raw, margin: float = EPS_BOUNDARY,
     raw = np.array(lam_raw, dtype=float).ravel()
     _require_tail(p, stage_offset, raw.shape[0])
     _require_finite(raw, stage_offset)
-    return _nested_pass(p, raw, stage_offset, margin)[0].lam
+    return _nested_pass(p, raw, stage_offset, margin)[0]

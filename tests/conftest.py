@@ -45,8 +45,8 @@ def scalar_problem(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=0.0, N=8,
 
 
 def fresh(lam):
-    """An equal multiplier vector with no link to the pass that built lam,
-    so that sweep() runs the recursion again."""
+    """An equal plain MultiplierVector, not the pass lam may be, so that
+    sweep() runs the recursion again."""
     return MultiplierVector(lam.lambdas, lam.stage_offset)
 
 
@@ -55,7 +55,7 @@ def assert_same_sweep(a, b):
     pass and the sphere completion read included. Each stage matrix M_j is
     a function of the Pi[j+1] and lam_j compared here."""
     assert a.stage_offset == b.stage_offset
-    assert np.array_equal(a.lam.lambdas, b.lam.lambdas)
+    assert np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.bounds, b.bounds)
     for field in ("Pi", "K", "J", "_eigvals", "_eigvecs"):
         assert len(getattr(a, field)) == len(getattr(b, field))

@@ -312,7 +312,7 @@ def _multipliers(lam, k):
 
 def _phi(p, x, sw):
     """The multiplier program's objective at the multipliers of sweep sw."""
-    tail = float(p.alpha[sw.stage_offset:] @ sw.lam.lambdas)
+    tail = float(p.alpha[sw.stage_offset:] @ sw.lambdas)
     return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.alpha_bar)
 
 
@@ -326,7 +326,7 @@ def envelope_gradient(p, lam, x, k=0):
     sw = sweep(p, _multipliers(lam, k))
     k = sw.stage_offset
     abar = p.alpha_bar
-    g = np.zeros(sw.horizon())
+    g = np.zeros(len(sw))
     for j in range(g.size):
         w = -(sw.J[j] @ x)
         g[j] = (p.alpha[k + j] - float(w @ w)) / (2.0 * abar)
@@ -343,7 +343,7 @@ def slack_gradient_reference(p, sw, x):
         g_j = alpha_j - <X_j, J_j'J_j>,  X_{j+1} = Acl_j X_j Acl_j' + g_j (G v_j)(G v_j)'
     """
     k = sw.stage_offset
-    g = np.zeros(sw.horizon())
+    g = np.zeros(len(sw))
     X = np.outer(x, x)
     Gv = sw._eigvecs[:, -1] @ p.G.T
     for j in range(g.size):
@@ -403,12 +403,12 @@ def receq_crosscheck(sw, p):
     sweep's Pi_j.
     """
     worst = 0.0
-    for i in range(sw.horizon()):
+    for i in range(len(sw)):
         S = sw.Pi[i + 1]
         Ab = p.A - p.B @ sw.K[i]
         Qb = p.Q + sw.K[i].T @ p.R @ sw.K[i]
         SG = S @ p.G
-        T = p.G.T @ SG - float(sw.lam.lambdas[i]) * np.eye(p.q)
+        T = p.G.T @ SG - float(sw.lambdas[i]) * np.eye(p.q)
         cross = SG.T @ Ab
         alt = Qb + Ab.T @ S @ Ab - cross.T @ _pinv_sym(T) @ cross
         alt = 0.5 * (alt + alt.T)

@@ -250,7 +250,7 @@ def test_finite_horizon_program_meets_the_steady_state(monkeypatch):
         p = stdar.ProblemData(*system, N=200, alpha=1.0)
         sw, _ = stdar.riccati._nested_pass(p, np.full(p.N, -np.inf), 0, 0.0)
         lam_bar = stdar.solve_steady_state(p).lambda_bar
-        assert abs(sw.lam.lambdas[0] - lam_bar) <= 1e-9 * lam_bar, p.n
+        assert abs(sw.lambdas[0] - lam_bar) <= 1e-9 * lam_bar, p.n
 
 
 def test_long_horizon_bank_without_tail_maps(monkeypatch):

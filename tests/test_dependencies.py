@@ -44,3 +44,21 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "False", "False"]
+
+
+def test_no_weak_references():
+    # a result may not hinge on whether the garbage collector has freed an
+    # object: no sweep is looked up through a weak reference, a cache or
+    # other global state
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.split(".")[0] == "weakref"]
+    assert not found, found

@@ -21,6 +21,17 @@ def test_objective_hand_value():
     assert phi == pytest.approx(13.0 / 30.0 + 1.0, abs=1e-12)
 
 
+def test_objective_rejects_stage_mismatch():
+    # a vector carries its start stage: objective at another k raises, as
+    # control_at does, for the solve's pass and a plain vector alike
+    p = scalar_problem(N=3, Pf=1.0)
+    sol = solve_multipliers(p, p.x0, k=1)
+    assert objective(p, sol.lam_star, p.x0, k=1) == sol.value
+    for lam in (sol.lam_star, fresh(sol.lam_star)):
+        with pytest.raises(ValueError, match="start at stage 1, not 0"):
+            objective(p, lam, p.x0, k=0)
+
+
 def test_value_recomputes_from_fresh_sweep(rng):
     for _ in range(10):
         p = make_problem(rng)
@@ -45,7 +56,7 @@ def test_solution_carries_its_sweep(rng):
         origin = solve_multipliers(p, np.zeros(p.n), k=k)
         assert origin.gradient_mode == "envelope"
         for sol in (cold, warm, origin):
-            assert_same_sweep(sol.sweep, sweep(p, fresh(sol.lam_star)))
+            assert_same_sweep(sol.lam_star, sweep(p, fresh(sol.lam_star)))
 
 
 def test_origin_gradient_is_alpha_ratio():
@@ -231,7 +242,7 @@ def test_optimality_certificate(rng):
         s = np.maximum(sol.lam_star.lambdas - sw.bounds - 1e-9, 0.0)
         active = s <= 1e-7 * (1.0 + np.abs(sw.bounds))
         # the solver's slack rebuild, against the one written out above
-        assert _reconstruct(p, s, 0)[0].lam.lambdas == pytest.approx(
+        assert _reconstruct(p, s, 0)[0].lambdas == pytest.approx(
             lam_of_slack(p, s), rel=1e-14, abs=0.0)
         scale = 1.0 + abs(sol.value)
         h = 1e-6
@@ -408,7 +419,7 @@ def test_cold_solve_ends_at_an_optimal_corner(rng):
         assert sol.converged
         assert (sol.iterations, sol.stage_steps, sol.gradient_evals,
                 sol.backtracks) == (0, p.N - k, 1, 0)
-        assert np.array_equal(sol.lam_star.lambdas, corner.lam.lambdas)
+        assert np.array_equal(sol.lam_star.lambdas, corner.lambdas)
         assert all(sol.boundary_flags)
 
 
@@ -450,7 +461,7 @@ def test_slack_gradient_matches_stagewise_reference(rng):
         sw = (_reconstruct(p, s, k)[0] if i % 2 == 0 else
               _nested_pass(p, rng.uniform(0.0, 3.0, size), k, EPS_BOUNDARY)[0])
         if i % 4 >= 2:
-            cand = np.maximum(sw.lam.lambdas - sw.bounds - EPS_BOUNDARY, 0.0)
+            cand = np.maximum(sw.lambdas - sw.bounds - EPS_BOUNDARY, 0.0)
             cand[rng.integers(0, size)] += rng.uniform(0.01, 1.0)
             sw = _reconstruct(p, cand, k, sw)[0]
         x = rng.uniform(0.1, 3.0) * rng.standard_normal(p.n)
@@ -476,7 +487,7 @@ def test_tail_map_gradient_matches_the_loop(rng):
         base = None
         if i % 2:  # a slack pass resumed from a warm start's raw pass
             base = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, EPS_BOUNDARY)[0]
-            slack = np.maximum(base.lam.lambdas - base.bounds - EPS_BOUNDARY, 0.0)
+            slack = np.maximum(base.lambdas - base.bounds - EPS_BOUNDARY, 0.0)
         base = _reconstruct(p, slack, k, base)[0]
         x = rng.uniform(0.1, 3.0) * rng.standard_normal(p.n)
         assert _tail_map(p, base, 0) is None and _tail_map(p, base, size) is None
@@ -659,7 +670,7 @@ def test_no_trial_within_phi_rounding(rng, monkeypatch):
         sw, steps = full(p, s, k, base)
         if base is not None:
             g = _slack_gradient(p, base, x)
-            phi = multiplier._phi(p, x, base.lam, base.Pi[0])
+            phi = multiplier._phi(p, x, base)
             trials.append((-float(g @ (s - slacks[id(base)])), abs(phi)))
         slacks[id(sw)] = s
         return sw, steps

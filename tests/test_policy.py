@@ -1,4 +1,5 @@
 import csv
+import gc
 
 import numpy as np
 import pytest
@@ -36,6 +37,27 @@ def test_worst_disturbance_rejects_stage_mismatch(rng):
         worst_disturbance_at(p, p.x0, 1, lam, np.zeros(p.m))
 
 
+def test_decision_from_multipliers_alone_runs_no_pass(rng, monkeypatch):
+    # a solve's lam_star is the pass it ended on: kept without its
+    # solution, it is handed back by sweep, and the control and the
+    # worst-case disturbance at it run no further pass
+    passes = []
+    one_pass = riccati._nested_pass
+    monkeypatch.setattr(riccati, "_nested_pass",
+                        lambda *a, **kw: passes.append(1) or one_pass(*a, **kw))
+    for _ in range(5):
+        p = make_problem(rng)
+        k = int(rng.integers(0, p.N))
+        x = rng.standard_normal(p.n)
+        lam = solve_multipliers(p, x, k=k).lam_star
+        gc.collect()
+        passes.clear()
+        u = control_at(p, x, k, lam)
+        worst_disturbance_at(p, x, k, lam, u)
+        assert passes == []
+        assert sweep(p, lam) is lam
+
+
 def test_online_decision_stage_steps(rng, monkeypatch):
     # a stage-k solve, cold or warm, steps through its tail once before the
     # descent and runs no projection pass; every trial pass resumes from
@@ -61,7 +83,7 @@ def test_online_decision_stage_steps(rng, monkeypatch):
     def traced_reconstruct(p, s, k, base=None):
         if base is not None:
             changed = np.flatnonzero(base.bounds + EPS_BOUNDARY + s
-                                     != base.lam.lambdas)
+                                     != base.lambdas)
             trial_steps.append(int(changed[-1]) + 1 if changed.size else 0)
         return reconstruct(p, s, k, base)
 
@@ -321,8 +343,8 @@ def test_solution_sweep_cannot_be_written(rng):
     sol = solve_multipliers(p, p.x0)
     u = control_at(p, p.x0, 0, sol.lam_star)
     with pytest.raises(ValueError, match="read-only"):
-        sol.sweep.K[0] *= 2.0
-    assert sweep(p, sol.lam_star) is sol.sweep
+        sol.lam_star.K[0] *= 2.0
+    assert sweep(p, sol.lam_star) is sol.lam_star
     assert np.array_equal(control_at(p, p.x0, 0, sol.lam_star), u)
 
 

@@ -50,10 +50,13 @@ def test_public_surface():
                          (stdar.steady_state, "_double"),
                          (stdar._kernels, "coupling")):
         assert not hasattr(module, name), name
-    # a pass keeps what its readers read, and the doubling's stop rule
-    # (_FP_TOL, _FP_MAX_DOUBLINGS) lives in _kernels alone
+    # a pass is the multiplier vector it set and keeps what its readers
+    # read, and the doubling's stop rule (_FP_TOL, _FP_MAX_DOUBLINGS) lives
+    # in _kernels alone
+    assert issubclass(stdar.RiccatiSweep, stdar.MultiplierVector)
     assert [f.name for f in dataclasses.fields(stdar.RiccatiSweep)] == [
-        "Pi", "K", "J", "lam", "bounds", "_eigvals", "_eigvecs", "_gains"]
+        "lambdas", "stage_offset", "Pi", "K", "J", "bounds", "_eigvals",
+        "_eigvecs", "_gains", "_problem"]
     for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z X0 x0 cap"),
                        (stdar._kernels.verify, "A Q Z X scale")):
         assert list(inspect.signature(fn).parameters) == params.split()
@@ -70,7 +73,7 @@ def test_public_surface():
     assert hasattr(stdar.ProblemData, "alpha_bar")
     assert [f.name for f in dataclasses.fields(stdar.MultiplierSolution)] == [
         "lam_star", "value", "grad_norm", "boundary_flags", "iterations",
-        "converged", "sweep", "stage_steps", "gradient_evals", "adjoint_stages",
+        "converged", "stage_steps", "gradient_evals", "adjoint_stages",
         "backtracks", "gradient_mode"]
     assert [f.name for f in dataclasses.fields(stdar.SteadyStateSolution)] == [
         "lambda_bar", "Pi_bar", "K_bar", "residual", "boundary_gap",

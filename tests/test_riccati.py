@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import pickle
-import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ def feasible_lam(p, rng, spread=2.0):
 def stage_matrix(p, sw, j):
     """M_j in block form, from the sweep's Pi_{j+1} and lam_j."""
     return stage_step_reference(p.A, p.B, p.G, p.Q, p.R, sw.Pi[j + 1],
-                                sw.lam.lambdas[j])[1]
+                                sw.lambdas[j])[1]
 
 
 def test_hand_evaluated_single_stage():
@@ -208,7 +207,7 @@ def test_project_output_always_sweepable(rng):
                             (k, np.zeros(p.N - k))):
             lam = project_feasible(p, raw, stage_offset=offset)
             one, _ = _nested_pass(p, raw, offset, EPS_BOUNDARY)
-            assert np.array_equal(one.lam.lambdas, lam.lambdas)
+            assert np.array_equal(one.lambdas, lam.lambdas)
             passes.append((offset, one))
         for offset in (0, k):
             # slacks at zero (bound active) and above it
@@ -217,7 +216,7 @@ def test_project_output_always_sweepable(rng):
             passes.append((offset, _reconstruct(p, s, offset)[0]))
         for offset, one in passes:
             assert one.stage_offset == offset
-            assert_same_sweep(one, sweep(p, fresh(one.lam)))  # must not raise
+            assert_same_sweep(one, sweep(p, fresh(one)))  # must not raise
 
 
 def test_resumed_pass_matches_full_pass(rng):
@@ -238,7 +237,7 @@ def test_resumed_pass_matches_full_pass(rng):
         base, steps = _reconstruct(p, s, k)
         assert steps == size
         warm, _ = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, EPS_BOUNDARY)
-        s_warm = np.maximum(warm.lam.lambdas - warm.bounds - EPS_BOUNDARY,
+        s_warm = np.maximum(warm.lambdas - warm.bounds - EPS_BOUNDARY,
                             0.0)
         for changed in ([0], [size - 1], [], list(range(size)),
                         list(np.flatnonzero(rng.random(size) < 0.5))):
@@ -248,7 +247,7 @@ def test_resumed_pass_matches_full_pass(rng):
                 full, full_steps = _reconstruct(p, cand, k)
                 one, steps = _reconstruct(p, cand, k, start)
                 differ = np.flatnonzero(start.bounds + EPS_BOUNDARY + cand
-                                        != start.lam.lambdas)
+                                        != start.lambdas)
                 assert full_steps == size
                 assert steps == (differ[-1] + 1 if differ.size else 0)
                 if start is base:
@@ -259,7 +258,7 @@ def test_resumed_pass_matches_full_pass(rng):
                 assert np.array_equal(one._eigvecs, full._eigvecs)
                 assert np.array_equal(one.K, full.K)
                 assert np.array_equal(one.J, full.J)
-                assert sweep(p, one.lam) is one
+                assert sweep(p, one) is one
     assert warm_resumed > 0
 
 
@@ -284,7 +283,7 @@ def test_pass_decides_which_stages_it_repeats(rng):
         programs = [  # (raw, margin, slack)
             (np.full(size, -np.inf), eps, s),
             (rng.uniform(0.0, 3.0, size), eps, None),
-            (feasible.lam.lambdas + rng.uniform(0.0, 1.0, size), -np.inf, None)]
+            (feasible.lambdas + rng.uniform(0.0, 1.0, size), -np.inf, None)]
         bases = []
         for raw, margin, slack in programs:
             base, steps = _nested_pass(p, raw, k, margin, slack)
@@ -294,23 +293,23 @@ def test_pass_decides_which_stages_it_repeats(rng):
             i = int(rng.integers(0, size))
             raw, slack = raw.copy(), None if slack is None else slack.copy()
             if slack is None:  # above the rule's floor, so lam_i moves
-                raw[i] = base.lam.lambdas[i] + rng.uniform(0.01, 1.0)
+                raw[i] = base.lambdas[i] + rng.uniform(0.01, 1.0)
             else:
                 slack[i] += rng.uniform(0.01, 1.0)
             one, steps = _nested_pass(p, raw, k, margin, slack, base)
             assert steps == i + 1
             assert_same_sweep(one, _nested_pass(p, raw, k, margin, slack)[0])
-            assert sweep(p, one.lam) is one
+            assert sweep(p, one) is one
             bases.append(base)
         # the slack pass at the slacks each base's multipliers read as
         programs += [(np.full(size, -np.inf), eps,
-                      np.maximum(b.lam.lambdas - b.bounds - eps, 0.0))
+                      np.maximum(b.lambdas - b.bounds - eps, 0.0))
                      for b in bases]
         for raw, margin, slack in programs:
             full, _ = _nested_pass(p, raw, k, margin, slack)
             for base in bases:
                 one, steps = _nested_pass(p, raw, k, margin, slack, base)
-                differ = np.flatnonzero(full.lam.lambdas != base.lam.lambdas)
+                differ = np.flatnonzero(full.lambdas != base.lambdas)
                 assert steps == (differ[-1] + 1 if differ.size else 0)
                 assert (one is base) == (steps == 0)
                 assert_same_sweep(one, full)
@@ -319,32 +318,31 @@ def test_pass_decides_which_stages_it_repeats(rng):
 
 
 def test_sweep_reuses_linked_pass(rng):
-    # a full pass is handed back for its own multipliers on the same p
-    # while it lives; anything else runs again
+    # a pass of p is a multiplier vector that sweep(p, .) hands back as
+    # itself; a twin of p, a copy or a pickle runs the pass again and
+    # agrees bit for bit
     for _ in range(5):
         p = make_problem(rng)
         k = int(rng.integers(0, p.N))
-        sol = solve_multipliers(p, rng.standard_normal(p.n), k=k)
-        lam = sol.lam_star
-        assert sweep(p, lam) is sol.sweep
+        lam = solve_multipliers(p, rng.standard_normal(p.n), k=k).lam_star
+        assert isinstance(lam, RiccatiSweep) and isinstance(lam, MultiplierVector)
+        assert sweep(p, lam) is lam
         ref = sweep(p, fresh(lam))
-        assert ref is not sol.sweep
-        twin = dataclasses.replace(p)
-        again = sweep(twin, lam)
-        assert again is not sol.sweep
+        assert ref is not lam
+        again = sweep(dataclasses.replace(p), lam)
+        assert again is not lam
         for other in (ref, again):
-            assert_same_sweep(other, sol.sweep)
-        link = weakref.ref(sol.sweep)
-        del sol, again
-        assert link() is None  # the vector holds its pass weakly
-        assert_same_sweep(sweep(p, lam), ref)
-        # a pickled or copied vector carries no link, and still sweeps
+            assert_same_sweep(other, lam)
+        # a pickled or copied pass is a plain vector, and still sweeps
         for twin_lam in (pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)):
-            assert_same_sweep(sweep(p, twin_lam), ref)
+            assert type(twin_lam) is MultiplierVector
+            assert np.array_equal(twin_lam.lambdas, lam.lambdas)
+            assert twin_lam.stage_offset == k
+            assert_same_sweep(sweep(p, twin_lam), lam)
 
         # a multiplier 5e-4 below its bound is infeasible, whether a pass
         # sets it there (margin -5e-4) or a vector brings it
-        lams = ref.lam.lambdas.copy()
+        lams = ref.lambdas.copy()
         lams[-1] = ref.bounds[-1] - 5e-4
         errors = []
         for call in (lambda: _nested_pass(p, np.full(p.N - k, -np.inf), k, -5e-4),
@@ -378,8 +376,8 @@ def test_sweep_is_stacked(rng):
         cand[0] += 0.5
         resumed, steps = _reconstruct(p, cand, k, full)
         assert steps == 1
-        for sw in (full, resumed, sweep(p, full.lam),
-                   sweep(p, fresh(full.lam))):
+        for sw in (full, resumed, sweep(p, full),
+                   sweep(p, fresh(full))):
             assert sw.Pi.shape == (size + 1, p.n, p.n)
             assert sw.K.shape == (size, p.m, p.n)
             assert sw.J.shape == (size, p.q, p.n)
@@ -405,7 +403,7 @@ def test_stage_offset_bookkeeping():
     lam = project_feasible(p, np.zeros(2), margin=0.1, stage_offset=2)
     sw = sweep(p, lam)
     assert sw.stage_offset == 2
-    assert sw.horizon() == 2
+    assert len(sw) == 2
     assert len(sw.Pi) == 3
     assert sw.Pi[-1][0, 0] == 1.0
 
@@ -434,7 +432,7 @@ def test_nested_pass_matches_block_stage_oracle(rng):
         assert np.array_equal(sw.Pi[-1], p.Pf)
         for j in range(p.N):
             Pi, _, K, J, top = stage_step_reference(p.A, p.B, p.G, p.Q, p.R,
-                                                    sw.Pi[j + 1], sw.lam.lambdas[j])
+                                                    sw.Pi[j + 1], sw.lambdas[j])
             got = (sw.Pi[j], sw.K[j], sw.J[j], sw.bounds[j])
             for a, b in zip(got, (Pi, K, J, top)):
                 err = np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
@@ -619,7 +617,7 @@ def test_pass_is_the_bordered_formula_bit_for_bit(rng):
             assert np.array_equal(sw.bounds, vals[:, -1])
             assert np.array_equal(sw._eigvals, vals)
             assert np.array_equal(sw._eigvecs, vecs)
-            assert np.array_equal(sw.lam.lambdas, lam)
+            assert np.array_equal(sw.lambdas, lam)
 
 
 def test_overflowing_pass_raises_singular_m():

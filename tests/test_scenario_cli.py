@@ -300,15 +300,21 @@ def test_cli_policy_curve_odd_with_spread(tmp_path):
     assert max(us) - min(us) > 1e-4
 
 
-def test_cli_policy_curve_needs_scalar_and_grid(tmp_path):
+def test_cli_policy_curve_needs_scalar_and_grid(tmp_path, capsys):
+    # either check fails before the output directory is made: exit 2 and
+    # no directory, from the scenario's run.out or from --out
     p2 = sec5()
     path = write_scenario(tmp_path, p2, out=str(tmp_path / "res"))
-    assert main(["policy-curve", "--scenario", path]) == 2  # no grid
     from conftest import make_problem
     pm = make_problem(np.random.default_rng(0), n=2, m=2, q=1, N=2)
     path2 = write_scenario(tmp_path, pm, name="m.yaml", out=str(tmp_path / "res"),
                            grid=(-1.0, 1.0, 3))
-    assert main(["policy-curve", "--scenario", path2]) == 2
+    for scenario, why in ((path, "needs run.grid"), (path2, "scalar system")):
+        for flags in ([], ["--out", str(tmp_path / "other")]):
+            assert main(["policy-curve", "--scenario", scenario] + flags) == 2
+            assert why in capsys.readouterr().err
+            assert not (tmp_path / "res").exists()
+            assert not (tmp_path / "other").exists()
 
 
 def test_cli_policy_curve_exit_code_on_unconverged_solve(tmp_path, capsys,
@@ -352,7 +358,15 @@ def test_cli_rollout_external_needs_w_file(tmp_path, capsys):
                           rollout_mode="external")
     assert main(["rollout", "--scenario", path]) == 2
     assert "rollout_mode external needs run.w_file" in capsys.readouterr().err
-    assert not (tmp_path / "res" / "rollout.csv").exists()
+    # the file is read, and its shape checked, before the directory is made
+    assert not (tmp_path / "res").exists()
+    (tmp_path / "short.csv").write_text("0.1\n0.1\n")
+    for w_file, why in (("no.csv", "no.csv"), ("short.csv", "w_seq must be 4x1")):
+        path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"),
+                              rollout_mode="external", w_file=str(tmp_path / w_file))
+        assert main(["rollout", "--scenario", path]) == 2
+        assert why in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
 
 def test_cli_rollout_external_w_file(tmp_path):
@@ -492,7 +506,7 @@ def test_cli_solver_error_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, _unstabilizable(), out=str(tmp_path / "res"))
     assert main(["steady", "--scenario", path]) == 3
     assert "solver error: no feasible multiplier" in capsys.readouterr().err
-    assert not (tmp_path / "res" / "steady.csv").exists()
+    assert not (tmp_path / "res").exists()  # nothing to write, no directory
 
 
 def test_cli_steady_without_lqr_baseline(tmp_path, monkeypatch):
