@@ -28,6 +28,17 @@ gradient. No separate projection (riccati.project_feasible) runs on the
 way. The first trial moves no slack by more than 1: at the corner an
 interior stage's gradient can be in the hundreds.
 
+The head multiplier is solved exactly (_head_step) after the start pass
+and each accepted trial, before that point's gradient. With the tail
+held, phi is convex in lambda_0, with slope (alpha_k - ||wbar||^2) /
+(2 alpha_bar), wbar = (lambda_0 I - N)^-1 rho, N and rho the Schur
+complement and drive of the G block of stage 0's bordered matrix. The
+minimum is at the bound where ||wbar||^2 <= alpha_k, else at the root of
+1/||wbar|| = 1/sqrt(alpha_k), which Newton steps reach rising from the
+bound (More & Sorensen 1983; one at q = 1). It moves s_0 alone, one stage
+step unless start slacks round a deeper multiplier, and is skipped where
+s_0 = 0 and g_0 >= 0 (one dot) or its decrease is within phi's rounding.
+
 A trial pass is the slack pass at the trial point with the sweep of
 the current point as its base; the pass itself decides which stages it
 repeats (riccati's module docstring) and steps only from the last stage
@@ -80,12 +91,9 @@ import numpy as np
 
 from ._linalg import fro_norm
 from .problem import ProblemData, _as_point
-# project_feasible stays bound here, the name benchmark/tracing.py wraps
-# as riccati.project: no solve calls it, so that span counts 0, and a
-# projection pass put back on the solve path through it would be counted.
 from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep,
-                      _nested_pass, _require_finite, _require_tail, at_bound,
-                      project_feasible, sweep)
+                      _bordered, _nested_pass, _require_finite, _require_offset,
+                      _require_tail, at_bound, sweep)
 
 __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 
@@ -113,13 +121,14 @@ class MultiplierSolution:
     stage_steps, gradient_evals and backtracks count the solve's work:
     the stage steps actually taken (N - k in the start pass, then those of
     each trial pass, which resumes from the current sweep and steps only
-    the stages from the last multiplier it changes down), one adjoint pass per
-    accepted point and at the start, and the trial points rejected by the
-    Armijo test; a trial within phi's rounding is not evaluated (_descend).
+    the stages from the last multiplier it changes down, and of each head
+    step), one adjoint pass per accepted point and at the start, and the
+    trial points rejected by the Armijo test; a trial within phi's
+    rounding is not evaluated (_descend).
     adjoint_stages counts their stage updates (N - k, or t with a tail map
     of depth t) plus the N - k - t stages of each tail map built; a map
     stage costs about one stage update at the n <= 4 where maps are built.
-    iterations counts accepted steps, L-BFGS or projected-gradient ones.
+    iterations counts accepted L-BFGS or projected-gradient steps, not head steps.
     """
 
     lam_star: RiccatiSweep
@@ -135,14 +144,6 @@ class MultiplierSolution:
     gradient_mode: str = "envelope"  # the one mode; kept for callers that read it
 
 
-def _wrap(lam, k: int) -> MultiplierVector:
-    if not isinstance(lam, MultiplierVector):
-        return MultiplierVector(np.asarray(lam, dtype=float), stage_offset=k)
-    if lam.stage_offset != k:
-        raise ValueError(f"multipliers start at stage {lam.stage_offset}, not {k}")
-    return lam
-
-
 def _phi(p: ProblemData, x: np.ndarray, sw: RiccatiSweep) -> float:
     tail = float(p.alpha[sw.stage_offset:] @ sw.lambdas)
     return (float(x @ sw.Pi[0] @ x) + tail) / (2.0 * p.alpha_bar)
@@ -153,7 +154,9 @@ def objective(p: ProblemData, lam, x, k: int = 0) -> float:
     A state of the wrong size or not finite, or a MultiplierVector that
     does not start at stage k, raises ValueError."""
     x = _as_point(x, p.n, "state")
-    return _phi(p, x, sweep(p, _wrap(lam, k)))
+    lam = lam if isinstance(lam, MultiplierVector) else MultiplierVector(lam, k)
+    _require_offset(lam, k)
+    return _phi(p, x, sweep(p, lam))
 
 
 def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
@@ -162,6 +165,34 @@ def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
     EPS_BOUNDARY + s_j, any s >= 0, and its stage steps; with base, a
     pass of the same program and stage k, it resumes from base."""
     return _nested_pass(p, np.full(s.size, -np.inf), k, EPS_BOUNDARY, s, base)
+
+
+def _head_step(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
+               phi: float):
+    """(s, sw, phi, stage steps) after the head step (module docstring)."""
+    a, m, q = float(p.alpha[sw.stage_offset]), p.m, p.q
+    if s[0] == 0.0 and a >= (Jx := sw.J[0].dot(x)).dot(Jx):  # g_0 >= 0
+        return s, sw, phi, 0
+    H = _bordered(p.F.T, 0.5 * p.F, p.C, sw.Pi[1], np.empty(p.C.shape))
+    W = H[m:, m:] - H[m:, :m].dot(np.linalg.solve(H[:m, :m], H[:m, m:]))
+    nu, V = np.linalg.eigh(W[:q, :q])  # W[:q, :q] = N
+    r2 = V.T.dot(W[:q, q:].dot(x)) ** 2  # rho^2 in N's eigenbasis
+    t = lo = float(sw.bounds[0]) + EPS_BOUNDARY  # lambda_0 at s_0 = 0
+    if not (lo - nu).min() > 0.0:
+        return s, sw, phi, 0
+    u2 = r2.dot((t - nu) ** -2.0)  # ||wbar(t)||^2
+    while u2 > a:  # Newton on 1/||wbar|| = 1/sqrt(a), rising from lo
+        t_new = t + (np.sqrt(u2 / a) - 1.0) * u2 / r2.dot((t - nu) ** -3.0)
+        if not t_new > t:
+            break
+        t, u2 = t_new, r2.dot((t_new - nu) ** -2.0)
+    tc = float(sw.lambdas[0])
+    decrease = (t - tc) * (r2.dot(1.0 / ((tc - nu) * (t - nu))) - a)  # times 2 abar
+    if not decrease > 2.0 * p.alpha_bar * _ROUNDING * abs(phi):
+        return s, sw, phi, 0
+    s = np.concatenate(([t - lo], s[1:]))
+    sw, steps = _reconstruct(p, s, sw.stage_offset, sw)
+    return s, sw, _phi(p, x, sw), steps
 
 
 def _adjoint_terms(p: ProblemData, sw: RiccatiSweep, lo: int, hi: int):
@@ -267,15 +298,13 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     search fails, to 1e-6 (1 + |phi|). A failed search short of that with
     stored pairs drops them and retries from -g; without pairs it ends.
     """
-    k = sw.stage_offset
-    phi = _phi(p, x, sw)
+    size = adjoint_stages = len(sw)
+    s, sw, phi, stage_steps = _head_step(p, x, s, sw, _phi(p, x, sw))
+    stage_steps += size
     g = _slack_gradient(p, sw, x)
-    stage_steps = adjoint_stages = size = len(sw)
     gradient_evals, backtracks, tail = 1, 0, None  # tail: _tail_map of sw's last stages
     pgn = _pg_norm(g, s)
-    pairs: list = []
-    converged = False
-    iterations = 0
+    pairs, converged, iterations = [], False, 0
     while iterations < max_iter:
         if pgn <= 1e-8 * (1.0 + abs(phi)):
             converged = True
@@ -288,17 +317,19 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             decrease = -float(g @ step)  # predicted
             if not decrease > _ROUNDING * abs(phi):
                 break  # the predicted decrease is lost in phi's rounding
-            sw_c, steps = _reconstruct(p, cand, k, sw)
+            sw_c, steps = _reconstruct(p, cand, sw.stage_offset, sw)
             stage_steps += steps
             phi_c = _phi(p, x, sw_c)
             if phi_c <= phi - _ARMIJO_C * decrease:
                 if p.n <= _MAP_MAX_N and (tail is None or steps > tail[0]):
                     tail = _tail_map(p, sw_c, steps)  # the pass stepped into it
                     adjoint_stages += size - tail[0] if tail else 0
+                cand, sw_c, phi_c, steps = _head_step(p, x, cand, sw_c, phi_c)
+                stage_steps += steps
                 g_c = _slack_gradient(p, sw_c, x, tail)
                 adjoint_stages += size if tail is None or tail[1] is None else tail[0]
                 gradient_evals += 1
-                dg = g_c - g
+                step, dg = cand - s, g_c - g
                 if float(step @ dg) > 0.0:  # curvature along the step
                     pairs = pairs[1 - _MEMORY:] + [(step, dg)]
                 s, phi, sw, g = cand, phi_c, sw_c, g_c

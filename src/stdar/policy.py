@@ -17,7 +17,7 @@ from ._linalg import PINV_CUTOFF, fro_norm
 from .errors import NoSphereIntersection
 from .multiplier import solve_multipliers
 from .problem import ProblemData, _as_point
-from .riccati import MultiplierVector, at_bound, sweep
+from .riccati import MultiplierVector, _require_offset, at_bound, sweep
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def control_at(p: ProblemData, x: np.ndarray, k: int,
     """Stage-k control u = -K_k x at the supplied optimal multipliers.
     A state of the wrong size or not finite raises ValueError."""
     x = _as_point(x, p.n, "state")
-    if lam_star.stage_offset != k:
-        raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
+    _require_offset(lam_star, k)
     sw = sweep(p, lam_star)
     return -(sw.K[0] @ x)
 
@@ -75,8 +74,7 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     """
     x = _as_point(x, p.n, "state")
     u = _as_point(u, p.m, "control")
-    if lam_star.stage_offset != k:
-        raise ValueError(f"multipliers start at stage {lam_star.stage_offset}, not {k}")
+    _require_offset(lam_star, k)
     sw = sweep(p, lam_star)
     Pi_next, lam_k = sw.Pi[1], float(lam_star.lambdas[0])
     bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])

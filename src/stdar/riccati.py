@@ -154,11 +154,25 @@ def _require_tail(p: ProblemData, k: int, n_stages: int) -> None:
             f"expected tail end at {p.N - 1}")
 
 
+def _require_offset(lam: MultiplierVector, k: int) -> None:
+    """Raise ValueError unless lam starts at stage k."""
+    if lam.stage_offset != k:
+        raise ValueError(f"multipliers start at stage {lam.stage_offset}, not {k}")
+
+
 def _require_finite(lam: np.ndarray, k: int) -> None:
     """Raise InfeasibleMultiplier at the first non-finite lam_{k+j}."""
     if not np.isfinite(lam).all():
         j = int(np.flatnonzero(~np.isfinite(lam))[0])
         raise InfeasibleMultiplier(f"multiplier lam_{k + j} = {lam[j]} is not finite")
+
+
+def _bordered(FT, Fh, C, Pi_next, out) -> np.ndarray:
+    """H = X + X' + C, X = F'(Pi_next(F/2)), into out (module docstring)."""
+    X = FT.dot(Pi_next.dot(Fh))  # F'Pi F / 2, exactly
+    np.add(X, X.T, out=out)
+    out += C
+    return out
 
 
 def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=None,
@@ -211,9 +225,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
     raw_j, bounds = lam[:top].tolist(), []
     slack_j = None if slack is None else slack[:top].tolist()
     for i in range(top - 1, -1, -1):
-        X = FT.dot(Pi[i + 1].dot(Fh))  # F'Pi F / 2, exactly
-        np.add(X, X.T, out=H)
-        H += C
+        _bordered(FT, Fh, C, Pi[i + 1], H)
         if q == 1:  # the bound is H's one G entry; vals and vecs are set below
             b = H.item(m, m)
         else:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import couplings, fixed_point_numpy, verify
-from ._kernels import fixed_point_compiled  # noqa: F401, benchmark/tracing.py wraps it
 from ._linalg import fro_norm, sym, top_eig
 from .errors import Diverged, NoFeasibleLambda, SingularPi
 from .problem import _TOL_PSD, ProblemData

@@ -56,7 +56,13 @@ def test_tracer_resolves_every_target_and_restores_bindings(rng):
     try:
         tracer.install(api, stdar)
         wrapped = {attr for _, attr, _ in tracer.saved}
-        assert wrapped == {attr for _, _, attr, _ in tracing.TARGETS}
+        # every target resolves in its home module; riccati.project_feasible
+        # and _kernels.fixed_point_compiled are bound by no package module
+        # or api name, as no solve calls them, so their spans count 0
+        for _, home, attr, _ in tracing.TARGETS:
+            assert callable(getattr(getattr(stdar, home), attr))
+        unbound = {"project_feasible", "fixed_point_compiled"}
+        assert wrapped == {attr for _, _, attr, _ in tracing.TARGETS} - unbound
 
         # one Online decision pair as the benchmark makes it: the stage-0
         # gradient mode is passed on to the warm-started stage-1 solve
@@ -156,8 +162,9 @@ def test_online_bank_counts(monkeypatch):
     # its 72 decisions, counted on the solutions the workload's own solve
     # calls return, pinned exactly as the steady bank's are. Warm re-solves
     # that start at their optimum take their start pass and one gradient,
-    # and no trial is rejected on rounding.
-    # Every stage step (592) settles its check on the residual alone
+    # and no trial is rejected on rounding; a tied decision (head multiplier
+    # at its bound, g_0 >= 0) takes no head step.
+    # Every stage step (587) settles its check on the residual alone
     counts = count_stage_norms(monkeypatch)
     solutions, _, results = bank_pass(monkeypatch, "Online")
     assert counts["norms"] == counts["steps"] == sum(
@@ -168,33 +175,35 @@ def test_online_bank_counts(monkeypatch):
     # rollout misses its stage-0 value (the saddle failure, ROADMAP item 3)
     assert [res.failed for res in results] == [0, 12, 0, 0, 0, 0]
     assert all(sol.converged for sol in solutions)
-    assert sum(sol.stage_steps for sol in solutions) == 592
-    assert sum(sol.iterations for sol in solutions) == 23
-    assert sum(sol.gradient_evals for sol in solutions) == 95
-    assert sum(sol.adjoint_stages for sol in solutions) == 598
+    assert sum(sol.stage_steps for sol in solutions) == 587
+    assert sum(sol.iterations for sol in solutions) == 17
+    assert sum(sol.gradient_evals for sol in solutions) == 89
+    assert sum(sol.adjoint_stages for sol in solutions) == 591
     assert sum(sol.backtracks for sol in solutions) == 0
 
 
 def test_long_horizon_bank_counts(monkeypatch):
     # the same count over one pass of the long_horizon bank, 6 cold solves
-    # from the lower corner. Four end at their corner; the N = 40 op, with
-    # interior multipliers, takes most of the work, where the descent's
+    # from the lower corner. Four end at their corner; the two scalar ops,
+    # whose only interior multiplier is the head's, end after their start
+    # pass, one head step and one gradient. The N = 40 op, with interior
+    # multipliers at stages 0 and 1, takes the descent's work, where its
     # curvature pairs count. Its trial passes step only the first stages,
-    # so its gradients take the rest from a tail map: 33 gradients of
-    # N = 30-50 stages cost 1 200 adjoint stage updates without one. The
+    # so its gradients take the rest from a tail map: 13 gradients of
+    # N = 30-50 stages cost 520 adjoint stage updates without one. The
     # counts are pinned exactly, as the steady bank's are.
-    # Every stage step (296) settles its check on the residual alone
+    # Every stage step (269) settles its check on the residual alone
     counts = count_stage_norms(monkeypatch)
     solutions, _, _ = bank_pass(monkeypatch, "LongHorizon")
     assert counts["norms"] == counts["steps"] == sum(
         sol.stage_steps for sol in solutions)
     assert len(solutions) == 6
     assert all(sol.converged for sol in solutions)
-    assert sum(sol.stage_steps for sol in solutions) == 296
-    assert sum(sol.iterations for sol in solutions) == 27
-    assert sum(sol.gradient_evals for sol in solutions) == 33
-    assert sum(sol.adjoint_stages for sol in solutions) == 378
-    assert sum(sol.backtracks for sol in solutions) == 9
+    assert sum(sol.stage_steps for sol in solutions) == 269
+    assert sum(sol.iterations for sol in solutions) == 7
+    assert sum(sol.gradient_evals for sol in solutions) == 13
+    assert sum(sol.adjoint_stages for sol in solutions) == 292
+    assert sum(sol.backtracks for sol in solutions) == 4
 
 
 def test_steady_bank_counts(monkeypatch):
@@ -268,7 +277,7 @@ def test_long_horizon_bank_without_tail_maps(monkeypatch):
         assert [getattr(a, c) for c in counts] == [getattr(b, c) for c in counts]
         assert b.adjoint_stages == b.gradient_evals * case.problem.N
     assert (sum(sol.adjoint_stages for sol in with_maps)
-            < sum(sol.adjoint_stages for sol in without) == 1200)
+            < sum(sol.adjoint_stages for sol in without) == 520)
 
 
 def short_run(workload):

@@ -8,6 +8,7 @@ from stdar import multiplier
 from stdar.multiplier import _reconstruct, _slack_gradient, _tail_map
 from stdar.riccati import EPS_BOUNDARY, _nested_pass, project_feasible
 from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
+import oracles
 from oracles import (envelope_gradient, fd_gradient,
                      grid_minmax_two_stage_scalar, slack_gradient_reference,
                      two_stage_value)
@@ -30,6 +31,49 @@ def test_objective_rejects_stage_mismatch():
     for lam in (sol.lam_star, fresh(sol.lam_star)):
         with pytest.raises(ValueError, match="start at stage 1, not 0"):
             objective(p, lam, p.x0, k=0)
+
+
+def test_head_step_is_the_exact_head_minimizer(rng):
+    # with the tail of a slack pass held, the head step moves s_0 to the
+    # minimizer of phi over s_0 >= 0, against golden section on the same
+    # one-dimensional phi; where g_0 >= 0 at s_0 = 0 that minimizer is the
+    # bound itself, exactly, and a one-stage program needs no descent step
+    seen = {"interior": set(), "bound": set()}
+    for i in range(90):
+        q = 1 + i % 3
+        p = make_problem(rng, n=int(rng.integers(1, 5)), m=int(rng.integers(1, 5)),
+                         q=q, N=int(rng.integers(1, 6)))
+        k = int(rng.integers(0, p.N))
+        x = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(p.n)
+        s = np.where(rng.random(p.N - k) < 0.5, 0.0, rng.uniform(0.0, 2.0, p.N - k))
+        sw = _reconstruct(p, s, k)[0]
+
+        def phi_at(s0):
+            return multiplier._phi(p, x, _reconstruct(p, np.r_[s0, s[1:]], k, sw)[0])
+
+        hi = 1.0
+        while phi_at(2.0 * hi) < phi_at(hi):
+            hi *= 2.0
+        s0_ref, phi_ref = oracles.golden_min(phi_at, 0.0, 2.0 * hi, tol=1e-13)
+        if phi_at(0.0) <= phi_ref:
+            s0_ref, phi_ref = 0.0, phi_at(0.0)
+        s_h, sw_h, phi_h, steps = multiplier._head_step(
+            p, x, s, sw, multiplier._phi(p, x, sw))
+        assert np.array_equal(s_h[1:], s[1:])
+        assert steps == (0 if sw_h is sw else 1)
+        assert phi_h == multiplier._phi(p, x, sw_h)
+        assert abs(phi_h - phi_ref) <= 1e-12 * abs(phi_ref)
+        lam_ref = sw.bounds[0] + EPS_BOUNDARY + s0_ref
+        assert sw_h.lambdas[0] == pytest.approx(lam_ref, rel=1e-6, abs=1e-6)
+        g0 = _slack_gradient(p, _reconstruct(p, np.r_[0.0, s[1:]], k, sw)[0], x)[0]
+        if g0 >= 0.0:
+            assert s_h[0] == 0.0
+            assert sw_h.lambdas[0] == sw.bounds[0] + EPS_BOUNDARY
+        seen["bound" if g0 >= 0.0 else "interior"].add(q)
+        one = solve_multipliers(p, x, k=p.N - 1)
+        assert one.converged
+        assert (one.iterations, one.gradient_evals, one.backtracks) == (0, 1, 0)
+    assert seen == {"interior": {1, 2, 3}, "bound": {1, 2, 3}}
 
 
 def test_value_recomputes_from_fresh_sweep(rng):
@@ -368,14 +412,17 @@ def test_interior_ill_conditioned_solve_converges():
     assert sol.converged
     assert sol.value <= 0.07048129333 * (1.0 + 1e-9)
     assert sol.iterations <= 200
+    # it takes 4 662, 7% under the bound (4 160 before the head step; the
+    # cause of the rise is not settled)
     assert sol.stage_steps <= 5000
     assert not any(sol.boundary_flags)
 
 
 def test_random_cold_solves_converge():
     # 200 cold solves, N = 2-40, k uniform, x = 10^U(-1, 1) x0. All
-    # converge, 197 of them under the 1e-8 rule, in 1 440 iterations, at
-    # most 79 in one solve. The floor of 188 under the 1e-8 rule is what
+    # converge, 197 of them under the 1e-8 rule, in 1 202 iterations, at
+    # most 69 in one solve (1 440 and 79 before the head step); the bounds
+    # keep about 4% over both. The floor of 188 under the 1e-8 rule is what
     # projected Barzilai-Borwein steps reached on these draws
     rng = np.random.default_rng(15)
     iterations, tight = [], 0
@@ -388,8 +435,8 @@ def test_random_cold_solves_converge():
         assert sol.converged
         iterations.append(sol.iterations)
         tight += sol.grad_norm <= 1e-8 * (1.0 + abs(sol.value))
-    assert sum(iterations) <= 1500
-    assert max(iterations) <= 85
+    assert sum(iterations) <= 1250
+    assert max(iterations) <= 72
     assert tight >= 188
 
 
@@ -424,26 +471,40 @@ def test_cold_solve_ends_at_an_optimal_corner(rng):
 
 
 def test_first_trial_moves_no_slack_by_more_than_one(monkeypatch):
-    # all multipliers interior (small B and G): at the corner the stage-0
-    # slack gradient is about -490, and a unit first step would move that
-    # slack 490 from its optimum; the first trial is capped at 1
-    p = scalar_problem(A=0.063, B=-0.132, G=-0.042, Q=1, R=1, Pf=1, N=5,
+    # all multipliers interior (small B and G): at the corner the last
+    # stage's slack gradient is about -267, and it still is once the start
+    # point's head step has set s_0, so a unit first step would move that
+    # slack by hundreds; the first descent trial is capped at 1
+    p = scalar_problem(A=0.9, B=-0.132, G=-0.042, Q=1, R=1, Pf=1, N=5,
                        alpha=1.0, x0=1.0)
-    g = corner_gradient(p, p.x0, 0)[0]
-    assert g.min() < -100.0
-    trials = []
-    full = multiplier._reconstruct
+    assert corner_gradient(p, p.x0, 0)[0][1:].min() < -100.0
+    trials, heads, in_head = [], [], []
+    full, head = multiplier._reconstruct, multiplier._head_step
 
     def record(p, s, k, base=None):
-        if base is not None:
-            trials.append(s.copy())
+        if base is not None and not in_head:
+            trials.append((s.copy(), base))
         return full(p, s, k, base)
 
+    def head_step(*args):
+        in_head.append(1)
+        try:
+            heads.append(head(*args))
+        finally:
+            in_head.pop()
+        return heads[-1]
+
     monkeypatch.setattr(multiplier, "_reconstruct", record)
+    monkeypatch.setattr(multiplier, "_head_step", head_step)
     sol = solve_multipliers(p, p.x0)
     assert sol.converged
-    assert np.abs(trials[0]).max() == pytest.approx(1.0, rel=1e-12)
-    assert np.array_equal(trials[0] > 0.0, g < 0.0)
+    s, start = heads[0][:2]  # the start point, after its head step
+    assert trials[0][1] is start
+    g = _slack_gradient(p, start, p.x0)
+    assert g[1:].min() < -100.0
+    step = trials[0][0] - s
+    assert np.abs(step).max() == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(step > 0.0, g < 0.0)
 
 
 def test_slack_gradient_matches_stagewise_reference(rng):
@@ -658,9 +719,10 @@ def test_warm_resolve_at_the_optimum_costs_its_start_pass(rng):
 def test_no_trial_within_phi_rounding(rng, monkeypatch):
     # every trial pass the descent evaluates predicts a decrease -g.step
     # of phi above phi's rounding; smaller ones end the line search
-    # unevaluated. Slack points are read off the start and trial passes
-    slacks, trials = {}, []
-    descend, full = multiplier._descend, multiplier._reconstruct
+    # unevaluated. Slack points are read off the start and trial passes.
+    # Head re-steps are recorded apart: each moves s_0 alone and lowers phi
+    slacks, trials, heads, in_head = {}, [], [], []
+    descend, full, head = multiplier._descend, multiplier._reconstruct, multiplier._head_step
 
     def start(p, x, s, sw, max_iter):
         slacks[id(sw)] = s
@@ -669,14 +731,26 @@ def test_no_trial_within_phi_rounding(rng, monkeypatch):
     def record(p, s, k, base=None):
         sw, steps = full(p, s, k, base)
         if base is not None:
-            g = _slack_gradient(p, base, x)
             phi = multiplier._phi(p, x, base)
-            trials.append((-float(g @ (s - slacks[id(base)])), abs(phi)))
+            ds = s - slacks[id(base)]
+            if in_head:
+                heads.append((phi - multiplier._phi(p, x, sw), abs(phi), ds[1:].any()))
+            else:
+                g = _slack_gradient(p, base, x)
+                trials.append((-float(g @ ds), abs(phi)))
         slacks[id(sw)] = s
         return sw, steps
 
+    def head_step(*args):
+        in_head.append(1)
+        try:
+            return head(*args)
+        finally:
+            in_head.pop()
+
     monkeypatch.setattr(multiplier, "_descend", start)
     monkeypatch.setattr(multiplier, "_reconstruct", record)
+    monkeypatch.setattr(multiplier, "_head_step", head_step)
     for i in range(60):
         p = make_problem(rng, N=int(rng.integers(2, 12)))
         k = int(rng.integers(0, p.N))
@@ -687,6 +761,9 @@ def test_no_trial_within_phi_rounding(rng, monkeypatch):
     assert len(trials) > 100
     rounding = 16.0 * np.finfo(float).eps
     assert all(pred > rounding * phi for pred, phi in trials)
+    assert len(heads) > 50
+    assert not any(moved for _, _, moved in heads)
+    assert all(dec > 0.0 for dec, _, _ in heads)
 
 
 def test_resume_leaves_solves_unchanged(rng, monkeypatch):

@@ -4,13 +4,14 @@ import gc
 import numpy as np
 import pytest
 
-from stdar import (NoSphereIntersection, control_at, objective, rollout,
-                   solve_multipliers, sweep, worst_disturbance_at)
+from stdar import (MultiplierVector, NoSphereIntersection, control_at,
+                   objective, rollout, solve_multipliers, sweep,
+                   worst_disturbance_at)
 from stdar.cli import main
 from stdar.riccati import EPS_BOUNDARY, at_bound, project_feasible
 from stdar.scenario import ScenarioFile, save_scenario
 import stdar
-from stdar import multiplier, riccati
+from stdar import multiplier, policy, riccati
 from conftest import make_problem, scalar_problem
 from test_multiplier import minmax_from_single_stage
 
@@ -35,6 +36,22 @@ def test_worst_disturbance_rejects_stage_mismatch(rng):
     lam = project_feasible(p, np.zeros(p.N))
     with pytest.raises(ValueError, match="stage"):
         worst_disturbance_at(p, p.x0, 1, lam, np.zeros(p.m))
+
+
+def test_every_stage_offset_check_is_the_one_helper(rng):
+    # control_at, worst_disturbance_at and objective check a vector's start
+    # stage through riccati._require_offset, with its message, for a
+    # solve's pass and a plain vector alike
+    assert policy._require_offset is multiplier._require_offset is riccati._require_offset
+    p = make_problem(rng, N=4)
+    sol = solve_multipliers(p, p.x0, k=2)
+    for lam in (sol.lam_star, MultiplierVector(sol.lam_star.lambdas, 2)):
+        for call in (lambda: control_at(p, p.x0, 1, lam),
+                     lambda: worst_disturbance_at(p, p.x0, 1, lam, np.zeros(p.m)),
+                     lambda: objective(p, lam, p.x0, k=1)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "multipliers start at stage 2, not 1"
 
 
 def test_decision_from_multipliers_alone_runs_no_pass(rng, monkeypatch):
@@ -63,11 +80,15 @@ def test_online_decision_stage_steps(rng, monkeypatch):
     # descent and runs no projection pass; every trial pass resumes from
     # the current pass, a warm start's included, and steps only the
     # stages from the last one where bounds + eps_boundary + slack
-    # differs from its multiplier down. The solve counts that work; the
-    # decision's control and disturbance take no stage step
-    steps, at_descent, grads, backtracks = [], [], [], []
-    trial_steps, fewer = [], {"cold": [], "warm": []}
-    step, descend = riccati._stage_step, multiplier._descend
+    # differs from its multiplier down. A head step moves s_0 alone, at
+    # most once per point, and re-steps stage 0 alone; at a warm start's
+    # start point its pass also re-steps the stages whose multipliers the
+    # start slacks round. The solve counts that work; the decision's
+    # control and disturbance take no stage step
+    steps, at_descent, grads, backtracks, heads = [], [], [], [], []
+    trial_steps, head_steps, in_head, warm = [], [], [], []
+    fewer = {"cold": [], "warm": []}
+    step, descend, head = riccati._stage_step, multiplier._descend, multiplier._head_step
     gradient, reconstruct = multiplier._slack_gradient, multiplier._reconstruct
     monkeypatch.setattr(riccati, "_stage_step",
                         lambda *a: steps.append(1) or step(*a))
@@ -84,27 +105,45 @@ def test_online_decision_stage_steps(rng, monkeypatch):
         if base is not None:
             changed = np.flatnonzero(base.bounds + EPS_BOUNDARY + s
                                      != base.lambdas)
-            trial_steps.append(int(changed[-1]) + 1 if changed.size else 0)
+            n = int(changed[-1]) + 1 if changed.size else 0
+            if in_head:
+                assert n == 1 or warm[0] and not grads
+            (head_steps if in_head else trial_steps).append(n)
         return reconstruct(p, s, k, base)
 
+    def traced_head(p, x, s, *a):
+        in_head.append(1)
+        try:
+            out = head(p, x, s, *a)
+        finally:
+            in_head.pop()
+        assert np.array_equal(out[0][1:], s[1:])
+        return out
+
     monkeypatch.setattr(multiplier, "_reconstruct", traced_reconstruct)
+    monkeypatch.setattr(multiplier, "_head_step", traced_head)
 
     def solve(p, x, k, init):
-        for log in (steps, at_descent, grads, trial_steps):
+        for log in (steps, at_descent, grads, trial_steps, head_steps, warm):
             log.clear()
+        warm.append(init is not None)
         sol = solve_multipliers(p, x, k=k, init=init)
         assert at_descent == [p.N - k]
         trials = sol.iterations + sol.backtracks
         assert len(trial_steps) == trials
-        assert sol.stage_steps == len(steps) == p.N - k + sum(trial_steps)
+        assert len(head_steps) <= 1 + sol.iterations
+        assert sol.stage_steps == len(steps) == (
+            p.N - k + sum(trial_steps) + sum(head_steps))
         assert sol.gradient_evals == len(grads) == 1 + sol.iterations
         backtracks.append(sol.backtracks)
-        fewer["cold" if init is None else "warm"].append(
-            sol.stage_steps < (p.N - k) * (1 + trials))
+        fewer["warm" if warm[0] else "cold"].append(
+            sum(trial_steps) < (p.N - k) * len(trial_steps))
+        heads.append(len(head_steps))
         return sol
 
-    for _ in range(5):
-        p = make_problem(rng, N=5)
+    # at N = 8 some descent trials leave the last stage's slack at 0
+    for _ in range(10):
+        p = make_problem(rng, N=8)
         k = int(rng.integers(1, p.N - 1))
         cold = solve(p, p.x0, k, None)
         x = rng.standard_normal(p.n)
@@ -113,7 +152,7 @@ def test_online_decision_stage_steps(rng, monkeypatch):
         u = control_at(p, x, k, sol.lam_star)
         worst_disturbance_at(p, x, k, sol.lam_star, u)
         assert len(steps) == in_solve
-    assert max(backtracks) > 0
+    assert max(backtracks) > 0 and max(heads) > 0
     # resumed trial passes step fewer stages, cold and warm
     assert any(fewer["cold"]) and any(fewer["warm"])
 
