@@ -18,15 +18,15 @@ projected L-BFGS direction (Bertsekas's eps-active slacks take -g, the
 free ones the limited-memory quasi-Newton step) with Armijo backtracking
 along the projection arc max(s + t d, 0); a failed line search drops the
 memory and retries from -g (_descend). A solve starts from one margin
-pass, lambda_j = max(init_j, b_j + EPS_BOUNDARY), and reads its slacks
-off it, one within lambda_j's rounding as 0 (at a bound it is noise). A
-cold solve is the warm start from init = -inf: the lower corner s = 0,
-where most multipliers of an optimum sit. The loop evaluates no
-trial whose predicted decrease lies within phi's rounding, so a warm
-start at an optimum that met its 1e-8 rule costs its start pass and one
-gradient. No separate projection (riccati.project_feasible) runs on the
-way. The first trial moves no slack by more than 1: at the corner an
-interior stage's gradient can be in the hundreds.
+pass, lambda_j = max(init_j, b_j + EPS_BOUNDARY), and reads its slacks off
+it as lambda_j - (b_j + EPS_BOUNDARY), which the pass adds back exactly;
+one within lambda_j's rounding is 0. A cold solve is the warm start from
+init = -inf: the lower corner s = 0, where most multipliers of an optimum
+sit. The loop evaluates no trial whose predicted decrease lies within
+phi's rounding, so a warm start at an optimum that met its 1e-8 rule costs
+its start pass and one gradient. No separate projection
+(riccati.project_feasible) runs. The first trial moves no slack by more
+than 1: at the corner an interior stage's gradient can be in the hundreds.
 
 The head multiplier is solved exactly (_head_step) after the start pass
 and each accepted trial, before that point's gradient. With the tail
@@ -36,8 +36,8 @@ complement and drive of the G block of stage 0's bordered matrix. The
 minimum is at the bound where ||wbar||^2 <= alpha_k, else at the root of
 1/||wbar|| = 1/sqrt(alpha_k), which Newton steps reach rising from the
 bound (More & Sorensen 1983; one at q = 1). It moves s_0 alone, one stage
-step unless start slacks round a deeper multiplier, and is skipped where
-s_0 = 0 and g_0 >= 0 (one dot) or its decrease is within phi's rounding.
+step, and is skipped where s_0 = 0 and g_0 >= 0 (one dot) or its
+decrease is within phi's rounding.
 
 A trial pass is the slack pass at the trial point with the sweep of
 the current point as its base; the pass itself decides which stages it
@@ -100,6 +100,7 @@ __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
+_MAX_ITER = 5000  # accepted steps a solve may take
 _MEMORY = 8  # (ds, dg) pairs the direction keeps
 _ROUNDING = 16.0 * np.finfo(float).eps  # relative rounding of phi and lambda
 # A tail map stage is an (n^2+1)^3 product: at n <= 4 it costs about one
@@ -119,9 +120,9 @@ class MultiplierSolution:
     lam_star) hands back: its K[0] gives the control and its Pi[1] and
     bounds[0] the worst-case disturbance, with no second pass.
     stage_steps, gradient_evals and backtracks count the solve's work:
-    the stage steps actually taken (N - k in the start pass, then those of
-    each trial pass, which resumes from the current sweep and steps only
-    the stages from the last multiplier it changes down, and of each head
+    the stage steps actually taken (the start pass's, then those of each
+    trial pass, which resumes from the current sweep and steps only the
+    stages from the last multiplier it changes down, and of each head
     step), one adjoint pass per accepted point and at the start, and the
     trial points rejected by the Armijo test; a trial within phi's
     rounding is not evaluated (_descend).
@@ -141,7 +142,7 @@ class MultiplierSolution:
     gradient_evals: int
     adjoint_stages: int
     backtracks: int
-    gradient_mode: str = "envelope"  # the one mode; kept for callers that read it
+    gradient_mode = "envelope"  # the one mode; a class attribute, not a field
 
 
 def _phi(p: ProblemData, x: np.ndarray, sw: RiccatiSweep) -> float:
@@ -283,10 +284,10 @@ def _direction(g: np.ndarray, s: np.ndarray, pgn: float,
 
 
 def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
-             max_iter: int) -> MultiplierSolution:
+             start_steps: int) -> MultiplierSolution:
     """Two-metric projected L-BFGS over the slack orthant (Bertsekas 1982;
     Byrd, Lu, Nocedal & Zhu 1995) from s >= 0 with sweep sw, the solve's
-    start pass.
+    start pass of start_steps stage steps.
 
     Each iteration backtracks by Armijo from the direction and first step
     of _direction along the projection arc max(s + t d, 0). An accepted
@@ -300,12 +301,12 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     """
     size = adjoint_stages = len(sw)
     s, sw, phi, stage_steps = _head_step(p, x, s, sw, _phi(p, x, sw))
-    stage_steps += size
+    stage_steps += start_steps
     g = _slack_gradient(p, sw, x)
     gradient_evals, backtracks, tail = 1, 0, None  # tail: _tail_map of sw's last stages
     pgn = _pg_norm(g, s)
     pairs, converged, iterations = [], False, 0
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         if pgn <= 1e-8 * (1.0 + abs(phi)):
             converged = True
             break
@@ -353,8 +354,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
 
 
 def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
-                      gradient_mode: str = "auto",
-                      max_iter: int = 5000) -> MultiplierSolution:
+                      gradient_mode: str = "auto") -> MultiplierSolution:
     """Minimize phi over the nested feasible set for the stage-k tail.
 
     The descent loop (_descend) runs in the slack coordinates of the
@@ -377,7 +377,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
         init = np.full(p.N - k, -np.inf)
     else:
         _require_finite(init, k)
-    sw, _ = _nested_pass(p, init, k, EPS_BOUNDARY)
-    s = sw.lambdas - sw.bounds - EPS_BOUNDARY
+    sw, steps = _nested_pass(p, init, k, EPS_BOUNDARY)
+    s = sw.lambdas - (sw.bounds + EPS_BOUNDARY)  # as the pass adds it
     s[s <= _ROUNDING * np.abs(sw.lambdas)] = 0.0
-    return _descend(p, x, s, sw, max_iter)
+    return _descend(p, x, s, sw, steps)

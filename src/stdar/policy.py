@@ -19,6 +19,8 @@ from .multiplier import solve_multipliers
 from .problem import ProblemData, _as_point
 from .riccati import MultiplierVector, _require_offset, at_bound, sweep
 
+_ROLLOUT_MODES = ("worst_case", "zero", "external")  # scenario reads it too
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -63,12 +65,13 @@ def control_at(p: ProblemData, x: np.ndarray, k: int,
 def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
                          lam_star: MultiplierVector, u: np.ndarray) -> np.ndarray:
     """Worst-case stage-k disturbance, exactly on the sphere ||w||^2 = alpha_k:
-    the response (G'Pi G - shift I) w = -G'Pi (Ax + Bu) on the nonzero
-    eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and lam_k
-    otherwise, completed along the zero eigenspace where there is one.
-    It reads the eigenpairs of G'Pi G that the pass setting the bound
-    stored, so on the bound the top shifted eigenvalue is exactly 0.
-    Raises NoSphereIntersection where its norm^2 exceeds alpha_k, or with
+    the response (G'Pi G - shift I) w = -d_w = -G'Pi (Ax + Bu) on the
+    nonzero eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and
+    lam_k otherwise, completed along d_w's part in the zero eigenspace where
+    there is one, or along that eigenspace's last eigenvector where d_w has
+    no part in it. It reads the eigenpairs of G'Pi G that the pass setting
+    the bound stored, so on the bound the top shifted eigenvalue is exactly
+    0. Raises NoSphereIntersection where its norm^2 exceeds alpha_k, or with
     no eigenspace to complete along misses it, by more than 1e-3 relative,
     and ValueError for a state or control of the wrong size or not finite.
     """
@@ -86,8 +89,8 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     # matrix is numerically zero whenever G'Pi G is near-isotropic
     cut = PINV_CUTOFF * max(max(map(abs, mu)), abs(shift), 1e-300)
     zero = [abs(v) <= cut for v in mu]
-    coef = np.array([0.0 if z else -c / v
-                     for z, c, v in zip(zero, (U @ d_w).tolist(), mu)])
+    c = (U @ d_w).tolist()
+    coef = np.array([0.0 if z else -c_j / v for z, c_j, v in zip(zero, c, mu)])
     w = coef @ U
     nrm2 = float(coef @ coef)
     gap2 = alpha_k - nrm2
@@ -97,7 +100,9 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
             f"response norm^2 {nrm2:.6e} is off the bound {alpha_k:.6e}"
             + ("" if complete else "; multipliers are not stage-optimal"))
     if complete:
-        z = U[max(j for j, zj in enumerate(zero) if zj)]
+        z = np.where(zero, c, 0.0) @ U
+        nz = fro_norm(z)
+        z = z / nz if nz > 0.0 else U[max(j for j, zj in enumerate(zero) if zj)]
         t = math.sqrt(max(0.0, gap2))
         w = w + (-t if z @ d_w < 0.0 else t) * z
     return w * (math.sqrt(alpha_k) / fro_norm(w))
@@ -111,7 +116,7 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
     any ||w_k||^2 exceeds alpha_k beyond 1e-9 relative).
     """
     x = p.x0
-    if mode not in ("worst_case", "zero", "external"):
+    if mode not in _ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
     if mode == "external":
         w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))

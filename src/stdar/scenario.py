@@ -33,9 +33,9 @@ import numpy as np
 import yaml
 
 from .errors import DimensionMismatch, ScenarioError
+from .policy import _ROLLOUT_MODES
 from .problem import ProblemData, _integer
 
-_ROLLOUT_MODES = ("worst_case", "zero", "external")
 _MATRICES = ("A", "B", "G", "Q", "R", "Pf")
 
 

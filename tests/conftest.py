@@ -44,6 +44,20 @@ def scalar_problem(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=0.0, N=8,
                        Pf=arr(Pf), N=N, alpha=alpha, x0=np.array([float(x0)]))
 
 
+def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random n x n orthogonal matrix, the Q factor of a Gaussian one."""
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def rotated(p: ProblemData, T, S, V) -> ProblemData:
+    """p in the coordinates x -> Tx, u -> S'u, w -> V'w, T, S and V
+    orthogonal: the same regulator, whose multipliers, values and steady
+    multiplier stay, gains K -> S'KT' and J -> V'JT', and Pi -> T Pi T'."""
+    return ProblemData(A=T @ p.A @ T.T, B=T @ p.B @ S, G=T @ p.G @ V,
+                       Q=T @ p.Q @ T.T, R=S.T @ p.R @ S, Pf=T @ p.Pf @ T.T,
+                       N=p.N, alpha=p.alpha, x0=T @ p.x0)
+
+
 def fresh(lam):
     """An equal plain MultiplierVector, not the pass lam may be, so that
     sweep() runs the recursion again."""

@@ -260,7 +260,10 @@ def solve_sphere_qp(qp: SphereQP) -> SphereQPSolution:
         boundary_case = True
         wbar = V @ coef
         basis = V[:, active]
-        z = basis[:, -1]  # top eigenvector completion direction
+        # complete along d's part in the top eigenspace, as the policy
+        # does, or along its last eigenvector where that part is 0
+        z = basis @ (basis.T @ du)
+        z = z / np.linalg.norm(z) if z.any() else basis[:, -1]
         t = np.sqrt(max(0.0, 1.0 - nb2))
         if z @ du < 0.0:
             t = -t
@@ -429,7 +432,9 @@ def solve_constrained_minmax(bs: BlockSaddle):
                     f"boundary response norm {np.sqrt(nb2):.6f} exceeds the sphere")
             w0 = wbar
         else:
-            zdir = V[:, zero][:, -1]
+            Vz = V[:, zero]  # d_w's part there, else its last eigenvector
+            zdir = Vz @ (Vz.T @ d_w)
+            zdir = zdir / np.linalg.norm(zdir) if zdir.any() else Vz[:, -1]
             t = np.sqrt(max(0.0, 1.0 - nb2))
             if zdir @ d_w < 0.0:
                 t = -t

@@ -182,6 +182,29 @@ def test_online_bank_counts(monkeypatch):
     assert sum(sol.backtracks for sol in solutions) == 0
 
 
+def test_online_tie_sign_follows_the_plan(monkeypatch):
+    # at a tie (head multiplier at its bound) the completion takes the sign
+    # of z.d_w, z the top eigenvector of G'Pi G and d_w = G'Pi (Ax + Bu).
+    # There d_w = (G'Pi G - lam I) J_0 x, so z.d_w is (lam - b) z.wbar, an
+    # O(EPS_BOUNDARY) multiple of the plan's wbar = -J_0 x: at every one of
+    # the 71 ties of an online bank pass the two signs agree, and neither
+    # is 0. The rule is pinned here, not changed (ROADMAP item 16)
+    ties, decide = [], stdar.worst_disturbance_at
+
+    def record(p, x, k, lam, u):
+        sw = stdar.sweep(p, lam)
+        if stdar.riccati.at_bound(lam.lambdas[0], sw.bounds[0]):
+            z = sw._eigvecs[0, -1]
+            d_w = p.G.T @ (sw.Pi[1] @ (p.A @ x + p.B @ u))
+            ties.append((np.sign(z @ d_w), np.sign(-z @ (sw.J[0] @ x))))
+        return decide(p, x, k, lam, u)
+
+    monkeypatch.setattr(stdar, "worst_disturbance_at", record)
+    bank_pass(monkeypatch, "Online", "worst_disturbance_at")
+    assert len(ties) == 71
+    assert all(a == b != 0 for a, b in ties)
+
+
 def test_long_horizon_bank_counts(monkeypatch):
     # the same count over one pass of the long_horizon bank, 6 cold solves
     # from the lower corner. Four end at their corner; the two scalar ops,

@@ -7,7 +7,8 @@ from stdar import (MultiplierVector, ProblemData, objective,
 from stdar import multiplier
 from stdar.multiplier import _reconstruct, _slack_gradient, _tail_map
 from stdar.riccati import EPS_BOUNDARY, _nested_pass, project_feasible
-from conftest import assert_same_sweep, fresh, make_problem, scalar_problem
+from conftest import (assert_same_sweep, fresh, make_problem, orthogonal, rotated,
+                      scalar_problem)
 import oracles
 from oracles import (envelope_gradient, fd_gradient,
                      grid_minmax_two_stage_scalar, slack_gradient_reference,
@@ -357,6 +358,33 @@ def test_isotropic_system_matches_scalar(a, Pf):
     assert sol.value == pytest.approx(ref.value, rel=1e-9)
 
 
+def test_rotation_and_scaling_invariance(rng):
+    # the program is the same in orthonormal coordinates x -> Tx, u -> S'u,
+    # w -> V'w (conftest.rotated): its multipliers and value stay within
+    # 1e-12 and its gains K -> S'KT', J -> V'JT' and Pi -> T Pi T' within
+    # 1e-10 (measured 1.2e-15 and 1.3e-14 on these draws); its multipliers
+    # and value stay too under alpha -> c alpha with x -> sqrt(c) x, at any
+    # horizon
+    for _ in range(20):
+        p = make_problem(rng, N=int(rng.integers(2, 9)))
+        k = int(rng.integers(0, p.N))
+        x = rng.standard_normal(p.n)
+        T, S, V = (orthogonal(rng, d) for d in (p.n, p.m, p.q))
+        c = rng.uniform(0.1, 10.0)
+        scaled = type(p)(A=p.A, B=p.B, G=p.G, Q=p.Q, R=p.R, Pf=p.Pf, N=p.N,
+                         alpha=c * p.alpha)
+        a = solve_multipliers(p, x, k=k)
+        rot = solve_multipliers(rotated(p, T, S, V), T @ x, k=k)
+        for b in (rot, solve_multipliers(scaled, np.sqrt(c) * x, k=k)):
+            lam_a, lam_b = a.lam_star.lambdas, b.lam_star.lambdas
+            assert np.abs(lam_b - lam_a).max() <= 1e-12 * np.abs(lam_a).max()
+            assert abs(b.value - a.value) <= 1e-12 * abs(a.value)
+        for got, want in ((rot.lam_star.K, S.T @ a.lam_star.K @ T.T),
+                          (rot.lam_star.J, V.T @ a.lam_star.J @ T.T),
+                          (rot.lam_star.Pi, T @ a.lam_star.Pi @ T.T)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_scale_coherence_single_stage(rng):
     # alpha -> c alpha with x -> sqrt(c) x leaves the program invariant
     p = make_problem(rng, N=1)
@@ -440,14 +468,15 @@ def test_random_cold_solves_converge():
     assert tight >= 188
 
 
-def test_max_iterations_returns_best_iterate():
+def test_max_iterations_returns_best_iterate(monkeypatch):
     # the paper's scalar system at x = 0: its lower corner is not optimal
     # (test_origin_solution_is_the_minimum), so the cold solve, which
-    # starts there, must step
+    # starts there, must step; the cap is a module constant
     p = scalar_problem(N=4, Pf=1.0, alpha=[1.0, 0.5, 2.0, 1.0])
     x = np.zeros(1)
     assert corner_gradient(p, x, 0)[1] > 1e-3
-    sol = solve_multipliers(p, x, max_iter=1)
+    monkeypatch.setattr(multiplier, "_MAX_ITER", 1)
+    sol = solve_multipliers(p, x)
     assert not sol.converged
     assert sol.iterations >= 1
     assert np.isfinite(sol.value)
@@ -676,9 +705,9 @@ def test_cold_start_is_the_warm_start_from_minus_infinity(rng, monkeypatch):
     starts = []
     descend = multiplier._descend
 
-    def record(p, x, s, sw, max_iter):
+    def record(p, x, s, sw, start_steps):
         starts.append((s, sw))
-        return descend(p, x, s, sw, max_iter)
+        return descend(p, x, s, sw, start_steps)
 
     monkeypatch.setattr(multiplier, "_descend", record)
     for i in range(40):
@@ -724,9 +753,9 @@ def test_no_trial_within_phi_rounding(rng, monkeypatch):
     slacks, trials, heads, in_head = {}, [], [], []
     descend, full, head = multiplier._descend, multiplier._reconstruct, multiplier._head_step
 
-    def start(p, x, s, sw, max_iter):
+    def start(p, x, s, sw, start_steps):
         slacks[id(sw)] = s
-        return descend(p, x, s, sw, max_iter)
+        return descend(p, x, s, sw, start_steps)
 
     def record(p, s, k, base=None):
         sw, steps = full(p, s, k, base)

@@ -74,7 +74,11 @@ def test_public_surface():
     assert [f.name for f in dataclasses.fields(stdar.MultiplierSolution)] == [
         "lam_star", "value", "grad_norm", "boundary_flags", "iterations",
         "converged", "stage_steps", "gradient_evals", "adjoint_stages",
-        "backtracks", "gradient_mode"]
+        "backtracks"]
+    # the one gradient mode is a class attribute that callers still read
+    assert stdar.MultiplierSolution.gradient_mode == "envelope"
+    assert list(inspect.signature(stdar.solve_multipliers).parameters) == [
+        "p", "x", "k", "init", "gradient_mode"]
     assert [f.name for f in dataclasses.fields(stdar.SteadyStateSolution)] == [
         "lambda_bar", "Pi_bar", "K_bar", "residual", "boundary_gap",
         "lmi_min_eig", "probes", "fp_iterations", "capped"]
@@ -85,6 +89,7 @@ def test_public_surface():
         "stabilizable", "detectable", "strict_weights", "degenerate_terminal",
         "warnings"]
     for fn, removed in ((stdar.rollout, ("gradient_mode", "max_iter", "x0")),
+                        (stdar.solve_multipliers, ("max_iter",)),
                         (stdar.lqr_baseline, ("rtol", "max_iter"))):
         params = inspect.signature(fn).parameters
         assert not any(name in params for name in removed), fn.__name__

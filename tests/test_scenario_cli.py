@@ -1,12 +1,11 @@
 import csv
-import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stdar.cli
-import stdar.policy
+import stdar.multiplier
 
 from stdar import (Diverged, ProblemData, rollout, solve_multipliers,
                    solve_steady_state, sweep)
@@ -260,9 +259,9 @@ def test_cli_finite_exit_code_on_unconverged_or_failed_solve(tmp_path, monkeypat
     x0s = (np.array([0.0]), np.array([3.0]))
     path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"), x0_list=x0s)
     out = tmp_path / "res"
-    monkeypatch.setattr(stdar.cli, "solve_multipliers",
-                        functools.partial(solve_multipliers, max_iter=1))
-    assert main(["finite", "--scenario", path]) == 3
+    with monkeypatch.context() as m:
+        m.setattr(stdar.multiplier, "_MAX_ITER", 1)
+        assert main(["finite", "--scenario", path]) == 3
     assert "1 did not converge" in capsys.readouterr().err
     summary = (out / "finite_summary.csv").read_text().strip().split("\n")
     assert [row.split(",")[5] for row in summary[1:]] == ["True", "False"]
@@ -321,8 +320,7 @@ def test_cli_policy_curve_exit_code_on_unconverged_solve(tmp_path, capsys,
                                                          monkeypatch):
     # one iteration solves x0 = 0 but not x0 = 3: the curve is still
     # written, and the run exits 3
-    monkeypatch.setattr(stdar.cli, "solve_multipliers",
-                        functools.partial(solve_multipliers, max_iter=1))
+    monkeypatch.setattr(stdar.multiplier, "_MAX_ITER", 1)
     path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"),
                           grid=(-3.0, 3.0, 3))
     assert main(["policy-curve", "--scenario", path]) == 3
@@ -526,8 +524,7 @@ def test_cli_steady_without_lqr_baseline(tmp_path, monkeypatch):
 def test_cli_rollout_exit_code_on_unconverged_resolve(tmp_path, capsys, monkeypatch):
     # one iteration is too few for the stage-0 re-solve from x0 = 3: the
     # rollout still runs and writes its CSV, flags the stage and exits 3
-    monkeypatch.setattr(stdar.policy, "solve_multipliers",
-                        functools.partial(solve_multipliers, max_iter=1))
+    monkeypatch.setattr(stdar.multiplier, "_MAX_ITER", 1)
     path = write_scenario(tmp_path, sec5(x0=3.0), out=str(tmp_path / "res"),
                           rollout_mode="zero")
     assert main(["rollout", "--scenario", path]) == 3

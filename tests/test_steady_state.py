@@ -11,7 +11,7 @@ from stdar._linalg import top_eig
 from stdar.errors import SingularPi
 from stdar.problem import ProblemData
 from stdar.riccati import EPS_BOUNDARY
-from conftest import make_problem, scalar_problem
+from conftest import make_problem, orthogonal, rotated, scalar_problem
 from oracles import (game_map_reference, steady_scalar_closed_form,
                      steady_scalar_grid, steady_scalar_pi_at)
 
@@ -564,3 +564,24 @@ def test_solution_is_a_fixed_point():
             # lambda_bar is where the DARE's slack changes sign
             assert _dare_slack(p, sol.lambda_bar * (1.0 + 1e-6)) > 0.0
             assert _dare_slack(p, sol.lambda_bar * (1.0 - 1e-6)) < 0.0
+
+
+def test_rotation_invariance():
+    # the steady state is the same in orthonormal coordinates x -> Tx,
+    # u -> S'u, w -> V'w (conftest.rotated): lambda_bar within 1e-9
+    # relative (measured 2.3e-12), Pi_bar -> T Pi_bar T' and K_bar ->
+    # S'K_bar T', on make_problem's default_rng(9) systems 50, 72 and 75,
+    # which are not at the existence edge (there the search's path moves
+    # lambda_bar)
+    rng = np.random.default_rng(9)
+    systems = [make_problem(rng) for _ in range(76)]
+    for i in (50, 72, 75):
+        p = systems[i]
+        sol = solve_steady_state(p)
+        for _ in range(5):
+            T, S, V = (orthogonal(rng, d) for d in (p.n, p.m, p.q))
+            rot = solve_steady_state(rotated(p, T, S, V))
+            assert abs(rot.lambda_bar - sol.lambda_bar) <= 1e-9 * sol.lambda_bar
+            for got, want in ((rot.Pi_bar, T @ sol.Pi_bar @ T.T),
+                              (rot.K_bar, S.T @ sol.K_bar @ T.T)):
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
