@@ -61,13 +61,13 @@ def game_step(A, Q, Z, Pi):
     return 0.5 * (Pn + Pn.T), PX
 
 
-def fixed_point_numpy(A, Q, Z, X0, x0, cap):
-    """The doubling from X0 at Z, x0 = ||X0||: (status, doublings, X, scale).
-    Status 0, X = sym(H_k), at the first k with ||A_k||^2 (||H_k|| + x0) <=
-    _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2}; 1 at _FP_MAX_DOUBLINGS.
-    Diverged once ||A_k||^2 x0 passes 1e12 scale or ||H_k|| passes cap,
-    which the caller forms as 1e12 (1 + ||Q|| + x0): a mode B cannot reach
-    grows H_k and the relative tests with it."""
+def fixed_point_numpy(A, Q, Z, x0, cap):
+    """The doubling at Z, x0 = ||X_0||: (status, doublings, X, scale), X
+    and scale None but at status 0, X = sym(H_k), at the first k with
+    ||A_k||^2 (||H_k|| + x0) <= _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2};
+    status 1 at _FP_MAX_DOUBLINGS. Diverged once ||A_k||^2 x0 passes 1e12
+    scale or ||H_k|| passes cap, which the caller forms as 1e12 (1 + ||Q||
+    + x0): a mode B cannot reach grows H_k and the relative tests with it."""
     n = A.shape[0]
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
@@ -78,17 +78,17 @@ def fixed_point_numpy(A, Q, Z, X0, x0, cap):
         try:
             S = np.linalg.solve(W, AG)
         except np.linalg.LinAlgError:
-            return -2, k, X0, None
+            return -2, k, None, None
         H = H + Ak.T @ (H @ S[:, :n])
         AG = Ak @ S
         AG[:, n:] = Gk + AG[:, n:] @ Ak.T
         h, a2 = fro_norm(H), fro_norm(AG[:, :n]) ** 2
         scale = (1.0 + h * h) ** 0.5
         if not (a2 * x0 <= 1e12 * scale and scale <= cap):
-            return -1, k + 1, X0, None
+            return -1, k + 1, None, None
         if a2 * (h + x0) <= _FP_TOL * scale:
             return 0, k + 1, sym(H), scale
-    return 1, _FP_MAX_DOUBLINGS, X0, None
+    return 1, _FP_MAX_DOUBLINGS, None, None
 
 
 def verify(A, Q, Z, X, scale):

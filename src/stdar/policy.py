@@ -58,21 +58,22 @@ def control_at(p: ProblemData, x: np.ndarray, k: int,
     A state of the wrong size or not finite raises ValueError."""
     x = _as_point(x, p.n, "state")
     _require_offset(lam_star, k)
-    sw = sweep(p, lam_star)
-    return -(sw.K[0] @ x)
+    return -(sweep(p, lam_star).K[0] @ x)
 
 
 def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
                          lam_star: MultiplierVector, u: np.ndarray) -> np.ndarray:
     """Worst-case stage-k disturbance, exactly on the sphere ||w||^2 = alpha_k:
     the response (G'Pi G - shift I) w = -d_w = -G'Pi (Ax + Bu) on the
-    nonzero eigenvalues, shift the bound ||G'Pi G|| where lam_k is at it and
-    lam_k otherwise, completed along d_w's part in the zero eigenspace where
-    there is one, or along that eigenspace's last eigenvector where d_w has
-    no part in it. It reads the eigenpairs of G'Pi G that the pass setting
-    the bound stored, so on the bound the top shifted eigenvalue is exactly
-    0. Raises NoSphereIntersection where its norm^2 exceeds alpha_k, or with
-    no eigenspace to complete along misses it, by more than 1e-3 relative,
+    nonzero eigenvalues, shift the bound b_k = ||G'Pi G|| where lam_k is at
+    it and lam_k otherwise, read from the eigenpairs of G'Pi G that the pass
+    stored (so on the bound the top shifted eigenvalue is exactly 0). At the
+    bound it extends d_w's part in the top eigenspace to the sphere, or that
+    eigenspace's last eigenvector where the part is 0 (x = 0). For
+    u = -K_k x that part is (lam_k - b_k) times the part of the plan
+    w_bar = -J_k x, so the completion takes the plan's sign. Raises
+    NoSphereIntersection where its norm^2 exceeds alpha_k, or with no
+    eigenspace to complete along misses it, by more than 1e-3 relative,
     and ValueError for a state or control of the wrong size or not finite.
     """
     x = _as_point(x, p.n, "state")
@@ -89,22 +90,23 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     # matrix is numerically zero whenever G'Pi G is near-isotropic
     cut = PINV_CUTOFF * max(max(map(abs, mu)), abs(shift), 1e-300)
     zero = [abs(v) <= cut for v in mu]
-    c = (U @ d_w).tolist()
-    coef = np.array([0.0 if z else -c_j / v for z, c_j, v in zip(zero, c, mu)])
-    w = coef @ U
-    nrm2 = float(coef @ coef)
+    c = (U @ d_w).tolist()  # d_w in the eigenbasis
+    coef = [0.0 if z else -c_j / v for z, c_j, v in zip(zero, c, mu)]
+    nrm2 = float(np.dot(coef, coef))
     gap2 = alpha_k - nrm2
-    complete = any(zero)  # at the bound: along the top eigenspace of G'Pi G
-    if gap2 < -1e-3 * alpha_k or (gap2 > 1e-3 * alpha_k and not complete):
+    top = [j for j, z in enumerate(zero) if z]  # the top eigenspace, at a tie
+    if gap2 < -1e-3 * alpha_k or (gap2 > 1e-3 * alpha_k and not top):
         raise NoSphereIntersection(
             f"response norm^2 {nrm2:.6e} is off the bound {alpha_k:.6e}"
-            + ("" if complete else "; multipliers are not stage-optimal"))
-    if complete:
-        z = np.where(zero, c, 0.0) @ U
-        nz = fro_norm(z)
-        z = z / nz if nz > 0.0 else U[max(j for j, zj in enumerate(zero) if zj)]
-        t = math.sqrt(max(0.0, gap2))
-        w = w + (-t if z @ d_w < 0.0 else t) * z
+            + ("" if top else "; multipliers are not stage-optimal"))
+    if top:  # complete to the sphere there
+        nz, t = math.hypot(*(c[j] for j in top)), math.sqrt(max(0.0, gap2))
+        if nz > 0.0:
+            for j in top:  # c_j / nz first: at q = 1 it is exactly +-1
+                coef[j] = c[j] / nz * t
+        else:  # d_w has no part there (x = 0)
+            coef[top[-1]] = t
+    w = np.array(coef) @ U
     return w * (math.sqrt(alpha_k) / fro_norm(w))
 
 
@@ -115,7 +117,6 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
     "external" the supplied w_seq (rejected if an entry is not finite or
     any ||w_k||^2 exceeds alpha_k beyond 1e-9 relative).
     """
-    x = p.x0
     if mode not in _ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
     if mode == "external":
@@ -128,18 +129,7 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
         if np.any(norms2 > p.alpha * (1.0 + 1e-9)):
             raise ValueError("external disturbance exceeds its stage bound")
 
-    states = np.zeros((p.N + 1, p.n))
-    controls = np.zeros((p.N, p.m))
-    disturbances = np.zeros((p.N, p.q))
-    multipliers = np.zeros(p.N)
-    stage_costs = np.zeros(p.N)
-    stage_values = np.zeros(p.N)
-    iterations = np.zeros(p.N, dtype=int)
-    stage_steps = np.zeros(p.N, dtype=int)
-    converged = np.zeros(p.N, dtype=bool)
-    states[0] = x
-    warm = None
-
+    x, stages, warm = p.x0, [], None
     for k in range(p.N):
         sol = solve_multipliers(p, x, k=k, init=warm)
         u = control_at(p, x, k, sol.lam_star)
@@ -149,18 +139,13 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
             w = np.zeros(p.q)
         else:
             w = w_seq[k]
-        controls[k] = u
-        disturbances[k] = w
-        multipliers[k] = sol.lam_star.lambdas[0]
-        stage_costs[k] = p.stage_cost(x, u)
-        stage_values[k] = sol.value
-        iterations[k] = sol.iterations
-        stage_steps[k] = sol.stage_steps
-        converged[k] = sol.converged
+        stages.append((x, u, w, sol.lam_star.lambdas[0], p.stage_cost(x, u),
+                       sol.value, sol.iterations, sol.stage_steps, sol.converged))
         x = p.A @ x + p.B @ u + p.G @ w
-        states[k + 1] = x
         warm = sol.lam_star.lambdas[1:] if k < p.N - 1 else None
-
+    (states, controls, disturbances, multipliers, stage_costs, stage_values,
+     iterations, stage_steps, converged) = map(np.array, zip(*stages))
+    states = np.vstack([states, x])
     terminal = p.terminal_cost(x)
     total = float(stage_costs.sum() + terminal)
     denom = float(np.sum(disturbances * disturbances))

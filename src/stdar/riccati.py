@@ -264,17 +264,17 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
 def sweep(p: ProblemData, lam: MultiplierVector) -> RiccatiSweep:
     """Run the backward recursion for the given multipliers.
 
-    Raises ValueError unless the vector covers stages k..N-1 with
-    0 <= k < N, InfeasibleMultiplier if a lam_j is not finite or below its
-    nested bound, SingularM if a stage matrix cannot be solved reliably.
-    A pass on p is returned as itself, as it checked its multipliers
-    against their bounds as it set them; any other vector runs a pass.
+    A pass on p is returned as itself, unchecked: it covers stages k..N-1
+    and raised on any non-finite multiplier as it set it. Any other vector
+    raises ValueError unless it covers stages k..N-1 with 0 <= k < N,
+    InfeasibleMultiplier if a lam_j is not finite or below its nested
+    bound, SingularM if a stage matrix cannot be solved reliably.
     """
+    if isinstance(lam, RiccatiSweep) and lam._problem is p:
+        return lam
     k = lam.stage_offset
     _require_tail(p, k, len(lam))
     _require_finite(lam.lambdas, k)
-    if isinstance(lam, RiccatiSweep) and lam._problem is p:
-        return lam
     return _nested_pass(p, lam.lambdas, k)[0]
 
 

@@ -34,7 +34,7 @@ from .riccati import EPS_BOUNDARY
 __all__ = ["SteadyStateSolution", "LmiCertificate", "solve_steady_state",
            "lmi_certify", "lqr_baseline"]
 
-_BISECT_TOL = 1e-9
+_BRACKET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _prober(p: ProblemData):
 
     def run(lam):
         Z = z_of(float(lam))
-        status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, p.Pf, x0, cap)
+        status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, x0, cap)
         top = step = None
         if status == 0 and lam < np.inf:
             top = top_eig(p.G.T @ Pi @ p.G)
@@ -129,7 +129,7 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
         raise NoFeasibleLambda(
             f"no feasible multiplier up to {hi:.6g} after {doublings} doublings")
     lo, h_lo = 0.0, None
-    while min(hi - lo, h_hi) > _BISECT_TOL:  # lo or bound within tol of hi
+    while min(hi - lo, h_hi) > _BRACKET_TOL:  # lo or bound within tol of hi
         bound = hi - h_hi  # ||G'Pi_hi G|| - EPS_BOUNDARY, at most lambda_bar
         if (lo == 0.0 or h_lo is not None) and bound > lo:
             mid = bound
@@ -137,7 +137,7 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
             mid = hi - h_hi * (hi - lo) / (h_hi - h_lo)
         else:
             mid = 0.5 * (lo + hi)
-        mid = min(max(mid, lo + 0.25 * _BISECT_TOL), hi - 0.25 * _BISECT_TOL)
+        mid = min(max(mid, lo + 0.25 * _BRACKET_TOL), hi - 0.25 * _BRACKET_TOL)
         ok, h, fp = probe(mid)
         if ok:
             hi, h_hi, fp_hi = mid, h, fp

@@ -188,21 +188,23 @@ def test_online_tie_sign_follows_the_plan(monkeypatch):
     # There d_w = (G'Pi G - lam I) J_0 x, so z.d_w is (lam - b) z.wbar, an
     # O(EPS_BOUNDARY) multiple of the plan's wbar = -J_0 x: at every one of
     # the 71 ties of an online bank pass the two signs agree, and neither
-    # is 0. The rule is pinned here, not changed (ROADMAP item 16)
+    # is 0, and the returned w, which extends d_w's part along z, has the
+    # same sign along z. The rule is pinned here, not changed (ROADMAP item 16)
     ties, decide = [], stdar.worst_disturbance_at
 
     def record(p, x, k, lam, u):
-        sw = stdar.sweep(p, lam)
+        sw, w = stdar.sweep(p, lam), decide(p, x, k, lam, u)
         if stdar.riccati.at_bound(lam.lambdas[0], sw.bounds[0]):
             z = sw._eigvecs[0, -1]
             d_w = p.G.T @ (sw.Pi[1] @ (p.A @ x + p.B @ u))
-            ties.append((np.sign(z @ d_w), np.sign(-z @ (sw.J[0] @ x))))
-        return decide(p, x, k, lam, u)
+            ties.append((np.sign(z @ d_w), np.sign(-z @ (sw.J[0] @ x)),
+                         np.sign(z @ w)))
+        return w
 
     monkeypatch.setattr(stdar, "worst_disturbance_at", record)
     bank_pass(monkeypatch, "Online", "worst_disturbance_at")
     assert len(ties) == 71
-    assert all(a == b != 0 for a, b in ties)
+    assert all(a == b == c != 0 for a, b, c in ties)
 
 
 def test_long_horizon_bank_counts(monkeypatch):

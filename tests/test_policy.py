@@ -12,7 +12,7 @@ from stdar.riccati import EPS_BOUNDARY, at_bound, project_feasible
 from stdar.scenario import ScenarioFile, save_scenario
 import stdar
 from stdar import multiplier, policy, riccati
-from conftest import make_problem, orthogonal, rotated, scalar_problem
+from conftest import fresh, make_problem, orthogonal, rotated, scalar_problem
 from test_multiplier import minmax_from_single_stage
 
 
@@ -73,6 +73,25 @@ def test_decision_from_multipliers_alone_runs_no_pass(rng, monkeypatch):
         worst_disturbance_at(p, x, k, lam, u)
         assert passes == []
         assert sweep(p, lam) is lam
+
+
+def test_sweep_hands_a_pass_back_unchecked(rng, monkeypatch):
+    # a pass covers stages k..N-1 by construction and raised on any
+    # non-finite multiplier as it set it, so sweep hands a pass of p back
+    # before its tail and finiteness checks, and a decision runs neither;
+    # any other vector still takes both
+    def refuse(*args):
+        raise AssertionError("checked again")
+
+    p = make_problem(rng, N=4)
+    sol = solve_multipliers(p, p.x0, k=1)
+    monkeypatch.setattr(riccati, "_require_tail", refuse)
+    monkeypatch.setattr(riccati, "_require_finite", refuse)
+    assert sweep(p, sol.lam_star) is sol.lam_star
+    u = control_at(p, p.x0, 1, sol.lam_star)
+    worst_disturbance_at(p, p.x0, 1, sol.lam_star, u)
+    with pytest.raises(AssertionError, match="checked again"):
+        sweep(p, fresh(sol.lam_star))
 
 
 def test_online_decision_stage_steps(rng, monkeypatch):
@@ -345,6 +364,31 @@ def test_rollout_dynamics_identity(rng):
     for k in range(p.N):
         step = p.A @ traj.states[k] + p.B @ traj.controls[k] + p.G @ traj.disturbances[k]
         assert np.array_equal(traj.states[k + 1], step)
+
+
+def test_rollout_rotates_with_the_problem(rng):
+    # in the coordinates x -> Tx, u -> S'u, w -> V'w (conftest.rotated) a
+    # worst-case rollout is the same closed loop: its ratio and multipliers
+    # stay within 1e-12 relative, and its states, controls and disturbances
+    # map to T x, S'u and V'w within 1e-10 (measured about 1e-13). The
+    # records keep their kinds: integer counts, boolean flags, N + 1 states
+    def near(a, b, tol):
+        return np.abs(a - b).max() <= tol * max(np.abs(b).max(), 1e-300)
+
+    for _ in range(10):
+        p = make_problem(rng, N=int(rng.integers(2, 9)))
+        traj = rollout(p, mode="worst_case")
+        for _ in range(2):
+            T, S, V = (orthogonal(rng, d) for d in (p.n, p.m, p.q))
+            rot = rollout(rotated(p, T, S, V), mode="worst_case")
+            assert near(rot.value_ratio, traj.value_ratio, 1e-12)
+            assert near(rot.multipliers, traj.multipliers, 1e-12)
+            assert near(rot.states, traj.states @ T.T, 1e-10)
+            assert near(rot.controls, traj.controls @ S, 1e-10)
+            assert near(rot.disturbances, traj.disturbances @ V, 1e-10)
+            assert rot.states.shape == (p.N + 1, p.n)
+            assert rot.iterations.dtype.kind == rot.stage_steps.dtype.kind == "i"
+            assert rot.stage_converged.dtype == bool
 
 
 def test_rollout_rejects_bad_external_input(rng):

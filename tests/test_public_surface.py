@@ -57,7 +57,7 @@ def test_public_surface():
     assert [f.name for f in dataclasses.fields(stdar.RiccatiSweep)] == [
         "lambdas", "stage_offset", "Pi", "K", "J", "bounds", "_eigvals",
         "_eigvecs", "_gains", "_problem"]
-    for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z X0 x0 cap"),
+    for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z x0 cap"),
                        (stdar._kernels.verify, "A Q Z X scale")):
         assert list(inspect.signature(fn).parameters) == params.split()
     for name in ("_FP_TOL", "_FP_MAX_DOUBLINGS"):

@@ -513,8 +513,7 @@ def test_doubling_stops_on_its_error_bound(rng, monkeypatch):
             Z, x0 = z_of(lam), norm(X0)
             cap = 1e12 * (1.0 + norm(p.Q) + x0)
             del solves[:], symmetrized[:]
-            status, k, X, scale = _kernels.fixed_point_numpy(p.A, p.Q, Z, X0,
-                                                             x0, cap)
+            status, k, X, scale = _kernels.fixed_point_numpy(p.A, p.Q, Z, x0, cap)
             assert status == 0 and len(solves) == k and len(symmetrized) == 1
             H = symmetrized[0]
             assert np.array_equal(X, sym(H)) and scale == pytest.approx(
