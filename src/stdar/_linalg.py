@@ -5,11 +5,6 @@ import math
 
 import numpy as np
 
-# Eigenvalues below PINV_CUTOFF * (largest magnitude) are treated as zero
-# where policy.worst_disturbance_at splits G'Pi G - shift I into its
-# pseudoinverse part and the top eigenspace it completes along.
-PINV_CUTOFF = 1e-11
-
 
 def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)

@@ -91,9 +91,9 @@ import numpy as np
 
 from ._linalg import fro_norm
 from .problem import ProblemData, _as_point
-from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep,
-                      _bordered, _nested_pass, _require_finite, _require_offset,
-                      _require_tail, at_bound, sweep)
+from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep, _bordered,
+                      _nested_pass, _require_offset, _tail_vector, at_bound,
+                      sweep)
 
 __all__ = ["MultiplierSolution", "objective", "solve_multipliers"]
 
@@ -368,15 +368,9 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     multipliers. A state of the wrong size or not finite raises ValueError.
     """
     x = _as_point(x, p.n, "state")
-    if init is not None:
-        init = np.asarray(init, dtype=float).ravel()
-    _require_tail(p, k, p.N - k if init is None else init.size)
+    init = _tail_vector(p, init, k)  # None: the warm start from the lower corner
     if gradient_mode not in ("auto", "envelope"):
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
-    if init is None:  # the warm start from -inf: the lower corner
-        init = np.full(p.N - k, -np.inf)
-    else:
-        _require_finite(init, k)
     sw, steps = _nested_pass(p, init, k, EPS_BOUNDARY)
     s = sw.lambdas - (sw.bounds + EPS_BOUNDARY)  # as the pass adds it
     s[s <= _ROUNDING * np.abs(sw.lambdas)] = 0.0

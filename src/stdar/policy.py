@@ -13,13 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import PINV_CUTOFF, fro_norm
+from ._linalg import fro_norm
 from .errors import NoSphereIntersection
 from .multiplier import solve_multipliers
 from .problem import ProblemData, _as_point
 from .riccati import MultiplierVector, _require_offset, at_bound, sweep
 
 _ROLLOUT_MODES = ("worst_case", "zero", "external")  # scenario reads it too
+# Eigenvalues below PINV_CUTOFF * (largest magnitude) are treated as zero
+# where worst_disturbance_at splits G'Pi G - shift I into its
+# pseudoinverse part and the top eigenspace it completes along.
+PINV_CUTOFF = 1e-11
 
 
 @dataclass(frozen=True)

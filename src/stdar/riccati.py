@@ -57,7 +57,7 @@ and eigh. A pass raises SingularM where G'Pi_{j+1}G or Pi_k is not finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,10 @@ from .problem import ProblemData
 EPS_BOUNDARY = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierVector:
-    """Multipliers lam_k ... lam_{N-1} for a solve starting at stage k."""
+    """Multipliers lam_k ... lam_{N-1} for a solve starting at stage k.
+    Equality is identity, and a vector hashes."""
 
     lambdas: np.ndarray
     stage_offset: int = 0
@@ -90,9 +91,11 @@ class MultiplierVector:
         return MultiplierVector, (self.lambdas, self.stage_offset)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False)  # frozen, and keeps the __init__ below
 class RiccatiSweep(MultiplierVector):
     """A pass: the multipliers it set and the sweep at them, stacked over k..N.
+    Only the recursion makes one (the constructor raises TypeError), it is
+    frozen, and a copy or pickle is a plain MultiplierVector.
 
     Pi, of shape (N-k+1, n, n), holds the cost-to-go matrix Pi[i] of stage
     k+i (so Pi[0] belongs to the sweep's start stage and Pi[-1] = Pf). K,
@@ -103,14 +106,8 @@ class RiccatiSweep(MultiplierVector):
     _problem is the ProblemData the pass ran on, for sweep() to read.
     """
 
-    Pi: np.ndarray
-    K: np.ndarray
-    J: np.ndarray
-    bounds: np.ndarray
-    _eigvals: np.ndarray = field(repr=False, compare=False)
-    _eigvecs: np.ndarray = field(repr=False, compare=False)
-    _gains: np.ndarray = field(repr=False, compare=False)
-    _problem: ProblemData = field(repr=False, compare=False)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a RiccatiSweep is made by a pass: call sweep(p, lam)")
 
 
 def at_bound(lam, bound):
@@ -143,28 +140,30 @@ def _stage_step(H, M, rhs, Z, KJn, out, lam_j: float) -> np.ndarray:
     return KJ
 
 
-def _require_tail(p: ProblemData, k: int, n_stages: int) -> None:
-    """Raise ValueError unless n_stages multipliers from stage k cover
-    stages k..N-1 with 0 <= k < N."""
-    if not 0 <= k < p.N:
-        raise ValueError(f"stage offset {k} outside horizon {p.N}")
-    if k + n_stages != p.N:
-        raise ValueError(
-            f"multiplier vector covers stages {k}..{k + n_stages - 1}, "
-            f"expected tail end at {p.N - 1}")
-
-
 def _require_offset(lam: MultiplierVector, k: int) -> None:
     """Raise ValueError unless lam starts at stage k."""
     if lam.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam.stage_offset}, not {k}")
 
 
-def _require_finite(lam: np.ndarray, k: int) -> None:
-    """Raise InfeasibleMultiplier at the first non-finite lam_{k+j}."""
+def _tail_vector(p: ProblemData, lam, k: int) -> np.ndarray:
+    """Raw multipliers lam_k..lam_{N-1} as a float vector; None is -inf at
+    every stage, the lower corner. Raises ValueError unless 0 <= k < N and
+    lam covers stages k..N-1, InfeasibleMultiplier at its first entry that
+    is not finite."""
+    if not 0 <= k < p.N:
+        raise ValueError(f"stage offset {k} outside horizon {p.N}")
+    if lam is None:
+        return np.full(p.N - k, -np.inf)
+    lam = np.asarray(lam, dtype=float).ravel()
+    if k + lam.size != p.N:
+        raise ValueError(
+            f"multiplier vector covers stages {k}..{k + lam.size - 1}, "
+            f"expected tail end at {p.N - 1}")
     if not np.isfinite(lam).all():
         j = int(np.flatnonzero(~np.isfinite(lam))[0])
         raise InfeasibleMultiplier(f"multiplier lam_{k + j} = {lam[j]} is not finite")
+    return lam
 
 
 def _bordered(FT, Fh, C, Pi_next, out) -> np.ndarray:
@@ -273,9 +272,7 @@ def sweep(p: ProblemData, lam: MultiplierVector) -> RiccatiSweep:
     if isinstance(lam, RiccatiSweep) and lam._problem is p:
         return lam
     k = lam.stage_offset
-    _require_tail(p, k, len(lam))
-    _require_finite(lam.lambdas, k)
-    return _nested_pass(p, lam.lambdas, k)[0]
+    return _nested_pass(p, _tail_vector(p, lam.lambdas, k), k)[0]
 
 
 def project_feasible(p: ProblemData, lam_raw, margin: float = EPS_BOUNDARY,
@@ -291,7 +288,5 @@ def project_feasible(p: ProblemData, lam_raw, margin: float = EPS_BOUNDARY,
     matrix is singular there (a multiplier at its bound with margin 0,
     say) raises SingularM.
     """
-    raw = np.array(lam_raw, dtype=float).ravel()
-    _require_tail(p, stage_offset, raw.shape[0])
-    _require_finite(raw, stage_offset)
+    raw = _tail_vector(p, lam_raw, stage_offset)
     return _nested_pass(p, raw, stage_offset, margin)[0]

@@ -9,7 +9,9 @@ long_horizon, steady and online workloads checks that the harness runs end
 to end, and one pass over each of the online, long_horizon and steady
 banks bounds the solver work its solves report, counts that do not depend
 on the host. The steady bank's systems also check the steady state against
-the finite-horizon program.
+the finite-horizon program. The checker's own self-test runs as shipped,
+and the online bank's failing episode is replayed with its tie
+completions reflected, against the checker's saddle test.
 """
 import ast
 import importlib.util
@@ -207,6 +209,56 @@ def test_online_tie_sign_follows_the_plan(monkeypatch):
     assert all(a == b == c != 0 for a, b, c in ties)
 
 
+def test_online_saddle_takes_the_opposite_sign_at_some_ties(monkeypatch):
+    # the bank's failing episode (case 1, a (3,2,1) plant) ties at stages
+    # 0-9 and 11. Its rollout completes each tie with the plan's sign
+    # (test_online_tie_sign_follows_the_plan), ends 1.19e-4 below its
+    # stage-0 value, and fails the checker (test_online_bank_counts).
+    # Reflecting the completion in the top eigenvector z of G'Pi G,
+    # w -> w - 2(z.w)z, at the ties of stages 0-8 (every stage still ties)
+    # ends 3.70e-7 below it, which the checker accepts: an admissible
+    # sequence attains this episode's value, so it fails on the tie rule,
+    # and at those ties the saddle takes the sign opposite to the plan's
+    # wbar = -J_0 x (ROADMAP items 3 and 16). The episode takes about 5 s,
+    # so only the reflected pattern is replayed
+    workloads = load_workloads(monkeypatch)
+    check_episode, decide = workloads.checker.check_episode, stdar.worst_disturbance_at
+    wl = workloads.Online()
+    case = wl.bank()[1]
+    api = SimpleNamespace(**{name: getattr(stdar, name) for name in api_names()})
+    api.begin_op = lambda: None
+    case.build(api)
+    flipped, ties, verdicts = range(9), [], []
+
+    def reflect(p, x, k, lam, u):
+        # per tie its stage and the signs of z.w and of z.wbar
+        w = decide(p, x, k, lam, u)
+        if stdar.riccati.at_bound(lam.lambdas[0], lam.bounds[0]):
+            z = lam._eigvecs[0, -1]
+            if k in flipped:
+                w = w - 2.0 * (z @ w) * z
+            ties.append((k, np.sign(z @ w), np.sign(-z @ (lam.J[0] @ x))))
+        return w
+
+    def record(sys, x0, lams0, cost, energy):
+        # the checker's verdict, and the ratio less the stage-0 value
+        # relative to it
+        phi0 = workloads.checker.recursion(sys, lams0, x0)[0]
+        verdicts.append((check_episode(sys, x0, lams0, cost, energy),
+                         (cost / energy - phi0) / phi0))
+        return verdicts[-1][0]
+
+    api.worst_disturbance_at = reflect
+    monkeypatch.setattr(workloads.checker, "check_episode", record)
+    res = wl.run(api, case, np.random.default_rng(0))
+    assert not res.wrong and res.failed == 0 and len(verdicts) == 1
+    why, rel = verdicts[0]
+    assert why is None and -3.8e-7 < rel < -3.6e-7
+    assert [k for k, *_ in ties] == [*range(10), 11]
+    assert all(sign == (-plan if k in flipped else plan) != 0
+               for k, sign, plan in ties)
+
+
 def test_long_horizon_bank_counts(monkeypatch):
     # the same count over one pass of the long_horizon bank, 6 cold solves
     # from the lower corner. Four end at their corner; the two scalar ops,
@@ -303,6 +355,16 @@ def test_long_horizon_bank_without_tail_maps(monkeypatch):
         assert b.adjoint_stages == b.gradient_evals * case.problem.N
     assert (sum(sol.adjoint_stages for sol in with_maps)
             < sum(sol.adjoint_stages for sol in without) == 520)
+
+
+def test_checker_selftest_passes():
+    # the checker accepts the package's real outputs and rejects corrupted
+    # ones: benchmark/selftest.py exits 0 only when every case behaves
+    run = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                         cwd=BENCH.parent, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "0 unexpected verdicts" in run.stdout
 
 
 def short_run(workload):

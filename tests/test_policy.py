@@ -78,15 +78,14 @@ def test_decision_from_multipliers_alone_runs_no_pass(rng, monkeypatch):
 def test_sweep_hands_a_pass_back_unchecked(rng, monkeypatch):
     # a pass covers stages k..N-1 by construction and raised on any
     # non-finite multiplier as it set it, so sweep hands a pass of p back
-    # before its tail and finiteness checks, and a decision runs neither;
-    # any other vector still takes both
+    # before its one vector check, and a decision runs none; any other
+    # vector still takes it
     def refuse(*args):
         raise AssertionError("checked again")
 
     p = make_problem(rng, N=4)
     sol = solve_multipliers(p, p.x0, k=1)
-    monkeypatch.setattr(riccati, "_require_tail", refuse)
-    monkeypatch.setattr(riccati, "_require_finite", refuse)
+    monkeypatch.setattr(riccati, "_tail_vector", refuse)
     assert sweep(p, sol.lam_star) is sol.lam_star
     u = control_at(p, p.x0, 1, sol.lam_star)
     worst_disturbance_at(p, p.x0, 1, sol.lam_star, u)

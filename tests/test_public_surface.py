@@ -7,6 +7,7 @@ import inspect
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import stdar
@@ -54,7 +55,10 @@ def test_public_surface():
     # read, and the doubling's stop rule (_FP_TOL, _FP_MAX_DOUBLINGS) lives
     # in _kernels alone
     assert issubclass(stdar.RiccatiSweep, stdar.MultiplierVector)
-    assert [f.name for f in dataclasses.fields(stdar.RiccatiSweep)] == [
+    one = np.array([[1.0]])
+    p = stdar.ProblemData(A=one, B=one, G=one, Q=one, R=one, Pf=one, N=2,
+                          alpha=1.0, x0=np.ones(1))
+    assert list(vars(stdar.solve_multipliers(p, p.x0).lam_star)) == [
         "lambdas", "stage_offset", "Pi", "K", "J", "bounds", "_eigvals",
         "_eigvecs", "_gains", "_problem"]
     for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z x0 cap"),

@@ -353,6 +353,35 @@ def test_sweep_reuses_linked_pass(rng):
         assert errors[0] == errors[1]
 
 
+def test_only_the_recursion_makes_a_pass(rng):
+    # sweep hands a pass of p back unchecked, so a pass is made by the
+    # recursion alone: building or replacing one by hand (with a NaN
+    # multiplier, say) raises TypeError, and setting or deleting an
+    # attribute of a pass raises FrozenInstanceError. A copy or pickle is
+    # a plain vector that sweeps again bit for bit. Equality is identity,
+    # so vectors and passes compare and hash without comparing arrays, and
+    # a pass's repr shows its multipliers, not its stacked arrays
+    p = make_problem(rng, N=3)
+    lam = solve_multipliers(p, p.x0).lam_star
+    with pytest.raises(TypeError, match="made by a pass"):
+        RiccatiSweep(lambdas=[np.nan, 1.0, 1.0], stage_offset=0)
+    with pytest.raises(TypeError, match="made by a pass"):
+        dataclasses.replace(lam, lambdas=[np.nan, 1.0, 1.0])
+    for twin in (copy.copy(lam), pickle.loads(pickle.dumps(lam))):
+        assert type(twin) is MultiplierVector
+        assert_same_sweep(sweep(p, twin), lam)
+    other = solve_multipliers(p, p.x0).lam_star
+    for a, b in ((fresh(lam), fresh(lam)), (lam, other)):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+    assert "Pi=" not in repr(lam)
+    for name in ("Pi", "_problem", "lambdas"):  # nor changed after it is made
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lam, name, getattr(lam, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(lam, name)
+
+
 def test_project_feasible_singular_stage_zero_raises():
     # the projection steps stage 0 too: with G'Pf G = 0 and margin 0 the
     # multiplier lands on lam_0 = 0 and M = [[B'Pf B + R, 0], [0, 0]]
