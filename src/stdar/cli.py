@@ -38,8 +38,8 @@ def _write_csv(path, header, rows) -> None:
 def _load(args):
     """Load the scenario and validate its problem, printing the warnings."""
     sc = load_scenario(args.scenario)
-    allow = args.allow_degenerate_terminal or sc.allow_degenerate_terminal
-    report = validate_problem(sc.problem, allow_degenerate_terminal=allow)
+    report = validate_problem(sc.problem,
+                              allow_degenerate_terminal=sc.allow_degenerate_terminal)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return sc
@@ -202,14 +202,11 @@ def _random_stable(rng: np.random.Generator, n: int) -> ProblemData:
 
 
 def cmd_bench(args) -> int:
-    if args.seed is not None and args.seed < 0:  # numpy takes no negative seed
-        raise ValueError(f"--seed {args.seed} is below 0")
     sc = _load(args)
     out = _out_dir(args, sc)
-    seed = args.seed if args.seed is not None else sc.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(sc.seed)
     solve_steady_state(_random_stable(rng, 2))  # untimed: first-call costs
-    rng = np.random.default_rng(seed)           # timed instances
+    rng = np.random.default_rng(sc.seed)        # timed instances
     done = []  # (n, median seconds, median probes, median doublings) per size solved
     for n in sc.sizes:
         runs = []
@@ -240,15 +237,11 @@ def cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # each subcommand takes only the flags it reads: --out where it writes
+    # the scenario sets the whole run; a subcommand that writes takes --out
     reads = argparse.ArgumentParser(add_help=False)
     reads.add_argument("--scenario", required=True, help="scenario YAML path")
-    reads.add_argument("--allow-degenerate-terminal", action="store_true",
-                       help="accept G'Pf G = 0 (warn instead of fail)")
     writes = argparse.ArgumentParser(add_help=False, parents=[reads])
     writes.add_argument("--out", default=None, help="output directory override")
-    draws = argparse.ArgumentParser(add_help=False, parents=[writes])
-    draws.add_argument("--seed", type=int, default=None, help="seed override")
     ap = argparse.ArgumentParser(
         prog="stdar",
         description="Stage-bound disturbance attenuation regulator toolkit")
@@ -259,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("policy-curve", cmd_policy_curve, writes, "u0*(x0) over a grid"),
             ("rollout", cmd_rollout, writes, "closed-loop simulation"),
             ("steady", cmd_steady, writes, "steady-state solve with LMI certificate"),
-            ("bench", cmd_bench, draws, "complexity benchmark")):
+            ("bench", cmd_bench, writes, "complexity benchmark")):
         sub.add_parser(name, parents=[flags], help=text).set_defaults(fn=fn)
     return ap
 

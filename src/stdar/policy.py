@@ -124,6 +124,8 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
     if mode not in _ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
     if mode == "external":
+        if w_seq is None:
+            raise ValueError("rollout mode external requires w_seq")
         w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
         if w_seq.shape != (p.N, p.q):
             raise ValueError(f"w_seq must be {p.N}x{p.q}, got {w_seq.shape}")

@@ -413,6 +413,14 @@ def test_rollout_rejects_non_finite_external_input(rng):
                 rollout(p, mode="external", w_seq=w_seq)
 
 
+@pytest.mark.parametrize("N", [1, 3])
+def test_rollout_external_without_w_seq_says_it_is_required(N):
+    # a missing w_seq is named as missing, not read as a NaN scalar, which
+    # would report it as not finite (N = 1) or as shaped (1, 1) (N = 3)
+    with pytest.raises(ValueError, match="^rollout mode external requires w_seq$"):
+        rollout(scalar_problem(N=N), mode="external")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "long", "short"])
 def test_states_and_controls_checked(rng, bad):
     # one state contract: every entry point that takes a state or a

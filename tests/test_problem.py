@@ -105,6 +105,14 @@ def test_row_and_column_vectors_ravel(shape):
     assert np.array_equal(p.x0, [1.0, -1.0])
 
 
+def test_scalar_x0_is_a_vector():
+    # at n = 1 a bare number is the state [x0]
+    one = np.eye(1)
+    p = ProblemData(A=one, B=one, G=one, Q=one, R=one, Pf=one, N=1, alpha=1.0,
+                    x0=2.0)
+    assert p.x0.shape == (1,) and p.x0[0] == 2.0
+
+
 def test_dimension_mismatches_rejected():
     with pytest.raises(DimensionMismatch):
         ProblemData(A=np.eye(2), B=np.ones((3, 1)), G=np.eye(2),

@@ -102,12 +102,12 @@ def test_public_surface():
     for flag in ("--tol-fd-step", "--tol-psd"):
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["validate", "--scenario", "s.yaml", flag, "1e-6"])
-    # a subcommand takes only the flags it reads: only bench draws random
-    # numbers, and validate writes nothing
+    # the scenario file sets the whole run: every subcommand takes
+    # --scenario, and those that write take --out, which validate does not
     flags = _subcommands()
-    assert [name for name in flags if "--seed" in flags[name]] == ["bench"]
-    assert flags["validate"] == {"--scenario", "--allow-degenerate-terminal"}
-    assert sum(map(len, flags.values())) == 18
+    assert not [name for name in flags if "--seed" in flags[name]]
+    assert flags["validate"] == {"--scenario"}
+    assert sum(map(len, flags.values())) == 11
 
 
 def test_readme_synopsis_matches_the_parser():

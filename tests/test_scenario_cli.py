@@ -433,6 +433,29 @@ def test_cli_bench_degenerate_sizes(tmp_path, capsys):
     assert main(["bench", "--scenario", path2]) == 3
 
 
+def test_cli_bench_skips_a_size_whose_solves_raise(tmp_path, capsys, monkeypatch):
+    # a solve that raises is reported and left out of its size's medians;
+    # a size with no solve left writes no row. The untimed warm-up is n = 2
+    solve = stdar.cli.solve_steady_state
+
+    def fails_from_3(p):
+        if p.n >= 3:
+            raise Diverged("doubling diverged")
+        return solve(p)
+
+    monkeypatch.setattr(stdar.cli, "solve_steady_state", fails_from_3)
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"),
+                          sizes=(2, 3), instances=1)
+    assert main(["bench", "--scenario", path]) == 0
+    assert "n=3: doubling diverged" in capsys.readouterr().err
+    with open(tmp_path / "res" / "bench.csv") as fh:
+        assert [row["n"] for row in csv.DictReader(fh)] == ["2"]
+    path = write_scenario(tmp_path, sec5(), name="only3.yaml",
+                          out=str(tmp_path / "res3"), sizes=(3,), instances=1)
+    assert main(["bench", "--scenario", path]) == 3
+    assert "n=3: doubling diverged" in capsys.readouterr().err
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert main(["validate", "--scenario", missing]) == 2
@@ -458,14 +481,34 @@ def test_cli_finite_rejects_non_finite_x0_before_solving(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
-    # --seed takes an integer of at least 0, as numpy's generators do: -5
-    # exits 2 with a message naming the flag, before any file is written
-    path = write_scenario(tmp_path, sec5(), sizes=(2,),
-                          instances=1, out=str(tmp_path / "res"))
-    assert main(["bench", "--scenario", path, "--seed", "-5"]) == 2
-    assert "error: --seed -5 is below 0" in capsys.readouterr().err
+SUBCOMMANDS = ("validate", "finite", "policy-curve", "rollout", "steady", "bench")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("flag", [["--seed", "0"], ["--allow-degenerate-terminal"]])
+def test_cli_takes_no_run_setting(tmp_path, capsys, command, flag):
+    # run.seed and run.allow_degenerate_terminal are set in the scenario
+    # alone: as flags they are usage errors that leave no directory
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", path, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
+
+
+def test_cli_degenerate_terminal_is_a_scenario_setting(tmp_path, capsys):
+    # Pf = 0 passes validate, with a warning, only where the scenario sets
+    # run.allow_degenerate_terminal; without it validation fails, exit 2
+    p = scalar_problem(A=1, B=1, G=1, Q=0.2, R=1, Pf=0, N=4, alpha=1.0)
+    allowed = write_scenario(tmp_path, p, allow_degenerate_terminal=True)
+    assert main(["validate", "--scenario", allowed]) == 0
+    outp = capsys.readouterr()
+    assert "ok: n=1 m=1 q=1 N=4" in outp.out
+    assert "warning: G'Pf G = 0" in outp.err
+    plain = write_scenario(tmp_path, p, name="plain.yaml")
+    assert main(["validate", "--scenario", plain]) == 2
+    assert "G'Pf G nonzero" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--seed", "-1"),

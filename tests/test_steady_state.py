@@ -132,6 +132,13 @@ def test_singular_step_reports_singular_m():
     assert steady_state._prober(p)(0.2)[:2] == (-2, 0)
 
 
+def test_verify_reports_a_singular_step():
+    # X = 1 is PSD, but I + Z X = 1 - 1 = 0: the verifying step at X is
+    # singular, which verify reports as -2, not as a failed fixed point
+    one = np.array([[1.0]])
+    assert _kernels.verify(one, np.zeros((1, 1)), -one, one, 1.0) == (-2, None)
+
+
 def test_lqr_baseline_solves_dare(rng):
     for i in range(20):
         p = make_problem(rng, n=int(rng.integers(1, 6)), stable=i % 2 == 0)
