@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from ._linalg import top_eig
 from .errors import (AssumptionViolated, DimensionMismatch, Diverged,
                      RegulatorError, ScenarioError)
 from .multiplier import solve_multipliers
@@ -174,8 +175,7 @@ def cmd_steady(args) -> int:
     sol = solve_steady_state(p)
     out = _out_dir(args, sc)
     try:
-        lqr = lqr_baseline(p)
-        lqr_top = float(np.linalg.eigvalsh(lqr)[-1])
+        lqr_top = top_eig(lqr_baseline(p))
     except Diverged:
         lqr_top = float("nan")
     header = (["lambda_bar", "residual", "boundary_gap", "lmi_min_eig",

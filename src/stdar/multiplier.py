@@ -89,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fro_norm
+from ._linalg import eigpairs, fro_norm
 from .problem import ProblemData, _as_point
 from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep, _bordered,
                       _nested_pass, _require_offset, _tail_vector, at_bound,
@@ -176,8 +176,8 @@ def _head_step(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
         return s, sw, phi, 0
     H = _bordered(p.F.T, 0.5 * p.F, p.C, sw.Pi[1], np.empty(p.C.shape))
     W = H[m:, m:] - H[m:, :m].dot(np.linalg.solve(H[:m, :m], H[:m, m:]))
-    nu, V = np.linalg.eigh(W[:q, :q])  # W[:q, :q] = N
-    r2 = V.T.dot(W[:q, q:].dot(x)) ** 2  # rho^2 in N's eigenbasis
+    _, nu, U = eigpairs(W[:q, :q])  # W[:q, :q] = N
+    r2 = U.dot(W[:q, q:].dot(x)) ** 2  # rho^2 in N's eigenbasis
     t = lo = float(sw.bounds[0]) + EPS_BOUNDARY  # lambda_0 at s_0 = 0
     if not (lo - nu).min() > 0.0:
         return s, sw, phi, 0

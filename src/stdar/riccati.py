@@ -40,19 +40,20 @@ rule reads only the base's bounds and multipliers, so any pass is a base.
 Each stage forms one bordered matrix from the constants F = [B G A] and
 C = blockdiag(R, 0, Q), which ProblemData builds once: H =
 sym(F'Pi_{j+1}F) + C, as X + X' + C with X = F'(Pi_{j+1}(F/2)), exactly
-half of F'Pi_{j+1}F. Its G block gives the stage's eigenpairs (eigh for
-q > 1; at q = 1 its one entry is the bound b_j); with lam_j taken off
-that block's diagonal, M_j = H[:m+q, :m+q] and rhs = H[:m+q, m+q:]. The
-solve's [K_j; J_j], negated into the template Z = [0; I], gives one more
-product, H Z = [rhs - M_j [K_j; J_j]; Pi_j]: the residual that checks the
-solve (_stage_step) and Pi_j, symmetric to rounding, in the stage's slot
-of the pass's stacked products, of which Pi is a view. numpy's per-call
-cost, not the arithmetic, sets a stage's time, so a stage makes three
-ndarray.dot products (half the per-call cost of @) and few other calls:
-at n = 3, m = 2, q = 1 about 10.5 us on a 2-core x86-64 host with one
-BLAS thread, 4.8 us of it np.linalg.solve (15 us with @, a separate
-halving and the template [0; -I]); at q = 2, 20 us, 5 us each in solve
-and eigh. A pass raises SingularM where G'Pi_{j+1}G or Pi_k is not finite.
+half of F'Pi_{j+1}F. Its G block gives the stage's eigenpairs (eigpairs,
+closed-form at q = 2; at q = 1 its one entry is the bound b_j); with
+lam_j taken off that block's diagonal, M_j = H[:m+q, :m+q] and rhs =
+H[:m+q, m+q:]. The solve's [K_j; J_j], negated into the template Z =
+[0; I], gives one more product, H Z = [rhs - M_j [K_j; J_j]; Pi_j]: the
+residual that checks the solve (_stage_step) and Pi_j, symmetric to
+rounding, in the stage's slot of the pass's stacked products, of which
+Pi is a view. numpy's per-call cost, not the arithmetic, sets a stage's
+time, so a stage makes three ndarray.dot products (half the per-call
+cost of @) and few other calls: at n = 3, m = 2, q = 1 about 10.5 us on
+a 2-core x86-64 host with one BLAS thread, 4.8 us of it np.linalg.solve
+(15 us with @, a separate halving and the template [0; -I]); at m = 3 a
+pass costs 1.3-1.4 times as much at q = 2. A pass raises SingularM where
+G'Pi_{j+1}G or Pi_k is not finite.
 """
 from __future__ import annotations
 

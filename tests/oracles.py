@@ -13,13 +13,15 @@ steady-state game Riccati map in its block form, against which the
 package's n x n form is checked, and `stage_step_reference` is one step of
 the finite-horizon recursion in the same block form, against which the
 nested pass's stacked products are checked. `bordered_pass_reference` is
-the nested pass in the bordered form's first arithmetic, which the pass
-must reproduce bit for bit. The single-stage sphere
+the nested pass in the bordered form's first arithmetic, with the
+package's eigenpairs of each G block, which the pass must reproduce bit
+for bit. The single-stage sphere
 reference lives in sphere_oracle.py.
 """
 import numpy as np
 
 from stdar import MultiplierVector, sweep
+from stdar._linalg import eigpairs
 from stdar.riccati import project_feasible
 
 _GR = (np.sqrt(5.0) - 1.0) / 2.0
@@ -178,9 +180,10 @@ def bordered_pass_reference(p, raw, margin=-np.inf, slack=None):
     """The nested pass over len(raw) stages from Pi_N = Pf, one stage at a
     time in the bordered form's first arithmetic: from Pi_{j+1} = S,
     H = (X + X.T) * 0.5 + C with X = F'(S F); the G block's eigenpairs
-    (eigh for q > 1, the 1 x 1 block its own with eigenvector 1); lam_j =
-    max(raw_j, b_j + margin) + slack_j in floats; lam_j taken off the G
-    block's diagonal, M [K; J] = rhs solved and H [K; J; -I] =
+    from the package's eigpairs (at q = 1 the entry and eigenvector 1),
+    which test_linalg checks against eigh, so that this checks the pass's
+    own arithmetic; lam_j = max(raw_j, b_j + margin) + slack_j in floats;
+    lam_j taken off the G block's diagonal, M [K; J] = rhs solved and H [K; J; -I] =
     [M [K; J] - rhs; -Pi_j]. Returns Pi, [K; J], the eigenvalues, the
     eigenvectors as rows and lam, each stacked over the stages."""
     m, d, size = p.m, p.m + p.q, len(raw)
@@ -189,12 +192,7 @@ def bordered_pass_reference(p, raw, margin=-np.inf, slack=None):
     for j in range(size - 1, -1, -1):
         X = p.F.T @ (Pi[j + 1] @ p.F)
         H = (X + X.T) * 0.5 + p.C
-        if p.q == 1:
-            vals[j], vecs[j] = H[m, m:d].copy(), np.ones((1, 1))
-        else:
-            w, V = np.linalg.eigh(H[m:d, m:d])
-            vals[j], vecs[j] = w, V.T
-        b = float(vals[j][-1])
+        b, vals[j], vecs[j] = eigpairs(H[m:d, m:d])
         lam[j] = max(float(raw[j]), b + margin)
         if slack is not None:
             lam[j] += float(slack[j])

@@ -37,6 +37,50 @@ def test_top_eig_rejects_non_finite(bad):
         top_eig(M)
     with pytest.raises(ValueError):
         eigpairs(M)
+    # eigpairs' closed-form blocks: any entry, the upper triangle's too
+    for q, r, c in ((1, 0, 0), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)):
+        M = np.eye(q)
+        M[r, c] = bad
+        with pytest.raises(ValueError):
+            eigpairs(M)
+
+
+def small_blocks(rng):
+    """Inputs of eigpairs' closed form: random symmetric 2 x 2 blocks and
+    their 1 x 1 corners, indefinite, negative definite and scaled by
+    1e-150 and 1e150; asymmetric blocks, of which eigh reads the lower
+    triangle; an exact and a near tie, diagonal blocks with a < c and
+    a > c, and the zero blocks."""
+    eye = np.eye(2)
+    for _ in range(300):
+        X = rng.standard_normal((2, 2))
+        for M in (X + X.T, -(X @ X.T) - 0.01 * eye, 1e-150 * (X + X.T),
+                  1e150 * (X + X.T)):
+            yield M
+            yield M[:1, :1]
+        yield X
+    near = 2.0 * eye
+    near[0, 1] = near[1, 0] = 1e-300 * np.linalg.norm(near)
+    yield from (3.0 * eye, near, np.diag([1.0, 3.0]), np.diag([3.0, -1.0]),
+                np.zeros((1, 1)), np.zeros((2, 2)))
+
+
+def test_small_eigpairs_match_eigh(rng):
+    # up to 2 x 2 eigpairs is a closed form; against eigh, of the lower
+    # triangle: each eigenvalue within 4 eps ||M||_F, ascending, unit
+    # orthogonal rows with residuals within 4 eps ||M||_F, and the top
+    # value the last eigenvalue, as a float
+    eps = np.finfo(float).eps
+    for M in small_blocks(rng):
+        S = np.tril(M) + np.tril(M, -1).T  # what eigh reads
+        tol = 4.0 * eps * np.linalg.norm(S)
+        top, w, U = eigpairs(M)
+        assert type(top) is float and top == w[-1]
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.abs(w - np.linalg.eigh(M)[0]).max() <= tol
+        assert np.abs(U @ U.T - np.eye(len(w))).max() <= 1e-15
+        for value, u in zip(w, U):
+            assert np.linalg.norm(S @ u - value * u) <= tol
 
 
 def test_fro_norm_is_linalg_norm_bit_for_bit(rng):

@@ -77,6 +77,38 @@ def test_head_step_is_the_exact_head_minimizer(rng):
     assert seen == {"interior": {1, 2, 3}, "bound": {1, 2, 3}}
 
 
+def test_two_channel_stages_take_no_eigh(rng, monkeypatch):
+    # the G block's eigenpairs are a closed form up to q = 2: counted by
+    # monkeypatch, np.linalg.eigh is called by no stage of a q = 2 pass and
+    # by no q <= 2 head step that gets past its early exit (s_0 > 0), and
+    # once per stage it steps by a q = 3 pass
+    eigh, eigpairs = np.linalg.eigh, multiplier.eigpairs
+    calls = {"eigh": 0, "eigpairs": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(multiplier, "eigpairs", counted("eigpairs", eigpairs))
+    for q in (1, 2, 3):
+        p = make_problem(rng, n=3, m=3, q=q, N=8)
+        x = rng.standard_normal(p.n)
+        s = rng.uniform(0.1, 1.0, p.N)
+        calls.update(eigh=0, eigpairs=0)
+        sw, steps = _reconstruct(p, s, 0)
+        cand = s.copy()
+        cand[3] += 0.5
+        _, resteps = _reconstruct(p, cand, 0, sw)
+        assert (steps, resteps) == (p.N, 4)
+        assert calls["eigh"] == (0 if q < 3 else steps + resteps)
+        if q < 3:
+            multiplier._head_step(p, x, s, sw, multiplier._phi(p, x, sw))
+            assert calls == {"eigh": 0, "eigpairs": 1}
+
+
 def test_value_recomputes_from_fresh_sweep(rng):
     for _ in range(10):
         p = make_problem(rng)

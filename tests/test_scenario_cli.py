@@ -7,8 +7,9 @@ import pytest
 import stdar.cli
 import stdar.multiplier
 
-from stdar import (Diverged, ProblemData, rollout, solve_multipliers,
-                   solve_steady_state, sweep)
+from stdar import (Diverged, ProblemData, lqr_baseline, rollout,
+                   solve_multipliers, solve_steady_state, sweep)
+from stdar._linalg import top_eig
 from stdar.cli import main, _random_stable
 from stdar.errors import ScenarioError, SingularM
 from stdar.scenario import ScenarioFile, load_scenario, save_scenario
@@ -390,6 +391,8 @@ def test_cli_steady(tmp_path, capsys):
     assert float(row["lambda_bar"]) == pytest.approx(1.2, abs=1e-6)
     assert float(row["lqr_top_eig"]) == pytest.approx((0.2 + np.sqrt(0.84)) / 2,
                                                       abs=1e-6)
+    # the column is the package's one top-eigenvalue routine, to the digit
+    assert float(row["lqr_top_eig"]) == top_eig(lqr_baseline(sec5()))
     assert float(row["Pi[0][0]"]) == pytest.approx(1.2, abs=1e-4)
     assert float(row["K[0][0]"]) == pytest.approx(1.0, abs=1e-4)
     sol = solve_steady_state(sec5())
