@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import fro_norm, sym
+from ._linalg import fro_norm, psd_within, sym
 
 _FP_TOL = 1e-12          # the doubling's stop rule and verify's PSD test
 _FP_MAX_DOUBLINGS = 64
@@ -92,11 +92,11 @@ def fixed_point_numpy(A, Q, Z, x0, cap):
 
 
 def verify(A, Q, Z, X, scale):
-    """(0, game_step(A, Q, Z, X)) where X is PSD to within _FP_TOL scale and
+    """(0, game_step(A, Q, Z, X)) where psd_within(X, _FP_TOL scale) and
     ||F(X) - X|| < _FP_CHECK (1 + ||X||), 1e-8: the doubling may stop at an X
     that its step moves by 1.5e-8 or more; nearly all fixed points move by
     at most 2.2e-13. Else (-1, None), or (-2, None) if the step is singular."""
-    if np.linalg.eigvalsh(X)[0] < -_FP_TOL * scale:
+    if not psd_within(X, _FP_TOL * scale):
         return -1, None
     try:
         step = game_step(A, Q, Z, X)

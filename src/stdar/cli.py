@@ -22,7 +22,7 @@ from .multiplier import solve_multipliers
 from .policy import rollout
 from .problem import ProblemData, validate_problem
 from .scenario import load_scenario
-from .steady_state import lqr_baseline, solve_steady_state
+from .steady_state import lmi_certify, lqr_baseline, solve_steady_state
 
 
 def _fmt(v) -> str:
@@ -178,18 +178,20 @@ def cmd_steady(args) -> int:
         lqr_top = top_eig(lqr_baseline(p))
     except Diverged:
         lqr_top = float("nan")
+    lmi = (float("nan") if sol.lmi_feasible is None
+           else lmi_certify(p, sol).min_eig)
     header = (["lambda_bar", "residual", "boundary_gap", "lmi_min_eig",
                "lqr_top_eig"] + _pi_header(p.n)
               + [f"K[{r}][{c}]" for r in range(p.m) for c in range(p.n)]
               + ["probes", "fp_iterations", "capped"])
     row = ([_fmt(sol.lambda_bar), _fmt(sol.residual), _fmt(sol.boundary_gap),
-            _fmt(sol.lmi_min_eig), _fmt(lqr_top)]
+            _fmt(lmi), _fmt(lqr_top)]
            + [_fmt(v) for v in sol.Pi_bar.ravel()]
            + [_fmt(v) for v in sol.K_bar.ravel()]
            + [str(sol.probes), str(sol.fp_iterations), str(sol.capped)])
     _write_csv(os.path.join(out, "steady.csv"), header, [row])
     print(f"lambda_bar {sol.lambda_bar:.12g}  boundary_gap {sol.boundary_gap:.3e}  "
-          f"lmi_min_eig {sol.lmi_min_eig:.3e}")
+          f"lmi_min_eig {lmi:.3e}")
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import couplings, fixed_point_numpy, verify
-from ._linalg import fro_norm, sym, top_eig
+from ._linalg import fro_norm, psd_within, sym, top_eig
 from .errors import Diverged, NoFeasibleLambda, SingularPi
 from .problem import _TOL_PSD, ProblemData
 from .riccati import EPS_BOUNDARY
@@ -44,7 +44,7 @@ class SteadyStateSolution:
     K_bar: np.ndarray          # steady gain, u = -K_bar x
     residual: float            # ||Pi_bar - riccati_map(Pi_bar)||_F
     boundary_gap: float        # lambda_bar - ||G' Pi_bar G||
-    lmi_min_eig: float         # nan when the certificate was not assembled
+    lmi_feasible: bool | None  # lmi_certify's decision; None: Pi_bar singular
     probes: int                # fixed-point solves made by the search
     fp_iterations: int         # their doublings, summed
     capped: int                # probes that ended at the doubling cap
@@ -55,16 +55,19 @@ class LmiCertificate:
     """Block PSD certificate in the inverse variables.
 
     P = Pi_bar^{-1}, F = K_bar P (so the closed loop is A - B F P^{-1}).
-    feasible is min_eig >= -1e-9 scale (problem._TOL_PSD), with scale the
-    larger of 1 and the largest |entry| of assembled.
+    feasible is psd_within(assembled, _TOL_PSD scale), scale = max(1, largest
+    |entry|); min_eig, its smallest eigenvalue, is formed on each read.
     """
 
     P: np.ndarray
     F: np.ndarray
     lam: float
     assembled: np.ndarray
-    min_eig: float
     feasible: bool
+
+    @property
+    def min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(self.assembled)[0])
 
 
 def _prober(p: ProblemData):
@@ -149,13 +152,13 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
                               K_bar=np.linalg.solve(p.R, p.B.T @ PX),
                               residual=float(np.linalg.norm(Pi_bar - Pi_next)),
                               boundary_gap=float(hi - top),
-                              lmi_min_eig=float("nan"), probes=probes,
+                              lmi_feasible=None, probes=probes,
                               fp_iterations=fp_iterations, capped=capped)
     try:
         cert = lmi_certify(p, sol)
     except SingularPi:
         return sol
-    return dataclasses.replace(sol, lmi_min_eig=cert.min_eig)
+    return dataclasses.replace(sol, lmi_feasible=cert.feasible)
 
 
 def _sqrt_psd(M: np.ndarray) -> np.ndarray:
@@ -185,7 +188,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
     F = sol.K_bar @ P
     Qh, Rh = _sqrt_psd(p.Q), _sqrt_psd(p.R)
     closed = p.A @ P - p.B @ F
-    # one array written block by block: np.block costs more than eigvalsh
+    # one array written block by block, cheaper than np.block
     a, b, c = n, 2 * n, 2 * n + q  # block offsets
     L = np.zeros((c + n + m, c + n + m))
     L[:a, :a] = L[a:b, a:b] = P
@@ -194,11 +197,9 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
     L[b:c, b:c] = sol.lambda_bar * np.eye(q)
     L[:a, c:c + n], L[:a, c + n:] = P @ Qh, -F.T @ Rh
     L[c:, :a], L[c:, c:] = L[:a, c:].T, np.eye(n + m)
-    min_eig = float(np.linalg.eigvalsh(L)[0])
     scale = max(1.0, float(np.abs(L).max()))
-    return LmiCertificate(P=P, F=F, lam=float(sol.lambda_bar),
-                          assembled=L, min_eig=min_eig,
-                          feasible=min_eig >= -_TOL_PSD * scale)
+    return LmiCertificate(P=P, F=F, lam=float(sol.lambda_bar), assembled=L,
+                          feasible=psd_within(L, _TOL_PSD * scale))
 
 
 def lqr_baseline(p: ProblemData) -> np.ndarray:

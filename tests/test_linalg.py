@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar._linalg import eigpairs, fro_norm, sym, top_eig
+from stdar._linalg import eigpairs, fro_norm, psd_within, sym, top_eig
 
 
 def test_top_eig_is_eigvalsh_bit_for_bit(rng):
@@ -43,6 +43,36 @@ def test_top_eig_rejects_non_finite(bad):
         M[r, c] = bad
         with pytest.raises(ValueError):
             eigpairs(M)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psd_within_rejects_non_finite(bad):
+    # a Cholesky factor of a NaN matrix is NaN, not an error: the PSD test
+    # raises on a non-finite entry anywhere, the unread upper triangle too
+    for k in (1, 2, 5):
+        for r in range(k):
+            for c in range(k):
+                M = np.eye(k)
+                M[r, c] = bad
+                with pytest.raises(ValueError):
+                    psd_within(M, 1e-9)
+
+
+def test_psd_within_decides_as_the_eigenvalue_test(rng):
+    # exactly symmetric k x k matrices, k = 1..120, over 12 decades, whose
+    # smallest eigenvalue is -tol (1 +- 1e-6): the shifted Cholesky test
+    # decides each as eigvalsh(M)[0] >= -tol does, on the side it was built
+    # for, where the margin 1e-6 tol is far above the rounding k eps ||M||
+    for k in range(1, 121):
+        c = 10.0 ** rng.uniform(-6.0, 6.0)
+        tol = 1e-4 * c
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        for side in (-1.0, 1.0):
+            w = c * rng.uniform(-0.5e-4, 1.0, k)
+            w[int(rng.integers(k))] = -tol * (1.0 + side * 1e-6)
+            M = sym(V @ np.diag(w) @ V.T)
+            assert psd_within(M, tol) == (np.linalg.eigvalsh(M)[0] >= -tol)
+            assert psd_within(M, tol) == (side < 0.0)
 
 
 def small_blocks(rng):

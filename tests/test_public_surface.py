@@ -85,7 +85,7 @@ def test_public_surface():
         "p", "x", "k", "init", "gradient_mode"]
     assert [f.name for f in dataclasses.fields(stdar.SteadyStateSolution)] == [
         "lambda_bar", "Pi_bar", "K_bar", "residual", "boundary_gap",
-        "lmi_min_eig", "probes", "fp_iterations", "capped"]
+        "lmi_feasible", "probes", "fp_iterations", "capped"]
     assert not hasattr(stdar.ProblemData, "schedule")
     assert "W" not in {f.name for f in dataclasses.fields(stdar.ProblemData)}
     assert not hasattr(stdar.Trajectory, "to_csv")  # cli writes rollout.csv

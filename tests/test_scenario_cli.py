@@ -7,8 +7,8 @@ import pytest
 import stdar.cli
 import stdar.multiplier
 
-from stdar import (Diverged, ProblemData, lqr_baseline, rollout,
-                   solve_multipliers, solve_steady_state, sweep)
+from stdar import (Diverged, ProblemData, lmi_certify, lqr_baseline,
+                   rollout, solve_multipliers, solve_steady_state, sweep)
 from stdar._linalg import top_eig
 from stdar.cli import main, _random_stable
 from stdar.errors import ScenarioError, SingularM
@@ -402,6 +402,10 @@ def test_cli_steady(tmp_path, capsys):
     # 64-doubling cap; the column follows fp_iterations
     assert header[-3:] == ["probes", "fp_iterations", "capped"]
     assert int(row["capped"]) == sol.capped == 2
+    # the solution keeps the certificate's decision; the column is its
+    # smallest eigenvalue, formed by lmi_certify on request
+    assert sol.lmi_feasible
+    assert float(row["lmi_min_eig"]) == lmi_certify(sec5(), sol).min_eig
 
 
 def test_cli_bench(tmp_path, capsys):

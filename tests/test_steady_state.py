@@ -9,7 +9,7 @@ from stdar import (Diverged, NoFeasibleLambda, lmi_certify, lqr_baseline,
 from stdar import _kernels, steady_state
 from stdar._linalg import top_eig
 from stdar.errors import SingularPi
-from stdar.problem import ProblemData
+from stdar.problem import _TOL_PSD, ProblemData
 from stdar.riccati import EPS_BOUNDARY
 from conftest import make_problem, orthogonal, rotated, scalar_problem
 from oracles import (game_map_reference, steady_scalar_closed_form,
@@ -40,7 +40,8 @@ def test_scalar_reference_solution():
     assert sol.residual <= 1e-8
     assert sol.boundary_gap >= -1e-9 * (1.0 + sol.lambda_bar)
     assert sol.boundary_gap <= 1e-2
-    assert sol.lmi_min_eig >= -1e-7
+    assert sol.lmi_feasible
+    assert lmi_certify(p, sol).min_eig >= -1e-7
 
 
 def test_scalar_grid_oracle_agrees():
@@ -279,6 +280,46 @@ def test_lmi_rejects_shrunk_multiplier():
     assert cert.min_eig < -1e-3
 
 
+def test_lmi_decision_is_the_eigenvalue_test():
+    # the Cholesky decision is min_eig >= -_TOL_PSD scale, on make_problem's
+    # default_rng(8) systems that pass and that fail it: 12, 32, 89 and 208
+    # fail, min_eig / scale from -5.8e-6 to -1.03e-9 (non-critical systems,
+    # three with n = q = 1); 218 passes by 8e-12 scale (0.8% of the
+    # tolerance), the least margin over 1 200 such systems
+    rng = np.random.default_rng(8)
+    systems = [make_problem(rng) for _ in range(219)]
+    rejected = []
+    for i in (0, 1, 2, 3, 12, 32, 89, 92, 208, 218):
+        p = systems[i]
+        sol = solve_steady_state(p)
+        cert = lmi_certify(p, sol)
+        scale = max(1.0, np.abs(cert.assembled).max())
+        assert sol.lmi_feasible is cert.feasible
+        assert cert.feasible == (cert.min_eig >= -_TOL_PSD * scale)
+        if not cert.feasible:
+            rejected.append(i)
+    assert rejected == [12, 32, 89, 208]
+
+
+def test_solve_forms_no_certificate_spectrum(rng, monkeypatch):
+    # solve_steady_state decides its certificate without its eigenvalues:
+    # counted by monkeypatch, np.linalg.eigvalsh never sees the assembled
+    # (3n + q + m)-square matrix, which min_eig hands it once when read
+    eigvalsh, sizes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: sizes.append(M.shape[0]) or eigvalsh(M))
+    for n, m, q in ((1, 1, 1), (2, 2, 2), (3, 2, 3), (6, 3, 2)):
+        p = make_problem(rng, n=n, m=m, q=q)
+        del sizes[:]
+        sol = solve_steady_state(p)
+        assert sol.lmi_feasible is not None
+        assert 3 * n + q + m not in sizes
+        cert = lmi_certify(p, sol)
+        del sizes[:]
+        assert cert.min_eig == eigvalsh(cert.assembled)[0]
+        assert sizes == [3 * n + q + m]
+
+
 def test_lmi_rejects_singular_pi():
     p = steady_scalar()
     sol = solve_steady_state(p)
@@ -290,12 +331,12 @@ def test_lmi_rejects_singular_pi():
 def test_singular_solution_has_no_lmi_certificate():
     # Q and Pf leave the second state unweighted and A maps it to 0, so
     # Pi_bar = diag(1.25, 0) is singular: the solve still returns it, with
-    # lmi_min_eig nan, as the certificate needs Pi_bar^{-1}
+    # lmi_feasible None, as the certificate needs Pi_bar^{-1}
     p = ProblemData(A=np.diag([0.5, 0.0]), B=np.eye(2), G=np.eye(2),
                     Q=np.diag([1.0, 0.0]), R=np.eye(2), Pf=np.diag([1.0, 0.0]),
                     N=1, alpha=1.0)
     sol = solve_steady_state(p)
-    assert np.isnan(sol.lmi_min_eig)
+    assert sol.lmi_feasible is None
     assert sol.lambda_bar == pytest.approx(1.25, rel=1e-8)
     assert sol.Pi_bar[1, 1] == 0.0
     assert np.allclose(sol.Pi_bar, np.diag([1.25, 0.0]), rtol=1e-8)
@@ -311,7 +352,8 @@ def test_solution_invariants(rng):
         assert sol.residual <= 1e-6 * scale
         assert sol.boundary_gap >= -1e-9 * (1.0 + sol.lambda_bar)
         assert la.eigvalsh(sol.Pi_bar)[0] >= -1e-9 * scale
-        assert np.isfinite(sol.lmi_min_eig)
+        assert sol.lmi_feasible is not None
+        assert np.isfinite(lmi_certify(p, sol).min_eig)
 
 
 def test_search_counters_match_kernel_calls(rng, monkeypatch):
