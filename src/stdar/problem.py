@@ -87,6 +87,7 @@ class ProblemData:
     F = [B G A], C = blockdiag(R, 0, Q) and Z = [0; I], the template a
     stage writes -[K; J] into. The constructor copies its inputs, and
     copies and pickles are rebuilt through it, so they are read-only too.
+    The steady state's B R^{-1} B', G G', Q^{1/2}, R^{1/2} are formed once.
     """
 
     A: np.ndarray
@@ -164,6 +165,14 @@ class ProblemData:
     def alpha_bar(self) -> float:
         """The full-horizon disturbance budget, the sum of alpha."""
         return float(self.alpha.sum())
+
+    @cached_property
+    def _steady_constants(self) -> tuple:
+        """(z(lam) of `_kernels.couplings`, Q^{1/2}, R^{1/2}), read-only."""
+        from . import _kernels, steady_state  # steady_state imports this one
+        Qh, Rh = steady_state._sqrt_psd(self.Q), steady_state._sqrt_psd(self.R)
+        Qh.flags.writeable = Rh.flags.writeable = False
+        return _kernels.couplings(self.B, self.G, self.R), Qh, Rh
 
     def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:
         return 0.5 * float(x @ self.Q @ x + u @ self.R @ u)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import couplings, fixed_point_numpy, verify
+from ._kernels import fixed_point_numpy, verify
 from ._linalg import fro_norm, psd_within, sym, top_eig
 from .errors import Diverged, NoFeasibleLambda, SingularPi
 from .problem import _TOL_PSD, ProblemData
@@ -77,7 +77,7 @@ def _prober(p: ProblemData):
     it converged at a finite lam, and Pi verified unless lam - top is below
     -EPS_BOUNDARY (then status 0, step None). At lam = inf, the LQR map, Pi
     is always verified and top is None."""
-    z_of, x0 = couplings(p.B, p.G, p.R), fro_norm(p.Pf)
+    z_of, x0 = p._steady_constants[0], fro_norm(p.Pf)
     cap = 1e12 * (1.0 + fro_norm(p.Q) + x0)
 
     def run(lam):
@@ -99,13 +99,16 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     at most 10 times; the bracket [lo, hi] then shrinks until lo or the
     lower bound ||G'Pi_hi G|| - EPS_BOUNDARY lies within 1e-9 of hi,
     either way pinning lambda_bar to 1e-9. Each probe, clamped 0.25e-9
-    inside the bracket and doubled from Pf, goes to that lower bound while
-    it lies above lo and lo is 0 or has a slack, else to the secant of g
-    where lo has one, else to the midpoint. A converged probe below its
-    bound goes to lo with its slack, one that fails with none (see
-    `_prober`). The answer is the accepted probe at hi as it stands: K_bar
-    and the residual come from the map step that verified Pi_bar (see
-    `_kernels`), and the gap from the ||G'Pi_bar G|| that judged it.
+    inside the bracket and doubled from Pf, goes to the secant of g through
+    the latest two probes with a slack where lo has one and that lies in
+    (max(lo, bound), hi); else to the bound while it lies above lo and lo
+    is 0 or has a slack, else to the secant through lo and hi where lo has
+    one, else to the midpoint. Secants aim at a slack of 0.5e-9, so that a
+    landing near the root is feasible and ends the search. A converged
+    probe below its bound goes to lo with its slack, one that fails with
+    none (see `_prober`). The answer is the accepted probe at hi, unchanged:
+    K_bar and the residual come from the map step that verified Pi_bar
+    (see `_kernels`), and the gap from the ||G'Pi_bar G|| that judged it.
     """
     run = _prober(p)
     probes = fp_iterations = capped = 0
@@ -121,6 +124,9 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
         h = lam - top + EPS_BOUNDARY if status == 0 else None
         return step is not None, h, (Pi, top, step)
 
+    def aimed(a, b):  # where the secant through probes (lam, h) reaches tol/2
+        return b[0] - (b[1] - 0.5 * _BRACKET_TOL) * (b[0] - a[0]) / (b[1] - a[1])
+
     hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
     ok, h_hi, fp_hi = probe(hi)
     doublings = 0
@@ -132,16 +138,21 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
         raise NoFeasibleLambda(
             f"no feasible multiplier up to {hi:.6g} after {doublings} doublings")
     lo, h_lo = 0.0, None
+    slacks = [None, (hi, h_hi)]  # the two latest probes with a slack
     while min(hi - lo, h_hi) > _BRACKET_TOL:  # lo or bound within tol of hi
         bound = hi - h_hi  # ||G'Pi_hi G|| - EPS_BOUNDARY, at most lambda_bar
-        if (lo == 0.0 or h_lo is not None) and bound > lo:
-            mid = bound
-        elif h_lo is not None:
-            mid = hi - h_hi * (hi - lo) / (h_hi - h_lo)
-        else:
-            mid = 0.5 * (lo + hi)
+        flat = h_lo is None or slacks[0][1] == slacks[1][1]  # or lo has no slack
+        mid = hi if flat else aimed(*slacks)  # through the latest two slacks
+        if not max(lo, bound) < mid < hi:
+            if (lo == 0.0 or h_lo is not None) and bound > lo:
+                mid = bound
+            elif h_lo is not None:
+                mid = aimed((lo, h_lo), (hi, h_hi))
+            else:
+                mid = 0.5 * (lo + hi)
         mid = min(max(mid, lo + 0.25 * _BRACKET_TOL), hi - 0.25 * _BRACKET_TOL)
         ok, h, fp = probe(mid)
+        slacks = slacks if h is None else [slacks[1], (mid, h)]
         if ok:
             hi, h_hi, fp_hi = mid, h, fp
         else:
@@ -186,7 +197,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
             f"Pi_bar has eigenvalue {w[0]:.3e}; inverse certificate undefined")
     P = sym(np.linalg.inv(sym(sol.Pi_bar)))
     F = sol.K_bar @ P
-    Qh, Rh = _sqrt_psd(p.Q), _sqrt_psd(p.R)
+    _, Qh, Rh = p._steady_constants
     closed = p.A @ P - p.B @ F
     # one array written block by block, cheaper than np.block
     a, b, c = n, 2 * n, 2 * n + q  # block offsets

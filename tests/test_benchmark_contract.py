@@ -308,7 +308,7 @@ def test_steady_bank_counts(monkeypatch):
     # example and 40 random systems, each solved and given its LQR baseline.
     # The scalar example's two probes below its saddle-node end at the
     # 64-doubling cap. A converged probe below its bound goes to lo
-    # unverified, so the search verifies 149 of its probes, and each LQR
+    # unverified, so the search verifies 174 of its probes, and each LQR
     # baseline verifies its one
     verified = {"search": 0, "lqr": 0}
     phase = ["search"]
@@ -330,10 +330,10 @@ def test_steady_bank_counts(monkeypatch):
     solutions, _, results = bank_pass(monkeypatch, "Steady", "solve_steady_state")
     assert not any(res.wrong or res.failed for res in results)
     assert len(solutions) == 41
-    assert sum(sol.probes for sol in solutions) == 263
-    assert sum(sol.fp_iterations for sol in solutions) == 1243
+    assert sum(sol.probes for sol in solutions) == 232
+    assert sum(sol.fp_iterations for sol in solutions) == 1109
     assert [sol.capped for sol in solutions] == [2] + [0] * 40
-    assert verified == {"search": 149, "lqr": 41}
+    assert verified == {"search": 174, "lqr": 41}
 
 
 def test_finite_horizon_program_meets_the_steady_state(monkeypatch):
