@@ -44,13 +44,6 @@ _FP_MAX_DOUBLINGS = 64
 _FP_CHECK = 1e-8
 
 
-def couplings(B, G, R):
-    """Z(lam) = B R^{-1} B' - G G'/lam of the n x n map, its lam-free terms
-    formed once; lam = inf drops the disturbance channel: the LQR map."""
-    BRB, GG = B @ np.linalg.solve(R, B.T), G @ G.T
-    return lambda lam: BRB - GG / lam
-
-
 def game_step(A, Q, Z, Pi):
     """One step of the map: (sym(Q + A'Pi X), Pi X), X = (I + Z Pi)^{-1} A.
     Raises LinAlgError where I + Z Pi, and so M, is singular."""

@@ -66,6 +66,12 @@ def _eigpairs2(a: float, b: float, c: float):
     return r2, np.array([r1, r2]), np.array([[cs, sn], [ns, cs]])
 
 
+def sqrt_psd(M: np.ndarray) -> np.ndarray:
+    """The PSD square root of sym(M), its negative eigenvalues taken as 0."""
+    w, V = np.linalg.eigh(sym(M))
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
 def psd_within(M: np.ndarray, tol: float) -> bool:
     """Whether M + tol I (its lower triangle) has a Cholesky factor, i.e. is
     numerically PD (Higham, 2002, ch. 10): eigvalsh(M)[0] >= -tol but within

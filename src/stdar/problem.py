@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._linalg import sqrt_psd
 from .errors import AssumptionViolated, DimensionMismatch
 
 _SYM_RTOL = 1e-8
@@ -87,7 +88,8 @@ class ProblemData:
     F = [B G A], C = blockdiag(R, 0, Q) and Z = [0; I], the template a
     stage writes -[K; J] into. The constructor copies its inputs, and
     copies and pickles are rebuilt through it, so they are read-only too.
-    The steady state's B R^{-1} B', G G', Q^{1/2}, R^{1/2} are formed once.
+    The steady state's B R^{-1} B', G G', Q^{1/2} and R^{1/2} are formed on
+    first read, as the read-only arrays of `_steady_constants`.
     """
 
     A: np.ndarray
@@ -168,11 +170,12 @@ class ProblemData:
 
     @cached_property
     def _steady_constants(self) -> tuple:
-        """(z(lam) of `_kernels.couplings`, Q^{1/2}, R^{1/2}), read-only."""
-        from . import _kernels, steady_state  # steady_state imports this one
-        Qh, Rh = steady_state._sqrt_psd(self.Q), steady_state._sqrt_psd(self.R)
-        Qh.flags.writeable = Rh.flags.writeable = False
-        return _kernels.couplings(self.B, self.G, self.R), Qh, Rh
+        """B R^{-1} B' and G G' of the probe's Z, Q^{1/2} and R^{1/2}, read-only."""
+        out = (self.B @ np.linalg.solve(self.R, self.B.T), self.G @ self.G.T,
+               sqrt_psd(self.Q), sqrt_psd(self.R))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:
         return 0.5 * float(x @ self.Q @ x + u @ self.R @ u)

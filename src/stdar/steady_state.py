@@ -70,26 +70,23 @@ class LmiCertificate:
         return float(np.linalg.eigvalsh(self.assembled)[0])
 
 
-def _prober(p: ProblemData):
-    """The one probe, lam -> (status, doublings, Pi, top, step): the doubling
-    from Pf at lam through this module's fixed_point_numpy binding (wrapped
-    by benchmark/tracing.py, patched by the tests), top = ||G'Pi G|| where
-    it converged at a finite lam, and Pi verified unless lam - top is below
-    -EPS_BOUNDARY (then status 0, step None). At lam = inf, the LQR map, Pi
-    is always verified and top is None."""
-    z_of, x0 = p._steady_constants[0], fro_norm(p.Pf)
-    cap = 1e12 * (1.0 + fro_norm(p.Q) + x0)
-
-    def run(lam):
-        Z = z_of(float(lam))
-        status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, x0, cap)
-        top = step = None
-        if status == 0 and lam < np.inf:
-            top = top_eig(p.G.T @ Pi @ p.G)
-        if status == 0 and (top is None or lam - top + EPS_BOUNDARY >= 0.0):
-            status, step = verify(p.A, p.Q, Z, Pi, scale)
-        return status, count, Pi, top, step
-    return run
+def _probe(p: ProblemData, lam: float):
+    """The one probe of a multiplier, (status, doublings, Pi, top, step): the
+    doubling from Pf at Z = B R^{-1} B' - G G'/lam through this module's
+    fixed_point_numpy binding (wrapped by benchmark/tracing.py, patched by
+    the tests), top = ||G'Pi G|| where it converged at a finite lam, and Pi
+    verified unless lam - top is below -EPS_BOUNDARY (then status 0, step
+    None). At lam = inf, the LQR map, Pi is always verified and top is None."""
+    BRB, GG = p._steady_constants[:2]
+    Z, x0 = BRB - GG / lam, fro_norm(p.Pf)
+    status, count, Pi, scale = fixed_point_numpy(
+        p.A, p.Q, Z, x0, 1e12 * (1.0 + fro_norm(p.Q) + x0))
+    top = step = None
+    if status == 0 and lam < np.inf:
+        top = top_eig(p.G.T @ Pi @ p.G)
+    if status == 0 and (top is None or lam - top + EPS_BOUNDARY >= 0.0):
+        status, step = verify(p.A, p.Q, Z, Pi, scale)
+    return status, count, Pi, top, step
 
 
 def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
@@ -102,22 +99,21 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     inside the bracket and doubled from Pf, goes to the secant of g through
     the latest two probes with a slack where lo has one and that lies in
     (max(lo, bound), hi); else to the bound while it lies above lo and lo
-    is 0 or has a slack, else to the secant through lo and hi where lo has
-    one, else to the midpoint. Secants aim at a slack of 0.5e-9, so that a
-    landing near the root is feasible and ends the search. A converged
-    probe below its bound goes to lo with its slack, one that fails with
-    none (see `_prober`). The answer is the accepted probe at hi, unchanged:
-    K_bar and the residual come from the map step that verified Pi_bar
-    (see `_kernels`), and the gap from the ||G'Pi_bar G|| that judged it.
+    is 0 or has a slack, else to the midpoint. The secant aims at a slack of
+    0.5e-9, so that a landing near the root is feasible and ends the
+    search. A converged probe below its bound goes to lo with its slack,
+    one that fails with none (see `_probe`). The answer is the accepted
+    probe at hi, unchanged: K_bar and the residual come from the map step
+    that verified Pi_bar (see `_kernels`), and the gap from the
+    ||G'Pi_bar G|| that judged it.
     """
-    run = _prober(p)
     probes = fp_iterations = capped = 0
 
     def probe(lam):
         # (feasible, h, (Pi, top, step)), h = lam - top + EPS_BOUNDARY the
         # value whose root the search seeks, None where the probe failed
         nonlocal probes, fp_iterations, capped
-        status, count, Pi, top, step = run(lam)
+        status, count, Pi, top, step = _probe(p, lam)
         probes += 1
         fp_iterations += count
         capped += status == 1
@@ -146,8 +142,6 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
         if not max(lo, bound) < mid < hi:
             if (lo == 0.0 or h_lo is not None) and bound > lo:
                 mid = bound
-            elif h_lo is not None:
-                mid = aimed((lo, h_lo), (hi, h_hi))
             else:
                 mid = 0.5 * (lo + hi)
         mid = min(max(mid, lo + 0.25 * _BRACKET_TOL), hi - 0.25 * _BRACKET_TOL)
@@ -172,11 +166,6 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     return dataclasses.replace(sol, lmi_feasible=cert.feasible)
 
 
-def _sqrt_psd(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(sym(M))
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
 def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
     """Assemble and check the block PSD certificate at a candidate solution.
 
@@ -197,7 +186,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
             f"Pi_bar has eigenvalue {w[0]:.3e}; inverse certificate undefined")
     P = sym(np.linalg.inv(sym(sol.Pi_bar)))
     F = sol.K_bar @ P
-    _, Qh, Rh = p._steady_constants
+    Qh, Rh = p._steady_constants[2:]
     closed = p.A @ P - p.B @ F
     # one array written block by block, cheaper than np.block
     a, b, c = n, 2 * n, 2 * n + q  # block offsets
@@ -217,7 +206,7 @@ def lqr_baseline(p: ProblemData) -> np.ndarray:
     """Fixed point of the standard Riccati map (no disturbance channel),
     Pi = sym(Q + A'Pi (I + B R^{-1} B' Pi)^{-1} A): the doubling probe at
     lam = inf, reached from Pf."""
-    status, _, Pi, _, _ = _prober(p)(np.inf)
+    status, _, Pi, _, _ = _probe(p, np.inf)
     if status != 0:
         raise Diverged("LQR Riccati doubling did not converge")
     return Pi

@@ -62,3 +62,15 @@ def test_no_weak_references():
             found += [f"{path.name}:{node.lineno}" for n in names
                       if n.split(".")[0] == "weakref"]
     assert not found, found
+
+
+def test_no_function_level_imports():
+    # every module imports at its top, so the import graph is the one its
+    # header shows and has no cycle hidden in a function body
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, found

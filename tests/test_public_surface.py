@@ -45,11 +45,14 @@ def test_public_surface():
         assert getattr(importlib.import_module("stdar.scenario"), name)
     for name in PUBLIC:
         assert getattr(stdar, name) is not None
-    # the steady state has one probe, steady_state._prober; the projection
+    # the steady state has one probe, steady_state._probe; the projection
     # stays in riccati, where no solver calls it
     for module, name in ((stdar, "project_feasible"),
                          (stdar.steady_state, "_double"),
-                         (stdar._kernels, "coupling")):
+                         (stdar.steady_state, "_prober"),
+                         (stdar.steady_state, "_sqrt_psd"),
+                         (stdar._kernels, "coupling"),
+                         (stdar._kernels, "couplings")):
         assert not hasattr(module, name), name
     # a pass is the multiplier vector it set and keeps what its readers
     # read, and the doubling's stop rule (_FP_TOL, _FP_MAX_DOUBLINGS) lives

@@ -7,7 +7,7 @@ import scipy.linalg as la
 from stdar import (Diverged, NoFeasibleLambda, lmi_certify, lqr_baseline,
                    solve_steady_state)
 from stdar import _kernels, steady_state
-from stdar._linalg import top_eig
+from stdar._linalg import sqrt_psd, top_eig
 from stdar.errors import SingularPi
 from stdar.problem import _TOL_PSD, ProblemData
 from stdar.riccati import EPS_BOUNDARY
@@ -24,9 +24,15 @@ def steady_scalar(A=1.0, B=1.0, G=1.0, Q=0.2, R=1.0, Pf=1.0):
 
 def fixed_point(p, lam):
     # the search's probe at lam, which must reach a fixed point
-    status, _, Pi, _, _ = steady_state._prober(p)(lam)
+    status, _, Pi, _, _ = steady_state._probe(p, lam)
     assert status == 0
     return Pi
+
+
+def coupling(p, lam):
+    # Z = B R^{-1} B' - G G'/lam of the map, as the probe forms it
+    BRB, GG = p._steady_constants[:2]
+    return BRB - GG / lam
 
 
 def test_scalar_reference_solution():
@@ -114,7 +120,7 @@ def test_map_matches_block_form(rng):
                          q=int(rng.integers(1, 4)), degenerate_pf=i % 4 == 0)
         lam = top_eig(p.G.T @ p.Pf @ p.G) + float(rng.uniform(0.5, 3.0))
         ref, KJ = game_map_reference(p.A, p.B, p.G, p.Q, p.R, lam, p.Pf)
-        Z = _kernels.couplings(p.B, p.G, p.R)(lam)
+        Z = coupling(p, lam)
         Pn, PX = _kernels.game_step(p.A, p.Q, Z, p.Pf)
         gains = np.vstack([np.linalg.solve(p.R, p.B.T @ PX), -p.G.T @ PX / lam])
         assert np.abs(Pn - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -130,7 +136,7 @@ def test_singular_step_reports_singular_m():
     # Q = 0.25, lam = 0.2: Z = 1 - 1/0.2 = -4, so the first doubling's
     # W = I + Z Q = 0 is singular before any doubling completes
     p = steady_scalar(Q=0.25)
-    assert steady_state._prober(p)(0.2)[:2] == (-2, 0)
+    assert steady_state._probe(p, 0.2)[:2] == (-2, 0)
 
 
 def test_verify_reports_a_singular_step():
@@ -151,7 +157,7 @@ def test_no_fixed_point_stops_early():
     # lam = 0.6875 < 1 leaves the unit-coefficient map with no real fixed
     # point (Z X^2 - 0.2 Z X - 0.2 = 0 has a negative discriminant): the
     # doubling must report it within its 64-doubling cap
-    status, doublings, _, _, step = steady_state._prober(steady_scalar())(0.6875)
+    status, doublings, _, _, step = steady_state._probe(steady_scalar(), 0.6875)
     assert status in (-1, 1)
     assert doublings <= 64
     assert step is None
@@ -161,7 +167,7 @@ def test_indefinite_fixed_point_rejected():
     # A = 2, lam = 0.5: the doubling converges to X = -2.7266, a root of
     # X^2 + 2.8 X + 0.2 = 0 with a stable closed loop that would pass the
     # slack test; a Riccati fixed point of the game must be PSD
-    status, _, X, _, step = steady_state._prober(steady_scalar(A=2.0))(0.5)
+    status, _, X, _, step = steady_state._probe(steady_scalar(A=2.0), 0.5)
     assert status == -1
     assert X[0, 0] == pytest.approx(-2.7266, abs=1e-4)
     assert step is None
@@ -175,7 +181,7 @@ def test_unreachable_unstable_mode_fails_typed():
     B = np.array([[0.0], [1.0]])
     p = ProblemData(A=np.diag([2.0, 0.5]), B=B, G=B / 2, Q=np.eye(2),
                     R=np.eye(1), Pf=np.eye(2), N=1, alpha=[1.0])
-    status, doublings, _, _, _ = steady_state._prober(p)(1.0)
+    status, doublings, _, _, _ = steady_state._probe(p, 1.0)
     assert status == -1 and doublings < 10
     with pytest.raises(NoFeasibleLambda):
         solve_steady_state(p)
@@ -203,7 +209,7 @@ def test_multiplier_is_minimal(rng):
     for p in probes:
         sol = solve_steady_state(p)
         lam = sol.lambda_bar - 1e-4
-        status, _, Pi, _, _ = steady_state._prober(p)(lam)
+        status, _, Pi, _, _ = steady_state._probe(p, lam)
         if status != 0:
             continue
         assert top_eig(p.G.T @ Pi @ p.G) - lam > 0.5e-4
@@ -237,8 +243,7 @@ def test_lmi_assembly_is_the_block_matrix_bit_for_bit(rng):
                 lambda_bar=float(rng.uniform(0.1, 5.0)))
         cert = lmi_certify(p, sol)
         P, F, q = cert.P, cert.F, p.q
-        top_right = np.hstack([P @ steady_state._sqrt_psd(p.Q),
-                               -F.T @ steady_state._sqrt_psd(p.R)])
+        top_right = np.hstack([P @ sqrt_psd(p.Q), -F.T @ sqrt_psd(p.R)])
         closed = p.A @ P - p.B @ F
         z_nq, z_nm, z_qm = (np.zeros((n, q)), np.zeros((n, n + p.m)),
                             np.zeros((q, n + p.m)))
@@ -400,11 +405,11 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
     # runs the verifying map step once for each probe with a non-negative
     # slack, on its Pi, and never for a probe below its bound
     lams, outs, steps = [], [], []
-    step, prober = _kernels.game_step, steady_state._prober
+    step, probe = _kernels.game_step, steady_state._probe
 
-    def recording(p):
-        run = prober(p)
-        return lambda lam: lams.append(lam) or run(lam)
+    def recording(p, lam):
+        lams.append(lam)
+        return probe(p, lam)
 
     def counted(*args):
         outs.append(_kernels.fixed_point_numpy(*args))
@@ -414,7 +419,7 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
         steps.append(Pi)
         return step(A, Q, Z, Pi)
 
-    monkeypatch.setattr(steady_state, "_prober", recording)
+    monkeypatch.setattr(steady_state, "_probe", recording)
     monkeypatch.setattr(steady_state, "fixed_point_numpy", counted)
     monkeypatch.setattr(_kernels, "game_step", counted_step)
     below = 0
@@ -442,7 +447,7 @@ def test_probe_below_its_bound_is_not_verified(monkeypatch):
                         lambda *a: verified.append(1) or verify(*a))
     p = steady_scalar()
     lam = 1.2 - 1e-4
-    status, _, Pi, top, step = steady_state._prober(p)(lam)
+    status, _, Pi, top, step = steady_state._probe(p, lam)
     assert (status, step, verified) == (0, None, [])
     assert top == top_eig(p.G.T @ Pi @ p.G) > lam + EPS_BOUNDARY
 
@@ -459,7 +464,7 @@ def test_lqr_baseline_is_the_probe_at_infinity(rng, monkeypatch):
         calls.clear()
         P = lqr_baseline(p)
         assert calls == ["fixed_point_numpy", "verify"]
-        status, _, Pi, top, step = steady_state._prober(p)(np.inf)
+        status, _, Pi, top, step = steady_state._probe(p, np.inf)
         assert (status, top) == (0, None) and step is not None
         assert np.array_equal(P, Pi)
 
@@ -497,7 +502,7 @@ def test_solution_is_the_verifying_step(rng):
     for n in (2, 3, 4, 6, 8):
         p = _bank_system(rng, n)
         sol = solve_steady_state(p)
-        Z = _kernels.couplings(p.B, p.G, p.R)(sol.lambda_bar)
+        Z = coupling(p, sol.lambda_bar)
         Pi_next, PX = _kernels.game_step(p.A, p.Q, Z, sol.Pi_bar)
         assert np.array_equal(sol.K_bar, np.linalg.solve(p.R, p.B.T @ PX))
         assert sol.residual == float(np.linalg.norm(sol.Pi_bar - Pi_next))
@@ -546,7 +551,7 @@ def test_answer_is_within_the_tolerance_of_the_least_multiplier():
         probes += sol.probes
         if sol.boundary_gap + EPS_BOUNDARY <= tol:
             checked += 1
-            step = steady_state._prober(p)(sol.lambda_bar - 2.0 * tol)[4]
+            step = steady_state._probe(p, sol.lambda_bar - 2.0 * tol)[4]
             assert step is None
     assert checked == 58
     assert probes <= 519
@@ -580,10 +585,9 @@ def test_doubling_stops_on_its_error_bound(rng, monkeypatch):
     for n in (2, 3, 4, 6, 8):
         p = _bank_system(rng, n)
         lam_bar = solve_steady_state(p).lambda_bar
-        z_of = _kernels.couplings(p.B, p.G, p.R)
         for lam, X0 in ((1.01 * lam_bar, p.Pf), (np.inf, p.Pf),
                         (1.01 * lam_bar, 1e9 * p.Pf)):
-            Z, x0 = z_of(lam), norm(X0)
+            Z, x0 = coupling(p, lam), norm(X0)
             cap = 1e12 * (1.0 + norm(p.Q) + x0)
             del solves[:], symmetrized[:]
             status, k, X, scale = _kernels.fixed_point_numpy(p.A, p.Q, Z, x0, cap)
@@ -608,7 +612,7 @@ def test_doubling_stop_test_is_not_a_fixed_point():
     rng = np.random.default_rng(7)
     for _ in range(132):
         p = make_problem(rng)
-    assert steady_state._prober(p)(5.2)[0] == -1
+    assert steady_state._probe(p, 5.2)[0] == -1
 
 
 def _dare_slack(p, lam):
