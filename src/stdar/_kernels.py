@@ -54,14 +54,15 @@ def game_step(A, Q, Z, Pi):
     return 0.5 * (Pn + Pn.T), PX
 
 
-def fixed_point_numpy(A, Q, Z, x0, cap):
+def fixed_point_numpy(A, Q, Z, x0):
     """The doubling at Z, x0 = ||X_0||: (status, doublings, X, scale), X
     and scale None but at status 0, X = sym(H_k), at the first k with
     ||A_k||^2 (||H_k|| + x0) <= _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2};
     status 1 at _FP_MAX_DOUBLINGS. Diverged once ||A_k||^2 x0 passes 1e12
-    scale or ||H_k|| passes cap, which the caller forms as 1e12 (1 + ||Q||
-    + x0): a mode B cannot reach grows H_k and the relative tests with it."""
-    n = A.shape[0]
+    scale or scale passes the cap 1e12 (1 + ||Q|| + x0), which the kernel
+    forms once per call: a mode B cannot reach grows H_k and the relative
+    tests with it."""
+    n, cap = A.shape[0], 1e12 * (1.0 + fro_norm(Q) + x0)
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
     for k in range(_FP_MAX_DOUBLINGS):

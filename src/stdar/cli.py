@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: validate, finite, policy-curve, rollout, steady, bench. Each
-reads a scenario file and returns exit code 0 on success, 2 on validation
-failure, 3 on solver non-convergence; all but validate write CSV outputs
-into the run's output directory (overridable with --out). Floats are
-emitted with 17 significant digits so files re-parse bit-for-bit.
+reads a scenario file, which `main` loads and validates once, printing
+the warnings, before it hands the scenario to the subcommand; the exit
+code is 0 on success, 2 on validation failure, 3 on solver
+non-convergence. All but validate write CSV outputs into the run's output
+directory (overridable with --out). Floats are emitted with 17
+significant digits so files re-parse bit-for-bit.
 """
 from __future__ import annotations
 
@@ -36,16 +38,6 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _load(args):
-    """Load the scenario and validate its problem, printing the warnings."""
-    sc = load_scenario(args.scenario)
-    report = validate_problem(sc.problem,
-                              allow_degenerate_terminal=sc.allow_degenerate_terminal)
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return sc
-
-
 def _out_dir(args, sc) -> str:
     """Make the output directory, after the command's checks of sc."""
     out = args.out if args.out is not None else sc.out
@@ -53,8 +45,8 @@ def _out_dir(args, sc) -> str:
     return out
 
 
-def cmd_validate(args) -> int:
-    p = _load(args).problem
+def cmd_validate(sc, args) -> int:
+    p = sc.problem
     print(f"ok: n={p.n} m={p.m} q={p.q} N={p.N}")
     return 0
 
@@ -63,8 +55,7 @@ def _pi_header(n: int) -> list:
     return [f"Pi[{r}][{c}]" for r in range(n) for c in range(n)]
 
 
-def cmd_finite(args) -> int:
-    sc = _load(args)
+def cmd_finite(sc, args) -> int:
     out = _out_dir(args, sc)
     p = sc.problem
     x0s = list(sc.x0_list) if sc.x0_list else [p.x0]
@@ -108,8 +99,7 @@ def cmd_finite(args) -> int:
     return 0
 
 
-def cmd_policy_curve(args) -> int:
-    sc = _load(args)
+def cmd_policy_curve(sc, args) -> int:
     p = sc.problem
     if p.n != 1 or p.m != 1:
         raise ScenarioError("policy-curve needs a scalar system (n = m = 1)")
@@ -118,19 +108,16 @@ def cmd_policy_curve(args) -> int:
     out = _out_dir(args, sc)
     lo, hi, pts = sc.grid
     xs = np.linspace(lo, hi, pts)
-    # solve once per |x|: the program depends on x only through x^2, so
-    # sharing the multiplier across the sign pair makes the curve exactly odd
-    order = np.argsort(np.abs(xs), kind="stable")
+    # solve once per |x|, ascending, each warm-started from the last: the
+    # program depends on x only through x^2, so sharing the multiplier
+    # across the sign pair makes the curve exactly odd
     gains: dict = {}
     init = None
     not_converged = 0
-    for idx in order:
-        key = abs(float(xs[idx]))
-        if key in gains:
-            continue
+    for key in sorted({abs(float(x)) for x in xs}):
         sol = solve_multipliers(p, np.array([key]), init=init)
         gains[key] = float(sol.lam_star.K[0][0, 0])
-        not_converged += 0 if sol.converged else 1
+        not_converged += not sol.converged
         init = sol.lam_star.lambdas
     rows = [[_fmt(x), _fmt(-gains[abs(float(x))] * float(x))] for x in xs]
     _write_csv(os.path.join(out, "policy_curve.csv"), ["x0", "u0"], rows)
@@ -140,8 +127,7 @@ def cmd_policy_curve(args) -> int:
     return 0
 
 
-def cmd_rollout(args) -> int:
-    sc = _load(args)
+def cmd_rollout(sc, args) -> int:
     p = sc.problem
     w_seq = None
     if sc.rollout_mode == "external":
@@ -169,8 +155,7 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def cmd_steady(args) -> int:
-    sc = _load(args)
+def cmd_steady(sc, args) -> int:
     p = sc.problem
     sol = solve_steady_state(p)
     out = _out_dir(args, sc)
@@ -203,8 +188,7 @@ def _random_stable(rng: np.random.Generator, n: int) -> ProblemData:
     return ProblemData(A=A, B=eye, G=eye, Q=eye, R=eye, Pf=eye, N=1, alpha=1.0)
 
 
-def cmd_bench(args) -> int:
-    sc = _load(args)
+def cmd_bench(sc, args) -> int:
     out = _out_dir(args, sc)
     rng = np.random.default_rng(sc.seed)
     solve_steady_state(_random_stable(rng, 2))  # untimed: first-call costs
@@ -262,7 +246,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        sc = load_scenario(args.scenario)
+        report = validate_problem(
+            sc.problem, allow_degenerate_terminal=sc.allow_degenerate_terminal)
+        for w in report.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        return args.fn(sc, args)
     except (ScenarioError, AssumptionViolated, DimensionMismatch,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

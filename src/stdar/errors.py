@@ -10,11 +10,8 @@ class DimensionMismatch(RegulatorError):
 
 
 class AssumptionViolated(RegulatorError):
-    """A structural assumption on the problem data fails a hard check."""
-
-    def __init__(self, which: str, detail: str = ""):
-        self.which = which
-        super().__init__(f"{which}" + (f": {detail}" if detail else ""))
+    """A structural assumption on the problem data fails a hard check; the
+    message is "assumption: detail"."""
 
 
 class InfeasibleMultiplier(RegulatorError):

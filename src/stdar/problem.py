@@ -195,17 +195,17 @@ class ValidationReport:
     warnings: tuple[str, ...]
 
 
-def _pbh_unit_circle_rank(A: np.ndarray, other: np.ndarray, stack_rows: bool) -> bool:
-    """PBH test at every eigenvalue of A on or outside the unit circle."""
-    n = A.shape[0]
-    for mu in np.linalg.eigvals(A):
+def _pbh_unit_circle(p: ProblemData) -> tuple[bool, bool]:
+    """(stabilizable, detectable): the PBH tests of (A, B) and (A, Q) at
+    every eigenvalue of A on or outside the unit circle, taken once."""
+    stabilizable = detectable = True
+    for mu in np.linalg.eigvals(p.A):
         if abs(mu) < 1.0 - 1e-12:
             continue
-        shifted = mu * np.eye(n) - A
-        test = np.vstack([shifted, other]) if stack_rows else np.hstack([shifted, other])
-        if np.linalg.matrix_rank(test) < n:
-            return False
-    return True
+        shifted = mu * np.eye(p.n) - p.A
+        stabilizable &= np.linalg.matrix_rank(np.hstack([shifted, p.B])) == p.n
+        detectable &= np.linalg.matrix_rank(np.vstack([shifted, p.Q])) == p.n
+    return bool(stabilizable), bool(detectable)
 
 
 def validate_problem(p: ProblemData,
@@ -223,31 +223,27 @@ def validate_problem(p: ProblemData,
            for name, M in (("Q", p.Q), ("Pf", p.Pf), ("R", p.R))}
     for name in ("Q", "Pf"):
         if low[name] < -_TOL_PSD:
-            raise AssumptionViolated(f"{name} positive semidefinite",
+            raise AssumptionViolated(f"{name} positive semidefinite: "
                                      f"min eigenvalue {low[name]:.3e}")
     if low["R"] <= _TOL_PSD:
-        raise AssumptionViolated("R positive definite",
-                                 f"min eigenvalue {low['R']:.3e}")
+        raise AssumptionViolated(f"R positive definite: min eigenvalue {low['R']:.3e}")
 
-    stabilizable = _pbh_unit_circle_rank(p.A, p.B, stack_rows=False)
+    stabilizable, detectable = _pbh_unit_circle(p)
     if not stabilizable:
         warnings.append("(A, B) fails the PBH stabilizability test on the unit circle")
-    detectable = _pbh_unit_circle_rank(p.A, p.Q, stack_rows=True)
     if not detectable:
         warnings.append("(A, Q) fails the PBH detectability test on the unit circle")
 
     # range(G) <= range(B), tested as ||(I - B B+) G|| <= _TOL_RANGE max(1, ||G||)
     resid = np.linalg.norm(p.G - p.B @ (np.linalg.pinv(p.B) @ p.G))
     if not resid <= _TOL_RANGE * max(1.0, np.linalg.norm(p.G)):
-        raise AssumptionViolated("range inclusion",
-                                 f"||(I - B B+) G|| = {resid:.3e}")
+        raise AssumptionViolated(f"range inclusion: ||(I - B B+) G|| = {resid:.3e}")
 
     coupling = np.linalg.norm(p.G.T @ p.Pf @ p.G)
     degenerate_terminal = not coupling > _TOL_ZERO
     if degenerate_terminal:
         if not allow_degenerate_terminal:
-            raise AssumptionViolated("G'Pf G nonzero",
-                                     f"||G'Pf G|| = {coupling:.3e}")
+            raise AssumptionViolated(f"G'Pf G nonzero: ||G'Pf G|| = {coupling:.3e}")
         warnings.append("G'Pf G = 0: terminal stage handled through the "
                         "convexity boundary argument (degenerate terminal)")
 

@@ -226,8 +226,9 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
     slack_j = None if slack is None else slack[:top].tolist()
     for i in range(top - 1, -1, -1):
         _bordered(FT, Fh, C, Pi[i + 1], H)
-        if q == 1:  # the bound is H's one G entry; vals and vecs are set below
+        if q == 1:  # the bound is H's one G entry; bounds sets vals and vecs below
             b = H.item(m, m)
+            bounds.append(b)
         else:
             try:
                 b, vals[i], vecs[i] = eigpairs(Hg)
@@ -244,7 +245,6 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
             raise InfeasibleMultiplier(
                 f"lam = {lam_i:.9g} below its bound ||G'Pi G|| = {b:.9g}")
         lam[i] = lam_i
-        bounds.append(b)
         for r in range(m, d):  # q scalar updates beat a strided ufunc
             H[r, r] -= lam_i
         KJ[i] = _stage_step(H, M, rhs, Z, KJn, HZ[i], lam_i)

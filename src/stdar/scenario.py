@@ -78,6 +78,12 @@ def _count(v, least: int = 1) -> int:  # an integer of at least `least`
     return int(v)
 
 
+def _sizes(v) -> tuple:  # bench's sizes: at least one, each a count
+    if not v:
+        raise ValueError("no size given")
+    return tuple(_count(s) for s in v)
+
+
 def _floats(v) -> np.ndarray:
     """A finite number or nested lists of them as a float array; a YAML
     boolean or string is a typo, which numpy would read as 1.0 or parse,
@@ -168,8 +174,7 @@ def load_scenario(path) -> ScenarioFile:
         seed=_value(run, "seed", 0, lambda v: _count(v, 0), path),
         x0_list=tuple(x0_list), grid=grid,
         rollout_mode=rollout_mode, w_file=_value(run, "w_file", None, _path, path),
-        sizes=_value(run, "sizes", ScenarioFile.sizes,
-                     lambda v: tuple(_count(s) for s in v), path),
+        sizes=_value(run, "sizes", ScenarioFile.sizes, _sizes, path),
         instances=_value(run, "instances", 4, _count, path),
         allow_degenerate_terminal=_value(run, "allow_degenerate_terminal",
                                          False, _boolean, path))

@@ -54,14 +54,15 @@ class SteadyStateSolution:
 class LmiCertificate:
     """Block PSD certificate in the inverse variables.
 
-    P = Pi_bar^{-1}, F = K_bar P (so the closed loop is A - B F P^{-1}).
-    feasible is psd_within(assembled, _TOL_PSD scale), scale = max(1, largest
-    |entry|); min_eig, its smallest eigenvalue, is formed on each read.
+    P = Pi_bar^{-1}, F = K_bar P (so the closed loop is A - B F P^{-1});
+    the multiplier is the solution's lambda_bar, in the lam I block of
+    assembled. feasible is psd_within(assembled, _TOL_PSD scale), scale =
+    max(1, largest |entry|); min_eig, its smallest eigenvalue, is formed on
+    each read.
     """
 
     P: np.ndarray
     F: np.ndarray
-    lam: float
     assembled: np.ndarray
     feasible: bool
 
@@ -77,10 +78,8 @@ def _probe(p: ProblemData, lam: float):
     the tests), top = ||G'Pi G|| where it converged at a finite lam, and Pi
     verified unless lam - top is below -EPS_BOUNDARY (then status 0, step
     None). At lam = inf, the LQR map, Pi is always verified and top is None."""
-    BRB, GG = p._steady_constants[:2]
-    Z, x0 = BRB - GG / lam, fro_norm(p.Pf)
-    status, count, Pi, scale = fixed_point_numpy(
-        p.A, p.Q, Z, x0, 1e12 * (1.0 + fro_norm(p.Q) + x0))
+    Z = p._steady_constants[0] - p._steady_constants[1] / lam
+    status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, fro_norm(p.Pf))
     top = step = None
     if status == 0 and lam < np.inf:
         top = top_eig(p.G.T @ Pi @ p.G)
@@ -180,11 +179,12 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
     with Qh = Q^{1/2}, Rh = R^{1/2}.
     """
     n, m, q = p.n, p.m, p.q
-    w = np.linalg.eigvalsh(sym(sol.Pi_bar))
+    Pi = sym(sol.Pi_bar)
+    w = np.linalg.eigvalsh(Pi)
     if w[0] <= max(np.abs(w).max(), 1.0) * 1e-12:
         raise SingularPi(
             f"Pi_bar has eigenvalue {w[0]:.3e}; inverse certificate undefined")
-    P = sym(np.linalg.inv(sym(sol.Pi_bar)))
+    P = sym(np.linalg.inv(Pi))
     F = sol.K_bar @ P
     Qh, Rh = p._steady_constants[2:]
     closed = p.A @ P - p.B @ F
@@ -198,7 +198,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
     L[:a, c:c + n], L[:a, c + n:] = P @ Qh, -F.T @ Rh
     L[c:, :a], L[c:, c:] = L[:a, c:].T, np.eye(n + m)
     scale = max(1.0, float(np.abs(L).max()))
-    return LmiCertificate(P=P, F=F, lam=float(sol.lambda_bar), assembled=L,
+    return LmiCertificate(P=P, F=F, assembled=L,
                           feasible=psd_within(L, _TOL_PSD * scale))
 
 

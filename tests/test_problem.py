@@ -243,6 +243,41 @@ def test_detectability_warning_only():
     assert not rep.strict_weights
 
 
+@pytest.mark.parametrize("data, message", [
+    (dict(Q=-0.5), "Q positive semidefinite: min eigenvalue -5.000e-01"),
+    (dict(Pf=-0.5), "Pf positive semidefinite: min eigenvalue -5.000e-01"),
+    (dict(R=0.0), "R positive definite: min eigenvalue 0.000e+00"),
+    (dict(B=0.0), "range inclusion: ||(I - B B+) G|| = 1.000e+00"),
+    (dict(), "G'Pf G nonzero: ||G'Pf G|| = 0.000e+00")])
+def test_hard_checks_name_the_assumption_and_the_detail(data, message):
+    # each hard check raises with the text "assumption: detail"
+    with pytest.raises(AssumptionViolated) as exc:
+        validate_problem(scalar_problem(**data))
+    assert str(exc.value) == message
+
+
+def test_pbh_tests_take_the_eigenvalues_once(monkeypatch):
+    # A's eigenvalues are taken once for both PBH tests, which decide as
+    # each does alone: A has a mode outside and one on the unit circle
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+    A = np.diag([2.0, 1.0, 0.5])
+    e1, e23, e3 = np.eye(3)[:, :1], np.array([[0.0], [1.0], [1.0]]), np.eye(3)[:, 2:]
+    for B, Q, verdict in ((np.eye(3), np.eye(3), (True, True)),
+                          (e23, np.eye(3), (False, True)),
+                          (np.eye(3), np.diag([1.0, 0.0, 1.0]), (True, False)),
+                          (e3, np.diag([0.0, 0.0, 1.0]), (False, False))):
+        G = e1 if B.shape[1] == 3 else 0.5 * B
+        p = ProblemData(A=A, B=B, G=G, Q=Q, R=np.eye(B.shape[1]), Pf=np.eye(3),
+                        N=2, alpha=1.0)
+        del calls[:]
+        rep = validate_problem(p)
+        assert len(calls) == 1
+        assert (rep.stabilizable, rep.detectable) == verdict
+        assert type(rep.stabilizable) is bool and type(rep.detectable) is bool
+
+
 def test_validate_deterministic(rng):
     p = make_problem(rng)
     assert validate_problem(p) == validate_problem(p)

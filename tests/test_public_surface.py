@@ -52,8 +52,14 @@ def test_public_surface():
                          (stdar.steady_state, "_prober"),
                          (stdar.steady_state, "_sqrt_psd"),
                          (stdar._kernels, "coupling"),
-                         (stdar._kernels, "couplings")):
+                         (stdar._kernels, "couplings"),
+                         (stdar.problem, "_pbh_unit_circle_rank")):
         assert not hasattr(module, name), name
+    # an error carries its message alone, and a certificate holds no copy
+    # of the multiplier its caller passed in
+    assert not hasattr(stdar.AssumptionViolated("R positive definite: x"), "which")
+    assert [f.name for f in dataclasses.fields(stdar.LmiCertificate)] == [
+        "P", "F", "assembled", "feasible"]
     # a pass is the multiplier vector it set and keeps what its readers
     # read, and the doubling's stop rule (_FP_TOL, _FP_MAX_DOUBLINGS) lives
     # in _kernels alone
@@ -64,7 +70,7 @@ def test_public_surface():
     assert list(vars(stdar.solve_multipliers(p, p.x0).lam_star)) == [
         "lambdas", "stage_offset", "Pi", "K", "J", "bounds", "_eigvals",
         "_eigvecs", "_gains", "_problem"]
-    for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z x0 cap"),
+    for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z x0"),
                        (stdar._kernels.verify, "A Q Z X scale")):
         assert list(inspect.signature(fn).parameters) == params.split()
     for name in ("_FP_TOL", "_FP_MAX_DOUBLINGS"):

@@ -300,6 +300,28 @@ def test_cli_policy_curve_odd_with_spread(tmp_path):
     assert max(us) - min(us) > 1e-4
 
 
+def test_cli_policy_curve_solves_each_distinct_magnitude_once(tmp_path, monkeypatch):
+    # a grid of 0 and sign pairs: one solve per |x0|, in ascending order,
+    # each warm-started from the multipliers of the solve before it
+    calls = []
+    solve = stdar.cli.solve_multipliers
+
+    def recorded(p, x, init=None):
+        calls.append((float(x[0]), init, solve(p, x, init=init)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(stdar.cli, "solve_multipliers", recorded)
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"),
+                          grid=(-2.0, 2.0, 9))
+    assert main(["policy-curve", "--scenario", path]) == 0
+    assert [x for x, _, _ in calls] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert calls[0][1] is None
+    for (_, _, before), (_, init, _) in zip(calls, calls[1:]):
+        assert init is before.lam_star.lambdas
+    lines = (tmp_path / "res" / "policy_curve.csv").read_text().strip().split("\n")
+    assert len(lines) == 10
+
+
 def test_cli_policy_curve_needs_scalar_and_grid(tmp_path, capsys):
     # either check fails before the output directory is made: exit 2 and
     # no directory, from the scenario's run.out or from --out
@@ -435,9 +457,20 @@ def test_cli_bench_degenerate_sizes(tmp_path, capsys):
                           instances=1)
     assert main(["bench", "--scenario", path]) == 0
     assert "undefined" in capsys.readouterr().out
-    path2 = write_scenario(tmp_path, sec5(), name="e.yaml", out=str(tmp_path / "res2"),
-                           sizes=(), instances=1)
-    assert main(["bench", "--scenario", path2]) == 3
+
+
+def test_cli_bench_empty_sizes_is_a_scenario_error(tmp_path, capsys):
+    # run.sizes: [] gives bench nothing to solve: the scenario is rejected,
+    # naming the key, before any output directory is made
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"), sizes=(),
+                          instances=1)
+    with pytest.raises(ScenarioError, match="run.sizes"):
+        load_scenario(path)
+    for flags in ([], ["--out", str(tmp_path / "other")]):
+        assert main(["bench", "--scenario", path] + flags) == 2
+        assert "bad run.sizes" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+        assert not (tmp_path / "other").exists()
 
 
 def test_cli_bench_skips_a_size_whose_solves_raise(tmp_path, capsys, monkeypatch):
