@@ -30,25 +30,20 @@ def _integer(v, name: str = "") -> int:
     raise ValueError(f"{name}{v!r} is not an integer")
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    """value as a float vector (ndim 1) or matrix (ndim 2): a scalar is one
+    entry, and a row or column is a vector. DimensionMismatch at another
+    rank or an empty dimension, ValueError at a non-finite entry."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim == 2 and 1 in arr.shape:
+        arr = arr.reshape((1,) * ndim)
+    elif ndim == 1 and arr.ndim == 2 and 1 in arr.shape:
         arr = arr.ravel()
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name} must be a vector, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        kind = ("vector", "matrix")[ndim - 1]
+        raise DimensionMismatch(f"{name} must be a {kind}, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise DimensionMismatch(f"{name} is empty, shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -81,7 +76,8 @@ class ProblemData:
     """Immutable problem description. Matrices are dense, double precision.
 
     alpha may be passed as a scalar (broadcast over the horizon) or a
-    length-N sequence. Matrices accept scalars for 1x1 systems.
+    length-N sequence. Matrices accept scalars for 1x1 systems; no array
+    may be empty, so n, m and q are at least 1.
 
     Besides its fields it holds the sizes n, m, q and the constants every
     backward stage reads, built once and read-only like its arrays:
@@ -109,43 +105,32 @@ class ProblemData:
     Z: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        B = _as_matrix(self.B, "B")
-        G = _as_matrix(self.G, "G")
-        n = A.shape[0]
+        A, B, G = (_as_array(getattr(self, k), k, 2) for k in ("A", "B", "G"))
+        n, m, q = A.shape[0], B.shape[1], G.shape[1]
         if A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {A.shape}")
-        if B.shape[0] != n:
-            raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
-        if G.shape[0] != n:
-            raise DimensionMismatch(f"G has {G.shape[0]} rows, expected {n}")
-        Q = _symmetrized(_as_matrix(self.Q, "Q"), "Q")
-        R = _symmetrized(_as_matrix(self.R, "R"), "R")
-        Pf = _symmetrized(_as_matrix(self.Pf, "Pf"), "Pf")
-        if Q.shape != (n, n):
-            raise DimensionMismatch(f"Q must be {n}x{n}, got {Q.shape}")
-        if R.shape != (B.shape[1], B.shape[1]):
-            raise DimensionMismatch(f"R must be {B.shape[1]}x{B.shape[1]}, got {R.shape}")
-        if Pf.shape != (n, n):
-            raise DimensionMismatch(f"Pf must be {n}x{n}, got {Pf.shape}")
+        for name, M in (("B", B), ("G", G)):
+            if M.shape[0] != n:
+                raise DimensionMismatch(f"{name} has {M.shape[0]} rows, expected {n}")
+        Q, R, Pf = (_symmetrized(_as_array(getattr(self, k), k, 2), k)
+                    for k in ("Q", "R", "Pf"))
+        for name, M, k in (("Q", Q, n), ("R", R, m), ("Pf", Pf, n)):
+            if M.shape != (k, k):
+                raise DimensionMismatch(f"{name} must be {k}x{k}, got {M.shape}")
         N = _integer(self.N, "N = ")
         if N < 1:
             raise ValueError("N must be at least 1")
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.ndim == 0:
             alpha = np.full(N, float(alpha))
-        alpha = _as_vector(alpha, "alpha")
+        alpha = _as_array(alpha, "alpha", 1)
         if alpha.shape != (N,):
             raise DimensionMismatch(f"alpha must have length {N}, got {alpha.shape[0]}")
         if np.any(alpha <= 0.0):
             raise ValueError("all stage bounds alpha_k must be strictly positive")
-        x0 = self.x0
-        if x0 is None:
-            x0 = np.zeros(n)
-        x0 = _as_vector(x0, "x0")
+        x0 = _as_array(np.zeros(n) if self.x0 is None else self.x0, "x0", 1)
         if x0.shape != (n,):
             raise DimensionMismatch(f"x0 must have length {n}, got {x0.shape[0]}")
-        m, q = B.shape[1], G.shape[1]
         d = m + q
         C = np.zeros((d + n, d + n))
         C[:m, :m], C[d:, d:] = R, Q

@@ -27,7 +27,7 @@ parse -> save -> parse is the identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -54,11 +54,6 @@ class ScenarioFile:
     allow_degenerate_terminal: bool = False
 
 
-_KEYS = {"scenario": ("problem", "run"), "problem": _MATRICES + ("N", "alpha", "x0"),
-         "run": tuple(f.name for f in fields(ScenarioFile) if f.name != "problem"),
-         "run.grid": ("lo", "hi", "points")}  # run's keys are ScenarioFile's fields
-
-
 def _need(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ScenarioError(f"missing key {key!r} in {where}")
@@ -78,10 +73,13 @@ def _count(v, least: int = 1) -> int:  # an integer of at least `least`
     return int(v)
 
 
-def _sizes(v) -> tuple:  # bench's sizes: at least one, each a count
+def _sizes(v) -> tuple:  # bench's sizes: at least one, each a count, none twice
     if not v:
         raise ValueError("no size given")
-    return tuple(_count(s) for s in v)
+    sizes = tuple(_count(s) for s in v)
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"{list(sizes)} repeats a size")
+    return sizes
 
 
 def _floats(v) -> np.ndarray:
@@ -97,6 +95,26 @@ def _floats(v) -> np.ndarray:
     return arr
 
 
+def _state(v, n: int) -> np.ndarray:  # an x0_list entry, of the problem's size
+    x = _floats(v).ravel()
+    if x.size != n:
+        raise ValueError(f"size {x.size}, expected {n}")
+    return x
+
+
+def _grid(g) -> tuple:  # policy-curve's (lo, hi, points)
+    try:
+        return (float(_floats(g["lo"])), float(_floats(g["hi"])), _count(g["points"]))
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"grid needs lo, hi, points ({exc})") from None
+
+
+def _rollout_mode(v) -> str:
+    if v not in _ROLLOUT_MODES:
+        raise ValueError(f"unknown rollout mode {v!r}")
+    return v
+
+
 def _boolean(v) -> bool:
     if type(v) is not bool:  # a string such as "false" is no flag
         raise ValueError(f"{v!r} is not true or false")
@@ -104,24 +122,36 @@ def _boolean(v) -> bool:
 
 
 def _path(v):
-    """A YAML scalar as the path it spells, None (null) as None; a list
-    or mapping is a typo, not a path."""
+    """A YAML scalar as the path it spells; None where it is null or empty,
+    which leaves the default. A list or mapping is a typo, not a path."""
     if isinstance(v, (list, dict)):
         raise TypeError(f"{v!r} is not a path")
-    return v if v is None else str(v)
+    return None if v is None or v == "" else str(v)
 
 
-def _value(section: dict, key: str, default, convert, path, where="run"):
+# the layout's keys; run's are ScenarioFile's fields, each with its
+# converter (x0_list's entries are then checked as states of the problem)
+_KEYS = {"scenario": ("problem", "run"), "problem": _MATRICES + ("N", "alpha", "x0"),
+         "run": {"out": _path, "seed": lambda v: _count(v, 0), "x0_list": list,
+                 "grid": _grid, "rollout_mode": _rollout_mode, "w_file": _path,
+                 "sizes": _sizes, "instances": _count,
+                 "allow_degenerate_terminal": _boolean},
+         "run.grid": ("lo", "hi", "points")}
+
+
+def _value(path, where: str, convert, *args):
     try:
-        return convert(section.get(key, default))
+        return convert(*args)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: bad {where}.{key}: {exc}") from None
+        raise ScenarioError(f"{path}: bad {where}: {exc}") from None
 
 
 def load_scenario(path) -> ScenarioFile:
     """Parse a scenario YAML file; errors carry a line number when the
     parser provides one, and the key of a value of the wrong type or of a
-    key the layout does not have."""
+    key the layout does not have. Each run key the file gives goes through
+    its converter in `_KEYS`; a key it leaves out, or a null or empty
+    path, takes ScenarioFile's default, where every run default lives."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -142,42 +172,21 @@ def load_scenario(path) -> ScenarioFile:
 
     for key in _MATRICES + ("N",):
         _need(prob, key, "problem")
-    kwargs = {key: _value(prob, key, None, _integer if key == "N" else _floats,
-                          path, "problem") for key in prob}
+    kwargs = {key: _value(path, f"problem.{key}", _integer if key == "N" else _floats, v)
+              for key, v in prob.items()}
     try:
         problem = ProblemData(**{"alpha": 1.0, **kwargs})
     except (TypeError, ValueError, DimensionMismatch) as exc:
         raise ScenarioError(f"{path}: bad problem data: {exc}") from None
 
-    rollout_mode = run.get("rollout_mode", "worst_case")
-    if rollout_mode not in _ROLLOUT_MODES:
-        raise ScenarioError(f"{path}: unknown rollout mode {rollout_mode!r}")
-    grid = None
-    if "grid" in run:
-        g = run["grid"]
-        try:
-            grid = (float(_floats(g["lo"])), float(_floats(g["hi"])),
-                    _count(g["points"]))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ScenarioError(f"{path}: run.grid needs lo, hi, points ({exc})") from None
-        _known(g, "run.grid", path)
-    x0_list = _value(run, "x0_list", [], list, path)
-    for i, v in enumerate(x0_list):
-        try:
-            x0_list[i] = _floats(v).ravel()
-            if x0_list[i].size != problem.n:
-                raise ValueError(f"size {x0_list[i].size}, expected {problem.n}")
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: bad run.x0_list[{i}]: {exc}") from None
-    return ScenarioFile(
-        problem=problem, out=_value(run, "out", None, _path, path) or ".",
-        seed=_value(run, "seed", 0, lambda v: _count(v, 0), path),
-        x0_list=tuple(x0_list), grid=grid,
-        rollout_mode=rollout_mode, w_file=_value(run, "w_file", None, _path, path),
-        sizes=_value(run, "sizes", ScenarioFile.sizes, _sizes, path),
-        instances=_value(run, "instances", 4, _count, path),
-        allow_degenerate_terminal=_value(run, "allow_degenerate_terminal",
-                                         False, _boolean, path))
+    given = {key: _value(path, f"run.{key}", _KEYS["run"][key], v)
+             for key, v in run.items()}
+    _known(run.get("grid", {}), "run.grid", path)  # a mapping, as _grid read it
+    if "x0_list" in given:
+        given["x0_list"] = tuple(_value(path, f"run.x0_list[{i}]", _state, v, problem.n)
+                                 for i, v in enumerate(given["x0_list"]))
+    return ScenarioFile(problem=problem,
+                        **{key: v for key, v in given.items() if v is not None})
 
 
 def save_scenario(sc: ScenarioFile, path) -> None:

@@ -106,32 +106,27 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     that verified Pi_bar (see `_kernels`), and the gap from the
     ||G'Pi_bar G|| that judged it.
     """
-    probes = fp_iterations = capped = 0
+    work = []  # (status, doublings) of each probe
 
     def probe(lam):
         # (feasible, h, (Pi, top, step)), h = lam - top + EPS_BOUNDARY the
         # value whose root the search seeks, None where the probe failed
-        nonlocal probes, fp_iterations, capped
         status, count, Pi, top, step = _probe(p, lam)
-        probes += 1
-        fp_iterations += count
-        capped += status == 1
+        work.append((status, count))
         h = lam - top + EPS_BOUNDARY if status == 0 else None
         return step is not None, h, (Pi, top, step)
 
     def aimed(a, b):  # where the secant through probes (lam, h) reaches tol/2
         return b[0] - (b[1] - 0.5 * _BRACKET_TOL) * (b[0] - a[0]) / (b[1] - a[1])
 
-    hi = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
-    ok, h_hi, fp_hi = probe(hi)
-    doublings = 0
-    while not ok and doublings < 10:
-        hi *= 2.0
+    start = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
+    for hi in (start * 2.0 ** k for k in range(11)):  # at most 10 doublings
         ok, h_hi, fp_hi = probe(hi)
-        doublings += 1
-    if not ok:
+        if ok:
+            break
+    else:
         raise NoFeasibleLambda(
-            f"no feasible multiplier up to {hi:.6g} after {doublings} doublings")
+            f"no feasible multiplier up to {hi:.6g} after 10 doublings")
     lo, h_lo = 0.0, None
     slacks = [None, (hi, h_hi)]  # the two latest probes with a slack
     while min(hi - lo, h_hi) > _BRACKET_TOL:  # lo or bound within tol of hi
@@ -156,8 +151,9 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
                               K_bar=np.linalg.solve(p.R, p.B.T @ PX),
                               residual=float(np.linalg.norm(Pi_bar - Pi_next)),
                               boundary_gap=float(hi - top),
-                              lmi_feasible=None, probes=probes,
-                              fp_iterations=fp_iterations, capped=capped)
+                              lmi_feasible=None, probes=len(work),
+                              fp_iterations=sum(count for _, count in work),
+                              capped=sum(status == 1 for status, _ in work))
     try:
         cert = lmi_certify(p, sol)
     except SingularPi:
@@ -176,14 +172,15 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
         [ 0            G'            lam I    0              ]
         [ .            0             0        I              ]
 
-    with Qh = Q^{1/2}, Rh = R^{1/2}.
+    with Qh = Q^{1/2}, Rh = R^{1/2}. SingularPi unless Pi_bar clears
+    1e-12 max(1, largest |entry|), the shifted Cholesky of `psd_within`
+    that also decides the certificate.
     """
     n, m, q = p.n, p.m, p.q
     Pi = sym(sol.Pi_bar)
-    w = np.linalg.eigvalsh(Pi)
-    if w[0] <= max(np.abs(w).max(), 1.0) * 1e-12:
-        raise SingularPi(
-            f"Pi_bar has eigenvalue {w[0]:.3e}; inverse certificate undefined")
+    if not psd_within(Pi, -1e-12 * max(1.0, float(np.abs(Pi).max()))):
+        raise SingularPi("Pi_bar is singular to 1e-12 of its largest entry; "
+                         "inverse certificate undefined")
     P = sym(np.linalg.inv(Pi))
     F = sol.K_bar @ P
     Qh, Rh = p._steady_constants[2:]

@@ -1,5 +1,6 @@
 """The package reaches LAPACK only through numpy.linalg's public routines."""
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import stdar
 
 SRC = Path(stdar.__file__).resolve().parent
+TRACING = SRC.parents[1] / "benchmark" / "tracing.py"
 
 
 def _private(dotted: str) -> bool:
@@ -74,3 +76,43 @@ def test_no_function_level_imports():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, found
+
+
+def _traced():
+    """(module file, name) of each function benchmark/tracing.py wraps."""
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(f"{home}.py", attr) for _, home, attr, _ in tracing.TARGETS}
+
+
+def test_no_code_without_a_reader():
+    # every module-level function, class and assigned name is read in the
+    # package, as a name or an attribute; what has no reader is removed.
+    # Exempt are the names read from outside: the public ones, the scenario
+    # layer's entry points, the command's main, dunders and the functions
+    # the benchmark's tracer wraps
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    exempt = _traced() | {("scenario.py", "load_scenario"), ("scenario.py", "save_scenario"),
+                          ("scenario.py", "ScenarioFile"), ("cli.py", "main")}
+    unread = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{file}:{node.lineno} {name}" for name in names
+                       if name not in read and name not in stdar.__all__
+                       and (file, name) not in exempt
+                       and not (name.startswith("__") and name.endswith("__"))]
+    assert not unread, unread

@@ -97,6 +97,26 @@ def test_malformed_data_rejected(key, value, error, match):
         _square(**{key: value})
 
 
+@pytest.mark.parametrize("data, match", [
+    (dict(A=np.zeros((0, 0)), B=np.zeros((0, 2)), G=np.zeros((0, 2)),
+          Q=np.zeros((0, 0)), Pf=np.zeros((0, 0))), r"A is empty, shape \(0, 0\)"),
+    (dict(B=np.zeros((2, 0)), R=np.zeros((0, 0))), r"B is empty, shape \(2, 0\)"),
+    (dict(G=np.zeros((2, 0))), r"G is empty, shape \(2, 0\)"),
+    (dict(G=[[]]), r"G is empty, shape \(1, 0\)"),
+    (dict(Q=np.zeros((0, 0))), r"Q is empty, shape \(0, 0\)"),
+    (dict(R=np.zeros((2, 0))), r"R is empty, shape \(2, 0\)"),
+    (dict(Pf=[[]]), r"Pf is empty, shape \(1, 0\)"),
+    (dict(alpha=[]), r"alpha is empty, shape \(0,\)"),
+    (dict(x0=np.zeros((1, 0))), r"x0 is empty, shape \(0,\)")],
+    ids=["n=0", "m=0", "q=0", "G-row", "Q", "R", "Pf", "alpha", "x0"])
+def test_empty_dimension_is_refused(data, match):
+    # n, m or q = 0 is no system: it passed the constructor, and then
+    # validate_problem (n or m = 0) or the solvers (q = 0) raised an untyped
+    # IndexError. Every array is refused empty, naming it
+    with pytest.raises(DimensionMismatch, match=match):
+        _square(**data)
+
+
 @pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
 def test_row_and_column_vectors_ravel(shape):
     p = _square(alpha=np.array([0.5, 2.0]).reshape(shape),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from stdar import (Diverged, ProblemData, lmi_certify, lqr_baseline,
 from stdar._linalg import top_eig
 from stdar.cli import main, _random_stable
 from stdar.errors import ScenarioError, SingularM
-from stdar.scenario import ScenarioFile, load_scenario, save_scenario
+from stdar.scenario import _KEYS, ScenarioFile, load_scenario, save_scenario
 from conftest import scalar_problem
 
 
@@ -103,6 +104,18 @@ _PROBLEM = ("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
             "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n")
 
 
+def test_run_defaults_live_in_scenario_file(tmp_path):
+    # each run key is a ScenarioFile field with its converter, and a key the
+    # file leaves out, or a null or empty path, takes the field's default:
+    # the loader states no default of its own
+    run_fields = dataclasses.fields(ScenarioFile)[1:]
+    assert list(_KEYS["run"]) == [f.name for f in run_fields]
+    path = tmp_path / "sc.yaml"
+    path.write_text(_PROBLEM + "run:\n  out: ''\n  w_file: null\n")
+    sc = load_scenario(path)
+    assert [getattr(sc, f.name) for f in run_fields] == [f.default for f in run_fields]
+
+
 @pytest.mark.parametrize("text, match", [
     ("problem: 5\n", "'problem' and 'run' must be mappings"),
     (_PROBLEM + "run: [1, 2]\n", "'problem' and 'run' must be mappings"),
@@ -133,7 +146,8 @@ def test_malformed_section_names_the_file(tmp_path, capsys, text, match):
     "grid: {lo: -1.0, hi: 1.0, points: 0}",
     "grid: {lo: true, hi: '2', points: 3}", "grid: {lo: .nan, hi: 1.0, points: 3}",
     "grid: {lo: -1.0, hi: .inf, points: 3}",
-    "x0_list: [[1.0], [.nan]]", "x0_list: [[.inf]]", "seed: -1"])
+    "x0_list: [[1.0], [.nan]]", "x0_list: [[.inf]]", "seed: -1",
+    "sizes: [6, 6]", "rollout_mode: [worst_case]"])
 def test_mistyped_run_key_is_a_scenario_error(tmp_path, capsys, entry):
     # a run value of the wrong type names its key and exits 2 from the CLI:
     # a flag takes only a YAML boolean, so a quoted 'false' is no flag, and
@@ -471,6 +485,35 @@ def test_cli_bench_empty_sizes_is_a_scenario_error(tmp_path, capsys):
         assert "bad run.sizes" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
         assert not (tmp_path / "other").exists()
+
+
+def test_cli_bench_repeated_size_is_a_scenario_error(tmp_path, capsys):
+    # run.sizes: [6, 6] fitted the exponent through coincident points: bench
+    # warned RankWarning, printed an exponent and exited 0. The scenario is
+    # rejected, naming the key, before any output directory is made
+    path = write_scenario(tmp_path, sec5(), out=str(tmp_path / "res"), sizes=(6, 6),
+                          instances=1)
+    with pytest.raises(ScenarioError, match=r"bad run\.sizes: \[6, 6\] repeats a size"):
+        load_scenario(path)
+    assert main(["bench", "--scenario", path]) == 2
+    assert "bad run.sizes" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "finite", "steady", "rollout"])
+def test_cli_empty_dimension_is_a_scenario_error(tmp_path, capsys, command):
+    # G: [[]] is q = 0: validate printed "ok: n=1 m=1 q=0", and finite,
+    # steady and rollout raised an untyped IndexError. The problem data are
+    # refused, naming G, and no output directory is made
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[]]\n"
+                   "  Q: [[0.2]]\n  R: [[1.0]]\n  Pf: [[1.0]]\n  N: 2\n")
+    flags = [] if command == "validate" else ["--out", str(tmp_path / "res")]
+    assert main([command, "--scenario", str(bad)] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}: bad problem data: G is empty, shape (1, 0)\n"
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_bench_skips_a_size_whose_solves_raise(tmp_path, capsys, monkeypatch):

@@ -348,6 +348,44 @@ def test_singular_solution_has_no_lmi_certificate():
         lmi_certify(p, sol)
 
 
+def test_certificate_hands_eigvalsh_nothing(rng, monkeypatch):
+    # Pi_bar's invertibility is decided by the shifted Cholesky of
+    # psd_within, as the certificate itself is: counted by monkeypatch,
+    # lmi_certify calls np.linalg.eigvalsh on no matrix
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: shapes.append(M.shape) or eigvalsh(M))
+    for n, m, q in ((1, 1, 1), (2, 2, 2), (3, 2, 3)):
+        p = make_problem(rng, n=n, m=m, q=q)
+        sol = solve_steady_state(p)
+        del shapes[:]
+        lmi_certify(p, sol)
+        assert shapes == []
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_pi_invertible_above_its_largest_entry_scale(rng, c):
+    # Pi_bar = c diag(1, eps) is invertible where its smallest eigenvalue
+    # exceeds 1e-12 max(1, max|Pi_ij|): at c = 1, eps = 0.5e-12 raises
+    # SingularPi and eps = 2e-12 certifies; at c = 1e-3 the floor 1 of the
+    # scale holds, so every eps here is singular
+    p = make_problem(rng, n=2)
+    sol = solve_steady_state(p)
+    decided = {}
+    for eps in (0.25e-12, 0.5e-12, 2e-12, 4e-12):
+        for Pi in (c * np.diag([1.0, eps]), c * np.diag([eps, 1.0])):
+            try:
+                lmi_certify(p, dataclasses.replace(sol, Pi_bar=Pi))
+                invertible = True
+            except SingularPi:
+                invertible = False
+            assert invertible == (la.eigvalsh(Pi)[0]
+                                  > 1e-12 * max(1.0, np.abs(Pi).max()))
+            decided[eps] = invertible
+    assert decided == {0.25e-12: False, 0.5e-12: False, 2e-12: c >= 1.0,
+                       4e-12: c >= 1.0}
+
+
 def test_solution_invariants(rng):
     for _ in range(5):
         p = make_problem(rng, n=int(rng.integers(1, 4)))
