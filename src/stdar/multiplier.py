@@ -123,9 +123,9 @@ class MultiplierSolution:
     the stage steps actually taken (the start pass's, then those of each
     trial pass, which resumes from the current sweep and steps only the
     stages from the last multiplier it changes down, and of each head
-    step), one adjoint pass per accepted point and at the start, and the
-    trial points rejected by the Armijo test; a trial within phi's
-    rounding is not evaluated (_descend).
+    step; a stage a pass copies is no step), one adjoint pass per accepted
+    point and at the start, and the trial points rejected by the Armijo
+    test; a trial within phi's rounding is not evaluated (_descend).
     adjoint_stages counts their stage updates (N - k, or t with a tail map
     of depth t) plus the N - k - t stages of each tail map built; a map
     stage costs about one stage update at the n <= 4 where maps are built.
@@ -161,10 +161,10 @@ def objective(p: ProblemData, lam, x, k: int = 0) -> float:
 
 
 def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
-                 base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int]:
+                 base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int, int]:
     """The slack pass: the sweep at lambda_j = ||G'Pi_{j+1}G|| +
-    EPS_BOUNDARY + s_j, any s >= 0, and its stage steps; with base, a
-    pass of the same program and stage k, it resumes from base."""
+    EPS_BOUNDARY + s_j, any s >= 0, its depth and its stage steps; with
+    base, a pass of the same program and stage k, it resumes from base."""
     return _nested_pass(p, np.full(s.size, -np.inf), k, EPS_BOUNDARY, s, base)
 
 
@@ -192,7 +192,7 @@ def _head_step(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     if not decrease > 2.0 * p.alpha_bar * _ROUNDING * abs(phi):
         return s, sw, phi, 0
     s = np.concatenate(([t - lo], s[1:]))
-    sw, steps = _reconstruct(p, s, sw.stage_offset, sw)
+    sw, _, steps = _reconstruct(p, s, sw.stage_offset, sw)
     return s, sw, _phi(p, x, sw), steps
 
 
@@ -318,12 +318,12 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             decrease = -float(g @ step)  # predicted
             if not decrease > _ROUNDING * abs(phi):
                 break  # the predicted decrease is lost in phi's rounding
-            sw_c, steps = _reconstruct(p, cand, sw.stage_offset, sw)
+            sw_c, depth, steps = _reconstruct(p, cand, sw.stage_offset, sw)
             stage_steps += steps
             phi_c = _phi(p, x, sw_c)
             if phi_c <= phi - _ARMIJO_C * decrease:
-                if p.n <= _MAP_MAX_N and (tail is None or steps > tail[0]):
-                    tail = _tail_map(p, sw_c, steps)  # the pass stepped into it
+                if p.n <= _MAP_MAX_N and (tail is None or depth > tail[0]):
+                    tail = _tail_map(p, sw_c, depth)  # the pass reached into it
                     adjoint_stages += size - tail[0] if tail else 0
                 cand, sw_c, phi_c, steps = _head_step(p, x, cand, sw_c, phi_c)
                 stage_steps += steps
@@ -371,7 +371,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     init = _tail_vector(p, init, k)  # None: the warm start from the lower corner
     if gradient_mode not in ("auto", "envelope"):
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")
-    sw, steps = _nested_pass(p, init, k, EPS_BOUNDARY)
+    sw, _, steps = _nested_pass(p, init, k, EPS_BOUNDARY)
     s = sw.lambdas - (sw.bounds + EPS_BOUNDARY)  # as the pass adds it
     s[s <= _ROUNDING * np.abs(sw.lambdas)] = 0.0
     return _descend(p, x, s, sw, steps)

@@ -37,6 +37,14 @@ multipliers repeats the base bit for bit: the pass copies those stages
 and steps the rest, or returns the base itself where none differs. The
 rule reads only the base's bounds and multipliers, so any pass is a base.
 
+Within a pass too: where stage i + 2, stepped or copied already, had stage
+i's raw multiplier and slack and its Pi_{i+3} has Pi_{i+1}'s bytes (not
+values: 0.0 == -0.0), stage i's outputs are stage i + 2's bit for bit, and
+the pass copies them, as no step. Pi_{i+1} = Pi_{i+3} gives Pi_i =
+Pi_{i+2}, so this catches a floating-point fixed point as well as a
+2-cycle: a cold pass's turnpike on a long horizon. Longer periods are not
+tried; none repeated at n = 3 up to period 8.
+
 Each stage forms one bordered matrix from the constants F = [B G A] and
 C = blockdiag(R, 0, Q), which ProblemData builds once: H =
 sym(F'Pi_{j+1}F) + C, as X + X' + C with X = F'(Pi_{j+1}(F/2)), exactly
@@ -176,10 +184,11 @@ def _bordered(FT, Fh, C, Pi_next, out) -> np.ndarray:
 
 
 def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=None,
-                 base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int]:
+                 base: RiccatiSweep | None = None) -> tuple[RiccatiSweep, int, int]:
     """The backward recursion over len(raw) stages from Pi_N = Pf; k is
     the stage offset of the result, so raw covers stages k..N-1. Returns
-    the sweep and the number of stage steps the pass took.
+    the sweep, its depth (len(raw), or with a base the stages it reached)
+    and its stage steps, the depth less the stages it copied.
 
     Stage j keeps all eigenpairs of G'Pi_{j+1}G in the sweep's _eigvals and
     _eigvecs, for the multiplier program's adjoint pass and the sphere
@@ -196,7 +205,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
 
     base is a pass of the same program and offset, or None; with a base
     the pass copies the stages it repeats (module docstring), or returns
-    base itself with 0 steps. Every array of the result is read-only.
+    base itself, at depth 0. Every array of the result is read-only.
     """
     lam = np.array(raw, dtype=float)
     n_stages = top = lam.shape[0]
@@ -207,7 +216,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
             rule += slack
         changed = (rule != base.lambdas).nonzero()[0]  # NaN differs
         if not changed.size:
-            return base, 0
+            return base, 0, 0
         top = int(changed[-1]) + 1
     n, m, q, d = p.n, p.m, p.q, p.m + p.q
     HZ = np.empty((n_stages + 1, d + n, n))  # slot j: H Z = [rhs - M KJ; Pi_j]
@@ -222,13 +231,22 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
         for arr, old in ((Pi, base.Pi), (KJ, base._gains), (vals, base._eigvals),
                          (vecs, base._eigvecs), (lam, base.lambdas)):
             arr[top:] = old[top:]
-    raw_j, bounds = lam[:top].tolist(), []
+    raw_j, bounds, steps = lam[:top].tolist(), [], top
     slack_j = None if slack is None else slack[:top].tolist()
+    seen = [b"", b""]  # the bytes of Pi_top, ..., Pi_{i+1}, after two that match none
     for i in range(top - 1, -1, -1):
-        _bordered(FT, Fh, C, Pi[i + 1], H)
+        Pi_next = Pi[i + 1]
+        seen.append(Pi_next.tobytes())
+        if seen[-1] == seen[-3] and raw_j[i] == raw_j[i + 2] and (
+                slack_j is None or slack_j[i] == slack_j[i + 2]):
+            for arr in (lam, KJ, HZ, vals, vecs):  # stage i + 2 had these inputs
+                arr[i] = arr[i + 2]
+            bounds.append(bounds[-2])
+            steps -= 1
+            continue
+        _bordered(FT, Fh, C, Pi_next, H)
         if q == 1:  # the bound is H's one G entry; bounds sets vals and vecs below
             b = H.item(m, m)
-            bounds.append(b)
         else:
             try:
                 b, vals[i], vecs[i] = eigpairs(Hg)
@@ -236,6 +254,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
                 b = math.nan
         if not math.isfinite(b):
             raise SingularM(f"G'Pi G not finite at stage {k + i}")
+        bounds.append(b)
         lam_i = raw_j[i]
         if lam_i < b + margin:
             lam_i = b + margin
@@ -258,7 +277,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
     sw.__dict__.update(lambdas=lam, stage_offset=k, Pi=HZ[:, d:], K=KJ[:, :m],
                        J=KJ[:, m:], bounds=vals[:, -1], _eigvals=vals,
                        _eigvecs=vecs, _gains=KJ, _problem=p)
-    return sw, top
+    return sw, top, steps
 
 
 def sweep(p: ProblemData, lam: MultiplierVector) -> RiccatiSweep:

@@ -54,9 +54,10 @@ class ScenarioFile:
     allow_degenerate_terminal: bool = False
 
 
-def _need(mapping: dict, key: str, where: str):
+def _need(mapping: dict, name: str, path):  # the value at name's last key
+    key = name.rpartition(".")[2]
     if key not in mapping:
-        raise ScenarioError(f"missing key {key!r} in {where}")
+        raise ScenarioError(f"{path}: missing key {name}")
     return mapping[key]
 
 
@@ -163,7 +164,7 @@ def load_scenario(path) -> ScenarioFile:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     _known(doc, "scenario", path)
-    prob = _need(doc, "problem", "scenario")
+    prob = _need(doc, "problem", path)
     run = doc.get("run", {})
     if not isinstance(prob, dict) or not isinstance(run, dict):
         raise ScenarioError(f"{path}: 'problem' and 'run' must be mappings")
@@ -171,7 +172,7 @@ def load_scenario(path) -> ScenarioFile:
     _known(run, "run", path)
 
     for key in _MATRICES + ("N",):
-        _need(prob, key, "problem")
+        _need(prob, f"problem.{key}", path)
     kwargs = {key: _value(path, f"problem.{key}", _integer if key == "N" else _floats, v)
               for key, v in prob.items()}
     try:

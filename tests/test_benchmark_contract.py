@@ -9,10 +9,11 @@ long_horizon, steady and online workloads checks that the harness runs end
 to end, and one pass over each of the online, long_horizon and steady
 banks bounds the solver work its solves report, counts that do not depend
 on the host. The steady bank's systems also check the steady state against
-the finite-horizon program. The checker's own self-test runs as shipped,
-and three failing episodes of online banks, the benchmark's own among
-them, are replayed with some tie completions reflected, against the
-checker's saddle test.
+the finite-horizon program, and the long_horizon bank's systems check
+that passes which copy the stages of their turnpike are the recursion bit
+for bit. The checker's own self-test runs as shipped, and three failing
+episodes of online banks, the benchmark's own among them, are replayed
+with some tie completions reflected, against the checker's saddle test.
 """
 import ast
 import importlib.util
@@ -26,7 +27,9 @@ import numpy as np
 import pytest
 
 import stdar
+import stdar.scenario
 from conftest import make_problem
+from oracles import bordered_pass_reference
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -288,15 +291,19 @@ def test_long_horizon_bank_counts(monkeypatch):
     # curvature pairs count. Its trial passes step only the first stages,
     # so its gradients take the rest from a tail map: 13 gradients of
     # N = 30-50 stages cost 520 adjoint stage updates without one. The
-    # counts are pinned exactly, as the steady bank's are.
-    # Every stage step (269) settles its check on the residual alone
+    # cold corner passes of the n = 1 and n = 2 ops settle to a fixed
+    # point and a 2-cycle, whose stages they copy: their start passes step
+    # 5 of 30 and 16 of 40 stages, so the bank takes 171 stage steps, not
+    # the 269 it took when every stage was stepped; the n = 3 ops copy
+    # none. The counts are pinned exactly, as the steady bank's are.
+    # Every stage step (171) settles its check on the residual alone
     counts = count_stage_norms(monkeypatch)
     solutions, _, _ = bank_pass(monkeypatch, "LongHorizon")
     assert counts["norms"] == counts["steps"] == sum(
         sol.stage_steps for sol in solutions)
     assert len(solutions) == 6
     assert all(sol.converged for sol in solutions)
-    assert sum(sol.stage_steps for sol in solutions) == 269
+    assert sum(sol.stage_steps for sol in solutions) == 171
     assert sum(sol.iterations for sol in solutions) == 7
     assert sum(sol.gradient_evals for sol in solutions) == 13
     assert sum(sol.adjoint_stages for sol in solutions) == 292
@@ -354,9 +361,64 @@ def test_finite_horizon_program_meets_the_steady_state(monkeypatch):
     systems += [[getattr(drawn[i], k) for k in names] for i in (50, 72, 73, 74)]
     for system in systems:
         p = stdar.ProblemData(*system, N=200, alpha=1.0)
-        sw, _ = stdar.riccati._nested_pass(p, np.full(p.N, -np.inf), 0, 0.0)
+        sw = stdar.riccati._nested_pass(p, np.full(p.N, -np.inf), 0, 0.0)[0]
         lam_bar = stdar.solve_steady_state(p).lambda_bar
         assert abs(sw.lambdas[0] - lam_bar) <= 1e-9 * lam_bar, p.n
+
+
+def test_passes_that_copy_are_the_recursion_bit_for_bit(monkeypatch):
+    # a pass copies stage i from stage i + 2 where both have the same raw
+    # multiplier and slack and Pi_{i+1} has Pi_{i+3}'s bytes, and a copy is
+    # the recursion: every array the pass stores equals
+    # bordered_pass_reference, which steps every stage. The passes are the
+    # cold corner pass, the sweep at its multipliers and the slack pass at
+    # s = 0, each of the two with stage 2's input raised by 0.5 (so stage
+    # 2 differs from stage 4 in its input alone, and is stepped), and the
+    # slack passes of a cold solve, on the long_horizon
+    # bank's n = 1 (N = 30), n = 2 (N = 40) and n = 3 (N = 50) systems and
+    # on scenarios/turnpike.yaml's (N = 100). The bank's n = 1 and n = 2
+    # corners settle to a fixed point and a 2-cycle, so those three passes
+    # copy; the turnpike's corner keeps moving in its last bits, but some
+    # trial passes of its solve settle and copy. The n = 3 system never
+    # cycles exactly, so none of its passes copies
+    eps = stdar.riccati.EPS_BOUNDARY
+    nested, reconstruct = stdar.riccati._nested_pass, stdar.multiplier._reconstruct
+    cases = load_workloads(monkeypatch).LongHorizon().bank()[::2]
+    for case in cases:
+        case.build(stdar)
+    turnpike = stdar.scenario.load_scenario(BENCH.parent / "scenarios" / "turnpike.yaml")
+    trials = []
+
+    def record(p, s, k, base=None):
+        trials.append((reconstruct(p, s, k, base), (np.full(s.size, -np.inf), eps, s)))
+        return trials[-1][0]
+
+    monkeypatch.setattr(stdar.multiplier, "_reconstruct", record)
+    for p, x0 in [(case.problem, case.x0) for case in cases] + [
+            (turnpike.problem, turnpike.x0_list[1])]:
+        lower, slack = np.full(p.N, -np.inf), np.zeros(p.N)
+        corner = nested(p, lower, 0, eps)
+        raw = np.array(corner[0].lambdas)
+        raw[2] += 0.5
+        slack[2] = 0.5
+        passes = [(corner, (lower, eps)), (nested(p, raw, 0), (raw,)),
+                  (reconstruct(p, slack, 0), (lower, eps, slack))]
+        trials.clear()
+        assert stdar.solve_multipliers(p, x0).converged
+        for (sw, _, _), args in passes + trials:
+            Pi, KJ, vals, vecs, lam = bordered_pass_reference(p, *args)
+            assert np.array_equal(sw.Pi, Pi)
+            assert np.array_equal(sw._gains, KJ)
+            assert np.array_equal(sw._eigvals, vals)
+            assert np.array_equal(sw._eigvecs, vecs)
+            assert np.array_equal(sw.lambdas, lam)
+        copied = [steps < depth for (_, depth, steps), _ in passes + trials]
+        if p.n == 3:
+            assert not any(copied)
+        elif p is turnpike.problem:
+            assert any(copied[3:])
+        else:
+            assert all(copied[:3])
 
 
 def test_long_horizon_bank_without_tail_maps(monkeypatch):

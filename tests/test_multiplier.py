@@ -98,10 +98,10 @@ def test_two_channel_stages_take_no_eigh(rng, monkeypatch):
         x = rng.standard_normal(p.n)
         s = rng.uniform(0.1, 1.0, p.N)
         calls.update(eigh=0, eigpairs=0)
-        sw, steps = _reconstruct(p, s, 0)
+        sw, _, steps = _reconstruct(p, s, 0)
         cand = s.copy()
         cand[3] += 0.5
-        _, resteps = _reconstruct(p, cand, 0, sw)
+        _, _, resteps = _reconstruct(p, cand, 0, sw)
         assert (steps, resteps) == (p.N, 4)
         assert calls["eigh"] == (0 if q < 3 else steps + resteps)
         if q < 3:
@@ -617,8 +617,8 @@ def test_tail_map_gradient_matches_the_loop(rng):
             tail = _tail_map(p, base, t)
             cand = slack.copy()
             cand[rng.integers(0, t)] += rng.uniform(0.01, 1.0)
-            sw, steps = _reconstruct(p, cand, k, base)
-            assert steps <= t
+            sw, depth, _ = _reconstruct(p, cand, k, base)
+            assert depth <= t
             for pass_ in (base, sw):
                 g = _slack_gradient(p, pass_, x, tail)
                 loop = _slack_gradient(p, pass_, x)
@@ -758,7 +758,7 @@ def test_warm_resolve_at_the_optimum_costs_its_start_pass(rng):
     # 1e-8 rule meets it again at once: its start pass and one gradient.
     # A solve that ended under the 1e-6 rule (no trial accepted) is not at
     # that tolerance, and its re-solve may try steps again from the first
-    # step length
+    # step length. The start pass steps the stages it does not copy
     tight = 0
     for _ in range(100):
         p = make_problem(rng)
@@ -771,8 +771,9 @@ def test_warm_resolve_at_the_optimum_costs_its_start_pass(rng):
         assert warm.value <= sol.value
         if sol.grad_norm <= 1e-8 * (1.0 + abs(sol.value)):
             tight += 1
+            start = _nested_pass(p, sol.lam_star.lambdas, k, EPS_BOUNDARY)
             assert (warm.iterations, warm.gradient_evals, warm.stage_steps,
-                    warm.backtracks) == (0, 1, p.N - k, 0)
+                    warm.backtracks) == (0, 1, start[2], 0)
             assert warm.value == sol.value
     assert tight >= 98
 
@@ -790,7 +791,8 @@ def test_no_trial_within_phi_rounding(rng, monkeypatch):
         return descend(p, x, s, sw, start_steps)
 
     def record(p, s, k, base=None):
-        sw, steps = full(p, s, k, base)
+        out = full(p, s, k, base)
+        sw = out[0]
         if base is not None:
             phi = multiplier._phi(p, x, base)
             ds = s - slacks[id(base)]
@@ -800,7 +802,7 @@ def test_no_trial_within_phi_rounding(rng, monkeypatch):
                 g = _slack_gradient(p, base, x)
                 trials.append((-float(g @ ds), abs(phi)))
         slacks[id(sw)] = s
-        return sw, steps
+        return out
 
     def head_step(*args):
         in_head.append(1)

@@ -94,16 +94,16 @@ def test_sweep_hands_a_pass_back_unchecked(rng, monkeypatch):
 
 
 def test_online_decision_stage_steps(rng, monkeypatch):
-    # a stage-k solve, cold or warm, steps through its tail once before the
-    # descent and runs no projection pass; every trial pass resumes from
-    # the current pass, a warm start's included, and steps only the
-    # stages from the last one where bounds + eps_boundary + slack
-    # differs from its multiplier down. A head step moves s_0 alone, at
-    # most once per point, and re-steps stage 0 alone, a warm start's
-    # start point included: the start slacks are read off the start pass
-    # as it adds them, so they give its multipliers back bit for bit. The
-    # solve counts that work; the decision's control and disturbance take
-    # no stage step
+    # a stage-k solve, cold or warm, passes through its tail once before
+    # the descent, stepping each stage it does not copy, and runs no
+    # projection pass; every trial pass resumes from the current pass, a
+    # warm start's included, and reaches only the stages from the last one
+    # where bounds + eps_boundary + slack differs from its multiplier down.
+    # A head step moves s_0 alone, at most once per point, and re-steps
+    # stage 0 alone, a warm start's start point included: the start slacks
+    # are read off the start pass as it adds them, so they give its
+    # multipliers back bit for bit. The solve counts the steps taken; the
+    # decision's control and disturbance take no stage step
     steps, at_descent, grads, backtracks, heads = [], [], [], [], []
     trial_steps, head_steps, in_head, warm = [], [], [], []
     fewer = {"cold": [], "warm": []}
@@ -111,8 +111,8 @@ def test_online_decision_stage_steps(rng, monkeypatch):
     gradient, reconstruct = multiplier._slack_gradient, multiplier._reconstruct
     monkeypatch.setattr(riccati, "_stage_step",
                         lambda *a: steps.append(1) or step(*a))
-    monkeypatch.setattr(multiplier, "_descend",
-                        lambda *a: at_descent.append(len(steps)) or descend(*a))
+    monkeypatch.setattr(multiplier, "_descend",  # with the start pass's steps
+                        lambda *a: at_descent.append((len(steps), a[4])) or descend(*a))
     monkeypatch.setattr(multiplier, "_slack_gradient",
                         lambda *a: grads.append(1) or gradient(*a))
     for module in (riccati, multiplier, stdar):
@@ -121,14 +121,15 @@ def test_online_decision_stage_steps(rng, monkeypatch):
                             raising=False)
 
     def traced_reconstruct(p, s, k, base=None):
+        out = reconstruct(p, s, k, base)
         if base is not None:
             changed = np.flatnonzero(base.bounds + EPS_BOUNDARY + s
                                      != base.lambdas)
-            n = int(changed[-1]) + 1 if changed.size else 0
+            assert out[1] == (int(changed[-1]) + 1 if changed.size else 0)
             if in_head:
-                assert n == 1
-            (head_steps if in_head else trial_steps).append(n)
-        return reconstruct(p, s, k, base)
+                assert out[1:] == (1, 1)
+            (head_steps if in_head else trial_steps).append(out[2])
+        return out
 
     def traced_head(p, x, s, *a):
         in_head.append(1)
@@ -147,12 +148,13 @@ def test_online_decision_stage_steps(rng, monkeypatch):
             log.clear()
         warm.append(init is not None)
         sol = solve_multipliers(p, x, k=k, init=init)
-        assert at_descent == [p.N - k]
+        [(before, start)] = at_descent
+        assert before == start <= p.N - k
         trials = sol.iterations + sol.backtracks
         assert len(trial_steps) == trials
         assert len(head_steps) <= 1 + sol.iterations
         assert sol.stage_steps == len(steps) == (
-            p.N - k + sum(trial_steps) + sum(head_steps))
+            start + sum(trial_steps) + sum(head_steps))
         assert sol.gradient_evals == len(grads) == 1 + sol.iterations
         backtracks.append(sol.backtracks)
         fewer["warm" if warm[0] else "cold"].append(

@@ -206,7 +206,7 @@ def test_project_output_always_sweepable(rng):
                             (k, rng.uniform(-1.0, 1.0, p.N - k)),
                             (k, np.zeros(p.N - k))):
             lam = project_feasible(p, raw, stage_offset=offset)
-            one, _ = _nested_pass(p, raw, offset, EPS_BOUNDARY)
+            one = _nested_pass(p, raw, offset, EPS_BOUNDARY)[0]
             assert np.array_equal(one.lambdas, lam.lambdas)
             passes.append((offset, one))
         for offset in (0, k):
@@ -220,12 +220,12 @@ def test_project_output_always_sweepable(rng):
 
 
 def test_resumed_pass_matches_full_pass(rng):
-    # a slack pass resumed from an earlier pass steps only the stages from
-    # the last one where bounds + eps_boundary + slack differs from the
-    # earlier multiplier down, and equals the full pass of its slacks bit
-    # for bit, its link to itself included. The earlier pass may be a
-    # slack pass, where that is the last changed slack, or a warm start's
-    # pass from raw multipliers
+    # a slack pass resumed from an earlier pass reaches only the stages
+    # from the last one where bounds + eps_boundary + slack differs from
+    # the earlier multiplier down, at most stepping each, and equals the
+    # full pass of its slacks bit for bit, its link to itself included.
+    # The earlier pass may be a slack pass, where that is the last changed
+    # slack, or a warm start's pass from raw multipliers
     warm_resumed = 0
     for _ in range(200):
         n = int(rng.integers(1, 4))
@@ -234,9 +234,9 @@ def test_resumed_pass_matches_full_pass(rng):
         k = int(rng.integers(0, p.N))
         size = p.N - k
         s = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
-        base, steps = _reconstruct(p, s, k)
-        assert steps == size
-        warm, _ = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, EPS_BOUNDARY)
+        base, depth, steps = _reconstruct(p, s, k)
+        assert steps <= depth == size
+        warm = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, EPS_BOUNDARY)[0]
         s_warm = np.maximum(warm.lambdas - warm.bounds - EPS_BOUNDARY,
                             0.0)
         for changed in ([0], [size - 1], [], list(range(size)),
@@ -244,16 +244,16 @@ def test_resumed_pass_matches_full_pass(rng):
             for start, s0 in ((base, s), (warm, s_warm)):
                 cand = s0.copy()
                 cand[changed] += rng.uniform(0.01, 1.0, len(changed))
-                full, full_steps = _reconstruct(p, cand, k)
-                one, steps = _reconstruct(p, cand, k, start)
+                full, full_depth, _ = _reconstruct(p, cand, k)
+                one, depth, steps = _reconstruct(p, cand, k, start)
                 differ = np.flatnonzero(start.bounds + EPS_BOUNDARY + cand
                                         != start.lambdas)
-                assert full_steps == size
-                assert steps == (differ[-1] + 1 if differ.size else 0)
+                assert full_depth == size
+                assert steps <= depth == (differ[-1] + 1 if differ.size else 0)
                 if start is base:
-                    assert steps == (max(changed) + 1 if changed else 0)
+                    assert depth == (max(changed) + 1 if changed else 0)
                 else:
-                    warm_resumed += steps < size
+                    warm_resumed += depth < size
                 assert_same_sweep(one, full)
                 assert np.array_equal(one._eigvecs, full._eigvecs)
                 assert np.array_equal(one.K, full.K)
@@ -266,9 +266,10 @@ def test_pass_decides_which_stages_it_repeats(rng):
     # given a base, a pass evaluates its own stage rule over the base's
     # bounds and copies the stages above the last one that differs. The
     # full pass is the oracle: stage j of it repeats the base exactly
-    # where no multiplier from j up differs, so the resumed pass steps the
-    # stages from the last differing multiplier down, equals the full pass
-    # bit for bit, and hands back the base itself where none differs.
+    # where no multiplier from j up differs, so the resumed pass reaches
+    # the stages from the last differing multiplier down (its depth; it
+    # steps at most those), equals the full pass bit for bit, and hands
+    # back the base itself where none differs.
     # Bases and resumed passes are slack, margin and sweep passes, each
     # resumed from its own base with one stage's input changed, and from
     # every other base.
@@ -286,18 +287,18 @@ def test_pass_decides_which_stages_it_repeats(rng):
             (feasible.lambdas + rng.uniform(0.0, 1.0, size), -np.inf, None)]
         bases = []
         for raw, margin, slack in programs:
-            base, steps = _nested_pass(p, raw, k, margin, slack)
-            assert steps == size
-            again, steps = _nested_pass(p, raw, k, margin, slack, base)
-            assert again is base and steps == 0
+            base, depth, steps = _nested_pass(p, raw, k, margin, slack)
+            assert steps <= depth == size
+            again, depth, steps = _nested_pass(p, raw, k, margin, slack, base)
+            assert again is base and depth == steps == 0
             i = int(rng.integers(0, size))
             raw, slack = raw.copy(), None if slack is None else slack.copy()
             if slack is None:  # above the rule's floor, so lam_i moves
                 raw[i] = base.lambdas[i] + rng.uniform(0.01, 1.0)
             else:
                 slack[i] += rng.uniform(0.01, 1.0)
-            one, steps = _nested_pass(p, raw, k, margin, slack, base)
-            assert steps == i + 1
+            one, depth, steps = _nested_pass(p, raw, k, margin, slack, base)
+            assert steps <= depth == i + 1
             assert_same_sweep(one, _nested_pass(p, raw, k, margin, slack)[0])
             assert sweep(p, one) is one
             bases.append(base)
@@ -306,14 +307,14 @@ def test_pass_decides_which_stages_it_repeats(rng):
                       np.maximum(b.lambdas - b.bounds - eps, 0.0))
                      for b in bases]
         for raw, margin, slack in programs:
-            full, _ = _nested_pass(p, raw, k, margin, slack)
+            full = _nested_pass(p, raw, k, margin, slack)[0]
             for base in bases:
-                one, steps = _nested_pass(p, raw, k, margin, slack, base)
+                one, depth, steps = _nested_pass(p, raw, k, margin, slack, base)
                 differ = np.flatnonzero(full.lambdas != base.lambdas)
-                assert steps == (differ[-1] + 1 if differ.size else 0)
-                assert (one is base) == (steps == 0)
+                assert steps <= depth == (differ[-1] + 1 if differ.size else 0)
+                assert (one is base) == (depth == 0)
                 assert_same_sweep(one, full)
-                partial += 0 < steps < size
+                partial += 0 < depth < size
     assert partial > 0
 
 
@@ -400,11 +401,11 @@ def test_sweep_is_stacked(rng):
         k = int(rng.integers(0, p.N))
         size, d = p.N - k, p.m + p.q
         s = rng.uniform(0.0, 1.0, size)
-        full, _ = _reconstruct(p, s, k)
+        full = _reconstruct(p, s, k)[0]
         cand = s.copy()
         cand[0] += 0.5
-        resumed, steps = _reconstruct(p, cand, k, full)
-        assert steps == 1
+        resumed, depth, steps = _reconstruct(p, cand, k, full)
+        assert depth == steps == 1
         for sw in (full, resumed, sweep(p, full),
                    sweep(p, fresh(full))):
             assert sw.Pi.shape == (size + 1, p.n, p.n)
@@ -457,7 +458,7 @@ def test_nested_pass_matches_block_stage_oracle(rng):
         m = int(rng.choice([v for v in range(1, 5) if v != n]))
         p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)))
         s = rng.uniform(0.05, 2.0, p.N)
-        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, EPS_BOUNDARY, s)
+        sw = _nested_pass(p, np.full(p.N, -np.inf), 0, EPS_BOUNDARY, s)[0]
         assert np.array_equal(sw.Pi[-1], p.Pf)
         for j in range(p.N):
             Pi, _, K, J, top = stage_step_reference(p.A, p.B, p.G, p.Q, p.R,
@@ -476,7 +477,7 @@ def test_pass_stores_each_stage_eigendecomposition(rng):
     for _ in range(60):
         p = make_problem(rng, q=int(rng.integers(1, 4)))
         s = rng.uniform(0.05, 2.0, p.N)
-        sw, _ = _nested_pass(p, np.full(p.N, -np.inf), 0, EPS_BOUNDARY, s)
+        sw = _nested_pass(p, np.full(p.N, -np.inf), 0, EPS_BOUNDARY, s)[0]
         assert sw._eigvals.shape == (p.N, p.q)
         assert sw._eigvecs.shape == (p.N, p.q, p.q)
         assert sw.bounds.base is sw._eigvals
@@ -630,10 +631,10 @@ def test_pass_is_the_bordered_formula_bit_for_bit(rng):
         s = rng.uniform(0.0, 1.0, size)
         cand = s.copy()
         cand[int(rng.integers(0, size))] += 0.5
-        full, _ = _reconstruct(p, s, k)
-        resumed, _ = _reconstruct(p, cand, k, full)
+        full = _reconstruct(p, s, k)[0]
+        resumed = _reconstruct(p, cand, k, full)[0]
         raw = rng.uniform(0.0, 3.0, size)
-        warm, _ = _nested_pass(p, raw, k, EPS_BOUNDARY)
+        warm = _nested_pass(p, raw, k, EPS_BOUNDARY)[0]
         lower = np.full(size, -np.inf)
         for sw, args in ((full, (lower, EPS_BOUNDARY, s)),
                          (resumed, (lower, EPS_BOUNDARY, cand)),

@@ -68,7 +68,7 @@ def test_loader_error_reporting(tmp_path):
     with pytest.raises(ScenarioError, match="top level"):
         load_scenario(bad)
     bad.write_text("problem:\n  A: [[1.0]]\n")
-    with pytest.raises(ScenarioError, match="missing key 'B'"):
+    with pytest.raises(ScenarioError, match=r"missing key problem\.B"):
         load_scenario(bad)
 
     base = ("problem:\n  A: [[1.0]]\n  B: [[1.0]]\n  G: [[1.0]]\n"
@@ -123,11 +123,15 @@ def test_run_defaults_live_in_scenario_file(tmp_path):
      "bad problem data: B has 2 rows, expected 1"),
     (_PROBLEM + "  alpha: [1.0, 2.0, 3.0]\n",
      "bad problem data: alpha must have length 2, got 3"),
-    (_PROBLEM + "  x0: [1.0, 2.0]\n", "bad problem data: x0 must have length 1, got 2")],
-    ids=["problem-scalar", "run-list", "B-rows", "alpha-length", "x0-length"])
+    (_PROBLEM + "  x0: [1.0, 2.0]\n", "bad problem data: x0 must have length 1, got 2"),
+    ("problem:\n  A: [[1.0]]\n", "missing key problem.B"),
+    ("run:\n  seed: 1\n", "missing key problem")],
+    ids=["problem-scalar", "run-list", "B-rows", "alpha-length", "x0-length",
+         "B-missing", "problem-missing"])
 def test_malformed_section_names_the_file(tmp_path, capsys, text, match):
-    # a section that is no mapping, or problem data of the wrong shape, is
-    # a ScenarioError naming the file, and the CLI exits 2
+    # a section that is no mapping or is missing, a problem key that is
+    # missing, or problem data of the wrong shape, is a ScenarioError
+    # naming the file, and the CLI exits 2
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     with pytest.raises(ScenarioError, match=match):
