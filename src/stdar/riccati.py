@@ -37,13 +37,12 @@ multipliers repeats the base bit for bit: the pass copies those stages
 and steps the rest, or returns the base itself where none differs. The
 rule reads only the base's bounds and multipliers, so any pass is a base.
 
-Within a pass too: where stage i + 2, stepped or copied already, had stage
-i's raw multiplier and slack and its Pi_{i+3} has Pi_{i+1}'s bytes (not
-values: 0.0 == -0.0), stage i's outputs are stage i + 2's bit for bit, and
-the pass copies them, as no step. Pi_{i+1} = Pi_{i+3} gives Pi_i =
-Pi_{i+2}, so this catches a floating-point fixed point as well as a
-2-cycle: a cold pass's turnpike on a long horizon. Longer periods are not
-tried; none repeated at n = 3 up to period 8.
+Within a pass too: where a stage j > i, stepped or copied already, had
+stage i's raw multiplier and slack and its Pi_{j+1} has Pi_{i+1}'s bytes
+(not values: 0.0 == -0.0), stage i's outputs are stage j's bit for bit,
+and the pass copies them from the first such j, as no step. One lookup of
+a stage's inputs catches a floating-point fixed point and a cycle of any
+period: a cold pass's turnpike on a long horizon.
 
 Each stage forms one bordered matrix from the constants F = [B G A] and
 C = blockdiag(R, 0, Q), which ProblemData builds once: H =
@@ -205,7 +204,9 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
 
     base is a pass of the same program and offset, or None; with a base
     the pass copies the stages it repeats (module docstring), or returns
-    base itself, at depth 0. Every array of the result is read-only.
+    base itself, at depth 0. Below those it copies each stage whose
+    inputs, Pi_{j+1}'s bytes, raw_j and slack_j, an earlier stage of its
+    own had. Every array of the result is read-only.
     """
     lam = np.array(raw, dtype=float)
     n_stages = top = lam.shape[0]
@@ -233,15 +234,14 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
             arr[top:] = old[top:]
     raw_j, bounds, steps = lam[:top].tolist(), [], top
     slack_j = None if slack is None else slack[:top].tolist()
-    seen = [b"", b""]  # the bytes of Pi_top, ..., Pi_{i+1}, after two that match none
+    first = {}  # a stage's inputs (Pi_{i+1}'s bytes, raw, slack) -> first stage set
     for i in range(top - 1, -1, -1):
         Pi_next = Pi[i + 1]
-        seen.append(Pi_next.tobytes())
-        if seen[-1] == seen[-3] and raw_j[i] == raw_j[i + 2] and (
-                slack_j is None or slack_j[i] == slack_j[i + 2]):
-            for arr in (lam, KJ, HZ, vals, vecs):  # stage i + 2 had these inputs
-                arr[i] = arr[i + 2]
-            bounds.append(bounds[-2])
+        j = first.setdefault((Pi_next.tobytes(), raw_j[i], slack_j and slack_j[i]), i)
+        if j != i:  # stage j had these inputs
+            for arr in (lam, KJ, HZ, vals, vecs):
+                arr[i] = arr[j]
+            bounds.append(bounds[top - 1 - j])
             steps -= 1
             continue
         _bordered(FT, Fh, C, Pi_next, H)

@@ -291,19 +291,19 @@ def test_long_horizon_bank_counts(monkeypatch):
     # curvature pairs count. Its trial passes step only the first stages,
     # so its gradients take the rest from a tail map: 13 gradients of
     # N = 30-50 stages cost 520 adjoint stage updates without one. The
-    # cold corner passes of the n = 1 and n = 2 ops settle to a fixed
-    # point and a 2-cycle, whose stages they copy: their start passes step
-    # 5 of 30 and 16 of 40 stages, so the bank takes 171 stage steps, not
-    # the 269 it took when every stage was stepped; the n = 3 ops copy
-    # none. The counts are pinned exactly, as the steady bank's are.
-    # Every stage step (171) settles its check on the residual alone
+    # cold corner passes settle to a fixed point (n = 1), a 2-cycle (n = 2)
+    # and a 10-cycle (n = 3), whose stages they copy: their start passes
+    # step 4 of 30, 16 of 40 and 33 of 50 stages, so the bank takes 135
+    # stage steps, not the 269 it took when every stage was stepped. The
+    # counts are pinned exactly, as the steady bank's are.
+    # Every stage step (135) settles its check on the residual alone
     counts = count_stage_norms(monkeypatch)
     solutions, _, _ = bank_pass(monkeypatch, "LongHorizon")
     assert counts["norms"] == counts["steps"] == sum(
         sol.stage_steps for sol in solutions)
     assert len(solutions) == 6
     assert all(sol.converged for sol in solutions)
-    assert sum(sol.stage_steps for sol in solutions) == 171
+    assert sum(sol.stage_steps for sol in solutions) == 135
     assert sum(sol.iterations for sol in solutions) == 7
     assert sum(sol.gradient_evals for sol in solutions) == 13
     assert sum(sol.adjoint_stages for sol in solutions) == 292
@@ -367,20 +367,20 @@ def test_finite_horizon_program_meets_the_steady_state(monkeypatch):
 
 
 def test_passes_that_copy_are_the_recursion_bit_for_bit(monkeypatch):
-    # a pass copies stage i from stage i + 2 where both have the same raw
-    # multiplier and slack and Pi_{i+1} has Pi_{i+3}'s bytes, and a copy is
-    # the recursion: every array the pass stores equals
-    # bordered_pass_reference, which steps every stage. The passes are the
-    # cold corner pass, the sweep at its multipliers and the slack pass at
-    # s = 0, each of the two with stage 2's input raised by 0.5 (so stage
-    # 2 differs from stage 4 in its input alone, and is stepped), and the
-    # slack passes of a cold solve, on the long_horizon
-    # bank's n = 1 (N = 30), n = 2 (N = 40) and n = 3 (N = 50) systems and
-    # on scenarios/turnpike.yaml's (N = 100). The bank's n = 1 and n = 2
-    # corners settle to a fixed point and a 2-cycle, so those three passes
-    # copy; the turnpike's corner keeps moving in its last bits, but some
-    # trial passes of its solve settle and copy. The n = 3 system never
-    # cycles exactly, so none of its passes copies
+    # a pass copies stage i from the first stage j > i it set from the same
+    # raw multiplier, slack and bytes of Pi_{j+1} as stage i's Pi_{i+1},
+    # and a copy is the recursion: every array the pass stores equals
+    # bordered_pass_reference, which steps every stage. The systems are the
+    # long_horizon bank's n = 1 (N = 30), n = 2 (N = 40) and n = 3 (N = 50)
+    # and scenarios/turnpike.yaml's (N = 100). Their cold corner passes step
+    # 4, 16, 33 and 6 stages, then repeat a cycle of period 1, 2, 10 and 3
+    # (no shorter one) and copy the rest, each stage from one a whole
+    # number of periods above it. The passes are the corner pass, the sweep
+    # at its multipliers and the slack pass at s = 0, each of the two with
+    # stage 2's input raised by 0.5 (so stage 2 has the Pi bytes of a stage
+    # above it but not its raw multiplier or slack, and is stepped, with
+    # the two below it), and the slack passes of a cold solve, some of
+    # whose trial passes settle and copy on the turnpike too
     eps = stdar.riccati.EPS_BOUNDARY
     nested, reconstruct = stdar.riccati._nested_pass, stdar.multiplier._reconstruct
     cases = load_workloads(monkeypatch).LongHorizon().bank()[::2]
@@ -394,10 +394,15 @@ def test_passes_that_copy_are_the_recursion_bit_for_bit(monkeypatch):
         return trials[-1][0]
 
     monkeypatch.setattr(stdar.multiplier, "_reconstruct", record)
-    for p, x0 in [(case.problem, case.x0) for case in cases] + [
-            (turnpike.problem, turnpike.x0_list[1])]:
+    systems = [(case.problem, case.x0) for case in cases] + [
+        (turnpike.problem, turnpike.x0_list[1])]
+    for (p, x0), (steps, period) in zip(systems, [(4, 1), (16, 2), (33, 10), (6, 3)]):
         lower, slack = np.full(p.N, -np.inf), np.zeros(p.N)
         corner = nested(p, lower, 0, eps)
+        assert corner[1:] == (p.N, steps)
+        cycle = corner[0].Pi[:p.N - steps + 1]  # the copied stages' inputs and outputs
+        assert [np.array_equal(cycle, corner[0].Pi[d:d + cycle.shape[0]])
+                for d in range(1, period + 1)] == [False] * (period - 1) + [True]
         raw = np.array(corner[0].lambdas)
         raw[2] += 0.5
         slack[2] = 0.5
@@ -412,13 +417,9 @@ def test_passes_that_copy_are_the_recursion_bit_for_bit(monkeypatch):
             assert np.array_equal(sw._eigvals, vals)
             assert np.array_equal(sw._eigvecs, vecs)
             assert np.array_equal(sw.lambdas, lam)
-        copied = [steps < depth for (_, depth, steps), _ in passes + trials]
-        if p.n == 3:
-            assert not any(copied)
-        elif p is turnpike.problem:
-            assert any(copied[3:])
-        else:
-            assert all(copied[:3])
+        assert [taken for (_, _, taken), _ in passes[1:]] == [steps + 3] * 2
+        if p is turnpike.problem:
+            assert any(taken < depth for (_, depth, taken), _ in trials)
 
 
 def test_long_horizon_bank_without_tail_maps(monkeypatch):

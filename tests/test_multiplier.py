@@ -472,7 +472,7 @@ def test_interior_ill_conditioned_solve_converges():
     assert sol.converged
     assert sol.value <= 0.07048129333 * (1.0 + 1e-9)
     assert sol.iterations <= 200
-    # it takes 4 662, 7% under the bound (4 160 before the head step; the
+    # it takes 4 610, 8% under the bound (4 160 before the head step; the
     # cause of the rise is not settled)
     assert sol.stage_steps <= 5000
     assert not any(sol.boundary_flags)
