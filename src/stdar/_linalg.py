@@ -23,10 +23,10 @@ def top_eig(M: np.ndarray) -> float:
 
 
 def eigpairs(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """A symmetric M's largest eigenvalue as a float (top_eig(M)'s up to
-    the last bits), all eigenvalues ascending and unit eigenvectors as the
-    rows of U, from the lower triangle as eigh reads it: closed-form up to
-    2 x 2, else by eigh. Raises ValueError on non-finite input."""
+    """A symmetric M's largest eigenvalue as a float, all eigenvalues
+    ascending and unit eigenvectors as the rows of U, of the lower triangle
+    as eigh reads it: in closed form up to 2 x 2, within about 2 eps ||M||_F
+    of eigh's, else by eigh. Raises ValueError on non-finite input."""
     if M.shape == (1, 1):
         v = M.item(0)
         if math.isfinite(v):
@@ -42,28 +42,19 @@ def eigpairs(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def _eigpairs2(a: float, b: float, c: float):
-    """eigpairs of [[a, b], [b, c]] in LAPACK's steps: b is 0 where |b| <=
-    sqrt|a| sqrt|c| eps / 2 (dsteqr), else dlaev2 takes r1, the root of
-    larger magnitude, from the half-sum and hypot, r2 = det / r1, and
-    r1's eigenvector (cs, sn) without cancellation."""
-    r1, r2, cs, sn = a, c, 1.0, 0.0
-    if abs(b) > math.sqrt(abs(a)) * math.sqrt(abs(c)) * 2.0 ** -53:
-        sm, df, tb = a + c, a - c, b + b
-        lo, hi = (abs(df), abs(tb)) if abs(df) < abs(tb) else (abs(tb), abs(df))
-        rt = hi * math.sqrt(1.0 + (lo / hi) * (lo / hi))  # hypot, as dlaev2 rounds it
-        r1 = 0.5 * (sm - rt) if sm < 0.0 else 0.5 * (sm + rt)
-        big, small = (a, c) if abs(a) > abs(c) else (c, a)
-        r2 = (big / r1) * small - (b / r1) * b if sm else -0.5 * rt
-        cs = df - rt if df < 0.0 else df + rt
-        t = -tb / cs if abs(cs) > abs(tb) else -cs / tb
-        v = 1.0 / math.sqrt(1.0 + t * t)
-        cs, sn = (t * v, v) if abs(cs) > abs(tb) else (v, t * v)  # r2's
-        if (sm < 0.0) == (df < 0.0):  # then r1's is its rotation
-            cs, sn = -sn, cs
-    ns = 0.0 - sn  # -sn, but +0.0 at sn = 0, as eigh's rotation forms it
-    if r2 < r1:
-        return r1, np.array([r2, r1]), np.array([[ns, cs], [cs, sn]])
-    return r2, np.array([r1, r2]), np.array([[cs, sn], [ns, cs]])
+    """eigpairs of [[a, b], [b, c]], the symmetric Schur decomposition in
+    closed form (Golub & Van Loan, sec. 8.5): mid -+ r, r = hypot(h, b).
+    The top eigenvector (h + r, b)/r, or (b, r - h)/r for h < 0, cancels in
+    neither form and normalises in range even for subnormal blocks; the
+    other row is its rotation, and both are I at r = 0."""
+    h, mid = 0.5 * a - 0.5 * c, 0.5 * a + 0.5 * c  # halved first: a - c can overflow
+    r = math.hypot(h, b)
+    if not r:
+        return mid, np.array([mid, mid]), np.eye(2)
+    x, y = (h / r + 1.0, b / r) if h >= 0.0 else (b / r, 1.0 - h / r)
+    s = math.hypot(x, y)
+    x, y = x / s, y / s
+    return mid + r, np.array([mid - r, mid + r]), np.array([[-y, x], [x, y]])
 
 
 def sqrt_psd(M: np.ndarray) -> np.ndarray:

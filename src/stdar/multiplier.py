@@ -358,15 +358,15 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     """Minimize phi over the nested feasible set for the stage-k tail.
 
     The descent loop (_descend) runs in the slack coordinates of the
-    module docstring from one margin pass over init (raw multipliers; a
-    non-finite one raises InfeasibleMultiplier; None is -inf, the lower
-    corner), driven by the exact adjoint gradient.
-    Every state, x = 0 included, takes this one path. gradient_mode
-    accepts "auto" and "envelope", which both select it, and the solution
-    reports "envelope". grad_norm is the projected-gradient norm in the
-    slacks. lam_star is the solve's last pass, the sweep at the optimal
-    multipliers. A state of the wrong size or not finite raises ValueError.
-    """
+    module docstring from one margin pass over init (raw multipliers, or
+    a MultiplierVector that starts at stage k; a non-finite one raises
+    InfeasibleMultiplier; None is -inf, the lower corner), driven by the
+    exact adjoint gradient. Every state, x = 0 included, takes this one
+    path. gradient_mode accepts "auto" and "envelope", which both select
+    it, and the solution reports "envelope". grad_norm is the
+    projected-gradient norm in the slacks. lam_star is the solve's last
+    pass, the sweep at the optimal multipliers. A state of the wrong size
+    or not finite raises ValueError."""
     x = _as_point(x, p.n, "state")
     init = _tail_vector(p, init, k)  # None: the warm start from the lower corner
     if gradient_mode not in ("auto", "envelope"):

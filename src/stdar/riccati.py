@@ -57,9 +57,9 @@ rounding, in the stage's slot of the pass's stacked products, of which
 Pi is a view. numpy's per-call cost, not the arithmetic, sets a stage's
 time, so a stage makes three ndarray.dot products (half the per-call
 cost of @) and few other calls: at n = 3, m = 2, q = 1 about 10.5 us on
-a 2-core x86-64 host with one BLAS thread, 4.8 us of it np.linalg.solve
-(15 us with @, a separate halving and the template [0; -I]); at m = 3 a
-pass costs 1.3-1.4 times as much at q = 2. A pass raises SingularM where
+a 2-core x86-64 host with one BLAS thread, 4.8 us of it np.linalg.solve;
+at n = m = 3 a pass costs about 1.26 times as much at q = 2, whose
+eigenpairs take about 2 us a stage. A pass raises SingularM where
 G'Pi_{j+1}G or Pi_k is not finite.
 """
 from __future__ import annotations
@@ -71,7 +71,7 @@ import numpy as np
 
 from ._linalg import eigpairs, fro_norm
 from .errors import InfeasibleMultiplier, SingularM
-from .problem import ProblemData
+from .problem import ProblemData, _integer
 
 # The margin the multiplier program keeps above each bound ||G'Pi G||, and
 # how far below its bound a pass accepts a multiplier.
@@ -90,7 +90,7 @@ class MultiplierVector:
         arr = np.array(self.lambdas, dtype=float).ravel()  # a copy
         arr.setflags(write=False)
         object.__setattr__(self, "lambdas", arr)
-        object.__setattr__(self, "stage_offset", int(self.stage_offset))
+        object.__setattr__(self, "stage_offset", _integer(self.stage_offset, "stage_offset = "))
 
     def __len__(self) -> int:
         return self.lambdas.shape[0]
@@ -149,20 +149,25 @@ def _stage_step(H, M, rhs, Z, KJn, out, lam_j: float) -> np.ndarray:
 
 
 def _require_offset(lam: MultiplierVector, k: int) -> None:
-    """Raise ValueError unless lam starts at stage k."""
+    """TypeError unless lam is a MultiplierVector, ValueError unless it starts at k."""
+    if not isinstance(lam, MultiplierVector):
+        raise TypeError(f"expected a MultiplierVector, not {type(lam).__name__}")
     if lam.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam.stage_offset}, not {k}")
 
 
 def _tail_vector(p: ProblemData, lam, k: int) -> np.ndarray:
     """Raw multipliers lam_k..lam_{N-1} as a float vector; None is -inf at
-    every stage, the lower corner. Raises ValueError unless 0 <= k < N and
-    lam covers stages k..N-1, InfeasibleMultiplier at its first entry that
-    is not finite."""
+    every stage, the lower corner, and a MultiplierVector must start at k.
+    Raises ValueError unless 0 <= k < N and lam covers stages k..N-1,
+    InfeasibleMultiplier at its first entry that is not finite."""
     if not 0 <= k < p.N:
         raise ValueError(f"stage offset {k} outside horizon {p.N}")
     if lam is None:
         return np.full(p.N - k, -np.inf)
+    if isinstance(lam, MultiplierVector):
+        _require_offset(lam, k)
+        lam = lam.lambdas
     lam = np.asarray(lam, dtype=float).ravel()
     if k + lam.size != p.N:
         raise ValueError(
@@ -222,7 +227,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
     n, m, q, d = p.n, p.m, p.q, p.m + p.q
     HZ = np.empty((n_stages + 1, d + n, n))  # slot j: H Z = [rhs - M KJ; Pi_j]
     Pi, KJ = HZ[:, d:], np.empty((n_stages, d, n))
-    vals, vecs = np.empty((n_stages, q)), np.empty((n_stages, q, q))  # vecs by rows
+    vals, vecs = np.empty((n_stages, q)), np.ones((n_stages, q, q))  # vecs by rows
     FT, Fh, C, Z = p.F.T, 0.5 * p.F, p.C, p.Z.copy()
     H = np.empty(C.shape)  # each stage's bordered matrix, in place
     M, rhs, KJn, Hg = H[:d, :d], H[:d, d:], Z[:d], H[m:d, m:d]
@@ -232,7 +237,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
         for arr, old in ((Pi, base.Pi), (KJ, base._gains), (vals, base._eigvals),
                          (vecs, base._eigvecs), (lam, base.lambdas)):
             arr[top:] = old[top:]
-    raw_j, bounds, steps = lam[:top].tolist(), [], top
+    raw_j, steps = lam[:top].tolist(), top
     slack_j = None if slack is None else slack[:top].tolist()
     first = {}  # a stage's inputs (Pi_{i+1}'s bytes, raw, slack) -> first stage set
     for i in range(top - 1, -1, -1):
@@ -241,12 +246,11 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
         if j != i:  # stage j had these inputs
             for arr in (lam, KJ, HZ, vals, vecs):
                 arr[i] = arr[j]
-            bounds.append(bounds[top - 1 - j])
             steps -= 1
             continue
         _bordered(FT, Fh, C, Pi_next, H)
-        if q == 1:  # the bound is H's one G entry; bounds sets vals and vecs below
-            b = H.item(m, m)
+        if q == 1:  # the bound is H's one G entry; vecs holds its [[1]]
+            b = vals[i, 0] = H.item(m, m)
         else:
             try:
                 b, vals[i], vecs[i] = eigpairs(Hg)
@@ -254,7 +258,6 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
                 b = math.nan
         if not math.isfinite(b):
             raise SingularM(f"G'Pi G not finite at stage {k + i}")
-        bounds.append(b)
         lam_i = raw_j[i]
         if lam_i < b + margin:
             lam_i = b + margin
@@ -269,8 +272,6 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
         KJ[i] = _stage_step(H, M, rhs, Z, KJn, HZ[i], lam_i)
     if not np.isfinite(Pi[0]).all():  # no later stage reads it
         raise SingularM(f"Pi not finite at stage {k}")
-    if q == 1:
-        vals[:top, 0], vecs[:top] = bounds[::-1], 1.0
     for arr in (HZ, KJ, vals, vecs, lam):
         arr.setflags(write=False)
     sw = object.__new__(RiccatiSweep)  # no copy
@@ -284,14 +285,15 @@ def sweep(p: ProblemData, lam: MultiplierVector) -> RiccatiSweep:
     """Run the backward recursion for the given multipliers.
 
     A pass on p is returned as itself, unchecked: it covers stages k..N-1
-    and raised on any non-finite multiplier as it set it. Any other vector
-    raises ValueError unless it covers stages k..N-1 with 0 <= k < N,
-    InfeasibleMultiplier if a lam_j is not finite or below its nested
-    bound, SingularM if a stage matrix cannot be solved reliably.
+    and raised on any non-finite multiplier as it set it. Anything else
+    raises TypeError unless a MultiplierVector, ValueError unless it covers
+    stages k..N-1 with 0 <= k < N, InfeasibleMultiplier if a lam_j is not
+    finite or below its nested bound, SingularM at an unreliable solve.
     """
     if isinstance(lam, RiccatiSweep) and lam._problem is p:
         return lam
-    k = lam.stage_offset
+    k = getattr(lam, "stage_offset", 0)
+    _require_offset(lam, k)  # TypeError unless a MultiplierVector
     return _nested_pass(p, _tail_vector(p, lam.lambdas, k), k)[0]
 
 

@@ -11,7 +11,9 @@ banks bounds the solver work its solves report, counts that do not depend
 on the host. The steady bank's systems also check the steady state against
 the finite-horizon program, and the long_horizon bank's systems check
 that passes which copy the stages of their turnpike are the recursion bit
-for bit. The checker's own self-test runs as shipped, and three failing
+for bit, and an online bank pass with eigh's eigenpairs in place of the
+2 x 2 closed form does the same work within 1e-12 of the package's
+outputs. The checker's own self-test runs as shipped, and three failing
 episodes of online banks, the benchmark's own among them, are replayed
 with some tie completions reflected, against the checker's saddle test.
 """
@@ -438,6 +440,49 @@ def test_long_horizon_bank_without_tail_maps(monkeypatch):
         assert b.adjoint_stages == b.gradient_evals * case.problem.N
     assert (sum(sol.adjoint_stages for sol in with_maps)
             < sum(sol.adjoint_stages for sol in without) == 520)
+
+
+def test_online_bank_with_eigh_eigenpairs(monkeypatch):
+    # the passes' and the head step's eigenpairs taken from eigh instead of
+    # eigpairs' closed form: every solve of an online bank pass does the
+    # same work, the same ops fail, and the multipliers, values and
+    # disturbances agree within 1e-12 relative. Only the two q = 2 episodes
+    # reach the 2 x 2 closed form; the four q = 1 episodes agree bit for bit
+    def eigh_pairs(M):
+        if not np.isfinite(M).all():
+            raise ValueError("eigh_pairs of a matrix with non-finite entries")
+        w, V = np.linalg.eigh(M)
+        return float(w[-1]), w, V.T
+
+    def bank_with_disturbances():
+        disturbances, decide = [], stdar.worst_disturbance_at
+
+        def record(*args):
+            disturbances.append(decide(*args))
+            return disturbances[-1]
+
+        monkeypatch.setattr(stdar, "worst_disturbance_at", record)
+        solutions, cases, results = bank_pass(monkeypatch, "Online")
+        monkeypatch.setattr(stdar, "worst_disturbance_at", decide)
+        return solutions, disturbances, cases, [res.failed for res in results]
+
+    own, own_w, cases, own_failed = bank_with_disturbances()
+    monkeypatch.setattr(stdar.riccati, "eigpairs", eigh_pairs)
+    monkeypatch.setattr(stdar.multiplier, "eigpairs", eigh_pairs)
+    ref, ref_w, _, ref_failed = bank_with_disturbances()
+    assert own_failed == ref_failed == [0, 12, 0, 0, 0, 0]
+    counts = ("stage_steps", "iterations", "gradient_evals", "adjoint_stages",
+              "backtracks", "converged")
+    assert len(own) == len(ref) == len(own_w) == len(ref_w) == 72
+    for i, (a, b, w_a, w_b) in enumerate(zip(own, ref, own_w, ref_w)):
+        assert [getattr(a, c) for c in counts] == [getattr(b, c) for c in counts]
+        lam_a, lam_b = a.lam_star.lambdas, b.lam_star.lambdas
+        if cases[i // 12].problem.q == 1:
+            assert np.array_equal(lam_a, lam_b) and a.value == b.value
+            assert np.array_equal(w_a, w_b)
+        assert np.abs(lam_a - lam_b).max() <= 1e-12 * np.abs(lam_b).max()
+        assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
+        assert np.abs(w_a - w_b).max() <= 1e-12 * np.abs(w_b).max()
 
 
 def test_checker_selftest_passes():

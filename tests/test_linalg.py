@@ -77,21 +77,27 @@ def test_psd_within_decides_as_the_eigenvalue_test(rng):
 
 def small_blocks(rng):
     """Inputs of eigpairs' closed form: random symmetric 2 x 2 blocks and
-    their 1 x 1 corners, indefinite, negative definite and scaled by
-    1e-150 and 1e150; asymmetric blocks, of which eigh reads the lower
-    triangle; an exact and a near tie, diagonal blocks with a < c and
-    a > c, and the zero blocks."""
+    their 1 x 1 corners, indefinite, negative definite, PSD, rank-one
+    (g g'), near ties (equal diagonal to 1e-12 and an off-diagonal entry
+    1e-10 of it) and blocks with a < c and b < 0 (the top eigenvector's
+    h < 0 form), some scaled by 1e-150 and 1e150; asymmetric blocks, of
+    which eigh reads the lower triangle; an exact and a near tie, diagonal
+    blocks with a < c and a > c, a subnormal block and the zero blocks."""
     eye = np.eye(2)
     for _ in range(300):
-        X = rng.standard_normal((2, 2))
+        X, g = rng.standard_normal((2, 2)), rng.standard_normal(2)
+        a, b, c = rng.uniform(-1.0, 1.0), -rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        tie = a * np.array([[1.0, 1e-10], [1e-10, 1.0 + 1e-12 * rng.uniform(-1.0, 1.0)]])
         for M in (X + X.T, -(X @ X.T) - 0.01 * eye, 1e-150 * (X + X.T),
-                  1e150 * (X + X.T)):
+                  1e150 * (X + X.T), X @ X.T, np.outer(g, g), tie,
+                  np.array([[a, b], [b, a + c]])):
             yield M
             yield M[:1, :1]
         yield X
     near = 2.0 * eye
     near[0, 1] = near[1, 0] = 1e-300 * np.linalg.norm(near)
     yield from (3.0 * eye, near, np.diag([1.0, 3.0]), np.diag([3.0, -1.0]),
+                np.array([[3e-320, 1e-320], [1e-320, 0.0]]),
                 np.zeros((1, 1)), np.zeros((2, 2)))
 
 
@@ -111,6 +117,17 @@ def test_small_eigpairs_match_eigh(rng):
         assert np.abs(U @ U.T - np.eye(len(w))).max() <= 1e-15
         for value, u in zip(w, U):
             assert np.linalg.norm(S @ u - value * u) <= tol
+
+
+def test_closed_form_stays_finite_where_a_minus_c_overflows():
+    # every entry finite but a - c past the float range: the closed form
+    # halves a and c before it subtracts them, so it gives eigh's answer.
+    # Not one of small_blocks: the tolerance there forms ||M||_F, which
+    # overflows
+    M = np.diag([1e308, -1e308])
+    top, w, U = eigpairs(M)
+    assert top == 1e308 and np.array_equal(w, np.linalg.eigh(M)[0])
+    assert np.array_equal(np.abs(U), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_fro_norm_is_linalg_norm_bit_for_bit(rng):

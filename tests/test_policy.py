@@ -54,6 +54,29 @@ def test_every_stage_offset_check_is_the_one_helper(rng):
             assert str(err.value) == "multipliers start at stage 2, not 1"
 
 
+def test_multiplier_arguments_are_checked_with_typed_errors(rng):
+    # a plain array where a MultiplierVector is read raises a TypeError that
+    # names it, in sweep and in the decisions alike; a vector given as a
+    # solve's init must start at the solve's stage, with the offset check's
+    # message, and one that does is read as its raw multipliers
+    p = make_problem(rng, N=4)
+    sol = solve_multipliers(p, p.x0, k=2)
+    lams = np.array(sol.lam_star.lambdas)
+    for call in (lambda: sweep(p, lams),
+                 lambda: control_at(p, p.x0, 2, lams),
+                 lambda: worst_disturbance_at(p, p.x0, 2, lams, np.zeros(p.m))):
+        with pytest.raises(TypeError, match="MultiplierVector"):
+            call()
+    for init in (sol.lam_star, MultiplierVector(lams, 2)):
+        with pytest.raises(ValueError) as err:
+            solve_multipliers(p, p.x0, k=1, init=init)
+        assert str(err.value) == "multipliers start at stage 2, not 1"
+        warm = solve_multipliers(p, p.x0, k=2, init=init)
+        raw = solve_multipliers(p, p.x0, k=2, init=lams)
+        assert np.array_equal(warm.lam_star.lambdas, raw.lam_star.lambdas)
+        assert warm.value == raw.value and warm.stage_steps == raw.stage_steps
+
+
 def test_decision_from_multipliers_alone_runs_no_pass(rng, monkeypatch):
     # a solve's lam_star is the pass it ended on: kept without its
     # solution, it is handed back by sweep, and the control and the

@@ -147,6 +147,18 @@ def test_sweep_length_checked():
         solve_multipliers(p, p.x0, init=[2.0, 2.0])
 
 
+@pytest.mark.parametrize("offset", [1.7, True, "1", None])
+def test_stage_offset_must_be_an_integer(offset):
+    # a vector's start stage is read as N is: an integral float or numpy
+    # integer is that integer, and a fraction, a boolean or a string is
+    # refused rather than truncated to a stage
+    for good in (2.0, np.int64(2), 2):
+        lam = MultiplierVector([1.0, 2.0], stage_offset=good)
+        assert type(lam.stage_offset) is int and lam.stage_offset == 2
+    with pytest.raises(ValueError, match=f"stage_offset = {offset!r} is not an integer"):
+        MultiplierVector([1.0, 2.0], stage_offset=offset)
+
+
 def test_stage_offset_outside_horizon_raises():
     # a vector must start at a stage 0 <= k < N: one that starts before
     # stage 0, or one with no entries at stage N, is rejected by sweep and
