@@ -90,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigpairs, fro_norm
-from .problem import ProblemData, _as_point
+from .problem import ProblemData, _as_point, _integer
 from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep, _bordered,
                       _nested_pass, _require_offset, _tail_vector, at_bound,
                       sweep)
@@ -154,7 +154,7 @@ def objective(p: ProblemData, lam, x, k: int = 0) -> float:
     """phi at a feasible multiplier vector for the tail program at stage k.
     A state of the wrong size or not finite, or a MultiplierVector that
     does not start at stage k, raises ValueError."""
-    x = _as_point(x, p.n, "state")
+    x, k = _as_point(x, p.n, "state"), _integer(k, "stage offset ")
     lam = lam if isinstance(lam, MultiplierVector) else MultiplierVector(lam, k)
     _require_offset(lam, k)
     return _phi(p, x, sweep(p, lam))
@@ -367,7 +367,7 @@ def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,
     projected-gradient norm in the slacks. lam_star is the solve's last
     pass, the sweep at the optimal multipliers. A state of the wrong size
     or not finite raises ValueError."""
-    x = _as_point(x, p.n, "state")
+    x, k = _as_point(x, p.n, "state"), _integer(k, "stage offset ")
     init = _tail_vector(p, init, k)  # None: the warm start from the lower corner
     if gradient_mode not in ("auto", "envelope"):
         raise ValueError(f"unknown gradient mode {gradient_mode!r}")

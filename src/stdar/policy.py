@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import fro_norm
 from .errors import NoSphereIntersection
 from .multiplier import solve_multipliers
-from .problem import ProblemData, _as_point
+from .problem import ProblemData, _as_array, _as_point
 from .riccati import MultiplierVector, _require_offset, at_bound, sweep
 
 _ROLLOUT_MODES = ("worst_case", "zero", "external")  # scenario reads it too
@@ -82,7 +82,7 @@ def worst_disturbance_at(p: ProblemData, x: np.ndarray, k: int,
     """
     x = _as_point(x, p.n, "state")
     u = _as_point(u, p.m, "control")
-    _require_offset(lam_star, k)
+    k = _require_offset(lam_star, k)
     sw = sweep(p, lam_star)
     Pi_next, lam_k = sw.Pi[1], float(lam_star.lambdas[0])
     bound, alpha_k = float(sw.bounds[0]), float(p.alpha[k])
@@ -126,11 +126,9 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
     if mode == "external":
         if w_seq is None:
             raise ValueError("rollout mode external requires w_seq")
-        w_seq = np.atleast_2d(np.asarray(w_seq, dtype=float))
+        w_seq = _as_array(np.atleast_2d(w_seq), "w_seq", 2)
         if w_seq.shape != (p.N, p.q):
             raise ValueError(f"w_seq must be {p.N}x{p.q}, got {w_seq.shape}")
-        if not np.isfinite(w_seq).all():
-            raise ValueError("w_seq is not finite")
         norms2 = np.sum(w_seq * w_seq, axis=1)
         if np.any(norms2 > p.alpha * (1.0 + 1e-9)):
             raise ValueError("external disturbance exceeds its stage bound")

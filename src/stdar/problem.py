@@ -24,6 +24,8 @@ _TOL_ZERO = 1e-12   # the terminal coupling G'Pf G counts as nonzero above it
 
 def _integer(v, name: str = "") -> int:
     """An integer or an integral float; not a boolean or a string."""
+    if type(v) is int:  # the common case, before the ABC checks
+        return v
     if isinstance(v, numbers.Real) and not isinstance(v, bool) and (
             isinstance(v, numbers.Integral) or float(v).is_integer()):
         return int(v)
@@ -155,9 +157,14 @@ class ProblemData:
 
     @cached_property
     def _steady_constants(self) -> tuple:
-        """B R^{-1} B' and G G' of the probe's Z, Q^{1/2} and R^{1/2}, read-only."""
-        out = (self.B @ np.linalg.solve(self.R, self.B.T), self.G @ self.G.T,
-               sqrt_psd(self.Q), sqrt_psd(self.R))
+        """B R^{-1} B' and G G' of the probe's Z, Q^{1/2} and R^{1/2},
+        read-only; AssumptionViolated where R is singular."""
+        try:
+            BRB = self.B @ np.linalg.solve(self.R, self.B.T)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(self.R)[0]
+            raise AssumptionViolated(f"R positive definite: min eigenvalue {low:.3e}") from None
+        out = (BRB, self.G @ self.G.T, sqrt_psd(self.Q), sqrt_psd(self.R))
         for arr in out:
             arr.flags.writeable = False
         return out

@@ -148,12 +148,15 @@ def _stage_step(H, M, rhs, Z, KJn, out, lam_j: float) -> np.ndarray:
     return KJ
 
 
-def _require_offset(lam: MultiplierVector, k: int) -> None:
-    """TypeError unless lam is a MultiplierVector, ValueError unless it starts at k."""
+def _require_offset(lam: MultiplierVector, k) -> int:
+    """k as an int: TypeError unless lam is a MultiplierVector, ValueError
+    unless k is an integer (_integer) at which lam starts."""
     if not isinstance(lam, MultiplierVector):
         raise TypeError(f"expected a MultiplierVector, not {type(lam).__name__}")
+    k = _integer(k, "stage offset ")
     if lam.stage_offset != k:
         raise ValueError(f"multipliers start at stage {lam.stage_offset}, not {k}")
+    return k
 
 
 def _tail_vector(p: ProblemData, lam, k: int) -> np.ndarray:
@@ -310,5 +313,6 @@ def project_feasible(p: ProblemData, lam_raw, margin: float = EPS_BOUNDARY,
     matrix is singular there (a multiplier at its bound with margin 0,
     say) raises SingularM.
     """
+    stage_offset = _integer(stage_offset, "stage offset ")
     raw = _tail_vector(p, lam_raw, stage_offset)
     return _nested_pass(p, raw, stage_offset, margin)[0]

@@ -34,7 +34,7 @@ import yaml
 
 from .errors import DimensionMismatch, ScenarioError
 from .policy import _ROLLOUT_MODES
-from .problem import ProblemData, _integer
+from .problem import ProblemData, _as_point, _integer
 
 _MATRICES = ("A", "B", "G", "Q", "R", "Pf")
 
@@ -94,13 +94,6 @@ def _floats(v) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{v!r} is not finite")
     return arr
-
-
-def _state(v, n: int) -> np.ndarray:  # an x0_list entry, of the problem's size
-    x = _floats(v).ravel()
-    if x.size != n:
-        raise ValueError(f"size {x.size}, expected {n}")
-    return x
 
 
 def _grid(g) -> tuple:  # policy-curve's (lo, hi, points)
@@ -184,7 +177,8 @@ def load_scenario(path) -> ScenarioFile:
              for key, v in run.items()}
     _known(run.get("grid", {}), "run.grid", path)  # a mapping, as _grid read it
     if "x0_list" in given:
-        given["x0_list"] = tuple(_value(path, f"run.x0_list[{i}]", _state, v, problem.n)
+        state = lambda v: _as_point(_floats(v), problem.n, "state")
+        given["x0_list"] = tuple(_value(path, f"run.x0_list[{i}]", state, v)
                                  for i, v in enumerate(given["x0_list"]))
     return ScenarioFile(problem=problem,
                         **{key: v for key, v in given.items() if v is not None})

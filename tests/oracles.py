@@ -15,7 +15,9 @@ the finite-horizon recursion in the same block form, against which the
 nested pass's stacked products are checked. `bordered_pass_reference` is
 the nested pass in the bordered form's first arithmetic, with the
 package's eigenpairs of each G block, which the pass must reproduce bit
-for bit. The single-stage sphere
+for bit. `shortfall_terms` splits what a re-solving closed loop's cost
+falls short of its stage-0 value into per-stage terms, read off the
+passes of its re-solves. The single-stage sphere
 reference lives in sphere_oracle.py.
 """
 import numpy as np
@@ -412,3 +414,35 @@ def receq_crosscheck(sw, p):
         alt = 0.5 * (alt + alt.T)
         worst = max(worst, float(np.linalg.norm(alt - sw.Pi[i], ord="fro")))
     return worst
+
+
+def shortfall_terms(p, states, disturbances, solutions):
+    """(gaps, losses, slacks) of a closed loop that re-solves at every
+    stage: solutions[k] is the stage-k solve at states[k], whose control
+    u_k = -K_0 x_k took the loop to states[k + 1] under disturbances[k].
+    Completing the square in w at each stage and telescoping gives
+
+        sum_k (x_k'Q x_k + u_k'R u_k) + x_N'Pf x_N
+            = 2 abar phi_0 - sum(gaps) - sum(losses) - sum(slacks)
+
+    with, for the stage-k pass's Pi_1, J_0 and multipliers lam,
+        gap_{k+1} = x'Pi_1 x + sum_{j>k} alpha_j lam_j - 2 abar phi_{k+1},
+                    x = x_{k+1}, for k < N - 1 (the terminal gap is 0);
+        loss_k    = (w - wbar)'(lam_k I - G'Pi_1 G)(w - wbar), wbar = -J_0 x_k;
+        slack_k   = lam_k (alpha_k - ||w_k||^2).
+    A gap is what the stage-(k+1) re-solve gains over the tail of the
+    stage-k multipliers, a loss what w gives up against the plan wbar, and
+    a slack the unused part of the stage bound: none is negative for an
+    admissible w and optimal re-solves."""
+    gaps, losses, slacks = [], [], []
+    for k, sol in enumerate(solutions):
+        sw = sweep(p, sol.lam_star)
+        lam, Pi1 = sw.lambdas, sw.Pi[1]
+        x, w, x1 = states[k], disturbances[k], states[k + 1]
+        if k + 1 < len(solutions):
+            gaps.append(x1 @ Pi1 @ x1 + p.alpha[k + 1:] @ lam[1:]
+                        - 2.0 * p.alpha_bar * solutions[k + 1].value)
+        d = w + sw.J[0] @ x
+        losses.append(lam[0] * (d @ d) - d @ (p.G.T @ Pi1 @ p.G) @ d)
+        slacks.append(lam[0] * (p.alpha[k] - w @ w))
+    return np.array(gaps), np.array(losses), np.array(slacks)

@@ -77,7 +77,7 @@ def test_loader_error_reporting(tmp_path):
     with pytest.raises(ScenarioError, match="unknown rollout mode"):
         load_scenario(bad)
     bad.write_text(base + "run:\n  x0_list: [[1.0, 2.0]]\n")
-    with pytest.raises(ScenarioError, match=r"run\.x0_list\[0\]: size 2"):
+    with pytest.raises(ScenarioError, match=r"run\.x0_list\[0\]: state has size 2, expected 1$"):
         load_scenario(bad)
     bad.write_text(base + "run:\n  x0_list: [[1.0], [.nan]]\n")
     with pytest.raises(ScenarioError, match=r"run\.x0_list\[1\]: nan is not finite"):

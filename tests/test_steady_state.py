@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from stdar import (Diverged, NoFeasibleLambda, lmi_certify, lqr_baseline,
-                   solve_steady_state)
+from stdar import (AssumptionViolated, Diverged, NoFeasibleLambda, lmi_certify,
+                   lqr_baseline, rollout, solve_multipliers, solve_steady_state,
+                   validate_problem)
 from stdar import _kernels, steady_state
 from stdar._linalg import sqrt_psd, top_eig
 from stdar.errors import SingularPi
@@ -33,6 +34,22 @@ def coupling(p, lam):
     # Z = B R^{-1} B' - G G'/lam of the map, as the probe forms it
     BRB, GG = p._steady_constants[:2]
     return BRB - GG / lam
+
+
+@pytest.mark.parametrize("R", [[[0.0]], np.diag([1.0, 0.0])], ids=["1x1", "2x2"])
+def test_singular_R_is_a_violated_assumption(R):
+    # ProblemData takes a singular R, which only validate_problem refuses.
+    # The finite-horizon solves run on it; the steady state and the LQR
+    # baseline, whose map needs R^{-1}, raise validate_problem's error
+    n = len(R)
+    p = ProblemData(A=0.5 * np.eye(n), B=np.eye(n), G=np.eye(n), Q=np.eye(n),
+                    R=R, Pf=np.eye(n), N=3, alpha=1.0, x0=np.ones(n))
+    assert solve_multipliers(p, p.x0).converged and rollout(p).converged
+    message = "R positive definite: min eigenvalue 0.000e+00"
+    for call in (validate_problem, solve_steady_state, lqr_baseline):
+        with pytest.raises(AssumptionViolated) as err:
+            call(p)
+        assert str(err.value) == message, call.__name__
 
 
 def test_scalar_reference_solution():
