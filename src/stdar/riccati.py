@@ -40,9 +40,9 @@ rule reads only the base's bounds and multipliers, so any pass is a base.
 Within a pass too: where a stage j > i, stepped or copied already, had
 stage i's raw multiplier and slack and its Pi_{j+1} has Pi_{i+1}'s bytes
 (not values: 0.0 == -0.0), stage i's outputs are stage j's bit for bit,
-and the pass copies them from the first such j, as no step. One lookup of
-a stage's inputs catches a floating-point fixed point and a cycle of any
-period: a cold pass's turnpike on a long horizon.
+and the pass copies them, as no step, with those below i that repeat at
+lag j - i in raw and slack, a cycle's rest, in one indexed copy. So one
+lookup catches a fixed point and a cycle of any period: a turnpike.
 
 Each stage forms one bordered matrix from the constants F = [B G A] and
 C = blockdiag(R, 0, Q), which ProblemData builds once: H =
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -214,7 +215,7 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
     the pass copies the stages it repeats (module docstring), or returns
     base itself, at depth 0. Below those it copies each stage whose
     inputs, Pi_{j+1}'s bytes, raw_j and slack_j, an earlier stage of its
-    own had. Every array of the result is read-only.
+    own had (a cycle's rest at once). Its arrays are all read-only.
     """
     lam = np.array(raw, dtype=float)
     n_stages = top = lam.shape[0]
@@ -243,13 +244,20 @@ def _nested_pass(p: ProblemData, raw, k: int, margin: float = -np.inf, slack=Non
     raw_j, steps = lam[:top].tolist(), top
     slack_j = None if slack is None else slack[:top].tolist()
     first = {}  # a stage's inputs (Pi_{i+1}'s bytes, raw, slack) -> first stage set
-    for i in range(top - 1, -1, -1):
+    stages = iter(range(top - 1, -1, -1))
+    for i in stages:
         Pi_next = Pi[i + 1]
         j = first.setdefault((Pi_next.tobytes(), raw_j[i], slack_j and slack_j[i]), i)
-        if j != i:  # stage j had these inputs
+        if j != i:  # stage j had these inputs: i, i - 1, ... repeat at lag P
+            P, low = j - i, i
+            while low and raw_j[low - 1] == raw_j[low - 1 + P] and (
+                    slack_j is None or slack_j[low - 1] == slack_j[low - 1 + P]):
+                low -= 1
+            src = np.arange(low - i - 1, 0) % P + (i + 1)  # in i + 1..j
             for arr in (lam, KJ, HZ, vals, vecs):
-                arr[i] = arr[j]
-            steps -= 1
+                arr[low:i + 1] = arr[src]
+            steps -= i + 1 - low
+            next(islice(stages, i - low, i - low), None)  # skip low..i - 1
             continue
         _bordered(FT, Fh, C, Pi_next, H)
         if q == 1:  # the bound is H's one G entry; vecs holds its [[1]]

@@ -82,7 +82,7 @@ def _probe(p: ProblemData, lam: float):
     status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, fro_norm(p.Pf))
     top = step = None
     if status == 0 and lam < np.inf:
-        top = top_eig(p.G.T @ Pi @ p.G)
+        top = top_eig(p.G.T.dot(Pi).dot(p.G))
     if status == 0 and (top is None or lam - top + EPS_BOUNDARY >= 0.0):
         status, step = verify(p.A, p.Q, Z, Pi, scale)
     return status, count, Pi, top, step
@@ -98,12 +98,13 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     inside the bracket and doubled from Pf, goes to the secant of g through
     the latest two probes with a slack where lo has one and that lies in
     (max(lo, bound), hi); else to the bound while it lies above lo and lo
-    is 0 or has a slack, else to the midpoint. The secant aims at a slack of
-    0.5e-9, so that a landing near the root is feasible and ends the
-    search. A converged probe below its bound goes to lo with its slack,
-    one that fails with none (see `_probe`). The answer is the accepted
-    probe at hi, unchanged: K_bar and the residual come from the map step
-    that verified Pi_bar (see `_kernels`), and the gap from the
+    is 0 or has a slack, or to lo's clamp while lo is 0 and the bound is
+    not above it (G'Pi G = 0, say), else to the midpoint. The secant aims
+    at a slack of 0.5e-9, so that a landing near the root is feasible and
+    ends the search. A converged probe below its bound goes to lo with its
+    slack, one that fails with none (see `_probe`). The answer is the
+    accepted probe at hi, unchanged: K_bar and the residual come from the
+    map step that verified Pi_bar (see `_kernels`), and the gap from the
     ||G'Pi_bar G|| that judged it.
     """
     work = []  # (status, doublings) of each probe
@@ -119,7 +120,7 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     def aimed(a, b):  # where the secant through probes (lam, h) reaches tol/2
         return b[0] - (b[1] - 0.5 * _BRACKET_TOL) * (b[0] - a[0]) / (b[1] - a[1])
 
-    start = 10.0 * (top_eig(p.G.T @ p.Pf @ p.G) + np.trace(p.Q) + np.trace(p.R))
+    start = 10.0 * (top_eig(p.G.T.dot(p.Pf).dot(p.G)) + np.trace(p.Q) + np.trace(p.R))
     for hi in (start * 2.0 ** k for k in range(11)):  # at most 10 doublings
         ok, h_hi, fp_hi = probe(hi)
         if ok:
@@ -134,8 +135,8 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
         flat = h_lo is None or slacks[0][1] == slacks[1][1]  # or lo has no slack
         mid = hi if flat else aimed(*slacks)  # through the latest two slacks
         if not max(lo, bound) < mid < hi:
-            if (lo == 0.0 or h_lo is not None) and bound > lo:
-                mid = bound
+            if lo == 0.0 or (h_lo is not None and bound > lo):
+                mid = max(bound, lo)
             else:
                 mid = 0.5 * (lo + hi)
         mid = min(max(mid, lo + 0.25 * _BRACKET_TOL), hi - 0.25 * _BRACKET_TOL)
@@ -148,7 +149,7 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     Pi_bar, top, (Pi_next, PX) = fp_hi
     # K_bar = R^{-1} B'Pi_bar (I + Z Pi_bar)^{-1} A, see `_kernels`
     sol = SteadyStateSolution(lambda_bar=float(hi), Pi_bar=Pi_bar,
-                              K_bar=np.linalg.solve(p.R, p.B.T @ PX),
+                              K_bar=np.linalg.solve(p.R, p.B.T.dot(PX)),
                               residual=float(np.linalg.norm(Pi_bar - Pi_next)),
                               boundary_gap=float(hi - top),
                               lmi_feasible=None, probes=len(work),
@@ -182,18 +183,18 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
         raise SingularPi("Pi_bar is singular to 1e-12 of its largest entry; "
                          "inverse certificate undefined")
     P = sym(np.linalg.inv(Pi))
-    F = sol.K_bar @ P
+    F = sol.K_bar.dot(P)
     Qh, Rh = p._steady_constants[2:]
-    closed = p.A @ P - p.B @ F
+    closed = p.A.dot(P) - p.B.dot(F)
     # one array written block by block, cheaper than np.block
     a, b, c = n, 2 * n, 2 * n + q  # block offsets
     L = np.zeros((c + n + m, c + n + m))
     L[:a, :a] = L[a:b, a:b] = P
     L[a:b, :a], L[:a, a:b] = closed, closed.T
     L[a:b, b:c], L[b:c, a:b] = p.G, p.G.T
-    L[b:c, b:c] = sol.lambda_bar * np.eye(q)
-    L[:a, c:c + n], L[:a, c + n:] = P @ Qh, -F.T @ Rh
-    L[c:, :a], L[c:, c:] = L[:a, c:].T, np.eye(n + m)
+    L[:a, c:c + n], L[:a, c + n:] = P.dot(Qh), -F.T.dot(Rh)
+    L[c:, :a], diag = L[:a, c:].T, L.ravel()[::len(L) + 1]  # a view of L's diagonal
+    diag[b:c], diag[c:] = sol.lambda_bar, 1.0  # the lam I and I blocks
     scale = max(1.0, float(np.abs(L).max()))
     return LmiCertificate(P=P, F=F, assembled=L,
                           feasible=psd_within(L, _TOL_PSD * scale))

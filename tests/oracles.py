@@ -12,10 +12,12 @@ solver's batched form is checked. `game_map_reference` is the
 steady-state game Riccati map in its block form, against which the
 package's n x n form is checked, and `stage_step_reference` is one step of
 the finite-horizon recursion in the same block form, against which the
-nested pass's stacked products are checked. `bordered_pass_reference` is
-the nested pass in the bordered form's first arithmetic, with the
-package's eigenpairs of each G block, which the pass must reproduce bit
-for bit. `shortfall_terms` splits what a re-solving closed loop's cost
+nested pass's stacked products are checked. `sda_reference` is the
+steady probe's doubling in its first form, which the kernel must
+reproduce bit for bit. `bordered_pass_reference` is the nested pass in
+the bordered form's first arithmetic, with the package's eigenpairs of
+each G block, which the pass must reproduce bit for bit.
+`shortfall_terms` splits what a re-solving closed loop's cost
 falls short of its stage-0 value into per-stage terms, read off the
 passes of its re-solves. The single-stage sphere
 reference lives in sphere_oracle.py.
@@ -203,6 +205,35 @@ def bordered_pass_reference(p, raw, margin=-np.inf, slack=None):
         KJ[j] = np.linalg.solve(H[:d, :d], H[:d, d:])
         Pi[j] = -(H @ np.vstack([KJ[j], -np.eye(p.n)]))[d:]
     return tuple(np.array(v) for v in (Pi, KJ, vals, vecs, lam))
+
+
+def sda_reference(A, Q, Z, x0):
+    """The structure-preserving doubling as _kernels.fixed_point_numpy
+    states it, in its first form: W_k = G_k H_k + I by a strided diagonal
+    add, products by @ and norms by np.linalg.norm, the stop tolerance
+    1e-12, the divergence tests and the 64-doubling cap. Returns (status,
+    doublings, X, scale), which the kernel must reproduce bit for bit."""
+    n, cap = A.shape[0], 1e12 * (1.0 + np.linalg.norm(Q) + x0)
+    AG = np.hstack([A, Z])  # [A_k G_k]
+    H = Q
+    for k in range(64):
+        Ak, Gk = AG[:, :n], AG[:, n:]
+        W = Gk @ H
+        W.ravel()[::n + 1] += 1.0
+        try:
+            S = np.linalg.solve(W, AG)
+        except np.linalg.LinAlgError:
+            return -2, k, None, None
+        H = H + Ak.T @ (H @ S[:, :n])
+        AG = Ak @ S
+        AG[:, n:] = Gk + AG[:, n:] @ Ak.T
+        h, a2 = np.linalg.norm(H), np.linalg.norm(AG[:, :n]) ** 2
+        scale = (1.0 + h * h) ** 0.5
+        if not (a2 * x0 <= 1e12 * scale and scale <= cap):
+            return -1, k + 1, None, None
+        if a2 * (h + x0) <= 1e-12 * scale:
+            return 0, k + 1, 0.5 * (H + H.T), scale
+    return 1, 64, None, None
 
 
 def _scalar_map_terms(A, B, G, Q, R, pi, lams):

@@ -13,7 +13,7 @@ from stdar.errors import SingularPi
 from stdar.problem import _TOL_PSD, ProblemData
 from stdar.riccati import EPS_BOUNDARY
 from conftest import make_problem, orthogonal, rotated, scalar_problem
-from oracles import (game_map_reference, steady_scalar_closed_form,
+from oracles import (game_map_reference, sda_reference, steady_scalar_closed_form,
                      steady_scalar_grid, steady_scalar_pi_at)
 
 
@@ -589,6 +589,25 @@ def test_search_probe_count(rng):
     assert doublings <= 235
 
 
+def test_search_probes_zero_first_where_the_bound_is_not_above_it():
+    # G'Pi G = 0 at every lam: the disturbance enters an unweighted state
+    # that no other state sees, so lambda_bar = 0 and each feasible probe's
+    # bound ||G'Pi_hi G|| - EPS_BOUNDARY lies below lo = 0. The search then
+    # probes lo's clamp, 0.25e-9, which is feasible and ends it: 2 probes
+    # and 10 doublings, where midpoints down from the start took 36 probes
+    # and 180 doublings to reach 8.7e-10
+    eye = np.eye(2)
+    p = ProblemData(A=0.5 * eye, B=eye, G=np.array([[0.0], [1.0]]),
+                    Q=np.diag([1.0, 0.0]), R=eye, Pf=np.zeros((2, 2)), N=1,
+                    alpha=[1.0])
+    validate_problem(p, allow_degenerate_terminal=True)
+    sol = solve_steady_state(p)
+    assert (sol.probes, sol.fp_iterations, sol.capped) == (2, 10, 0)
+    assert sol.lambda_bar == 0.25 * steady_state._BRACKET_TOL
+    assert sol.boundary_gap == sol.lambda_bar and sol.residual == 0.0
+    assert sol.lmi_feasible is None  # Pi_bar is singular: state 2 costs nothing
+
+
 def test_answer_is_within_the_tolerance_of_the_least_multiplier():
     # where the answer's slack h = boundary_gap + EPS_BOUNDARY is at most the
     # bracket tolerance, lambda_bar is within it of the least multiplier: the
@@ -667,6 +686,35 @@ def test_doubling_stop_test_is_not_a_fixed_point():
     for _ in range(132):
         p = make_problem(rng)
     assert steady_state._probe(p, 5.2)[0] == -1
+
+
+def test_kernel_is_the_reference_doubling_bit_for_bit():
+    # the kernel's doubling, one solve and five ndarray.dot products, makes
+    # the doubling in its first form (oracles.sda_reference) bit for bit:
+    # the same status, count, X and scale, on random systems at multipliers
+    # from 0.05 to 50 and at infinity, and at each status: the scalar
+    # example's cap at lam = 0.6875 (1), the unreachable unstable mode (-1)
+    # and a singular first W (-2, see test_singular_step_reports_singular_m)
+    B = np.array([[0.0], [1.0]])
+    unreachable = ProblemData(A=np.diag([2.0, 0.5]), B=B, G=B / 2, Q=np.eye(2),
+                              R=np.eye(1), Pf=np.eye(2), N=1, alpha=[1.0])
+    cases = [(steady_scalar(), 0.6875), (unreachable, 1.0),
+             (steady_scalar(Q=0.25), 0.2)]
+    rng = np.random.default_rng(8)
+    for i in range(60):
+        p = make_problem(rng, stable=i % 3 != 0)
+        cases += [(p, np.inf)] + [(p, 10.0 ** rng.uniform(-1.3, 1.7)) for _ in range(3)]
+    statuses = []
+    for p, lam in cases:
+        args = p.A, p.Q, coupling(p, lam), np.linalg.norm(p.Pf)
+        got, want = _kernels.fixed_point_numpy(*args), sda_reference(*args)
+        assert got[:2] == want[:2] and got[3] == want[3]
+        if want[2] is None:
+            assert got[2] is None
+        else:
+            assert got[2].tobytes() == want[2].tobytes()
+        statuses.append(want[0])
+    assert statuses[:3] == [1, -1, -2] and set(statuses) == {0, 1, -1, -2}
 
 
 def _dare_slack(p, lam):
