@@ -32,9 +32,17 @@ the fixed point is stable, A_k vanishes and H_k converges quadratically
 map the error still halves with each doubling (Chiang et al., SIAM J.
 Matrix Anal. Appl. 31(2), 2009), and each doubling stands for 2^k steps.
 
-Status codes: 0 converged, 1 doubling cap, -1 diverged, or converged to
-an X that is not positive semidefinite or not a fixed point of the map
-itself (`verify`, run apart from the doubling), -2 singular W_k or M.
+H_k = F^(2^k)(0), and F is order-preserving where ||G'XG|| < lam, so a
+fixed point X with ||G'XG|| <= bound dominates every H_k: a diagonal
+entry of G'H_k G above bound proves that lam has no such fixed point.
+From doubling _FP_EXIT_FROM on, a probe that has not converged tests it,
+with a relative margin _FP_EXIT_MARGIN for rounding: the probes below a
+saddle-node, which converge to nothing, end there instead of at the cap.
+
+Status codes: 0 converged, 1 doubling cap, -1 diverged, proved infeasible
+by a doubling, or converged to an X that is not positive semidefinite or
+not a fixed point of the map itself (`verify`, run apart from the
+doubling), -2 singular W_k or M.
 """
 from __future__ import annotations
 
@@ -46,6 +54,8 @@ from ._linalg import fro_norm, psd_within, sym
 
 _FP_TOL = 1e-12          # the doubling's stop rule and verify's PSD test
 _FP_MAX_DOUBLINGS = 64
+_FP_EXIT_FROM = 12       # the first doubling that tests for infeasibility
+_FP_EXIT_MARGIN = 1e-6   # its relative margin for rounding
 _FP_CHECK = 1e-8
 
 
@@ -59,16 +69,17 @@ def game_step(A, Q, Z, Pi):
     return 0.5 * (Pn + Pn.T), PX
 
 
-def fixed_point_numpy(A, Q, Z, x0):
+def fixed_point_numpy(A, Q, Z, x0, cap, eye, G, bound):
     """The doubling at Z, x0 = ||X_0||: (status, doublings, X, scale), X
     and scale None but at status 0, X = sym(H_k), at the first k with
     ||A_k||^2 (||H_k|| + x0) <= _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2};
     status 1 at _FP_MAX_DOUBLINGS. Diverged once ||A_k||^2 x0 passes 1e12
-    scale or scale passes the cap 1e12 (1 + ||Q|| + x0), which the kernel
-    forms once per call: a mode B cannot reach grows H_k and the relative
-    tests with it."""
-    n, cap = A.shape[0], 1e12 * (1.0 + fro_norm(Q) + x0)
-    eye = np.eye(n)
+    scale or scale passes cap, the problem's 1e12 (1 + ||Q|| + x0): a mode
+    B cannot reach grows H_k and the relative tests with it. From doubling
+    _FP_EXIT_FROM on, -1 too once an unconverged H_k has a diagonal entry
+    of G'H_k G above bound (1 + _FP_EXIT_MARGIN), bound the largest
+    ||G'X G|| a fixed point X may have (inf: no test); eye is I_n."""
+    n, limit = A.shape[0], bound * (1.0 + _FP_EXIT_MARGIN)
     AG = np.concatenate((A, Z), axis=1)  # [A_k G_k]
     Ak, Gk, H = A, Z, Q
     for k in range(_FP_MAX_DOUBLINGS):
@@ -88,6 +99,8 @@ def fixed_point_numpy(A, Q, Z, x0):
             return -1, k + 1, None, None
         if a2 * (h + x0) <= _FP_TOL * scale:
             return 0, k + 1, sym(H), scale
+        if k + 1 >= _FP_EXIT_FROM and (G * H.dot(G)).sum(axis=0).max() > limit:
+            return -1, k + 1, None, None  # diag(G'H_k G), no eigenvalue
     return 1, _FP_MAX_DOUBLINGS, None, None
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import sqrt_psd
+from ._linalg import fro_norm, sqrt_psd
 from .errors import AssumptionViolated, DimensionMismatch
 
 _SYM_RTOL = 1e-8
@@ -86,8 +86,9 @@ class ProblemData:
     F = [B G A], C = blockdiag(R, 0, Q) and Z = [0; I], the template a
     stage writes -[K; J] into. The constructor copies its inputs, and
     copies and pickles are rebuilt through it, so they are read-only too.
-    The steady state's B R^{-1} B', G G', Q^{1/2} and R^{1/2} are formed on
-    first read, as the read-only arrays of `_steady_constants`.
+    The steady state's lam-free constants (B R^{-1} B', G G', ||Pf||, the
+    doubling's cap, I_n, Q^{1/2} and R^{1/2}) are formed on first read, as
+    `_steady_constants`, its arrays read-only.
     """
 
     A: np.ndarray
@@ -157,16 +158,22 @@ class ProblemData:
 
     @cached_property
     def _steady_constants(self) -> tuple:
-        """B R^{-1} B' and G G' of the probe's Z, Q^{1/2} and R^{1/2},
-        read-only; AssumptionViolated where R is singular."""
+        """The probe's lam-free constants, (B R^{-1} B', G G', ||Pf||, cap,
+        I_n, Q^{1/2}, R^{1/2}): the two terms of its Z, its start's norm, the
+        doubling's divergence cap 1e12 (1 + ||Q|| + ||Pf||) and I_n, then
+        the certificate's square roots; arrays read-only.
+        AssumptionViolated where R is singular."""
         try:
             BRB = self.B @ np.linalg.solve(self.R, self.B.T)
         except np.linalg.LinAlgError:
             low = np.linalg.eigvalsh(self.R)[0]
             raise AssumptionViolated(f"R positive definite: min eigenvalue {low:.3e}") from None
-        out = (BRB, self.G @ self.G.T, sqrt_psd(self.Q), sqrt_psd(self.R))
+        pf = fro_norm(self.Pf)
+        out = (BRB, self.G @ self.G.T, pf, 1e12 * (1.0 + fro_norm(self.Q) + pf),
+               np.eye(self.n), sqrt_psd(self.Q), sqrt_psd(self.R))
         for arr in out:
-            arr.flags.writeable = False
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
         return out
 
     def stage_cost(self, x: np.ndarray, u: np.ndarray) -> float:

@@ -5,28 +5,30 @@ The steady-state problem minimizes lambda subject to lambda >= ||G'Pi G||
 and the stationarity Pi = F(lambda, Pi) of the one-stage Riccati map. A
 multiplier is feasible when the doubling probe (see `_kernels`) reaches a
 positive semidefinite fixed point and its slack
-g(lambda) = lambda - ||G'Pi(lambda) G|| clears -EPS_BOUNDARY. Pi(lambda)
-falls in the Loewner order as lambda grows (a larger lambda charges the
-disturbance more), so g is increasing with slope at least 1, and the
-feasible multipliers form a half-line where each probe reaches its fixed
-point or clearly fails to. Not so at the existence edge: on default_rng(9)
-systems 68 and 521 of the tests' make_problem, passing and failing probes
-interleave from 7e-9 and 4e-7 below lambda_bar up to it, and the answer
-depends on the search's path. The search keeps a bracket [lo, hi], hi
-feasible and lo not; as Pi(lambda_bar) dominates Pi_hi, ||G'Pi_hi G|| -
-EPS_BOUNDARY is a lower bound on lambda_bar that each feasible probe hands
-the next (see `solve_steady_state`). The LMI check certifies the solution
+g(lambda) = lambda - ||G'Pi(lambda) G|| clears -EPS_BOUNDARY; a probe
+with no fixed point ends once a doubling proves it, not at the doubling
+cap. Pi(lambda) falls in the Loewner order as lambda grows (a larger
+lambda charges the disturbance more), so g is increasing with slope at
+least 1, and the feasible multipliers form a half-line where each probe
+reaches its fixed point or clearly fails to. Not so at the existence
+edge: on default_rng(9) systems 68 and 521 of the tests' make_problem,
+passing and failing probes interleave from 7e-9 and 4e-7 below
+lambda_bar up to it, and the answer depends on the search's path. The
+search keeps a bracket [lo, hi], hi feasible and lo not; as
+Pi(lambda_bar) dominates Pi_hi, ||G'Pi_hi G|| - EPS_BOUNDARY is a lower
+bound on lambda_bar that each feasible probe hands the next (see
+`solve_steady_state`). The LMI check certifies the solution
 by a PSD block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._kernels import fixed_point_numpy, verify
-from ._linalg import fro_norm, psd_within, sym, top_eig
+from ._linalg import psd_within, sym, top_eig
 from .errors import Diverged, NoFeasibleLambda, SingularPi
 from .problem import _TOL_PSD, ProblemData
 from .riccati import EPS_BOUNDARY
@@ -75,11 +77,16 @@ def _probe(p: ProblemData, lam: float):
     """The one probe of a multiplier, (status, doublings, Pi, top, step): the
     doubling from Pf at Z = B R^{-1} B' - G G'/lam through this module's
     fixed_point_numpy binding (wrapped by benchmark/tracing.py, patched by
-    the tests), top = ||G'Pi G|| where it converged at a finite lam, and Pi
-    verified unless lam - top is below -EPS_BOUNDARY (then status 0, step
-    None). At lam = inf, the LQR map, Pi is always verified and top is None."""
-    Z = p._steady_constants[0] - p._steady_constants[1] / lam
-    status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, fro_norm(p.Pf))
+    the tests), which ends it as infeasible (status -1) once a diagonal
+    entry of G'H_k G passes lam + EPS_BOUNDARY, the largest ||G'Pi G|| the
+    search accepts; top = ||G'Pi G|| where it converged at a finite lam,
+    and Pi verified unless lam - top is below -EPS_BOUNDARY (then status 0,
+    step None). At lam = inf, the LQR map, Z = B R^{-1} B', Pi is always
+    verified and top is None. The lam-free constants are the problem's."""
+    BRB, GG, x0, cap, eye = p._steady_constants[:5]
+    Z = BRB - GG / lam if lam < np.inf else BRB
+    status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, x0, cap, eye, p.G,
+                                                 lam + EPS_BOUNDARY)
     top = step = None
     if status == 0 and lam < np.inf:
         top = top_eig(p.G.T.dot(Pi).dot(p.G))
@@ -102,10 +109,12 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     not above it (G'Pi G = 0, say), else to the midpoint. The secant aims
     at a slack of 0.5e-9, so that a landing near the root is feasible and
     ends the search. A converged probe below its bound goes to lo with its
-    slack, one that fails with none (see `_probe`). The answer is the
-    accepted probe at hi, unchanged: K_bar and the residual come from the
-    map step that verified Pi_bar (see `_kernels`), and the gap from the
-    ||G'Pi_bar G|| that judged it.
+    slack; one that fails, capped, diverged or proved infeasible by its
+    doubling, with none (see `_probe`). The answer is the accepted probe at
+    hi, unchanged: K_bar and the residual come from the map step that
+    verified Pi_bar (see `_kernels`), the gap from the ||G'Pi_bar G|| that
+    judged it, and lmi_feasible from `lmi_certify` at it, decided before
+    the solution is built.
     """
     work = []  # (status, doublings) of each probe
 
@@ -148,22 +157,23 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
             lo, h_lo = mid, h
     Pi_bar, top, (Pi_next, PX) = fp_hi
     # K_bar = R^{-1} B'Pi_bar (I + Z Pi_bar)^{-1} A, see `_kernels`
-    sol = SteadyStateSolution(lambda_bar=float(hi), Pi_bar=Pi_bar,
-                              K_bar=np.linalg.solve(p.R, p.B.T.dot(PX)),
-                              residual=float(np.linalg.norm(Pi_bar - Pi_next)),
-                              boundary_gap=float(hi - top),
-                              lmi_feasible=None, probes=len(work),
-                              fp_iterations=sum(count for _, count in work),
-                              capped=sum(status == 1 for status, _ in work))
-    try:
-        cert = lmi_certify(p, sol)
+    lam_bar, K_bar = float(hi), np.linalg.solve(p.R, p.B.T.dot(PX))
+    try:  # the certificate reads the answer's lambda_bar, Pi_bar and K_bar
+        feasible = lmi_certify(p, SimpleNamespace(
+            lambda_bar=lam_bar, Pi_bar=Pi_bar, K_bar=K_bar)).feasible
     except SingularPi:
-        return sol
-    return dataclasses.replace(sol, lmi_feasible=cert.feasible)
+        feasible = None
+    return SteadyStateSolution(lambda_bar=lam_bar, Pi_bar=Pi_bar, K_bar=K_bar,
+                               residual=float(np.linalg.norm(Pi_bar - Pi_next)),
+                               boundary_gap=float(hi - top),
+                               lmi_feasible=feasible, probes=len(work),
+                               fp_iterations=sum(count for _, count in work),
+                               capped=sum(status == 1 for status, _ in work))
 
 
 def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
-    """Assemble and check the block PSD certificate at a candidate solution.
+    """Assemble and check the block PSD certificate at a candidate solution,
+    of which it reads lambda_bar, Pi_bar and K_bar alone.
 
     Block sizes (n, n, q, n+m); with P = Pi_bar^{-1} and F = K_bar P the
     matrix is
@@ -184,7 +194,7 @@ def lmi_certify(p: ProblemData, sol: SteadyStateSolution) -> LmiCertificate:
                          "inverse certificate undefined")
     P = sym(np.linalg.inv(Pi))
     F = sol.K_bar.dot(P)
-    Qh, Rh = p._steady_constants[2:]
+    Qh, Rh = p._steady_constants[5:]
     closed = p.A.dot(P) - p.B.dot(F)
     # one array written block by block, cheaper than np.block
     a, b, c = n, 2 * n, 2 * n + q  # block offsets

@@ -207,12 +207,14 @@ def bordered_pass_reference(p, raw, margin=-np.inf, slack=None):
     return tuple(np.array(v) for v in (Pi, KJ, vals, vecs, lam))
 
 
-def sda_reference(A, Q, Z, x0):
+def sda_reference(A, Q, Z, x0, G, bound):
     """The structure-preserving doubling as _kernels.fixed_point_numpy
     states it, in its first form: W_k = G_k H_k + I by a strided diagonal
     add, products by @ and norms by np.linalg.norm, the stop tolerance
-    1e-12, the divergence tests and the 64-doubling cap. Returns (status,
-    doublings, X, scale), which the kernel must reproduce bit for bit."""
+    1e-12, the divergence tests, the infeasibility exit (from doubling 12,
+    max diag(G'H_k G) > bound (1 + 1e-6)) and the 64-doubling cap. Returns
+    (status, doublings, X, scale), which the kernel must reproduce bit for
+    bit."""
     n, cap = A.shape[0], 1e12 * (1.0 + np.linalg.norm(Q) + x0)
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
@@ -233,6 +235,8 @@ def sda_reference(A, Q, Z, x0):
             return -1, k + 1, None, None
         if a2 * (h + x0) <= 1e-12 * scale:
             return 0, k + 1, 0.5 * (H + H.T), scale
+        if k + 1 >= 12 and np.diag(G.T @ H @ G).max() > bound * (1.0 + 1e-6):
+            return -1, k + 1, None, None
     return 1, 64, None, None
 
 

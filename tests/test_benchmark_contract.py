@@ -9,9 +9,10 @@ long_horizon, steady and online workloads checks that the harness runs end
 to end, and one pass over each of the online, long_horizon and steady
 banks bounds the solver work its solves report, counts that do not depend
 on the host. The steady bank's systems also check the steady state against
-the finite-horizon program, and the long_horizon bank's systems check
-that passes which copy the stages of their turnpike are the recursion bit
-for bit, and an online bank pass with eigh's eigenpairs in place of the
+the finite-horizon program and that the doubling's infeasibility exit
+ends no probe at or above lambda_bar, and the long_horizon bank's systems
+check that passes which copy the stages of their turnpike are the
+recursion bit for bit, and an online bank pass with eigh's eigenpairs in place of the
 2 x 2 closed form does the same work within 1e-12 of the package's
 outputs. Each online bank episode falls short of its stage-0 value by
 the gaps, losses and slacks of its re-solves. The checker's own self-test runs as shipped, and three failing
@@ -371,10 +372,11 @@ def test_long_horizon_bank_counts(monkeypatch):
 def test_steady_bank_counts(monkeypatch):
     # the same count over one pass of the steady bank: the paper's scalar
     # example and 40 random systems, each solved and given its LQR baseline.
-    # The scalar example's two probes below its saddle-node end at the
-    # 64-doubling cap. A converged probe below its bound goes to lo
-    # unverified, so the search verifies 174 of its probes, and each LQR
-    # baseline verifies its one
+    # The scalar example's two probes below its saddle-node end by the
+    # doubling's infeasibility exit, after 13 and 14 doublings; run to the
+    # 64-doubling cap they made it 1 109 doublings and 2 capped probes. A
+    # converged probe below its bound goes to lo unverified, so the search
+    # verifies 174 of its probes, and each LQR baseline verifies its one
     verified = {"search": 0, "lqr": 0}
     phase = ["search"]
     verify, lqr_baseline = stdar.steady_state.verify, stdar.lqr_baseline
@@ -396,9 +398,38 @@ def test_steady_bank_counts(monkeypatch):
     assert not any(res.wrong or res.failed for res in results)
     assert len(solutions) == 41
     assert sum(sol.probes for sol in solutions) == 232
-    assert sum(sol.fp_iterations for sol in solutions) == 1109
-    assert [sol.capped for sol in solutions] == [2] + [0] * 40
+    assert sum(sol.fp_iterations for sol in solutions) == 1008
+    assert [sol.capped for sol in solutions] == [0] * 41
     assert verified == {"search": 174, "lqr": 41}
+
+
+def test_exit_never_ends_a_feasible_probe(monkeypatch):
+    # soundness of the doubling's infeasibility exit: a fixed point X with
+    # ||G'XG|| <= lam + EPS_BOUNDARY dominates every H_k, so no probe at or
+    # above its solve's lambda_bar ends by the exit. A probe ended by it is
+    # one whose result changes when the same doubling runs without it
+    # (bound inf). Checked over the steady bank and the first 40
+    # make_problem(default_rng(9)) systems, test_dare_reference.py's set
+    fp, eps = stdar._kernels.fixed_point_numpy, stdar.riccati.EPS_BOUNDARY
+    calls = []
+    monkeypatch.setattr(stdar.steady_state, "fixed_point_numpy",
+                        lambda *args: calls.append((args, fp(*args))) or calls[-1][1])
+    cases = load_workloads(monkeypatch).Steady().bank()
+    api = SimpleNamespace(ProblemData=stdar.ProblemData,
+                          validate_problem=stdar.validate_problem)
+    for case in cases:
+        case.build(api)
+    rng = np.random.default_rng(9)
+    systems = [case.problem for case in cases] + [make_problem(rng) for _ in range(40)]
+    probes = 0
+    for p in systems:
+        del calls[:]
+        lam_bar = stdar.solve_steady_state(p).lambda_bar
+        probes += len(calls)
+        for args, out in calls:
+            if args[-1] - eps >= lam_bar and out[0] == -1:
+                assert fp(*args[:-1], np.inf)[:2] == out[:2], args[-1] - eps
+    assert len(systems) == 81 and probes > 500
 
 
 def test_finite_horizon_program_meets_the_steady_state(monkeypatch):

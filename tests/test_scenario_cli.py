@@ -456,10 +456,11 @@ def test_cli_steady(tmp_path, capsys):
     sol = solve_steady_state(sec5())
     assert int(row["probes"]) == sol.probes > 0
     assert int(row["fp_iterations"]) == sol.fp_iterations > 0
-    # the paper's example sends its two probes below the saddle-node to the
-    # 64-doubling cap; the column follows fp_iterations
+    # the paper's example's two probes below the saddle-node end by the
+    # doubling's infeasibility exit, not at the 64-doubling cap (2 capped
+    # before it); the column follows fp_iterations
     assert header[-3:] == ["probes", "fp_iterations", "capped"]
-    assert int(row["capped"]) == sol.capped == 2
+    assert int(row["capped"]) == sol.capped == 0
     # the solution keeps the certificate's decision; the column is its
     # smallest eigenvalue, formed by lmi_certify on request
     assert sol.lmi_feasible

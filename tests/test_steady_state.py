@@ -33,7 +33,17 @@ def fixed_point(p, lam):
 def coupling(p, lam):
     # Z = B R^{-1} B' - G G'/lam of the map, as the probe forms it
     BRB, GG = p._steady_constants[:2]
-    return BRB - GG / lam
+    return BRB - GG / lam if lam < np.inf else BRB
+
+
+def kernel_args(p, lam, x0=None):
+    # the doubling kernel's arguments at lam as _probe hands them, from a
+    # start of norm x0 (||Pf||, the probe's, by default): Z, the cap
+    # 1e12 (1 + ||Q|| + x0), I_n, G and the exit's bound lam + EPS_BOUNDARY
+    x0 = np.linalg.norm(p.Pf) if x0 is None else x0
+    cap = 1e12 * (1.0 + np.linalg.norm(p.Q) + x0)
+    return (p.A, p.Q, coupling(p, lam), x0, cap, np.eye(p.n), p.G,
+            lam + EPS_BOUNDARY)
 
 
 @pytest.mark.parametrize("R", [[[0.0]], np.diag([1.0, 0.0])], ids=["1x1", "2x2"])
@@ -178,6 +188,38 @@ def test_no_fixed_point_stops_early():
     assert status in (-1, 1)
     assert doublings <= 64
     assert step is None
+
+
+def test_probes_below_the_saddle_node_end_by_the_exit():
+    # the paper's example has no fixed point below lambda_bar = 1.2, and
+    # its H_k = F^(2^k)(0) pass lam there: from doubling _FP_EXIT_FROM on
+    # the kernel proves lam infeasible by diag(G'H_k G) > lam + EPS_BOUNDARY,
+    # where it ran to the 64-doubling cap (status 1) before. The solve keeps
+    # its answer bit for bit and its 15 probes, while its doublings go
+    # 215 -> 114 and its capped probes 2 -> 0
+    p = steady_scalar()
+    start = _kernels._FP_EXIT_FROM
+    for lam, doublings in ((0.5, 15), (0.6875, 14)):
+        status, k, X, _ = _kernels.fixed_point_numpy(*kernel_args(p, lam))
+        assert (status, k, X) == (-1, doublings, None)
+        assert start <= k <= start + 4
+        # without the exit the probe runs to the cap
+        assert _kernels.fixed_point_numpy(*kernel_args(p, lam)[:-1], np.inf)[:2] == (1, 64)
+    sol = solve_steady_state(p)
+    assert sol.lambda_bar == 1.1999999998471096
+    assert (sol.probes, sol.fp_iterations, sol.capped) == (15, 114, 0)
+
+
+def test_random_system_counts():
+    # host-independent counts over the first 100 make_problem(default_rng(8))
+    # systems, drawn in sequence. The exit ends probes with no fixed point
+    # early: doublings 10 754 -> 8 076 and capped probes 91 -> 34 against
+    # the doubling without it, for the same 911 probes
+    rng = np.random.default_rng(8)
+    sols = [solve_steady_state(make_problem(rng)) for _ in range(100)]
+    assert sum(sol.probes for sol in sols) <= 911
+    assert sum(sol.fp_iterations for sol in sols) == 8076
+    assert sum(sol.capped for sol in sols) == 34
 
 
 def test_indefinite_fixed_point_rejected():
@@ -661,9 +703,10 @@ def test_doubling_stops_on_its_error_bound(rng, monkeypatch):
         lam_bar = solve_steady_state(p).lambda_bar
         for lam, X0 in ((1.01 * lam_bar, p.Pf), (np.inf, p.Pf),
                         (1.01 * lam_bar, 1e9 * p.Pf)):
-            Z, x0 = coupling(p, lam), norm(X0)
+            args = kernel_args(p, lam, norm(X0))
+            Z, x0 = args[2:4]
             del solves[:], symmetrized[:]
-            status, k, X, scale = _kernels.fixed_point_numpy(p.A, p.Q, Z, x0)
+            status, k, X, scale = _kernels.fixed_point_numpy(*args)
             assert status == 0 and len(solves) == k and len(symmetrized) == 1
             H = symmetrized[0]
             assert np.array_equal(X, sym(H)) and scale == pytest.approx(
@@ -692,29 +735,34 @@ def test_kernel_is_the_reference_doubling_bit_for_bit():
     # the kernel's doubling, one solve and five ndarray.dot products, makes
     # the doubling in its first form (oracles.sda_reference) bit for bit:
     # the same status, count, X and scale, on random systems at multipliers
-    # from 0.05 to 50 and at infinity, and at each status: the scalar
-    # example's cap at lam = 0.6875 (1), the unreachable unstable mode (-1)
-    # and a singular first W (-2, see test_singular_step_reports_singular_m)
+    # from 0.05 to 50 and at infinity, and at each status: the cap (1) where
+    # Q = 0 and lam = 1 make Z = 0 and the map the identity, so that no H_k
+    # leaves 0, the scalar example's infeasibility exit at lam = 0.6875 and
+    # the unreachable unstable mode (-1), and a singular first W (-2, see
+    # test_singular_step_reports_singular_m)
     B = np.array([[0.0], [1.0]])
     unreachable = ProblemData(A=np.diag([2.0, 0.5]), B=B, G=B / 2, Q=np.eye(2),
                               R=np.eye(1), Pf=np.eye(2), N=1, alpha=[1.0])
-    cases = [(steady_scalar(), 0.6875), (unreachable, 1.0),
-             (steady_scalar(Q=0.25), 0.2)]
+    cases = [(steady_scalar(Q=0.0), 1.0), (steady_scalar(), 0.6875),
+             (unreachable, 1.0), (steady_scalar(Q=0.25), 0.2)]
     rng = np.random.default_rng(8)
     for i in range(60):
         p = make_problem(rng, stable=i % 3 != 0)
         cases += [(p, np.inf)] + [(p, 10.0 ** rng.uniform(-1.3, 1.7)) for _ in range(3)]
     statuses = []
     for p, lam in cases:
-        args = p.A, p.Q, coupling(p, lam), np.linalg.norm(p.Pf)
-        got, want = _kernels.fixed_point_numpy(*args), sda_reference(*args)
+        args = kernel_args(p, lam)
+        assert p._steady_constants[2:4] == args[3:5]  # ||Pf|| and the cap
+        got = _kernels.fixed_point_numpy(*args)
+        want = sda_reference(*args[:4], *args[-2:])
         assert got[:2] == want[:2] and got[3] == want[3]
         if want[2] is None:
             assert got[2] is None
         else:
             assert got[2].tobytes() == want[2].tobytes()
-        statuses.append(want[0])
-    assert statuses[:3] == [1, -1, -2] and set(statuses) == {0, 1, -1, -2}
+        statuses.append(want[:2])
+    assert statuses[:4] == [(1, 64), (-1, 14), (-1, 5), (-2, 0)]
+    assert {status for status, _ in statuses} == {0, 1, -1, -2}
 
 
 def _dare_slack(p, lam):
