@@ -15,17 +15,19 @@ already set. There the feasible set is the nonnegative orthant, box
 projection is exact and the projected gradient vanishes at the optimum.
 One descent loop runs in these coordinates from the start: a two-metric
 projected L-BFGS direction (Bertsekas's eps-active slacks take -g, the
-free ones the limited-memory quasi-Newton step) with Armijo backtracking
-along the projection arc max(s + t d, 0); a failed line search drops the
-memory and retries from -g (_descend). A solve starts from one margin
-pass, lambda_j = max(init_j, b_j + EPS_BOUNDARY), and reads its slacks off
-it as lambda_j - (b_j + EPS_BOUNDARY), which the pass adds back exactly;
+free ones the limited-memory quasi-Newton step) on the secular gradient
+below, with Armijo backtracking on phi along the projection arc max(s +
+t d, 0); a failed line search drops the memory and retries (_descend).
+A solve starts from one margin pass, lambda_j = max(init_j, b_j +
+EPS_BOUNDARY), and reads its slacks off it as lambda_j - (b_j +
+EPS_BOUNDARY), which the pass adds back exactly;
 one within lambda_j's rounding is 0. A cold solve is the warm start from
 init = -inf: the lower corner s = 0, where most multipliers of an optimum
 sit. The loop evaluates no trial whose predicted decrease lies within
 phi's rounding, so a warm start at an optimum that met its 1e-8 rule costs
 its start pass and one gradient. No separate projection
-(riccati.project_feasible) runs. The first trial moves no slack by more
+(riccati.project_feasible) runs. A trial without curvature pairs takes
+the one-pole model's step where it holds and moves no other slack by more
 than 1: at the corner an interior stage's gradient can be in the hundreds.
 
 The head multiplier is solved exactly (_head_step) after the start pass
@@ -72,16 +74,22 @@ multipliers,
 wbar_j = -J_j x_j the certainty disturbance. The tests check both
 gradients against finite differences of phi.
 
-The recurrence is affine, [vec X_{j+1}; 1] = T_j [vec X_j; 1] with
-T_j = [[Acl_j (x) Acl_j - vec(GG_j) vec(J_j'J_j)', alpha_{k+j} vec(GG_j)];
-[0, 1]], GG_j = (G v_j)(G v_j)'. So on stages t.. that a pass repeats
-from an earlier one, g_j = alpha_{k+j} - L_j [vec X_t; 1] with the tail
-map L_j = [vec J_j'J_j; 0]' T_{j-1}...T_t. An accepted trial pass steps
-only stages below its depth t, so the descent builds L at the first
-accepted step's depth and again only when a step reaches deeper; then a
-gradient loops over t head stages (bit for bit the loop) and multiplies
-by L once. The start pass's gradient, and any without a map, is the loop;
-n > 4 builds no map and a fast-growing tail's map is unused (_MAP_*).
+The descent steps on the secular gradient gh_j = u_j - alpha_{k+j}^-1/2,
+u_j = (alpha_{k+j} - 2 alpha_bar dphi/ds_j)^-1/2 = <X_j, J_j'J_j>^-1/2,
+which is 1/||wbar_j|| in the envelope: it has g_j's sign and zeros and is
+close to affine in s_j (where u_j is not defined, gh_j = dphi/ds_j). At
+stage 0 with the tail held, ||wbar|| is the head step's ||(lambda_0 I -
+N)^-1 rho||, so where N's top eigenvalue nu dominates, u = (lambda_0 -
+nu)/|rho_top|, affine with slope u/(lambda_0 - nu): the one-pole secular
+equation (More & Sorensen 1983). Every stage j has that model, with N_j
+and nu_j from its own G-block Schur complement (_schur, batched over the
+pass's Pi stack), so the direction's initial inverse Hessian is diagonal,
+D_j = (lambda_j - nu_j)/u_j where lambda_j > nu_j and u_j is defined
+(the model's Newton step on gh_j is -D_j gh_j), once pairs exist
+clipped to within _CLIP of their scale, and that scale elsewhere.
+Armijo, the projected-gradient norm and the stopping rules read the true
+gradient; gh and D are formed only where an iteration is taken, so a
+solve that takes none costs no more than its gradient.
 """
 from __future__ import annotations
 
@@ -91,7 +99,7 @@ import numpy as np
 
 from ._linalg import eigpairs, fro_norm
 from .problem import ProblemData, _as_point, _integer
-from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep, _bordered,
+from .riccati import (EPS_BOUNDARY, MultiplierVector, RiccatiSweep,
                       _nested_pass, _require_offset, _tail_vector, at_bound,
                       sweep)
 
@@ -101,15 +109,9 @@ _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 _MAX_ITER = 5000  # accepted steps a solve may take
-_MEMORY = 8  # (ds, dg) pairs the direction keeps
+_MEMORY = 8  # (ds, dgh) pairs the direction keeps
 _ROUNDING = 16.0 * np.finfo(float).eps  # relative rounding of phi and lambda
-# A tail map stage is an (n^2+1)^3 product: at n <= 4 it costs about one
-# loop stage, at n = 8 twenty and at n = 16 two hundred, so larger n keep
-# the loop. A map is not used where the Acl (x) Acl block of its composed
-# products passes _MAP_GROWTH: its rounding outgrows the loop's with that
-# block (at 1e2 it lost 3e-12 of the gradient, the loop 5e-14).
-_MAP_MAX_N = 4
-_MAP_GROWTH = 1e1
+_CLIP = 10.0  # the model's D is kept within this factor of a pair's scale
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,8 @@ class MultiplierSolution:
     step; a stage a pass copies is no step), one adjoint pass per accepted
     point and at the start, and the trial points rejected by the Armijo
     test; a trial within phi's rounding is not evaluated (_descend).
-    adjoint_stages counts their stage updates (N - k, or t with a tail map
-    of depth t) plus the N - k - t stages of each tail map built; a map
-    stage costs about one stage update at the n <= 4 where maps are built.
-    iterations counts accepted L-BFGS or projected-gradient steps, not head steps.
+    adjoint_stages counts their stage updates, N - k per gradient.
+    iterations counts accepted descent steps, not head steps.
     """
 
     lam_star: RiccatiSweep
@@ -168,15 +168,26 @@ def _reconstruct(p: ProblemData, s: np.ndarray, k: int,
     return _nested_pass(p, np.full(s.size, -np.inf), k, EPS_BOUNDARY, s, base)
 
 
+def _schur(p: ProblemData, Pi_next: np.ndarray) -> np.ndarray:
+    """W: the Schur complement of the B block of the bordered matrix H
+    (riccati) over its [G A] block, for Pi_next = Pi_{j+1}, or for each
+    matrix of a stack of them. Its G block N = W[:q, :q] holds the
+    one-pole model's poles, the rest of its first q rows the drive rho =
+    W[:q, q:] x (module docstring)."""
+    X = p.F.T @ (Pi_next @ (0.5 * p.F))  # H = X + X' + C, as the pass forms it
+    H = X + X.swapaxes(-1, -2) + p.C
+    m = p.m
+    return H[..., m:, m:] - H[..., m:, :m] @ np.linalg.solve(H[..., :m, :m], H[..., :m, m:])
+
+
 def _head_step(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
                phi: float):
     """(s, sw, phi, stage steps) after the head step (module docstring)."""
-    a, m, q = float(p.alpha[sw.stage_offset]), p.m, p.q
+    a, q = float(p.alpha[sw.stage_offset]), p.q
     if s[0] == 0.0 and a >= (Jx := sw.J[0].dot(x)).dot(Jx):  # g_0 >= 0
         return s, sw, phi, 0
-    H = _bordered(p.F.T, 0.5 * p.F, p.C, sw.Pi[1], np.empty(p.C.shape))
-    W = H[m:, m:] - H[m:, :m].dot(np.linalg.solve(H[:m, :m], H[:m, m:]))
-    _, nu, U = eigpairs(W[:q, :q])  # W[:q, :q] = N
+    W = _schur(p, sw.Pi[1])
+    _, nu, U = eigpairs(W[:q, :q])  # N's eigenpairs
     r2 = U.dot(W[:q, q:].dot(x)) ** 2  # rho^2 in N's eigenbasis
     t = lo = float(sw.bounds[0]) + EPS_BOUNDARY  # lambda_0 at s_0 = 0
     if not (lo - nu).min() > 0.0:
@@ -196,121 +207,111 @@ def _head_step(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     return s, sw, _phi(p, x, sw), steps
 
 
-def _adjoint_terms(p: ProblemData, sw: RiccatiSweep, lo: int, hi: int):
-    """Acl_j, (G v_j)(G v_j)' and J_j'J_j (flattened) of stages lo..hi-1
-    of sw, each from one batched product."""
-    Acl = p.A - p.F[:, :p.m + p.q] @ sw._gains[lo:hi]  # A - [B G][K_j; J_j]
-    J = sw.J[lo:hi]
-    Gv = sw._eigvecs[lo:hi, -1] @ p.G.T  # row j: G v_j, the pass's top eigenvector
-    return (Acl, Gv[:, :, None] * Gv[:, None, :],
-            (J.transpose(0, 2, 1) @ J).reshape(hi - lo, -1))
-
-
-def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray, tail=None) -> np.ndarray:
+def _slack_gradient(p: ProblemData, sw: RiccatiSweep, x: np.ndarray) -> np.ndarray:
     """Exact gradient of phi in the slack coordinates at the sweep sw, by
-    the forward adjoint pass of the module docstring; with the tail map
-    (t, L) of a pass that sw repeats from stage t, the loop stops at X_t."""
-    k = sw.stage_offset
-    t, L = (len(sw), None) if tail is None or tail[1] is None else tail
-    alpha = p.alpha[k:k + t].tolist()
+    the forward adjoint pass of the module docstring."""
+    alpha = p.alpha[sw.stage_offset:].tolist()
     X = np.multiply.outer(x, x)
-    Acl, GG, JJ = _adjoint_terms(p, sw, 0, t)
+    Acl = p.A - p.F[:, :p.m + p.q] @ sw._gains  # A - [B G][K_j; J_j]
+    Gv = sw._eigvecs[:, -1] @ p.G.T  # row j: G v_j, the pass's top eigenvector
+    GG = Gv[:, :, None] * Gv[:, None, :]
+    JJ = (sw.J.transpose(0, 2, 1) @ sw.J).reshape(len(sw), -1)
     g = [alpha[0] - JJ[0].dot(X.ravel())]
     # X_{j+1} from X_j; the last stage's X_{j+1} is not needed
     for A_j, G_j, JJ_j, a_j in zip(Acl, GG, JJ[1:], alpha[1:]):
         X = A_j.dot(X).dot(A_j.T) + g[-1] * G_j
         g.append(a_j - JJ_j.dot(X.ravel()))
-    if L is not None:
-        X = Acl[-1].dot(X).dot(Acl[-1].T) + g[-1] * GG[-1]
-        g.extend(p.alpha[k + t:] - L @ np.append(X.ravel(), 1.0))
     return np.array(g) / (2.0 * p.alpha_bar)
 
 
-def _tail_map(p: ProblemData, sw: RiccatiSweep, t: int):
-    """The tail map (t, L) over stages t.. of sw, None unless 0 < t < N - k.
-    L is None, and a gradient the loop, where an entry of the Acl (x) Acl
-    block of a composed product T_{j-1}...T_t passes _MAP_GROWTH."""
-    size, nn = len(sw), p.n * p.n
-    if not 0 < t < size:
-        return None
-    S, (Acl, GG, JJ) = size - t, _adjoint_terms(p, sw, t, size)
-    T = np.zeros((S, nn + 1, nn + 1))
-    T[:, :nn, :nn] = ((Acl[:, :, None, :, None] * Acl[:, None, :, None, :])
-                      .reshape(S, nn, nn) - GG.reshape(S, nn, 1) * JJ[:, None, :])
-    T[:, :nn, nn] = p.alpha[sw.stage_offset + t:, None] * GG.reshape(S, nn)
-    T[:, nn, nn] = 1.0
-    P = np.broadcast_to(np.eye(nn + 1), T.shape).copy()  # P[0] = I
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for i in range(S - 1):
-            np.matmul(T[i], P[i], out=P[i + 1])
-    if not np.abs(P[:, :nn, :nn]).max() <= _MAP_GROWTH:  # also where it overflowed
-        return t, None
-    return t, (JJ[:, None, :] @ P[:, :nn])[:, 0]
+def _secular(p: ProblemData, sw: RiccatiSweep, g: np.ndarray):
+    """The secular gradient gh and the one-pole model's scale D at sw, of
+    slack gradient g (module docstring); D is 0 where the model fails."""
+    a = p.alpha[sw.stage_offset:]
+    w2 = a - 2.0 * p.alpha_bar * g  # <X_j, J_j'J_j>, ||wbar_j||^2 in the envelope
+    ok = w2 > 0.0  # else u_j is not defined, and gh_j is g_j
+    u = np.where(ok, w2, 1.0) ** -0.5
+    N = _schur(p, sw.Pi[1:])[:, :p.q, :p.q]
+    gap = sw.lambdas - (N[:, 0, 0] if p.q == 1 else np.linalg.eigvalsh(N)[:, -1])
+    return np.where(ok, u - a ** -0.5, g), np.where(ok & (gap > 0.0), gap / u, 0.0)
 
 
 def _pg_norm(g: np.ndarray, s: np.ndarray) -> float:
     return fro_norm(np.where(s > 0.0, g, np.minimum(g, 0.0)))
 
 
-def _direction(g: np.ndarray, s: np.ndarray, pgn: float,
-               pairs: list) -> tuple[np.ndarray, float]:
-    """The trial direction and its first step length (_descend).
+def _direction(g: np.ndarray, gh: np.ndarray, D: np.ndarray, s: np.ndarray,
+               pgn: float, pairs: list) -> np.ndarray:
+    """The trial direction, taken at unit length (_descend).
 
     The eps-active slacks, s_i <= min(1e-3, pgn) with g_i > 0, take -g.
-    The free ones take -H g, H the L-BFGS inverse Hessian of the stored
-    (ds, dg) pairs restricted to them, by the two-loop recursion (Nocedal
-    & Wright, Algorithm 7.4) scaled by ds'dg / dg'dg of the last pair; a
-    pair whose restricted ds'dg is not positive drops out. Unit length;
-    with no pair left, -g at the first-step length.
+    The free ones take -H gh, H the L-BFGS inverse Hessian of the stored
+    (ds, dgh) pairs restricted to them, by the two-loop recursion (Nocedal
+    & Wright, Algorithm 7.4) from a diagonal H0: gamma = ds'dgh / dgh'dgh
+    of the last pair, or the model's D clipped to [gamma / _CLIP, _CLIP
+    gamma] where it holds. A pair whose restricted ds'dgh is not positive
+    drops out. With no pair left, H0 = D where the model holds, and every
+    other slack takes -g scaled so that it moves none by more than 1; a
+    direction along which g does not decrease is replaced by that -g.
     """
-    if pairs:
-        free = ~((s <= min(1e-3, pgn)) & (g > 0.0))
-        kept = []
-        for ds, dg in pairs:
-            ds, dg = ds * free, dg * free
-            sy = float(ds @ dg)
-            if sy > 0.0:
-                kept.append((ds, dg, sy))
-        if kept:
-            r, a = g * free, []
-            for ds, dg, sy in reversed(kept):
-                a.append(float(ds @ r) / sy)
-                r -= a[-1] * dg
-            r *= kept[-1][2] / float(kept[-1][1] @ kept[-1][1])
-            for (ds, dg, sy), a_i in zip(kept, reversed(a)):
-                r += (a_i - float(dg @ r) / sy) * ds
-            return -np.where(free, r, g), 1.0
-    return -g, 1.0 / max(1.0, float(np.abs(np.maximum(s - g, 0.0) - s).max()))
+    free = ~((s <= min(1e-3, pgn)) & (g > 0.0))
+    steep = -g / max(1.0, float(np.abs(np.maximum(s - g, 0.0) - s).max()))
+    kept = []
+    for ds, dg in pairs:
+        ds, dg = ds * free, dg * free
+        sy = float(ds @ dg)
+        if sy > 0.0:
+            kept.append((ds, dg, sy))
+    if not kept:
+        return np.where(free & (D > 0.0), -D * gh, steep)
+    r, a = gh * free, []
+    for ds, dg, sy in reversed(kept):
+        a.append(float(ds @ r) / sy)
+        r -= a[-1] * dg
+    gamma = kept[-1][2] / float(kept[-1][1] @ kept[-1][1])
+    r *= np.where(D > 0.0, np.clip(D, gamma / _CLIP, _CLIP * gamma), gamma)
+    for (ds, dg, sy), a_i in zip(kept, reversed(a)):
+        r += (a_i - float(dg @ r) / sy) * ds
+    d = -np.where(free, r, g)
+    return d if float(g @ d) < 0.0 else steep
 
 
 def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
              start_steps: int) -> MultiplierSolution:
     """Two-metric projected L-BFGS over the slack orthant (Bertsekas 1982;
     Byrd, Lu, Nocedal & Zhu 1995) from s >= 0 with sweep sw, the solve's
-    start pass of start_steps stage steps.
+    start pass of start_steps stage steps, on the secular gradient
+    (module docstring).
 
-    Each iteration backtracks by Armijo from the direction and first step
-    of _direction along the projection arc max(s + t d, 0). An accepted
-    step stores its (ds, dg) where ds'dg > 0, the last _MEMORY of them. A
-    trial whose predicted decrease -g.step is at most phi's rounding,
-    _ROUNDING |phi|, would be tested on noise: the line search ends there,
+    Each iteration backtracks by Armijo on phi from the direction of
+    _direction along the projection arc max(s + t d, 0), t = 1, 1/2, ....
+    An iteration's point forms its gh and D, and stores the (ds, dgh) from
+    the previous one where ds'dgh > 0, the last _MEMORY of them. A trial
+    whose predicted decrease -g.step is at most phi's rounding, _ROUNDING
+    |phi|, would be tested on noise: the line search ends there,
     unevaluated, as backtracking only shrinks it. Converged when the
-    projected-gradient norm falls to 1e-8 (1 + |phi|), or, once a line
+    projected-gradient norm of g falls to 1e-8 (1 + |phi|), or, once a line
     search fails, to 1e-6 (1 + |phi|). A failed search short of that with
-    stored pairs drops them and retries from -g; without pairs it ends.
+    stored pairs drops them and retries; without pairs it ends.
     """
-    size = adjoint_stages = len(sw)
+    size = len(sw)
     s, sw, phi, stage_steps = _head_step(p, x, s, sw, _phi(p, x, sw))
     stage_steps += start_steps
     g = _slack_gradient(p, sw, x)
-    gradient_evals, backtracks, tail = 1, 0, None  # tail: _tail_map of sw's last stages
+    gradient_evals, backtracks, gh, last = 1, 0, None, None
     pgn = _pg_norm(g, s)
     pairs, converged, iterations = [], False, 0
     while iterations < _MAX_ITER:
         if pgn <= 1e-8 * (1.0 + abs(phi)):
             converged = True
             break
-        d, tt = _direction(g, s, pgn, pairs)
+        if gh is None:  # formed only where an iteration is taken
+            gh, D = _secular(p, sw, g)
+            if last is not None:
+                ds, dg = s - last[0], gh - last[1]
+                if float(ds @ dg) > 0.0:  # curvature along the last step
+                    pairs = pairs[1 - _MEMORY:] + [(ds, dg)]
+        d, tt = _direction(g, gh, D, s, pgn, pairs), 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = np.maximum(s + tt * d, 0.0)
@@ -318,22 +319,15 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             decrease = -float(g @ step)  # predicted
             if not decrease > _ROUNDING * abs(phi):
                 break  # the predicted decrease is lost in phi's rounding
-            sw_c, depth, steps = _reconstruct(p, cand, sw.stage_offset, sw)
+            sw_c, _, steps = _reconstruct(p, cand, sw.stage_offset, sw)
             stage_steps += steps
             phi_c = _phi(p, x, sw_c)
             if phi_c <= phi - _ARMIJO_C * decrease:
-                if p.n <= _MAP_MAX_N and (tail is None or depth > tail[0]):
-                    tail = _tail_map(p, sw_c, depth)  # the pass reached into it
-                    adjoint_stages += size - tail[0] if tail else 0
-                cand, sw_c, phi_c, steps = _head_step(p, x, cand, sw_c, phi_c)
+                cand, sw, phi, steps = _head_step(p, x, cand, sw_c, phi_c)
                 stage_steps += steps
-                g_c = _slack_gradient(p, sw_c, x, tail)
-                adjoint_stages += size if tail is None or tail[1] is None else tail[0]
+                g = _slack_gradient(p, sw, x)
                 gradient_evals += 1
-                step, dg = cand - s, g_c - g
-                if float(step @ dg) > 0.0:  # curvature along the step
-                    pairs = pairs[1 - _MEMORY:] + [(step, dg)]
-                s, phi, sw, g = cand, phi_c, sw_c, g_c
+                last, s, gh = (s, gh), cand, None
                 pgn = _pg_norm(g, s)
                 accepted = True
                 iterations += 1
@@ -350,7 +344,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
         boundary_flags=at_bound(sw.lambdas, sw.bounds),
         iterations=iterations, converged=converged,
         stage_steps=stage_steps, gradient_evals=gradient_evals,
-        adjoint_stages=adjoint_stages, backtracks=backtracks)
+        adjoint_stages=gradient_evals * size, backtracks=backtracks)
 
 
 def solve_multipliers(p: ProblemData, x, k: int = 0, init=None,

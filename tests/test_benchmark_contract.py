@@ -174,8 +174,10 @@ def test_online_bank_counts(monkeypatch):
     # calls return, pinned exactly as the steady bank's are. Warm re-solves
     # that start at their optimum take their start pass and one gradient,
     # and no trial is rejected on rounding; a tied decision (head multiplier
-    # at its bound, g_0 >= 0) takes no head step.
-    # Every stage step (587) settles its check on the residual alone
+    # at its bound, g_0 >= 0) takes no head step. The episode-1 stage-0
+    # decision, whose slack 10 is free, takes 2 iterations on the secular
+    # gradient (8 on the slack gradient, 100 stage steps where it takes 34).
+    # Every stage step (507) settles its check on the residual alone
     counts = count_stage_norms(monkeypatch)
     solutions, _, results = bank_pass(monkeypatch, "Online")
     assert counts["norms"] == counts["steps"] == sum(
@@ -186,10 +188,10 @@ def test_online_bank_counts(monkeypatch):
     # rollout misses its stage-0 value (the saddle failure, ROADMAP item 3)
     assert [res.failed for res in results] == [0, 12, 0, 0, 0, 0]
     assert all(sol.converged for sol in solutions)
-    assert sum(sol.stage_steps for sol in solutions) == 587
-    assert sum(sol.iterations for sol in solutions) == 17
-    assert sum(sol.gradient_evals for sol in solutions) == 89
-    assert sum(sol.adjoint_stages for sol in solutions) == 591
+    assert sum(sol.stage_steps for sol in solutions) == 507
+    assert sum(sol.iterations for sol in solutions) == 7
+    assert sum(sol.gradient_evals for sol in solutions) == 79
+    assert sum(sol.adjoint_stages for sol in solutions) == 513
     assert sum(sol.backtracks for sol in solutions) == 0
 
 
@@ -346,27 +348,67 @@ def test_long_horizon_bank_counts(monkeypatch):
     # from the lower corner. Four end at their corner; the two scalar ops,
     # whose only interior multiplier is the head's, end after their start
     # pass, one head step and one gradient. The N = 40 op, with interior
-    # multipliers at stages 0 and 1, takes the descent's work, where its
-    # curvature pairs count. Its trial passes step only the first stages,
-    # so its gradients take the rest from a tail map: 13 gradients of
-    # N = 30-50 stages cost 520 adjoint stage updates without one. The
-    # cold corner passes settle to a fixed point (n = 1), a 2-cycle (n = 2)
+    # multipliers at stages 0 and 1, takes the descent's work: 2 iterations
+    # on the secular gradient, no backtrack (7 and 4 on the slack gradient,
+    # 43 stage steps where it takes 23). Each gradient costs N stage
+    # updates, 320 over the bank's 8. The cold corner passes settle to a fixed point (n = 1), a 2-cycle (n = 2)
     # and a 10-cycle (n = 3), whose stages they copy: their start passes
     # step 4 of 30, 16 of 40 and 33 of 50 stages, so the bank takes 135
     # stage steps, not the 269 it took when every stage was stepped. The
     # counts are pinned exactly, as the steady bank's are.
-    # Every stage step (135) settles its check on the residual alone
+    # Every stage step (115) settles its check on the residual alone
     counts = count_stage_norms(monkeypatch)
-    solutions, _, _ = bank_pass(monkeypatch, "LongHorizon")
+    solutions, cases, _ = bank_pass(monkeypatch, "LongHorizon")
     assert counts["norms"] == counts["steps"] == sum(
         sol.stage_steps for sol in solutions)
     assert len(solutions) == 6
     assert all(sol.converged for sol in solutions)
-    assert sum(sol.stage_steps for sol in solutions) == 135
-    assert sum(sol.iterations for sol in solutions) == 7
-    assert sum(sol.gradient_evals for sol in solutions) == 13
-    assert sum(sol.adjoint_stages for sol in solutions) == 292
-    assert sum(sol.backtracks for sol in solutions) == 4
+    assert sum(sol.stage_steps for sol in solutions) == 115
+    assert sum(sol.iterations for sol in solutions) == 2
+    assert sum(sol.gradient_evals for sol in solutions) == 8
+    assert sum(sol.backtracks for sol in solutions) == 0
+    assert all(sol.adjoint_stages == sol.gradient_evals * case.problem.N
+               for sol, case in zip(solutions, cases))
+    assert sum(sol.adjoint_stages for sol in solutions) == 320
+
+
+def test_one_pole_model_on_the_iterating_bank_ops(monkeypatch):
+    # why the descent runs on the secular gradient gh_j = u_j - alpha_j^-1/2:
+    # on the ops of both banks that iterate, the online episode-1 stage-0
+    # decision (slack 10 free) and the long_horizon N = 40 op (slacks 0
+    # and 1 free), u_j = (alpha_j - 2 alpha_bar g_j)^-1/2, 1/||wbar_j|| in
+    # the envelope, is affine in s_j within 1e-4 relative over [0, 2 s_j*],
+    # the other slacks held at the optimum's and s_0 at its head step.
+    # The online op's increments are 0.208949, 0.208962, 0.208970, ...
+    # (4.2e-5 off its chord), the long_horizon op's equal to 1e-15
+    workloads = load_workloads(monkeypatch)
+    api = SimpleNamespace(**{name: getattr(stdar, name) for name in api_names()})
+    checked = []
+    for workload, index, free in (("Online", 1, [10]), ("LongHorizon", 2, [0, 1])):
+        case = getattr(workloads, workload)().bank()[index]
+        case.build(api)
+        p, x = case.problem, case.x0
+        sol = stdar.solve_multipliers(p, x)
+        assert sol.iterations > 0
+        sw = sol.lam_star
+        s_opt = sw.lambdas - sw.bounds - stdar.riccati.EPS_BOUNDARY
+        assert list(np.flatnonzero(s_opt > 1e-6)) == free
+        for j in free:
+            grid, u = np.linspace(0.0, 2.0 * s_opt[j], 9), []
+            for v in grid:
+                s = s_opt.copy()
+                s[j] = v
+                pass_ = stdar.multiplier._reconstruct(p, s, 0)[0]
+                if j:
+                    s, pass_, _, _ = stdar.multiplier._head_step(
+                        p, x, s, pass_, stdar.multiplier._phi(p, x, pass_))
+                g = stdar.multiplier._slack_gradient(p, pass_, x)
+                u.append((p.alpha[j] - 2.0 * p.alpha_bar * g[j]) ** -0.5)
+            u = np.array(u)
+            chord = u[0] + (u[-1] - u[0]) * grid / grid[-1]
+            assert np.abs(u - chord).max() <= 1e-4 * np.abs(u).min()
+            checked.append((workload, j))
+    assert len(checked) == 3
 
 
 def test_steady_bank_counts(monkeypatch):
@@ -509,24 +551,6 @@ def test_passes_that_copy_are_the_recursion_bit_for_bit(monkeypatch):
         assert [taken for (_, _, taken), _ in passes[1:]] == [steps + 3] * 2
         if p is turnpike.problem:
             assert any(taken < depth for (_, depth, taken), _ in trials)
-
-
-def test_long_horizon_bank_without_tail_maps(monkeypatch):
-    # with the tail-map builder taken out every gradient is the full loop:
-    # the bank's solves end at the same multipliers and values, within
-    # 1e-12, with the same counts, and each gradient costs N stage updates
-    with_maps, _, _ = bank_pass(monkeypatch, "LongHorizon")
-    monkeypatch.setattr(stdar.multiplier, "_tail_map", lambda *a: None)
-    without, cases, _ = bank_pass(monkeypatch, "LongHorizon")
-    for a, b, case in zip(with_maps, without, cases):
-        lam_a, lam_b = a.lam_star.lambdas, b.lam_star.lambdas
-        assert np.abs(lam_a - lam_b).max() <= 1e-12 * np.abs(lam_b).max()
-        assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
-        counts = ("iterations", "stage_steps", "gradient_evals", "backtracks")
-        assert [getattr(a, c) for c in counts] == [getattr(b, c) for c in counts]
-        assert b.adjoint_stages == b.gradient_evals * case.problem.N
-    assert (sum(sol.adjoint_stages for sol in with_maps)
-            < sum(sol.adjoint_stages for sol in without) == 520)
 
 
 def test_online_bank_with_eigh_eigenpairs(monkeypatch):

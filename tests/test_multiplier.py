@@ -5,7 +5,7 @@ import sympy as sp
 from stdar import (MultiplierVector, ProblemData, objective,
                    solve_multipliers, sweep)
 from stdar import multiplier
-from stdar.multiplier import _reconstruct, _slack_gradient, _tail_map
+from stdar.multiplier import _reconstruct, _slack_gradient
 from stdar.riccati import EPS_BOUNDARY, _nested_pass, project_feasible
 from conftest import (assert_same_sweep, fresh, make_problem, orthogonal, rotated,
                       scalar_problem)
@@ -471,19 +471,20 @@ def test_interior_ill_conditioned_solve_converges():
     sol = solve_multipliers(p, p.x0, k=5)
     assert sol.converged
     assert sol.value <= 0.07048129333 * (1.0 + 1e-9)
-    assert sol.iterations <= 200
-    # it takes 4 610, 8% under the bound (4 160 before the head step; the
-    # cause of the rise is not settled)
-    assert sol.stage_steps <= 5000
+    # on the secular gradient it takes 26 iterations, 46 backtracks and
+    # 1 183 stage steps (98, 187 and 4 610 on the slack gradient)
+    assert sol.iterations <= 30
+    assert sol.backtracks <= 55
+    assert sol.stage_steps <= 1300
     assert not any(sol.boundary_flags)
 
 
 def test_random_cold_solves_converge():
     # 200 cold solves, N = 2-40, k uniform, x = 10^U(-1, 1) x0. All
-    # converge, 197 of them under the 1e-8 rule, in 1 202 iterations, at
-    # most 69 in one solve (1 440 and 79 before the head step); the bounds
-    # keep about 4% over both. The floor of 188 under the 1e-8 rule is what
-    # projected Barzilai-Borwein steps reached on these draws
+    # converge, 197 of them under the 1e-8 rule, in 496 iterations, at most
+    # 30 in one solve (1 202 and 69 on the slack gradient, 1 440 and 79
+    # before the head step); the bounds keep about 5% over both and 2 under
+    # the 197
     rng = np.random.default_rng(15)
     iterations, tight = [], 0
     for _ in range(200):
@@ -495,9 +496,48 @@ def test_random_cold_solves_converge():
         assert sol.converged
         iterations.append(sol.iterations)
         tight += sol.grad_norm <= 1e-8 * (1.0 + abs(sol.value))
-    assert sum(iterations) <= 1250
-    assert max(iterations) <= 72
-    assert tight >= 188
+    assert sum(iterations) <= 520
+    assert max(iterations) <= 32
+    assert tight >= 195
+
+
+def test_two_pole_draw_takes_the_model():
+    # draw 78 of the set above (n = 1, m = 1, q = 2, N = 40, k = 26): the
+    # G blocks of its interior stages have two poles at comparable
+    # distances, so the one-pole model is not exact there. The model's
+    # first step and its clip to the pairs' scale still take it in 22
+    # iterations (54 on the slack gradient); a model gated off where the
+    # second pole lies within 10 times the first's distance took 54 again
+    rng = np.random.default_rng(15)
+    for _ in range(79):
+        N = int(rng.integers(2, 41))
+        p = make_problem(rng, N=N)
+        k = int(rng.integers(0, N))
+        x = 10.0 ** rng.uniform(-1.0, 1.0) * p.x0
+    assert (p.n, p.m, p.q, p.N, k) == (1, 1, 2, 40, 26)
+    sol = solve_multipliers(p, x, k=k)
+    assert sol.converged
+    assert sol.iterations <= 25
+
+
+def test_warm_resolves_start_at_the_optimum():
+    # the first 200 draws of default_rng(19), as the 1 000 on which warm
+    # re-solves of solves that ended under the 1e-6 rule took 50 trial
+    # passes: on the slack gradient 4 of these 200 ended so (draws 45, 106,
+    # 170 and 173), and re-solving from their own lam_star tried 2 passes.
+    # On the secular gradient one ends so (draw 167), and every warm
+    # re-solve is its start pass and one gradient
+    rng = np.random.default_rng(19)
+    loose = 0
+    for _ in range(200):
+        p = make_problem(rng)
+        k = int(rng.integers(0, p.N))
+        x = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(p.n)
+        sol = solve_multipliers(p, x, k=k)
+        loose += sol.grad_norm > 1e-8 * (1.0 + abs(sol.value))
+        warm = solve_multipliers(p, x, k=k, init=sol.lam_star.lambdas)
+        assert (warm.iterations, warm.gradient_evals, warm.backtracks) == (0, 1, 0)
+    assert loose <= 1
 
 
 def test_max_iterations_returns_best_iterate(monkeypatch):
@@ -534,8 +574,11 @@ def test_cold_solve_ends_at_an_optimal_corner(rng):
 def test_first_trial_moves_no_slack_by_more_than_one(monkeypatch):
     # all multipliers interior (small B and G): at the corner the last
     # stage's slack gradient is about -267, and it still is once the start
-    # point's head step has set s_0, so a unit first step would move that
-    # slack by hundreds; the first descent trial is capped at 1
+    # point's head step has set s_0, so a unit -g step would move that
+    # slack by hundreds. The first descent trial is the one-pole model's
+    # step -D gh: it moves each slack whose gradient is negative by less
+    # than 1, every one by less than 5 times its distance to the optimum,
+    # and Armijo accepts it
     p = scalar_problem(A=0.9, B=-0.132, G=-0.042, Q=1, R=1, Pf=1, N=5,
                        alpha=1.0, x0=1.0)
     assert corner_gradient(p, p.x0, 0)[0][1:].min() < -100.0
@@ -543,29 +586,33 @@ def test_first_trial_moves_no_slack_by_more_than_one(monkeypatch):
     full, head = multiplier._reconstruct, multiplier._head_step
 
     def record(p, s, k, base=None):
+        out = full(p, s, k, base)
         if base is not None and not in_head:
-            trials.append((s.copy(), base))
-        return full(p, s, k, base)
+            trials.append((s.copy(), base, out[0]))
+        return out
 
     def head_step(*args):
         in_head.append(1)
         try:
-            heads.append(head(*args))
+            heads.append((args[3], head(*args)))
         finally:
             in_head.pop()
-        return heads[-1]
+        return heads[-1][1]
 
     monkeypatch.setattr(multiplier, "_reconstruct", record)
     monkeypatch.setattr(multiplier, "_head_step", head_step)
     sol = solve_multipliers(p, p.x0)
     assert sol.converged
-    s, start = heads[0][:2]  # the start point, after its head step
+    s, start = heads[0][1][:2]  # the start point, after its head step
     assert trials[0][1] is start
     g = _slack_gradient(p, start, p.x0)
     assert g[1:].min() < -100.0
     step = trials[0][0] - s
-    assert np.abs(step).max() == pytest.approx(1.0, rel=1e-12)
+    assert np.abs(step).max() < 1.0
     assert np.array_equal(step > 0.0, g < 0.0)
+    s_opt = sol.lam_star.lambdas - sol.lam_star.bounds - EPS_BOUNDARY
+    assert (np.abs(step) < 5.0 * np.abs(s_opt - s)).all()
+    assert heads[1][0] is trials[0][2]  # accepted: the next head step starts on it
 
 
 def test_slack_gradient_matches_stagewise_reference(rng):
@@ -590,136 +637,6 @@ def test_slack_gradient_matches_stagewise_reference(rng):
         g = _slack_gradient(p, sw, x)
         ref = slack_gradient_reference(p, sw, x)
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_tail_map_gradient_matches_the_loop(rng):
-    # a map built over stages t.. of a base pass gives the gradient of any
-    # pass resumed from that base which steps only stages below t: its head
-    # is the loop's own, bit for bit, and its tail agrees with the loop and
-    # the stage-by-stage reference. No map exists at t = 0 or t = N - k
-    checked = 0
-    for i in range(60):
-        n = int(rng.integers(1, 4))
-        m = int(rng.choice([v for v in (1, 2, 3) if v != n]))
-        p = make_problem(rng, n=n, m=m, q=int(rng.integers(1, 4)),
-                         N=int(rng.integers(1, 9)))
-        k = int(rng.integers(0, p.N))
-        size = p.N - k
-        slack = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size))
-        base = None
-        if i % 2:  # a slack pass resumed from a warm start's raw pass
-            base = _nested_pass(p, rng.uniform(0.0, 3.0, size), k, EPS_BOUNDARY)[0]
-            slack = np.maximum(base.lambdas - base.bounds - EPS_BOUNDARY, 0.0)
-        base = _reconstruct(p, slack, k, base)[0]
-        x = rng.uniform(0.1, 3.0) * rng.standard_normal(p.n)
-        assert _tail_map(p, base, 0) is None and _tail_map(p, base, size) is None
-        for t in range(1, size):
-            tail = _tail_map(p, base, t)
-            cand = slack.copy()
-            cand[rng.integers(0, t)] += rng.uniform(0.01, 1.0)
-            sw, depth, _ = _reconstruct(p, cand, k, base)
-            assert depth <= t
-            for pass_ in (base, sw):
-                g = _slack_gradient(p, pass_, x, tail)
-                loop = _slack_gradient(p, pass_, x)
-                ref = slack_gradient_reference(p, pass_, x)
-                assert np.array_equal(g[:t], loop[:t])
-                assert np.abs(g - loop).max() <= 1e-12 * np.abs(loop).max()
-                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
-                checked += 1
-    assert checked > 100
-
-
-def test_tail_maps_leave_solves_unchanged(rng, monkeypatch):
-    # cold and warm solves end on the same point, within 1e-12, with the
-    # same counts whether their gradients take tails from maps or run the
-    # full loop; a map must be rebuilt when a step reaches past it
-    def solves(p, x, scale):
-        cold = solve_multipliers(p, x)
-        return cold, solve_multipliers(p, -x, init=scale * cold.lam_star.lambdas)
-
-    cases = []
-    for _ in range(30):
-        p = make_problem(rng, N=int(rng.integers(4, 13)))
-        x = 2.0 * rng.standard_normal(p.n)
-        scale = rng.uniform(0.5, 2.0, p.N)
-        cases.append((p, x, scale, solves(p, x, scale)))
-    monkeypatch.setattr(multiplier, "_tail_map", lambda *a: None)
-    saved = 0
-    for p, x, scale, with_maps in cases:
-        for a, b in zip(with_maps, solves(p, x, scale)):
-            lam = b.lam_star.lambdas
-            assert np.abs(a.lam_star.lambdas - lam).max() <= 1e-12 * np.abs(lam).max()
-            assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
-            assert ((a.iterations, a.stage_steps, a.gradient_evals, a.backtracks)
-                    == (b.iterations, b.stage_steps, b.gradient_evals, b.backtracks))
-            assert b.adjoint_stages == b.gradient_evals * len(lam)
-            saved += b.adjoint_stages - a.adjoint_stages
-    assert saved > 0
-
-
-def test_tail_map_over_long_growing_tails(rng):
-    # over 30-50 stages of unstable systems, where many closed loops grow
-    # over the tail, a map in use loses at most 1e-12 of the reference's
-    # scale beyond what the loop loses; a map whose composed products pass
-    # the growth bound is not used, and its gradient is the loop's
-    used = refused = grown = 0
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
-        p = make_problem(rng, n=n, q=int(rng.integers(1, 4)),
-                         N=int(rng.integers(30, 51)), stable=False)
-        slack = np.where(rng.random(p.N) < 0.5, 0.0, rng.uniform(0.0, 1.0, p.N))
-        sw = _reconstruct(p, slack, 0)[0]
-        x = 3.0 * rng.standard_normal(n)
-        ref = slack_gradient_reference(p, sw, x)
-        loop = _slack_gradient(p, sw, x)
-        loop_err = np.abs(loop - ref).max()
-        for t in (1, p.N // 2, p.N - 2):
-            tail = _tail_map(p, sw, t)
-            g = _slack_gradient(p, sw, x, tail)
-            if tail[1] is None:
-                refused += 1
-                assert np.array_equal(g, loop)
-                continue
-            used += 1
-            grown += max(np.abs(np.linalg.eigvals(p.A - p.B @ K - p.G @ J)).max()
-                         for K, J in zip(sw.K[t:], sw.J[t:])) > 1.0
-            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max() + loop_err
-    assert used > 50 and refused > 0 and grown > 25
-
-
-def test_tail_maps_leave_long_solves_unchanged(rng, monkeypatch):
-    # cold solves over 30-50 stages of unstable systems end where the loop's
-    # do, with the same counts; at n = 5 no map is built, however many
-    # steps the descent takes
-    built = []
-
-    def recording(p, sw, t):
-        built.append(p.n)
-        return _tail_map(p, sw, t)
-
-    monkeypatch.setattr(multiplier, "_tail_map", recording)
-    cases = []
-    for i in range(20):
-        n = 5 if i % 2 else int(rng.integers(1, 5))
-        p = make_problem(rng, n=n, N=int(rng.integers(30, 51)), stable=False)
-        x = 2.0 * rng.standard_normal(n)
-        cases.append((p, x, solve_multipliers(p, x)))
-    assert built and max(built) <= 4
-    monkeypatch.setattr(multiplier, "_tail_map", lambda *a: None)
-    saved = stepped = 0
-    for p, x, a in cases:
-        b = solve_multipliers(p, x)
-        lam = b.lam_star.lambdas
-        assert np.abs(a.lam_star.lambdas - lam).max() <= 1e-12 * np.abs(lam).max()
-        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0.0)
-        assert ((a.iterations, a.stage_steps, a.gradient_evals, a.backtracks)
-                == (b.iterations, b.stage_steps, b.gradient_evals, b.backtracks))
-        if p.n > 4:
-            assert a.adjoint_stages == b.adjoint_stages == a.gradient_evals * p.N
-            stepped += a.iterations > 0
-        saved += b.adjoint_stages - a.adjoint_stages
-    assert saved > 0 and stepped > 0
 
 
 def test_warm_start_accepted(rng):

@@ -275,8 +275,9 @@ def test_cli_finite_turnpike_work(tmp_path):
     # the host-independent work of the four cold solves of the paper's
     # scalar example (scenarios/turnpike.yaml, N = 100). Its corner pass
     # settles to a 3-cycle 6 stages before its end and copies the rest,
-    # and so do its descents' passes where they settle: 1 067 stage steps
-    # solve it, where stepping every stage would take 8 773
+    # and so do its descents' passes where they settle: 564 stage steps
+    # solve it (1 067 on the slack gradient, 13/14/26/27 iterations), where
+    # stepping every stage each pass reaches would take 4 988 (8 773)
     path = Path(__file__).parents[1] / "scenarios" / "turnpike.yaml"
     assert main(["finite", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     with open(tmp_path / "finite_summary.csv", newline="") as fh:
@@ -284,8 +285,8 @@ def test_cli_finite_turnpike_work(tmp_path):
     work = ("iterations", "stage_steps", "gradient_evals", "adjoint_stages",
             "backtracks")
     assert [[int(row[c]) for c in work] for row in rows] == [
-        [13, 104, 14, 1388, 0], [14, 160, 15, 1487, 1],
-        [26, 398, 27, 2675, 3], [27, 405, 28, 2774, 0]]
+        [9, 69, 10, 1000, 0], [10, 117, 11, 1100, 0],
+        [13, 181, 14, 1400, 0], [14, 197, 15, 1500, 0]]
     assert all(row["converged"] == "True" for row in rows)
 
 
