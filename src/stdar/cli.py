@@ -141,9 +141,9 @@ def cmd_rollout(sc, args) -> int:
               + ["lambda_k", "stage_cost", "iterations", "stage_steps", "converged"])
     rows = [[str(k)] + [_fmt(v) for v in np.concatenate(
                 [tr.states[k], tr.controls[k], tr.disturbances[k],
-                 [tr.multipliers[k], tr.stage_costs[k]]])]
-            + [str(tr.iterations[k]), str(tr.stage_steps[k]),
-               str(bool(tr.stage_converged[k]))] for k in range(p.N)]
+                 [sol.lam_star.lambdas[0], tr.stage_costs[k]]])]
+            + [str(sol.iterations), str(sol.stage_steps),
+               str(bool(sol.converged))] for k, sol in enumerate(tr.solutions)]
     # the terminal row carries x_N and the terminal cost
     rows.append([str(p.N)] + [_fmt(v) for v in tr.states[p.N]]
                 + [""] * (p.m + p.q + 1) + [_fmt(tr.terminal_cost), "", "", ""])

@@ -26,14 +26,20 @@ _ROLLOUT_MODES = ("worst_case", "zero", "external")  # scenario reads it too
 PINV_CUTOFF = 1e-11
 
 
+def _read(f):
+    """A per-stage array read off a Trajectory's re-solves, f of each."""
+    return property(lambda tr: np.array([f(sol) for sol in tr.solutions]))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Closed-loop record over one horizon.
 
-    multipliers[k] is the head multiplier of the stage-k re-solve;
-    stage_values[k] the stage-k program value at x_k; iterations[k],
-    stage_steps[k] and stage_converged[k] that re-solve's MultiplierSolution
-    counts and flag; converged is all of the flags. value_ratio is the
+    solutions[k] is the stage-k re-solve at x_k, whose lam_star is the pass
+    that set u_k (and w_k in worst-case mode). Read off them:
+    multipliers[k] is its head multiplier, stage_values[k] its program
+    value at x_k, iterations[k], stage_steps[k] and stage_converged[k] its
+    counts and flag, and converged is all of the flags. value_ratio is the
     realized cost over the realized disturbance energy (nan if the
     denominator vanishes).
     """
@@ -41,15 +47,17 @@ class Trajectory:
     states: np.ndarray        # (N+1, n)
     controls: np.ndarray      # (N, m)
     disturbances: np.ndarray  # (N, q)
-    multipliers: np.ndarray   # (N,)
     stage_costs: np.ndarray   # (N,)
     terminal_cost: float
     value_ratio: float
-    stage_values: np.ndarray  # (N,)
-    converged: bool
-    iterations: np.ndarray    # (N,) int
-    stage_steps: np.ndarray   # (N,) int
-    stage_converged: np.ndarray  # (N,) bool
+    solutions: tuple          # (N,) MultiplierSolution
+
+    multipliers = _read(lambda sol: sol.lam_star.lambdas[0])
+    stage_values = _read(lambda sol: sol.value)
+    iterations = _read(lambda sol: sol.iterations)
+    stage_steps = _read(lambda sol: sol.stage_steps)
+    stage_converged = _read(lambda sol: sol.converged)
+    converged = property(lambda tr: bool(tr.stage_converged.all()))
 
     @property
     def total_cost(self) -> float:
@@ -143,20 +151,17 @@ def rollout(p: ProblemData, mode: str = "worst_case", w_seq=None) -> Trajectory:
             w = np.zeros(p.q)
         else:
             w = w_seq[k]
-        stages.append((x, u, w, sol.lam_star.lambdas[0], p.stage_cost(x, u),
-                       sol.value, sol.iterations, sol.stage_steps, sol.converged))
+        stages.append((x, u, w, p.stage_cost(x, u), sol))
         x = p.A @ x + p.B @ u + p.G @ w
         warm = sol.lam_star.lambdas[1:] if k < p.N - 1 else None
-    (states, controls, disturbances, multipliers, stage_costs, stage_values,
-     iterations, stage_steps, converged) = map(np.array, zip(*stages))
+    *arrays, solutions = zip(*stages)
+    states, controls, disturbances, stage_costs = map(np.array, arrays)
     states = np.vstack([states, x])
     terminal = p.terminal_cost(x)
     total = float(stage_costs.sum() + terminal)
     denom = float(np.sum(disturbances * disturbances))
     ratio = total / denom if denom > 0.0 else float("nan")
     return Trajectory(states=states, controls=controls,
-                      disturbances=disturbances, multipliers=multipliers,
-                      stage_costs=stage_costs, terminal_cost=terminal,
-                      value_ratio=ratio, stage_values=stage_values,
-                      converged=bool(converged.all()), iterations=iterations,
-                      stage_steps=stage_steps, stage_converged=converged)
+                      disturbances=disturbances, stage_costs=stage_costs,
+                      terminal_cost=terminal, value_ratio=ratio,
+                      solutions=solutions)

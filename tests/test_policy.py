@@ -395,15 +395,16 @@ def test_admissible_disturbance_never_beats_worst_case(rng):
 
 
 def test_resolving_cost_falls_short_by_its_gaps_losses_and_slacks():
-    # rollout's loop replayed through the public calls is rollout bit for
-    # bit, and its cost obeys the identity of oracles.shortfall_terms:
+    # a rollout's cost, read off its own re-solves, obeys the identity of
+    # oracles.shortfall_terms:
     #   sum(x'Qx + u'Ru) + x_N'Pf x_N = 2 abar phi_0 - gaps - losses - slacks
     # within 1e-12 of its largest term, every term at least -1e-12 of it.
     # So the total cost (the halved sum) is at most abar phi_0 for every
     # admissible disturbance, worst-case, zero or drawn inside each stage's
     # ball, with equality only where every gap, loss and slack vanishes.
     # Measured over these 40 programs: residual 4.2e-16 of the largest
-    # term, smallest term -1.7e-16
+    # term, smallest term -1.7e-16. That rollout composes the public calls
+    # is test_rollout_composes_the_public_calls
     rng = np.random.default_rng(5)
     for _ in range(40):
         p = make_problem(rng, N=int(rng.integers(3, 10)))
@@ -414,28 +415,10 @@ def test_resolving_cost_falls_short_by_its_gaps_losses_and_slacks():
                 w_seq *= (np.sqrt(p.alpha * rng.uniform(0.0, 1.0, p.N))
                           / np.linalg.norm(w_seq, axis=1))[:, None]
             traj = rollout(p, mode, w_seq)
-            x, warm, solutions, states, controls, disturbances = p.x0, None, [], [p.x0], [], []
-            for k in range(p.N):
-                sol = solve_multipliers(p, x, k=k, init=warm)
-                u = control_at(p, x, k, sol.lam_star)
-                if mode == "worst_case":
-                    w = worst_disturbance_at(p, x, k, sol.lam_star, u)
-                else:
-                    w = np.zeros(p.q) if mode == "zero" else w_seq[k]
-                x = p.A @ x + p.B @ u + p.G @ w
-                warm = sol.lam_star.lambdas[1:] if k < p.N - 1 else None
-                solutions.append(sol)
-                states.append(x)
-                controls.append(u)
-                disturbances.append(w)
-            states, controls, disturbances = map(np.array, (states, controls, disturbances))
-            assert np.array_equal(states, traj.states)
-            assert np.array_equal(controls, traj.controls)
-            assert np.array_equal(disturbances, traj.disturbances)
-
-            gaps, losses, slacks = shortfall_terms(p, states, disturbances, solutions)
+            states, solutions = traj.states, traj.solutions
+            gaps, losses, slacks = shortfall_terms(p, states, traj.disturbances, solutions)
             cost = states[-1] @ p.Pf @ states[-1] + sum(
-                x @ p.Q @ x + u @ p.R @ u for x, u in zip(states, controls))
+                x @ p.Q @ x + u @ p.R @ u for x, u in zip(states, traj.controls))
             bound = 2.0 * p.alpha_bar * solutions[0].value
             shortfall = np.concatenate([gaps, losses, slacks])
             scale = np.abs(np.concatenate([[cost, bound], shortfall])).max()
@@ -613,23 +596,66 @@ def test_trajectory_csv_round_trip(rng, tmp_path):
 
 
 def test_trajectory_reports_each_resolve_work(rng):
-    # iterations[k], stage_steps[k] and stage_converged[k] are those of
-    # the stage-k re-solve, repeated here from the recorded states and the
-    # same warm starts; converged is all of the flags
-    for _ in range(3):
+    # solutions[k] is the stage-k re-solve, its pass starting at stage k;
+    # each per-stage array is the read of every solution, bit for bit, as
+    # float values, integer counts and boolean flags, and converged is all
+    # of the flags; none of them can be written
+    for mode in ("worst_case", "zero"):
         p = make_problem(rng)
-        traj = rollout(p, mode="worst_case")
-        assert (traj.iterations.shape == traj.stage_steps.shape
-                == traj.stage_converged.shape == (p.N,))
-        assert traj.converged == traj.stage_converged.all()
-        warm = None
-        for k in range(p.N):
-            sol = solve_multipliers(p, traj.states[k], k=k, init=warm)
-            assert (traj.iterations[k], traj.stage_steps[k],
-                    traj.stage_converged[k]) == (
-                sol.iterations, sol.stage_steps, sol.converged)
-            assert sol.stage_steps >= p.N - k  # the start pass at least
-            warm = sol.lam_star.lambdas[1:]
+        traj = rollout(p, mode=mode)
+        sols = traj.solutions
+        assert isinstance(sols, tuple) and len(sols) == p.N
+        assert [sol.lam_star.stage_offset for sol in sols] == list(range(p.N))
+        for name, read in (("multipliers", lambda sol: sol.lam_star.lambdas[0]),
+                           ("stage_values", lambda sol: sol.value),
+                           ("iterations", lambda sol: sol.iterations),
+                           ("stage_steps", lambda sol: sol.stage_steps),
+                           ("stage_converged", lambda sol: sol.converged)):
+            arr = getattr(traj, name)
+            assert arr.shape == (p.N,), name
+            assert np.array_equal(arr, [read(sol) for sol in sols]), name
+        assert traj.multipliers.dtype == traj.stage_values.dtype == float
+        assert traj.iterations.dtype.kind == traj.stage_steps.dtype.kind == "i"
+        assert traj.stage_converged.dtype == bool
+        assert traj.converged is bool(all(sol.converged for sol in sols))
+        with pytest.raises(AttributeError):
+            traj.iterations = np.zeros(p.N, dtype=int)
+
+
+def test_rollout_composes_the_public_calls(rng):
+    # each stage of a rollout is the public calls at its recorded state:
+    # the stage-k solve warm-started from the tail of solution k - 1, its
+    # control, its disturbance (worst-case, zero or the supplied one) and
+    # the dynamics, bit for bit, and the cost is the problem's
+    for mode in ("worst_case", "zero", "external"):
+        for _ in range(2):
+            p = make_problem(rng)
+            w_seq = None
+            if mode == "external":
+                w_seq = rng.standard_normal((p.N, p.q))
+                w_seq *= (np.sqrt(p.alpha * rng.uniform(0.0, 1.0, p.N))
+                          / np.linalg.norm(w_seq, axis=1))[:, None]
+            traj = rollout(p, mode, w_seq)
+            assert np.array_equal(traj.states[0], p.x0)
+            warm = None
+            for k, (x, u, w) in enumerate(zip(traj.states, traj.controls,
+                                              traj.disturbances)):
+                sol = solve_multipliers(p, x, k=k, init=warm)
+                rec = traj.solutions[k]
+                assert np.array_equal(sol.lam_star.lambdas, rec.lam_star.lambdas)
+                assert (sol.value, sol.iterations, sol.stage_steps, sol.converged) == (
+                    rec.value, rec.iterations, rec.stage_steps, rec.converged)
+                assert sol.stage_steps >= p.N - k  # the start pass at least
+                assert np.array_equal(control_at(p, x, k, rec.lam_star), u)
+                if mode == "worst_case":
+                    ref = worst_disturbance_at(p, x, k, rec.lam_star, u)
+                else:
+                    ref = np.zeros(p.q) if mode == "zero" else w_seq[k]
+                assert np.array_equal(ref, w)
+                assert np.array_equal(p.A @ x + p.B @ u + p.G @ w, traj.states[k + 1])
+                assert traj.stage_costs[k] == p.stage_cost(x, u)
+                warm = rec.lam_star.lambdas[1:]
+            assert traj.terminal_cost == p.terminal_cost(traj.states[-1])
 
 
 def test_per_stage_saddle_inequality(rng):

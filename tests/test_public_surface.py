@@ -99,6 +99,10 @@ def test_public_surface():
     assert not hasattr(stdar.ProblemData, "schedule")
     assert "W" not in {f.name for f in dataclasses.fields(stdar.ProblemData)}
     assert not hasattr(stdar.Trajectory, "to_csv")  # cli writes rollout.csv
+    # a Trajectory keeps its re-solves; the per-stage counts are read off them
+    assert [f.name for f in dataclasses.fields(stdar.Trajectory)] == [
+        "states", "controls", "disturbances", "stage_costs", "terminal_cost",
+        "value_ratio", "solutions"]
     assert [f.name for f in dataclasses.fields(stdar.ValidationReport)] == [
         "stabilizable", "detectable", "strict_weights", "degenerate_terminal",
         "warnings"]
