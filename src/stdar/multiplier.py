@@ -286,7 +286,11 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
     Each iteration backtracks by Armijo on phi from the direction of
     _direction along the projection arc max(s + t d, 0), t = 1, 1/2, ....
     An iteration's point forms its gh and D, and stores the (ds, dgh) from
-    the previous one where ds'dgh > 0, the last _MEMORY of them. A trial
+    the previous one where ds'dgh > 0, the last _MEMORY of them. Where the
+    head step moved s_0 at that point, the pair takes 0 in component 0 of
+    both: that move is an exact line minimum in s_0, not a step along d,
+    and with g_0 about 0 after it a large ds_0 over a small dgh_0 would
+    set the direction's scale in s_0 for every later iteration. A trial
     whose predicted decrease -g.step is at most phi's rounding, _ROUNDING
     |phi|, would be tested on noise: the line search ends there,
     unevaluated, as backtracking only shrinks it. Converged when the
@@ -309,6 +313,8 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
             gh, D = _secular(p, sw, g)
             if last is not None:
                 ds, dg = s - last[0], gh - last[1]
+                if last[2]:  # the head step's move is no curvature of d
+                    ds[0] = dg[0] = 0.0
                 if float(ds @ dg) > 0.0:  # curvature along the last step
                     pairs = pairs[1 - _MEMORY:] + [(ds, dg)]
         d, tt = _direction(g, gh, D, s, pgn, pairs), 1.0
@@ -327,7 +333,7 @@ def _descend(p: ProblemData, x: np.ndarray, s: np.ndarray, sw: RiccatiSweep,
                 stage_steps += steps
                 g = _slack_gradient(p, sw, x)
                 gradient_evals += 1
-                last, s, gh = (s, gh), cand, None
+                last, s, gh = (s, gh, sw is not sw_c), cand, None
                 pgn = _pg_norm(g, s)
                 accepted = True
                 iterations += 1

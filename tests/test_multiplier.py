@@ -471,8 +471,9 @@ def test_interior_ill_conditioned_solve_converges():
     sol = solve_multipliers(p, p.x0, k=5)
     assert sol.converged
     assert sol.value <= 0.07048129333 * (1.0 + 1e-9)
-    # on the secular gradient it takes 26 iterations, 46 backtracks and
-    # 1 183 stage steps (98, 187 and 4 610 on the slack gradient)
+    # on the secular gradient it takes 23 iterations, 38 backtracks and
+    # 1 006 stage steps (26, 46 and 1 183 with the head step's moves in the
+    # L-BFGS pairs; 98, 187 and 4 610 on the slack gradient)
     assert sol.iterations <= 30
     assert sol.backtracks <= 55
     assert sol.stage_steps <= 1300
@@ -481,10 +482,11 @@ def test_interior_ill_conditioned_solve_converges():
 
 def test_random_cold_solves_converge():
     # 200 cold solves, N = 2-40, k uniform, x = 10^U(-1, 1) x0. All
-    # converge, 197 of them under the 1e-8 rule, in 496 iterations, at most
-    # 30 in one solve (1 202 and 69 on the slack gradient, 1 440 and 79
-    # before the head step); the bounds keep about 5% over both and 2 under
-    # the 197
+    # converge, 198 of them under the 1e-8 rule, in 477 iterations, at most
+    # 22 in one solve (496 and 30 with the head step's moves in the L-BFGS
+    # pairs, 1 202 and 69 on the slack gradient, 1 440 and 79 before the
+    # head step); the bounds keep 9% over the sum, 45% over the most and 3
+    # under the 198
     rng = np.random.default_rng(15)
     iterations, tight = [], 0
     for _ in range(200):
@@ -518,6 +520,28 @@ def test_two_pole_draw_takes_the_model():
     sol = solve_multipliers(p, x, k=k)
     assert sol.converged
     assert sol.iterations <= 25
+
+
+def test_head_step_moves_stay_out_of_the_pairs():
+    # draw 904 of default_rng(19), one stage index drawn after each
+    # problem, solved at x0. The head step at the first accepted point
+    # moves s_0 from 13.2 to 0.093 while dgh_0 stays about 0; taken into
+    # the L-BFGS pair, that move set the direction's s_0 scale to -370 for
+    # every later iteration, the arc clipped s_0 at any t > 2.5e-4, and the
+    # solve took 1 436 iterations, 25 574 backtracks and 136 490 stage
+    # steps. With component 0 of such a pair zeroed it takes 165, 1 043
+    # and 6 210, to the same value within 1e-15 relative
+    rng = np.random.default_rng(19)
+    for _ in range(904):
+        p = make_problem(rng)
+        k = int(rng.integers(0, p.N))
+    assert (p.n, p.m, p.q, p.N, k) == (1, 1, 1, 5, 0)
+    sol = solve_multipliers(p, p.x0, k=k)
+    assert sol.converged
+    assert sol.value == pytest.approx(0.1358384400020909, rel=1e-12)
+    assert sol.iterations <= 200
+    assert sol.backtracks <= 1250
+    assert sol.stage_steps <= 7500
 
 
 def test_warm_resolves_start_at_the_optimum():

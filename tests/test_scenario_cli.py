@@ -285,8 +285,23 @@ def test_cli_finite_turnpike_work(tmp_path):
     work = ("iterations", "stage_steps", "gradient_evals", "adjoint_stages",
             "backtracks")
     assert [[int(row[c]) for c in work] for row in rows] == [
-        [9, 69, 10, 1000, 0], [10, 117, 11, 1100, 0],
-        [13, 181, 14, 1400, 0], [14, 197, 15, 1500, 0]]
+        [9, 69, 10, 1000, 0], [10, 115, 11, 1100, 0],
+        [13, 178, 14, 1400, 0], [14, 202, 15, 1500, 0]]
+    assert all(row["converged"] == "True" for row in rows)
+
+
+def test_cli_rollout_scenario_work(tmp_path):
+    # the host-independent work of `stdar rollout` on scenarios/rollout.yaml
+    # (the paper's scalar example, N = 12, worst case): the cold stage-0
+    # solve takes 11 iterations and 123 stage steps, and every warm re-solve
+    # starts at its optimum, its start pass of N - k stages and no iteration.
+    # The CI workflow checks the same counts from the installed command
+    path = Path(__file__).parents[1] / "scenarios" / "rollout.yaml"
+    assert main(["rollout", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "rollout.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))[:-1]  # not x_N's row
+    assert [int(row["iterations"]) for row in rows] == [11] + [0] * 11
+    assert [int(row["stage_steps"]) for row in rows] == [123] + list(range(11, 0, -1))
     assert all(row["converged"] == "True" for row in rows)
 
 
