@@ -369,22 +369,28 @@ def envelope_gradient(p, lam, x, k=0):
     return g
 
 
-def slack_gradient_reference(p, sw, x):
+def slack_gradient_reference(p, sw, x, dtype=np.float64):
     """The multiplier program's slack gradient at the sweep sw by the
     forward adjoint pass written stage by stage: Acl_j and J_j'J_j are
     formed inside the loop from the sweep's K_j, J_j and top eigenvectors
     v_j (the top rows of sw._eigvecs), one stage at a time.
 
         g_j = alpha_j - <X_j, J_j'J_j>,  X_{j+1} = Acl_j X_j Acl_j' + g_j (G v_j)(G v_j)'
+
+    Every product is taken in dtype, on the sweep's float64 arrays:
+    np.longdouble (80-bit extended on x86-64, eps 1.1e-19) evaluates the
+    same pass with 11 more bits than float64.
     """
     k = sw.stage_offset
-    g = np.zeros(len(sw))
+    g = np.zeros(len(sw), dtype=dtype)
+    x = np.asarray(x, dtype=dtype)
+    A, B, G = (np.asarray(M, dtype=dtype) for M in (p.A, p.B, p.G))
     X = np.outer(x, x)
-    Gv = sw._eigvecs[:, -1] @ p.G.T
+    Gv = np.asarray(sw._eigvecs[:, -1], dtype=dtype) @ G.T
     for j in range(g.size):
-        J = sw.J[j]
-        g[j] = p.alpha[k + j] - float(np.sum((J @ X) * J))
-        Acl = p.A - p.B @ sw.K[j] - p.G @ J
+        J = np.asarray(sw.J[j], dtype=dtype)
+        g[j] = p.alpha[k + j] - np.sum((J @ X) * J)
+        Acl = A - B @ np.asarray(sw.K[j], dtype=dtype) - G @ J
         X = Acl @ X @ Acl.T + g[j] * np.outer(Gv[j], Gv[j])
     return g / (2.0 * p.alpha_bar)
 

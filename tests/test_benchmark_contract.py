@@ -416,9 +416,10 @@ def test_steady_bank_counts(monkeypatch):
     # example and 40 random systems, each solved and given its LQR baseline.
     # The scalar example's two probes below its saddle-node end by the
     # doubling's infeasibility exit, after 13 and 14 doublings; run to the
-    # 64-doubling cap they made it 1 109 doublings and 2 capped probes. A
-    # converged probe below its bound goes to lo unverified, so the search
-    # verifies 174 of its probes, and each LQR baseline verifies its one
+    # 64-doubling cap they made it 1 109 doublings and 2 capped probes. The
+    # search verifies only the candidate it returns, where it verified all
+    # 174 of its probes that cleared their bound before, and each LQR
+    # baseline verifies its one
     verified = {"search": 0, "lqr": 0}
     phase = ["search"]
     verify, lqr_baseline = stdar.steady_state.verify, stdar.lqr_baseline
@@ -442,7 +443,7 @@ def test_steady_bank_counts(monkeypatch):
     assert sum(sol.probes for sol in solutions) == 232
     assert sum(sol.fp_iterations for sol in solutions) == 1008
     assert [sol.capped for sol in solutions] == [0] * 41
-    assert verified == {"search": 174, "lqr": 41}
+    assert verified == {"search": 41, "lqr": 41}
 
 
 def test_exit_never_ends_a_feasible_probe(monkeypatch):

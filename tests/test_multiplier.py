@@ -663,6 +663,35 @@ def test_slack_gradient_matches_stagewise_reference(rng):
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_slack_gradient_error_on_an_ill_conditioned_pass():
+    # 40 unstable long horizons from default_rng(2): on the 22nd (n = 4,
+    # m = q = 1, N = 32) the batched pass and the stage-by-stage reference
+    # part by 1.06e-6 of the gradient's scale. Both lose the digits: against
+    # the same pass in 80-bit extended precision (on the sweep's float64
+    # arrays) the package is off by 7.6e-7 and the float64 reference by
+    # 7.0e-7. ||Acl_0|| = 3.9e3 carries X from entries of 7 to 1.3e6, while
+    # the <X_j, J_j'J_j> the gradient reads stay below 71. The package's
+    # error is bounded at its measured size and is no worse than twice the
+    # reference's
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is not an extended type here")
+    rng = np.random.default_rng(2)
+    for _ in range(22):
+        n = int(rng.integers(1, 5))
+        p = make_problem(rng, n=n, q=int(rng.integers(1, 4)),
+                         N=int(rng.integers(30, 51)), stable=False)
+        s = np.where(rng.random(p.N) < 0.5, 0.0, rng.uniform(0.0, 1.0, p.N))
+        x = 3.0 * rng.standard_normal(n)
+    assert (p.n, p.m, p.q, p.N) == (4, 1, 1, 32)
+    sw = _reconstruct(p, s, 0)[0]
+    exact = slack_gradient_reference(p, sw, x, np.longdouble)
+    scale = float(np.abs(exact).max())
+    err = float(np.abs(_slack_gradient(p, sw, x) - exact).max()) / scale
+    ref_err = float(np.abs(slack_gradient_reference(p, sw, x) - exact).max()) / scale
+    assert err <= 1e-6
+    assert err <= 2.0 * ref_err
+
+
 def test_warm_start_accepted(rng):
     p = make_problem(rng, N=3)
     cold = solve_multipliers(p, p.x0)

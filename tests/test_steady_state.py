@@ -225,11 +225,12 @@ def test_random_system_counts():
 def test_indefinite_fixed_point_rejected():
     # A = 2, lam = 0.5: the doubling converges to X = -2.7266, a root of
     # X^2 + 2.8 X + 0.2 = 0 with a stable closed loop that would pass the
-    # slack test; a Riccati fixed point of the game must be PSD
-    status, _, X, _, step = steady_state._probe(steady_scalar(A=2.0), 0.5)
-    assert status == -1
+    # slack test; a Riccati fixed point of the game must be PSD, so the
+    # probe's deferred verification rejects it
+    status, _, X, top, check = steady_state._probe(steady_scalar(A=2.0), 0.5)
+    assert status == 0 and 0.5 - top + EPS_BOUNDARY >= 0.0
     assert X[0, 0] == pytest.approx(-2.7266, abs=1e-4)
-    assert step is None
+    assert check() == (-1, None)
 
 
 def test_unreachable_unstable_mode_fails_typed():
@@ -498,9 +499,11 @@ def test_coupling_terms_formed_once_per_problem(rng, monkeypatch):
 
 def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
     # a converged probe whose slack lam - ||G'Pi G|| + EPS_BOUNDARY is
-    # negative goes to lo whether or not Pi is a fixed point, so the search
-    # runs the verifying map step once for each probe with a non-negative
-    # slack, on its Pi, and never for a probe below its bound
+    # negative goes to lo whether or not Pi is a fixed point, and one with
+    # a non-negative slack is a candidate, verified only if the search
+    # returns it. Where no verification fails, the search runs the
+    # verifying map step once per solve, on the returned Pi_bar, and never
+    # for a probe below its bound or for a candidate it passed over
     lams, outs, steps = [], [], []
     step, probe = _kernels.game_step, steady_state._probe
 
@@ -519,7 +522,7 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
     monkeypatch.setattr(steady_state, "_probe", recording)
     monkeypatch.setattr(steady_state, "fixed_point_numpy", counted)
     monkeypatch.setattr(_kernels, "game_step", counted_step)
-    below = 0
+    below = passed_over = 0
     for n in (2, 3, 4, 6, 8):
         p = _bank_system(rng, n)
         del lams[:], outs[:], steps[:]
@@ -528,30 +531,33 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
         converged = [(lam, out[2]) for lam, out in zip(lams, outs) if out[0] == 0]
         clearing = [Pi for lam, Pi in converged
                     if lam - top_eig(p.G.T @ Pi @ p.G) + EPS_BOUNDARY >= 0.0]
-        assert len(steps) == len(clearing)
-        assert all(a is b for a, b in zip(steps, clearing))
+        assert len(steps) == 1 and steps[0] is sol.Pi_bar
+        assert any(Pi is sol.Pi_bar for Pi in clearing)
         below += len(converged) - len(clearing)
-    assert below > 0
+        passed_over += len(clearing) - 1
+    assert below > 0 and passed_over > 0
 
 
 def test_probe_below_its_bound_is_not_verified(monkeypatch):
     # 1e-4 below lambda_bar = 1.2 of the paper's scalar example the doubling
     # converges, to a Pi whose slack is below -EPS_BOUNDARY: the probe
-    # returns it with status 0, its ||G'Pi G|| and no step, unverified
+    # returns it with status 0, its ||G'Pi G|| and its verification
+    # deferred, not run
     verified = []
     verify = steady_state.verify
     monkeypatch.setattr(steady_state, "verify",
                         lambda *a: verified.append(1) or verify(*a))
     p = steady_scalar()
     lam = 1.2 - 1e-4
-    status, _, Pi, top, step = steady_state._probe(p, lam)
-    assert (status, step, verified) == (0, None, [])
+    status, _, Pi, top, check = steady_state._probe(p, lam)
+    assert (status, verified) == (0, []) and callable(check)
     assert top == top_eig(p.G.T @ Pi @ p.G) > lam + EPS_BOUNDARY
 
 
 def test_lqr_baseline_is_the_probe_at_infinity(rng, monkeypatch):
-    # lqr_baseline is the probe at lam = inf: one doubling, one verification
-    # of its fixed point and no ||G'Pi G||, which has no bound to meet there
+    # lqr_baseline is the probe at lam = inf: one doubling, then its own
+    # verification of the fixed point, and no ||G'Pi G||, which has no
+    # bound to meet there
     calls = []
     for name in ("fixed_point_numpy", "verify", "top_eig"):
         fn = getattr(steady_state, name)
@@ -561,8 +567,8 @@ def test_lqr_baseline_is_the_probe_at_infinity(rng, monkeypatch):
         calls.clear()
         P = lqr_baseline(p)
         assert calls == ["fixed_point_numpy", "verify"]
-        status, _, Pi, top, step = steady_state._probe(p, np.inf)
-        assert (status, top) == (0, None) and step is not None
+        status, _, Pi, top, check = steady_state._probe(p, np.inf)
+        assert (status, top) == (0, None) and check()[0] == 0
         assert np.array_equal(P, Pi)
 
 
@@ -605,6 +611,40 @@ def test_solution_is_the_verifying_step(rng):
         assert sol.residual == float(np.linalg.norm(sol.Pi_bar - Pi_next))
         assert sol.boundary_gap == sol.lambda_bar - top_eig(
             p.G.T @ sol.Pi_bar @ p.G)
+
+
+def test_failed_verification_sends_the_search_up(rng, monkeypatch):
+    # verify rejects the first candidate each solve verifies (the paper's
+    # scalar example and a bank system): that one goes to lo, the search
+    # falls back to the candidates above it, and the answer is a verified
+    # fixed point above the rejected probe, with the last verification run
+    # on the returned Pi_bar
+    verify = steady_state.verify
+    checked = []
+
+    def rejecting_first(A, Q, Z, X, scale):
+        checked.append(X)
+        return (-1, None) if len(checked) == 1 else verify(A, Q, Z, X, scale)
+
+    probes = []
+    probe = steady_state._probe
+
+    def recording(p, lam):
+        out = probe(p, lam)
+        probes.append((lam, out[2]))
+        return out
+
+    monkeypatch.setattr(steady_state, "verify", rejecting_first)
+    monkeypatch.setattr(steady_state, "_probe", recording)
+    for p in (steady_scalar(), _bank_system(rng, 3)):
+        del checked[:], probes[:]
+        sol = solve_steady_state(p)
+        rejected = next(lam for lam, Pi in probes if Pi is checked[0])
+        # the rejected candidate was the true answer: the fallback lands
+        # within two bracket tolerances of it (measured 7.6e-10 and 5.1e-10)
+        assert rejected < sol.lambda_bar <= rejected + 2.0 * steady_state._BRACKET_TOL
+        assert sol.residual < 1e-8 * (1.0 + np.linalg.norm(sol.Pi_bar))
+        assert len(checked) > 1 and checked[-1] is sol.Pi_bar
 
 
 def test_search_probe_count(rng):
@@ -653,7 +693,8 @@ def test_search_probes_zero_first_where_the_bound_is_not_above_it():
 def test_answer_is_within_the_tolerance_of_the_least_multiplier():
     # where the answer's slack h = boundary_gap + EPS_BOUNDARY is at most the
     # bracket tolerance, lambda_bar is within it of the least multiplier: the
-    # probe 2e-9 below lambda_bar, made afresh, is not accepted. Checked on
+    # probe 2e-9 below lambda_bar, made afresh, is not accepted (not a
+    # candidate, or one whose verification fails). Checked on
     # 58 of make_problem's first 60 default_rng(8) systems; the other two
     # (10 and 53) are critical, where no slack is that small. Together the 60
     # solves take at most 519 probes (599 where every secant ran through
@@ -667,8 +708,10 @@ def test_answer_is_within_the_tolerance_of_the_least_multiplier():
         probes += sol.probes
         if sol.boundary_gap + EPS_BOUNDARY <= tol:
             checked += 1
-            step = steady_state._probe(p, sol.lambda_bar - 2.0 * tol)[4]
-            assert step is None
+            lam = sol.lambda_bar - 2.0 * tol
+            status, _, _, top, check = steady_state._probe(p, lam)
+            assert (status != 0 or lam - top + EPS_BOUNDARY < 0.0
+                    or check()[0] != 0)
     assert checked == 58
     assert probes <= 519
 
@@ -779,14 +822,21 @@ def test_solution_is_a_fixed_point():
     # search well below lambda_bar (near 5.95 for 8.739 at index 50). At
     # the existence edge of 68 and 521 feasibility is not monotone in lam (a
     # probe passes just below ones that fail), so the answer depends on the
-    # search's path; whichever probe it accepts must be a fixed point
+    # search's path; whichever probe it accepts must be a fixed point. On
+    # default_rng(8) 217, 264 and 285 and default_rng(9) 68, 71, 389 and
+    # 521 the candidate the search verifies first fails (on 217 a run of
+    # them from 5.69 to 5.99, below lambda_bar = 10.61), so these answers
+    # come from its fallback
+    rng = np.random.default_rng(8)
+    systems = {(8, i): make_problem(rng) for i in range(286)}
     rng = np.random.default_rng(9)
-    systems = [make_problem(rng) for _ in range(522)]
-    for i in (50, 68, 71, 261, 521):
-        p = systems[i]
+    systems.update({(9, i): make_problem(rng) for i in range(522)})
+    for seed, i in ((9, 50), (9, 68), (9, 71), (9, 261), (9, 521), (8, 217),
+                    (8, 264), (8, 285), (9, 389)):
+        p = systems[seed, i]
         sol = solve_steady_state(p)
         assert sol.residual <= 1e-8 * (1.0 + np.linalg.norm(sol.Pi_bar))
-        if i in (50, 261):
+        if (seed, i) in ((9, 50), (9, 261)):
             # lambda_bar is where the DARE's slack changes sign
             assert _dare_slack(p, sol.lambda_bar * (1.0 + 1e-6)) > 0.0
             assert _dare_slack(p, sol.lambda_bar * (1.0 - 1e-6)) < 0.0
