@@ -32,12 +32,23 @@ the fixed point is stable, A_k vanishes and H_k converges quadratically
 map the error still halves with each doubling (Chiang et al., SIAM J.
 Matrix Anal. Appl. 31(2), 2009), and each doubling stands for 2^k steps.
 
-H_k = F^(2^k)(0), and F is order-preserving where ||G'XG|| < lam, so a
-fixed point X with ||G'XG|| <= bound dominates every H_k: a diagonal
-entry of G'H_k G above bound proves that lam has no such fixed point.
-From doubling _FP_EXIT_FROM on, a probe that has not converged tests it,
-with a relative margin _FP_EXIT_MARGIN for rounding: the probes below a
-saddle-node, which converge to nothing, end there instead of at the cap.
+H_k = F^(2^k)(0), and F is order-preserving on
+D_lam = {X PSD : ||G'XG|| < lam}. If a fixed point X* lies in D_lam, the
+orbit F^j(0) rises below X* in the Loewner order (0 <= Q = F(0), and
+G'F^j(0)G <= G'X*G keeps each iterate in D_lam), and A >= B >= 0 gives
+tr A^2 >= tr B^2, so ||H_k||_F cannot fall. From the second doubling on,
+a fall of more than _FP_TOL scale ends an unconverged probe as proved
+infeasible, for one comparison of norms the doubling forms anyway; the
+probes below a saddle-node, which converge to nothing, end there
+instead of at the cap. On a rising orbit the computed norm can fall only
+by the rounding of one update, a few n eps ||H_k||, and the margin is
+about 4 500 eps. The proof needs X* strictly inside D_lam, while the
+search accepts ||G'XG|| up to lam + EPS_BOUNDARY (`steady_state`). The
+gap costs nothing: Pi(lam) falls as lam grows, so above the least lam0
+with a fixed point in the closure of D_lam0 every lam has one strictly
+inside D_lam, and no probe there ends by the exit. It can end only
+probes in [lam0 - EPS_BOUNDARY, lam0], which the search may accept but
+need not; its answer then lies within its bracket tolerance above lam0.
 
 Status codes: 0 converged, 1 doubling cap, -1 diverged, proved infeasible
 by a doubling, or converged to an X that is not positive semidefinite or
@@ -54,8 +65,6 @@ from ._linalg import fro_norm, psd_within, sym
 
 _FP_TOL = 1e-12          # the doubling's stop rule and verify's PSD test
 _FP_MAX_DOUBLINGS = 64
-_FP_EXIT_FROM = 12       # the first doubling that tests for infeasibility
-_FP_EXIT_MARGIN = 1e-6   # its relative margin for rounding
 _FP_CHECK = 1e-8
 
 
@@ -69,17 +78,16 @@ def game_step(A, Q, Z, Pi):
     return 0.5 * (Pn + Pn.T), PX
 
 
-def fixed_point_numpy(A, Q, Z, x0, cap, eye, G, bound):
+def fixed_point_numpy(A, Q, Z, x0, cap, eye):
     """The doubling at Z, x0 = ||X_0||: (status, doublings, X, scale), X
     and scale None but at status 0, X = sym(H_k), at the first k with
     ||A_k||^2 (||H_k|| + x0) <= _FP_TOL scale, scale = (1 + ||H_k||^2)^{1/2};
     status 1 at _FP_MAX_DOUBLINGS. Diverged once ||A_k||^2 x0 passes 1e12
     scale or scale passes cap, the problem's 1e12 (1 + ||Q|| + x0): a mode
-    B cannot reach grows H_k and the relative tests with it. From doubling
-    _FP_EXIT_FROM on, -1 too once an unconverged H_k has a diagonal entry
-    of G'H_k G above bound (1 + _FP_EXIT_MARGIN), bound the largest
-    ||G'X G|| a fixed point X may have (inf: no test); eye is I_n."""
-    n, limit = A.shape[0], bound * (1.0 + _FP_EXIT_MARGIN)
+    B cannot reach grows H_k and the relative tests with it. -1 too once an
+    unconverged ||H_{k+1}||_F falls below ||H_k||_F - _FP_TOL scale, from
+    the second doubling on; eye is I_n."""
+    n, last = A.shape[0], 0.0  # ||H_k||_F; 0 lets the first doubling pass
     AG = np.concatenate((A, Z), axis=1)  # [A_k G_k]
     Ak, Gk, H = A, Z, Q
     for k in range(_FP_MAX_DOUBLINGS):
@@ -99,8 +107,9 @@ def fixed_point_numpy(A, Q, Z, x0, cap, eye, G, bound):
             return -1, k + 1, None, None
         if a2 * (h + x0) <= _FP_TOL * scale:
             return 0, k + 1, sym(H), scale
-        if k + 1 >= _FP_EXIT_FROM and (G * H.dot(G)).sum(axis=0).max() > limit:
-            return -1, k + 1, None, None  # diag(G'H_k G), no eigenvalue
+        if h < last - _FP_TOL * scale:
+            return -1, k + 1, None, None  # ||H_k||_F fell: no fixed point in D_lam
+        last = h
     return 1, _FP_MAX_DOUBLINGS, None, None
 
 

@@ -6,23 +6,22 @@ and the stationarity Pi = F(lambda, Pi) of the one-stage Riccati map. A
 multiplier is feasible when the doubling probe (see `_kernels`) reaches a
 positive semidefinite fixed point and its slack
 g(lambda) = lambda - ||G'Pi(lambda) G|| clears -EPS_BOUNDARY; a probe
-with no fixed point ends once a doubling proves it, not at the doubling
-cap. Pi(lambda) falls in the Loewner order as lambda grows (a larger
-lambda charges the disturbance more), so g is increasing with slope at
-least 1, and the feasible multipliers form a half-line where each probe
-reaches its fixed point or clearly fails to. Not so at the existence
-edge: on default_rng(9) systems 68 and 521 of the tests' make_problem,
-passing and failing probes interleave from 7e-9 and 4e-7 below
-lambda_bar up to it, and the answer depends on the search's path. The
-search keeps a bracket [lo, hi], hi a candidate (a converged probe whose
-slack clears -EPS_BOUNDARY) and lo not; as Pi(lambda_bar) dominates
-Pi_hi, ||G'Pi_hi G|| - EPS_BOUNDARY is a lower bound on lambda_bar that
-each candidate hands the next (see `solve_steady_state`). Only the
-candidate the search returns is verified, a PSD test and one map step
-(`_kernels.verify`); on 7 of 1 200 make_problem systems a candidate is
-no fixed point, fails it and sends the search back up. The LMI check
-certifies the solution by a PSD block matrix in
-(P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
+with no fixed point ends once a doubling proves it, by a falling
+||H_k||_F, not at the doubling cap. Pi(lambda) falls in the Loewner order
+as lambda grows (a larger lambda charges the disturbance more), so g is
+increasing with slope at least 1, and the feasible multipliers form a
+half-line, at the existence edge too: on default_rng(9) systems 68, 71,
+389 and 521 of the tests' make_problem, whose lambda_bar is the edge of
+the symplectic pencil, acceptance switches once, at lambda_bar, on a grid
+of 601 probes over lambda_bar (1 -+ 3e-7). The search keeps a bracket
+[lo, hi], hi a candidate (a converged probe whose slack clears
+-EPS_BOUNDARY) and lo not; as Pi(lambda_bar) dominates Pi_hi,
+||G'Pi_hi G|| - EPS_BOUNDARY is a lower bound on lambda_bar that each
+candidate hands the next (see `solve_steady_state`). Only the candidate
+the search returns is verified, once, by a PSD test and one map step
+(`_kernels.verify`); one that fails raises Diverged, and on 1 200
+make_problem systems none fails. The LMI check certifies the solution by
+a PSD block matrix in (P, F) = (Pi_bar^{-1}, K_bar Pi_bar^{-1}).
 """
 from __future__ import annotations
 
@@ -87,18 +86,16 @@ def _probe(p: ProblemData, lam: float):
     """The one probe of a multiplier, (status, doublings, Pi, top, check): the
     doubling from Pf at Z = B R^{-1} B' - G G'/lam through this module's
     fixed_point_numpy binding (wrapped by benchmark/tracing.py, patched by
-    the tests), which ends it as infeasible (status -1) once a diagonal
-    entry of G'H_k G passes lam + EPS_BOUNDARY, the largest ||G'Pi G|| the
-    search accepts; top = ||G'Pi G|| where it converged at a finite lam.
-    The probe does not verify Pi: check, where it converged, is `verify`
-    of Pi at the same Z and the doubling's scale, deferred, which returns
+    the tests), which ends it as infeasible (status -1) once ||H_k||_F
+    falls; top = ||G'Pi G|| where it converged at a finite lam. The probe
+    does not verify Pi: check, where it converged, is `verify` of Pi at the
+    same Z and the doubling's scale, deferred, which returns
     (status, step) when called. At lam = inf, the LQR map,
     Z = B R^{-1} B' and top is None. The lam-free constants are the
     problem's."""
     BRB, GG, x0, cap, eye = p._steady_constants[:5]
     Z = BRB - GG / lam if lam < np.inf else BRB
-    status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, x0, cap, eye, p.G,
-                                                 lam + EPS_BOUNDARY)
+    status, count, Pi, scale = fixed_point_numpy(p.A, p.Q, Z, x0, cap, eye)
     check = partial(verify, p.A, p.Q, Z, Pi, scale) if status == 0 else None
     top = top_eig(p.G.T.dot(Pi).dot(p.G)) if check and lam < np.inf else None
     return status, count, Pi, top, check
@@ -124,73 +121,58 @@ def solve_steady_state(p: ProblemData) -> SteadyStateSolution:
     its bound goes to lo with its slack; one that fails, capped, diverged
     or proved infeasible by its doubling, with none (see `_probe`).
 
-    When the bracket closes, hi is verified (`_kernels.verify`: Pi_hi PSD
-    and moved by less than 1e-8 (1 + ||Pi_hi||) by one map step). A
-    candidate that fails goes to lo with no slack, as a failed probe, and
-    leaves the secant's probes; the candidates above it are then verified
-    from the lowest up until one passes, each that fails going to lo the
-    same way. The search resumes below the one that passed, verifying
-    each later candidate as it lands, or, with none left, the upper
-    bracket doubles on from its last value. The answer is the verified
-    candidate as it stands: K_bar and the residual come from the map step
-    that verified Pi_bar (see `_kernels`), the gap from the ||G'Pi_bar G||
-    that made it a candidate, and lmi_feasible from `lmi_certify` at it,
-    decided before the solution is built.
+    When the bracket closes, hi is verified once (`_kernels.verify`: Pi_hi
+    PSD and moved by less than 1e-8 (1 + ||Pi_hi||) by one map step); a
+    candidate that fails raises Diverged. K_bar and the residual come from
+    the map step that verified Pi_bar (see `_kernels`), the gap from the
+    ||G'Pi_bar G|| that made it a candidate, and lmi_feasible from
+    `lmi_certify` at it, decided before the solution is built.
     """
-    work = []  # (status, doublings) of each probe
-    lo, h_lo, eager = 0.0, None, False
-    cands, slacks = [], []  # candidates above lo, the lowest last; probes (lam, h)
+    work, slacks = [], []  # (status, doublings) of each probe; probes (lam, h)
 
     def probe(lam):
-        # h = lam - top + EPS_BOUNDARY, the value whose root the search
-        # seeks, or None where the doubling or an eager verification failed
+        # (h, (Pi, top, check)): h = lam - top + EPS_BOUNDARY, the value
+        # whose root the search seeks, or None where the doubling failed
         status, count, Pi, top, check = _probe(p, lam)
         work.append((status, count))
         h = lam - top + EPS_BOUNDARY if status == 0 else None
-        if eager and h is not None and h >= 0.0 and check()[0]:
-            h = None  # once a verification has failed, candidates are verified as they land
         if h is not None:
             slacks.append((lam, h))
-            if h >= 0.0:
-                cands.append((lam, h, Pi, top, check))
-        return h
+        return h, (Pi, top, check)
 
     def aimed(a, b):  # where the secant through probes (lam, h) reaches tol/2
         return b[0] - (b[1] - 0.5 * _BRACKET_TOL) * (b[0] - a[0]) / (b[1] - a[1])
 
     start = 10.0 * (top_eig(p.G.T.dot(p.Pf).dot(p.G)) + np.trace(p.Q) + np.trace(p.R))
-    ups = (start * 2.0 ** k for k in range(11))  # at most 10 doublings
-    while True:
-        while not cands:  # the upper bracket
-            hi = next(ups, None)
-            if hi is None:
-                raise NoFeasibleLambda(f"no feasible multiplier up to "
-                                       f"{start * 2.0 ** 10:.6g} after 10 doublings")
-            probe(hi)
-        hi, h_hi = cands[-1][:2]
-        while min(hi - lo, h_hi) > _BRACKET_TOL:  # lo or bound within tol of hi
-            bound = hi - h_hi  # ||G'Pi_hi G|| - EPS_BOUNDARY, at most lambda_bar
-            flat = h_lo is None or slacks[-2][1] == slacks[-1][1]  # or lo has no slack
-            mid = hi if flat else aimed(*slacks[-2:])  # through the latest two slacks
-            if not max(lo, bound) < mid < hi:
-                if lo == 0.0 or (h_lo is not None and bound > lo):
-                    mid = max(bound, lo)
-                else:
-                    mid = 0.5 * (lo + hi)
-            mid = min(max(mid, lo + 0.25 * _BRACKET_TOL), hi - 0.25 * _BRACKET_TOL)
-            h = probe(mid)
-            hi, h_hi = cands[-1][:2]  # the lowest candidate: mid, where it is one
-            if hi != mid:
-                lo, h_lo = mid, h
-        while cands:  # verify from the lowest candidate up
-            lam, h, Pi_bar, top, check = cands[-1]
-            status, step = check()
-            if status == 0:
-                break
-            slacks.remove(cands.pop()[:2])
-            lo, h_lo, eager = lam, None, True
-        if cands and lam == hi:
+    for k in range(11):  # the upper bracket, at most 10 doublings
+        hi = start * 2.0 ** k
+        h_hi, cand = probe(hi)
+        if h_hi is not None and h_hi >= 0.0:
             break
+    else:
+        raise NoFeasibleLambda(f"no feasible multiplier up to "
+                               f"{start * 2.0 ** 10:.6g} after 10 doublings")
+    lo, h_lo = 0.0, None
+    while min(hi - lo, h_hi) > _BRACKET_TOL:  # lo or bound within tol of hi
+        bound = hi - h_hi  # ||G'Pi_hi G|| - EPS_BOUNDARY, at most lambda_bar
+        flat = h_lo is None or slacks[-2][1] == slacks[-1][1]  # or lo has no slack
+        mid = hi if flat else aimed(*slacks[-2:])  # through the latest two slacks
+        if not max(lo, bound) < mid < hi:
+            if lo == 0.0 or (h_lo is not None and bound > lo):
+                mid = max(bound, lo)
+            else:
+                mid = 0.5 * (lo + hi)
+        mid = min(max(mid, lo + 0.25 * _BRACKET_TOL), hi - 0.25 * _BRACKET_TOL)
+        h, out = probe(mid)
+        if h is not None and h >= 0.0:
+            hi, h_hi, cand = mid, h, out
+        else:
+            lo, h_lo = mid, h
+    Pi_bar, top, check = cand
+    status, step = check()
+    if status != 0:
+        raise Diverged(f"steady-state candidate at lambda {hi:.6g} failed "
+                       f"verification as a PSD fixed point of the map")
     Pi_next, PX = step
     # K_bar = R^{-1} B'Pi_bar (I + Z Pi_bar)^{-1} A, see `_kernels`
     lam_bar, K_bar = float(hi), np.linalg.solve(p.R, p.B.T.dot(PX))

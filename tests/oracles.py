@@ -207,14 +207,15 @@ def bordered_pass_reference(p, raw, margin=-np.inf, slack=None):
     return tuple(np.array(v) for v in (Pi, KJ, vals, vecs, lam))
 
 
-def sda_reference(A, Q, Z, x0, G, bound):
+def sda_reference(A, Q, Z, x0, exit=True):
     """The structure-preserving doubling as _kernels.fixed_point_numpy
     states it, in its first form: W_k = G_k H_k + I by a strided diagonal
     add, products by @ and norms by np.linalg.norm, the stop tolerance
-    1e-12, the divergence tests, the infeasibility exit (from doubling 12,
-    max diag(G'H_k G) > bound (1 + 1e-6)) and the 64-doubling cap. Returns
+    1e-12, the divergence tests, the infeasibility exit (from doubling 2,
+    ||H_{k+1}|| < ||H_k|| - 1e-12 scale) and the 64-doubling cap. Returns
     (status, doublings, X, scale), which the kernel must reproduce bit for
-    bit."""
+    bit. exit=False runs the same doubling without the exit, which the
+    kernel cannot do, to check that the exit ends no feasible probe."""
     n, cap = A.shape[0], 1e12 * (1.0 + np.linalg.norm(Q) + x0)
     AG = np.hstack([A, Z])  # [A_k G_k]
     H = Q
@@ -226,6 +227,7 @@ def sda_reference(A, Q, Z, x0, G, bound):
             S = np.linalg.solve(W, AG)
         except np.linalg.LinAlgError:
             return -2, k, None, None
+        before = np.linalg.norm(H)  # ||H_k||
         H = H + Ak.T @ (H @ S[:, :n])
         AG = Ak @ S
         AG[:, n:] = Gk + AG[:, n:] @ Ak.T
@@ -235,7 +237,7 @@ def sda_reference(A, Q, Z, x0, G, bound):
             return -1, k + 1, None, None
         if a2 * (h + x0) <= 1e-12 * scale:
             return 0, k + 1, 0.5 * (H + H.T), scale
-        if k + 1 >= 12 and np.diag(G.T @ H @ G).max() > bound * (1.0 + 1e-6):
+        if exit and k >= 1 and h < before - 1e-12 * scale:
             return -1, k + 1, None, None
     return 1, 64, None, None
 

@@ -33,7 +33,7 @@ import pytest
 import stdar
 import stdar.scenario
 from conftest import make_problem
-from oracles import bordered_pass_reference, shortfall_terms
+from oracles import bordered_pass_reference, sda_reference, shortfall_terms
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -415,11 +415,10 @@ def test_steady_bank_counts(monkeypatch):
     # the same count over one pass of the steady bank: the paper's scalar
     # example and 40 random systems, each solved and given its LQR baseline.
     # The scalar example's two probes below its saddle-node end by the
-    # doubling's infeasibility exit, after 13 and 14 doublings; run to the
-    # 64-doubling cap they made it 1 109 doublings and 2 capped probes. The
-    # search verifies only the candidate it returns, where it verified all
-    # 174 of its probes that cleared their bound before, and each LQR
-    # baseline verifies its one
+    # doubling's infeasibility exit, a falling ||H_k||_F, after 3 doublings
+    # each; run to the 64-doubling cap they made it 1 109 doublings and 2
+    # capped probes. The search verifies only the candidate it returns, and
+    # each LQR baseline verifies its one
     verified = {"search": 0, "lqr": 0}
     phase = ["search"]
     verify, lqr_baseline = stdar.steady_state.verify, stdar.lqr_baseline
@@ -441,20 +440,26 @@ def test_steady_bank_counts(monkeypatch):
     assert not any(res.wrong or res.failed for res in results)
     assert len(solutions) == 41
     assert sum(sol.probes for sol in solutions) == 232
-    assert sum(sol.fp_iterations for sol in solutions) == 1008
+    assert sum(sol.fp_iterations for sol in solutions) == 988
     assert [sol.capped for sol in solutions] == [0] * 41
     assert verified == {"search": 41, "lqr": 41}
 
 
 def test_exit_never_ends_a_feasible_probe(monkeypatch):
-    # soundness of the doubling's infeasibility exit: a fixed point X with
-    # ||G'XG|| <= lam + EPS_BOUNDARY dominates every H_k, so no probe at or
-    # above its solve's lambda_bar ends by the exit. A probe ended by it is
-    # one whose result changes when the same doubling runs without it
-    # (bound inf). Checked over the steady bank and the first 40
-    # make_problem(default_rng(9)) systems, test_dare_reference.py's set
-    fp, eps = stdar._kernels.fixed_point_numpy, stdar.riccati.EPS_BOUNDARY
-    calls = []
+    # soundness of the doubling's infeasibility exit: ||H_k||_F cannot fall
+    # where a fixed point lies in D_lam = {X PSD : ||G'XG|| < lam}, and
+    # every lam above the least multiplier has one there, so each probe at
+    # or above its solve's lambda_bar ends as the same doubling does without
+    # the exit
+    # (oracles.sda_reference, exit=False). Checked over the steady bank, the
+    # first 40 make_problem(default_rng(9)) systems (test_dare_reference.py's
+    # set) and the seven whose first verified candidate failed under the
+    # diag(G'H_k G) exit: default_rng(8) 217, 264, 285 and default_rng(9)
+    # 68, 71, 389, 521
+    fp, probe = stdar._kernels.fixed_point_numpy, stdar.steady_state._probe
+    lams, calls = [], []
+    monkeypatch.setattr(stdar.steady_state, "_probe",
+                        lambda p, lam: lams.append(lam) or probe(p, lam))
     monkeypatch.setattr(stdar.steady_state, "fixed_point_numpy",
                         lambda *args: calls.append((args, fp(*args))) or calls[-1][1])
     cases = load_workloads(monkeypatch).Steady().bank()
@@ -462,17 +467,24 @@ def test_exit_never_ends_a_feasible_probe(monkeypatch):
                           validate_problem=stdar.validate_problem)
     for case in cases:
         case.build(api)
-    rng = np.random.default_rng(9)
-    systems = [case.problem for case in cases] + [make_problem(rng) for _ in range(40)]
-    probes = 0
+    drawn = {}
+    for seed, count in ((8, 286), (9, 522)):
+        rng = np.random.default_rng(seed)
+        drawn[seed] = [make_problem(rng) for _ in range(count)]
+    systems = [case.problem for case in cases] + drawn[9][:40]
+    systems += [drawn[8][i] for i in (217, 264, 285)]
+    systems += [drawn[9][i] for i in (68, 71, 389, 521)]
+    probes = checked = 0
     for p in systems:
-        del calls[:]
+        del lams[:], calls[:]
         lam_bar = stdar.solve_steady_state(p).lambda_bar
+        assert len(lams) == len(calls)
         probes += len(calls)
-        for args, out in calls:
-            if args[-1] - eps >= lam_bar and out[0] == -1:
-                assert fp(*args[:-1], np.inf)[:2] == out[:2], args[-1] - eps
-    assert len(systems) == 81 and probes > 500
+        for lam, (args, out) in zip(lams, calls):
+            if lam >= lam_bar:
+                checked += 1
+                assert out[:2] == sda_reference(*args[:4], exit=False)[:2], lam
+    assert (len(systems), probes, checked) == (88, 850, 565)
 
 
 def test_finite_horizon_program_meets_the_steady_state(monkeypatch):

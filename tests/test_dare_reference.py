@@ -6,7 +6,10 @@ stabilizing DARE solution Pi_DARE(lam) is the game Riccati map's fixed
 point, and on a system that is not critical (ROADMAP item 23) lambda_bar
 is the root of g(lam) = lam - ||G'Pi_DARE(lam) G||. The package finds it
 with its own doubling, search and verification; scipy with a Schur
-decomposition of the symplectic pencil. scipy is a test extra only.
+decomposition of the symplectic pencil. On a critical system lambda_bar
+is instead the edge lam_c of the pencil: below it the pencil has
+eigenvalues on the unit circle, and no stabilizing solution exists.
+scipy is a test extra only.
 """
 import numpy as np
 import scipy.linalg as la
@@ -53,3 +56,40 @@ def test_lambda_bar_is_the_dare_root():
         assert abs(lam_bar - root) <= 1e-9, i
         assert np.linalg.norm(sol.Pi_bar - Pi) <= 1e-6 * np.linalg.norm(Pi), i
     assert compared == 40 - len(skipped) >= 36, skipped
+
+
+def _on_unit_circle(p, lam, tol=1e-6):
+    # whether the pencil M - zL of the game DARE at lam, in blocks of n, n
+    # and d = m + q, has a finite eigenvalue z with ||z| - 1| <= tol
+    n, W = p.n, np.hstack([p.B, p.G])
+    d, zeros, eye = W.shape[1], np.zeros, np.eye(n)
+    M = np.block([[p.A, zeros((n, n)), W], [-p.Q, eye, zeros((n, d))],
+                  [zeros((d, 2 * n)), la.block_diag(p.R, -lam * np.eye(p.q))]])
+    L = np.block([[eye, zeros((n, n + d))], [zeros((n, n)), p.A.T, zeros((n, d))],
+                  [zeros((d, n)), -W.T, zeros((d, d))]])
+    z = la.eigvals(M, L)
+    return np.abs(np.abs(z[np.isfinite(z)]) - 1.0).min() <= tol
+
+
+def test_critical_lambda_bar_is_on_the_pencil_edge():
+    # on the critical default_rng(9) systems 68, 71, 389 and 521 lambda_bar
+    # is the pencil's edge lam_c, found by bisecting on its unit-circle
+    # eigenvalues over lambda_bar (1 -+ 1e-6) to 1e-13 relative (the
+    # circle's tol 1e-6 and 1e-8 give lam_c within 4e-11 relative). No
+    # probe below lam_c is accepted: lambda_bar >= lam_c (1 - 1e-10)
+    # (measured +9.4e-10, -2.8e-11, +8.1e-11 and -9.3e-12 relative), and
+    # lambda_bar is within the search's 1e-9 of lam_c above it
+    rng = np.random.default_rng(9)
+    systems = [make_problem(rng) for _ in range(522)]
+    for i in (68, 71, 389, 521):
+        p = systems[i]
+        lam_bar = solve_steady_state(p).lambda_bar
+        lo, hi = lam_bar * (1.0 - 1e-6), lam_bar * (1.0 + 1e-6)
+        assert _on_unit_circle(p, lo) and not _on_unit_circle(p, hi), i
+        while hi - lo > 1e-13 * hi:
+            mid = 0.5 * (lo + hi)
+            if _on_unit_circle(p, mid):
+                lo = mid
+            else:
+                hi = mid
+        assert hi * (1.0 - 1e-10) <= lam_bar <= hi + 1e-9, (i, lam_bar / hi - 1.0)

@@ -61,9 +61,9 @@ def test_public_surface():
     assert [f.name for f in dataclasses.fields(stdar.LmiCertificate)] == [
         "P", "F", "assembled", "feasible"]
     # a pass is the multiplier vector it set and keeps what its readers
-    # read, and the doubling's stop rule (_FP_TOL, _FP_MAX_DOUBLINGS) and
-    # infeasibility exit (_FP_EXIT_FROM, _FP_EXIT_MARGIN) live in _kernels
-    # alone
+    # read, and the doubling's stop rule (_FP_TOL, _FP_MAX_DOUBLINGS) lives
+    # in _kernels alone; its infeasibility exit, a falling ||H_k||_F, needs
+    # no constant of its own
     assert issubclass(stdar.RiccatiSweep, stdar.MultiplierVector)
     one = np.array([[1.0]])
     p = stdar.ProblemData(A=one, B=one, G=one, Q=one, R=one, Pf=one, N=2,
@@ -71,12 +71,14 @@ def test_public_surface():
     assert list(vars(stdar.solve_multipliers(p, p.x0).lam_star)) == [
         "lambdas", "stage_offset", "Pi", "K", "J", "bounds", "_eigvals",
         "_eigvecs", "_gains", "_problem"]
-    for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z x0 cap eye G bound"),
+    for fn, params in ((stdar._kernels.fixed_point_numpy, "A Q Z x0 cap eye"),
                        (stdar._kernels.verify, "A Q Z X scale")):
         assert list(inspect.signature(fn).parameters) == params.split()
-    for name in ("_FP_TOL", "_FP_MAX_DOUBLINGS", "_FP_EXIT_FROM", "_FP_EXIT_MARGIN"):
+    for name in ("_FP_TOL", "_FP_MAX_DOUBLINGS"):
         assert hasattr(stdar._kernels, name)
         assert not hasattr(stdar.steady_state, name), name
+    for name in ("_FP_EXIT_FROM", "_FP_EXIT_MARGIN"):
+        assert not hasattr(stdar._kernels, name), name
     # the tolerances are module constants where they are read, not a setting
     assert not hasattr(stdar, "Tolerances")
     assert not hasattr(stdar.problem, "_DEFAULT_TOL")

@@ -39,11 +39,10 @@ def coupling(p, lam):
 def kernel_args(p, lam, x0=None):
     # the doubling kernel's arguments at lam as _probe hands them, from a
     # start of norm x0 (||Pf||, the probe's, by default): Z, the cap
-    # 1e12 (1 + ||Q|| + x0), I_n, G and the exit's bound lam + EPS_BOUNDARY
+    # 1e12 (1 + ||Q|| + x0) and I_n
     x0 = np.linalg.norm(p.Pf) if x0 is None else x0
     cap = 1e12 * (1.0 + np.linalg.norm(p.Q) + x0)
-    return (p.A, p.Q, coupling(p, lam), x0, cap, np.eye(p.n), p.G,
-            lam + EPS_BOUNDARY)
+    return p.A, p.Q, coupling(p, lam), x0, cap, np.eye(p.n)
 
 
 @pytest.mark.parametrize("R", [[[0.0]], np.diag([1.0, 0.0])], ids=["1x1", "2x2"])
@@ -192,45 +191,46 @@ def test_no_fixed_point_stops_early():
 
 def test_probes_below_the_saddle_node_end_by_the_exit():
     # the paper's example has no fixed point below lambda_bar = 1.2, and
-    # its H_k = F^(2^k)(0) pass lam there: from doubling _FP_EXIT_FROM on
-    # the kernel proves lam infeasible by diag(G'H_k G) > lam + EPS_BOUNDARY,
-    # where it ran to the 64-doubling cap (status 1) before. The solve keeps
-    # its answer bit for bit and its 15 probes, while its doublings go
-    # 215 -> 114 and its capped probes 2 -> 0
+    # there ||H_k||_F falls at the third doubling, which proves lam
+    # infeasible; without the exit (oracles.sda_reference) the probe runs
+    # to the 64-doubling cap (status 1). The solve keeps its answer bit for
+    # bit and its 15 probes, with 94 doublings and no capped probe (215 and
+    # 2 with no exit)
     p = steady_scalar()
-    start = _kernels._FP_EXIT_FROM
-    for lam, doublings in ((0.5, 15), (0.6875, 14)):
-        status, k, X, _ = _kernels.fixed_point_numpy(*kernel_args(p, lam))
-        assert (status, k, X) == (-1, doublings, None)
-        assert start <= k <= start + 4
-        # without the exit the probe runs to the cap
-        assert _kernels.fixed_point_numpy(*kernel_args(p, lam)[:-1], np.inf)[:2] == (1, 64)
+    for lam in (0.5, 0.6875):
+        args = kernel_args(p, lam)
+        assert _kernels.fixed_point_numpy(*args) == (-1, 3, None, None)
+        assert sda_reference(*args[:4], exit=False)[:2] == (1, 64)
     sol = solve_steady_state(p)
     assert sol.lambda_bar == 1.1999999998471096
-    assert (sol.probes, sol.fp_iterations, sol.capped) == (15, 114, 0)
+    assert (sol.probes, sol.fp_iterations, sol.capped) == (15, 94, 0)
 
 
 def test_random_system_counts():
     # host-independent counts over the first 100 make_problem(default_rng(8))
     # systems, drawn in sequence. The exit ends probes with no fixed point
-    # early: doublings 10 754 -> 8 076 and capped probes 91 -> 34 against
-    # the doubling without it, for the same 911 probes
+    # early: 5 675 doublings and no capped probe, against 10 754 and 91
+    # without an exit, for the same 911 probes
     rng = np.random.default_rng(8)
     sols = [solve_steady_state(make_problem(rng)) for _ in range(100)]
     assert sum(sol.probes for sol in sols) <= 911
-    assert sum(sol.fp_iterations for sol in sols) == 8076
-    assert sum(sol.capped for sol in sols) == 34
+    assert sum(sol.fp_iterations for sol in sols) == 5675
+    assert sum(sol.capped for sol in sols) == 0
 
 
 def test_indefinite_fixed_point_rejected():
-    # A = 2, lam = 0.5: the doubling converges to X = -2.7266, a root of
-    # X^2 + 2.8 X + 0.2 = 0 with a stable closed loop that would pass the
-    # slack test; a Riccati fixed point of the game must be PSD, so the
-    # probe's deferred verification rejects it
-    status, _, X, top, check = steady_state._probe(steady_scalar(A=2.0), 0.5)
-    assert status == 0 and 0.5 - top + EPS_BOUNDARY >= 0.0
+    # A = 2, lam = 0.5: without the exit the doubling converges to
+    # X = -2.7266, a root of X^2 + 2.8 X + 0.2 = 0 with a stable closed
+    # loop that would pass the slack test; a Riccati fixed point of the game
+    # must be PSD, so verify rejects it. The probe itself ends by the exit
+    # before it gets there
+    p = steady_scalar(A=2.0)
+    args = kernel_args(p, 0.5)
+    status, _, X, scale = sda_reference(*args[:4], exit=False)
+    assert status == 0 and 0.5 - X[0, 0] + EPS_BOUNDARY >= 0.0
     assert X[0, 0] == pytest.approx(-2.7266, abs=1e-4)
-    assert check() == (-1, None)
+    assert _kernels.verify(*args[:3], X, scale) == (-1, None)
+    assert steady_state._probe(p, 0.5)[0] == -1
 
 
 def test_unreachable_unstable_mode_fails_typed():
@@ -501,9 +501,9 @@ def test_only_probes_clearing_their_bound_are_verified(rng, monkeypatch):
     # a converged probe whose slack lam - ||G'Pi G|| + EPS_BOUNDARY is
     # negative goes to lo whether or not Pi is a fixed point, and one with
     # a non-negative slack is a candidate, verified only if the search
-    # returns it. Where no verification fails, the search runs the
-    # verifying map step once per solve, on the returned Pi_bar, and never
-    # for a probe below its bound or for a candidate it passed over
+    # returns it. The search runs the verifying map step once per solve, on
+    # the returned Pi_bar, and never for a probe below its bound or for a
+    # candidate it passed over
     lams, outs, steps = [], [], []
     step, probe = _kernels.game_step, steady_state._probe
 
@@ -613,38 +613,32 @@ def test_solution_is_the_verifying_step(rng):
             p.G.T @ sol.Pi_bar @ p.G)
 
 
-def test_failed_verification_sends_the_search_up(rng, monkeypatch):
-    # verify rejects the first candidate each solve verifies (the paper's
-    # scalar example and a bank system): that one goes to lo, the search
-    # falls back to the candidates above it, and the answer is a verified
-    # fixed point above the rejected probe, with the last verification run
-    # on the returned Pi_bar
-    verify = steady_state.verify
-    checked = []
-
-    def rejecting_first(A, Q, Z, X, scale):
-        checked.append(X)
-        return (-1, None) if len(checked) == 1 else verify(A, Q, Z, X, scale)
-
-    probes = []
+def test_failed_verification_raises_diverged(rng, monkeypatch):
+    # verify rejects the candidate each solve returns (the paper's scalar
+    # example and a bank system): the search verifies that one candidate
+    # once, the lowest, and raises Diverged rather than return an
+    # unverified answer or go on searching
+    systems = (steady_scalar(), _bank_system(rng, 3))
+    lam_bars = [solve_steady_state(p).lambda_bar for p in systems]
+    checked, probes = [], []
     probe = steady_state._probe
 
     def recording(p, lam):
         out = probe(p, lam)
-        probes.append((lam, out[2]))
+        probes.append((lam, out))
         return out
 
-    monkeypatch.setattr(steady_state, "verify", rejecting_first)
+    monkeypatch.setattr(steady_state, "verify",
+                        lambda A, Q, Z, X, scale: checked.append(X) or (-1, None))
     monkeypatch.setattr(steady_state, "_probe", recording)
-    for p in (steady_scalar(), _bank_system(rng, 3)):
+    for p, lam_bar in zip(systems, lam_bars):
         del checked[:], probes[:]
-        sol = solve_steady_state(p)
-        rejected = next(lam for lam, Pi in probes if Pi is checked[0])
-        # the rejected candidate was the true answer: the fallback lands
-        # within two bracket tolerances of it (measured 7.6e-10 and 5.1e-10)
-        assert rejected < sol.lambda_bar <= rejected + 2.0 * steady_state._BRACKET_TOL
-        assert sol.residual < 1e-8 * (1.0 + np.linalg.norm(sol.Pi_bar))
-        assert len(checked) > 1 and checked[-1] is sol.Pi_bar
+        with pytest.raises(Diverged):
+            solve_steady_state(p)
+        candidates = [(lam, Pi) for lam, (status, _, Pi, top, _) in probes
+                      if status == 0 and lam - top + EPS_BOUNDARY >= 0.0]
+        lam, Pi = min(candidates, key=lambda c: c[0])
+        assert len(checked) == 1 and checked[0] is Pi and lam == lam_bar
 
 
 def test_search_probe_count(rng):
@@ -766,12 +760,18 @@ def test_doubling_stops_on_its_error_bound(rng, monkeypatch):
 
 
 def test_doubling_stop_test_is_not_a_fixed_point():
-    # the doubling meets its stop test here at an X (||X|| = 13) that one
-    # step of the map moves by 3.9: the probe must not report it converged
+    # without the exit the doubling meets its stop test here, after 54
+    # doublings, at an X (||X|| = 13.1) that one step of the map moves by
+    # 3.9: verify rejects it, and the probe itself ends by the exit
     rng = np.random.default_rng(7)
     for _ in range(132):
         p = make_problem(rng)
-    assert steady_state._probe(p, 5.2)[0] == -1
+    args = kernel_args(p, 5.2)
+    status, k, X, scale = sda_reference(*args[:4], exit=False)
+    assert (status, k) == (0, 54)
+    assert np.linalg.norm(X) == pytest.approx(13.1, abs=0.05)
+    assert _kernels.verify(*args[:3], X, scale) == (-1, None)
+    assert steady_state._probe(p, 5.2)[:2] == (-1, 5)
 
 
 def test_kernel_is_the_reference_doubling_bit_for_bit():
@@ -780,9 +780,9 @@ def test_kernel_is_the_reference_doubling_bit_for_bit():
     # the same status, count, X and scale, on random systems at multipliers
     # from 0.05 to 50 and at infinity, and at each status: the cap (1) where
     # Q = 0 and lam = 1 make Z = 0 and the map the identity, so that no H_k
-    # leaves 0, the scalar example's infeasibility exit at lam = 0.6875 and
-    # the unreachable unstable mode (-1), and a singular first W (-2, see
-    # test_singular_step_reports_singular_m)
+    # leaves 0 and no norm falls, the scalar example's infeasibility exit at
+    # lam = 0.6875 and the unreachable unstable mode (-1), and a singular
+    # first W (-2, see test_singular_step_reports_singular_m)
     B = np.array([[0.0], [1.0]])
     unreachable = ProblemData(A=np.diag([2.0, 0.5]), B=B, G=B / 2, Q=np.eye(2),
                               R=np.eye(1), Pf=np.eye(2), N=1, alpha=[1.0])
@@ -797,14 +797,14 @@ def test_kernel_is_the_reference_doubling_bit_for_bit():
         args = kernel_args(p, lam)
         assert p._steady_constants[2:4] == args[3:5]  # ||Pf|| and the cap
         got = _kernels.fixed_point_numpy(*args)
-        want = sda_reference(*args[:4], *args[-2:])
+        want = sda_reference(*args[:4])
         assert got[:2] == want[:2] and got[3] == want[3]
         if want[2] is None:
             assert got[2] is None
         else:
             assert got[2].tobytes() == want[2].tobytes()
         statuses.append(want[:2])
-    assert statuses[:4] == [(1, 64), (-1, 14), (-1, 5), (-2, 0)]
+    assert statuses[:4] == [(1, 64), (-1, 3), (-1, 5), (-2, 0)]
     assert {status for status, _ in statuses} == {0, 1, -1, -2}
 
 
@@ -817,16 +817,15 @@ def _dare_slack(p, lam):
 
 
 def test_solution_is_a_fixed_point():
-    # on these systems a probe can settle on an X that is no fixed point and
-    # whose slack clears the boundary; counted feasible, it would end the
-    # search well below lambda_bar (near 5.95 for 8.739 at index 50). At
-    # the existence edge of 68 and 521 feasibility is not monotone in lam (a
-    # probe passes just below ones that fail), so the answer depends on the
-    # search's path; whichever probe it accepts must be a fixed point. On
-    # default_rng(8) 217, 264 and 285 and default_rng(9) 68, 71, 389 and
-    # 521 the candidate the search verifies first fails (on 217 a run of
-    # them from 5.69 to 5.99, below lambda_bar = 10.61), so these answers
-    # come from its fallback
+    # on these systems the doubling without its exit can settle on an X that
+    # is no fixed point and whose slack clears the boundary; counted
+    # feasible, it would end the search well below lambda_bar (near 5.93
+    # for 8.739 at index 50), and the norm exit now ends those probes after
+    # 4-6 doublings. On default_rng(8) 217, 264 and 285 and default_rng(9)
+    # 68, 71, 389 and 521 the first candidate verified failed under the
+    # diag(G'H_k G) exit the norm exit replaced (on 217 a run of them from
+    # 5.69 to 5.99, below lambda_bar = 10.61); the one candidate the search
+    # verifies now must pass
     rng = np.random.default_rng(8)
     systems = {(8, i): make_problem(rng) for i in range(286)}
     rng = np.random.default_rng(9)
@@ -845,19 +844,23 @@ def test_solution_is_a_fixed_point():
 def test_rotation_invariance():
     # the steady state is the same in orthonormal coordinates x -> Tx,
     # u -> S'u, w -> V'w (conftest.rotated): lambda_bar within 1e-9
-    # relative (measured 2.3e-12), Pi_bar -> T Pi_bar T' and K_bar ->
-    # S'K_bar T', on make_problem's default_rng(9) systems 50, 72 and 75,
-    # which are not at the existence edge (there the search's path moves
-    # lambda_bar)
+    # relative (measured 1.3e-15), Pi_bar -> T Pi_bar T' and K_bar ->
+    # S'K_bar T' within 1e-9 of their largest entry, on make_problem's
+    # default_rng(9) systems 50, 72 and 75. On the critical 68 and 71
+    # lambda_bar is the pencil's edge, and the probes below it end by the
+    # doubling's exit wherever the search puts them, so lambda_bar holds to
+    # 1e-9 there too (measured 6.1e-16); Pi_bar and K_bar, at a saddle-node
+    # of the map, to 1e-8 (measured 1.5e-9)
     rng = np.random.default_rng(9)
     systems = [make_problem(rng) for _ in range(76)]
-    for i in (50, 72, 75):
+    for i in (50, 72, 75, 68, 71):
         p = systems[i]
         sol = solve_steady_state(p)
+        tol = 1e-8 if i in (68, 71) else 1e-9
         for _ in range(5):
             T, S, V = (orthogonal(rng, d) for d in (p.n, p.m, p.q))
             rot = solve_steady_state(rotated(p, T, S, V))
             assert abs(rot.lambda_bar - sol.lambda_bar) <= 1e-9 * sol.lambda_bar
             for got, want in ((rot.Pi_bar, T @ sol.Pi_bar @ T.T),
                               (rot.K_bar, S.T @ sol.K_bar @ T.T)):
-                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
